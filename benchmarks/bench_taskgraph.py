@@ -13,11 +13,15 @@ compete on; wall time just measures the graph machinery's overhead):
 - **commute vs. ordered**: K producers of maximally unequal costs folding
   into one accumulator, with ``commute`` vs. ``write`` accesses on the
   fold. Same sum either way; the commuted run's folds start in readiness
-  order and drain the pipeline faster.
+  order and drain the pipeline faster. Recorded at 12 folds (the makespan
+  headline) and at 2 000 (the CI perf-smoke pair: bookkeeping that grows
+  faster than the run — a per-grant rescan once made the commute side 1.3x
+  the ordered one here, 2.6x at 6 000 folds — shows as a wall-time gap
+  that 12 folds cannot reveal).
 
 Recorded to ``BENCH_taskgraph.json`` via
-``python -m repro bench-record --suite taskgraph`` (``--fast`` runs just
-the hetero pair).
+``python -m repro bench-record --suite taskgraph`` (``--fast`` runs the
+hetero pair and the 2 000-fold pair).
 """
 
 from repro.exec.sim import SimExecutor
@@ -67,19 +71,19 @@ def test_taskgraph_hetero_dmda(benchmark):
 # ---------------------------------------------------------------------------
 # commute: readiness-order folds vs. the submission-order write chain
 # ---------------------------------------------------------------------------
-def _bench_reduce(benchmark, commute):
+def _bench_reduce(benchmark, commute, nproducers=12, rounds=10):
     last = {}
 
     def run():
-        result, makespan = _run(reduction_workload(nproducers=12,
+        result, makespan = _run(reduction_workload(nproducers=nproducers,
                                                    commute=commute))
         last["total"], last["reordered"] = result[2], result[3]
         last["makespan"] = makespan
 
-    benchmark.pedantic(run, rounds=10, iterations=1, warmup_rounds=1)
+    benchmark.pedantic(run, rounds=rounds, iterations=1, warmup_rounds=1)
     benchmark.extra_info.update(
-        commute=commute, total=last["total"], reordered=last["reordered"],
-        virtual_makespan=last["makespan"])
+        commute=commute, folds=nproducers, total=last["total"],
+        reordered=last["reordered"], virtual_makespan=last["makespan"])
 
 
 def test_taskgraph_reduce_ordered(benchmark):
@@ -88,3 +92,11 @@ def test_taskgraph_reduce_ordered(benchmark):
 
 def test_taskgraph_reduce_commute(benchmark):
     _bench_reduce(benchmark, commute=True)
+
+
+def test_taskgraph_reduce_ordered_2000(benchmark):
+    _bench_reduce(benchmark, commute=False, nproducers=2000, rounds=5)
+
+
+def test_taskgraph_reduce_commute_2000(benchmark):
+    _bench_reduce(benchmark, commute=True, nproducers=2000, rounds=5)

@@ -70,7 +70,10 @@ def payload_digest(payload: Any) -> str:
         arr = payload if payload.flags["C_CONTIGUOUS"] else np.ascontiguousarray(payload)
         h.update(str(arr.dtype).encode())
         h.update(repr(arr.shape).encode())
-        h.update(arr.tobytes())
+        try:
+            h.update(arr.data)  # the array's own buffer: no tobytes() copy
+        except ValueError:  # dtypes the buffer protocol cannot export
+            h.update(arr.tobytes())
     else:
         h.update(pickle.dumps(payload, protocol=4))
     return h.hexdigest()

@@ -43,16 +43,18 @@ over multi-implementation tasks).
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.resilience.snapshot import (payload_digest, restore_payload,
                                        snapshot_payload)
 from repro.runtime.context import require_context
+from repro.runtime.deques import NullLock
 from repro.runtime.finish import FinishScope, TaskGroupError
-from repro.runtime.future import Future, Promise, when_all
+from repro.runtime.future import Future, Promise
 from repro.taskgraph.cost import CostModel, TaskImpl, make_policy
-from repro.taskgraph.data import CommuteRun, DataHandle
+from repro.taskgraph.data import CommuteRun, DataHandle, Releasable, RunJoin
 from repro.util.errors import ConfigError, RuntimeStateError
 
 __all__ = ["TaskGraph", "TaskNode", "WritePredictor", "async_task"]
@@ -85,21 +87,21 @@ class WritePredictor:
         rec[1] += 1
 
 
-class TaskNode:
+class TaskNode(Releasable):
     """One submitted task: accesses, dependency state, speculation state."""
 
     __slots__ = (
         "fn", "name", "kind", "cost", "reads", "writes", "commutes",
         "maybe_writes", "impls", "likely_writes", "done_promise", "seq",
-        "commute_runs", "spec_pending", "spec_rollback", "ran", "completed",
-        "spec_value", "spec_exc", "snapshots", "pre_digests",
-        "validation_waiters", "where",
+        "commute_runs", "spec_pending", "spec_rollback", "ran", "spec_value",
+        "spec_exc", "snapshots", "pre_digests", "validation_waiters", "where",
     )
 
     def __init__(self, fn: Callable[[], Any], name: str, kind: str,
                  cost: float, reads, writes, commutes, maybe_writes,
                  impls: Tuple[TaskImpl, ...], likely_writes: Optional[bool],
                  done_promise, seq: int):
+        super().__init__()
         self.fn = fn
         self.name = name
         self.kind = kind
@@ -118,7 +120,6 @@ class TaskNode:
         self.spec_pending = 0
         self.spec_rollback = False
         self.ran = False
-        self.completed = False
         self.spec_value: Any = None
         self.spec_exc: Optional[BaseException] = None
         #: pre-run byte snapshots of the write-set (speculative runs only)
@@ -175,15 +176,15 @@ class TaskGraph:
         self.predictor = predictor if predictor is not None else WritePredictor()
         # Speculation needs atomic task bodies; only the DES engine has them.
         self.speculation = bool(speculation) and self._rt.executor.mode == "sim"
-        # Reentrant: submit -> when_all(on_ready) -> _deps_ready can nest on
-        # already-satisfied deps; real lock (not the executor's NullLock)
-        # because the same graphs must run under the threaded engine.
-        self._lock = threading.RLock()
+        # The executor's discipline: no-op under the single-threaded sim;
+        # else real, and re-entrant (predictor and policy run under it).
+        self._lock = (NullLock() if self._rt.executor.lock_class is NullLock
+                      else threading.RLock())
         self._seq = 0
+        self._handle_ids = itertools.count()
         self._outstanding = 0
         self._last_done = 0.0
         self._failures: List[Tuple[str, BaseException]] = []
-        self._waited = False
         # observability
         self.nodes = 0
         self.edges = 0
@@ -197,7 +198,7 @@ class TaskGraph:
     # ------------------------------------------------------------------
     def handle(self, payload: Any = None, name: str = "") -> DataHandle:
         """Register a datum; its accesses are tracked from this point on."""
-        return DataHandle(self, payload, name)
+        return DataHandle(self, payload, name or f"data{next(self._handle_ids)}")
 
     def submit(self, fn: Callable[[], Any], *,
                read: Sequence[DataHandle] = (),
@@ -236,43 +237,34 @@ class TaskGraph:
         with self._lock:
             node = TaskNode(fn, name or f"{kind}#{self._seq}", kind, cost,
                             reads, writes, commutes, maybes, impl_tuple,
-                            likely_writes, _promise(kind, self._seq),
+                            likely_writes,
+                            Promise(name=f"{kind}#{self._seq}-done"),
                             self._seq)
             self._seq += 1
-            deps: List[Future] = []
-            spec_on: List[TaskNode] = []
-            speculate = (self.speculation and not commutes and not maybes)
+            spec_on: Optional[List[TaskNode]] = [] if (
+                self.speculation and not commutes and not maybes) else None
             for d in reads:
-                self._access_read(d, node, deps, spec_on if speculate else None)
+                self._access_read(d, node, spec_on)
             for d in writes + maybes:
-                self._access_write(d, node, deps)
+                self._access_write(d, node)
             for d in commutes:
-                self._access_commute(d, node, deps)
-            # Dedupe (a handle read+written contributes its writer twice).
-            uniq: List[Future] = []
-            seen_ids: set = set()
-            for f in deps:
-                if id(f._promise) not in seen_ids:
-                    seen_ids.add(id(f._promise))
-                    uniq.append(f)
-            deps = uniq
-            node.spec_pending = len(spec_on)
+                self._access_commute(d, node)
             if spec_on:
+                node.spec_pending = len(spec_on)
                 self.spec_attempts += 1
+                self.edges += len(spec_on)  # waived, but edges all the same
                 for wn in spec_on:
                     wn.validation_waiters.append(node)
             self.nodes += 1
-            self.edges += len(deps) + len(spec_on)
             self._outstanding += 1
             # Hold the enclosing scope open across the dependency gap (the
             # async_retry idiom): released when the node's promise resolves.
             self._scope.task_spawned()
-        if deps:
-            dep = deps[0] if len(deps) == 1 else when_all(
-                deps, name=f"{node.name}-deps")
-            dep.on_ready(lambda f: self._deps_ready(node, f))
-        else:
-            self._deps_ready(node, None)
+            failed, ready = node.exc, node.npending == 0
+        if failed is not None:
+            self._finish_node(node, None, failed, cascade=True)
+        elif ready:
+            self._acquire_commute(node, 0)
         return node.done_promise.get_future()
 
     def __enter__(self) -> "TaskGraph":
@@ -290,96 +282,79 @@ class TaskGraph:
     # ------------------------------------------------------------------
     # access rules (all under self._lock)
     # ------------------------------------------------------------------
+    def _depend(self, node: TaskNode, pred: Any) -> None:
+        """One inferred edge: ``node`` waits for ``pred`` (a node or a
+        closed run's join), counted once however many accesses imply it."""
+        if pred.stamp == node.seq or pred is node:
+            return
+        pred.stamp = node.seq
+        self.edges += 1
+        node.after(pred)
+
     def _close_run(self, d: DataHandle) -> None:
         run, d.run = d.run, None
-        if len(run.members) == 1:
-            d.writer = run.members[0]
-        else:
-            d.writer = when_all(run.members, name=f"{d.name}-commute-run")
-        d.writer_node = None  # a run is never speculated past
+        d.writer = run.members[0] if len(run.members) == 1 else RunJoin(run.members)
         d.readers = []
 
     def _access_read(self, d: DataHandle, node: TaskNode,
-                     deps: List[Future],
                      spec_on: Optional[List[TaskNode]]) -> None:
         if d.run is not None:
             self._close_run(d)
-        if d.writer is not None:
-            wn = d.writer_node
+        w = d.writer
+        if w is not None:
             # Waive only a dependency that is genuinely uncertain *for this
             # datum*: a node may maybe-write one handle while definitely
             # writing another, and readers of the latter must wait.
-            if (spec_on is not None and wn is not None
-                    and any(m is d for m in wn.maybe_writes)
-                    and not wn.completed
-                    and not self.predictor.predict_writes(wn)):
-                if wn not in spec_on:
-                    spec_on.append(wn)  # dependency waived: run speculatively
+            if (spec_on is not None and d in w.maybe_writes
+                    and not w.completed
+                    and not self.predictor.predict_writes(w)):
+                if w not in spec_on:
+                    spec_on.append(w)  # dependency waived: run speculatively
                 if d.spec_fallback is not None:
                     # Still read-after-write against the state the maybe
                     # task itself builds on — speculation skips only the
                     # uncertain writer, never its committed predecessors.
-                    deps.append(d.spec_fallback)
+                    self._depend(node, d.spec_fallback)
             else:
-                deps.append(d.writer)
-        d.readers.append(node.done_promise.get_future())
+                self._depend(node, w)
+        d.readers.append(node)
 
-    def _access_write(self, d: DataHandle, node: TaskNode,
-                      deps: List[Future]) -> None:
+    def _access_write(self, d: DataHandle, node: TaskNode) -> None:
         if d.run is not None:
             self._close_run(d)
         if d.writer is not None:
-            deps.append(d.writer)
-        deps.extend(d.readers)  # write-after-read ordering
+            self._depend(node, d.writer)
+        for r in d.readers:  # write-after-read ordering
+            self._depend(node, r)
         d.spec_fallback = d.writer
-        d.writer = node.done_promise.get_future()
-        d.writer_node = node
+        d.writer = node
         d.readers = []
 
-    def _access_commute(self, d: DataHandle, node: TaskNode,
-                        deps: List[Future]) -> None:
+    def _access_commute(self, d: DataHandle, node: TaskNode) -> None:
         if d.run is None:
-            base: List[Future] = []
-            if d.writer is not None:
-                base.append(d.writer)
-            base.extend(d.readers)
+            base = d.readers if d.writer is None else [d.writer] + d.readers
             d.run = CommuteRun(base)
             d.readers = []
             d.writer = None
-            d.writer_node = None
         run = d.run
-        run.members.append(node.done_promise.get_future())
-        run.member_seqs.append(node.seq)
-        deps.extend(run.base_deps)
+        run.members.append(node)
+        for p in run.base_deps:
+            self._depend(node, p)
         node.commute_runs.append(run)
 
     # ------------------------------------------------------------------
-    # readiness -> commute slots -> dispatch
+    # commute slots -> dispatch
     # ------------------------------------------------------------------
-    def _deps_ready(self, node: TaskNode, fut: Optional[Future]) -> None:
-        exc = fut._promise._exception if fut is not None else None
-        if exc is not None:
-            self._finish_node(node, None, exc, cascade=True)
-            return
-        self._acquire_commute(node, 0)
-
     def _acquire_commute(self, node: TaskNode, idx: int) -> None:
         with self._lock:
             while idx < len(node.commute_runs):
                 run = node.commute_runs[idx]
-                if run.busy is None:
-                    run.busy = node
-                    # Reordering is observable here: granted before an
-                    # earlier-submitted member that is not yet done.
-                    earlier = [s for s in run.member_seqs
-                               if s < node.seq and s not in run.granted_seqs]
-                    if earlier:
-                        self.commute_reorders += 1
-                    run.granted_seqs.add(node.seq)
-                    idx += 1
-                else:
+                if run.busy is not None:
                     run.pending.append((node, idx))
                     return
+                if run.grant(node):  # the observable reordering
+                    self.commute_reorders += 1
+                idx += 1
         self._dispatch(node)
 
     def _dispatch(self, node: TaskNode) -> None:
@@ -390,52 +365,52 @@ class TaskGraph:
             impl = node.impls[0]
             place = None
         node.where = impl.where
-        charge_total = transfer + impl.cost
+        # ``_run_node`` routes its own failures into the node; only a fault
+        # hook (installed before dispatch) fails a task *before* its body is
+        # entered. That lands on the return future: route it, or the graph
+        # would never quiesce.
+        fut = self._rt.spawn(self._run_node, (node, impl, transfer + impl.cost),
+                             place=place, scope=self._scope, name=node.name,
+                             module="taskgraph",
+                             return_future=ex.task_fault_hook is not None)
+        if fut is not None:
+            def _task_done(f: Future) -> None:
+                exc = f._promise._exception
+                if exc is not None:
+                    self._finish_node(node, None, exc)
 
-        def _body(node=node, impl=impl, charge_total=charge_total) -> None:
-            with self._lock:
-                speculative = node.spec_pending > 0
-            if speculative:
+            fut.on_ready(_task_done)
+
+    def _run_node(self, node: TaskNode, impl: TaskImpl, charge: float) -> None:
+        ex = self._rt.executor
+        # Speculation state exists only under the simulator (atomic bodies).
+        speculation = self.speculation
+        value: Any = None
+        exc: Optional[BaseException] = None
+        t0 = ex.now()
+        try:
+            if speculation and node.spec_pending > 0:
                 node.snapshots = {
                     d: snapshot_payload(d.data) for d in node.writes}
             if node.maybe_writes:
                 node.pre_digests = {
                     d: payload_digest(d.data) for d in node.maybe_writes}
-            t0 = ex.now()
-            if charge_total > 0.0:
-                ex.charge(charge_total)
-            value: Any = None
-            exc: Optional[BaseException] = None
-            try:
-                value = impl.fn()
-            except BaseException as e:  # noqa: BLE001 - routed to the node future
-                exc = e
-            elapsed = ex.now() - t0
-            self.cost_model.observe(node.kind, node.where, elapsed)
-            self._rt.stats.time("taskgraph", f"{node.kind}@{node.where}", elapsed)
+            if charge > 0.0:
+                ex.charge(charge)
+            value = impl.fn()
+        except BaseException as e:  # noqa: BLE001 - routed to the node future
+            exc = e
+        elapsed = ex.now() - t0
+        self.cost_model.observe(node.kind, node.where, elapsed)
+        self._rt.stats.time("taskgraph", f"{node.kind}@{node.where}", elapsed)
+        if speculation:
             with self._lock:
                 node.ran = True
                 if node.spec_pending > 0:
                     # Still speculative: hold the result until validation.
                     node.spec_value, node.spec_exc = value, exc
                     return
-            self._finish_node(node, value, exc)
-
-        fut = self._rt.spawn(_body, place=place, scope=self._scope,
-                             name=node.name, module="taskgraph",
-                             return_future=True)
-
-        def _task_done(f: Future, node=node) -> None:
-            # Executor-level failure (an injected task fault, a killed
-            # worker) raises *before* ``_body``'s own try/except can run;
-            # it lands on the task's return future instead. Route it into
-            # the node lifecycle or the graph would never quiesce.
-            exc = f._promise._exception
-            if exc is not None:
-                self._finish_node(node, None, exc)
-
-        fut.on_ready(_task_done)
-        self._rt.stats.count("taskgraph", "dispatch")
+        self._finish_node(node, value, exc)
 
     # ------------------------------------------------------------------
     # completion, validation, rollback
@@ -443,41 +418,55 @@ class TaskGraph:
     def _finish_node(self, node: TaskNode, value: Any,
                      exc: Optional[BaseException],
                      cascade: bool = False) -> None:
-        ex = self._rt.executor
-        resumptions: List[Tuple[TaskNode, int]] = []
-        with self._lock:
-            if node.completed:  # idempotent: body path vs return-future path
-                return
-            wrote = False
-            if node.pre_digests:
-                wrote = any(payload_digest(d.data) != dig
-                            for d, dig in node.pre_digests.items())
-                self.predictor.observe(node.kind, wrote)
-            if not cascade:
-                for d in node.writes + node.maybe_writes + node.commutes:
-                    d.version += 1
-            for run in node.commute_runs:
-                if run.busy is node:
-                    run.busy = None
-                    if run.pending:
-                        resumptions.append(run.pending.popleft())
-            waiters, node.validation_waiters = node.validation_waiters, []
-            node.completed = True
-            self._last_done = max(self._last_done, ex.now())
-            if exc is not None and not cascade:
-                # Cascaded nodes carry their dependency's exception; the
-                # root cause is already recorded once under its own node.
-                self._failures.append((node.name, exc))
-            self._outstanding -= 1
-        for waiter, idx in resumptions:
-            self._acquire_commute(waiter, idx)
-        for s in waiters:
-            self._validate_waiter(s, wrote)
-        if exc is not None:
-            node.done_promise.put_exception(exc)
-        else:
-            node.done_promise.put(value)
-        self._scope.task_completed(None)
+        # A failure fails every dependent fast. Explicit LIFO worklist: the
+        # depth-first order recursion would give, at constant stack depth.
+        work = [(node, value, cascade)]
+        while work:
+            node, value, cascade = work.pop()
+            resumptions: List[Tuple[TaskNode, int]] = []
+            with self._lock:
+                if node.completed:  # idempotent: body vs return-future path,
+                    continue        # or failed fast by two dependencies
+                wrote = False
+                if node.pre_digests:
+                    wrote = any(payload_digest(d.data) != dig
+                                for d, dig in node.pre_digests.items())
+                    self.predictor.observe(node.kind, wrote)
+                if not cascade:
+                    for d in node.writes + node.maybe_writes + node.commutes:
+                        d.version += 1
+                for run in node.commute_runs:
+                    if run.busy is node:
+                        run.busy = None
+                        if run.pending:
+                            resumptions.append(run.pending.popleft())
+                waiters, node.validation_waiters = node.validation_waiters, []
+                node.completed = True
+                self._last_done = max(self._last_done, self._rt.executor.now())
+                if exc is not None and not cascade:
+                    # Cascaded nodes carry their dependency's exception; the
+                    # root cause is already recorded once under its own node.
+                    self._failures.append((node.name, exc))
+                self._outstanding -= 1
+            for waiter, idx in resumptions:
+                self._acquire_commute(waiter, idx)
+            for s in waiters:
+                self._validate_waiter(s, wrote)
+            # Satisfied before any dependent starts, and before a later
+            # submit finds ``succs`` gone: bodies may read the future.
+            if exc is not None:
+                node.done_promise.put_exception(exc)
+            else:
+                node.done_promise.put(value)
+            released: List[TaskNode] = []
+            with self._lock:
+                node.release(exc, released)
+            if exc is None:
+                for s in released:
+                    self._acquire_commute(s, 0)
+            else:
+                work.extend((s, None, True) for s in reversed(released))
+            self._scope.task_completed(None)
 
     def _validate_waiter(self, node: TaskNode, wrote: bool) -> None:
         """One uncertain predecessor of a speculative ``node`` completed."""
@@ -522,10 +511,9 @@ class TaskGraph:
                 description=f"taskgraph {self.name!r}",
                 time_source=lambda: self._last_done,
             )
-        if raise_failures and not self._waited:
+        if raise_failures:
             with self._lock:
                 failures, self._failures = self._failures, []
-            self._waited = bool(failures)
             excs = [e for _, e in failures]
             if len(excs) == 1:
                 raise excs[0]
@@ -538,10 +526,6 @@ class TaskGraph:
                 f"reorders, speculation {self.spec_hits} hits / "
                 f"{self.spec_rollbacks} rollbacks "
                 f"({getattr(self._policy, 'name', 'custom')})")
-
-
-def _promise(kind: str, seq: int) -> Promise:
-    return Promise(name=f"{kind}#{seq}-done")
 
 
 def async_task(fn: Callable[[], Any], **accesses: Any) -> Future:

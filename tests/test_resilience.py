@@ -836,3 +836,33 @@ class TestTimedWorkerFault:
         assert res.results == [64]
         assert [k for _, k, _ in inj.events] == ["worker_fail"]
         assert res.merged_stats().counter("resilience", "worker_failures") == 1
+
+
+# ---------------------------------------------------------------------------
+# payload digests (the speculation write detector)
+# ---------------------------------------------------------------------------
+class TestPayloadDigest:
+    # Captured before payload_digest stopped copying through tobytes(): the
+    # bytes hashed, and so the digests, must not have moved.
+    CASES = {
+        "int64": (lambda: np.arange(12, dtype=np.int64),
+                  "c2b26e0dfc5e5624670375996f5b3d34a07fbf0472f3781c6914dc7ce136b09b"),
+        "float32": (lambda: np.linspace(0, 1, 7, dtype=np.float32).reshape(7, 1),
+                    "79a77998f6f6e8738a52bf61a1833fb411e60c93353d1eae23edd32f7a632fa2"),
+        "noncontig": (lambda: np.arange(24, dtype=np.int64).reshape(4, 6)[:, ::2],
+                      "d4221f5ffb1ca1654c4e69e462845f49d85c598bc7b9f51e003a295fdd09b186"),
+        # no buffer-protocol export for this dtype: the tobytes() fallback
+        "datetime64": (lambda: np.array([1, 2, 3], dtype="datetime64[s]"),
+                       "285c44c9781b20bc21c8506a1cbc271aefc2eeb5a0cf0fe3bad147e1e41dc7f4"),
+        "empty": (lambda: np.zeros(0),
+                  "38e8cefffb0bde4c12f41699d9f6534d0c3d6dc90e07502a9c803e3e38381af3"),
+        "scalar0d": (lambda: np.array(2.5),
+                     "c33df8200985b6e6e88644b8a52e588df27632a96c0ad18d05319b46b54abdd8"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_digest_unchanged(self, case):
+        from repro.resilience.snapshot import payload_digest
+
+        make, want = self.CASES[case]
+        assert payload_digest(make()) == want

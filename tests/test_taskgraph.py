@@ -9,7 +9,11 @@ auto-disabled) agree bit-for-bit.
 """
 
 import hashlib
+import json
+import pickle
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from repro.exec.threaded import ThreadedExecutor
 from repro.platform.hwloc import discover, machine
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.runtime.runtime import HiperRuntime
+from repro.apps.isx.common import IsxConfig
 from repro.taskgraph import (
     CostModel,
     TaskGraph,
@@ -35,16 +40,17 @@ from repro.util.errors import ConfigError, FaultError, RuntimeStateError
 from repro.verify.differential import isx_workload, run_on_engine
 
 
-def _fresh_sim(workers: int = 4):
-    ex = SimExecutor()
+def _fresh_rt(workers: int = 4, engine: str = "sim"):
+    ex = SimExecutor() if engine == "sim" else ThreadedExecutor(
+        block_timeout=20.0)
     model = discover(machine("workstation"), num_workers=workers,
                      with_interconnect=False)
     return HiperRuntime(model, ex).start(), ex
 
 
-def _run_fresh(root, workers: int = 4):
-    """Run ``root`` on a fresh sim runtime; return (result, makespan)."""
-    rt, ex = _fresh_sim(workers)
+def _run_fresh(root, workers: int = 4, engine: str = "sim"):
+    """Run ``root`` on a fresh runtime; return (result, makespan)."""
+    rt, ex = _fresh_rt(workers, engine)
     try:
         result = rt.run(root, name="tg-root")
         return result, ex.makespan()
@@ -168,6 +174,112 @@ class TestAccessModes:
 
         sim_rt.run(root, name="boom-root")
 
+    def test_wait_raises_again_on_a_reused_graph(self, sim_rt):
+        # A first raising wait() must not mute later failures.
+        def root():
+            g = TaskGraph(name="reused")
+
+            def bad(msg):
+                def body():
+                    raise ValueError(msg)
+                return body
+
+            g.submit(bad("first"), name="bad-1")
+            with pytest.raises(ValueError, match="first"):
+                g.wait()
+            g.wait()  # drained: nothing new to report
+            g.submit(bad("second"), name="bad-2")
+            with pytest.raises(ValueError, match="second"):
+                g.wait()
+            return "done"
+
+        assert sim_rt.run(root, name="reused-root") == "done"
+
+    def test_deep_failure_cascade_is_iterative(self, sim_rt):
+        # 50 000 dependents behind one failing head: the cascade must not
+        # recurse (it used to end in a swallowed RecursionError and a
+        # DeadlockError instead of the root cause).
+        def root():
+            g = TaskGraph(name="deep")
+            d = g.handle(np.zeros(1), name="d")
+
+            def head():
+                raise ValueError("head exploded")
+
+            g.submit(head, write=[d], cost=1e-3, name="head")
+            last = None
+            for _ in range(50_000):
+                last = g.submit(lambda: None, write=[d])
+            g.wait(raise_failures=False)
+            assert [name for name, _ in g._failures] == ["head"]
+            with pytest.raises(ValueError, match="head exploded"):
+                last.value()
+            with pytest.raises(ValueError, match="head exploded"):
+                g.wait()
+            return g.nodes
+
+        assert sim_rt.run(root, name="deep-root") == 50_001
+
+    def test_failed_dependency_fails_fast_past_a_pending_one(self, sim_rt):
+        # b waits for a slow writer and for an already-failed one: it must
+        # fail at submit, and the slow writer's later success must not run it.
+        def root():
+            g = TaskGraph(name="failfast")
+            x, y = g.handle(np.zeros(1), name="x"), g.handle(np.zeros(1), name="y")
+            ran = []
+
+            def bad():
+                raise ValueError("y writer exploded")
+
+            g.submit(bad, write=[y], name="bad")
+            g.wait(raise_failures=False)
+            g.submit(lambda: ran.append("slow"), write=[x], cost=1e-3)
+            b = g.submit(lambda: ran.append("b"), read=[x, y], name="b")
+            assert b.satisfied  # failed fast, slow writer still pending
+            with pytest.raises(ValueError, match="y writer exploded"):
+                g.wait()
+            return ran
+
+        assert sim_rt.run(root, name="failfast-root") == ["slow"]
+
+    def test_failure_in_the_preamble_of_a_body_fails_the_node(self, sim_rt):
+        # The pre-run digest of a maybe_write payload cannot be taken (a
+        # lambda does not pickle): the node fails, the graph still quiesces.
+        def root():
+            g = TaskGraph(name="preamble")
+            d = g.handle(lambda: 0, name="unpicklable")
+            fut = g.submit(lambda: None, maybe_write=[d])
+            dep = g.submit(lambda: 1, read=[d])
+            with pytest.raises((pickle.PicklingError, AttributeError)):
+                g.wait()
+            return fut.satisfied and dep.satisfied
+
+        assert sim_rt.run(root, name="preamble-root") is True
+
+    def test_read_and_write_of_one_handle_is_not_a_self_dependency(self, sim_rt):
+        def root():
+            g = TaskGraph(name="rw")
+            d = g.handle(np.zeros(2, dtype=np.int64), name="d")
+            g.submit(lambda: d.data.__iadd__(1), write=[d])
+            g.submit(lambda: d.data.__iadd__(1), read=[d], write=[d])
+            g.wait()
+            return int(d.data.sum()), g.edges
+
+        assert sim_rt.run(root, name="rw-root") == (4, 1)
+
+    def test_default_handle_names_count_per_graph(self, sim_rt):
+        def root():
+            names = []
+            for _ in range(2):
+                g = TaskGraph(name="names")
+                names.append([g.handle().name, g.handle(name="acc").name,
+                              g.handle().name])
+                g.wait()
+            return names
+
+        assert sim_rt.run(root, name="names-root") == [
+            ["data0", "acc", "data1"]] * 2
+
     def test_isx_dag_digest_matches_futures_version(self, sim_rt):
         futures_run = run_on_engine(isx_workload(), "sim")
         dag = sim_rt.run(isx_dag_workload(), name="isx-dag")
@@ -177,6 +289,37 @@ class TestAccessModes:
         futures_run = run_on_engine(isx_workload(), "sim")
         dag = threaded_rt.run(isx_dag_workload(), name="isx-dag")
         assert dag == futures_run.result
+
+
+class TestThreadedRelease:
+    def test_submit_races_release_without_losing_an_edge(self, threaded_rt):
+        # The root keeps submitting while 4 workers (on 2 cores, switching
+        # every 10 us) finish predecessors: a registration lost against a
+        # concurrent release would hang a chain (the runtime's 20 s block
+        # timeout), a double release would run a node out of order.
+        chains, depth = 8, 250
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def root():
+                g = TaskGraph(name="race")
+                hs = [g.handle([], name=f"c{c}") for c in range(chains)]
+                total = g.handle(np.zeros(1, dtype=np.int64), name="total")
+                for i in range(depth):
+                    for c, h in enumerate(hs):
+                        g.submit(lambda h=h, i=i: h.data.append(i), write=[h])
+                        if i % 50 == 49:
+                            g.submit(lambda h=h: total.data.__iadd__(len(h.data)),
+                                     read=[h], commute=[total])
+                g.wait()
+                return [h.data for h in hs], int(total.data[0]), g.nodes
+
+            logs, total, nodes = threaded_rt.run(root, name="race-root")
+        finally:
+            sys.setswitchinterval(interval)
+        assert logs == [list(range(depth))] * chains
+        assert total == chains * sum(range(50, depth + 1, 50))
+        assert nodes == chains * (depth + depth // 50)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +362,19 @@ class TestCommute:
 
         assert threaded_rt.run(root, name="serial-root") == sum(range(8))
         assert overlaps[0] == 0
+
+    def test_commute_fold_cost_scales_linearly(self):
+        # Guard against a per-grant rescan of the run (was quadratic: 9-10x
+        # the wall for 4x the folds; linear bookkeeping measures ~4x).
+        def best_wall(n):
+            walls = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                _run_fresh(reduction_workload(n, commute=True))
+                walls.append(time.perf_counter() - t0)
+            return min(walls)
+
+        assert best_wall(8000) / best_wall(2000) < 7
 
     def _faulted_reduction(self, seed):
         plan = FaultPlan.from_spec(
@@ -392,7 +548,7 @@ class TestPlacement:
                     g.cost_model.observations("bump", "cpu"),
                     g.cost_model.observations("bump", "gpu"))
 
-        rt, ex = _fresh_sim()
+        rt, ex = _fresh_rt()
         try:
             count, cpu_obs, gpu_obs = rt.run(root, name="impls-root")
             assert count == 4
@@ -489,3 +645,144 @@ class TestRandomGraphs:
               suppress_health_check=[HealthCheck.too_slow])
     def test_sim_and_threads_agree(self, program):
         assert _run_program(program, "sim") == _run_program(program, "threads")
+
+
+# ---------------------------------------------------------------------------
+# property-based: the grant cursor counts what the brute-force scan counted
+# ---------------------------------------------------------------------------
+@st.composite
+def _commute_folds(draw):
+    n = draw(st.integers(1, 14))
+    return [(draw(st.integers(0, 5)),     # producer cost: readiness order
+             draw(st.booleans()),         # also a member of the second run
+             draw(st.integers(0, 9)) == 0)  # producer fails: never granted
+            for _ in range(n)]
+
+
+class TestCommuteCursor:
+    @given(_commute_folds())
+    @settings(max_examples=60, deadline=None)
+    def test_reorders_equal_brute_force_definition(self, folds):
+        order = []
+
+        def root():
+            g = TaskGraph(name="cursor")
+            acc, acc2 = g.handle(name="acc"), g.handle(name="acc2")
+            for i, (cost, both, fails) in enumerate(folds):
+                slot = g.handle(name=f"slot{i}")
+
+                def produce(fails=fails):
+                    if fails:
+                        raise ValueError("producer failed")
+
+                g.submit(produce, write=[slot], cost=cost * 1e-4)
+                g.submit(lambda i=i: order.append(i), read=[slot],
+                         commute=[acc, acc2] if both else [acc], cost=1e-5)
+            g.wait(raise_failures=False)
+            return g.commute_reorders
+
+        got, _ = _run_fresh(root)
+        # The definition the cursor replaced: a grant is a reorder when an
+        # earlier-submitted member of the run has not been granted yet.
+        # Bodies run in grant order (the slot serializes them).
+        want = 0
+        for members in (range(len(folds)),
+                        [i for i, f in enumerate(folds) if f[1]]):
+            granted = set()
+            for i in (i for i in order if i in members):
+                want += any(j < i and j not in granted for j in members)
+                granted.add(i)
+        assert got == want
+
+
+# ---------------------------------------------------------------------------
+# golden pins: every observable of the seven e2e legs at smoke sizes
+# ---------------------------------------------------------------------------
+GOLDEN_PATH = Path(__file__).parent / "data" / "taskgraph_golden.json"
+
+
+def _spec_triples(n, speculation):
+    """``n`` prep -> scrub(maybe_write) -> consume triples; every fourth
+    scrub really writes against a ``likely_writes=False`` hint (the
+    ``taskgraph_mix`` speculation leg)."""
+
+    def root():
+        g = TaskGraph(name="spec-triples", speculation=speculation)
+        futs = []
+        for i in range(n):
+            gate = g.handle(np.zeros(4, dtype=np.int64), name=f"gate{i}")
+            d = g.handle(np.arange(8, dtype=np.int64) + i, name=f"d{i}")
+
+            def prep(gate=gate):
+                gate.data += 1
+
+            def scrub(d=d, writes=(i % 4 == 0)):
+                if writes:
+                    d.data[:] = d.data * 3 + 1
+
+            def consume(d=d):
+                return int(d.data.sum())
+
+            g.submit(prep, write=[gate], kind="spec-prep", cost=1e-3)
+            g.submit(scrub, read=[gate], maybe_write=[d], kind="spec-scrub",
+                     cost=1e-3, likely_writes=False)
+            futs.append(g.submit(consume, read=[d], kind="spec-consume",
+                                 cost=1e-4))
+        g.wait()
+        return [f.value() for f in futs]
+
+    return root
+
+
+def _golden_legs():
+    isx = IsxConfig(keys_per_pe=1 << 12, seed=777)
+    return {
+        "hetero.dmda": hetero_workload(8, 8, policy="dmda"),
+        "hetero.help_first": hetero_workload(8, 8, policy="help-first"),
+        # the reorder flag (value[3]) is pinned as a counter, on sim only
+        "reduce.commute": lambda: reduction_workload(200, commute=True)()[:3],
+        "reduce.ordered": lambda: reduction_workload(200, commute=False)()[:3],
+        "isx_dag": isx_dag_workload(isx, 32),
+        "spec.on": _spec_triples(100, True),
+        "spec.off": _spec_triples(100, False),
+    }
+
+
+def _observe_leg(root, engine, monkeypatch):
+    """Run one leg; return its pins (the value digest everywhere, virtual
+    time and the graph's counters on the deterministic engine only)."""
+    graphs = []
+    init = TaskGraph.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        graphs.append(self)
+
+    monkeypatch.setattr(TaskGraph, "__init__", spy)
+    value, makespan = _run_fresh(root, engine=engine)
+    monkeypatch.undo()
+    pins = {"digest": hashlib.sha256(repr(value).encode()).hexdigest()}
+    if engine == "sim":
+        (g,) = graphs
+        pins.update(makespan=repr(makespan), nodes=g.nodes, edges=g.edges,
+                    commute_reorders=g.commute_reorders,
+                    spec_hits=g.spec_hits, spec_rollbacks=g.spec_rollbacks)
+    return pins
+
+
+class TestGoldenPins:
+    """Captured on the commit before the counter-based bookkeeping (future
+    per edge): release order, counters and virtual time must not move."""
+
+    golden = json.loads(GOLDEN_PATH.read_text())
+
+    @pytest.mark.parametrize("label", sorted(_golden_legs()))
+    def test_sim_pins(self, label, monkeypatch):
+        got = _observe_leg(_golden_legs()[label], "sim", monkeypatch)
+        assert got == self.golden["sim"][label]
+
+    @pytest.mark.parametrize("label", sorted(_golden_legs()))
+    def test_threads_digest(self, label, monkeypatch):
+        got = _observe_leg(_golden_legs()[label], "threads", monkeypatch)
+        assert got == self.golden["threads"][label]
+        assert got["digest"] == self.golden["sim"][label]["digest"]
