@@ -627,7 +627,8 @@ def cmd_bench_record(args) -> int:
 def cmd_serve(args) -> int:
     """Run the long-lived job gateway (``repro.service``) as a daemon.
 
-    Holds warm executor pools and serves the JSON job API over a
+    Holds warm executor pools (one worker process per slot, forked before
+    the first thread starts) and serves the JSON job API over a
     Unix-domain socket (default) or TCP. SIGINT/SIGTERM triggers a
     graceful drain: intake stops, accepted jobs finish, then the process
     exits. A second signal hard-stops.
@@ -650,9 +651,11 @@ def cmd_serve(args) -> int:
     else:
         server = ServiceServer(gateway, uds=args.uds)
     server.start()
+    pids = [w["pid"] for w in gateway.stats_dict()["pool"]]
     print(f"repro-service listening on {server.address} "
           f"(backends={list(cfg.backends)}, pool={cfg.pool_size}/backend, "
-          f"{'warm' if cfg.warm else 'cold'} {cfg.engine} pools)")
+          f"{'warm' if cfg.warm else 'cold'} {cfg.engine} pools, "
+          f"worker pids {pids})", flush=True)
 
     signals = {"n": 0}
 
@@ -827,7 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["sim", "threads", "procs"],
                     help="backends to run pool slots for")
     sv.add_argument("--pool-size", type=int, default=2,
-                    help="warm entries (= worker threads) per backend")
+                    help="warm entries (= worker processes) per backend")
     sv.add_argument("--workers", type=int, default=4,
                     help="runtime workers per warm entry")
     sv.add_argument("--engine", default="flat",

@@ -22,8 +22,9 @@ Layers, bottom up:
   stride-style fair-share scheduling; a full tenant queue rejects instead of
   buffering without bound (HTTP 429 at the wire).
 - :mod:`repro.service.pool` — :class:`WarmRuntime` (a reusable
-  executor + :class:`~repro.runtime.runtime.HiperRuntime` pair) and the
-  per-backend pool bookkeeping.
+  executor + :class:`~repro.runtime.runtime.HiperRuntime` pair) and
+  :class:`~repro.service.pool.PoolWorker`, the long-lived OS process that
+  owns one and runs a slot's jobs off the gateway's GIL.
 - :mod:`repro.service.gateway` — :class:`JobGateway`: the scheduler *of
   jobs* sitting above the task scheduler. Owns queues, pools, the cache,
   retry policy (:mod:`repro.resilience`), per-tenant accounting
@@ -43,7 +44,8 @@ the pieces directly::
 
 from repro.service.admission import FairShareAdmission, QueueFull, TenantQueue
 from repro.service.cache import ResultCache
-from repro.service.gateway import JobGateway, ServiceConfig, ServiceDraining
+from repro.service.gateway import (JobGateway, ServiceConfig,
+                                   ServiceDraining, UnknownJob)
 from repro.service.jobs import Job, JobSpec, JobState, build_workload
 from repro.service.pool import WarmRuntime
 from repro.service.client import ServiceClient, ServiceError
@@ -57,6 +59,7 @@ __all__ = [
     "JobGateway",
     "ServiceConfig",
     "ServiceDraining",
+    "UnknownJob",
     "Job",
     "JobSpec",
     "JobState",

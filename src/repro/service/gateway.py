@@ -6,8 +6,10 @@ protocol (the HTTP server is a thin shell over it; tests drive it directly):
 - **admission** — per-tenant bounded queues, stride fair share
   (:mod:`repro.service.admission`); a full queue rejects (:class:`QueueFull`)
   and a draining gateway rejects (:class:`ServiceDraining`).
-- **pools** — one slot-thread per warm entry per backend
-  (:mod:`repro.service.pool`); a failed job retires its entry.
+- **pools** — one slot thread per backend slot, each driving its own
+  long-lived worker *process* that holds the warm entry and executes the
+  jobs (:mod:`repro.service.pool`), so slots run on separate cores; a
+  failed job retires its entry, a dead worker is re-forked.
 - **cache** — deterministic results answered without execution
   (:mod:`repro.service.cache`); duplicate submissions dedupe here.
 - **retries** — failed attempts re-run per the configured
@@ -35,15 +37,20 @@ from repro.resilience import Backoff, RetryPolicy
 from repro.service.admission import FairShareAdmission, QueueFull
 from repro.service.cache import ResultCache
 from repro.service.jobs import (Job, JobSpec, JobState, normalize_result)
-from repro.service.pool import WarmRuntime, run_job_on
+from repro.service.pool import PoolWorker, run_job_cold
 from repro.util.errors import ConfigError, HiperError, RuntimeStateError
 from repro.util.stats import RuntimeStats
 
-__all__ = ["ServiceConfig", "ServiceDraining", "JobGateway"]
+__all__ = ["ServiceConfig", "ServiceDraining", "UnknownJob", "JobGateway"]
 
 
 class ServiceDraining(HiperError):
     """The gateway is draining or stopped; submissions are not accepted."""
+
+
+class UnknownJob(ConfigError):
+    """No job with that id (404 at the wire, where other ConfigErrors are
+    400)."""
 
 
 def _default_retry() -> RetryPolicy:
@@ -61,15 +68,16 @@ class ServiceConfig:
     #: Backends to run pool slots for. Jobs for a backend with no slots are
     #: rejected at submit.
     backends: Tuple[str, ...] = ("sim",)
-    #: Warm entries (= slot threads) per backend.
+    #: Slots per backend: one slot thread plus, for sim/threads, the worker
+    #: process that holds the slot's warm entry.
     pool_size: int = 2
     #: Runtime workers per warm entry (sim/threads).
     workers: int = 4
     #: DES engine warm sim entries are built with; a job requesting the
     #: other engine still runs, cold, on its slot.
     engine: str = "flat"
-    #: False = construct/tear down a runtime per job (the cold baseline the
-    #: benchmark pair measures against).
+    #: False = the worker constructs/tears down a runtime per job (the cold
+    #: baseline the benchmark pair measures against).
     warm: bool = True
     max_queue_per_tenant: int = 256
     cache_capacity: int = 1024
@@ -108,6 +116,7 @@ class JobGateway:
         self._started = False
         self._pool_gen = 0
         self._threads: List[threading.Thread] = []
+        self._workers: Dict[Tuple[str, int], PoolWorker] = {}
         self.started_at: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -118,8 +127,21 @@ class JobGateway:
             raise RuntimeStateError("gateway already started")
         self._started = True
         self.started_at = time.time()
-        for backend in self.config.backends:
-            for slot in range(self.config.pool_size):
+        cfg = self.config
+        entry_kwargs = dict(workers=cfg.workers, engine=cfg.engine,
+                            block_timeout=cfg.block_timeout)
+        # Fork every worker before the first slot thread (and, under
+        # ServiceServer, the HTTP thread) exists: a fork from a
+        # single-threaded parent inherits no lock mid-acquire, and costs
+        # milliseconds where spawn/forkserver would re-import per worker.
+        for backend in cfg.backends:
+            if backend == "procs":
+                continue  # a procs job is its own process tree, run cold
+            for slot in range(cfg.pool_size):
+                self._workers[backend, slot] = PoolWorker(
+                    backend, slot, entry_kwargs if cfg.warm else None)
+        for backend in cfg.backends:
+            for slot in range(cfg.pool_size):
                 t = threading.Thread(
                     target=self._worker_loop, args=(backend, slot),
                     name=f"svc-{backend}-{slot}", daemon=True)
@@ -129,7 +151,8 @@ class JobGateway:
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Stop intake; wait for every accepted job to reach a terminal
-        state; stop the pool threads. Returns True when fully drained.
+        state; stop the pool threads and reap their worker processes.
+        Returns True when fully drained.
 
         Already-completed jobs remain queryable after a drain — only
         execution capacity goes away, not the job table.
@@ -162,13 +185,17 @@ class JobGateway:
         for t in self._threads:
             t.join(timeout=self.config.block_timeout)
         self._threads = []
+        for worker in self._workers.values():
+            worker.close()
+        self._workers = {}
 
     def reload(self) -> int:
         """Rebuild warm pools without dropping accepted jobs.
 
-        Bumps the pool generation; every slot discards its warm entry and
-        constructs a fresh one before taking its next job. In-flight jobs
-        finish on the entry they started on. Returns the new generation.
+        Bumps the pool generation; every slot has its worker close its warm
+        entry and construct a fresh one, in place, before taking its next
+        job. In-flight jobs finish on the entry they started on. Returns
+        the new generation.
         """
         with self._lock:
             self._pool_gen += 1
@@ -246,7 +273,7 @@ class JobGateway:
             try:
                 return self._jobs[job_id]
             except KeyError:
-                raise ConfigError(f"unknown job id {job_id!r}") from None
+                raise UnknownJob(f"unknown job id {job_id!r}") from None
 
     def status(self, job_id: str) -> Dict[str, Any]:
         return self.job(job_id).to_dict()
@@ -315,6 +342,7 @@ class JobGateway:
                 "jobs": states,
                 "unfinished": self._unfinished,
             }
+        doc["pool"] = [w.to_dict() for w in self._workers.values()]
         doc["tenants"] = self.admission.to_dict()
         doc["cache"] = self.cache.to_dict()
         doc["telemetry"] = self.stats.to_dict()
@@ -323,39 +351,22 @@ class JobGateway:
     # ------------------------------------------------------------------
     # pool workers
     # ------------------------------------------------------------------
-    def _make_entry(self, backend: str) -> Optional[WarmRuntime]:
-        if not self.config.warm or backend == "procs":
-            return None
-        return WarmRuntime(backend, workers=self.config.workers,
-                           engine=self.config.engine,
-                           block_timeout=self.config.block_timeout)
-
     def _worker_loop(self, backend: str, slot: int) -> None:
-        entry = self._make_entry(backend)
-        entry_gen = self._pool_gen
-        try:
-            while not self._stopped:
-                if entry_gen != self._pool_gen:
-                    # reload(): rebuild the warm entry between jobs.
-                    if entry is not None:
-                        entry.close()
-                    entry = self._make_entry(backend)
-                    entry_gen = self._pool_gen
-                job = self.admission.next_job(backend, timeout=0.05)
-                if job is None:
-                    continue
-                entry = self._run_job(job, entry, backend)
-        finally:
-            if entry is not None:
-                entry.close()
+        worker = self._workers.get((backend, slot))  # None: a procs slot
+        while not self._stopped:
+            gen = self._pool_gen
+            if worker is not None and worker.generation != gen:
+                worker.rebuild(gen)  # reload(): between jobs
+            job = self.admission.next_job(backend, timeout=0.05)
+            if job is not None:
+                self._run_job(job, worker)
 
-    def _run_job(self, job: Job, entry: Optional[WarmRuntime],
-                 backend: str) -> Optional[WarmRuntime]:
-        """Execute one job with retries. Returns the (possibly retired)
-        warm entry the slot should keep using."""
+    def _run_job(self, job: Job, worker: Optional[PoolWorker]) -> None:
+        """Execute one job with retries: in the slot's worker process, or
+        for a procs slot as a cold process tree launched from this thread."""
         with self._lock:
             if job.terminal:   # cancelled between dequeue and here
-                return entry
+                return
             job.state = JobState.RUNNING
             job.started_at = time.time()
         self._time_tenant(job.tenant, "queue_wait", job.queue_wait or 0.0)
@@ -366,25 +377,22 @@ class JobGateway:
         for attempt in range(policy.max_attempts):
             job.attempts = attempt + 1
             try:
-                value, _warm = run_job_on(entry, job.spec,
-                                          name=f"{job.job_id}-a{attempt}")
+                if worker is None:
+                    value = run_job_cold(job.spec)
+                else:
+                    value = worker.run(job.spec, f"{job.job_id}-a{attempt}")
                 result, error = normalize_result(value), None
                 break
             except HiperError as exc:
-                # Retryable per the resilience policy — but never reuse a
-                # possibly-poisoned engine for the next attempt.
+                # Retryable per the resilience policy; the worker has
+                # already replaced its possibly-poisoned engine (or, if it
+                # died, been re-forked) for the next attempt.
                 error = exc
-                if entry is not None:
-                    entry.close()
-                    entry = self._make_entry(backend)
                 if attempt + 1 < policy.max_attempts:
                     self._count_tenant(job.tenant, "retries")
                     time.sleep(policy.backoff.delay(attempt))
             except BaseException as exc:  # noqa: BLE001 - fail fast
                 error = exc
-                if entry is not None:
-                    entry.close()
-                    entry = self._make_entry(backend)
                 break
 
         with self._lock:
@@ -407,4 +415,3 @@ class JobGateway:
                     job.state = JobState.FAILED
                     self._finish(job, "jobs_failed")
         self._time_tenant(job.tenant, "exec", job.exec_time or 0.0)
-        return entry

@@ -25,14 +25,16 @@ GET    /api/v1/stats                  accounting snapshot
 GET    /api/v1/health                 liveness + draining flag
 ====== ============================== ===========================================
 
-Error statuses follow HTTP semantics: 400 bad spec (:class:`ConfigError`),
-404 unknown job, **429 tenant queue full** (:class:`QueueFull` — the
+Error statuses follow HTTP semantics: 400 bad spec or malformed number
+(:class:`ConfigError`), 404 unknown job (:class:`UnknownJob`), **429 tenant
+queue full** (:class:`QueueFull` — the
 backpressure contract: clients back off and retry), 503 draining.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import socket
 import threading
@@ -41,12 +43,27 @@ from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.service.admission import QueueFull
-from repro.service.gateway import JobGateway, ServiceDraining
+from repro.service.gateway import JobGateway, ServiceDraining, UnknownJob
 from repro.util.errors import ConfigError
 
 __all__ = ["ServiceServer"]
 
 _API = "/api/v1"
+
+
+def _timeout(value: Any, default: Optional[float]) -> Optional[float]:
+    """A request's ``timeout`` (query string or JSON number) as finite,
+    non-negative seconds; anything else is the client's error (400)."""
+    if value is None:
+        return default
+    try:
+        seconds = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        seconds = math.nan
+    if not (0.0 <= seconds < math.inf):
+        raise ConfigError(f"timeout must be a finite number of seconds "
+                          f">= 0, got {value!r}")
+    return seconds
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -101,7 +118,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(200, {"ok": True, "stats": self.gateway.stats_dict()})
             elif path.startswith(f"{_API}/jobs/") and path.endswith("/result"):
                 job_id = path[len(f"{_API}/jobs/"):-len("/result")]
-                timeout = min(float(query.get("timeout", 0.0)), 60.0)
+                timeout = min(_timeout(query.get("timeout"), 0.0), 60.0)
                 doc = self.gateway.result(job_id, timeout=timeout)
                 status = 200 if "result" in doc else 202
                 self._reply(status, {"ok": True, "job": doc})
@@ -111,9 +128,10 @@ class _Handler(BaseHTTPRequestHandler):
                                   "job": self.gateway.status(job_id)})
             else:
                 self._reply(404, {"ok": False, "error": f"no route {path}"})
+        except UnknownJob as exc:
+            self._reply(404, {"ok": False, "error": str(exc)})
         except ConfigError as exc:
-            self._reply(404 if "unknown job id" in str(exc) else 400,
-                        {"ok": False, "error": str(exc)})
+            self._reply(400, {"ok": False, "error": str(exc)})
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         path, _query = self._route()
@@ -134,7 +152,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(200, {"ok": True,
                                   **self.gateway.cancel(job_id)})
             elif path == f"{_API}/drain":
-                drained = self.gateway.drain(timeout=body.get("timeout"))
+                drained = self.gateway.drain(
+                    timeout=_timeout(body.get("timeout"), None))
                 self._reply(200, {"ok": True, "drained": drained})
             elif path == f"{_API}/reload":
                 gen = self.gateway.reload()
@@ -146,9 +165,10 @@ class _Handler(BaseHTTPRequestHandler):
                               "tenant": exc.tenant, "retry_after": 0.05})
         except ServiceDraining as exc:
             self._reply(503, {"ok": False, "error": str(exc)})
+        except UnknownJob as exc:
+            self._reply(404, {"ok": False, "error": str(exc)})
         except ConfigError as exc:
-            self._reply(404 if "unknown job id" in str(exc) else 400,
-                        {"ok": False, "error": str(exc)})
+            self._reply(400, {"ok": False, "error": str(exc)})
 
 
 class _UdsHTTPServer(ThreadingHTTPServer):

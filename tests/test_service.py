@@ -343,42 +343,44 @@ class TestGatewayLifecycle:
 
 
 class TestGatewayRetries:
+    # The job body runs in a pool worker process, forked by start(): patch
+    # the worker-side entry point first and the fork inherits the patch.
     def test_hiper_error_retries_then_fails(self, monkeypatch):
-        from repro.service import gateway as gw_mod
+        from repro.service import pool as pool_mod
         from repro.util.errors import HiperError
 
-        calls = []
-
         def always_fails(entry, spec, name=""):
-            calls.append(name)
-            raise HiperError("injected transient fault")
+            raise HiperError(f"injected transient fault in {name}")
 
-        monkeypatch.setattr(gw_mod, "run_job_on", always_fails)
+        monkeypatch.setattr(pool_mod, "run_job_on", always_fails)
         gw = JobGateway(ServiceConfig(backends=("sim",), pool_size=1,
                                       warm=False)).start()
         try:
             job = gw.submit("isx", {"keys_per_pe": 64}, seed=61)
             assert job.done_event.wait(30.0)
             assert job.state.value == "failed"
-            assert job.attempts == 3 and len(calls) == 3
-            assert "injected transient fault" in job.error
+            assert job.attempts == 3
+            # the last attempt's own message, type intact across the pipe
+            assert job.error == ("HiperError: injected transient fault in "
+                                 f"{job.job_id}-a2")
             assert gw.stats.counter("service", "retries") == 2
         finally:
             gw.close()
 
     def test_programming_error_fails_fast(self, monkeypatch):
-        from repro.service import gateway as gw_mod
+        from repro.service import pool as pool_mod
 
         def explodes(entry, spec, name=""):
             raise AssertionError("oracle mismatch")
 
-        monkeypatch.setattr(gw_mod, "run_job_on", explodes)
+        monkeypatch.setattr(pool_mod, "run_job_on", explodes)
         gw = JobGateway(ServiceConfig(backends=("sim",), pool_size=1,
                                       warm=False)).start()
         try:
             job = gw.submit("isx", {"keys_per_pe": 64}, seed=62)
             assert job.done_event.wait(30.0)
             assert job.state.value == "failed" and job.attempts == 1
+            assert job.error == "AssertionError: oracle mismatch"
             assert gw.stats.counter("service", "retries") == 0
         finally:
             gw.close()
@@ -420,6 +422,43 @@ class TestWire:
         with pytest.raises(ServiceError) as exc:
             client.status("job-00000000")
         assert exc.value.status == 404
+
+    @pytest.mark.parametrize("timeout", ["abc", "nan", "-1", "inf"])
+    def test_malformed_result_timeout_is_400(self, served, timeout):
+        client, _gw, _uds = served
+        job = client.submit("isx", {"keys_per_pe": 64}, seed=70)
+        client.health()
+        conn = client._conn
+        doc = client.request(
+            "GET", f"/api/v1/jobs/{job['job_id']}/result?timeout={timeout}")
+        assert doc["_status"] == 400 and doc["ok"] is False
+        assert "timeout" in doc["error"] and timeout in doc["error"]
+        # answered, not dropped: the keep-alive connection is still the one
+        assert client._conn is conn and client.health()["ok"]
+
+    @pytest.mark.parametrize("timeout", ["soon", float("nan"), -5, True,
+                                         [1]])
+    def test_malformed_drain_timeout_is_400_and_does_not_drain(
+            self, served, timeout):
+        client, gw, _uds = served
+        doc = client.request("POST", "/api/v1/drain", {"timeout": timeout})
+        assert doc["_status"] == 400 and doc["ok"] is False
+        assert "timeout" in doc["error"]
+        assert not gw.draining
+
+    def test_unknown_job_is_its_own_error_class(self, served):
+        from repro.service import UnknownJob
+
+        client, gw, _uds = served
+        with pytest.raises(UnknownJob):
+            gw.status("job-00000000")
+        for method, path in (("GET", "/api/v1/jobs/job-00000000/result"),
+                             ("POST", "/api/v1/jobs/job-00000000/cancel")):
+            assert client.request(method, path)["_status"] == 404
+        # a 400 whose text merely mentions the phrase stays a 400
+        doc = client.request("POST", "/api/v1/jobs",
+                             {"app": "unknown job id"})
+        assert doc["_status"] == 400
 
     def test_bad_spec_is_400(self, served):
         client, _gw, _uds = served
