@@ -28,7 +28,7 @@ from repro.runtime.polling import PollingService
 from repro.runtime.runtime import HiperRuntime
 from repro.shmem import shmem_factory
 from repro.shmem.backend import ShmemBackend
-from repro.shmem.heap import SymmetricHeap
+from repro.shmem.heap import SignatureTable, SymmetricHeap
 from repro.util.bufpool import BufferPool
 
 N_PUTS = 4000
@@ -40,7 +40,7 @@ def _shmem_world(n=2):
     backends, the same harness the backend unit tests use."""
     ex = SimExecutor()
     fab = SimFabric(ex, n, NetworkModel())
-    sigs: dict = {}
+    sigs = SignatureTable()
     peers: dict = {}
     backends = []
     for r in range(n):

@@ -1,19 +1,22 @@
-"""DES engine micro-benchmarks: raw event throughput of the simulated
-executor's two engines (``engine="objects"`` heapq vs. ``engine="flat"``
-slab + calendar queue — see ``docs/sim-internals.md``).
+"""DES engine micro-benchmarks: raw event throughput of ``SimExecutor``
+(slab + calendar queue) against the reference it replaced
+(``repro.verify.reference.ReferenceSimExecutor``, a heapq of records — see
+``docs/sim-internals.md``). The ``*_objects`` cases run the reference and
+the ``*_flat`` cases production; the names predate the single engine and
+stay so ``BENCH_sim.json`` history lines up.
 
 Two workload shapes bracket what the fabric actually generates:
 
 - **wave storm** — many delivery waves outstanding at once, each wave one
   timestamp carrying thousands of events (the 512/1024-rank ISx all-to-all
-  collapse shape). Producers mirror the production path: the objects engine's
-  ``call_at`` takes a thunk, so the fabric must allocate one closure per
-  delivery; the flat engine's ``call_at_batch`` prices the wave with one
-  shared function. This pair is the ledger's headline comparison — the flat
+  collapse shape). Each side is fed the way it was in production: the
+  reference's ``call_at`` takes a thunk, so the fabric had to allocate one
+  closure per delivery; ``call_at_batch`` prices the wave with one shared
+  function. This pair is the ledger's headline comparison — the slab
   engine's reason to exist.
 - **random storm** — self-rearming timer chains at scattered timestamps
-  (polling services, timeouts, retries): all-singleton cohorts, the objects
-  engine's best case. The flat engine only has to hold parity here.
+  (polling services, timeouts, retries): all-singleton cohorts, the
+  reference's best case. Production only has to hold parity here.
 
 Recorded to ``BENCH_sim.json`` via ``python -m repro bench-record --suite
 sim``. Real wall time (events/second of the Python implementation), not
@@ -26,6 +29,7 @@ import random
 import time
 
 from repro.exec.sim import SimExecutor
+from repro.verify.reference import ReferenceSimExecutor
 
 WAVES = 32
 PER_WAVE = 16384
@@ -53,7 +57,7 @@ def _isx_wave(shards):
 
     def run():
         cfg = ClusterConfig(nodes=ISX_RANKS, ranks_per_node=1, seed=0)
-        ex = SimExecutor(engine="flat", shards=shards)
+        ex = SimExecutor(shards=shards)
         t0 = time.perf_counter()
         res = spmd_run(isx_exchange_factory(keys_per_pe=ISX_KEYS_PER_PE),
                        cfg, module_factories=[shmem_factory(direct=True)],
@@ -75,17 +79,17 @@ def _drain(ex):
         ex._advance_events()
 
 
-def _wave_storm(engine):
+def _wave_storm(cls):
     """All waves outstanding up front: a deep queue of same-timestamp
     cohorts, dispatched oldest-first."""
     n_total = WAVES * PER_WAVE
     sink = lambda i: None  # noqa: E731 - minimal callback, cost is the engine
 
     def run():
-        ex = SimExecutor(engine=engine)
+        ex = cls()
         for w in range(WAVES):
             t = 1e-6 * (w + 1)
-            if engine == "flat":
+            if cls is SimExecutor:
                 ex.call_at_batch([t] * PER_WAVE, sink, list(range(PER_WAVE)))
             else:
                 for i in range(PER_WAVE):
@@ -100,12 +104,12 @@ def _wave_storm(engine):
     return run, n_total
 
 
-def _random_storm(engine):
+def _random_storm(cls):
     """Self-rearming timer chains: every cohort is a singleton."""
 
     def run():
         rng = random.Random(42)
-        ex = SimExecutor(engine=engine)
+        ex = cls()
         delays = [rng.random() for _ in range(RANDOM_EVENTS)]
         state = {"i": 0}
 
@@ -127,27 +131,27 @@ def _random_storm(engine):
 
 
 def test_wave_storm_objects(benchmark):
-    run, n = _wave_storm("objects")
+    run, n = _wave_storm(ReferenceSimExecutor)
     benchmark(run)
     benchmark.extra_info["events_per_call"] = n
-    benchmark.extra_info["engine"] = "objects"
+    benchmark.extra_info["engine"] = "reference"
 
 
 def test_wave_storm_flat(benchmark):
-    run, n = _wave_storm("flat")
+    run, n = _wave_storm(SimExecutor)
     benchmark(run)
     benchmark.extra_info["events_per_call"] = n
     benchmark.extra_info["engine"] = "flat"
 
 
 def test_random_storm_objects(benchmark):
-    benchmark(_random_storm("objects"))
+    benchmark(_random_storm(ReferenceSimExecutor))
     benchmark.extra_info["events_per_call"] = RANDOM_EVENTS
-    benchmark.extra_info["engine"] = "objects"
+    benchmark.extra_info["engine"] = "reference"
 
 
 def test_random_storm_flat(benchmark):
-    benchmark(_random_storm("flat"))
+    benchmark(_random_storm(SimExecutor))
     benchmark.extra_info["events_per_call"] = RANDOM_EVENTS
     benchmark.extra_info["engine"] = "flat"
 

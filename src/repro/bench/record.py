@@ -14,8 +14,8 @@ declared once via :func:`register_suite`:
   hit rates, ISx exchange end-to-end (``benchmarks/bench_micro_comm.py``);
 - ``procs`` — the multiprocess SPMD backend end-to-end: launch + ISx
   exchange wall time at 1 vs. 4 ranks (``benchmarks/bench_procs.py``);
-- ``sim`` — DES engine core, objects vs. flat wave storm
-  (``benchmarks/bench_micro_sim.py``);
+- ``sim`` — DES engine core, reference (``*_objects``) vs. production
+  (``*_flat``) wave storm (``benchmarks/bench_micro_sim.py``);
 - ``service`` — job-gateway warm vs. cold execution and the concurrent-
   client load test (``benchmarks/bench_service.py``).
 
@@ -89,7 +89,7 @@ register_suite("procs",
                fast=("test_isx_procs_1rank",
                      "test_isx_procs_4ranks"))
 # DES engine core: the wave storm (deep queue, batched same-timestamp
-# cohorts) is where the flat engine must beat the objects engine; the
+# cohorts) is where the engine must beat the reference (the seed engine); the
 # pair records both sides so the events/sec ratio is always in-ledger.
 # Extra rounds because the ledger's headline is a *ratio* of two
 # recordings taken seconds apart — more rounds average out load spikes

@@ -302,8 +302,7 @@ def cmd_profile(args) -> int:
     main_fn, cluster, factories = _profile_target(args.figure, args.scale)
     t0 = time.perf_counter()
     report = profile_spmd(main_fn, cluster, module_factories=factories,
-                          out_dir=args.out, engine=args.engine,
-                          shards=args.shards)
+                          out_dir=args.out, shards=args.shards)
     m = report.metrics
     print(f"profiled {args.figure} on {m['nranks']} ranks: "
           f"makespan {m['makespan'] * 1e3:.3f} ms (virtual), "
@@ -466,49 +465,26 @@ def cmd_verify(args) -> int:
             print("    " + bad.describe().replace("\n", "\n    "))
             dump(bad, strat)
 
-    # 3. differential: same workload, different engines, same answer.
+    # 3. differential: same workload, different engines, same answer; then
+    #    the same SPMD ISx exchange two ways with equal per-rank digests —
+    #    message coalescing off vs. on, the reference engine vs. production
+    #    (makespans bit-identical too: the event queue's correctness gate),
+    #    single-shard vs. conservative-window OS-process shards.
     if not args.skip_differential:
-        for wl in sorted(WORKLOADS):
-            rep = differential(wl, engines=tuple(args.engines),
-                               workers=args.workers)
+        checks = [(wl, lambda wl=wl: differential(
+            wl, engines=tuple(args.engines), workers=args.workers))
+            for wl in sorted(WORKLOADS)]
+        checks += [("isx-coal", isx_coalescing_differential),
+                   ("isx-eng", isx_engine_differential),
+                   ("isx-shard", isx_sharded_differential)]
+        for tag, check in checks:
+            rep = check()
             mark = "OK  " if rep.ok else "FAIL"
-            print(f"  diff:{wl:<9s}{mark} "
+            print(f"  diff:{tag:<9s}{mark} "
                   f"{'/'.join(r.engine for r in rep.runs)}")
             if not rep.ok:
                 failures += 1
                 print("    " + rep.describe().replace("\n", "\n    "))
-
-        # 3b. comm-path differential: ISx over the SPMD fabric with message
-        #     coalescing on vs. off must sort to identical outputs.
-        rep = isx_coalescing_differential()
-        mark = "OK  " if rep.ok else "FAIL"
-        print(f"  diff:{'isx-coal':<9s}{mark} "
-              f"{'/'.join(r.engine for r in rep.runs)}")
-        if not rep.ok:
-            failures += 1
-            print("    " + rep.describe().replace("\n", "\n    "))
-
-        # 3c. engine differential: the same SPMD ISx run under the objects
-        #     and flat event engines must have bit-identical makespans and
-        #     per-rank digests (the flat engine's correctness gate).
-        rep = isx_engine_differential()
-        mark = "OK  " if rep.ok else "FAIL"
-        print(f"  diff:{'isx-eng':<9s}{mark} "
-              f"{'/'.join(r.engine for r in rep.runs)}")
-        if not rep.ok:
-            failures += 1
-            print("    " + rep.describe().replace("\n", "\n    "))
-
-        # 3d. sharded differential: the same SPMD ISx run single-shard vs.
-        #     across conservative-window OS-process shards must produce
-        #     identical per-rank digests (the sharded engine's gate).
-        rep = isx_sharded_differential()
-        mark = "OK  " if rep.ok else "FAIL"
-        print(f"  diff:{'isx-shard':<9s}{mark} "
-              f"{'/'.join(r.engine for r in rep.runs)}")
-        if not rep.ok:
-            failures += 1
-            print("    " + rep.describe().replace("\n", "\n    "))
 
     print(f"({failures} failure(s), {time.perf_counter() - t0:.1f}s wall)")
     return 1 if failures else 0
@@ -522,9 +498,6 @@ def cmd_run(args) -> int:
     OS processes — one per rank, SHMEM heap on POSIX shared memory, puts
     and collectives over a Unix-socket fabric. The three backends' digests
     agree by construction, so this doubles as a cross-backend spot check.
-    ``--engine`` selects the sim backend's DES engine (flat — the
-    slab/calendar engine — is the default; ``--engine objects`` selects
-    the original per-record engine).
     """
     from repro.util.errors import ConfigError
     from repro.verify import WORKLOADS, run_on_engine
@@ -538,19 +511,12 @@ def cmd_run(args) -> int:
             f"--shards applies to the sim backend only, not "
             f"--backend {args.backend} (the procs backend is already one "
             "process per rank)")
-    if args.shards != 1 and args.engine != "flat":
-        raise ConfigError(
-            f"--shards requires --engine flat, got --engine {args.engine}")
     if args.backend == "procs":
         # Fail before running anything so a typo'd launcher exits cleanly
         # instead of FAILing every app with the same traceback text.
         from repro.launch import get_launcher
         get_launcher(args.launcher)
 
-    # --engine picks the sim DES engine (flat is the default); the threads
-    # and procs backends have no DES engine and ignore it.
-    engine = "flat-sim" if (args.backend == "sim" and
-                            args.engine == "flat") else args.backend
     apps = sorted(WORKLOADS) if args.app == "all" else [args.app]
     failures = 0
     for app in apps:
@@ -567,12 +533,10 @@ def cmd_run(args) -> int:
                 extra = (f"{res.nranks} ranks across {args.shards} shards, "
                          f"{res.windows} windows")
             else:
-                run = run_on_engine(WORKLOADS[app](), engine,
+                run = run_on_engine(WORKLOADS[app](), args.backend,
                                     workers=args.workers)
                 digest = run.result
-                extra = (f"{args.workers} workers in-process"
-                         + (f", {args.engine} engine"
-                            if args.backend == "sim" else ""))
+                extra = f"{args.workers} workers in-process"
             print(f"  {app:<9s} OK   {digest}  "
                   f"[{args.backend}: {extra}, "
                   f"{time.perf_counter() - t0:.2f}s wall]")
@@ -640,7 +604,7 @@ def cmd_serve(args) -> int:
 
     cfg = ServiceConfig(
         backends=tuple(args.backends), pool_size=args.pool_size,
-        workers=args.workers, engine=args.engine, warm=not args.cold,
+        workers=args.workers, warm=not args.cold,
         max_queue_per_tenant=args.queue_cap,
         cache_capacity=args.cache_capacity,
         retry=RetryPolicy(max_attempts=args.retries,
@@ -654,7 +618,7 @@ def cmd_serve(args) -> int:
     pids = [w["pid"] for w in gateway.stats_dict()["pool"]]
     print(f"repro-service listening on {server.address} "
           f"(backends={list(cfg.backends)}, pool={cfg.pool_size}/backend, "
-          f"{'warm' if cfg.warm else 'cold'} {cfg.engine} pools, "
+          f"{'warm' if cfg.warm else 'cold'} pools, "
           f"worker pids {pids})", flush=True)
 
     signals = {"n": 0}
@@ -699,10 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("validate", help="run every app's correctness check"
                    ).set_defaults(fn=cmd_validate)
-    # Alias: "run-all" reads naturally in CI scripts; exit code is nonzero
-    # iff any application fails its oracle.
-    sub.add_parser("run-all", help="alias for validate"
-                   ).set_defaults(fn=cmd_validate)
 
     prof = sub.add_parser(
         "profile", help="run one figure instrumented; emit metrics + trace")
@@ -712,11 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="output directory for metrics.json / trace.json")
     prof.add_argument("--scale", type=float, default=1.0,
                       help="preset workload scale (1.0 = benchmark size)")
-    prof.add_argument("--engine", choices=["objects", "flat"],
-                      default="flat",
-                      help="DES event engine for the instrumented run")
     prof.add_argument("--shards", type=int, default=1,
-                      help="OS-process shards for the flat engine (1 = "
+                      help="OS-process shards for the simulator (1 = "
                            "single-process; >1 runs the conservative-window "
                            "sharded engine and reports window telemetry)")
     prof.set_defaults(fn=cmd_profile)
@@ -770,10 +727,10 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--planted", action="store_true",
                     help="hunt on the known-buggy fixture (expected to FAIL)")
     vf.add_argument("--engines", nargs="+", default=["sim", "threads"],
-                    choices=["sim", "flat-sim", "threads", "interleave",
+                    choices=["sim", "ref-sim", "threads", "interleave",
                              "procs", "sharded"],
-                    help="engines for the differential check (flat-sim = "
-                         "slab/calendar event engine, procs = multiprocess "
+                    help="engines for the differential check (ref-sim = "
+                         "the test-only seed engine, procs = multiprocess "
                          "SPMD backend, sharded = conservative-window "
                          "multi-process DES)")
     vf.add_argument("--skip-differential", action="store_true")
@@ -803,15 +760,10 @@ def build_parser() -> argparse.ArgumentParser:
     rn.add_argument("--launcher", default="local",
                     help="process launcher for the procs backend "
                          "(local, subprocess, flux, pbs)")
-    rn.add_argument("--engine", default="flat",
-                    choices=["objects", "flat"],
-                    help="DES event engine for the sim backend "
-                         "(flat is the default; objects = the original "
-                         "per-record engine)")
     rn.add_argument("--shards", type=int, default=1,
-                    help="OS-process shards for the sim backend's flat "
-                         "engine (>1 runs the SPMD twin on the "
-                         "conservative-window sharded engine)")
+                    help="OS-process shards for the sim backend (>1 runs "
+                         "the SPMD twin on the conservative-window sharded "
+                         "engine)")
     rn.add_argument("--timeout", type=float, default=300.0,
                     help="end-to-end timeout per workload (procs), seconds")
     rn.set_defaults(fn=cmd_run)
@@ -833,9 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="warm entries (= worker processes) per backend")
     sv.add_argument("--workers", type=int, default=4,
                     help="runtime workers per warm entry")
-    sv.add_argument("--engine", default="flat",
-                    choices=["objects", "flat"],
-                    help="DES engine warm sim entries are built with")
     sv.add_argument("--cold", action="store_true",
                     help="disable warm pools (construct/tear down a runtime "
                          "per job)")

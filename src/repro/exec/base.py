@@ -65,7 +65,7 @@ class Executor(abc.ABC):
     task_fault_hook = None
 
     #: Optional :class:`repro.runtime.task.TaskSlab` recycling Task records.
-    #: Set (per instance) by the simulated executor's flat engine; when
+    #: Set (per instance) by the simulated executor; when
     #: non-None, ``HiperRuntime.spawn`` acquires records from the slab and
     #: the engine releases provably-finished ones back to it. One attribute
     #: load + None test per spawn is the entire cost elsewhere.

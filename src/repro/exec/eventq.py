@@ -1,6 +1,7 @@
-"""Flat-record event storage for the simulated engine (``engine="flat"``).
+"""Flat-record event storage for the simulated engine.
 
-The objects engine keeps pending events in a ``heapq`` of
+The reference engine (:mod:`repro.verify.reference`, the seed implementation
+kept for tests) keeps pending events in a ``heapq`` of
 ``[time, seq, fn]`` entries: every scheduled event allocates a list and a
 closure, and every push/pop pays an O(log n) sift whose comparisons are
 Python-level compares.  At paper-scale rank counts (512-1024 PEs, an
@@ -42,7 +43,7 @@ deliveries back-to-back — therefore pay one C-speed sort instead of N
 heap sifts, and :meth:`push_batch` / :meth:`pop_batch` amortize the
 Python bookkeeping over whole timestamp cohorts.
 
-Cancellation is lazy, mirroring the objects engine: :meth:`cancel`
+Cancellation is lazy, mirroring the reference: :meth:`cancel`
 blanks the record's callback, the record keeps its place in the
 calendar, and the consumer skips ``None`` callbacks when the batch
 surfaces.  ``len()`` therefore counts *records* (live + cancelled), the
@@ -50,7 +51,7 @@ same thing ``len()`` of the heap reports.
 
 Pop order is bit-for-bit the heap's order — ascending ``(when, seq)``
 with ``seq`` the global monotone insertion counter — which is what lets
-the flat engine be digest-gated against the objects engine (see
+the engine be digest-gated against the reference (see
 ``docs/sim-internals.md``).
 
 Hot-path calling convention: :meth:`pop_batch` returns the cohort as a
@@ -61,7 +62,7 @@ done.  While a cohort is being dispatched its slots sit on the
 :attr:`inflight` stack (not in the free list, so concurrent pushes can
 never overwrite them); :meth:`cancel` checks that stack so an event of
 the batch currently being dispatched is beyond cancellation's reach —
-the same guarantee the objects engine gets from materializing its batch
+the same guarantee the reference gets from materializing its batch
 out of the heap before running it.  Payload references are cleared on
 release (cancel clears the callback immediately).
 """
@@ -90,9 +91,9 @@ _EMPTY_I = np.empty(0, dtype=np.int64)
 class FlatEventQueue:
     """Slab-backed calendar queue with heap-identical ``(when, seq)`` order.
 
-    Supports the protocol ``SimExecutor`` needs from its event store:
-    truthiness / ``len()`` (pending records), ``clear()``, plus
-    ``push`` / ``push_batch`` / ``pop`` / ``pop_batch`` /
+    Supports what ``SimExecutor`` needs from its event store:
+    truthiness / ``len()`` (pending records), plus
+    ``push`` / ``push_batch`` / ``pop_batch`` /
     ``release_batch`` / ``peek_when`` / ``cancel``.
     """
 
@@ -106,7 +107,7 @@ class FlatEventQueue:
         "_next_seq", "_n_records",
         "_cur", "_far", "_far_w", "_far_q", "_far_min",
         "_sw", "_sq", "_ss", "_head", "_n_sp",
-        "inflight", "epoch",
+        "inflight",
         "sorts", "sorted_events",
     )
 
@@ -152,9 +153,6 @@ class FlatEventQueue:
         #: Their slots are off the calendar but not yet in the free list;
         #: :meth:`cancel` treats them as already-run.
         self.inflight: List[Sequence[int]] = []
-        #: Bumped by :meth:`clear`; a dispatcher holding popped slots must
-        #: not release them into a queue that was cleared under it.
-        self.epoch = 0
 
         # Introspection counters (telemetry / tests).
         self.sorts = 0
@@ -407,49 +405,6 @@ class FlatEventQueue:
             return None
         return self._candidate()
 
-    def pop(self) -> Tuple[float, Optional[Callable], Any]:
-        """Pop the minimum record; returns ``(when, fn, arg)``.  ``fn`` is
-        None if the record was cancelled (mirroring the heap engine, which
-        also surfaces blanked entries to its consumer)."""
-        if not self._n_records:
-            raise IndexError("pop from an empty FlatEventQueue")
-        cur = self._cur
-        head = self._head
-        if self._far:
-            cand = float(self._sw[head]) if head < self._n_sp else _INF
-            if cur and -cur[-1][0] < cand:
-                cand = -cur[-1][0]
-            if self._far_min <= cand:
-                self._rebuild()
-                head = 0
-        sw = self._sw
-        sp_ok = head < self._n_sp
-        take_cur = False
-        if cur:
-            if not sp_ok:
-                take_cur = True
-            else:
-                cw = -cur[-1][0]
-                sh = sw[head]
-                if cw < sh or (cw == sh and -cur[-1][1] < self._sq[head]):
-                    take_cur = True
-        if take_cur:
-            nw, _ns, slot = cur.pop()
-            when = -nw
-        else:
-            when = float(sw[head])
-            slot = int(self._ss[head])
-            self._head = head + 1
-        fn_l, arg_l = self.fns, self.args
-        fn = fn_l[slot]
-        arg = arg_l[slot]
-        self._kind[slot] = _K_FREE
-        fn_l[slot] = None
-        arg_l[slot] = None
-        self._free.append(slot)
-        self._n_records -= 1
-        return when, fn, arg
-
     def pop_batch(self) -> Tuple[float, List[int]]:
         """Pop *all* records sharing the minimum timestamp, in seq (FIFO)
         order, as ``(when, slots)``.
@@ -561,7 +516,7 @@ class FlatEventQueue:
         the handle is stale (slot recycled into a newer generation).
 
         Lazy delete: the record keeps its calendar position with a blanked
-        callback, exactly like the heap engine's cancelled entries."""
+        callback, exactly like the reference's cancelled entries."""
         slot = handle & _SLOT_MASK
         if slot >= self._cap:
             return False
@@ -570,7 +525,7 @@ class FlatEventQueue:
             return False
         # An in-flight slot (popped, mid-dispatch, not yet released) still
         # looks live on the slab; it is nonetheless beyond reach, exactly
-        # like the objects engine's already-materialized batch.  Rare op,
+        # like the reference's already-materialized batch.  Rare op,
         # so the O(batch) scan is fine.
         for batch in self.inflight:
             if slot in batch:
@@ -584,29 +539,8 @@ class FlatEventQueue:
 
     def __len__(self) -> int:
         """Pending records — live *plus* lazily-cancelled, the same count
-        ``len()`` of the objects engine's heap reports."""
+        ``len()`` of the reference's heap reports."""
         return self._n_records
 
     def __bool__(self) -> bool:
         return self._n_records > 0
-
-    def clear(self) -> None:
-        self.epoch += 1
-        self.inflight = []
-        cap = self._cap
-        self._kind = [_K_FREE] * cap
-        self.fns = [None] * cap
-        self.args = [None] * cap
-        self._free = []
-        self._next_slot = 0
-        self._n_records = 0
-        self._cur = []
-        self._far = []
-        self._far_w = []
-        self._far_q = []
-        self._far_min = _INF
-        self._sw = _EMPTY_F
-        self._sq = _EMPTY_I
-        self._ss = _EMPTY_I
-        self._head = 0
-        self._n_sp = 0

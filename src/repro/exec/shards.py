@@ -1,8 +1,8 @@
-"""Sharded parallel DES: one flat sub-simulator per shard, synchronized by
+"""Sharded parallel DES: one sub-simulator per shard, synchronized by
 conservative time windows (ROADMAP item 4's "one sub-simulator per rank with
 conservative time windows", generalized to N shards).
 
-``SimExecutor(engine="flat", shards=N)`` partitions an SPMD run's ranks
+``SimExecutor(shards=N)`` partitions an SPMD run's ranks
 across N OS processes. Each shard runs its own :class:`FlatEventQueue` +
 ``TaskSlab`` over its slice of the cluster (a contiguous, *node-aligned*
 rank range — see :class:`ShardPlan`), and the shards advance in lockstep
@@ -31,12 +31,12 @@ therefore never delivers a message into its own past; and because every
 enqueue happens from an action below ``H``, every queued task's release
 time is below ``H`` too — the bounded step loop needs no release guard.
 
-**Determinism.** Within a shard the engine is the unmodified flat engine.
+**Determinism.** Within a shard the engine is the unmodified ``SimExecutor``.
 Across shards, inboxes are injected in ``(arrival, src, seq)`` order —
 identical on every replay — and the receiver-side cost recurrences (NIC
 availability, pairwise FIFO) run in that order. Per-rank *results* are
 therefore deterministic and equal to the single-shard run's (gated by the
-sharded<->flat differential); per-rank virtual *times* can differ from the
+``isx_sharded_differential``); per-rank virtual *times* can differ from the
 single-shard schedule, because receiver-NIC contention is resolved against
 shard-local send interleavings (the same caveat the real-multiprocess procs
 backend documents). ``shards=1`` never reaches this module at all.
@@ -113,7 +113,7 @@ class ShardPlan:
 
 
 class _ShardSimExecutor(SimExecutor):
-    """Flat engine bounded by a horizon, with a window hook at quiescence.
+    """The engine bounded by a horizon, with a window hook at quiescence.
 
     ``_step`` first drains work strictly below ``_horizon``; when the slice
     is dry it invokes ``_window_hook`` (the barrier exchange). The hook
@@ -123,32 +123,35 @@ class _ShardSimExecutor(SimExecutor):
     window boundaries without any change."""
 
     def __init__(self, *, trace: bool = False, task_overhead: float = 0.0):
-        super().__init__(trace=trace, task_overhead=task_overhead,
-                         selection="heap", engine="flat")
+        super().__init__(trace=trace, task_overhead=task_overhead)
         self._horizon = 0.0
         self._window_hook: Optional[Callable[[], bool]] = None
 
-    def next_activation(self) -> float:
-        """Earliest virtual time this shard could act at, or +inf.
-
-        Probes the ready heap (normalizing lazily-deleted and stale-clock
-        entries, exactly as ``_step`` would) and the event queue. May be
-        conservatively low — a maybe-ready worker can turn out to have no
-        task — which costs at most an extra window, never correctness."""
+    def _ready_head(self):
+        """The lowest-clock maybe-ready worker, or None: the ready heap's
+        top after dropping lazily-deleted entries and re-keying stale
+        clocks, exactly as ``SimExecutor._step`` does."""
         ready, heap = self._maybe_ready, self._ready_heap
-        t = math.inf
         while heap:
             clock, _rank, _wid, _seq, worker = heap[0]
             if worker not in ready:
                 heapq.heappop(heap)
-                continue
-            if clock != worker.clock:
+            elif clock != worker.clock:
                 heapq.heapreplace(
                     heap, (worker.clock, worker.rank, worker.wid,
                            next(self._wake_seq), worker))
-                continue
-            t = clock
-            break
+            else:
+                return worker
+        return None
+
+    def next_activation(self) -> float:
+        """Earliest virtual time this shard could act at, or +inf.
+
+        May be conservatively low — a maybe-ready worker can turn out to
+        have no task — which costs at most an extra window, never
+        correctness."""
+        worker = self._ready_head()
+        t = math.inf if worker is None else worker.clock
         when = self._events.peek_when()
         if when is not None and when < t:
             t = when
@@ -158,23 +161,14 @@ class _ShardSimExecutor(SimExecutor):
         """One task or event batch strictly below the horizon; False when
         the sub-horizon slice is drained."""
         horizon = self._horizon
-        ready, heap = self._maybe_ready, self._ready_heap
-        while ready:
-            clock, _rank, _wid, _seq, worker = heap[0]
-            if worker not in ready:
-                heapq.heappop(heap)
-                continue
-            if clock != worker.clock:
-                heapq.heapreplace(
-                    heap, (worker.clock, worker.rank, worker.wid,
-                           next(self._wake_seq), worker))
-                continue
-            if clock >= horizon:
+        while True:
+            worker = self._ready_head()
+            if worker is None or worker.clock >= horizon:
                 break
             task = find_task(worker)
             if task is None:
-                ready.discard(worker)
-                heapq.heappop(heap)
+                self._maybe_ready.discard(worker)
+                heapq.heappop(self._ready_heap)
                 continue
             self._run_task(worker, task)
             return True

@@ -16,10 +16,14 @@ heap keyed by ``(clock, rank, wid)``. Entries whose worker left the set are
 dropped on pop; entries whose clock went stale (the worker ran and advanced
 while staying maybe-ready) are re-keyed in place — clocks only move forward,
 so a stale entry always surfaces no later than its fresh position. The
-selection order is bit-for-bit identical to the previous O(W) ``min()`` scan
-(the key is a strict total order per worker); ``selection="scan"`` keeps the
-scan implementation for the equivalence test in
-``tests/test_scheduler_determinism.py``.
+selection order is bit-for-bit identical to an O(W) ``min()`` scan (the key
+is a strict total order per worker).
+
+Events live in a :class:`~repro.exec.eventq.FlatEventQueue` and task records
+are recycled through a :class:`~repro.runtime.task.TaskSlab` (see
+``docs/sim-internals.md``). This is the only engine; the seed one (scan-min
+selection, ``heapq`` events) is the test-only reference it is compared with
+bit for bit, :class:`repro.verify.reference.ReferenceSimExecutor`.
 
 Blocking (``future.wait``, ``finish``) uses *help-until-ready*: the blocked
 frame re-enters the engine loop, so any worker — including the blocked one —
@@ -30,7 +34,6 @@ call stack; pathological nesting depth raises a diagnostic rather than a bare
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import sys
@@ -40,7 +43,7 @@ import numpy as np
 
 from repro.exec.base import Executor
 from repro.exec.eventq import FlatEventQueue
-from repro.runtime.context import ExecContext, _tls, current_context, scoped_context
+from repro.runtime.context import ExecContext, _tls, current_context
 from repro.runtime.finish import FinishScope
 from repro.runtime.deques import NullLock
 from repro.runtime.future import Future, Promise
@@ -54,6 +57,25 @@ from repro.util.errors import (
     PlaceFailure,
     RuntimeStateError,
 )
+
+
+class _ClosedEventQueue:
+    """What a shut-down executor holds in place of its event slab: always
+    empty, every push raises — use-after-shutdown is a defined error with no
+    per-event ``if self._shutdown`` on the ``call_at`` hot path."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return 0
+
+    def push(self, *_args) -> int:
+        raise RuntimeStateError("executor already shut down")
+
+    push_batch = push
+
+    def cancel(self, handle: int) -> bool:
+        return False
 
 
 class SimExecutor(Executor):
@@ -73,36 +95,26 @@ class SimExecutor(Executor):
     MAX_HELP_DEPTH = 4000
 
     def __init__(self, *, trace: bool = False, task_overhead: float = 0.0,
-                 selection: str = "heap", engine: str = "flat",
-                 shards: int = 1):
+                 engine: str = "flat", shards: int = 1):
         """``task_overhead``: virtual seconds charged per task dispatch
         (models scheduler/dispatch cost; 0 by default, exercised by the
-        runtime-overhead ablation bench). ``selection``: ``"heap"`` (default,
-        O(log W) lazy-deletion heap) or ``"scan"`` (legacy O(W) min-scan,
-        kept to prove the two produce identical schedules). ``engine``:
-        ``"flat"`` (default since it soaked through the PR-7 differential
-        gates; slab-allocated events in a calendar queue plus recycled task
-        records — see ``docs/sim-internals.md``) or ``"objects"`` (the
-        original heapq-of-records engine, kept selectable; the two produce
-        bit-for-bit identical schedules, gated by the verify differential).
+        runtime-overhead ablation bench). ``engine``: accepted for callers
+        that still spell out ``engine="flat"``; there is one engine, so any
+        other value is a :class:`ConfigError` and nothing reads it.
         ``shards``: partition an SPMD run across N OS processes, each driving
-        its own flat sub-simulator, synchronized by conservative time windows
+        its own sub-simulator, synchronized by conservative time windows
         (see ``repro.exec.shards``). ``shards=1`` (default) is a strict
         passthrough — this executor runs everything itself and the attribute
         is never consulted again."""
-        if selection not in ("heap", "scan"):
+        if engine != "flat":
             raise ConfigError(
-                f"selection must be 'heap' or 'scan', got {selection!r}")
-        if engine not in ("objects", "flat"):
-            raise ConfigError(
-                f"engine must be 'objects' or 'flat', got {engine!r}")
+                f"SimExecutor has one engine, 'flat'; got engine={engine!r} "
+                "(the seed engine is the test-only reference "
+                "repro.verify.reference.ReferenceSimExecutor)")
         if not isinstance(shards, int) or isinstance(shards, bool):
             raise ConfigError(f"shards must be an int, got {shards!r}")
         if shards < 1:
             raise ConfigError(f"shards must be >= 1, got {shards}")
-        if shards > 1 and engine != "flat":
-            raise ConfigError(
-                f"sharded execution requires engine='flat', got {engine!r}")
         self.shards = shards
         self._runtimes: List[HiperRuntime] = []
         self._workers: List[WorkerState] = []
@@ -110,26 +122,13 @@ class SimExecutor(Executor):
         #                              steal_cover: List[WorkerState])
         self._coverage = {}
         self._maybe_ready: Set[WorkerState] = set()
-        self._use_heap = selection == "heap"
         self._ready_heap: List = []  # (clock, rank, wid, seq, worker)
         self._wake_seq = itertools.count()
-        self.engine = engine
-        if engine == "flat":
-            # Slab-allocated calendar queue; same truthiness/len/clear
-            # protocol as the heap list, so _step/shutdown/repr are shared.
-            self._events: Any = FlatEventQueue()
-            self.call_later = self._call_later_flat  # type: ignore[method-assign]
-            self.call_at = self._call_at_flat  # type: ignore[method-assign]
-            self.call_at_batch = self._call_at_batch_flat  # type: ignore[method-assign]
-            self.cancel_event = self._cancel_event_flat  # type: ignore[method-assign]
-            self._advance_events = self._advance_events_flat  # type: ignore[method-assign]
-            self.task_slab = TaskSlab()
-            # Reusable bare dispatch context (now() == event floor): the
-            # flat advance path pushes/pops this one instance per batch.
-            self._bare_ctx = ExecContext(self)
-        else:
-            self._events = []  # heap of [time, seq, fn]; fn None == cancelled
-        self._event_seq = itertools.count()
+        self._events: Any = FlatEventQueue()
+        self.task_slab = TaskSlab()
+        # Reusable bare dispatch context (now() == event floor):
+        # _advance_events pushes/pops this one instance per batch.
+        self._bare_ctx = ExecContext(self)
         self._event_floor = 0.0
         self._help_depth = 0
         self._dead_workers = {}  # id(runtime) -> set of failed worker ids
@@ -167,9 +166,12 @@ class SimExecutor(Executor):
     # ------------------------------------------------------------------
     # Executor interface
     # ------------------------------------------------------------------
-    def register_runtime(self, runtime: HiperRuntime) -> None:
+    def _check_open(self) -> None:
         if self._shutdown:
             raise RuntimeStateError("executor already shut down")
+
+    def register_runtime(self, runtime: HiperRuntime) -> None:
+        self._check_open()
         self._runtimes.append(runtime)
         self._coverage[id(runtime)] = self._build_coverage(runtime)
         self._workers.extend(runtime.workers)
@@ -210,23 +212,14 @@ class SimExecutor(Executor):
         self._shutdown = True
         self._maybe_ready.clear()
         self._ready_heap.clear()
-        if self.engine == "flat":
-            # Break the reference cycles that keep a finished flat executor
-            # alive under refcounting alone: the engine bindings in the
-            # instance dict are bound methods (each holds ``self``) and the
-            # reusable dispatch context points back at the executor. Under
-            # ``gc.disable()`` — pytest-benchmark runs that way — an
-            # un-broken cycle pins the executor's entire event slab and
-            # task slab per instance. Dropping the slab wholesale is also
-            # cheaper than clear(), which reallocates at full capacity.
-            self._bare_ctx = None
-            for name in ("call_later", "call_at", "call_at_batch",
-                         "cancel_event", "_advance_events"):
-                self.__dict__.pop(name, None)
-            self._events = []
-            self.task_slab = TaskSlab()
-        else:
-            self._events.clear()
+        # Drop the slabs and break the one reference cycle through this
+        # object (the reusable dispatch context points back at it), so a
+        # finished executor is freed by refcounting alone: pytest-benchmark
+        # runs with the cycle collector off, and a surviving cycle there
+        # pins an event slab and a task slab per round.
+        self._events = _ClosedEventQueue()
+        self.task_slab = None
+        self._bare_ctx = None
         self._restore_recursion_limit()
 
     def pending_events(self) -> int:
@@ -257,101 +250,49 @@ class SimExecutor(Executor):
         by_creator, wake_all = self._coverage[id(runtime)][place.place_id]
         workers = wake_all if created_by is None else by_creator[created_by]
         ready = self._maybe_ready
-        if self._use_heap:
-            heap, seq = self._ready_heap, self._wake_seq
-            for w in workers:
-                if w not in ready:
-                    ready.add(w)
-                    heapq.heappush(
-                        heap, (w.clock, w.rank, w.wid, next(seq), w))
-        else:
-            for w in workers:
+        heap, seq = self._ready_heap, self._wake_seq
+        for w in workers:
+            if w not in ready:
                 ready.add(w)
+                heapq.heappush(heap, (w.clock, w.rank, w.wid, next(seq), w))
 
     def _wake(self, worker: WorkerState) -> None:
         if worker not in self._maybe_ready:
             self._maybe_ready.add(worker)
-            if self._use_heap:
-                heapq.heappush(
-                    self._ready_heap,
-                    (worker.clock, worker.rank, worker.wid,
-                     next(self._wake_seq), worker),
-                )
+            heapq.heappush(
+                self._ready_heap,
+                (worker.clock, worker.rank, worker.wid,
+                 next(self._wake_seq), worker),
+            )
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> int:
         """Schedule ``fn`` after ``delay`` virtual seconds; returns a handle
         for :meth:`cancel_event`. Rejects negative and NaN delays — a NaN
-        would corrupt the heap invariant silently (every comparison against
+        would corrupt the queue order silently (every comparison against
         it is False), scrambling event order downstream."""
         if delay < 0 or delay != delay:
             raise ConfigError(
                 f"call_later delay must be a non-negative number, got {delay}")
-        seq = next(self._event_seq)
-        heapq.heappush(self._events, [self.now() + delay, seq, fn])
-        return seq
+        return self._events.push(self.now() + delay, fn)
 
     def call_at(self, when: float, fn: Callable[[], None]) -> int:
         """Schedule at an absolute virtual time (used by the network fabric);
         returns a handle for :meth:`cancel_event`. Rejects NaN timestamps
-        (silent heap-order corruption, as in :meth:`call_later`).
+        (silent order corruption, as in :meth:`call_later`).
 
         Clamped to the event floor, not zero: the floor only moves forward,
         and an event stamped in the virtual past would sort "before" events
         that have already been processed, silently reordering causality."""
         if when != when:
             raise ConfigError(f"call_at timestamp must not be NaN, got {when}")
-        seq = next(self._event_seq)
-        heapq.heappush(
-            self._events,
-            [when if when > self._event_floor else self._event_floor, seq, fn],
-        )
-        return seq
-
-    def call_at_batch(self, whens, fn: Callable[[Any], None], args) -> None:
-        """Schedule ``fn(args[i])`` at each ``whens[i]`` (floor-clamped like
-        :meth:`call_at`). One call prices a whole fabric wave; the flat
-        engine inserts it with a single vectorized slab append, this heap
-        fallback degenerates to per-event pushes. Internal fast path: no
-        NaN validation, no cancellation handles."""
-        events = self._events
-        floor = self._event_floor
-        seq = self._event_seq
-        push = heapq.heappush
-        if isinstance(whens, np.ndarray):
-            whens = whens.tolist()
-        for w, a in zip(whens, args):
-            push(events, [w if w > floor else floor, next(seq),
-                          functools.partial(fn, a)])
-
-    def cancel_event(self, handle: int) -> bool:
-        """Cancel a pending event by the handle ``call_later``/``call_at``
-        returned. Returns True if the event was still pending. Cancellation
-        is lazy on both engines: the record keeps its queue position with a
-        blanked callback and is skipped at dispatch, so an event of the
-        batch currently being dispatched is already out of reach."""
-        for entry in self._events:
-            if entry[1] == handle:
-                if entry[2] is None:
-                    return False
-                entry[2] = None
-                return True
-        return False
-
-    # Flat-engine variants, swapped in as instance attributes by __init__.
-
-    def _call_later_flat(self, delay: float, fn: Callable[[], None]) -> int:
-        if delay < 0 or delay != delay:
-            raise ConfigError(
-                f"call_later delay must be a non-negative number, got {delay}")
-        return self._events.push(self.now() + delay, fn)
-
-    def _call_at_flat(self, when: float, fn: Callable[[], None]) -> int:
-        if when != when:
-            raise ConfigError(f"call_at timestamp must not be NaN, got {when}")
         return self._events.push(
             when if when > self._event_floor else self._event_floor, fn)
 
-    def _call_at_batch_flat(self, whens, fn, args) -> None:
+    def call_at_batch(self, whens, fn: Callable[[Any], None], args) -> None:
+        """Schedule ``fn(args[i])`` at each ``whens[i]`` (floor-clamped like
+        :meth:`call_at`). One call prices a whole fabric wave and inserts it
+        with a single vectorized slab append. Internal fast path: no NaN
+        validation, no cancellation handles."""
         # Clamp to the event floor only when some timestamp is below it:
         # waves are stamped at-or-after "now", so the common case is one
         # min() instead of a per-event rewrite.
@@ -363,7 +304,12 @@ class SimExecutor(Executor):
             whens = [w if w > floor else floor for w in whens]
         self._events.push_batch(whens, fn, args)
 
-    def _cancel_event_flat(self, handle: int) -> bool:
+    def cancel_event(self, handle: int) -> bool:
+        """Cancel a pending event by the handle ``call_later``/``call_at``
+        returned. Returns True if the event was still pending. Cancellation
+        is lazy: the record keeps its queue position with a blanked callback
+        and is skipped at dispatch, so an event of the batch currently being
+        dispatched is already out of reach."""
         return self._events.cancel(handle)
 
     # ------------------------------------------------------------------
@@ -460,38 +406,26 @@ class SimExecutor(Executor):
     # ------------------------------------------------------------------
     def _step(self) -> bool:
         """Run one task or one event batch. False iff nothing can happen."""
-        if self._use_heap:
-            ready, heap = self._maybe_ready, self._ready_heap
-            while ready:
-                clock, _rank, _wid, _seq, worker = heap[0]
-                if worker not in ready:
-                    heapq.heappop(heap)  # lazily-deleted entry
-                    continue
-                if clock != worker.clock:
-                    # Stale key: the worker ran (clocks only advance) while
-                    # staying maybe-ready. Re-key at its current clock.
-                    heapq.heapreplace(
-                        heap, (worker.clock, worker.rank, worker.wid,
-                               next(self._wake_seq), worker))
-                    continue
-                task = find_task(worker)
-                if task is None:
-                    ready.discard(worker)
-                    heapq.heappop(heap)
-                    continue
-                self._run_task(worker, task)
-                return True
-        else:  # legacy scan-min selection (determinism cross-check)
-            while self._maybe_ready:
-                worker = min(
-                    self._maybe_ready, key=lambda w: (w.clock, w.rank, w.wid)
-                )
-                task = find_task(worker)
-                if task is None:
-                    self._maybe_ready.discard(worker)
-                    continue
-                self._run_task(worker, task)
-                return True
+        ready, heap = self._maybe_ready, self._ready_heap
+        while ready:
+            clock, _rank, _wid, _seq, worker = heap[0]
+            if worker not in ready:
+                heapq.heappop(heap)  # lazily-deleted entry
+                continue
+            if clock != worker.clock:
+                # Stale key: the worker ran (clocks only advance) while
+                # staying maybe-ready. Re-key at its current clock.
+                heapq.heapreplace(
+                    heap, (worker.clock, worker.rank, worker.wid,
+                           next(self._wake_seq), worker))
+                continue
+            task = find_task(worker)
+            if task is None:
+                ready.discard(worker)
+                heapq.heappop(heap)
+                continue
+            self._run_task(worker, task)
+            return True
         if self._events:
             self._advance_events()
             return True
@@ -508,9 +442,9 @@ class SimExecutor(Executor):
         slab = self.task_slab
         if slab is not None and (task.state is TaskState.DONE
                                  or task.state is TaskState.FAILED):
-            # Flat engine: the record's lifetime provably ends here —
-            # suspended/re-enqueued tasks are still referenced by resumer
-            # closures or deques and stay out of the pool.
+            # The record's lifetime provably ends here — suspended or
+            # re-enqueued tasks are still referenced by resumer closures or
+            # deques and stay out of the pool. (The reference has no slab.)
             slab.release(task)
         # The task may have pushed follow-up work for this worker; notify()
         # covers cross-worker wakes but re-adding ourselves is cheap and keeps
@@ -521,30 +455,15 @@ class SimExecutor(Executor):
             self._wake(worker)
 
     def _advance_events(self) -> None:
-        """Pop and run every event sharing the minimum timestamp (blanked —
-        cancelled — callbacks pop with their batch but are skipped)."""
-        t0, _, fn = heapq.heappop(self._events)
-        self._event_floor = max(self._event_floor, t0)
-        batch = [fn]
-        while self._events and self._events[0][0] == t0:
-            batch.append(heapq.heappop(self._events)[2])
-        ctx = ExecContext(self)  # bare context: now() == event floor
-        with scoped_context(ctx):
-            for fn in batch:
-                if fn is None:
-                    continue
-                fn()
-                self.events_processed += 1
-
-    def _advance_events_flat(self) -> None:
-        """Flat-engine advance: one calendar pop surfaces the whole
-        equal-timestamp cohort as raw slab slots, and dispatch runs straight
-        off the slab columns — no per-event materialization.  Singleton
-        cohorts snapshot their one record and release it up front; larger
-        cohorts stay resident on the queue's in-flight stack until done, so
-        concurrent pushes cannot recycle their slots and cancel_event treats
-        them as already-run (the same reach the objects engine gives its
-        materialized batch).
+        """Pop and run every event sharing the minimum timestamp: one
+        calendar pop surfaces the whole cohort as raw slab slots, and
+        dispatch runs straight off the slab columns — no per-event
+        materialization (blanked — cancelled — callbacks pop with their
+        batch but are skipped).  Singleton cohorts snapshot their one record
+        and release it up front; larger cohorts stay resident on the queue's
+        in-flight stack until done, so concurrent pushes cannot recycle
+        their slots and cancel_event treats them as already-run (the same
+        reach the reference gives its materialized batch).
 
         The bare dispatch context (now() == event floor) is one reusable
         instance, and the context-stack push/pop is inlined: this wraps
@@ -584,13 +503,12 @@ class SimExecutor(Executor):
         stack = _tls.stack
         stack.append(self._bare_ctx)
         q.inflight.append(slots)
-        epoch = q.epoch
         try:
             if type(slots) is range:
                 # Contiguous cohort: iterate the payload columns by slice —
                 # zip of two list slices beats per-slot indexed loads. The
                 # slices are snapshots, which is exactly the semantics the
-                # objects engine gives its materialized batch (a cancel
+                # reference gives its materialized batch (a cancel
                 # landing mid-dispatch is too late either way).
                 for fn, arg in zip(fns_l[slots.start:slots.stop],
                                    args_l[slots.start:slots.stop]):
@@ -614,8 +532,7 @@ class SimExecutor(Executor):
                     n += 1
         finally:
             q.inflight.pop()
-            if q.epoch == epoch:
-                q.release_batch(slots)
+            q.release_batch(slots)
             stack.pop()
             self.events_processed += n
 
@@ -691,6 +608,7 @@ class SimExecutor(Executor):
         """Enqueue ``fn`` as a root task under a fresh finish scope; return a
         future satisfied (with ``fn``'s value) once the whole scope quiesces.
         Does not drive the engine — SPMD launchers submit all ranks first."""
+        self._check_open()
         # self.lock_class, not a hard-coded NullLock: subclasses (the
         # schedule-exploring verifier) plug in tracked locks here.
         scope = FinishScope(name=f"{name}-scope", lock_cls=self.lock_class)
@@ -714,6 +632,7 @@ class SimExecutor(Executor):
 
     def drive(self, until: Callable[[], bool]) -> None:
         """Pump the engine until ``until()`` is true; raise on dead quiescence."""
+        self._check_open()
         if self._stepping:
             raise RuntimeStateError(
                 "drive() re-entered; use block_until from inside tasks"
@@ -737,6 +656,7 @@ class SimExecutor(Executor):
 
     def drain(self) -> None:
         """Run until full quiescence (no ready tasks, no events)."""
+        self._check_open()
         self._ensure_recursion_headroom()
         while self._step():
             pass
@@ -764,7 +684,7 @@ class SimExecutor(Executor):
 
     def __repr__(self) -> str:
         return (
-            f"SimExecutor(runtimes={len(self._runtimes)}, "
+            f"{type(self).__name__}(runtimes={len(self._runtimes)}, "
             f"workers={len(self._workers)}, events={len(self._events)}, "
             f"floor={self._event_floor:.6f})"
         )

@@ -177,7 +177,7 @@ class Task:
 
 class TaskSlab:
     """Recycling pool of :class:`Task` records (the BufferPool idiom applied
-    to tasks; flat-engine counterpart of the event slab in
+    to tasks; counterpart of the event slab in
     ``repro.exec.eventq``).
 
     The deterministic simulator churns through one short-lived ``Task``

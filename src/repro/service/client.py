@@ -139,15 +139,14 @@ class ServiceClient:
         return window * (0.5 + 0.5 * u)
 
     def submit(self, app: str, params: Optional[Mapping[str, Any]] = None, *,
-               seed: int = 0, backend: str = "sim", engine: str = "flat",
+               seed: int = 0, backend: str = "sim",
                ranks: int = 2, tenant: str = "default") -> Dict[str, Any]:
         """Submit a job; absorbs 429 backpressure with jittered backoff.
 
         Returns the job document (``doc["job_id"]`` is the handle).
         """
         body = {"app": app, "params": dict(params or {}), "seed": seed,
-                "backend": backend, "engine": engine, "ranks": ranks,
-                "tenant": tenant}
+                "backend": backend, "ranks": ranks, "tenant": tenant}
         for attempt in range(self.submit_attempts):
             doc = self.request("POST", "/api/v1/jobs", body)
             if doc["_status"] == 202:

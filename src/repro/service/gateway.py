@@ -73,9 +73,6 @@ class ServiceConfig:
     pool_size: int = 2
     #: Runtime workers per warm entry (sim/threads).
     workers: int = 4
-    #: DES engine warm sim entries are built with; a job requesting the
-    #: other engine still runs, cold, on its slot.
-    engine: str = "flat"
     #: False = the worker constructs/tears down a runtime per job (the cold
     #: baseline the benchmark pair measures against).
     warm: bool = True
@@ -128,7 +125,7 @@ class JobGateway:
         self._started = True
         self.started_at = time.time()
         cfg = self.config
-        entry_kwargs = dict(workers=cfg.workers, engine=cfg.engine,
+        entry_kwargs = dict(workers=cfg.workers,
                             block_timeout=cfg.block_timeout)
         # Fork every worker before the first slot thread (and, under
         # ServiceServer, the HTTP thread) exists: a fork from a
@@ -215,7 +212,7 @@ class JobGateway:
     # submission API
     # ------------------------------------------------------------------
     def submit(self, app: str, params: Optional[Mapping[str, Any]] = None, *,
-               seed: int = 0, backend: str = "sim", engine: str = "flat",
+               seed: int = 0, backend: str = "sim",
                ranks: int = 2, tenant: str = "default") -> Job:
         """Validate, admit, and (maybe) answer from cache.
 
@@ -223,7 +220,7 @@ class JobGateway:
         (tenant backpressure → 429), :class:`ServiceDraining` (→ 503).
         """
         spec = JobSpec.create(app, params, seed=seed, backend=backend,
-                              engine=engine, ranks=ranks)
+                              ranks=ranks)
         if spec.backend not in self.config.backends:
             raise ConfigError(
                 f"backend {spec.backend!r} is not enabled on this service; "

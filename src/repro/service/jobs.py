@@ -2,9 +2,9 @@
 
 A :class:`JobSpec` is the immutable unit of submission — *which* workload
 (``app``), *how configured* (``params`` + ``seed``), and *where to run it*
-(``backend``, plus the DES ``engine`` for the simulated backend). Specs are
-canonicalized to a deterministic JSON document whose SHA-256 is the result
-cache key: every field that can influence the produced value is in the key,
+(``backend``). Specs are canonicalized to a deterministic JSON document
+whose SHA-256 is the result cache key: every field that can influence the
+produced value is in the key,
 and nothing else is (worker counts and pool sizing are service-side capacity
 knobs — the digest workloads are schedule-independent by construction, so
 capacity never changes results; see ``docs/service.md`` for the cache-key
@@ -32,8 +32,6 @@ from repro.util.errors import ConfigError
 #: in-process runtimes; ``procs`` launches one OS process per rank per job
 #: (process trees are not poolable across jobs — see docs/service.md).
 BACKENDS = ("sim", "threads", "procs")
-#: DES engines for the ``sim`` backend (ignored elsewhere).
-ENGINES = ("objects", "flat")
 
 
 class JobState(str, Enum):
@@ -60,24 +58,23 @@ def _app_configs() -> Dict[str, Any]:
 
 @dataclasses.dataclass(frozen=True)
 class JobSpec:
-    """One submission: app + params + seed + backend (+ sim engine)."""
+    """One submission: app + params + seed + backend."""
 
     app: str
     params: Tuple[Tuple[str, Any], ...] = ()
     seed: int = 0
     backend: str = "sim"
-    engine: str = "flat"
     #: SPMD ranks — meaningful for the ``procs`` backend only.
     ranks: int = 2
 
     @classmethod
     def create(cls, app: str, params: Optional[Mapping[str, Any]] = None, *,
-               seed: int = 0, backend: str = "sim", engine: str = "flat",
+               seed: int = 0, backend: str = "sim",
                ranks: int = 2) -> "JobSpec":
         """Validate and canonicalize a submission into a spec.
 
         Raises :class:`ConfigError` (HTTP 400 at the wire) for unknown apps,
-        backends, engines, or params the app's config rejects. Validation
+        backends, or params the app's config rejects. Validation
         constructs the app config eagerly so bad submissions fail at submit
         time, not minutes later on a pool worker.
         """
@@ -88,9 +85,6 @@ class JobSpec:
         if backend not in BACKENDS:
             raise ConfigError(
                 f"unknown backend {backend!r}; choose from {list(BACKENDS)}")
-        if engine not in ENGINES:
-            raise ConfigError(
-                f"unknown engine {engine!r}; choose from {list(ENGINES)}")
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ConfigError(f"seed must be an integer, got {seed!r}")
         if not isinstance(ranks, int) or ranks < 1:
@@ -98,7 +92,7 @@ class JobSpec:
         params = dict(params or {})
         params.pop("seed", None)  # the spec's seed field is canonical
         spec = cls(app=app, params=tuple(sorted(params.items())), seed=seed,
-                   backend=backend, engine=engine, ranks=ranks)
+                   backend=backend, ranks=ranks)
         spec.build_config()  # raises ConfigError/TypeError on bad params
         return spec
 
@@ -118,8 +112,8 @@ class JobSpec:
     def cache_key(self) -> str:
         """Deterministic key: SHA-256 of the canonical spec document.
 
-        ``engine`` and ``ranks`` are included even though results are
-        constructed to be engine/rank-count independent — the cache must
+        ``backend`` and ``ranks`` are included even though results are
+        constructed to be backend/rank-count independent — the cache must
         never be in the position of *asserting* that equivalence; the verify
         differentials do. ``canonical()`` is the audited key material.
         """
@@ -132,7 +126,6 @@ class JobSpec:
             "params": {k: v for k, v in self.params},
             "seed": self.seed,
             "backend": self.backend,
-            "engine": self.engine if self.backend == "sim" else "n/a",
             "ranks": self.ranks if self.backend == "procs" else 0,
         }
 

@@ -60,7 +60,7 @@ class WarmRuntime:
     """A started, reusable (executor, runtime) pair for one pool slot."""
 
     def __init__(self, backend: str, *, workers: int = 4,
-                 engine: str = "flat", block_timeout: float = 60.0):
+                 block_timeout: float = 60.0):
         from repro.exec.sim import SimExecutor
         from repro.exec.threaded import ThreadedExecutor
         from repro.platform.hwloc import discover, machine
@@ -70,11 +70,10 @@ class WarmRuntime:
             raise ConfigError(
                 f"backend {backend!r} is not warm-poolable (sim/threads only)")
         self.backend = backend
-        self.engine = engine
         self.workers = workers
         t0 = time.perf_counter()
         if backend == "sim":
-            self.executor = SimExecutor(engine=engine)
+            self.executor = SimExecutor()
         else:
             self.executor = ThreadedExecutor(block_timeout=block_timeout)
         model = discover(machine("workstation"), num_workers=workers,
@@ -111,7 +110,7 @@ def run_job_cold(spec: JobSpec) -> Any:
             spec.app, nranks=spec.ranks, workers_per_rank=1,
             seed=spec.seed, cfg_kwargs=dict(spec.params))
         return digest
-    entry = WarmRuntime(spec.backend, engine=spec.engine)
+    entry = WarmRuntime(spec.backend)
     try:
         return entry.run(build_workload(spec))
     finally:
@@ -125,8 +124,7 @@ def run_job_on(entry: Optional[WarmRuntime], spec: JobSpec,
     Returns ``(result, used_warm)``.
     """
     if (entry is not None and not entry.closed
-            and spec.backend == entry.backend
-            and (spec.backend != "sim" or spec.engine == entry.engine)):
+            and spec.backend == entry.backend):
         return entry.run(build_workload(spec), name=name), True
     return run_job_cold(spec), False
 

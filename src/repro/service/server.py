@@ -13,7 +13,8 @@ Wire protocol (all bodies JSON; all responses
 Method Path                           Meaning
 ====== ============================== ===========================================
 POST   /api/v1/jobs                   submit ``{app, params?, seed?, backend?,
-                                      engine?, ranks?, tenant?}`` → 202 + job doc
+                                      ranks?, tenant?}`` → 202 + job doc;
+                                      any other key → 400
 GET    /api/v1/jobs/<id>              status → 200 + job doc
 GET    /api/v1/jobs/<id>/result       long-poll result (``?timeout=<s>``):
                                       200 + doc-with-result when terminal,
@@ -49,6 +50,9 @@ from repro.util.errors import ConfigError
 __all__ = ["ServiceServer"]
 
 _API = "/api/v1"
+#: Top-level keys of a ``POST /api/v1/jobs`` body (JobGateway.submit's
+#: parameters).
+_JOB_KEYS = ("app", "params", "seed", "backend", "ranks", "tenant")
 
 
 def _timeout(value: Any, default: Optional[float]) -> Optional[float]:
@@ -138,13 +142,16 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             body = self._body()
             if path == f"{_API}/jobs":
-                job = self.gateway.submit(
-                    body.get("app", ""), body.get("params") or {},
-                    seed=body.get("seed", 0),
-                    backend=body.get("backend", "sim"),
-                    engine=body.get("engine", "flat"),
-                    ranks=body.get("ranks", 2),
-                    tenant=body.get("tenant", "default"))
+                # A misspelt or retired key ("sead", "engine") must not be
+                # dropped: the job would run, and be cached, as something
+                # the client did not ask for.
+                unknown = sorted(set(body) - set(_JOB_KEYS))
+                if unknown:
+                    raise ConfigError(
+                        f"unknown job field(s) {unknown}; "
+                        f"valid: {list(_JOB_KEYS)}")
+                body.setdefault("app", "")
+                job = self.gateway.submit(**body)
                 self._reply(202, {"ok": True, "job": job.to_dict(
                     with_result=job.terminal)})
             elif path.startswith(f"{_API}/jobs/") and path.endswith("/cancel"):

@@ -4,9 +4,9 @@ every PE (processing element), as required by the OpenSHMEM specification.
 Allocation is a collective: every PE must call ``allocate`` in the same order
 with the same shape/dtype. Each allocation yields a :class:`SymArray` whose
 ``sym_id`` is the cross-PE address — remote operations name
-``(sym_id, offset)`` instead of raw pointers. The harness's shared-state dict
-verifies symmetry across ranks and fails fast on divergence (a bug class that
-silently corrupts data in real SHMEM programs).
+``(sym_id, offset)`` instead of raw pointers. The run's shared
+:class:`SignatureTable` verifies symmetry across ranks and fails fast on
+divergence (a bug class that silently corrupts data in real SHMEM programs).
 """
 
 from __future__ import annotations
@@ -31,11 +31,9 @@ class SignatureTable:
     false-pass (or false-fail) a later allocation that reuses the id.
     """
 
-    def __init__(self, storage: Optional[Dict] = None):
-        #: sym_id -> (shape, dtype-str) of the first allocator. Accepting
-        #: caller-provided storage keeps the legacy shared-dict plumbing
-        #: (and its tests) working; all access goes through the lock here.
-        self._sigs: Dict[int, Tuple] = storage if storage is not None else {}
+    def __init__(self):
+        #: sym_id -> (shape, dtype-str) of the first allocator.
+        self._sigs: Dict[int, Tuple] = {}
         self._refs: Dict[int, int] = {}
         self._lock = threading.Lock()
 
@@ -58,14 +56,9 @@ class SignatureTable:
         """One PE freed its allocation; drop the signature when the last
         registrant retires so the id can be reused with a new shape."""
         with self._lock:
-            n = self._refs.get(sym_id)
-            if n is None:
-                # Pre-registered entries (legacy dict storage) carry no
-                # refcount; retire them outright.
-                self._sigs.pop(sym_id, None)
-                return
+            n = self._refs.get(sym_id, 0)
             if n <= 1:
-                del self._refs[sym_id]
+                self._refs.pop(sym_id, None)
                 self._sigs.pop(sym_id, None)
             else:
                 self._refs[sym_id] = n - 1
@@ -113,15 +106,16 @@ class SymArray:
 class SymmetricHeap:
     """Per-PE symmetric heap with cross-PE symmetry verification.
 
-    ``shared_signatures`` may be a :class:`SignatureTable` (preferred: one
-    table shared by every rank, with one lock) or a plain dict for legacy
-    callers — a dict is wrapped in a per-heap table over the shared storage.
+    ``shared_signatures`` is the :class:`SignatureTable` shared by every rank
+    of the run (a heap given none checks symmetry against itself only).
     ``arena`` optionally backs allocations with externally-managed storage
     (the multiprocess backend passes a shared-memory arena so symmetric
     arrays live in a ``multiprocessing.shared_memory`` segment).
     """
 
-    def __init__(self, rank: int, shared_signatures=None, *, arena=None):
+    def __init__(self, rank: int,
+                 shared_signatures: Optional[SignatureTable] = None, *,
+                 arena=None):
         self.rank = rank
         self._arrays: Dict[int, np.ndarray] = {}
         # Cached flattened views (zero-copy: symmetric arrays are contiguous,
@@ -130,10 +124,8 @@ class SymmetricHeap:
         self._flat: Dict[int, np.ndarray] = {}
         self._next_id = 0
         self._arena = arena
-        if isinstance(shared_signatures, SignatureTable):
-            self._signatures = shared_signatures
-        else:
-            self._signatures = SignatureTable(storage=shared_signatures)
+        self._signatures = (shared_signatures if shared_signatures is not None
+                            else SignatureTable())
 
     def allocate(self, shape, dtype=np.int64, fill: Any = 0) -> SymArray:
         """Collective symmetric allocation (call in the same order on all PEs)."""

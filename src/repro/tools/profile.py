@@ -95,7 +95,6 @@ def profile_spmd(
     sample_period: float = 1e-4,
     max_samples: int = 2048,
     max_events: int = 1_000_000,
-    engine: str = "objects",
     shards: int = 1,
 ) -> ProfileReport:
     """Run ``main`` under full instrumentation; optionally write artifacts.
@@ -114,8 +113,7 @@ def profile_spmd(
 
     cfg = config or ClusterConfig()
     sharded = shards > 1
-    ex = SimExecutor(task_overhead=cfg.task_overhead,
-                     engine="flat" if sharded else engine, shards=shards)
+    ex = SimExecutor(task_overhead=cfg.task_overhead, shards=shards)
     tracer = TraceRecorder(max_events=max_events)
     factories = list(module_factories)
     if not sharded:
@@ -133,7 +131,7 @@ def profile_spmd(
         sim_engine = f"flat x{shards} shards"
     else:
         events = ex.events_processed
-        sim_engine = ex.engine
+        sim_engine = "flat"
     metrics: Dict[str, Any] = {
         "makespan": result.makespan,
         "nranks": result.nranks,

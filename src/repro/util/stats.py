@@ -254,7 +254,7 @@ class TelemetrySampler:
       the simulated executor; charged busy/idle accounting otherwise),
     - ``events_per_sec`` — engine events dispatched per *wall-clock* second
       since the previous tick (the DES engine's real throughput — the number
-      the flat engine exists to raise; 0 on executors without an
+      the slab/calendar event queue exists to raise; 0 on executors without an
       ``events_processed`` counter and on the baseline first tick).
 
     The two DES-engine observables are also published as gauges under the

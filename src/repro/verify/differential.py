@@ -180,15 +180,13 @@ WORKLOADS: Dict[str, Callable[[], Callable[[], Tuple]]] = {
 def make_engine(name: str, *, seed: int = 0, strategy: str = "random",
                 block_timeout: float = 60.0):
     if name == "sim":
-        # Pinned to the objects engine: flat became the constructor default,
-        # and this differential's whole point is comparing the two engines —
-        # "sim" vs "flat-sim" must stay objects vs flat.
-        return SimExecutor(engine="objects")
-    if name == "flat-sim":
-        # The simulated executor's slab/calendar event engine: must produce
-        # bit-for-bit the schedules of the objects engine (this differential
-        # is its gate; see docs/sim-internals.md).
-        return SimExecutor(engine="flat")
+        return SimExecutor()
+    if name == "ref-sim":
+        # The seed engine (scan-min selection, heapq events): production
+        # must reproduce its schedules bit for bit.
+        from repro.verify.reference import ReferenceSimExecutor
+
+        return ReferenceSimExecutor()
     if name == "threads":
         return ThreadedExecutor(block_timeout=block_timeout)
     if name == "interleave":
@@ -196,7 +194,7 @@ def make_engine(name: str, *, seed: int = 0, strategy: str = "random",
 
         return InterleaveExecutor(make_strategy(strategy, seed))
     raise VerificationError(
-        f"unknown engine {name!r}; choose from sim/flat-sim/threads/interleave")
+        f"unknown engine {name!r}; choose from sim/ref-sim/threads/interleave")
 
 
 @dataclass
@@ -250,6 +248,54 @@ class DifferentialReport:
         return "\n".join(lines)
 
 
+def _compare(rep: DifferentialReport) -> DifferentialReport:
+    """Every run's result must equal the first run's, and every run's
+    quiesce invariants must hold; anything else is recorded as a mismatch
+    (``describe()`` prints the results themselves)."""
+    baseline = rep.runs[0]
+    for run in rep.runs[1:]:
+        if run.result != baseline.result:
+            rep.mismatches.append(
+                f"{run.engine} result != {baseline.engine} result")
+    for run in rep.runs:
+        if not run.invariants.ok:
+            rep.mismatches.append(
+                f"{run.engine}: {run.invariants.describe()}")
+    return rep
+
+
+def _isx_spmd_differential(workload: str, arms, *, variant: str,
+                           platform: str, nodes: int, makespan: bool = False,
+                           **cluster_kw) -> DifferentialReport:
+    """The same SPMD ISx exchange once per arm — ``(label, module factory,
+    executor)`` — on a fresh ``cluster_for(platform, nodes, **cluster_kw)``:
+    every run must pass the ISx oracle and produce the first arm's per-rank
+    output digests (and, with ``makespan``, its exact virtual makespan).
+    Quiesce invariants are checked per rank inside ``spmd_run``, so the runs
+    carry an empty invariant set."""
+    from repro.apps.isx import IsxConfig, isx_main, validate_isx
+    from repro.bench.harness import cluster_for
+    from repro.distrib import spmd_run
+
+    cfg = IsxConfig(keys_per_pe=1 << 10, byte_scale=1 << 7)
+    rep = DifferentialReport(workload=workload)
+    for label, factory, executor in arms:
+        res = spmd_run(isx_main(variant, cfg),
+                       cluster_for(platform, nodes, **cluster_kw),
+                       module_factories=[factory], executor=executor)
+        validate_isx(cfg, res.nranks, res.results)
+        digest = tuple(
+            hashlib.sha256(np.asarray(r).tobytes()).hexdigest()
+            for r in res.results
+        )
+        timing = (repr(res.makespan),) if makespan else ()
+        rep.runs.append(EngineRun(
+            engine=label, result=(workload, res.nranks) + timing + (digest,),
+            invariants=InvariantReport(),
+        ))
+    return _compare(rep)
+
+
 def isx_coalescing_differential(
     nodes: int = 2,
     *,
@@ -266,38 +312,15 @@ def isx_coalescing_differential(
     either way. This check pins that contract end-to-end on the real SPMD
     exchange path (fadds + puts + barriers over the fabric).
     """
-    from repro.apps.isx import IsxConfig, isx_main, validate_isx
     from repro.apps.presets import comm_coalesce
-    from repro.bench.harness import cluster_for
-    from repro.distrib import spmd_run
     from repro.shmem import shmem_factory
 
-    cfg = IsxConfig(keys_per_pe=1 << 10, byte_scale=1 << 7)
-    rep = DifferentialReport(workload="isx-coalescing")
-    for label, factory in (
-        ("coalesce-off", shmem_factory()),
-        ("coalesce-on", shmem_factory(coalesce=comm_coalesce())),
-    ):
-        cluster = cluster_for(platform, nodes, layout="hybrid",
-                              workers_cap=workers_cap)
-        res = spmd_run(isx_main("hiper", cfg), cluster,
-                       module_factories=[factory])
-        validate_isx(cfg, res.nranks, res.results)
-        digest = tuple(
-            hashlib.sha256(np.asarray(r).tobytes()).hexdigest()
-            for r in res.results
-        )
-        rep.runs.append(EngineRun(
-            engine=label, result=("isx-coalescing", res.nranks, digest),
-            invariants=InvariantReport(),
-        ))
-    baseline = rep.runs[0]
-    for run in rep.runs[1:]:
-        if run.result != baseline.result:
-            rep.mismatches.append(
-                f"{run.engine} result digests != {baseline.engine} "
-                "(coalescing changed the sorted outputs)")
-    return rep
+    return _isx_spmd_differential(
+        "isx-coalescing",
+        [("coalesce-off", shmem_factory(), None),
+         ("coalesce-on", shmem_factory(coalesce=comm_coalesce()), None)],
+        variant="hiper", platform=platform, nodes=nodes, layout="hybrid",
+        workers_cap=workers_cap)
 
 
 def isx_engine_differential(
@@ -306,48 +329,27 @@ def isx_engine_differential(
     platform: str = "titan",
     variant: str = "flat",
 ) -> DifferentialReport:
-    """The flat DES engine's gate: the same SPMD ISx run under
-    ``engine="objects"`` and ``engine="flat"`` must produce bit-identical
-    makespans and per-rank output digests.
+    """The DES engine's gate: the same SPMD ISx run under the reference
+    (:class:`~repro.verify.reference.ReferenceSimExecutor`) and under
+    :class:`SimExecutor` must produce bit-identical makespans and per-rank
+    output digests.
 
     This exercises the full production event path — fetch-add reservation
     waves, puts, barriers, coalesced deliveries, help-until-ready nesting —
-    so an event ordered differently anywhere in the flat engine's calendar
-    queue shows up as a digest or makespan mismatch. At 4 Titan nodes the
-    flat layout is 64 PEs, big enough for multi-thousand-event cohorts while
-    staying CI-sized.
+    so an event ordered differently anywhere in the calendar queue shows up
+    as a digest or makespan mismatch. At 4 Titan nodes the flat layout is
+    64 PEs, big enough for multi-thousand-event cohorts while staying
+    CI-sized.
     """
-    from repro.apps.isx import IsxConfig, isx_main, validate_isx
-    from repro.bench.harness import cluster_for
-    from repro.distrib import spmd_run
     from repro.shmem import shmem_factory
+    from repro.verify.reference import ReferenceSimExecutor
 
-    cfg = IsxConfig(keys_per_pe=1 << 10, byte_scale=1 << 7)
-    rep = DifferentialReport(workload="isx-engine")
-    for engine in ("objects", "flat"):
-        res = spmd_run(
-            isx_main(variant, cfg),
-            cluster_for(platform, nodes, layout="flat"),
-            module_factories=[shmem_factory(direct=True)],
-            executor=SimExecutor(engine=engine),
-        )
-        validate_isx(cfg, res.nranks, res.results)
-        digest = tuple(
-            hashlib.sha256(np.asarray(r).tobytes()).hexdigest()
-            for r in res.results
-        )
-        rep.runs.append(EngineRun(
-            engine=engine,
-            result=("isx-engine", res.nranks, repr(res.makespan), digest),
-            invariants=InvariantReport(),
-        ))
-    baseline = rep.runs[0]
-    for run in rep.runs[1:]:
-        if run.result != baseline.result:
-            rep.mismatches.append(
-                f"{run.engine} result != {baseline.engine} "
-                "(flat engine diverged from the objects engine)")
-    return rep
+    return _isx_spmd_differential(
+        "isx-engine",
+        [("ref-sim", shmem_factory(direct=True), ReferenceSimExecutor()),
+         ("sim", shmem_factory(direct=True), SimExecutor())],
+        variant=variant, platform=platform, nodes=nodes, layout="flat",
+        makespan=True)
 
 
 def isx_sharded_differential(
@@ -367,37 +369,14 @@ def isx_sharded_differential(
     global single-engine schedule (the same caveat the procs backend
     documents). Results — the data every rank computes — must not.
     """
-    from repro.apps.isx import IsxConfig, isx_main, validate_isx
-    from repro.bench.harness import cluster_for
-    from repro.distrib import spmd_run
     from repro.shmem import shmem_factory
 
-    cfg = IsxConfig(keys_per_pe=1 << 10, byte_scale=1 << 7)
-    rep = DifferentialReport(workload="isx-sharded")
-    for label, nshards in (("flat", 1), (f"sharded-{shards}", shards)):
-        res = spmd_run(
-            isx_main(variant, cfg),
-            cluster_for(platform, nodes, layout="flat"),
-            module_factories=[shmem_factory(direct=True)],
-            executor=SimExecutor(engine="flat", shards=nshards),
-        )
-        validate_isx(cfg, res.nranks, res.results)
-        digest = tuple(
-            hashlib.sha256(np.asarray(r).tobytes()).hexdigest()
-            for r in res.results
-        )
-        rep.runs.append(EngineRun(
-            engine=label,
-            result=("isx-sharded", res.nranks, digest),
-            invariants=InvariantReport(),
-        ))
-    baseline = rep.runs[0]
-    for run in rep.runs[1:]:
-        if run.result != baseline.result:
-            rep.mismatches.append(
-                f"{run.engine} result != {baseline.engine} "
-                "(sharded engine diverged from the single-shard flat engine)")
-    return rep
+    return _isx_spmd_differential(
+        "isx-sharded",
+        [("flat", shmem_factory(direct=True), SimExecutor()),
+         (f"sharded-{shards}", shmem_factory(direct=True),
+          SimExecutor(shards=shards))],
+        variant=variant, platform=platform, nodes=nodes, layout="flat")
 
 
 def taskgraph_differential(
@@ -425,53 +404,31 @@ def taskgraph_differential(
         rep.runs.append(run_on_engine(isx_dag_workload(), engine,
                                       workers=workers))
         rep.runs[-1].engine = f"dag@{engine}"
-    baseline = rep.runs[0]
-    for run in rep.runs[1:]:
-        if run.result != baseline.result:
-            rep.mismatches.append(
-                f"{run.engine} result {run.result!r} != "
-                f"{baseline.engine} result {baseline.result!r}")
-    for run in rep.runs:
-        if not run.invariants.ok:
-            rep.mismatches.append(
-                f"{run.engine}: {run.invariants.describe()}")
-    return rep
+    return _compare(rep)
 
 
-def _run_on_procs(workload_name: str, *, workers: int, seed: int,
-                  nranks: int = 4) -> EngineRun:
-    """Run the SPMD twin of a workload on the multiprocess backend.
+def _run_spmd_twin(workload_name: str, engine: str, *, workers: int,
+                   seed: int, nranks: int = 4) -> EngineRun:
+    """Run the SPMD twin of a workload on the multiprocess backend
+    (``procs``) or across 2 shards of the sharded DES engine (``sharded``).
 
-    The SPMD workloads (:mod:`repro.verify.spmd_workloads`) are constructed
-    so their combined digest equals the single-runtime digest, which lets
-    the procs backend participate in the same comparison. Quiesce invariants
-    are checked per-child inside each rank's runtime, not here, so the
-    report carries an empty (trivially-ok) invariant set — mirroring
-    :func:`isx_coalescing_differential`.
+    The twins (:mod:`repro.verify.spmd_workloads`) are constructed so their
+    combined digest equals the single-runtime digest, which puts real OS
+    processes — or the window protocol, the cross-shard fabric and the shard
+    shmem backend — into the same comparison as every other engine. Quiesce
+    invariants are checked per rank in each child, so the set here is empty.
     """
-    from repro.verify.spmd_workloads import run_procs_workload
+    from repro.verify.spmd_workloads import (run_procs_workload,
+                                             run_sharded_workload)
 
-    digest, _res = run_procs_workload(
-        workload_name, nranks=nranks, workers_per_rank=max(1, workers // 2),
-        seed=seed)
-    return EngineRun(engine="procs", result=digest,
-                     invariants=InvariantReport())
-
-
-def _run_on_sharded(workload_name: str, *, seed: int, nranks: int = 4,
-                    shards: int = 2) -> EngineRun:
-    """Run the SPMD twin of a workload on the sharded DES engine.
-
-    Same digest-compatibility argument as :func:`_run_on_procs`: the SPMD
-    twins are constructed so their combined digest equals the single-runtime
-    digest, which puts the window protocol, the cross-shard fabric, and the
-    shard shmem backend into the same comparison as every other engine.
-    """
-    from repro.verify.spmd_workloads import run_sharded_workload
-
-    digest, _res = run_sharded_workload(
-        workload_name, nranks=nranks, shards=shards, seed=seed)
-    return EngineRun(engine="sharded", result=digest,
+    if engine == "procs":
+        digest, _res = run_procs_workload(
+            workload_name, nranks=nranks, seed=seed,
+            workers_per_rank=max(1, workers // 2))
+    else:
+        digest, _res = run_sharded_workload(
+            workload_name, nranks=nranks, shards=2, seed=seed)
+    return EngineRun(engine=engine, result=digest,
                      invariants=InvariantReport())
 
 
@@ -504,11 +461,8 @@ def differential(
             from repro.verify.spmd_workloads import SPMD_WORKLOADS
             if workload_name not in SPMD_WORKLOADS:
                 continue
-            if engine == "procs":
-                rep.runs.append(_run_on_procs(
-                    workload_name, workers=workers, seed=seed))
-            else:
-                rep.runs.append(_run_on_sharded(workload_name, seed=seed))
+            rep.runs.append(_run_spmd_twin(
+                workload_name, engine, workers=workers, seed=seed))
             continue
         rep.runs.append(run_on_engine(
             factory(), engine, workers=workers, seed=seed, strategy=strategy))
@@ -517,14 +471,4 @@ def differential(
             f"no engine in {tuple(engines)!r} can run workload "
             f"{workload_name!r} (no SPMD twin)")
         return rep
-    baseline = rep.runs[0]
-    for run in rep.runs[1:]:
-        if run.result != baseline.result:
-            rep.mismatches.append(
-                f"{run.engine} result {run.result!r} != "
-                f"{baseline.engine} result {baseline.result!r}")
-    for run in rep.runs:
-        if not run.invariants.ok:
-            rep.mismatches.append(
-                f"{run.engine}: {run.invariants.describe()}")
-    return rep
+    return _compare(rep)

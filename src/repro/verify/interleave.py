@@ -31,12 +31,13 @@ whitelist is exercised rather than silently bypassed.
 from __future__ import annotations
 
 import hashlib
-from typing import List
+from typing import List, Optional
 
 from repro.exec.sim import SimExecutor
 from repro.runtime import instrument
 from repro.runtime.instrument import TrackedLock
-from repro.runtime.worker import find_task
+from repro.runtime.runtime import HiperRuntime
+from repro.runtime.worker import WorkerState, find_task
 from repro.verify.strategies import ScheduleEntry, Strategy
 
 
@@ -52,16 +53,24 @@ class InterleaveExecutor(SimExecutor):
 
     def __init__(self, strategy: Strategy, *, task_overhead: float = 0.0,
                  trace: bool = False):
-        # "scan" selection keeps _maybe_ready a plain set (no clock heap to
-        # fight with): the strategy, not the clock order, picks the worker.
-        super().__init__(trace=trace, task_overhead=task_overhead,
-                         selection="scan")
+        super().__init__(trace=trace, task_overhead=task_overhead)
         self.strategy = strategy
         #: The recorded interleaving, one entry per task segment dispatched.
         self.schedule: List[ScheduleEntry] = []
         self._dispatch_seq = 0
 
     # ------------------------------------------------------------------
+    # The strategy, not the clock order, picks the worker: _maybe_ready is a
+    # plain set here and the production engine's clock heap stays empty.
+    def notify(self, runtime: HiperRuntime, place,
+               created_by: Optional[int] = None) -> None:
+        by_creator, wake_all = self._coverage[id(runtime)][place.place_id]
+        self._maybe_ready.update(
+            wake_all if created_by is None else by_creator[created_by])
+
+    def _wake(self, worker: WorkerState) -> None:
+        self._maybe_ready.add(worker)
+
     def _step(self) -> bool:
         ready = self._maybe_ready
         while ready:

@@ -310,10 +310,10 @@ def run_sharded_workload(
     cfg_kwargs: Optional[Dict[str, Any]] = None,
 ):
     """Run one named workload on the sharded DES engine
-    (``SimExecutor(engine="flat", shards=N)``).
+    (``SimExecutor(shards=N)``).
 
     Returns ``(digest, ShardedSpmdResult)``; the digest is comparable with
-    the single-runtime differential workloads' and the flat engine's.
+    the single-runtime differential workloads' and the single-process engine's.
     Ranks map one per node — shard partitions are node-aligned, so this
     keeps any shard count up to ``nranks`` valid.
     """
@@ -336,6 +336,6 @@ def run_sharded_workload(
     res = spmd_run(
         factory(**dict(cfg_kwargs or {})), cfg,
         module_factories=[shmem_factory(direct=True)],
-        executor=SimExecutor(engine="flat", shards=shards),
+        executor=SimExecutor(shards=shards),
     )
     return combine(res.results), res

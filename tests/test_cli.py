@@ -100,13 +100,8 @@ class TestBenchRecordLedger:
 
 
 class TestRunAllExitCode:
-    """ISSUE 'resilience' satellite (c): ``run-all`` must exit nonzero when
+    """ISSUE 'resilience' satellite (c): ``validate`` must exit nonzero when
     any check fails (CI gates on the exit code, not the log text)."""
-
-    def test_run_all_is_validate(self):
-        args = build_parser().parse_args(["run-all"])
-        from repro.cli import cmd_validate
-        assert args.fn is cmd_validate
 
     def test_nonzero_on_failure(self, monkeypatch, capsys):
         import repro.distrib
@@ -115,7 +110,7 @@ class TestRunAllExitCode:
             raise RuntimeError("injected validation failure")
 
         monkeypatch.setattr(repro.distrib, "spmd_run", exploding_spmd_run)
-        assert main(["run-all"]) == 1
+        assert main(["validate"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "OK" not in out
 
@@ -170,40 +165,28 @@ class TestChaosCommand:
 
 
 class TestRunCommand:
-    """``repro run``: engine selection and clean exit-2 on bad names."""
+    """``repro run``: one DES engine and clean exit-2 on bad names."""
 
     def test_parser_engine_choices(self):
-        args = build_parser().parse_args(
-            ["run", "--backend", "sim", "--engine", "flat"])
-        assert args.engine == "flat"
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["run", "--engine", "slab"])
-        assert exc.value.code == 2
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["run", "--backend", "bogus"])
-        assert exc.value.code == 2
+        # There is one engine, so --engine is not a flag of any subcommand.
+        for argv in (["run", "--backend", "sim", "--engine", "flat"],
+                     ["profile", "fig5", "--engine", "flat"],
+                     ["serve", "--engine", "flat"],
+                     ["run", "--backend", "bogus"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
 
     def test_sim_engines_agree(self, capsys):
-        # The same digest workload on both DES engines: both exit 0 and
-        # print identical digests (the engine differential, via the CLI).
-        assert main(["run", "--backend", "sim", "--engine", "objects",
-                     "--app", "isx"]) == 0
-        objects_out = capsys.readouterr().out
-        assert main(["run", "--backend", "sim", "--engine", "flat",
-                     "--app", "isx"]) == 0
-        flat_out = capsys.readouterr().out
-        digest = objects_out.split("OK")[1].split("[")[0].strip()
-        assert digest in flat_out
-        assert "flat engine" in flat_out
+        # The in-process backends, via the CLI, print the digest the
+        # reference engine computes for the same workload.
+        from repro.verify import WORKLOADS, run_on_engine
 
-    def test_engine_flag_ignored_by_nonsim_backends(self, capsys):
-        # flat is the default engine now, so non-sim backends must accept
-        # (and ignore) it instead of rejecting the combination — they have
-        # no DES engine at all.
-        rc = main(["run", "--backend", "threads", "--engine", "flat"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "OK" in out
+        digest = str(run_on_engine(WORKLOADS["isx"](), "ref-sim",
+                                   workers=2).result)
+        for backend in ("sim", "threads"):
+            assert main(["run", "--backend", backend, "--app", "isx"]) == 0
+            assert digest in capsys.readouterr().out
 
     def test_unknown_launcher_exits_2(self, capsys):
         rc = main(["run", "--backend", "procs", "--launcher", "bogus"])
@@ -225,9 +208,9 @@ class TestServeParser:
     def test_flags(self):
         args = build_parser().parse_args(
             ["serve", "--backends", "sim", "threads", "--pool-size", "3",
-             "--engine", "flat", "--cold", "--queue-cap", "16"])
+             "--cold", "--queue-cap", "16"])
         assert args.backends == ["sim", "threads"]
-        assert args.pool_size == 3 and args.engine == "flat"
+        assert args.pool_size == 3
         assert args.cold and args.queue_cap == 16
 
     def test_bad_backend_exits_2(self):

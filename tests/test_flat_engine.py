@@ -1,26 +1,38 @@
-"""Flat DES engine gates: validation, cross-engine equivalence, wave path.
+"""DES engine gates: validation, production-vs-reference equivalence, wave path.
 
-The slab/calendar event engine (``SimExecutor(engine="flat")``) and the
-vectorized fabric wave path exist purely for throughput — neither is allowed
-to change a single scheduling decision. Four families of checks pin that:
+``SimExecutor``'s slab/calendar event queue and the vectorized fabric wave
+path exist purely for throughput — neither is allowed to change a single
+scheduling decision. Every check here compares production (``SimExecutor``,
+parametrize id ``flat``) with the seed engine kept as the test-only
+reference (``repro.verify.reference.ReferenceSimExecutor``, id ``objects`` —
+the ids predate the single engine and stay so test history lines up):
 
 1. **Input validation** — negative delays and NaN timestamps raise
-   ``ConfigError`` (a ``ValueError``) on both engines instead of silently
+   ``ConfigError`` (a ``ValueError``) on both classes instead of silently
    corrupting queue order.
 2. **Pop-order equivalence** — hypothesis drives random interleavings of
    ``call_later``/``call_at``/``cancel_event``/advance (including rearming
-   callbacks that push mid-dispatch) against both engines and requires the
+   callbacks that push mid-dispatch) against both classes and requires the
    identical fire log, cancel verdicts, and final quiescence.
 3. **Wave bit-identity** — ``SimFabric.transmit_wave`` must leave the exact
    floats a loop of ``transmit`` leaves: delivery times, NIC availability,
    pairwise-FIFO clamps, byte counters, injection-complete returns.
 4. **End-to-end** — the real ISx exchange with waves active equals the
-   forced per-message fallback and the flat engine bit-for-bit
+   forced per-message fallback and the reference bit-for-bit
    (:func:`repro.verify.isx_engine_differential` is the same gate at CI
-   scale).
+   scale), and matches the values frozen on the last commit that had two
+   engines (``tests/data/sim_engine_golden.json``).
+5. **Lifecycle and census** — use-after-shutdown raises, a shut-down
+   executor is freed without the cycle collector, and the removed
+   ``engine=``/``selection=``/``--engine`` options stay removed.
 """
 
+import gc
 import hashlib
+import inspect
+import json
+import os
+import weakref
 
 import numpy as np
 import pytest
@@ -30,9 +42,16 @@ from hypothesis import strategies as st
 from repro.exec.sim import SimExecutor
 from repro.net.costmodel import NetworkModel
 from repro.net.fabric import SimFabric
-from repro.util.errors import ConfigError
+from repro.util.errors import ConfigError, RuntimeStateError
+from repro.verify.reference import ReferenceSimExecutor
 
-ENGINES = ("objects", "flat")
+ENGINES = (ReferenceSimExecutor, SimExecutor)
+_engine_params = pytest.mark.parametrize("engine", ENGINES,
+                                         ids=("objects", "flat"))
+
+with open(os.path.join(os.path.dirname(__file__), "data",
+                       "sim_engine_golden.json"), encoding="utf-8") as _fh:
+    GOLDEN = json.load(_fh)
 
 _settings = settings(max_examples=50, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -41,26 +60,26 @@ _settings = settings(max_examples=50, deadline=None,
 # ----------------------------------------------------------------------
 # 1. validation: negative / NaN scheduling inputs
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", ENGINES)
+@_engine_params
 class TestSchedulingValidation:
     def test_negative_delay_rejected(self, engine):
-        ex = SimExecutor(engine=engine)
+        ex = engine()
         with pytest.raises(ConfigError, match="non-negative"):
             ex.call_later(-1e-9, lambda: None)
 
     def test_nan_delay_rejected(self, engine):
-        ex = SimExecutor(engine=engine)
+        ex = engine()
         with pytest.raises(ConfigError):
             ex.call_later(float("nan"), lambda: None)
 
     def test_nan_timestamp_rejected(self, engine):
-        ex = SimExecutor(engine=engine)
+        ex = engine()
         with pytest.raises(ConfigError):
             ex.call_at(float("nan"), lambda: None)
 
     def test_rejection_is_a_value_error(self, engine):
         """Callers that guard with plain ``except ValueError`` must catch it."""
-        ex = SimExecutor(engine=engine)
+        ex = engine()
         with pytest.raises(ValueError):
             ex.call_later(-0.5, lambda: None)
         with pytest.raises(ValueError):
@@ -68,7 +87,7 @@ class TestSchedulingValidation:
 
     def test_queue_usable_after_rejection(self, engine):
         """A rejected call must leave no partial record behind."""
-        ex = SimExecutor(engine=engine)
+        ex = engine()
         with pytest.raises(ConfigError):
             ex.call_later(-1.0, lambda: None)
         assert ex.pending_events() == 0
@@ -85,7 +104,7 @@ def _drive(engine, ops):
     """Apply one op sequence to a fresh executor; return every observable
     that describes the schedule: the fire log (label, virtual time) in
     dispatch order, each cancel's verdict, and the drained event count."""
-    ex = SimExecutor(engine=engine)
+    ex = engine()
     log = []
     handles = []
     labels = iter(range(1 << 20))
@@ -94,7 +113,7 @@ def _drive(engine, ops):
         def cb():
             log.append((label, ex.now()))
             # Rearm every third event: pushes arriving *mid-dispatch* are
-            # the flat engine's trickiest case (in-flight cohort slots must
+            # the slab's trickiest case (in-flight cohort slots must
             # not be recycled under the dispatcher).
             if label % 3 == 0 and label < 3_000:
                 handles.append(ex.call_later(k * 1e-6, make_cb(next(labels), k)))
@@ -135,17 +154,17 @@ class TestEngineEquivalence:
     @_settings
     @given(ops=_ops_strategy)
     def test_random_interleavings_pop_identically(self, ops):
-        assert _drive("flat", ops) == _drive("objects", ops)
+        assert _drive(SimExecutor, ops) == _drive(ReferenceSimExecutor, ops)
 
     def test_batch_matches_per_event_calls(self):
         """``call_at_batch`` (the wave entry point) must dispatch in the
         exact order of equivalent per-event ``call_at`` calls, on both
-        engines, including ties across batches."""
+        classes, including ties across batches."""
         whens = [3e-6, 1e-6, 3e-6, 2e-6, 1e-6, 3e-6]
         logs = {}
         for engine in ENGINES:
             for mode in ("batch", "single"):
-                ex = SimExecutor(engine=engine)
+                ex = engine()
                 log = []
                 if mode == "batch":
                     ex.call_at_batch(whens, log.append, list(range(len(whens))))
@@ -163,15 +182,15 @@ class TestEngineEquivalence:
 
     def test_cancel_after_fire_returns_false(self):
         for engine in ENGINES:
-            ex = SimExecutor(engine=engine)
+            ex = engine()
             h = ex.call_later(1e-6, lambda: None)
             ex.drain()
             assert ex.cancel_event(h) is False
 
     def test_handle_not_resurrected_by_slot_reuse(self):
-        """Flat engine: a stale handle must stay dead even after its slab
-        slot is recycled by a new event (generation tag mismatch)."""
-        ex = SimExecutor(engine="flat")
+        """A stale handle must stay dead even after its slab slot is
+        recycled by a new event (generation tag mismatch)."""
+        ex = SimExecutor()
         h = ex.call_later(1e-6, lambda: None)
         ex.drain()
         ran = []
@@ -188,8 +207,8 @@ _DSTS = [0, 3, 9, 17, 18, 25, 8, 31, 1]  # self-send, intra-node, shared NICs
 _SRC = 1
 
 
-def _run_fabric(use_wave, nbytes, engine="objects"):
-    ex = SimExecutor(engine=engine)
+def _run_fabric(use_wave, nbytes, engine=ReferenceSimExecutor):
+    ex = engine()
     fab = SimFabric(ex, 32, NetworkModel(), ranks_per_node=8)
     seen = {r: [] for r in range(32)}
     for r in range(32):
@@ -217,7 +236,8 @@ class TestWaveBitIdentity:
         assert _run_fabric(True, sizes) == _run_fabric(False, sizes)
 
     def test_wave_on_flat_engine_matches(self):
-        assert _run_fabric(True, 48, engine="flat") == _run_fabric(False, 48)
+        assert (_run_fabric(True, 48, engine=SimExecutor)
+                == _run_fabric(False, 48))
 
     def test_wave_refuses_fault_hook(self):
         from repro.util.errors import CommError
@@ -236,25 +256,26 @@ class TestWaveBitIdentity:
 
 
 # ----------------------------------------------------------------------
-# 4. end-to-end: ISx exchange, wave vs. fallback vs. flat engine
+# 4. end-to-end: ISx exchange, wave vs. fallback, production vs. reference
 # ----------------------------------------------------------------------
-def _run_isx(engine="objects"):
+def _run_isx(engine=ReferenceSimExecutor, nodes=2, keys_per_pe=1 << 9):
     from repro.apps.isx import IsxConfig, isx_main, validate_isx
     from repro.bench.harness import cluster_for
     from repro.distrib import spmd_run
     from repro.shmem import shmem_factory
 
-    cfg = IsxConfig(keys_per_pe=1 << 9, byte_scale=1 << 7)
+    cfg = IsxConfig(keys_per_pe=keys_per_pe, byte_scale=1 << 7)
+    ex = engine()
     res = spmd_run(
         isx_main("flat", cfg),
-        cluster_for("titan", 2, layout="flat"),
+        cluster_for("titan", nodes, layout="flat"),
         module_factories=[shmem_factory(direct=True)],
-        executor=SimExecutor(engine=engine),
+        executor=ex,
     )
     validate_isx(cfg, res.nranks, res.results)
     digest = tuple(hashlib.sha256(np.asarray(r).tobytes()).hexdigest()
                    for r in res.results)
-    return repr(res.makespan), digest
+    return repr(res.makespan), digest, ex.events_processed
 
 
 class TestIsxWavePath:
@@ -279,7 +300,7 @@ class TestIsxWavePath:
         assert with_wave == fallback
 
     def test_flat_engine_matches_objects(self):
-        assert _run_isx(engine="flat") == _run_isx(engine="objects")
+        assert _run_isx(SimExecutor) == _run_isx(ReferenceSimExecutor)
 
     def test_engine_differential_report_ok(self):
         """The CI gate's own checker at a reduced size (32 PEs here; CI runs
@@ -288,14 +309,27 @@ class TestIsxWavePath:
 
         rep = isx_engine_differential(nodes=2)
         assert rep.ok, rep.describe()
-        assert [r.engine for r in rep.runs] == ["objects", "flat"]
+        assert [r.engine for r in rep.runs] == ["ref-sim", "sim"]
+
+    @_engine_params
+    def test_frozen_isx_golden(self, engine):
+        """Both classes reproduce the 64-PE ``isx_engine_differential``
+        values captured on the parent commit (where the two engines were
+        options of one class), so they cannot drift together."""
+        want = GOLDEN["isx_engine_differential"]
+        makespan, digests, events = _run_isx(
+            engine, nodes=want["nodes"], keys_per_pe=1 << 10)
+        assert len(digests) == want["nranks"]
+        assert makespan == want["makespan_repr"]
+        assert list(digests) == want["rank_digests"]
+        assert events == want["events_processed"]
 
 
 # ----------------------------------------------------------------------
-# 5. the verify differential across all three apps (sim vs. flat-sim)
+# 5. the verify differential across all three apps (sim vs. ref-sim)
 # ----------------------------------------------------------------------
 class TestWorkloadDifferential:
-    """The flat engine must match the objects engine on every verify
+    """Production must match the reference on every verify
     workload — ISx is exchange-heavy, UTS is spawn/steal-heavy (the event
     queue mostly carries singleton timer cohorts), and Graph500's
     level-synchronous BFS mixes finish-scope joins with fan-out bursts."""
@@ -304,5 +338,88 @@ class TestWorkloadDifferential:
     def test_flat_sim_matches_sim(self, workload):
         from repro.verify.differential import differential
 
-        rep = differential(workload, engines=("sim", "flat-sim"))
+        rep = differential(workload, engines=("sim", "ref-sim"))
         assert rep.ok, rep.describe()
+        assert len(rep.runs) == 2
+
+
+# ----------------------------------------------------------------------
+# 6. lifecycle and option census
+# ----------------------------------------------------------------------
+@_engine_params
+class TestShutdown:
+    def test_use_after_shutdown_raises(self, engine):
+        """A shut-down executor must refuse new events and driving instead
+        of silently running them (or dying inside the event queue)."""
+        ex = engine()
+        ex.shutdown()
+        ex.shutdown()  # idempotent
+        for call in (lambda: ex.call_later(0.0, lambda: None),
+                     lambda: ex.call_at(0.0, lambda: None),
+                     lambda: ex.call_at_batch([0.0], lambda a: None, [1]),
+                     ex.drain,
+                     lambda: ex.drive(lambda: True)):
+            with pytest.raises(RuntimeStateError, match="already shut down"):
+                call()
+        assert ex.pending_events() == 0
+
+    def test_run_root_after_shutdown_raises(self, engine):
+        from repro.platform.hwloc import discover, machine
+        from repro.runtime.runtime import HiperRuntime
+
+        ex = engine()
+        rt = HiperRuntime(discover(machine("workstation"), num_workers=2,
+                                   with_interconnect=False), ex).start()
+        assert rt.run(lambda: 7) == 7
+        rt.shutdown()
+        ex.shutdown()
+        with pytest.raises(RuntimeStateError, match="already shut down"):
+            ex.run_root(rt, lambda: 7)
+
+    def test_shutdown_frees_executor_without_gc(self, engine):
+        """pytest-benchmark runs with the cycle collector off: a finished
+        executor (and the event and task slabs it owns) must die by
+        refcounting alone once shut down and dropped."""
+        gc.collect()
+        gc.disable()
+        try:
+            ex = engine()
+            fired = []
+            ex.call_at_batch([1e-6, 1e-6, 2e-6], fired.append, [1, 2, 3])
+            ex.call_later(3e-6, lambda: fired.append(4))
+            ex.drain()
+            assert fired == [1, 2, 3, 4]
+            def never_fires():
+                pass
+
+            ex.call_later(1.0, never_fires)
+            pending = weakref.ref(never_fires)
+            del never_fires
+            ref = weakref.ref(ex)
+            ex.shutdown()
+            # The slab goes at shutdown, not when the executor does (a
+            # registered runtime points back at its executor and keeps it).
+            assert pending() is None
+            del ex
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+class TestOptionCensus:
+    def test_removed_options_stay_removed(self, capsys):
+        from repro.cli import main
+
+        params = inspect.signature(SimExecutor).parameters
+        assert "selection" not in params
+        assert sorted(params) == ["engine", "shards", "task_overhead",
+                                  "trace"]
+        assert SimExecutor(engine="flat", shards=2).shards == 2
+        with pytest.raises(ConfigError, match="ReferenceSimExecutor"):
+            SimExecutor(engine="objects")
+        with pytest.raises(TypeError):
+            SimExecutor(selection="scan")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--engine", "flat"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err

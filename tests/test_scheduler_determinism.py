@@ -5,8 +5,8 @@ work discovery + O(log W) heap worker selection):
 
 1. **Determinism.** The simulated executor's schedule is a pure function of
    the seed: repeat runs are bit-for-bit identical, the lazy-deletion heap
-   reproduces the legacy O(W) min-scan's selection order exactly
-   (``selection="heap"`` vs ``selection="scan"``), and a golden workload
+   reproduces the O(W) min-scan's selection order exactly (``SimExecutor``
+   vs the test-only ``ReferenceSimExecutor``), and a golden workload
    pins makespan / per-worker clocks / steal counts so any accidental
    schedule change fails loudly.
 
@@ -29,6 +29,7 @@ from repro.runtime.api import async_, charge, finish
 from repro.runtime.deques import DequeTable, NullLock
 from repro.runtime.runtime import HiperRuntime
 from repro.runtime.task import Task
+from repro.verify.reference import ReferenceSimExecutor
 
 _settings = settings(max_examples=50, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -37,10 +38,10 @@ _settings = settings(max_examples=50, deadline=None,
 # ----------------------------------------------------------------------
 # determinism
 # ----------------------------------------------------------------------
-def _run_reference_workload(selection, engine="objects"):
+def _run_reference_workload(executor_class=SimExecutor):
     """Fixed-seed fork/join workload with uneven charges (induces steals);
     returns every schedule-describing observable."""
-    ex = SimExecutor(selection=selection, engine=engine)
+    ex = executor_class()
     model = discover(machine("workstation"), num_workers=4)
     rt = HiperRuntime(model, ex, seed=7).start()
 
@@ -83,29 +84,30 @@ GOLDEN = {
 
 class TestDeterministicSchedule:
     def test_repeat_runs_identical(self):
-        assert _run_reference_workload("heap") == _run_reference_workload("heap")
+        assert _run_reference_workload() == _run_reference_workload()
 
     def test_heap_selection_matches_legacy_scan(self):
         """The O(log W) lazy-deletion heap must reproduce the O(W) min-scan
         schedule bit-for-bit (same makespan, same per-worker clocks, same
         steal counts) — the selection key is identical, only the lookup
         structure changed."""
-        assert _run_reference_workload("heap") == _run_reference_workload("scan")
+        assert (_run_reference_workload()
+                == _run_reference_workload(ReferenceSimExecutor))
 
     def test_golden_schedule(self):
-        assert _run_reference_workload("heap") == GOLDEN
+        assert _run_reference_workload(ReferenceSimExecutor) == GOLDEN
 
     def test_flat_engine_matches_golden(self):
-        """The slab/calendar event engine must reproduce the objects
-        engine's golden schedule bit-for-bit — same makespan, clocks, steal
-        and task counts (the flat engine reorders nothing, it only changes
-        how event records are stored)."""
-        assert _run_reference_workload("heap", engine="flat") == GOLDEN
+        """The slab/calendar event queue must reproduce the reference's
+        golden schedule bit-for-bit — same makespan, clocks, steal and task
+        counts (it reorders nothing, it only changes how event records are
+        stored)."""
+        assert _run_reference_workload() == GOLDEN
 
     def test_invalid_selection_rejected(self):
-        from repro.util.errors import ConfigError
-        with pytest.raises(ConfigError):
-            SimExecutor(selection="magic")
+        """Worker selection is not an option: there is one engine."""
+        with pytest.raises(TypeError):
+            SimExecutor(selection="scan")
 
 
 # ----------------------------------------------------------------------

@@ -81,8 +81,9 @@ class TestJobSpec:
             JobSpec.create("nope")
         with pytest.raises(ConfigError, match="unknown backend"):
             JobSpec.create("isx", backend="gpu")
-        with pytest.raises(ConfigError, match="unknown engine"):
-            JobSpec.create("isx", engine="slab")
+        with pytest.raises(TypeError):  # one DES engine: not a spec field
+            JobSpec.create("isx", engine="flat")
+        assert "engine" not in JobSpec.create("isx").canonical()
 
     def test_bad_params_list_valid_fields(self):
         with pytest.raises(ConfigError, match="keys_per_pe"):
@@ -101,16 +102,6 @@ class TestJobSpec:
         b = JobSpec.create("uts", {"mean_children": 0.5, "root_children": 9})
         c = JobSpec.create("uts", {"root_children": 10, "mean_children": 0.5})
         assert a.cache_key() == b.cache_key() != c.cache_key()
-
-    def test_engine_in_key_only_for_sim(self):
-        flat = JobSpec.create("isx", seed=1, engine="flat")
-        objects = JobSpec.create("isx", seed=1, engine="objects")
-        assert flat.cache_key() != objects.cache_key()
-        t_flat = JobSpec.create("isx", seed=1, backend="threads",
-                                engine="flat")
-        t_obj = JobSpec.create("isx", seed=1, backend="threads",
-                               engine="objects")
-        assert t_flat.cache_key() == t_obj.cache_key()
 
     def test_ranks_in_key_only_for_procs(self):
         assert (JobSpec.create("isx", ranks=2).cache_key()
@@ -183,20 +174,6 @@ class TestWarmPool:
     def test_procs_not_poolable(self):
         with pytest.raises(ConfigError, match="not warm-poolable"):
             WarmRuntime("procs")
-
-    def test_engine_mismatch_runs_cold(self):
-        entry = WarmRuntime("sim", engine="flat")
-        try:
-            match = JobSpec.create("isx", {"keys_per_pe": 32}, seed=1)
-            other = JobSpec.create("isx", {"keys_per_pe": 32}, seed=1,
-                                   engine="objects")
-            r1, warm1 = run_job_on(entry, match)
-            r2, warm2 = run_job_on(entry, other)
-            assert warm1 and not warm2
-            assert r1 == r2  # engine differential, via the pool
-            assert entry.jobs_run == 1
-        finally:
-            entry.close()
 
     def test_closed_entry_runs_cold(self):
         entry = WarmRuntime("sim")
@@ -465,6 +442,21 @@ class TestWire:
         with pytest.raises(ServiceError) as exc:
             client.submit("nope")
         assert exc.value.status == 400 and "unknown app" in str(exc.value)
+
+    @pytest.mark.parametrize("key, value", [("sead", 3),
+                                            ("engine", "objects")])
+    def test_unknown_job_key_is_400(self, served, key, value):
+        # A typo'd or retired key must not be dropped: the job would run,
+        # and be cached, as something the client did not ask for.
+        client, gw, _uds = served
+        doc = client.request("POST", "/api/v1/jobs",
+                             {"app": "isx", "params": {"keys_per_pe": 64},
+                              key: value})
+        assert doc["_status"] == 400 and doc["ok"] is False
+        assert key in doc["error"]
+        for valid in ("app", "params", "seed", "backend", "ranks", "tenant"):
+            assert valid in doc["error"]
+        assert gw.stats_dict()["jobs"] == {}  # nothing was accepted
 
     def test_queue_full_is_429_and_backoff_absorbs_it(self, served):
         client, _gw, _uds = served

@@ -200,7 +200,7 @@ class TestExecutorPlumbing:
             SimExecutor(engine="flat", shards=bad)
 
     def test_shards_require_flat_engine(self):
-        with pytest.raises(ConfigError, match="requires engine='flat'"):
+        with pytest.raises(ConfigError, match="one engine, 'flat'"):
             SimExecutor(engine="objects", shards=2)
 
     def test_fault_injection_rejected(self):
@@ -242,9 +242,9 @@ class TestShardedDifferential:
     @pytest.mark.parametrize("workload", ["isx", "uts"])
     def test_digest_matches_single_runtime_flat(self, workload):
         from repro.verify import differential
-        rep = differential(workload, engines=("flat-sim", "sharded"))
+        rep = differential(workload, engines=("sim", "sharded"))
         assert rep.ok, rep.describe()
-        assert [r.engine for r in rep.runs] == ["flat-sim", "sharded"]
+        assert [r.engine for r in rep.runs] == ["sim", "sharded"]
 
     def test_workloads_without_spmd_twin_compare_on_other_engines(self):
         # isx-dag has no SPMD twin; the SPMD-twin engines (sharded, procs)
@@ -392,9 +392,3 @@ class TestCliValidation:
         assert main(["run", "--backend", "sim", "--app", "isx",
                      "--shards", "0"]) == 2
         assert "must be >= 1" in capsys.readouterr().err
-
-    def test_shards_require_flat_engine(self, capsys):
-        from repro.cli import main
-        assert main(["run", "--backend", "sim", "--app", "isx",
-                     "--engine", "objects", "--shards", "2"]) == 2
-        assert "requires --engine flat" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 
 from repro.distrib import ClusterConfig, spmd_run
 from repro.shmem import shmem_factory
-from repro.shmem.heap import SymmetricHeap
+from repro.shmem.heap import SignatureTable, SymmetricHeap
 from repro.util.errors import ConfigError, ShmemError
 
 
@@ -19,7 +19,7 @@ def run(main, nranks=4, workers=2, ranks_per_node=1, **mod_kwargs):
 
 class TestSymmetricHeap:
     def test_allocation_symmetry_checked(self):
-        shared = {}
+        shared = SignatureTable()
         h0 = SymmetricHeap(0, shared)
         h1 = SymmetricHeap(1, shared)
         h0.allocate(8, np.int64)

@@ -300,6 +300,25 @@ class TestInterleaveHarness:
         assert again.digest == out.digest
         assert again.schedule == out.schedule
 
+    def test_explored_schedules_match_frozen_digests(self):
+        """Schedule digests captured on the last commit where the executor
+        still hosted two engines (``tests/data/sim_engine_golden.json``):
+        the set-only notify/_wake this class now carries explores exactly
+        the schedules the old ``selection="scan"`` path did."""
+        import json
+        import os
+
+        path = os.path.join(os.path.dirname(__file__), "data",
+                            "sim_engine_golden.json")
+        with open(path, encoding="utf-8") as fh:
+            frozen = json.load(fh)["interleave_spawn_storm"]
+        assert len(frozen) == 3
+        for want in frozen:
+            out = run_once(want["strategy"], want["seed"])
+            assert out.ok, out.describe()
+            assert len(out.schedule) == want["steps"]
+            assert out.digest == want["schedule_digest"]
+
     def test_different_seeds_explore_different_schedules(self):
         digests = {run_once("random", seed=s).digest for s in range(6)}
         assert len(digests) > 1
