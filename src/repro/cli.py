@@ -501,7 +501,8 @@ def cmd_run(args) -> int:
     """
     from repro.util.errors import ConfigError
     from repro.verify import WORKLOADS, run_on_engine
-    from repro.verify.spmd_workloads import (run_procs_workload,
+    from repro.verify.spmd_workloads import (SPMD_WORKLOADS,
+                                             run_procs_workload,
                                              run_sharded_workload)
 
     if args.shards < 1:
@@ -514,10 +515,12 @@ def cmd_run(args) -> int:
     if args.backend == "procs":
         # Fail before running anything so a typo'd launcher exits cleanly
         # instead of FAILing every app with the same traceback text.
-        from repro.launch import get_launcher
-        get_launcher(args.launcher)
+        from repro.launch import start_method
+        start_method(args.launcher)
 
-    apps = sorted(WORKLOADS) if args.app == "all" else [args.app]
+    spmd = args.backend == "procs" or args.shards > 1
+    names = SPMD_WORKLOADS if spmd else WORKLOADS  # isx-dag has no SPMD twin
+    apps = sorted(names) if args.app == "all" else [args.app]
     failures = 0
     for app in apps:
         t0 = time.perf_counter()
@@ -547,20 +550,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_procs_worker(args) -> int:
-    """(internal) SPMD child entry point for out-of-process launchers.
+    """(internal) Entry point of a child started by exec.
 
-    ``SubprocessLauncher`` — and real resource-manager launchers modelled on
-    it — start each rank as ``python -m repro procs-worker --job <pickle>
-    --rank <n>``. This unpickles the :class:`~repro.exec.procs.ProcsJob`
-    and runs the standard child main; the exit code is the rank's status.
+    ``repro.launch.Child`` starts it as ``python -m repro procs-worker
+    <fd>``, ``fd`` being the inherited end of the child's control link; what
+    to run arrives as the link's first frame. Never returns.
     """
-    import pickle
+    from repro.launch import exec_main
 
-    from repro.exec.procs import procs_child_main
-
-    with open(args.job, "rb") as fh:
-        job = pickle.load(fh)
-    return procs_child_main(job, args.rank)
+    exec_main(args.fd)
 
 
 def cmd_platform(args) -> int:
@@ -758,8 +756,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="workers per rank (procs) / pool size (sim, "
                          "threads)")
     rn.add_argument("--launcher", default="local",
-                    help="process launcher for the procs backend "
-                         "(local, subprocess, flux, pbs)")
+                    help="how the procs backend starts its rank processes: "
+                         "local (fork) or subprocess (exec)")
     rn.add_argument("--shards", type=int, default=1,
                     help="OS-process shards for the sim backend (>1 runs "
                          "the SPMD twin on the conservative-window sharded "
@@ -799,12 +797,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="seconds to wait for in-flight jobs on shutdown")
     sv.set_defaults(fn=cmd_serve)
 
-    # Internal: child entry point used by out-of-process launchers. No
-    # help= on purpose — it's not part of the user-facing surface.
+    # Internal: entry point of children started by exec. No help= on
+    # purpose — it's not part of the user-facing surface.
     pw = sub.add_parser("procs-worker")
-    pw.add_argument("--job", required=True,
-                    help="path to the pickled ProcsJob")
-    pw.add_argument("--rank", type=int, required=True)
+    pw.add_argument("fd", type=int,
+                    help="inherited descriptor of the control link")
     pw.set_defaults(fn=cmd_procs_worker)
 
     pp = sub.add_parser("platform", help="print a machine's platform JSON")

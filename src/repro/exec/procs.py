@@ -13,27 +13,28 @@ and the single-process thread pool (``repro.exec.threaded``):
   carries over unchanged;
 - each rank's symmetric heap lives in a ``multiprocessing.shared_memory``
   segment (:class:`~repro.shmem.shared.SharedArena`);
-- process startup is delegated to a pluggable :mod:`repro.launch` launcher
-  (``local`` fork/spawn, ``subprocess`` command lines, batch-system stubs).
+- each rank process is a :class:`repro.launch.Child` — started (``local`` =
+  fork, ``subprocess`` = exec), diagnosed when it dies or crashes, and
+  reaped there. This module keeps the protocol that rides on the child's
+  control link: ``ready`` / ``go`` / ``result``, then EOF.
 
-The parent-side :class:`ProcessExecutor` mirrors the threaded engine's
-lifecycle discipline: a run that leaves orphaned children or leaked shared
-memory behind raises :class:`~repro.util.errors.RuntimeStateError` instead
-of silently stranding resources.
+The parent-side :class:`ProcessExecutor` owns the run's wall deadline and
+sweeps the run's shared-memory segments and rendezvous directory after
+every run; a rank never outlives its parent, because a rank that finished
+tears down on EOF of its link — whether the parent hung up or was killed.
 
 Jobs are described by a :class:`ProcsJob`. Because rank mains must exist in
 other processes, apps are named by *factory*: either a dotted path
-``"pkg.mod:factory"`` (required for spawn/subprocess launchers) or a direct
-callable (fork launcher only). The factory is called with the job's args in
-the child and must return the ``main(ctx)`` to run.
+``"pkg.mod:factory"`` (required for the ``subprocess`` launcher, whose job
+is pickled) or a direct callable (``local`` launcher only). The factory is
+called with the job's args in the child and must return the ``main(ctx)``
+to run.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import importlib
-import os
-import pickle
 import shutil
 import tempfile
 import time
@@ -41,6 +42,8 @@ import traceback
 import uuid
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.launch import (Child, ChildError, ChildTimeout, close_all,
+                          start_method)
 from repro.util.errors import ConfigError, RuntimeStateError
 
 #: Name -> dotted path of the standard module factories (child-resolvable).
@@ -50,13 +53,6 @@ _MODULE_FACTORIES: Dict[str, str] = {
     "cuda": "repro.cuda:cuda_factory",
     "upcxx": "repro.upcxx:upcxx_factory",
 }
-
-_POLL = 0.02  # parent poll interval, seconds
-
-#: How long a finished rank keeps its fabric endpoint alive waiting for the
-#: parent's all-done signal before tearing down anyway (a safety valve; the
-#: parent normally signals within one poll interval of the last result).
-_TEARDOWN_WAIT = 60.0
 
 
 def resolve_dotted(path: str) -> Any:
@@ -77,7 +73,7 @@ class ProcsJob:
     """Everything a child process needs to run one rank."""
 
     run_id: str
-    rundir: str                      # rendezvous: sockets, results, job.pkl
+    rundir: str                      # the fabric's rendezvous: fab-<rank>.sock
     nranks: int
     factory: Union[str, Callable]    # dotted path, or callable (fork only)
     args: Tuple = ()
@@ -127,42 +123,22 @@ class ProcsResult:
 # ----------------------------------------------------------------------
 # child side
 # ----------------------------------------------------------------------
-def _result_path(rundir: str, rank: int) -> str:
-    return os.path.join(rundir, f"result-{rank}.pkl")
+#
+# Wire (frames over the rank's control link, see :mod:`repro.launch`):
+#   rank -> ("ready",)           module init done, channels registered
+#   parent -> ("go",)            every rank is ready: enter main
+#   rank -> ("result", status)   ("ok", value, counters), or
+#                                ("error", rank, type, message, traceback);
+#                                sent in place of "ready" when setup failed
+#   parent -> EOF                every rank has reported, or the run is being
+#                                torn down, or the parent is gone: tear down
 
+def procs_child_main(link, job: ProcsJob, rank: int) -> None:
+    """Body of one rank process (a :class:`repro.launch.Child` runs it).
 
-def _write_result(rundir: str, rank: int, status: Tuple) -> None:
-    tmp = _result_path(rundir, rank) + ".tmp"
-    with open(tmp, "wb") as fh:
-        pickle.dump(status, fh, protocol=pickle.HIGHEST_PROTOCOL)
-    os.replace(tmp, _result_path(rundir, rank))  # atomic publish
-
-
-def _ready_rendezvous(job: ProcsJob, rank: int) -> None:
-    """Block until every rank has written its ready marker."""
-    with open(os.path.join(job.rundir, f"ready-{rank}"), "w") as fh:
-        fh.write("ready\n")
-    deadline = time.monotonic() + job.connect_timeout
-    waiting = set(range(job.nranks))
-    while waiting:
-        waiting = {r for r in waiting if not os.path.exists(
-            os.path.join(job.rundir, f"ready-{r}"))}
-        if not waiting:
-            return
-        if time.monotonic() > deadline:
-            raise ConfigError(
-                f"rank {rank}: peers {sorted(waiting)} never reached the "
-                f"startup rendezvous within {job.connect_timeout}s")
-        time.sleep(_POLL)
-
-
-def procs_child_main(job: ProcsJob, rank: int) -> int:
-    """Entry point of one rank process (launchers target this).
-
-    Builds the rank's runtime + fabric + shared heap, runs the main, writes
-    the pickled result, holds the fabric open until every rank has finished
-    (peers may still target this PE's symmetric heap), then tears down.
-    Returns the process exit code.
+    Builds the rank's runtime + fabric + shared heap, runs the main, sends
+    the result, holds the fabric open until the parent hangs up (peers may
+    still target this PE's symmetric heap), then tears down.
     """
     from repro.distrib.spmd import ClusterConfig, RankContext, _bind_main
     from repro.exec.threaded import ThreadedExecutor
@@ -171,13 +147,8 @@ def procs_child_main(job: ProcsJob, rank: int) -> int:
     from repro.runtime.runtime import HiperRuntime
     from repro.shmem.shared import SharedArena, segment_name
 
-    ex = None
-    fabric = None
-    arena = None
-    rt = None
-    ctx = None
-    status: Tuple = ("error", rank, "InternalError", "child never ran", "")
-    ok = False
+    ex = fabric = arena = rt = ctx = None
+    status: Optional[Tuple] = None
     try:
         main_fn = job.resolve_factory()(*job.args, **(job.kwargs or {}))
         ex = ThreadedExecutor(block_timeout=job.block_timeout)
@@ -201,29 +172,30 @@ def procs_child_main(job: ProcsJob, rank: int) -> int:
         # Startup rendezvous: no rank may enter its main (and start sending)
         # until every rank has finished module init — a message landing on a
         # peer whose channels aren't registered yet would kill its reader
-        # thread. File-based on purpose: the fabric isn't safely usable yet,
-        # which is exactly what this barrier establishes.
-        _ready_rendezvous(job, rank)
-        result = ex.run_root(rt, _bind_main(main_fn, ctx),
-                             name=f"rank{rank}-main")
-        counters = {f"{m}.{op}": int(v)
-                    for (m, op), v in rt.stats.counters.items()}
-        status = ("ok", result, counters)
-        ok = True
+        # thread. Over the control link on purpose: the fabric isn't safely
+        # usable yet, which is exactly what this barrier establishes.
+        link.send(("ready",))
+        if link.recv() is not None:  # None: the run is already being torn down
+            result = ex.run_root(rt, _bind_main(main_fn, ctx),
+                                 name=f"rank{rank}-main")
+            counters = {f"{m}.{op}": int(v)
+                        for (m, op), v in rt.stats.counters.items()}
+            status = ("ok", result, counters)
     except BaseException as exc:  # noqa: BLE001 - serialized to the parent
         status = ("error", rank, type(exc).__name__, str(exc),
                   traceback.format_exc())
+    failed: Optional[BaseException] = None
     try:
-        _write_result(job.rundir, rank, status)
+        if status is not None:
+            link.send(("result", status))
+            # Serve peers until the whole job is done: another rank's main
+            # may still put/get against this PE. The parent hangs up once
+            # every rank's result landed.
+            link.recv()
     except OSError:
-        ok = False
-    # Serve peers until the whole job is done: another rank's main may still
-    # put/get against this PE. The parent publishes `alldone` once every
-    # rank's result landed (or the run is being torn down on error).
-    alldone = os.path.join(job.rundir, "alldone")
-    deadline = time.monotonic() + _TEARDOWN_WAIT
-    while not os.path.exists(alldone) and time.monotonic() < deadline:
-        time.sleep(_POLL)
+        pass  # the parent is gone: nobody to report to or to serve
+    except BaseException as exc:  # noqa: BLE001 - e.g. an unpicklable result
+        failed = exc
     for step in (
         (lambda: rt.shutdown()) if rt is not None else None,
         (lambda: ctx._mux.close()) if ctx is not None and ctx._mux else None,
@@ -235,13 +207,10 @@ def procs_child_main(job: ProcsJob, rank: int) -> int:
             continue
         try:
             step()
-        except BaseException as exc:  # noqa: BLE001 - teardown best-effort
-            if ok:
-                _write_result(job.rundir, rank, (
-                    "error", rank, type(exc).__name__,
-                    f"teardown failed: {exc}", traceback.format_exc()))
-                ok = False
-    return 0 if ok else 1
+        except BaseException as exc:  # noqa: BLE001 - finish the teardown
+            failed = failed or exc
+    if failed is not None:
+        raise failed  # the seam ships it home as a crash frame; exit code 1
 
 
 # ----------------------------------------------------------------------
@@ -251,9 +220,10 @@ class ProcessExecutor:
     """Parent-side orchestrator of a multiprocess SPMD run.
 
     Not a task engine (the engine inside each rank is a
-    :class:`ThreadedExecutor`); this owns process lifecycle: rendezvous
-    directory, launcher dispatch, result collection, straggler termination,
-    and the no-orphans / no-leaked-shared-memory shutdown discipline.
+    :class:`ThreadedExecutor`); this owns the run: rendezvous directory,
+    the ready/go/result exchange with every rank, the wall deadline, and
+    the no-leaked-shared-memory sweep. Starting, diagnosing and reaping the
+    rank processes is :mod:`repro.launch`'s.
     """
 
     mode = "procs"
@@ -269,7 +239,6 @@ class ProcessExecutor:
         timeout: float = 300.0,
         block_timeout: float = 60.0,
         seed: int = 0,
-        join_timeout: float = 5.0,
     ):
         if nranks < 1:
             raise ConfigError(f"nranks must be >= 1, got {nranks}")
@@ -283,8 +252,7 @@ class ProcessExecutor:
         self.timeout = timeout
         self.block_timeout = block_timeout
         self.seed = seed
-        self.join_timeout = join_timeout
-        self._handles: List = []
+        self._children: List[Child] = []
         self._rundir: Optional[str] = None
         self._run_id: Optional[str] = None
         self._shutdown = False
@@ -298,16 +266,13 @@ class ProcessExecutor:
         *,
         modules: Sequence = (("shmem", {}),),
     ) -> ProcsResult:
-        """Launch ``nranks`` rank processes and collect their results."""
-        from repro.launch import get_launcher
-        from repro.shmem.shared import cleanup_segments
-
+        """Start ``nranks`` rank processes and collect their results."""
         if self._shutdown:
             raise RuntimeStateError(
                 "ProcessExecutor used after shutdown(); create a fresh one")
-        if self._handles:
+        if self._children:
             raise RuntimeStateError("a run is already in flight")
-        launcher = get_launcher(self.launcher_name)
+        method = start_method(self.launcher_name)
         run_id = uuid.uuid4().hex[:12]
         rundir = tempfile.mkdtemp(prefix=f"repro-procs-{run_id}-")
         job = ProcsJob(
@@ -321,39 +286,37 @@ class ProcessExecutor:
         self._rundir, self._run_id = rundir, run_id
         t0 = time.perf_counter()
         try:
-            self._handles = [launcher.launch(job, rank)
-                             for rank in range(self.nranks)]
-            statuses = self._collect(rundir)
+            for rank in range(self.nranks):
+                self._children.append(Child.start(
+                    method, procs_child_main, (job, rank),
+                    name=f"rank {rank}"))
+            statuses = self._collect(time.monotonic() + self.timeout)
+        except BaseException:
+            # A failed start, a timeout, an interrupt: nothing to wait for.
+            close_all(self._children, grace=0.0)
+            raise
         finally:
-            # Signal finished ranks to tear down, reap everything, and only
-            # then sweep for leaks (children unlink their own segments on a
-            # clean exit; the sweep catches killed/crashed ones).
-            self._touch_alldone(rundir)
-            self._reap()
-            cleanup_segments(run_id, self.nranks)
-            shutil.rmtree(rundir, ignore_errors=True)
-            self._rundir = self._run_id = None
+            self._sweep()
         wall = time.perf_counter() - t0
 
         results: List[Any] = []
         counters: Dict[str, int] = {}
         errors: List[Tuple[int, str, str, str]] = []
-        for rank, status in enumerate(statuses):
-            if status is None:
-                errors.append((rank, "ProcessDied",
-                               "rank exited without writing a result", ""))
-                results.append(None)
-            elif status[0] == "ok":
+        for status in statuses:
+            if status is not None and status[0] == "ok":
                 results.append(status[1])
                 for key, v in status[2].items():
                     counters[key] = counters.get(key, 0) + v
-            else:
-                _, erank, ename, emsg, etb = status
-                errors.append((erank, ename, emsg, etb))
-                results.append(None)
+                continue
+            results.append(None)
+            if status is not None:  # None: never started, a peer's setup failed
+                errors.append(status[1:])
         if errors:
-            # Surface the root cause, not a stranded peer's watchdog stall.
-            errors.sort(key=lambda e: e[1] == "DeadlockError")
+            # Surface the root cause: a lost rank before the broken pipes it
+            # left its peers, and anything before a stranded peer's watchdog
+            # stall.
+            order = {"ChildDied": 0, "ChildCrashed": 0, "DeadlockError": 2}
+            errors.sort(key=lambda e: order.get(e[1], 1))
             rank, ename, emsg, etb = errors[0]
             detail = f"\n--- rank {rank} traceback ---\n{etb}" if etb else ""
             raise ConfigError(
@@ -364,111 +327,64 @@ class ProcessExecutor:
                            launcher=self.launcher_name, counters=counters)
 
     # ------------------------------------------------------------------
-    def _collect(self, rundir: str) -> List[Optional[Tuple]]:
-        """Wait until every rank has a result file or exited; timeout kills
-        stragglers and raises."""
-        deadline = time.monotonic() + self.timeout
+    def _collect(self, deadline: float) -> List[Optional[Tuple]]:
+        """ready -> go -> result with every rank, inside the wall deadline.
+        A rank that died or crashed becomes an error status; running out of
+        time raises."""
         statuses: List[Optional[Tuple]] = [None] * self.nranks
-        have = [False] * self.nranks
-        while True:
-            for rank in range(self.nranks):
-                if have[rank]:
-                    continue
-                path = _result_path(rundir, rank)
-                if os.path.exists(path):
-                    with open(path, "rb") as fh:
-                        statuses[rank] = pickle.load(fh)
-                    have[rank] = True
-            if all(have):
-                return statuses
-            # A dead child without a result file never will produce one.
-            pending_dead = [
-                rank for rank in range(self.nranks)
-                if not have[rank] and self._handles[rank].poll() is not None
-            ]
-            if pending_dead:
-                # One more sweep: the file may have landed between checks.
-                for rank in pending_dead:
-                    path = _result_path(rundir, rank)
-                    if os.path.exists(path):
-                        with open(path, "rb") as fh:
-                            statuses[rank] = pickle.load(fh)
-                        have[rank] = True
-                if any(not have[rank] for rank in pending_dead):
-                    return statuses
-            if time.monotonic() > deadline:
-                stragglers = [h.rank for h in self._handles if h.alive]
-                self._terminate_all()
+
+        def report(rank: int) -> str:
+            """The tag of ``rank``'s next frame; a result (or the diagnosis
+            of a lost rank, which stands in for one) lands in ``statuses``."""
+            try:
+                frame = self._children[rank].recv(deadline - time.monotonic())
+            except ChildError as exc:
+                frame = ("result", ("error", rank, type(exc).__name__,
+                                    str(exc), ""))
+            except ChildTimeout:
+                stragglers = [r for r in range(self.nranks)
+                              if statuses[r] is None]
                 raise RuntimeStateError(
                     f"multiprocess run timed out after {self.timeout}s; "
                     f"terminated straggler rank(s) {stragglers} "
                     "(likely a rank stalled at a barrier after a peer "
                     "failure, or the workload outgrew the timeout)"
-                )
-            time.sleep(_POLL)
+                ) from None
+            if frame[0] == "result":
+                statuses[rank] = frame[1]
+            return frame[0]
 
-    def _touch_alldone(self, rundir: str) -> None:
-        try:
-            with open(os.path.join(rundir, "alldone"), "w") as fh:
-                fh.write("done\n")
-        except OSError:
-            pass
+        if all(report(rank) == "ready" for rank in range(self.nranks)):
+            for child in self._children:
+                try:
+                    child.send(("go",))
+                except ChildError:
+                    pass  # report() below says how it went
+            for rank in range(self.nranks):
+                report(rank)
+        return statuses
 
-    def _terminate_all(self) -> None:
-        for h in self._handles:
-            try:
-                h.terminate()
-            except OSError:
-                pass
+    def _sweep(self) -> None:
+        """Hang up on every rank (a finished one tears down on EOF), reap,
+        and only then sweep for leaks: ranks unlink their own segments on a
+        clean exit; the sweep catches killed and crashed ones."""
+        from repro.shmem.shared import cleanup_segments
 
-    def _reap(self) -> None:
-        """Join every child; escalate terminate -> kill; raise on orphans."""
-        deadline = time.monotonic() + self.timeout
-        while any(h.alive for h in self._handles):
-            if time.monotonic() > deadline:
-                break
-            time.sleep(_POLL)
-        survivors = [h for h in self._handles if h.alive]
-        for h in survivors:
-            h.terminate()
-        if survivors:
-            t_end = time.monotonic() + self.join_timeout
-            while any(h.alive for h in survivors) and time.monotonic() < t_end:
-                time.sleep(_POLL)
-            for h in survivors:
-                if h.alive:
-                    h.kill()
-            t_end = time.monotonic() + self.join_timeout
-            while any(h.alive for h in survivors) and time.monotonic() < t_end:
-                time.sleep(_POLL)
-        leaked = [h for h in self._handles if h.alive]
-        self._handles = []
-        if leaked:
-            raise RuntimeStateError(
-                f"shutdown leaked {len(leaked)} child process(es) still "
-                f"alive after kill: pids "
-                f"{[h.pid for h in leaked]} (mirrors the threaded engine's "
-                "leaked-thread discipline)"
-            )
+        close_all(self._children)
+        self._children = []
+        if self._run_id:
+            cleanup_segments(self._run_id, self.nranks)
+        if self._rundir:
+            shutil.rmtree(self._rundir, ignore_errors=True)
+        self._rundir = self._run_id = None
 
     def shutdown(self) -> None:
-        """Idempotent; terminates any in-flight children and sweeps leaks."""
+        """Idempotent; kills any in-flight ranks and sweeps leaks."""
         if self._shutdown:
             return
         self._shutdown = True
-        rundir, run_id = self._rundir, self._run_id
-        if self._handles:
-            if rundir:
-                self._touch_alldone(rundir)
-            self._terminate_all()
-            self._reap()
-        if run_id:
-            from repro.shmem.shared import cleanup_segments
-
-            cleanup_segments(run_id, self.nranks)
-        if rundir:
-            shutil.rmtree(rundir, ignore_errors=True)
-        self._rundir = self._run_id = None
+        close_all(self._children, grace=0.0)
+        self._sweep()
 
     def __repr__(self) -> str:
         return (f"ProcessExecutor(nranks={self.nranks}, "

@@ -12,8 +12,9 @@ windows:
    the current horizon ``H``, parking cross-shard sends (priced on the send
    side) in per-destination-shard outboxes;
 2. at the barrier, each shard reports ``(next local activation, done?,
-   outboxes)`` to the coordinator (the parent process) over a socketpair
-   speaking :mod:`repro.net.procfabric` framing;
+   outboxes)`` to the coordinator (the parent process) over its control
+   link — each shard worker is a :class:`repro.launch.Child`, which starts,
+   diagnoses and reaps it; this module keeps the window protocol;
 3. the coordinator routes the outboxes, computes ``N_min`` — the minimum
    over every shard's next activation and every in-flight message's arrival
    time — and replies with the next horizon ``H' = N_min + lookahead`` plus
@@ -48,14 +49,13 @@ import bisect
 import dataclasses
 import heapq
 import math
-import socket
-import sys
 import time
 import traceback
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.sim import SimExecutor
-from repro.net.procfabric import recv_frame, send_frame
+from repro.launch import (Child, ChildCrashed, ChildDied, ChildTimeout,
+                          close_all)
 from repro.net.shardfabric import ShardFabric
 from repro.runtime.worker import find_task
 from repro.util.errors import (
@@ -221,30 +221,14 @@ class ShardedSpmdResult:
 # shard worker (child process)
 # ----------------------------------------------------------------------
 
-def _shard_child_main(main, config, module_factories, plan, shard_id,
-                      conn, close_socks) -> None:
-    for sock in close_socks:  # parent-side ends inherited across fork
-        try:
-            sock.close()
-        except OSError:
-            pass
-    try:
-        _run_shard(main, config, module_factories, plan, shard_id, conn)
-    except BaseException as exc:  # noqa: BLE001 - ship diagnosis to parent
-        try:
-            send_frame(conn, ("crash", shard_id, type(exc).__name__,
-                              str(exc), traceback.format_exc()))
-        except OSError:
-            pass
-        sys.exit(1)
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
+# Wire (frames over the shard's control link, see :mod:`repro.launch`), one
+# reply per window report:
+#   shard -> ("win", next activation, done?, outboxes)
+#   coordinator -> ("adv", horizon, inbox) | ("fin",) | ("dead",)
+#   shard -> ("result", statuses, makespan, counters, telemetry)
 
-
-def _run_shard(main, config, module_factories, plan, shard_id, conn) -> None:
+def _run_shard(link, main, config, module_factories, plan, shard_id) -> None:
+    """Body of one shard worker (a :class:`repro.launch.Child` runs it)."""
     from repro.distrib.spmd import RankContext, _bind_main
     from repro.platform.hwloc import discover
     from repro.runtime.runtime import HiperRuntime
@@ -288,8 +272,8 @@ def _run_shard(main, config, module_factories, plan, shard_id, conn) -> None:
         t_next = ex.next_activation()
         done = all(f.satisfied for f in futures)
         t0 = time.perf_counter()
-        send_frame(conn, ("win", t_next, done, outboxes))
-        reply = recv_frame(conn)
+        link.send(("win", t_next, done, outboxes))
+        reply = link.recv()
         idle_wall += time.perf_counter() - t0
         if reply is None:
             raise RuntimeStateError(
@@ -346,8 +330,8 @@ def _run_shard(main, config, module_factories, plan, shard_id, conn) -> None:
         "idle_wall_s": idle_wall,
         "events_processed": ex.events_processed,
     }
-    send_frame(conn, ("result", statuses, makespan,
-                      merged.to_dict()["counters"], shard_counters))
+    link.send(("result", statuses, makespan,
+               merged.to_dict()["counters"], shard_counters))
     ex.shutdown()
 
 
@@ -355,47 +339,26 @@ def _run_shard(main, config, module_factories, plan, shard_id, conn) -> None:
 # coordinator (parent process)
 # ----------------------------------------------------------------------
 
-def _reap(handles) -> List[int]:
-    """Terminate-then-kill every live shard; return pids still alive."""
-    for h in handles:
-        h.terminate()
-    for h in handles:
-        h.join(2.0)
-    stragglers = [h for h in handles if h.poll() is None]
-    for h in stragglers:
-        h.kill()
-    for h in stragglers:
-        h.join(2.0)
-    return [h.pid for h in handles if h.poll() is None]
-
-
-def _recv(sock: socket.socket, deadline: float, handle, shard_id: int):
+def _recv(child: Child, deadline: float, shard_id: int):
     """One frame from a shard, bounded by the run's wall deadline."""
-    remaining = deadline - time.monotonic()
-    if remaining <= 0:
-        raise RuntimeStateError(
-            f"sharded run timed out waiting for shard {shard_id}")
-    sock.settimeout(remaining)
     try:
-        frame = recv_frame(sock)
-    except socket.timeout:
+        return child.recv(deadline - time.monotonic())
+    except ChildTimeout:
         raise RuntimeStateError(
             f"sharded run timed out waiting for shard {shard_id}") from None
-    except ConnectionError:
-        frame = None
-    if frame is None:
-        handle.join(2.0)
-        code = handle.poll()
+    except ChildDied as exc:
         raise PlaceFailure(
-            f"shard {shard_id} died mid-window (exit code {code})",
-            place=f"shard-{shard_id}")
-    if frame[0] == "crash":
-        _, _, ename, emsg, tb = frame
-        detail = f"\n--- shard traceback ---\n{tb}" if tb else ""
-        raise RuntimeStateError(
-            f"shard {shard_id} crashed outside rank code: "
-            f"{ename}: {emsg}{detail}")
-    return frame
+            f"shard {shard_id} died mid-window (pid {exc.pid}, exit code "
+            f"{exc.exit_code})", place=f"shard-{shard_id}") from None
+    except ChildCrashed as exc:  # outside rank code: those travel as results
+        raise RuntimeStateError(str(exc)) from None
+
+
+def _send(child: Child, frame: tuple) -> None:
+    try:
+        child.send(frame)
+    except ChildDied:
+        pass  # the _recv that follows every send says how it went
 
 
 def sharded_spmd_run(
@@ -412,7 +375,6 @@ def sharded_spmd_run(
     :func:`repro.distrib.spmd.spmd_run` (which dispatches here when its
     executor was built with ``shards > 1``)."""
     from repro.distrib.spmd import ClusterConfig
-    from repro.launch.local import fork_worker
 
     config = config or ClusterConfig()
     if fault_injector is not None:
@@ -423,37 +385,21 @@ def sharded_spmd_run(
     plan = ShardPlan.build(config.nranks, nshards, config.ranks_per_node)
     lookahead = config.network.lookahead(config.topology)
 
-    pairs = [socket.socketpair() for _ in range(nshards)]
-    parent_socks = [p for p, _ in pairs]
-    handles = []
+    children: List[Child] = []
     try:
         for k in range(nshards):
-            child_sock = pairs[k][1]
-            # The fork inherits every pair; the child must close all ends
-            # but its own, or a dead sibling's EOF never reaches the parent
-            # (the socket stays open through the surviving children's
-            # inherited copies).
-            close_socks = tuple(
-                s for pair in pairs for s in pair if s is not child_sock
-            )
-            handles.append(fork_worker(
-                _shard_child_main,
-                (main, config, tuple(module_factories), plan, k,
-                 child_sock, close_socks),
-                name=f"repro-shard-{k}", rank=k,
-            ))
-        for _, child_sock in pairs:
-            child_sock.close()
+            children.append(Child.start(
+                "fork", _run_shard,
+                (main, config, tuple(module_factories), plan, k),
+                name=f"shard {k}"))
 
         deadline = time.monotonic() + timeout
         horizon = 0.0
         windows = 0
         stalled = False
         while True:
-            reports = [
-                _recv(parent_socks[k], deadline, handles[k], k)
-                for k in range(nshards)
-            ]
+            reports = [_recv(children[k], deadline, k)
+                       for k in range(nshards)]
             n_min = math.inf
             all_done = True
             total_msgs = 0
@@ -469,20 +415,20 @@ def sharded_spmd_run(
                         if m[0] < n_min:
                             n_min = m[0]
             if all_done and total_msgs == 0:
-                for sock in parent_socks:
-                    send_frame(sock, ("fin",))
+                for child in children:
+                    _send(child, ("fin",))
                 break
             if n_min == math.inf:
                 # Nothing can ever happen again anywhere: every shard is out
                 # of work below +inf and no message is in flight.
                 stalled = True
-                for sock in parent_socks:
-                    send_frame(sock, ("dead",))
+                for child in children:
+                    _send(child, ("dead",))
                 break
             horizon = max(horizon, n_min + lookahead)
             windows += 1
-            for k, sock in enumerate(parent_socks):
-                send_frame(sock, ("adv", horizon, route[k]))
+            for k, child in enumerate(children):
+                _send(child, ("adv", horizon, route[k]))
 
         results: List[Any] = [None] * config.nranks
         errors: List[Tuple[int, str, str]] = []
@@ -490,7 +436,7 @@ def sharded_spmd_run(
         shard_counters: List[Dict[str, Any]] = []
         makespan = 0.0
         for k in range(nshards):
-            frame = _recv(parent_socks[k], deadline, handles[k], k)
+            frame = _recv(children[k], deadline, k)
             _, statuses, shard_makespan, shard_stats, telemetry = frame
             makespan = max(makespan, shard_makespan)
             for key, n in shard_stats.items():
@@ -503,22 +449,14 @@ def sharded_spmd_run(
                 else:
                     _, rank, ename, emsg, _tb = status
                     errors.append((rank, ename, emsg))
-        for h in handles:
-            h.join(10.0)
-        orphans = [h.pid for h in handles if h.poll() is None]
-        if orphans:
-            _reap(handles)
-            raise RuntimeStateError(
-                f"shard process(es) {orphans} still alive after results")
     except BaseException:
-        _reap(handles)
+        close_all(children, grace=0.0)
         raise
-    finally:
-        for sock in parent_socks:
-            try:
-                sock.close()
-            except OSError:
-                pass
+    codes = close_all(children)
+    if any(codes):
+        raise RuntimeStateError(
+            f"shard process(es) did not exit cleanly after their results: "
+            f"exit codes {codes}")
 
     cross_msgs = sum(t["cross_shard_msgs"] for t in shard_counters)
     cross_bytes = sum(t["cross_shard_bytes"] for t in shard_counters)

@@ -37,7 +37,7 @@ from repro.resilience import Backoff, RetryPolicy
 from repro.service.admission import FairShareAdmission, QueueFull
 from repro.service.cache import ResultCache
 from repro.service.jobs import (Job, JobSpec, JobState, normalize_result)
-from repro.service.pool import PoolWorker, run_job_cold
+from repro.service.pool import PoolWorker
 from repro.util.errors import ConfigError, HiperError, RuntimeStateError
 from repro.util.stats import RuntimeStats
 
@@ -68,8 +68,8 @@ class ServiceConfig:
     #: Backends to run pool slots for. Jobs for a backend with no slots are
     #: rejected at submit.
     backends: Tuple[str, ...] = ("sim",)
-    #: Slots per backend: one slot thread plus, for sim/threads, the worker
-    #: process that holds the slot's warm entry.
+    #: Slots per backend: one slot thread plus the worker process that runs
+    #: the slot's jobs (and, for sim/threads, holds its warm entry).
     pool_size: int = 2
     #: Runtime workers per warm entry (sim/threads).
     workers: int = 4
@@ -132,8 +132,6 @@ class JobGateway:
         # single-threaded parent inherits no lock mid-acquire, and costs
         # milliseconds where spawn/forkserver would re-import per worker.
         for backend in cfg.backends:
-            if backend == "procs":
-                continue  # a procs job is its own process tree, run cold
             for slot in range(cfg.pool_size):
                 self._workers[backend, slot] = PoolWorker(
                     backend, slot, entry_kwargs if cfg.warm else None)
@@ -349,18 +347,19 @@ class JobGateway:
     # pool workers
     # ------------------------------------------------------------------
     def _worker_loop(self, backend: str, slot: int) -> None:
-        worker = self._workers.get((backend, slot))  # None: a procs slot
+        worker = self._workers[backend, slot]
         while not self._stopped:
-            gen = self._pool_gen
-            if worker is not None and worker.generation != gen:
-                worker.rebuild(gen)  # reload(): between jobs
             job = self.admission.next_job(backend, timeout=0.05)
+            # Checked after the dequeue: a job submitted after reload()
+            # returned must never run on the entry reload() retired.
+            gen = self._pool_gen
+            if worker.generation != gen:
+                worker.rebuild(gen)  # reload(): between jobs
             if job is not None:
                 self._run_job(job, worker)
 
-    def _run_job(self, job: Job, worker: Optional[PoolWorker]) -> None:
-        """Execute one job with retries: in the slot's worker process, or
-        for a procs slot as a cold process tree launched from this thread."""
+    def _run_job(self, job: Job, worker: PoolWorker) -> None:
+        """Execute one job, with retries, in the slot's worker process."""
         with self._lock:
             if job.terminal:   # cancelled between dequeue and here
                 return
@@ -374,10 +373,7 @@ class JobGateway:
         for attempt in range(policy.max_attempts):
             job.attempts = attempt + 1
             try:
-                if worker is None:
-                    value = run_job_cold(job.spec)
-                else:
-                    value = worker.run(job.spec, f"{job.job_id}-a{attempt}")
+                value = worker.run(job.spec, f"{job.job_id}-a{attempt}")
                 result, error = normalize_result(value), None
                 break
             except HiperError as exc:

@@ -16,11 +16,12 @@ Hygiene rules that keep reuse safe:
   any slot or HTTP thread exists, and is driven by exactly one gateway slot
   thread: the simulated executor is single-threaded by design and must
   never see concurrent ``run_root`` calls. The slot thread ships
-  ``(spec, name)`` down a socketpair (procfabric framing) and blocks, GIL
+  ``(spec, name)`` down the worker's control link and blocks, GIL
   released, on the reply, so jobs on different slots run on different
-  cores. A worker closes every inherited descriptor but stdio and its own
-  pipe end right after the fork and exits on EOF of that pipe: a daemon
-  killed with ``kill -9`` leaves no orphan behind.
+  cores. The worker is a :class:`repro.launch.Child`: descriptor hygiene,
+  signals, the crash frame and the reap are that seam's; this module keeps
+  the request/reply protocol, and a worker leaves on EOF of its link, so a
+  daemon killed with ``kill -9`` leaves no orphan behind.
 - **Retire on failure.** If a job fails (or its runtime raises), the worker
   closes its entry and builds a fresh one in place before it replies — a
   poisoned engine state must not leak into the next tenant's job. Failures
@@ -28,30 +29,26 @@ Hygiene rules that keep reuse safe:
 - **Generation fencing.** ``reload`` bumps the pool generation; a slot
   asks its worker to rebuild before taking the next job when its entry is
   stale. In-flight jobs always finish on the entry they started on.
-- **Re-fork only the dead.** A worker that died (EOF on the pipe) or
-  crashed outside a job body (a crash frame carrying the remote traceback,
-  the idiom of :mod:`repro.exec.shards`) is reaped and re-forked from its
-  slot thread; the job sees a retryable :class:`HiperError`.
+- **Re-fork only the dead.** A worker that died or crashed outside a job
+  body (:class:`repro.launch.ChildDied` / ``ChildCrashed``, both retryable
+  :class:`HiperError` subclasses naming pid and exit code) has been reaped
+  by the seam and is re-forked from its slot thread.
 
 The ``procs`` backend is *not* warm-poolable: its unit of construction is a
 tree of OS processes wired to one job's shared-memory segments, torn down by
-the rank teardown protocol. Procs jobs therefore run cold per job on the
-slot thread itself (it already blocks outside the GIL on that process tree;
-the slot still serializes and fair-shares them).
+the rank teardown protocol. A procs slot's worker therefore holds no warm
+entry and runs every job cold — forking the job's rank processes itself, a
+supervisor nested in a supervisor, from a single-threaded process that
+dies with the daemon.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
-import signal
-import socket
 import time
-import traceback
-import warnings
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.net.procfabric import recv_frame, send_frame
+from repro.launch import Child, ChildError, Link
 from repro.service.jobs import JobSpec, build_workload
 from repro.util.errors import ConfigError, HiperError
 
@@ -101,7 +98,7 @@ def run_job_cold(spec: JobSpec) -> Any:
 
     Used for the ``procs`` backend (never poolable), for pools configured
     with ``warm=False``, and as the cold side of the warm-vs-cold benchmark
-    pair.
+    pair. Runs in the slot's worker process like every other job.
     """
     if spec.backend == "procs":
         from repro.verify.spmd_workloads import run_procs_workload
@@ -133,13 +130,12 @@ def run_job_on(entry: Optional[WarmRuntime], spec: JobSpec,
 # pool worker: one OS process per (backend, slot)
 # ----------------------------------------------------------------------
 #
-# Wire (procfabric frames over a socketpair), one reply per request:
+# Wire (frames over the worker's control link, see :mod:`repro.launch`),
+# one reply per request:
 #   ("run", spec, name) -> ("ok", value, info) | ("err", exc, info)
 #   ("rebuild",)        -> ("ok", None, info)
 #   EOF                 -> the worker closes its entry and exits 0
-# ``info`` is ``(jobs_run, construction_s, rebuilds)`` of the worker. A
-# failure outside a job body sends ("crash", type, message, traceback)
-# and the worker exits 1.
+# ``info`` is ``(jobs_run, construction_s, rebuilds)`` of the worker.
 
 def _preload() -> None:
     """Import in the parent what a worker needs to run a job.
@@ -156,22 +152,6 @@ def _preload() -> None:
     import repro.verify.differential  # noqa: F401
 
 
-def _close_inherited_fds(keep: int) -> None:
-    """Close every descriptor but stdio and ``keep``: the daemon's listening
-    socket and client connections, the other slots' pipe ends and this
-    worker's own parent-side end — or EOF would never reach anybody."""
-    try:
-        fds = [int(name) for name in os.listdir("/proc/self/fd")]
-    except OSError:
-        fds = range(3, os.sysconf("SC_OPEN_MAX"))
-    for fd in fds:
-        if fd > 2 and fd != keep:
-            try:
-                os.close(fd)
-            except OSError:
-                pass  # the listing's own descriptor
-
-
 def _portable(exc: BaseException) -> BaseException:
     """``exc`` if it survives a pickle round trip, else a stand-in of the
     same retry class that keeps its type name and message."""
@@ -184,12 +164,13 @@ def _portable(exc: BaseException) -> BaseException:
                     "(the exception itself cannot be pickled)")
 
 
-def _serve(sock: socket.socket, backend: str,
+def _serve(link: Link, backend: str,
            entry_kwargs: Optional[Dict[str, Any]]) -> None:
-    """The worker's request loop; returns on EOF (the parent closed the
-    pipe or is gone)."""
+    """Body of a pool worker: the request loop; returns on EOF (the parent
+    closed the link or is gone)."""
     def build() -> Optional[WarmRuntime]:
-        if entry_kwargs is None:  # warm=False: every job runs cold, here
+        # warm=False, or a procs slot: every job runs cold, here
+        if entry_kwargs is None or backend == "procs":
             return None
         return WarmRuntime(backend, **entry_kwargs)
 
@@ -204,7 +185,7 @@ def _serve(sock: socket.socket, backend: str,
             rebuilds += 1
 
     while True:
-        request = recv_frame(sock)
+        request = link.recv()
         if request is None:
             break
         reply: Tuple = ("ok", None)
@@ -221,35 +202,13 @@ def _serve(sock: socket.socket, backend: str,
             rebuild()
         info = (jobs_run, entry.construction_s if entry else 0.0, rebuilds)
         try:
-            send_frame(sock, reply + (info,))
+            link.send(reply + (info,))
         except (pickle.PicklingError, TypeError, AttributeError) as exc:
-            send_frame(sock, ("err", TypeError(
+            link.send(("err", TypeError(
                 f"job result cannot cross the pool worker's pipe: {exc}"),
                 info))
     if entry is not None:
         entry.close()
-
-
-def _worker_process(sock: socket.socket, backend: str,
-                    entry_kwargs: Optional[Dict[str, Any]]) -> None:
-    """Body of a forked pool worker. Never returns."""
-    code = 1
-    try:
-        # The daemon owns the lifecycle: a terminal's Ctrl-C reaches the
-        # whole process group, and a worker that died of it would fail the
-        # jobs a graceful drain is waiting for. Workers leave on EOF.
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        _close_inherited_fds(sock.fileno())
-        try:
-            _serve(sock, backend, entry_kwargs)
-            code = 0
-        except BaseException as exc:  # noqa: BLE001 - ship diagnosis to parent
-            send_frame(sock, ("crash", type(exc).__name__, str(exc),
-                              traceback.format_exc()))
-    finally:
-        # _exit: skip the parent's atexit hooks and inherited stdio buffers.
-        os._exit(code)
 
 
 class PoolWorker:
@@ -267,71 +226,43 @@ class PoolWorker:
         self.generation = 0
         self.reforks = 0
         self.busy = False
+        self._closed = False
         _preload()
         self._fork()
 
     def _fork(self) -> None:
-        parent_sock, child_sock = socket.socketpair()
-        with warnings.catch_warnings():
-            # Python 3.12+ warns when a threaded process forks; a re-fork
-            # always is one, and the child touches nothing a thread owned.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            _worker_process(child_sock, self.backend, self._entry_kwargs)
-        child_sock.close()
-        self._sock, self.pid = parent_sock, pid
+        self._child = Child.start(
+            "fork", _serve, (self.backend, self._entry_kwargs),
+            name="pool worker")
         # per worker process; the worker reports them with each reply
         self.jobs_run = self.rebuilds = 0
         self.construction_s: Optional[float] = None
 
-    def _reap(self, grace: float) -> Optional[int]:
-        """waitpid the worker, SIGKILLing it once ``grace`` seconds are up;
-        returns its exit code (negative: killed by that signal)."""
-        deadline = time.monotonic() + grace
-        try:
-            while True:
-                pid, status = os.waitpid(self.pid, os.WNOHANG)
-                if pid:
-                    return os.waitstatus_to_exitcode(status)
-                if time.monotonic() >= deadline:
-                    break
-                time.sleep(0.005)
-            os.kill(self.pid, signal.SIGKILL)
-            return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        except ChildProcessError:  # reaped elsewhere (SIGCHLD ignored)
-            return None
-
     def _call(self, request: Tuple) -> Any:
-        """One request/reply round trip. A worker found dead or crashed is
-        reaped and re-forked, and reported as a retryable HiperError."""
+        """One request/reply round trip. A worker found dead or crashed has
+        been reaped; it is re-forked, and the loss raised as the retryable
+        HiperError it is."""
         self.busy = True
         try:
             try:
-                send_frame(self._sock, request)
-                reply = recv_frame(self._sock)
-            except OSError:
-                reply = None
-            if reply is None or reply[0] == "crash":
-                if self._sock.fileno() < 0:  # close() ran under a stuck job
-                    raise HiperError("pool worker closed")
-                self._sock.close()
-                pid, code = self.pid, self._reap(grace=2.0)
+                self._child.send(request)
+                reply = self._child.recv()
+            except ChildError:
+                if self._closed:  # close() ran under a stuck job
+                    raise HiperError("pool worker closed") from None
                 self._fork()
                 self.reforks += 1
-                if reply is None:
-                    raise HiperError(
-                        f"pool worker died (pid {pid}, exit code {code})")
-                _, ename, emsg, tb = reply
-                raise HiperError(
-                    f"pool worker crashed outside a job body: {ename}: "
-                    f"{emsg}\n--- worker traceback ---\n{tb}")
+                raise
             self.jobs_run, self.construction_s, self.rebuilds = reply[-1]
             if reply[0] == "err":
                 raise reply[1]
             return reply[1]
         finally:
             self.busy = False
+
+    @property
+    def pid(self) -> int:
+        return self._child.pid
 
     def run(self, spec: JobSpec, name: str) -> Any:
         """Execute one spec in the worker; raises what the job raised."""
@@ -347,12 +278,8 @@ class PoolWorker:
 
     def close(self) -> None:
         """EOF the worker and reap it; no zombie, no orphan."""
-        try:  # also wakes a slot thread still blocked on a stuck job
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._sock.close()
-        self._reap(grace=5.0)
+        self._closed = True
+        self._child.close()
 
     def to_dict(self) -> Dict[str, Any]:
         return {"backend": self.backend, "slot": self.slot, "pid": self.pid,

@@ -423,3 +423,27 @@ class TestOptionCensus:
             main(["run", "--engine", "flat"])
         assert exc.value.code == 2
         assert "--engine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["flux", "fork", "mp", "shell", "popen",
+                                      "pbs", "qsub"])
+    def test_removed_launcher_names_stay_removed(self, name, capsys):
+        from repro.cli import main
+
+        assert main(["run", "--backend", "procs", "--launcher", name]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown launcher {name!r}" in err
+        assert "known launchers: local, subprocess" in err
+
+    def test_the_launcher_registry_and_join_timeout_stay_removed(self):
+        import repro.launch
+        from repro.exec.procs import ProcessExecutor
+
+        params = inspect.signature(ProcessExecutor).parameters
+        assert "join_timeout" not in params and len(params) == 8
+        for gone in ("Launcher", "ProcHandle", "FluxLauncher", "PbsLauncher",
+                     "LocalLauncher", "SubprocessLauncher", "get_launcher",
+                     "register_launcher", "all_launchers"):
+            assert gone not in repro.launch.__all__
+            assert not hasattr(repro.launch, gone)
+        assert sorted(repro.launch.LAUNCHERS) == ["local", "subprocess"]
+

@@ -3,13 +3,16 @@
 Covers the parent-side lifecycle discipline (no orphaned children, no
 leaked ``/dev/shm`` segments, stragglers terminated on timeout), the
 put/get/quiet round-trip over the real socket fabric + shared-memory heap,
-the pluggable launcher registry (including the batch-system stubs), and the
-sim ↔ procs digest differential on CI-sized workloads.
+the two launchers, a parent killed mid-run, and the sim ↔ procs digest
+differential on CI-sized workloads.
 """
 
 import glob
-import multiprocessing
 import os
+import re
+import signal
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -22,17 +25,12 @@ from repro.exec.procs import (
     procs_run,
     resolve_dotted,
 )
-from repro.launch import (
-    FluxLauncher,
-    Launcher,
-    LauncherUnavailable,
-    PbsLauncher,
-    available_launchers,
-    get_launcher,
-    register_launcher,
-)
+from repro.launch import LAUNCHERS, start_method
 from repro.shmem.shared import leaked_segments
 from repro.util.errors import ConfigError, RuntimeStateError
+from tests.procutil import alive, child_pids, until
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 # ----------------------------------------------------------------------
@@ -80,7 +78,7 @@ def hanging_factory():
 
 
 def _new_children(before):
-    return [p for p in multiprocessing.active_children() if p not in before]
+    return [p for p in child_pids() if p not in before]
 
 
 # ----------------------------------------------------------------------
@@ -101,7 +99,7 @@ class TestRoundTrip:
             res.counters
 
     def test_no_orphans_no_leaked_segments_no_rundir(self):
-        before = multiprocessing.active_children()
+        before = child_pids()
         res = procs_run(roundtrip_factory, nranks=2, timeout=60.0)
         assert _new_children(before) == []
         assert leaked_segments(res.run_id) == []
@@ -118,7 +116,7 @@ class TestFailurePaths:
                       block_timeout=2.0)
 
     def test_hang_hits_parent_timeout_and_terminates_stragglers(self):
-        before = multiprocessing.active_children()
+        before = child_pids()
         with pytest.raises(RuntimeStateError, match="timed out"):
             procs_run(hanging_factory, nranks=2, timeout=2.0,
                       block_timeout=60.0)
@@ -142,8 +140,55 @@ class TestFailurePaths:
             ProcessExecutor(2, timeout=-1.0)
 
 
+#: Rank 0 returns at once, rank 1 works on for 3 s; both announce themselves.
+_PARENT_SCRIPT = """
+import os, time
+from repro.exec.procs import procs_run
+
+def factory():
+    def main(ctx):
+        yield ctx.shmem.barrier_all_async()
+        print("rank", os.getpid(), ctx.shared["shmem-arena"].name, flush=True)
+        if ctx.rank == 1:
+            time.sleep(3.0)
+        return ctx.rank
+    return main
+
+procs_run(factory, nranks=2, timeout=60.0)
+"""
+
+
+class TestParentKilled:
+    def test_ranks_and_segments_do_not_outlive_a_killed_parent(self):
+        # Fails on a parent commit that signalled "all done" through a file:
+        # the ranks then sat out a 60 s safety valve, segments and all.
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _PARENT_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+            stdout=subprocess.PIPE, text=True)
+        try:
+            lines = [parent.stdout.readline().split() for _ in range(2)]
+            assert [ln[0] for ln in lines] == ["rank", "rank"], lines
+            pids = [int(ln[1]) for ln in lines]
+            run_id = re.fullmatch(r"repro-shm-(\w+)-r\d+", lines[0][2])[1]
+            assert len(leaked_segments(run_id)) == 2
+            time.sleep(1.5)   # rank 0 has reported; rank 1 is mid-main
+            assert all(alive(p) for p in pids)
+            parent.send_signal(signal.SIGKILL)
+            parent.wait()
+            # Rank 0 reads EOF where it waited for the run to end; rank 1's
+            # result hits a dead link. Both tear down and unlink their heap.
+            assert until(lambda: not any(alive(p) for p in pids)
+                         and leaked_segments(run_id) == [], timeout=6.0), \
+                ([p for p in pids if alive(p)], leaked_segments(run_id))
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+
+
 # ----------------------------------------------------------------------
-# factories + launcher registry
+# factories + launchers
 # ----------------------------------------------------------------------
 class TestFactoryResolution:
     def test_resolve_dotted(self):
@@ -169,47 +214,21 @@ class TestFactoryResolution:
 
 class TestLauncherRegistry:
     def test_builtins_available(self):
-        names = available_launchers()
-        assert "local" in names and "subprocess" in names
+        assert LAUNCHERS == {"local": "fork", "subprocess": "exec"}
+        assert start_method("subprocess") == "exec"
 
     def test_unknown_launcher_lists_known(self):
-        with pytest.raises(ConfigError, match="known launchers"):
-            get_launcher("slurm-step")
+        with pytest.raises(ConfigError,
+                           match="known launchers: local, subprocess"):
+            start_method("slurm-step")
+        with pytest.raises(ConfigError, match="unknown launcher 'flux'"):
+            procs_run(roundtrip_factory, nranks=2, launcher="flux")
 
-    def test_register_rejects_non_launcher(self):
-        with pytest.raises(ConfigError):
-            register_launcher(object)
-
-    def test_register_requires_name(self):
-        class Nameless(Launcher):
-            def launch(self, job, rank):  # pragma: no cover
-                raise NotImplementedError
-
-        with pytest.raises(ConfigError, match="must set a name"):
-            register_launcher(Nameless)
-
-    @pytest.mark.parametrize("cls,tool", [(FluxLauncher, "flux"),
-                                          (PbsLauncher, "qsub")])
-    def test_stub_commands_target_the_worker_entry(self, cls, tool):
-        job = ProcsJob(run_id="x", rundir="/tmp/r", nranks=2,
-                       factory="repro.shmem:shmem_factory")
-        cmd = cls().command_for(job, 1)
-        assert tool in cmd[0]
-        assert "procs-worker" in cmd and "--rank" in cmd
-
-    def test_stub_launch_raises_with_command(self):
-        import shutil as _sh
-        if _sh.which("flux"):  # pragma: no cover - site with flux installed
-            pytest.skip("flux actually installed here")
-        job = ProcsJob(run_id="x", rundir="/tmp/r", nranks=1,
-                       factory="repro.shmem:shmem_factory")
-        with pytest.raises(LauncherUnavailable, match="would run"):
-            FluxLauncher().launch(job, 0)
-        with pytest.raises(LauncherUnavailable):
-            get_launcher("flux")
-
-    def test_pbs_alias(self):
-        assert PbsLauncher.matches("qsub")
+    def test_subprocess_launcher_needs_a_picklable_job(self):
+        before = child_pids()
+        with pytest.raises(ConfigError, match="dotted factory path"):
+            procs_run(lambda: None, nranks=2, launcher="subprocess")
+        assert _new_children(before) == []
 
 
 class TestSubprocessLauncher:

@@ -27,41 +27,17 @@ from repro.service import (JobGateway, JobSpec, ServiceClient, ServiceConfig,
 from repro.service import pool as pool_mod
 from repro.service.jobs import normalize_result
 from repro.service.pool import PoolWorker, run_job_cold
+from repro.shmem.shared import leaked_segments
 from repro.util.errors import HiperError
+from tests.procutil import alive, child_pids, socket_fds, until
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: ~0.5 s of simulated UTS: long enough to act on a job while it runs.
 SLOW = {"root_children": 5000}
+#: ~1 s across two real rank processes.
+SLOW_PROCS = {"root_children": 60000}
 ISX = {"keys_per_pe": 64}
 real_run_job_on = pool_mod.run_job_on
-
-
-def _until(predicate, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.005)
-    return predicate()
-
-
-def _alive(pid):
-    """A live process — not gone, and not a zombie waiting for init."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
-    except OSError:
-        return False
-
-
-def _socket_fds(pid="self"):
-    n = 0
-    for fd in os.listdir(f"/proc/{pid}/fd"):
-        try:
-            n += os.readlink(f"/proc/{pid}/fd/{fd}").startswith("socket:")
-        except OSError:
-            continue  # the listing's own descriptor
-    return n
 
 
 def _oracle(app, params, seed):
@@ -179,7 +155,7 @@ class TestPoolBoundary:
         try:
             old = _slot(gw)["pid"]
             job = gw.submit("uts", SLOW, seed=8)
-            assert _until(lambda: job.state.value == "running"
+            assert until(lambda: job.state.value == "running"
                           and _slot(gw)["busy"])
             os.kill(old, signal.SIGKILL)
             _done(job)
@@ -212,14 +188,14 @@ class TestPoolBoundary:
         gw = _gateway()
         try:
             job = gw.submit("uts", SLOW, seed=10)
-            assert _until(lambda: job.state.value == "running")
+            assert until(lambda: job.state.value == "running")
             assert gw.reload() == 1 and gw.pool_generation == 1
             assert job.state.value == "running"
             assert _slot(gw)["generation"] == 0   # fenced behind the job
             _done(job)
             assert job.state.value == "done" and job.attempts == 1
             assert job.result == _oracle("uts", SLOW, 10)
-            assert _until(lambda: _slot(gw)["generation"] == 1)
+            assert until(lambda: _slot(gw)["generation"] == 1)
             assert _slot(gw)["rebuilds"] == 1
         finally:
             gw.close()
@@ -275,17 +251,33 @@ class TestPoolStats:
                 "rebuilds": 2,                    # the failure + the reload
                 "reforks": 0,
             }
-            assert _alive(slot["pid"]) and slot["pid"] != os.getpid()
+            assert alive(slot["pid"]) and slot["pid"] != os.getpid()
             assert 0.0 < slot["construction_s"] < 5.0
         finally:
             server.stop()
 
-    def test_procs_slots_have_no_worker(self):
+    def test_procs_slot_has_a_worker_that_parents_the_ranks(self):
         gw = _gateway(backends=("procs",))
         try:
-            assert gw.stats_dict()["pool"] == []
+            slot = _slot(gw)
+            assert (slot["backend"], slot["slot"]) == ("procs", 0)
+            assert alive(slot["pid"]) and slot["pid"] != os.getpid()
+            job = gw.submit("uts", SLOW_PROCS, seed=12, backend="procs",
+                            ranks=2)
+            # the rank tree hangs off the worker, not off this (threaded)
+            # process: a supervisor nested in a supervisor
+            assert until(lambda: len(child_pids(slot["pid"])) >= 2)
+            assert child_pids() == [slot["pid"]]
+            _done(job, timeout=60.0)
+            assert job.state.value == "done", job.error
+            assert job.result == normalize_result(run_job_cold(job.spec))
+            assert until(lambda: child_pids(slot["pid"]) == [])
+            slot = _slot(gw)
+            assert (slot["jobs_run"], slot["rebuilds"], slot["reforks"],
+                    slot["construction_s"]) == (1, 0, 0, 0.0)
         finally:
             gw.close()
+        assert child_pids() == [] and leaked_segments() == []
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +312,14 @@ class TestOrphanSafety:
         server = ServiceServer(gw, uds=str(tmp_path / "svc.sock")).start()
         try:
             for slot in gw.stats_dict()["pool"]:
-                assert _socket_fds(slot["pid"]) == 1   # its own pipe end
+                assert socket_fds(slot["pid"]) == 1   # its own pipe end
         finally:
             server.stop()
 
     def test_drain_reaps_every_worker(self):
         gw = _gateway(backends=("sim", "threads"), pool_size=2)
         pids = [slot["pid"] for slot in gw.stats_dict()["pool"]]
-        assert len(set(pids)) == 4 and all(_alive(p) for p in pids)
+        assert len(set(pids)) == 4 and all(alive(p) for p in pids)
         jobs = [gw.submit("isx", ISX, seed=s, backend=b)
                 for s in range(3) for b in ("sim", "threads")]
         assert gw.drain(timeout=60.0) is True
@@ -349,37 +341,46 @@ class TestOrphanSafety:
             out = log.read()
             assert f"worker pids {pids}" in out   # the startup line
             assert "(4 jobs completed)" in out
-            assert not any(_alive(p) for p in pids)
+            assert not any(alive(p) for p in pids)
         finally:
             proc.kill()
             proc.wait()
             log.close()
 
     def test_kill9_daemon_mid_burst_leaves_nothing_behind(self, tmp_path):
-        sockets = _socket_fds()
+        sockets = socket_fds()
         shm = set(os.listdir("/dev/shm"))
         proc, uds, log = _serve(tmp_path, "--pool-size", "2",
-                                "--backends", "sim", "threads")
+                                "--backends", "sim", "threads", "procs")
         try:
             with ServiceClient(uds=uds) as c:
-                pids = [slot["pid"] for slot in c.stats()["pool"]]
-                assert len(pids) == 4
+                pool = c.stats()["pool"]
+                pids = [slot["pid"] for slot in pool]
+                assert len(pids) == 6
                 for seed in range(12):   # ~3 s of work on two sim slots
                     c.submit("uts", SLOW, seed=seed)
                     c.submit("isx", ISX, seed=seed, backend="threads")
-                assert _until(lambda: any(
+                c.submit("uts", SLOW_PROCS, seed=0, backend="procs", ranks=2)
+                assert until(lambda: any(
                     slot["busy"] for slot in c.stats()["pool"]))
+                # the procs job is in flight: its ranks hang off a worker
+                ranks = []
+                assert until(lambda: ranks.extend(
+                    r for slot in pool if slot["backend"] == "procs"
+                    for r in child_pids(slot["pid"])) or len(ranks) >= 2)
             proc.kill()   # SIGKILL: no handler, no atexit, no drain
             proc.wait()
-            # Every worker notices EOF on its pipe — after the job it was
+            # Every worker notices EOF on its link — after the job it was
             # running — and leaves; none kept the listening socket open.
-            assert _until(lambda: not any(_alive(p) for p in pids),
-                          timeout=5.0), [p for p in pids if _alive(p)]
+            # The procs worker's ranks are reaped by it before that.
+            assert until(lambda: not any(alive(p) for p in pids + ranks),
+                         timeout=5.0), [p for p in pids + ranks if alive(p)]
             with pytest.raises(ConnectionRefusedError):
                 with socket.socket(socket.AF_UNIX) as s:
                     s.connect(uds)
-            assert _socket_fds() == sockets
-            assert set(os.listdir("/dev/shm")) == shm
+            assert socket_fds() == sockets
+            assert until(lambda: set(os.listdir("/dev/shm")) == shm,
+                         timeout=2.0), set(os.listdir("/dev/shm")) - shm
         finally:
             proc.kill()
             proc.wait()

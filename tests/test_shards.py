@@ -11,7 +11,6 @@ validation surface.
 """
 
 import dataclasses
-import multiprocessing
 import os
 import time
 
@@ -29,13 +28,14 @@ from repro.shmem import shmem_factory
 from repro.shmem.shared import leaked_segments
 from repro.util.errors import ConfigError, PlaceFailure
 from repro.verify.spmd_workloads import run_sharded_workload
+from tests.procutil import child_pids
 
 NR = 4
 CFG = dict(nodes=NR, ranks_per_node=1, seed=0)
 
 
 def _new_children(before):
-    return [p for p in multiprocessing.active_children() if p not in before]
+    return [p for p in child_pids() if p not in before]
 
 
 def _flat_executor(**kw):
@@ -230,7 +230,7 @@ class TestSingleShardPassthrough:
         assert one.executor.__class__ is SimExecutor
 
     def test_perf_smoke_no_child_processes(self):
-        before = multiprocessing.active_children()
+        before = child_pids()
         _run(ring_factory, shards=1)
         assert _new_children(before) == []
 
@@ -333,8 +333,9 @@ class TestFailurePaths:
             _run(failing_factory, shards=2)
 
     def test_straggler_shard_teardown(self):
-        before = multiprocessing.active_children()
-        with pytest.raises(PlaceFailure, match="died mid-window") as ei:
+        before = child_pids()
+        with pytest.raises(PlaceFailure, match=r"died mid-window \(pid \d+, "
+                           r"exit code 3\)") as ei:
             _run(dying_factory, shards=2)
         assert ei.value.place == "shard-1"
         deadline = time.monotonic() + 10.0
@@ -344,7 +345,7 @@ class TestFailurePaths:
         assert leaked_segments() == []
 
     def test_no_orphans_after_clean_run(self):
-        before = multiprocessing.active_children()
+        before = child_pids()
         res = _run(ring_factory, shards=2)
         assert _new_children(before) == []
         assert leaked_segments() == []
