@@ -56,7 +56,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.exec.sim import SimExecutor
 from repro.launch import (Child, ChildCrashed, ChildDied, ChildTimeout,
                           close_all)
-from repro.net.shardfabric import ShardFabric
+from repro.net.fabric import SimFabric
 from repro.runtime.worker import find_task
 from repro.util.errors import (
     ConfigError,
@@ -235,10 +235,9 @@ def _run_shard(link, main, config, module_factories, plan, shard_id) -> None:
 
     ex = _ShardSimExecutor(trace=config.trace,
                            task_overhead=config.task_overhead)
-    fabric = ShardFabric(ex, config.nranks, config.network, plan=plan,
-                         shard_id=shard_id,
-                         ranks_per_node=config.ranks_per_node,
-                         topology=config.topology)
+    fabric = SimFabric(ex, config.nranks, config.network,
+                       ranks_per_node=config.ranks_per_node,
+                       topology=config.topology, plan=plan, shard_id=shard_id)
     lo, hi = plan.bounds[shard_id]
     shared: dict = {}
     contexts = []

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.net.coalesce import CoalescePolicy
 from repro.net.mux import FabricMux
-from repro.runtime.context import current_context
 from repro.runtime.future import Future, Promise
 from repro.util.bufpool import BufferPool, release_if_pooled
 from repro.util.errors import MpiError
@@ -172,7 +171,7 @@ class MpiBackend:
         req = MpiRequest("isend")
         env = _Envelope(tag, comm, self._snapshot(data),
                         _payload_nbytes(data) if nbytes is None else nbytes)
-        self._charge_send_cpu()
+        self.mux.charge_send()
         self.mux.transmit(
             dst, self.channel, env, env.nbytes,
             on_injected=lambda t: self._finish(req, None, t),
@@ -275,11 +274,6 @@ class MpiBackend:
         tag = _INTERNAL_TAG_BASE + self._coll_seq
         self._coll_seq += 1
         return tag
-
-    def _charge_send_cpu(self) -> None:
-        ctx = current_context()
-        if ctx is not None and ctx.worker is not None:
-            ctx.executor.charge(self.mux.fabric.cpu_send_overhead())
 
     def _check_peer(self, peer: int) -> None:
         if not (0 <= peer < self.nranks):

@@ -21,8 +21,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict
 
-import numpy as np
-
 from repro.util.errors import ConfigError
 
 
@@ -59,21 +57,6 @@ class NetworkModel:
     def serialization_time(self, nbytes: int) -> float:
         """Time one NIC is busy with this message (either direction)."""
         return self.inj_overhead + nbytes / self.bandwidth
-
-    # -- vectorized forms ----------------------------------------------
-    # One array op prices a whole wave (an all-to-all's worth of messages
-    # from one PE, or a coalesced flush across destinations). Elementwise
-    # IEEE arithmetic on float64 is bit-identical to the scalar methods,
-    # which is what lets SimFabric.transmit_wave keep schedule digests
-    # unchanged relative to a loop of transmit() calls.
-
-    def intra_node_time_vec(self, nbytes: np.ndarray) -> np.ndarray:
-        return self.intra_latency + np.asarray(nbytes, dtype=np.float64) \
-            / self.intra_bandwidth
-
-    def serialization_time_vec(self, nbytes: np.ndarray) -> np.ndarray:
-        return self.inj_overhead + np.asarray(nbytes, dtype=np.float64) \
-            / self.bandwidth
 
     def batch_wire_bytes(self, payload_bytes: int, count: int) -> int:
         """Wire size of a coalesced envelope carrying ``count`` messages

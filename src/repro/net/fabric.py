@@ -12,13 +12,34 @@ Guarantees:
   order `transmit` was called (MPI non-overtaking; SHMEM put ordering per
   target under the default context).
 - **determinism**: identical call sequences produce identical timestamps.
+- **failure atomicity**: a send that raises has priced, counted, posted and
+  delivered nothing — every check runs before the first state change, and a
+  wave is refused as a unit.
+
+**Ownership.** A fabric *owns* a contiguous, node-aligned rank range
+``[lo, hi)``: the whole cluster, unless the sharded engine
+(:mod:`repro.exec.shards`) hands it one slice of a ``ShardPlan``. Only owned
+ranks register sinks and send. A message to a rank owned elsewhere is priced
+on the send side only (sender NIC, wire, topology hops) and parked in an
+outbox; the window coordinator ferries it to the owning shard's fabric,
+whose :meth:`SimFabric.inject_remote` finishes the receive side (receiver
+NIC, pairwise FIFO) in ``(arrival, src, seq)`` order. The split follows the
+cost model: what the sender's node contributes is known at send time, what
+the receiver's contributes depends only on receiver-side state, and the wire
+between is bounded below by :meth:`NetworkModel.lookahead`. Slices are
+node-aligned, so "not owned" is one branch inside the inter-node arm.
+
+**Two pricing sites.** The NIC → wire → NIC → FIFO recurrence is written
+twice: :meth:`SimFabric.transmit` prices one message and carries the fault
+verdicts; :meth:`SimFabric.transmit_wave` prices a same-size fan-out in one
+loop with hoisted costs and one batched event post. Both are hot — lock-based
+UTS sends ~200 k singletons, flat ISx fans out to every PE — and the caller's
+message count selects between them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.sim import SimExecutor
 from repro.net.costmodel import NetworkModel
@@ -30,6 +51,11 @@ Sink = Callable[[int, Any, float], None]  # (src_rank, payload, time) -> None
 #: Fault verdict for one transmit: ``None`` (healthy), ``("drop",)``,
 #: ``("corrupt",)``, or ``("delay", extra_seconds)``.
 FaultHook = Callable[[int, int, int, Any], Optional[tuple]]
+
+#: A cross-shard message in flight: everything the owning shard needs to
+#: finish pricing and deliver it. ``seq`` is a per-sending-fabric monotone
+#: counter so same-arrival messages have a deterministic total order.
+WireMsg = Tuple[float, int, int, int, int, Any]  # (arrival, src, seq, dst, nbytes, payload)
 
 
 class CorruptedPayload:
@@ -50,14 +76,23 @@ class CorruptedPayload:
 
 
 def _deliver_wave(item: tuple) -> None:
-    """Delivery trampoline for :meth:`SimFabric.transmit_wave` — one shared
-    function for the whole wave instead of one closure per message."""
+    """Delivery trampoline for batched posts — one shared function for the
+    whole batch instead of one closure per message."""
     sink, src, payload, delivery = item
     sink(src, payload, delivery)
 
 
+def channel_of(payload: Any) -> Optional[str]:
+    """The mux channel ``payload`` travels on, or None for a raw payload.
+    Payloads from a FabricMux arrive as (channel, inner); the channel doubles
+    as the owning module's name in traces and fault rules."""
+    if isinstance(payload, tuple) and payload and isinstance(payload[0], str):
+        return payload[0]
+    return None
+
+
 class SimFabric:
-    """Cluster-wide message transport in virtual time."""
+    """Message transport in virtual time for the ranks ``[lo, hi)`` it owns."""
 
     def __init__(
         self,
@@ -67,6 +102,9 @@ class SimFabric:
         ranks_per_node: int = 1,
         topology: Optional[Topology] = None,
         max_message_bytes: Optional[int] = None,
+        *,
+        plan=None,
+        shard_id: int = 0,
     ):
         if nranks < 1:
             raise ConfigError(f"nranks must be >= 1, got {nranks}")
@@ -80,14 +118,25 @@ class SimFabric:
         #: "non-uniform interconnect"); flat (uniform) by default.
         self.topology = topology if topology is not None else FlatTopology()
         self.nnodes = (nranks + ranks_per_node - 1) // ranks_per_node
+        #: The owned slice: shard ``shard_id`` of ``plan`` (a
+        #: :class:`repro.exec.shards.ShardPlan`), or everything without one.
+        self.plan = plan
+        self.shard_id = shard_id
+        self.lo, self.hi = (0, nranks) if plan is None else plan.bounds[shard_id]
         self._sinks: Dict[int, Sink] = {}
         # Per-node NIC availability times (the congestion state).
         self._tx_avail: List[float] = [0.0] * self.nnodes
         self._rx_avail: List[float] = [0.0] * self.nnodes
         # Pairwise FIFO: last delivery time per (src, dst).
         self._pair_last: Dict[int, float] = {}
+        #: Messages to ranks owned elsewhere, awaiting the next window
+        #: barrier, keyed by destination shard.
+        self._outboxes: Dict[int, List[WireMsg]] = {}
+        self._send_seq = 0
         self.messages_sent = 0
         self.bytes_sent = 0
+        self.cross_shard_msgs = 0
+        self.cross_shard_bytes = 0
         if max_message_bytes is not None and max_message_bytes < 1:
             raise ConfigError(
                 f"max_message_bytes must be >= 1, got {max_message_bytes}")
@@ -113,11 +162,45 @@ class SimFabric:
         if not (0 <= rank < self.nranks):
             raise CommError(f"rank {rank} out of range [0, {self.nranks})")
 
+    def _refuse_unowned(self, rank: int, doing: str) -> None:
+        self._check_rank(rank)
+        raise CommError(
+            f"shard {self.shard_id} owns ranks [{self.lo}, {self.hi}) and "
+            f"cannot {doing} rank {rank}")
+
+    def _check_send(self, src: int, nbytes: int) -> None:
+        if not (self.lo <= src < self.hi):
+            self._refuse_unowned(src, "send on behalf of")
+        if nbytes < 0:
+            raise CommError(f"negative message size {nbytes}")
+        if self.max_message_bytes is not None and nbytes > self.max_message_bytes:
+            raise CommError(
+                f"message of {nbytes} bytes exceeds fabric limit of "
+                f"{self.max_message_bytes} bytes (fragment it)")
+
+    def _sink_for(self, dst: int) -> Optional[Sink]:
+        """``dst``'s sink, or None when another shard owns ``dst``; raises
+        on everything that makes ``dst`` unreachable."""
+        if self.lo <= dst < self.hi:
+            sink = self._sinks.get(dst)
+            if sink is None:
+                raise CommError(
+                    f"rank {dst} has no registered message sink; was its "
+                    "communication backend initialized?")
+            return sink
+        self._check_rank(dst)
+        if self.fault_hook is not None:
+            raise CommError(
+                "fault injection is not supported across shards; run with "
+                "shards=1")
+        return None
+
     def register_sink(self, rank: int, sink: Sink, *, replace: bool = False) -> None:
-        """Attach ``rank``'s message sink. A rank has exactly one sink;
+        """Attach owned ``rank``'s message sink. A rank has exactly one sink;
         re-registering raises unless ``replace=True`` (tests that rebuild a
         rank's mux, failover to a fresh endpoint)."""
-        self._check_rank(rank)
+        if not (self.lo <= rank < self.hi):
+            self._refuse_unowned(rank, "register a sink for")
         if rank in self._sinks and not replace:
             raise CommError(f"rank {rank} already has a registered sink")
         self._sinks[rank] = sink
@@ -148,19 +231,17 @@ class SimFabric:
         event at that time. The destination sink fires at delivery time.
 
         Must be called from a context where ``executor.now()`` is meaningful
-        (a task on the src rank, or an event callback).
+        (a task on the src rank, or an event callback). A refused send
+        (:class:`CommError`) has changed nothing.
         """
-        self._check_rank(src)
-        self._check_rank(dst)
-        if nbytes < 0:
-            raise CommError(f"negative message size {nbytes}")
-        if self.max_message_bytes is not None and nbytes > self.max_message_bytes:
-            raise CommError(
-                f"message of {nbytes} bytes exceeds fabric limit of "
-                f"{self.max_message_bytes} bytes (fragment it)")
+        self._check_send(src, nbytes)
+        sink = self._sink_for(dst)
         hook = self.fault_hook
         verdict = hook(src, dst, nbytes, payload) if hook is not None else None
+        # Every check has passed: from here on the message counts as sent.
         self.last_fault = verdict
+        self.messages_sent += 1
+        self.bytes_sent += nbytes
         net = self.network
         t = self.executor.now()
         s_node, d_node = src // self.ranks_per_node, dst // self.ranks_per_node
@@ -178,6 +259,14 @@ class SimFabric:
             inject_done = tx_start + ser
             arrival = (inject_done + net.latency
                        + self.topology.extra_latency(s_node, d_node))
+            if sink is None:
+                # Owned elsewhere: that shard finishes the receive half
+                # (inject_remote); nothing is delivered or traced here.
+                self._park(arrival, src, dst, nbytes, payload)
+                if on_injected is not None:
+                    self.executor.call_at(
+                        inject_done, lambda: on_injected(inject_done))
+                return inject_done
             rx_start = max(arrival, self._rx_avail[d_node])
             self._rx_avail[d_node] = rx_start + ser
             delivery = rx_start + ser
@@ -188,16 +277,6 @@ class SimFabric:
             # messages on the pair cannot overtake the delayed one.
             delivery += verdict[1]
             self.messages_delayed += 1
-
-        self.messages_sent += 1
-        self.bytes_sent += nbytes
-
-        sink = self._sinks.get(dst)
-        if sink is None:
-            raise CommError(
-                f"rank {dst} has no registered message sink; was its "
-                "communication backend initialized?"
-            )
 
         if on_injected is not None:
             self.executor.call_at(inject_done, lambda: on_injected(inject_done))
@@ -217,15 +296,8 @@ class SimFabric:
 
         tracer = self.executor.tracer
         if tracer is not None:
-            # Payloads from a FabricMux arrive as (channel, inner); the
-            # channel doubles as the owning module's name in the trace.
-            channel = (
-                payload[0]
-                if isinstance(payload, tuple) and payload
-                and isinstance(payload[0], str)
-                else "net"
-            )
-            tracer.record_message(src, dst, channel, nbytes, t, delivery)
+            tracer.record_message(src, dst, channel_of(payload) or "net",
+                                  nbytes, t, delivery)
 
         if kind == "corrupt":
             self.messages_corrupted += 1
@@ -238,23 +310,27 @@ class SimFabric:
         self,
         src: int,
         dsts: Sequence[int],
-        nbytes,
+        nbytes: int,
         payloads: Sequence[Any],
         *,
         ts: Optional[Sequence[float]] = None,
     ) -> List[float]:
-        """Price and post a whole wave of messages from ``src`` in one call.
+        """Price and post a whole wave of ``nbytes``-sized messages from
+        ``src`` in one call.
 
-        Semantically a loop of :meth:`transmit` over ``(dsts[i], nbytes[i],
+        Semantically a loop of :meth:`transmit` over ``(dsts[i],
         payloads[i])`` issued at times ``ts[i]`` (default: ``executor.now()``
         for every message) — and *bit-for-bit* so: the per-message costs come
         from the same IEEE operations in the same order, the sequential NIC
         availability and pairwise-FIFO recurrences run per message, and the
         delivery events are posted in loop order so same-timestamp cohorts
         dispatch identically. What the wave saves is the per-message call
-        chain: one pass computes vectorized serialization costs (``nbytes``
-        may be a scalar or an array), and all deliveries are posted with a
-        single ``call_at_batch``.
+        chain: the costs are computed once and all deliveries are posted
+        with a single ``call_at_batch``.
+
+        The one difference is failure: a wave is validated whole before
+        anything is priced, so a bad message refuses the wave as a unit where
+        the scalar loop would already have sent the messages before it.
 
         Fault injection is inherently per-message (verdicts feed retry
         state), so waves refuse to run with a ``fault_hook`` installed —
@@ -265,47 +341,27 @@ class SimFabric:
             raise CommError(
                 "transmit_wave does not support fault injection; check "
                 "wave_capable() and fall back to per-message transmit")
-        self._check_rank(src)
+        self._check_send(src, nbytes)
         n = len(dsts)
-        if len(payloads) != n:
+        if len(payloads) != n or (ts is not None and len(ts) != n):
             raise CommError(
-                f"wave length mismatch: {n} destinations, "
-                f"{len(payloads)} payloads")
-        net = self.network
-        if np.isscalar(nbytes):
-            if nbytes < 0:
-                raise CommError(f"negative message size {nbytes}")
-            if (self.max_message_bytes is not None
-                    and nbytes > self.max_message_bytes):
-                raise CommError(
-                    f"message of {nbytes} bytes exceeds fabric limit of "
-                    f"{self.max_message_bytes} bytes (fragment it)")
-            # Constant wire size: the scalar costs are shared by every
-            # message (same inputs -> same floats as per-message calls).
-            ser_all = net.serialization_time(nbytes)
-            intra_all = net.intra_node_time(nbytes)
-            sizes = [nbytes] * n
-            sers = intras = None
-            total_bytes = nbytes * n
-        else:
-            sizes = [int(b) for b in nbytes]
-            for b in sizes:
-                if b < 0:
-                    raise CommError(f"negative message size {b}")
-                if (self.max_message_bytes is not None
-                        and b > self.max_message_bytes):
-                    raise CommError(
-                        f"message of {b} bytes exceeds fabric limit of "
-                        f"{self.max_message_bytes} bytes (fragment it)")
-            arr = np.asarray(sizes, dtype=np.float64)
-            sers = net.serialization_time_vec(arr).tolist()
-            intras = net.intra_node_time_vec(arr).tolist()
-            ser_all = intra_all = 0.0
-            total_bytes = sum(sizes)
+                f"wave length mismatch: {n} destinations, {len(payloads)} "
+                f"payloads, {n if ts is None else len(ts)} issue times")
+        # Only owned ranks register, so one dict lookup per destination finds
+        # every local sink; a None is unowned or unreachable, and _sink_for
+        # tells which.
+        sinks = list(map(self._sinks.get, dsts))
+        if None in sinks:
+            for dst, sink in zip(dsts, sinks):
+                if sink is None:
+                    self._sink_for(dst)
         if ts is None:
-            t_now = self.executor.now()
-            ts = [t_now] * n
-
+            ts = [self.executor.now()] * n
+        net = self.network
+        # Constant wire size: the costs are shared by every message (same
+        # inputs -> same floats as per-message calls).
+        ser = net.serialization_time(nbytes)
+        intra = net.intra_node_time(nbytes)
         rpn = self.ranks_per_node
         s_node = src // rpn
         lat = net.latency
@@ -313,7 +369,6 @@ class SimFabric:
         tx_avail = self._tx_avail
         rx_avail = self._rx_avail
         pair_last = self._pair_last
-        sinks = self._sinks
         nranks = self.nranks
         tracer = self.executor.tracer
         self.last_fault = None
@@ -321,18 +376,7 @@ class SimFabric:
         injects: List[float] = []
         deliveries: List[float] = []
         items: List[tuple] = []
-        for i in range(n):
-            dst = dsts[i]
-            if not (0 <= dst < nranks):
-                raise CommError(f"rank {dst} out of range [0, {nranks})")
-            t = ts[i]
-            payload = payloads[i]
-            if sers is None:
-                ser = ser_all
-                intra = intra_all
-            else:
-                ser = sers[i]
-                intra = intras[i]
+        for dst, t, payload, sink in zip(dsts, ts, payloads, sinks):
             if src == dst:
                 inject_done = t
                 delivery = t
@@ -345,37 +389,79 @@ class SimFabric:
                 tx_avail[s_node] = inject_done = tx_start + ser
                 d_node = dst // rpn
                 arrival = inject_done + lat + topo.extra_latency(s_node, d_node)
+                if sink is None:  # owned elsewhere, as in transmit
+                    self._park(arrival, src, dst, nbytes, payload)
+                    injects.append(inject_done)
+                    continue
                 avail = rx_avail[d_node]
                 rx_start = avail if avail > arrival else arrival
                 rx_avail[d_node] = delivery = rx_start + ser
 
-            sink = sinks.get(dst)
-            if sink is None:
-                raise CommError(
-                    f"rank {dst} has no registered message sink; was its "
-                    "communication backend initialized?"
-                )
             key = src * nranks + dst
             prev = pair_last.get(key, 0.0)
             if prev > delivery:
                 delivery = prev
             pair_last[key] = delivery
             if tracer is not None:
-                channel = (
-                    payload[0]
-                    if isinstance(payload, tuple) and payload
-                    and isinstance(payload[0], str)
-                    else "net"
-                )
-                tracer.record_message(src, dst, channel, sizes[i], t, delivery)
+                tracer.record_message(src, dst, channel_of(payload) or "net",
+                                      nbytes, t, delivery)
             injects.append(inject_done)
             deliveries.append(delivery)
             items.append((sink, src, payload, delivery))
 
         self.messages_sent += n
-        self.bytes_sent += total_bytes
+        self.bytes_sent += nbytes * n
         self.executor.call_at_batch(deliveries, _deliver_wave, items)
         return injects
+
+    # ------------------------------------------------------------------
+    def _park(self, arrival: float, src: int, dst: int, nbytes: int,
+              payload: Any) -> None:
+        """Queue a message priced up to its arrival at ``dst``'s node for the
+        shard that owns ``dst``."""
+        seq = self._send_seq
+        self._send_seq = seq + 1
+        self.cross_shard_msgs += 1
+        self.cross_shard_bytes += nbytes
+        self._outboxes.setdefault(self.plan.shard_of(dst), []).append(
+            (arrival, src, seq, dst, nbytes, payload))
+
+    def take_outboxes(self) -> Dict[int, List[WireMsg]]:
+        """Drain and return the per-destination-shard outboxes."""
+        out, self._outboxes = self._outboxes, {}
+        return out
+
+    def inject_remote(self, msgs: Sequence[WireMsg]) -> None:
+        """Finish pricing and post messages other shards parked for ranks
+        owned here.
+
+        Called at a window barrier with every message routed to this shard
+        this round. Messages are applied in ``(arrival, src, seq)`` order —
+        a total order identical on every replay, and consistent with
+        per-pair send order because sender-NIC serialization makes arrivals
+        monotone per source — then run through the receiver-side recurrences
+        (NIC availability, pairwise FIFO) exactly as a local send would.
+        """
+        net = self.network
+        rpn = self.ranks_per_node
+        deliveries: List[float] = []
+        items: List[tuple] = []
+        for arrival, src, _seq, dst, nb, payload in sorted(
+                msgs, key=lambda m: (m[0], m[1], m[2])):
+            sink = self._sink_for(dst)
+            if sink is None:  # mis-routed by the coordinator
+                self._refuse_unowned(dst, "deliver to")
+            d_node = dst // rpn
+            ser = net.serialization_time(nb)
+            rx_start = max(arrival, self._rx_avail[d_node])
+            self._rx_avail[d_node] = delivery = rx_start + ser
+            key = src * self.nranks + dst
+            prev = self._pair_last.get(key, 0.0)
+            delivery = max(delivery, prev)
+            self._pair_last[key] = delivery
+            deliveries.append(delivery)
+            items.append((sink, src, payload, delivery))
+        self.executor.call_at_batch(deliveries, _deliver_wave, items)
 
     # ------------------------------------------------------------------
     def cpu_send_overhead(self) -> float:
@@ -384,6 +470,7 @@ class SimFabric:
 
     def __repr__(self) -> str:
         return (
-            f"SimFabric(nranks={self.nranks}, nodes={self.nnodes}, "
-            f"net={self.network.name!r}, msgs={self.messages_sent})"
+            f"SimFabric(ranks=[{self.lo}, {self.hi}) of {self.nranks}, "
+            f"nodes={self.nnodes}, net={self.network.name!r}, "
+            f"msgs={self.messages_sent}, cross={self.cross_shard_msgs})"
         )

@@ -13,6 +13,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.net.coalesce import ChannelCoalescer, CoalescedBatch, CoalescePolicy
 from repro.net.fabric import CorruptedPayload, SimFabric
+from repro.runtime.context import current_context
 from repro.util.errors import CommError
 
 ChannelHandler = Callable[[int, Any, float], None]  # (src, payload, time)
@@ -132,6 +133,13 @@ class FabricMux:
             )
         self._retry[channel] = policy
 
+    def charge_send(self) -> None:
+        """Charge the calling task the fabric's per-message CPU send
+        overhead; a no-op outside a worker (event context has no CPU)."""
+        ctx = current_context()
+        if ctx is not None and ctx.worker is not None:
+            ctx.executor.charge(self.fabric.cpu_send_overhead())
+
     def transmit(
         self,
         dst: int,
@@ -181,16 +189,16 @@ class FabricMux:
         dsts: List[int],
         channel: str,
         payloads: List[Any],
-        nbytes,
+        nbytes: int,
         *,
         ts: Optional[List[float]] = None,
     ) -> List[float]:
         """Send one message per ``(dsts[i], payloads[i])`` as a priced wave
-        (see :meth:`SimFabric.transmit_wave`). ``nbytes`` is a scalar wire
-        size shared by every message or a per-message sequence; ``ts`` gives
-        per-message issue times (callers that charge CPU per message pass
-        the post-charge timestamps). Only valid when :meth:`wave_capable`
-        holds for ``channel``."""
+        (see :meth:`SimFabric.transmit_wave`). ``nbytes`` is the wire size
+        shared by every message; ``ts`` gives per-message issue times
+        (callers that charge CPU per message pass the post-charge
+        timestamps). Only valid when :meth:`wave_capable` holds for
+        ``channel``."""
         if channel not in self._handlers:
             raise CommError(
                 f"rank {self.rank} sending on unregistered channel {channel!r}"
@@ -198,14 +206,9 @@ class FabricMux:
         n = len(dsts)
         if self.stats is not None:
             self.stats.count(channel, "msgs_sent", n)
-            if isinstance(nbytes, (list, tuple)):
-                self.stats.count(channel, "bytes_sent", sum(nbytes))
-                for b in nbytes:
-                    self.stats.observe(channel, "msg_size", b)
-            else:
-                self.stats.count(channel, "bytes_sent", nbytes * n)
-                for _ in range(n):
-                    self.stats.observe(channel, "msg_size", nbytes)
+            self.stats.count(channel, "bytes_sent", nbytes * n)
+            for _ in range(n):
+                self.stats.observe(channel, "msg_size", nbytes)
         wrapped = [(channel, p) for p in payloads]
         return self.fabric.transmit_wave(self.rank, dsts, nbytes, wrapped,
                                          ts=ts)

@@ -1,13 +1,11 @@
 """Real multiprocess fabric: Unix-domain sockets between rank processes.
 
-One :class:`ProcFabric` instance lives in each rank's process and implements
-the same duck-typed surface as :class:`repro.net.fabric.SimFabric` — so
-:class:`repro.net.mux.FabricMux` and every protocol backend above it (SHMEM,
-MPI control channel, coalescing, buffer pool) run unchanged over real wires:
-
-- ``register_sink(rank, sink)`` / ``unregister_sink(rank)`` (local rank only)
-- ``transmit(src, dst, nbytes, payload, on_injected=) -> inject_time``
-- ``nranks`` / ``node_of`` / ``cpu_send_overhead`` / ``last_fault``
+One :class:`ProcFabric` instance lives in each rank's process and owns that
+one rank. It moves real bytes, not virtual time, so it shares no code with
+:class:`repro.net.fabric.SimFabric` — only the surface
+:class:`repro.net.mux.FabricMux` and the protocol backends above it (SHMEM,
+MPI control channel, coalescing, buffer pool) use, which
+``tests/test_net_fabric.py::TestFabricConformance`` holds both classes to.
 
 Wire protocol: each rank binds ``fab-<rank>.sock`` in the run's rendezvous
 directory; connections are opened lazily (first send to a peer) with a
@@ -112,13 +110,9 @@ def _release_pooled_deep(obj: Any, _depth: int = 0) -> None:
 
 
 class ProcFabric:
-    """One rank's endpoint of the socket mesh (SimFabric duck-type)."""
+    """One rank's endpoint of the socket mesh."""
 
-    #: Protocol layers key on this to select process-safe strategies
-    #: (e.g. ShmemModule picks the wire-ack backend).
-    process_spmd = True
-
-    #: SimFabric API parity: no fault injection on the real fabric.
+    #: No fault injection on the real fabric: the mux reads both per send.
     last_fault = None
     fault_hook = None
 
@@ -227,7 +221,7 @@ class ProcFabric:
             pass
 
     # ------------------------------------------------------------------
-    # SimFabric surface
+    # the fabric surface
     # ------------------------------------------------------------------
     def register_sink(self, rank: int, sink, replace: bool = False) -> None:
         if rank != self.rank:
@@ -335,8 +329,7 @@ class ProcFabric:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             try:
                 sock.connect(path)
-                hello = pickle.dumps(("hello", self.rank))
-                sock.sendall(_HDR.pack(len(hello)) + hello)
+                send_frame(sock, ("hello", self.rank))
                 return sock
             except OSError as exc:
                 sock.close()
@@ -369,17 +362,15 @@ class ProcFabric:
             th.start()
 
     def _reader_loop(self, conn: socket.socket) -> None:
-        src = -1
         try:
             while True:
-                frame = self._read_frame(conn)
+                frame = recv_frame(conn)
                 if frame is None:
                     return
-                kind, body = frame
-                if kind == "hello":
-                    src = body
+                src, payload = frame
+                if src == "hello":  # the dialer's greeting, not a message
                     continue
-                self._deliver(kind, body, self.executor.now())
+                self._deliver(src, payload, self.executor.now())
         except OSError:
             return  # peer closed mid-read during teardown
         except pickle.UnpicklingError:
@@ -387,14 +378,6 @@ class ProcFabric:
                 raise
         finally:
             conn.close()
-            _ = src
-
-    def _read_frame(self, conn: socket.socket):
-        return recv_frame(conn)
-
-    @staticmethod
-    def _read_exact(conn: socket.socket, n: int):
-        return recv_exact(conn, n)
 
     def _deliver(self, src: int, payload: Any, t: float) -> None:
         sink = self._sink

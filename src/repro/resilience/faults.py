@@ -41,6 +41,7 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.net.fabric import channel_of
 from repro.resilience.policy import Backoff, RetryPolicy
 from repro.util.errors import ConfigError, FaultError
 from repro.util.rng import RngFactory
@@ -277,8 +278,7 @@ class FaultInjector:
     # -- verdicts ------------------------------------------------------
     def _message_verdict(self, src: int, dst: int, nbytes: int,
                          payload: Any) -> Optional[Tuple]:
-        channel = (payload[0] if isinstance(payload, tuple) and payload
-                   and isinstance(payload[0], str) else None)
+        channel = channel_of(payload)
         for rule in self._msg_rules:
             if rule.exhausted():
                 continue

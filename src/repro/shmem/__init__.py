@@ -2,7 +2,7 @@
 atomics, wait-until, collectives, and the novel ``shmem_async_when``
 (paper §II-C2)."""
 
-from repro.shmem.backend import CMP_OPS, ProcShmemBackend, ShmemBackend
+from repro.shmem.backend import CMP_OPS, ShmemBackend
 from repro.shmem.heap import SignatureTable, SymArray, SymmetricHeap
 from repro.shmem.module import ShmemModule, shmem_factory
 from repro.shmem.shared import SharedArena, cleanup_segments, segment_name
@@ -10,7 +10,6 @@ from repro.shmem.shared import SharedArena, cleanup_segments, segment_name
 __all__ = [
     "CMP_OPS",
     "ShmemBackend",
-    "ProcShmemBackend",
     "SignatureTable",
     "SymArray",
     "SymmetricHeap",

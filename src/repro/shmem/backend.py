@@ -12,7 +12,14 @@ Completion semantics follow the spec:
   *remote* completion is tracked for ``quiet``/``fence``.
 - ``get`` and fetching AMOs are round trips (request + response messages).
 - ``quiet`` completes when every previously-issued put/AMO from this PE has
-  been applied at its target.
+  been applied at its target. The target acknowledges by one rule
+  (:meth:`ShmemBackend._ack_completion`): an origin found in this process's
+  backend registry is told directly, any other gets a ``("comp",)`` message
+  over the fabric. When one process holds every PE (sim, threads) all of
+  them are in the registry and no ack touches the wire; when the run spans
+  processes, acks to PEs of another process are messages like any other —
+  sent over the socket under procs, where a process holds one PE, and
+  priced by the cost model where a simulator process holds several.
 
 Local-memory watchers implement ``wait_until`` and the paper's novel
 ``shmem_async_when`` (§II-C2): every remote update to a symmetric array
@@ -53,8 +60,9 @@ _CTRL_SIZE = 32    # wire size of a get request header
 
 
 class ShmemBackend:
-    """Per-PE one-sided engine. All PEs' backends see each other through the
-    run's shared registry (in-process simulation of a PGAS fabric)."""
+    """Per-PE one-sided engine. The PEs of one process see each other
+    through the run's shared registry ``peers`` (in-process simulation of a
+    PGAS fabric); PEs elsewhere are reached over the fabric alone."""
 
     def __init__(
         self,
@@ -144,7 +152,7 @@ class ShmemBackend:
         done = Promise(name="shmem-put")
         wire_data = self.pool.take_copy(data) if copy else data
         payload = ("put", target.sym_id, offset, wire_data, self.rank)
-        self._charge_cpu()
+        self.mux.charge_send()
         wire = int(data.nbytes) if nbytes is None else int(nbytes)
         self.mux.transmit(
             pe, _CHANNEL, payload, wire + _CTRL_SIZE,
@@ -167,7 +175,7 @@ class ShmemBackend:
         req_id = next(self._req_seq)
         done = Promise(name=f"get-{source.sym_id}@{pe}")
         self._pending_resp[req_id] = done
-        self._charge_cpu()
+        self.mux.charge_send()
         self.mux.transmit(
             pe, _CHANNEL, ("get", source.sym_id, offset, n, self.rank, req_id),
             _CTRL_SIZE,
@@ -192,7 +200,7 @@ class ShmemBackend:
         self.amos += 1
         self._count("amos")
         done = Promise(name=f"amo-{op}-{target.sym_id}@{pe}")
-        self._charge_cpu()
+        self.mux.charge_send()
         if fetch:
             req_id = next(self._req_seq)
             self._pending_resp[req_id] = done
@@ -383,20 +391,21 @@ class ShmemBackend:
             promise = self._pending_resp.pop(req_id)
             promise.put(value)
         elif kind == "comp":
-            # Remote-completion acknowledgement from a target PE (real
-            # multiprocess fabric; see ProcShmemBackend._ack_completion).
+            # Remote-completion acknowledgement from a target PE outside
+            # this process (see _ack_completion).
             self._remote_completed()
         else:  # pragma: no cover - protocol corruption
             raise ShmemError(f"unknown shmem wire message kind {kind!r}")
 
     def _ack_completion(self, origin: int) -> None:
-        """Tell ``origin`` that its put/AMO has been applied here.
-
-        In-process backends (sim, threads) reach straight into the origin's
-        backend object; the multiprocess backend overrides this with a wire
-        message because peers live in other OS processes.
-        """
-        self._peers[origin]._remote_completed()
+        """Tell ``origin`` that its put/AMO has been applied here: directly
+        when its backend is in this process's registry, else by a
+        ``("comp",)`` message (module docstring, "Completion semantics")."""
+        peer = self._peers.get(origin)
+        if peer is not None:
+            peer._remote_completed()
+        else:
+            self.mux.transmit(origin, _CHANNEL, ("comp",), _CTRL_SIZE)
 
     def _remote_completed(self) -> None:
         fire: List[Promise] = []
@@ -419,19 +428,14 @@ class ShmemBackend:
                 f"{sym} targeting PE {pe}"
             )
 
-    def _charge_cpu(self) -> None:
-        ctx = current_context()
-        if ctx is not None and ctx.worker is not None:
-            ctx.executor.charge(self.mux.fabric.cpu_send_overhead())
-
     def _charge_cpu_wave(self, n: int) -> List[float]:
         """Charge ``n`` per-message CPU overheads and return the ``n``
         post-charge clock values — the issue timestamps a loop of
-        :meth:`_charge_cpu` + transmit pairs would have produced. The clock
+        ``mux.charge_send()`` + transmit pairs would have produced. The clock
         advances by the same left-fold of additions the scalar loop
         performs, so the timestamps (and the final clock) are bit-exact.
         Outside a worker context charges are skipped, as in
-        :meth:`_charge_cpu`, and ``now()`` is returned for every slot."""
+        ``charge_send``, and ``now()`` is returned for every slot."""
         ctx = current_context()
         if ctx is None or ctx.worker is None:
             return [self.mux.fabric.executor.now()] * n
@@ -456,38 +460,3 @@ class ShmemBackend:
             f"gets={self.gets}, amos={self.amos}, outstanding={self._outstanding})"
         )
 
-
-class ProcShmemBackend(ShmemBackend):
-    """SHMEM backend over a real multiprocess fabric (one process per PE).
-
-    Identical protocol, except remote completions cannot be signalled by
-    calling into the origin's backend object — peers live in other OS
-    processes — so the target sends a small ``("comp",)`` acknowledgement
-    back over the fabric. ``quiet`` therefore drains only once every ack has
-    arrived, which is exactly the OpenSHMEM remote-completion contract.
-    """
-
-    def _ack_completion(self, origin: int) -> None:
-        if origin == self.rank:
-            self._remote_completed()
-            return
-        self.mux.transmit(origin, _CHANNEL, ("comp",), _CTRL_SIZE)
-
-
-class ShardShmemBackend(ShmemBackend):
-    """SHMEM backend for the sharded DES engine: a hybrid of the two above.
-
-    PEs in the same shard share a process and registry, so completions for
-    them are signalled directly like :class:`ShmemBackend`; PEs in other
-    shards are reachable only over the fabric, so those acks travel as
-    ``("comp",)`` wire messages like :class:`ProcShmemBackend` — and are
-    therefore priced by the cost model, which keeps them outside the
-    conservative window's lookahead bound.
-    """
-
-    def _ack_completion(self, origin: int) -> None:
-        peer = self._peers.get(origin)
-        if peer is not None:
-            peer._remote_completed()
-            return
-        self.mux.transmit(origin, _CHANNEL, ("comp",), _CTRL_SIZE)

@@ -28,8 +28,7 @@ from repro.net.coalesce import CoalescePolicy
 from repro.platform.place import PlaceType
 from repro.runtime.future import Future, Promise, when_all
 from repro.runtime.runtime import HiperRuntime
-from repro.shmem.backend import (CMP_OPS, ProcShmemBackend, ShardShmemBackend,
-                                 ShmemBackend)
+from repro.shmem.backend import CMP_OPS, ShmemBackend
 from repro.shmem.heap import SignatureTable, SymArray, SymmetricHeap
 from repro.util.errors import ModuleError, ShmemError
 
@@ -72,20 +71,12 @@ class ShmemModule(HiperModule):
         # is then checked per-process, the real-SHMEM behaviour).
         sigs = self.ctx.shared.setdefault(
             "shmem-alloc-signatures", SignatureTable())
+        # Likewise the backend registry; who is in it decides which remote
+        # completions are acknowledged by message (ShmemBackend docstring).
         peers = self.ctx.shared.setdefault("shmem-backends", {})
         self.heap = SymmetricHeap(self.rank, shared_signatures=sigs,
                                   arena=self.ctx.shared.get("shmem-arena"))
-        # A process fabric (one OS process per rank) cannot signal remote
-        # completion by reaching into the peer's backend object; its backend
-        # subclass acks over the wire instead. A sharded DES fabric is mixed:
-        # same-shard peers are in-process, cross-shard peers are not.
-        if getattr(self.ctx.fabric, "process_spmd", False):
-            backend_cls = ProcShmemBackend
-        elif getattr(self.ctx.fabric, "shard_spmd", False):
-            backend_cls = ShardShmemBackend
-        else:
-            backend_cls = ShmemBackend
-        self.backend = backend_cls(self.ctx.mux, self.rank, self.heap, peers)
+        self.backend = ShmemBackend(self.ctx.mux, self.rank, self.heap, peers)
         if self.coalesce is not None:
             self.backend.enable_coalescing(self.coalesce)
         # Control channel for collectives (barrier/bcast/reduce algorithms).

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.net.coalesce import CoalescePolicy
 from repro.net.mux import FabricMux
-from repro.runtime.context import current_context
 from repro.runtime.future import Future, Promise
 from repro.util.bufpool import BufferPool, release_if_pooled
 from repro.util.errors import UpcxxError
@@ -126,7 +125,7 @@ class UpcxxBackend:
         data = np.asarray(data)
         self.rputs += 1
         done = self._track()
-        self._charge_cpu()
+        self.mux.charge_send()
         self.mux.transmit(
             gptr.rank, _CHANNEL,
             ("rput", gptr.obj_id, gptr.offset, self.pool.take_copy(data),
@@ -141,7 +140,7 @@ class UpcxxBackend:
             raise UpcxxError(f"rget count must be non-negative, got {count}")
         self.rgets += 1
         done = self._track()
-        self._charge_cpu()
+        self.mux.charge_send()
         self.mux.transmit(
             gptr.rank, _CHANNEL,
             ("rget", gptr.obj_id, gptr.offset, count, self.rank, done[0]),
@@ -157,7 +156,7 @@ class UpcxxBackend:
             raise UpcxxError(f"rpc target {target} out of range")
         self.rpcs += 1
         done = self._track()
-        self._charge_cpu()
+        self.mux.charge_send()
         self.mux.transmit(
             target, _CHANNEL, ("rpc", fn, args, self.rank, done[0]), nbytes
         )
@@ -224,11 +223,6 @@ class UpcxxBackend:
 
     def _respond_exc(self, origin: int, req_id: int, exc: BaseException) -> None:
         self.mux.transmit(origin, _CHANNEL, ("resp", req_id, True, exc), _CTRL)
-
-    def _charge_cpu(self) -> None:
-        ctx = current_context()
-        if ctx is not None and ctx.worker is not None:
-            ctx.executor.charge(self.mux.fabric.cpu_send_overhead())
 
     def __repr__(self) -> str:
         return (

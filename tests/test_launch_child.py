@@ -290,7 +290,7 @@ class TestThreeProtocols:
         ((procs_mod, "procs_child_main"),
          lambda: procs_run(dying_rank_factory, nranks=2, timeout=60.0),
          ConfigError, "rank 0"),
-        ((shards_mod, "ShardFabric"), lambda: _sharded(dying_rank_factory),
+        ((shards_mod, "SimFabric"), lambda: _sharded(dying_rank_factory),
          RuntimeStateError, "shard 0"),
         ((pool_mod, "WarmRuntime"), _crash_pool_worker,
          HiperError, "pool worker"),

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from repro.distrib import ClusterConfig, spmd_run
-from repro.shmem import shmem_factory
+from repro.exec.sim import SimExecutor
+from repro.net import FabricMux, NetworkModel, SimFabric
+from repro.shmem import ShmemBackend, shmem_factory
 from repro.shmem.heap import SignatureTable, SymmetricHeap
 from repro.util.errors import ConfigError, ShmemError
 
@@ -361,3 +363,37 @@ class TestCollectivesAndLocks:
 
         with pytest.raises(ShmemError, match="un-quieted"):
             run(main, nranks=2)
+
+
+class TestAckRule:
+    """One backend class, one remote-completion rule: an origin found in the
+    process's registry is told directly, any other gets a ``("comp",)``
+    frame. Sim and threads share one registry; a procs rank (or another
+    shard's rank) is alone in its own."""
+
+    @pytest.mark.parametrize("shared_registry, acks", [(True, 0), (False, 2)],
+                             ids=["every-peer-registered", "self-only"])
+    def test_comp_frames_travel_only_on_a_registry_miss(
+            self, shared_registry, acks):
+        ex = SimExecutor()
+        fab = SimFabric(ex, 2, NetworkModel())
+        wire = []
+        send = fab.transmit
+        fab.transmit = lambda s, d, n, payload, **kw: (
+            wire.append(payload[1][0]), send(s, d, n, payload, **kw))[1]
+        registry, sigs = {}, SignatureTable()
+        pes = [ShmemBackend(FabricMux(fab, rank), rank,
+                            SymmetricHeap(rank, shared_signatures=sigs),
+                            registry if shared_registry else {})
+               for rank in range(2)]
+        sym = [pe.heap.allocate((2,), dtype=np.int64, fill=0) for pe in pes][0]
+
+        pes[0].put(sym, np.array([7, 7]), 1)
+        pes[0].amo("add", sym, 0, 1, operand=5, fetch=False)
+        quiet = pes[0].quiet()
+        assert not quiet.satisfied and pes[0].outstanding_remote == 2
+        ex.drain()
+        assert quiet.satisfied and pes[0].outstanding_remote == 0
+        assert pes[1].heap.flat(sym.sym_id).tolist() == [12, 7]
+        assert wire == ["put", "amo"] + ["comp"] * acks
+        assert fab.messages_sent == 2 + acks
