@@ -214,8 +214,13 @@ def spmd_run(
         ex.submit_root(ctx.runtime, _bind_main(main, ctx), name=f"rank{ctx.rank}-main")
         for ctx in contexts
     ]
+    # Count roots down as they finish: drive() evaluates its predicate before
+    # every engine step, where a scan of the roots costs a generator each.
+    unfinished = set(futures)
+    for f in futures:
+        f.on_ready(unfinished.discard)
     try:
-        ex.drive(lambda: all(f.satisfied for f in futures))
+        ex.drive(lambda: not unfinished)
     except DeadlockError:
         # A rank that died (its future carries the exception) strands its
         # peers at barriers/receives; surface the root cause, not the stall.

@@ -275,8 +275,9 @@ class SimExecutor(Executor):
                 f"call_later delay must be a non-negative number, got {delay}")
         return self._events.push(self.now() + delay, fn)
 
-    def call_at(self, when: float, fn: Callable[[], None]) -> int:
-        """Schedule at an absolute virtual time (used by the network fabric);
+    def call_at(self, when: float, fn: Callable, arg: Any = None) -> int:
+        """Schedule ``fn()`` — or ``fn(arg)``, which spares the network
+        fabric a closure per message — at an absolute virtual time;
         returns a handle for :meth:`cancel_event`. Rejects NaN timestamps
         (silent order corruption, as in :meth:`call_later`).
 
@@ -286,7 +287,7 @@ class SimExecutor(Executor):
         if when != when:
             raise ConfigError(f"call_at timestamp must not be NaN, got {when}")
         return self._events.push(
-            when if when > self._event_floor else self._event_floor, fn)
+            when if when > self._event_floor else self._event_floor, fn, arg)
 
     def call_at_batch(self, whens, fn: Callable[[Any], None], args) -> None:
         """Schedule ``fn(args[i])`` at each ``whens[i]`` (floor-clamped like
@@ -665,10 +666,8 @@ class SimExecutor(Executor):
         self, runtime: HiperRuntime, fn: Callable[[], Any], *, name: str = "root"
     ) -> Any:
         fut = self.submit_root(runtime, fn, name=name)
-        # Bind the promise once: the predicate runs per engine step, and a
-        # plain attribute read beats the Future.satisfied property call.
-        promise = fut._promise
-        self.drive(lambda: promise._satisfied)
+        # Per engine step: an attribute read beats the `satisfied` property.
+        self.drive(lambda: fut._satisfied)
         return fut.value()
 
     # ------------------------------------------------------------------

@@ -75,9 +75,9 @@ class CorruptedPayload:
         return f"CorruptedPayload({self.original!r})"
 
 
-def _deliver_wave(item: tuple) -> None:
-    """Delivery trampoline for batched posts — one shared function for the
-    whole batch instead of one closure per message."""
+def _deliver(item: tuple) -> None:
+    """Delivery trampoline — one shared function for every delivery event,
+    scalar or batched, instead of one closure per message."""
     sink, src, payload, delivery = item
     sink(src, payload, delivery)
 
@@ -264,8 +264,7 @@ class SimFabric:
                 # (inject_remote); nothing is delivered or traced here.
                 self._park(arrival, src, dst, nbytes, payload)
                 if on_injected is not None:
-                    self.executor.call_at(
-                        inject_done, lambda: on_injected(inject_done))
+                    self.executor.call_at(inject_done, on_injected, inject_done)
                 return inject_done
             rx_start = max(arrival, self._rx_avail[d_node])
             self._rx_avail[d_node] = rx_start + ser
@@ -279,7 +278,7 @@ class SimFabric:
             self.messages_delayed += 1
 
         if on_injected is not None:
-            self.executor.call_at(inject_done, lambda: on_injected(inject_done))
+            self.executor.call_at(inject_done, on_injected, inject_done)
 
         if kind == "drop":
             # Lost in flight: injection completed (the source buffer is
@@ -302,7 +301,8 @@ class SimFabric:
         if kind == "corrupt":
             self.messages_corrupted += 1
             payload = CorruptedPayload(payload)
-        self.executor.call_at(delivery, lambda: sink(src, payload, delivery))
+        self.executor.call_at(delivery, _deliver,
+                              (sink, src, payload, delivery))
         return inject_done
 
     # ------------------------------------------------------------------
@@ -411,7 +411,7 @@ class SimFabric:
 
         self.messages_sent += n
         self.bytes_sent += nbytes * n
-        self.executor.call_at_batch(deliveries, _deliver_wave, items)
+        self.executor.call_at_batch(deliveries, _deliver, items)
         return injects
 
     # ------------------------------------------------------------------
@@ -461,7 +461,7 @@ class SimFabric:
             self._pair_last[key] = delivery
             deliveries.append(delivery)
             items.append((sink, src, payload, delivery))
-        self.executor.call_at_batch(deliveries, _deliver_wave, items)
+        self.executor.call_at_batch(deliveries, _deliver, items)
 
     # ------------------------------------------------------------------
     def cpu_send_overhead(self) -> float:

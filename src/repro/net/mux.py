@@ -155,19 +155,22 @@ class FabricMux:
             raise CommError(
                 f"rank {self.rank} sending on unregistered channel {channel!r}"
             )
-        if self.stats is not None:
-            self.stats.count(channel, "msgs_sent")
-            self.stats.count(channel, "bytes_sent", nbytes)
-            self.stats.observe(channel, "msg_size", nbytes)
         co = self._coalescers.get(channel)
         if co is not None:
             # Buffered: the envelope transmits at a flush point, but local
             # completion (on_injected) fires at buffer time — the caller
             # snapshotted the payload, so its buffer is already reusable.
             co.send(dst, payload, nbytes, on_injected)
-            return self.fabric.executor.now()
-        return self._transmit_attempt(dst, channel, payload, nbytes,
-                                      on_injected, 0)
+            inject = self.fabric.executor.now()
+        else:
+            inject = self._transmit_attempt(dst, channel, payload, nbytes,
+                                            on_injected, 0)
+        # Counted only now: a send the fabric refused (it raised) was not sent.
+        if self.stats is not None:
+            self.stats.count(channel, "msgs_sent")
+            self.stats.count(channel, "bytes_sent", nbytes)
+            self.stats.observe(channel, "msg_size", nbytes)
+        return inject
 
     def wave_capable(self, channel: str) -> bool:
         """True when sends on ``channel`` can use :meth:`transmit_wave`:
@@ -203,15 +206,16 @@ class FabricMux:
             raise CommError(
                 f"rank {self.rank} sending on unregistered channel {channel!r}"
             )
-        n = len(dsts)
+        wrapped = [(channel, p) for p in payloads]
+        injects = self.fabric.transmit_wave(self.rank, dsts, nbytes, wrapped,
+                                            ts=ts)
         if self.stats is not None:
+            n = len(dsts)
             self.stats.count(channel, "msgs_sent", n)
             self.stats.count(channel, "bytes_sent", nbytes * n)
             for _ in range(n):
                 self.stats.observe(channel, "msg_size", nbytes)
-        wrapped = [(channel, p) for p in payloads]
-        return self.fabric.transmit_wave(self.rank, dsts, nbytes, wrapped,
-                                         ts=ts)
+        return injects
 
     def _transmit_attempt(
         self, dst: int, channel: str, payload: Any, nbytes: int,

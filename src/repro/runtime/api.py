@@ -184,13 +184,13 @@ def finish(body: Callable[[], Any], *, name: str = "finish") -> Any:
     scope.close()
     # Join even when the body failed: spawned tasks are not orphaned.
     # The predicate runs once per engine step while joining, so bind the
-    # scope's promise and read its flag directly (vs. the quiescent property
+    # scope's future and read its flag directly (vs. the quiescent property
     # -> Future.satisfied property chain: three calls per step).
-    promise = scope._promise
+    done = scope.all_done_future()
     ctx.executor.block_until(
-        lambda: promise._satisfied,
+        lambda: done._satisfied,
         description=f"finish scope {name!r}",
-        time_source=lambda: scope.all_done_future().done_time(),
+        time_source=done.done_time,
     )
     if body_exc is not None:
         raise body_exc

@@ -1,14 +1,21 @@
 """Promises and futures (paper §II-B4).
 
-A promise is a single-assignment, thread-safe container for a value; a future
-is a read-only handle on it. Futures are the framework's only inter-task
-synchronization primitive besides ``finish``: tasks may block on them
-(``wait``/``get``) or predicate new tasks on them (``async_await``).
+A future is a single-assignment, thread-safe container for a value, read
+only; a promise is the write handle on it. Futures are the framework's only
+inter-task synchronization primitive besides ``finish``: tasks may block on
+them (``wait``/``get``) or predicate new tasks on them (``async_await``).
 
 Implementation notes
 --------------------
-- ``put`` runs registered callbacks *outside* the internal lock, in
-  registration order, exactly once each.
+- The state lives in :class:`Future` and nothing points back to the
+  :class:`Promise`: no cycle, so a future is freed by reference count (each
+  communication operation makes one; docs/sim-internals.md "Allocation budget").
+- One leaf lock for the whole module guards resolution's check-and-set and
+  the callback list; nothing is acquired while it is held. A forked child
+  gets a fresh one: a thread that held it at the fork does not exist there.
+- ``put`` runs registered callbacks *outside* the lock, in registration
+  order, exactly once each. The callback list is allocated by the first
+  ``on_ready`` and dropped at resolution.
 - A promise may be satisfied with an exception (``put_exception``); ``get``
   then re-raises it in every consumer. This is how task failures propagate
   through ``async_future``.
@@ -19,6 +26,7 @@ Implementation notes
 
 from __future__ import annotations
 
+import os
 import threading
 from typing import Any, Callable, List, Optional, Sequence
 
@@ -29,37 +37,34 @@ from repro.util.errors import PromiseError
 _UNSET = object()
 
 
-class Promise:
-    """Single-assignment, thread-safe value container."""
+def _new_lock() -> None:
+    global _lock
+    _lock = threading.Lock()
 
-    __slots__ = ("_lock", "_value", "_exception", "_satisfied", "_callbacks",
-                 "_put_time", "_future", "name")
+
+_new_lock()
+os.register_at_fork(after_in_child=_new_lock)  # see the notes above
+
+
+class Future:
+    """Single-assignment value container, read side. Made by (and written
+    through) a :class:`Promise`; there is no ``put`` here."""
+
+    __slots__ = ("_value", "_exception", "_satisfied", "_callbacks",
+                 "_put_time", "name")
 
     def __init__(self, name: str = ""):
-        self._lock = threading.Lock()
         self._value: Any = _UNSET
         self._exception: Optional[BaseException] = None
         self._satisfied = False
-        self._callbacks: List[Callable[["Future"], None]] = []
+        self._callbacks: Optional[List[Callable[["Future"], None]]] = None
         self._put_time: float = 0.0
-        self._future: Optional[Future] = None
         self.name = name
-
-    # -- producer side -------------------------------------------------
-    def put(self, value: Any = None) -> None:
-        """Satisfy the promise. A second put raises :class:`PromiseError`."""
-        self._resolve(value, None)
-
-    def put_exception(self, exc: BaseException) -> None:
-        """Satisfy the promise with a failure; consumers re-raise on ``get``."""
-        if not isinstance(exc, BaseException):
-            raise TypeError("put_exception expects an exception instance")
-        self._resolve(_UNSET, exc)
 
     def _resolve(self, value: Any, exc: Optional[BaseException]) -> None:
         ctx = current_context()
         now = ctx.executor.now() if ctx is not None else 0.0
-        with self._lock:
+        with _lock:
             if self._satisfied:
                 raise PromiseError(
                     f"promise {self.name or id(self)} satisfied twice "
@@ -69,89 +74,56 @@ class Promise:
             self._exception = exc
             self._put_time = now
             self._satisfied = True
-            callbacks, self._callbacks = self._callbacks, []
+            callbacks, self._callbacks = self._callbacks, None
         p = instrument.PROBE
         if p is not None:
             # Happens-before source: everything the producer did is ordered
             # before any consumer that observes satisfaction.
             p.on_sync_release(("promise", id(self)))
-        fut = self.get_future()
-        for cb in callbacks:
-            cb(fut)
-
-    # -- consumer side ---------------------------------------------------
-    def get_future(self) -> "Future":
-        # Futures are cheap handles; share one per promise.
-        if self._future is None:
-            self._future = Future(self)
-        return self._future
-
-    @property
-    def satisfied(self) -> bool:
-        return self._satisfied
-
-    def _add_callback(self, cb: Callable[["Future"], None]) -> None:
-        run_now = False
-        with self._lock:
-            if self._satisfied:
-                run_now = True
-            else:
-                self._callbacks.append(cb)
-        if run_now:
-            cb(self.get_future())
+        if callbacks is not None:
+            for cb in callbacks:
+                cb(self)
 
     def _remove_callback(self, cb: Callable[["Future"], None]) -> bool:
         """Detach a registered callback; returns whether it was present.
 
         Used by combinators (``when_any``'s losers, ``when_all``'s
-        fail-fast) to drop dead continuations from long-lived promises —
-        a promise that outlives many combinator rounds must not
+        fail-fast) to drop dead continuations from long-lived futures —
+        a future that outlives many combinator rounds must not
         accumulate callbacks that can never fire again.
         """
-        with self._lock:
-            try:
+        with _lock:
+            present = self._callbacks is not None and cb in self._callbacks
+            if present:
                 self._callbacks.remove(cb)
-                return True
-            except ValueError:
-                return False
-
-    def __repr__(self) -> str:
-        state = "satisfied" if self._satisfied else "pending"
-        return f"Promise({self.name or hex(id(self))}, {state})"
-
-
-class Future:
-    """Read-only handle on a :class:`Promise`."""
-
-    __slots__ = ("_promise",)
-
-    def __init__(self, promise: Promise):
-        self._promise = promise
+            return present
 
     @property
     def satisfied(self) -> bool:
-        return self._promise._satisfied
-
-    @property
-    def name(self) -> str:
-        return self._promise.name
+        return self._satisfied
 
     def value(self) -> Any:
         """The satisfied value; raises if unsatisfied or satisfied with error."""
-        p = self._promise
-        if not p._satisfied:
+        if not self._satisfied:
             raise PromiseError(
                 f"future {self.name or hex(id(self))} read before satisfaction; "
                 "call wait()/get() from a task instead"
             )
-        if p._exception is not None:
-            raise p._exception
-        return p._value
+        if self._exception is not None:
+            raise self._exception
+        return self._value
 
     def on_ready(self, cb: Callable[["Future"], None]) -> None:
         """Run ``cb(self)`` when satisfied (immediately if already). Internal
         building block for continuations and ``async_await``."""
-        self._promise._add_callback(cb)
+        with _lock:
+            if not self._satisfied:
+                if self._callbacks is None:
+                    self._callbacks = [cb]
+                else:
+                    self._callbacks.append(cb)
+                return
+        cb(self)
 
     def wait(self) -> Any:
         """Block the calling task until satisfied; return the value.
@@ -160,17 +132,16 @@ class Future:
         tasks (help-until-ready) or parks until the satisfying event. This is
         the reproduction's analogue of the paper's call-stack suspension.
         """
-        p = self._promise
-        if not p._satisfied:
+        if not self._satisfied:
             ctx = require_context()
             ctx.executor.block_until(
-                lambda: p._satisfied,
+                lambda: self._satisfied,
                 description=f"future {self.name or hex(id(self))}",
-                time_source=lambda: p._put_time,
+                time_source=lambda: self._put_time,
             )
         probe = instrument.PROBE
         if probe is not None:
-            probe.on_sync_acquire(("promise", id(p)))
+            probe.on_sync_acquire(("promise", id(self)))
         return self.value()
 
     def get(self) -> Any:
@@ -194,22 +165,57 @@ class Future:
 
     def done_time(self) -> float:
         """Virtual time at which the promise was satisfied (sim executor)."""
-        if not self._promise._satisfied:
+        if not self._satisfied:
             raise PromiseError("done_time() on an unsatisfied future")
-        return self._promise._put_time
+        return self._put_time
 
     def __repr__(self) -> str:
-        state = "satisfied" if self.satisfied else "pending"
-        return f"Future({self.name or hex(id(self._promise))}, {state})"
+        state = "satisfied" if self._satisfied else "pending"
+        return f"Future({self.name or hex(id(self))}, {state})"
+
+
+class Promise:
+    """Write handle on a :class:`Future`: the only way to satisfy it."""
+
+    __slots__ = ("_future",)
+
+    def __init__(self, name: str = ""):
+        self._future = Future(name)
+
+    def put(self, value: Any = None) -> None:
+        """Satisfy the promise. A second put raises :class:`PromiseError`."""
+        self._future._resolve(value, None)
+
+    def put_none(self, _arg: Any = None) -> None:
+        """``put(None)`` shaped as a one-argument completion hook: this bound
+        method is one object where ``lambda t: p.put(None)`` is three."""
+        self._future._resolve(None, None)
+
+    def put_exception(self, exc: BaseException) -> None:
+        """Satisfy the promise with a failure; consumers re-raise on ``get``."""
+        if not isinstance(exc, BaseException):
+            raise TypeError("put_exception expects an exception instance")
+        self._future._resolve(_UNSET, exc)
+
+    def get_future(self) -> Future:
+        return self._future
+
+    @property
+    def satisfied(self) -> bool:
+        return self._future._satisfied
+
+    def __repr__(self) -> str:
+        state = "satisfied" if self._future._satisfied else "pending"
+        return f"Promise({self._future.name or hex(id(self))}, {state})"
 
 
 def satisfied_future(value: Any = None, name: str = "") -> Future:
     """A future that is already satisfied (handy for uniform APIs)."""
-    p = Promise(name)
-    with p._lock:
-        p._value = value
-        p._satisfied = True
-    return p.get_future()
+    f = Future(name)
+    with _lock:
+        f._value = value
+        f._satisfied = True
+    return f
 
 
 def when_all(futures: Sequence[Future], name: str = "when_all") -> Future:
@@ -229,7 +235,7 @@ def when_all(futures: Sequence[Future], name: str = "when_all") -> Future:
     lock = threading.Lock()
 
     def _one_done(f: Future) -> None:
-        exc = f._promise._exception
+        exc = f._exception
         with lock:
             if fired[0]:
                 return
@@ -245,7 +251,7 @@ def when_all(futures: Sequence[Future], name: str = "when_all") -> Future:
             # or a long-lived unsatisfied input would pin this closure (and
             # every value reachable from `futures`) for its whole lifetime.
             for g in futures:
-                g._promise._remove_callback(_one_done)
+                g._remove_callback(_one_done)
             return
         try:
             out.put([g.value() for g in futures])
@@ -285,7 +291,7 @@ def when_any(futures: Sequence[Future], name: str = "when_any") -> Future:
                 out.put_exception(exc)
             for j, (g, cb) in enumerate(registered):
                 if j != i:
-                    g._promise._remove_callback(cb)
+                    g._remove_callback(cb)
 
         return _cb
 
@@ -298,5 +304,5 @@ def when_any(futures: Sequence[Future], name: str = "when_any") -> Future:
         # callback (removing the winner's is a no-op — resolution already
         # drained its list).
         for g, cb in registered:
-            g._promise._remove_callback(cb)
+            g._remove_callback(cb)
     return out.get_future()

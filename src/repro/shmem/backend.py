@@ -145,8 +145,6 @@ class ShmemBackend:
             # ndarray view, losing its release() — convert only non-arrays.
             data = np.asarray(data)
         self._check_bounds(target, offset, data.size, pe)
-        self.puts += 1
-        self._count("puts")
         with self._lock:
             self._outstanding += 1
         done = Promise(name="shmem-put")
@@ -154,10 +152,18 @@ class ShmemBackend:
         payload = ("put", target.sym_id, offset, wire_data, self.rank)
         self.mux.charge_send()
         wire = int(data.nbytes) if nbytes is None else int(nbytes)
-        self.mux.transmit(
-            pe, _CHANNEL, payload, wire + _CTRL_SIZE,
-            on_injected=lambda t: done.put(None),
-        )
+        try:
+            self.mux.transmit(pe, _CHANNEL, payload, wire + _CTRL_SIZE,
+                              on_injected=done.put_none)
+        except Exception:
+            # Refused, so nothing will acknowledge it: take _outstanding
+            # back, or quiet() hangs. (It is raised before the send because
+            # across processes the acknowledgement can beat the send's return.)
+            self._remote_completed()
+            release_if_pooled(wire_data)
+            raise
+        self.puts += 1
+        self._count("puts")
         return done.get_future()
 
     # ------------------------------------------------------------------
@@ -170,16 +176,18 @@ class ShmemBackend:
         self._check_pe(pe)
         n = source.size - offset if count is None else count
         self._check_bounds(source, offset, n, pe)
-        self.gets += 1
-        self._count("gets")
         req_id = next(self._req_seq)
         done = Promise(name=f"get-{source.sym_id}@{pe}")
         self._pending_resp[req_id] = done
         self.mux.charge_send()
-        self.mux.transmit(
-            pe, _CHANNEL, ("get", source.sym_id, offset, n, self.rank, req_id),
-            _CTRL_SIZE,
-        )
+        payload = ("get", source.sym_id, offset, n, self.rank, req_id)
+        try:
+            self.mux.transmit(pe, _CHANNEL, payload, _CTRL_SIZE)
+        except Exception:
+            del self._pending_resp[req_id]  # refused: no response will come
+            raise
+        self.gets += 1
+        self._count("gets")
         return done.get_future()
 
     # ------------------------------------------------------------------
@@ -197,25 +205,27 @@ class ShmemBackend:
             raise ShmemError(f"unknown atomic op {op!r}")
         self._check_pe(pe)
         self._check_bounds(target, index, 1, pe)
-        self.amos += 1
-        self._count("amos")
         done = Promise(name=f"amo-{op}-{target.sym_id}@{pe}")
         self.mux.charge_send()
         if fetch:
             req_id = next(self._req_seq)
             self._pending_resp[req_id] = done
-            payload = ("amo", op, target.sym_id, index, operand, cond,
-                       self.rank, req_id)
-            self.mux.transmit(pe, _CHANNEL, payload, _AMO_SIZE)
         else:
+            req_id = None
             with self._lock:
                 self._outstanding += 1
-            payload = ("amo", op, target.sym_id, index, operand, cond,
-                       self.rank, None)
-            self.mux.transmit(
-                pe, _CHANNEL, payload, _AMO_SIZE,
-                on_injected=lambda t: done.put(None),
-            )
+        payload = ("amo", op, target.sym_id, index, operand, cond,
+                   self.rank, req_id)
+        try:
+            self.mux.transmit(pe, _CHANNEL, payload, _AMO_SIZE,
+                              on_injected=None if fetch else done.put_none)
+        except Exception:  # refused: as in put()
+            self._pending_resp.pop(req_id, None)  # no slot when not fetching
+            if not fetch:
+                self._remote_completed()
+            raise
+        self.amos += 1
+        self._count("amos")
         return done.get_future()
 
     def wave_capable(self) -> bool:
@@ -244,8 +254,6 @@ class ShmemBackend:
         for pe in pes:
             self._check_pe(pe)
             self._check_bounds(target, index, 1, pe)
-        self.amos += n
-        self._count("amos", n)
         ts = self._charge_cpu_wave(n)
         sym_id = target.sym_id
         rank = self.rank
@@ -260,7 +268,14 @@ class ShmemBackend:
             payloads.append(("amo", op, sym_id, index, operand, None,
                              rank, req_id))
             futures.append(done.get_future())
-        self.mux.transmit_wave(pes, _CHANNEL, payloads, _AMO_SIZE, ts=ts)
+        try:
+            self.mux.transmit_wave(pes, _CHANNEL, payloads, _AMO_SIZE, ts=ts)
+        except Exception:  # a wave is refused whole: no response will come
+            for payload in payloads:
+                del pending[payload[-1]]
+            raise
+        self.amos += n
+        self._count("amos", n)
         return futures
 
     # ------------------------------------------------------------------

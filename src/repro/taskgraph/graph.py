@@ -375,7 +375,7 @@ class TaskGraph:
                              return_future=ex.task_fault_hook is not None)
         if fut is not None:
             def _task_done(f: Future) -> None:
-                exc = f._promise._exception
+                exc = f._exception
                 if exc is not None:
                     self._finish_node(node, None, exc)
 

@@ -14,9 +14,9 @@ telemetry together):
   ticks — no core-runtime changes, which is itself the paper's plugin thesis.
 - :func:`profile_spmd` — run a main under a tracing executor plus samplers,
   then write ``metrics.json`` (makespan, utilization, module times, comm
-  volume, merged cross-rank stats) and ``trace.json`` (Chrome-trace /
-  Perfetto, with spawn→execution and send→delivery flow arrows and counter
-  tracks).
+  volume, merged cross-rank stats, host wall time and collector cost) and
+  ``trace.json`` (Chrome-trace / Perfetto, with spawn→execution and
+  send→delivery flow arrows and counter tracks).
 
 Exposed on the command line as ``python -m repro profile <figure>``.
 """
@@ -24,6 +24,7 @@ Exposed on the command line as ``python -m repro profile <figure>``.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import os
 import time
@@ -86,6 +87,27 @@ class ProfileReport:
         return self.metrics["utilization"]
 
 
+class _GcCost(dict):
+    """``metrics["host"]["gc"]``, filled in while it is in ``gc.callbacks``:
+    cyclic-collector runs per generation, objects freed, seconds inside, and
+    the largest tracked heap a full pass started on (what a pass costs)."""
+
+    def __init__(self) -> None:
+        super().__init__(collections=[0, 0, 0], collected=0, seconds=0.0,
+                         tracked_peak=0)
+
+    def __call__(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            if info["generation"] == 2:
+                self["tracked_peak"] = max(self["tracked_peak"],
+                                           len(gc.get_objects()))
+            self._t0 = time.perf_counter()
+        else:
+            self["seconds"] += time.perf_counter() - self._t0
+            self["collections"][info["generation"]] += 1
+            self["collected"] += info["collected"]
+
+
 def profile_spmd(
     main: Callable,
     config=None,
@@ -121,8 +143,13 @@ def profile_spmd(
         factories.append(
             telemetry_factory(period=sample_period, max_samples=max_samples)
         )
+    gc_cost = _GcCost()
+    gc.callbacks.append(gc_cost)
     t0 = time.perf_counter()
-    result = spmd_run(main, cfg, module_factories=factories, executor=ex)
+    try:
+        result = spmd_run(main, cfg, module_factories=factories, executor=ex)
+    finally:
+        gc.callbacks.remove(gc_cost)
     wall = time.perf_counter() - t0
 
     merged = result.merged_stats()
@@ -149,6 +176,9 @@ def profile_spmd(
             "events_per_sec": events / wall if wall > 0 else 0.0,
         },
         "stats": merged.to_dict(),
+        # This process only (not a sharded run's children). No per-layer
+        # figure shows the collector: a pause is charged to whoever allocated.
+        "host": {"wall_s": wall, "gc": gc_cost},
     }
     if sharded:
         metrics["shards"] = {

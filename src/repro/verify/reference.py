@@ -64,11 +64,12 @@ class ReferenceSimExecutor(SimExecutor):
                 f"call_later delay must be a non-negative number, got {delay}")
         return self._push(self.now() + delay, fn)
 
-    def call_at(self, when: float, fn: Callable[[], None]) -> int:
+    def call_at(self, when: float, fn: Callable, arg: Any = None) -> int:
         if when != when:
             raise ConfigError(f"call_at timestamp must not be NaN, got {when}")
         floor = self._event_floor
-        return self._push(when if when > floor else floor, fn)
+        return self._push(when if when > floor else floor,
+                          fn if arg is None else functools.partial(fn, arg))
 
     def call_at_batch(self, whens, fn: Callable[[Any], None], args) -> None:
         floor = self._event_floor

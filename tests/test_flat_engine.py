@@ -101,10 +101,12 @@ class TestSchedulingValidation:
 # ----------------------------------------------------------------------
 # 2. cross-engine pop-order equivalence
 # ----------------------------------------------------------------------
-def _drive(engine, ops):
+def _drive(engine, ops, *, at_with_arg=False):
     """Apply one op sequence to a fresh executor; return every observable
     that describes the schedule: the fire log (label, virtual time) in
-    dispatch order, each cancel's verdict, and the drained event count."""
+    dispatch order, each cancel's verdict, and the drained event count.
+    ``at_with_arg`` posts every ``"at"`` op in the ``call_at(when, fn, arg)``
+    form (one shared function) instead of as a closure."""
     ex = engine()
     log = []
     handles = []
@@ -120,10 +122,15 @@ def _drive(engine, ops):
                 handles.append(ex.call_later(k * 1e-6, make_cb(next(labels), k)))
         return cb
 
+    def fire(label_k):
+        make_cb(*label_k)()
+
     cancels = []
     for kind, k, j in ops:
         if kind == "later":
             handles.append(ex.call_later(k * 1e-6, make_cb(next(labels), k)))
+        elif kind == "at" and at_with_arg:
+            handles.append(ex.call_at(k * 1e-6, fire, (next(labels), k)))
         elif kind == "at":
             # Deliberately allowed to land at/below the event floor once
             # advances interleave — the clamp must behave identically.
@@ -156,6 +163,16 @@ class TestEngineEquivalence:
     @given(ops=_ops_strategy)
     def test_random_interleavings_pop_identically(self, ops):
         assert _drive(SimExecutor, ops) == _drive(ReferenceSimExecutor, ops)
+
+    @_settings
+    @given(ops=_ops_strategy)
+    def test_call_at_with_arg_pops_like_the_closure_form(self, ops):
+        """``call_at(when, fn, arg)`` — how the fabric posts deliveries and
+        injections — is the same event as ``call_at(when, lambda: fn(arg))``
+        on both engines: order, timestamps, cancel reach, event count."""
+        closures = _drive(SimExecutor, ops)
+        assert _drive(SimExecutor, ops, at_with_arg=True) == closures
+        assert _drive(ReferenceSimExecutor, ops, at_with_arg=True) == closures
 
     def test_batch_matches_per_event_calls(self):
         """``call_at_batch`` (the wave entry point) must dispatch in the

@@ -1,7 +1,14 @@
 """Promises/futures: single assignment, callbacks, combinators, waiting."""
 
+import collections
+import sys
+import threading
+
 import pytest
 
+from repro.launch import Child, close_all
+from repro.runtime import future as future_mod
+from repro.runtime import instrument
 from repro.runtime.api import async_, async_future, finish
 from repro.runtime.future import (
     Future,
@@ -230,7 +237,7 @@ class TestCombinatorCallbackRetention:
             out = when_any([daemon.get_future(), job.get_future()])
             job.put(i)
             assert out.value() == (1, i)
-        assert daemon._callbacks == []
+        assert not daemon.get_future()._callbacks
 
     def test_when_any_already_satisfied_input_sweeps_all(self):
         # The winner fires during registration (input already satisfied):
@@ -240,7 +247,7 @@ class TestCombinatorCallbackRetention:
         done.put("v")
         out = when_any([done.get_future(), daemon.get_future()])
         assert out.value() == (0, "v")
-        assert daemon._callbacks == []
+        assert not daemon.get_future()._callbacks
 
     def test_when_any_losers_garbage_collectable(self):
         import gc
@@ -257,12 +264,12 @@ class TestCombinatorCallbackRetention:
         assert out.value() == (1, payload)
         ref = weakref.ref(payload)
         # Drop every reference except whatever the daemon promise retains.
-        # Before the detach fix, daemon._callbacks held the when_any closure
+        # Before the detach fix, the daemon's callback list held the when_any closure
         # -> registered futures -> job promise -> payload: a leak.
         del payload, job, out
         gc.collect()
         assert ref() is None
-        assert daemon._callbacks == []
+        assert not daemon.get_future()._callbacks
 
     def test_when_all_fail_fast_detaches_stragglers(self):
         never = Promise(name="never")
@@ -271,4 +278,132 @@ class TestCombinatorCallbackRetention:
         failed.put_exception(ValueError("down"))
         with pytest.raises(ValueError):
             out.value()
-        assert never._callbacks == []
+        assert not never.get_future()._callbacks
+
+
+class TestSharedLock:
+    """Every future of the process shares one module-level leaf lock; these
+    pin what the per-promise lock used to give for free."""
+
+    def test_thread_stress_every_callback_runs_exactly_once(self):
+        """8 threads x 2000 promises: four producers race each other to
+        ``put`` every promise (one wins, three see PromiseError) while four
+        registrars attach a callback they keep and one they try to detach."""
+        n, producers, registrars = 2000, 4, 4
+        promises = [Promise() for _ in range(n)]
+        futures = [p.get_future() for p in promises]
+        ran = []          # (kind, thread, index), appended by callbacks
+        wins = [[] for _ in range(producers)]
+        refused = [0] * producers
+        detached = [[None] * n for _ in range(registrars)]
+        lockstep = threading.Barrier(producers + registrars)
+
+        def chunks(t):
+            # All eight threads meet before every 50 promises, and walk them
+            # from alternate ends, so each chunk is contended.
+            for base in range(0, n, 50):
+                lockstep.wait(timeout=30.0)
+                chunk = range(base, base + 50)
+                yield from chunk if t % 2 == 0 else reversed(chunk)
+
+        def produce(t):
+            for i in chunks(t):
+                try:
+                    promises[i].put(i)
+                    wins[t].append(i)
+                except PromiseError:
+                    refused[t] += 1
+
+        def register(t):
+            for i in chunks(t):
+                fut = futures[i]
+                fut.on_ready(lambda f, i=i: ran.append(("keep", t, i)))
+                drop = lambda f, i=i: ran.append(("drop", t, i))  # noqa: E731
+                fut.on_ready(drop)
+                detached[t][i] = fut._remove_callback(drop)
+
+        threads = [threading.Thread(target=produce, args=(t,))
+                   for t in range(producers)]
+        threads += [threading.Thread(target=register, args=(t,))
+                    for t in range(registrars)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+
+        assert sorted(i for w in wins for i in w) == list(range(n))
+        assert sum(refused) == (producers - 1) * n
+        assert [f.value() for f in futures] == list(range(n))
+        assert all(f._callbacks is None for f in futures)
+        counts = collections.Counter(ran)
+        assert set(counts.values()) <= {1}          # nothing ran twice
+        for t in range(registrars):
+            for i in range(n):
+                assert counts[("keep", t, i)] == 1
+                # Detached before resolution: never runs. Otherwise it was
+                # already drained by the resolver (or ran at registration).
+                assert counts[("drop", t, i)] == (0 if detached[t][i] else 1)
+
+    def test_forked_child_gets_a_fresh_lock(self):
+        """A thread holds the promise lock while the process forks: that
+        thread does not exist in the child, so the inherited lock would stay
+        held forever there. Without the at-fork hook the child hangs on its
+        first ``put`` (bounded here by the recv timeout)."""
+        parked, release = threading.Event(), threading.Event()
+
+        def park():
+            with future_mod._lock:
+                parked.set()
+                release.wait(timeout=60.0)
+
+        helper = threading.Thread(target=park)
+        helper.start()
+        child = None
+        try:
+            assert parked.wait(timeout=10.0)
+            child = Child.start("fork", _resolve_in_child, name="fork probe")
+            assert child.recv(timeout=20.0) == ("resolved", 7, [7])
+        finally:
+            release.set()
+            helper.join(timeout=10.0)
+            if child is not None:
+                codes = close_all([child], grace=5.0)
+        assert not helper.is_alive()
+        assert codes == [0]
+
+    def test_sync_key_is_the_same_on_release_and_acquire(self):
+        """The race detector orders a consumer after the producer only if
+        both sides name the promise by the same key."""
+
+        class Recorder(instrument.Probe):
+            def __init__(self):
+                self.released, self.acquired = [], []
+
+            def on_sync_release(self, key):
+                self.released.append(key)
+
+            def on_sync_acquire(self, key):
+                self.acquired.append(key)
+
+        p = Promise("synced")
+        f = p.get_future()
+        with instrument.probed(Recorder()) as probe:
+            p.put(3)
+            assert f.wait() == 3  # already satisfied: no task context needed
+        assert probe.released == probe.acquired == [("promise", id(f))]
+
+
+def _resolve_in_child(link):
+    p = Promise("in-child")
+    f = p.get_future()
+    seen = []
+    f.on_ready(lambda fut: seen.append(fut.value()))
+    p.put(7)
+    link.send(("resolved", f.value(), seen))
+    link.recv()

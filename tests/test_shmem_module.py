@@ -9,7 +9,8 @@ from repro.exec.sim import SimExecutor
 from repro.net import FabricMux, NetworkModel, SimFabric
 from repro.shmem import ShmemBackend, shmem_factory
 from repro.shmem.heap import SignatureTable, SymmetricHeap
-from repro.util.errors import ConfigError, ShmemError
+from repro.util.errors import CommError, ConfigError, ShmemError
+from repro.util.stats import RuntimeStats
 
 
 def run(main, nranks=4, workers=2, ranks_per_node=1, **mod_kwargs):
@@ -397,3 +398,85 @@ class TestAckRule:
         assert pes[1].heap.flat(sym.sym_id).tolist() == [12, 7]
         assert wire == ["put", "amo"] + ["comp"] * acks
         assert fab.messages_sent == 2 + acks
+
+
+class TestRefusedSend:
+    """A send the fabric refuses has changed nothing there (PR 19); it must
+    change nothing above it either. Fails at 958b3d5, where ``_outstanding``
+    was counted before the send and never taken back — the next ``quiet``
+    hung — and the mux counted messages the fabric never accepted."""
+
+    def _world(self, limit):
+        """Three ranks; rank 2 never gets a mux, so it has no sink."""
+        ex = SimExecutor()
+        fab = SimFabric(ex, 3, NetworkModel(), max_message_bytes=limit)
+        registry, sigs, stats = {}, SignatureTable(), RuntimeStats()
+        pes = [ShmemBackend(FabricMux(fab, rank, stats=stats), rank,
+                            SymmetricHeap(rank, shared_signatures=sigs),
+                            registry)
+               for rank in range(2)]
+        sym = [pe.heap.allocate((64,), dtype=np.int64, fill=0)
+               for pe in pes][0]
+        return ex, fab, stats, pes[0], sym
+
+    @staticmethod
+    def _state(fab, stats, pe):
+        pool = pe.pool
+        return (
+            pe.outstanding_remote, pe.puts, pe.gets, pe.amos,
+            len(pe._pending_resp), pool.hits + pool.misses - pool.released,
+            [stats.counter("shmem", op) for op in
+             ("puts", "gets", "amos", "msgs_sent", "bytes_sent")],
+            stats.histograms[("shmem", "msg_size")].n,
+            fab.messages_sent, fab.bytes_sent,
+        )
+
+    BLOCK = np.arange(8, dtype=np.int64)
+
+    @pytest.mark.parametrize("limit, op, error", [
+        (512, lambda pe, s: pe.put(s, TestRefusedSend.BLOCK, 1, nbytes=4096),
+         "exceeds fabric limit"),
+        (512, lambda pe, s: pe.put(s, TestRefusedSend.BLOCK, 2),
+         "no registered message sink"),
+        (512, lambda pe, s: pe.get(s, 2), "no registered message sink"),
+        (40, lambda pe, s: pe.amo("add", s, 0, 1, operand=1),
+         "exceeds fabric limit"),
+        (512, lambda pe, s: pe.amo("add", s, 0, 2, operand=1),
+         "no registered message sink"),
+        (40, lambda pe, s: pe.amo("add", s, 0, 1, operand=1, fetch=False),
+         "exceeds fabric limit"),
+        (512, lambda pe, s: pe.amo("add", s, 0, 2, operand=1, fetch=False),
+         "no registered message sink"),
+        (40, lambda pe, s: pe.amo_fetch_wave("add", s, 0, [1, 1], [1, 1]),
+         "exceeds fabric limit"),
+        (512, lambda pe, s: pe.amo_fetch_wave("add", s, 0, [1, 2], [1, 1]),
+         "no registered message sink"),
+    ], ids=["put-oversize", "put-no-sink", "get-no-sink",
+            "amo-fetch-oversize", "amo-fetch-no-sink", "amo-oversize",
+            "amo-no-sink", "wave-oversize", "wave-no-sink"])
+    def test_refused_op_changes_nothing_and_quiet_completes(
+            self, limit, op, error):
+        ex, fab, stats, pe, sym = self._world(limit)
+        if limit >= 512:  # non-trivial state to preserve
+            pe.put(sym, self.BLOCK, 1)
+            pe.amo("add", sym, 0, 1, operand=1)
+            ex.drain()
+        before = self._state(fab, stats, pe)
+        with pytest.raises(CommError, match=error):
+            op(pe, sym)
+        assert self._state(fab, stats, pe) == before
+        quiet = pe.quiet()
+        ex.drain()
+        assert quiet.satisfied
+
+    def test_refused_scalar_send_and_wave_are_not_counted_by_the_mux(self):
+        ex, fab, stats, pe, sym = self._world(512)
+        mux = pe.mux
+        with pytest.raises(CommError):
+            mux.transmit(1, "shmem", ("comp",), 4096)
+        with pytest.raises(CommError):
+            mux.transmit_wave([1, 1], "shmem", [("comp",)] * 2, 4096)
+        assert stats.counter("shmem", "msgs_sent") == 0
+        assert stats.counter("shmem", "bytes_sent") == 0
+        assert stats.histograms[("shmem", "msg_size")].n == 0
+        assert fab.messages_sent == 0

@@ -2,6 +2,7 @@
 interval-merged utilization, enriched Chrome-trace export, comm accounting,
 the profiling harness, and the accounting bugfixes that motivated it."""
 
+import gc
 import json
 import sys
 
@@ -461,6 +462,26 @@ class TestProfileHarness:
         trace = json.loads((tmp_path / "trace.json").read_text())
         phases = {e["ph"] for e in trace["traceEvents"]}
         assert {"X", "s", "f", "C"} <= phases
+
+    def test_profile_reports_what_the_collector_cost(self, tmp_path):
+        def main(ctx):
+            loop = []
+            loop.append(loop)
+            del loop
+            gc.collect()  # one full pass per rank, one cycle found in each
+
+        hooks = list(gc.callbacks)
+        cfg = ClusterConfig(nodes=2, ranks_per_node=1, workers_per_rank=2)
+        profile_spmd(main, cfg, out_dir=str(tmp_path))
+        assert gc.callbacks == hooks  # the timer is gone again
+
+        host = json.loads((tmp_path / "metrics.json").read_text())["host"]
+        cost = host["gc"]
+        assert len(cost["collections"]) == 3 and cost["collections"][2] >= 2
+        assert cost["collected"] >= 2
+        assert 0.0 < cost["seconds"] < host["wall_s"]
+        # A full pass starts on at least the interpreter's own objects.
+        assert cost["tracked_peak"] > 1000
 
     def test_profile_cli_fig7(self, tmp_path, capsys):
         from repro.cli import main as cli_main
