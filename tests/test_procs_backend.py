@@ -140,7 +140,9 @@ class TestFailurePaths:
             ProcessExecutor(2, timeout=-1.0)
 
 
-#: Rank 0 returns at once, rank 1 works on for 3 s; both announce themselves.
+#: Rank 0 returns at once, rank 1 works on for 3 s; both announce themselves,
+#: each with one write(2) of a whole line (a pipe write that small is atomic,
+#: so the two ranks' lines cannot interleave as print's pieces did).
 _PARENT_SCRIPT = """
 import os, time
 from repro.exec.procs import procs_run
@@ -148,7 +150,8 @@ from repro.exec.procs import procs_run
 def factory():
     def main(ctx):
         yield ctx.shmem.barrier_all_async()
-        print("rank", os.getpid(), ctx.shared["shmem-arena"].name, flush=True)
+        line = f"rank {os.getpid()} {ctx.shared['shmem-arena'].name}\\n"
+        os.write(1, line.encode())
         if ctx.rank == 1:
             time.sleep(3.0)
         return ctx.rank
