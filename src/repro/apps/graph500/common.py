@@ -11,13 +11,19 @@ Validation follows the Graph500 result checks: the parent array must form a
 tree rooted at the BFS root whose tree edges are graph edges, and the tree
 depth of every reached vertex must equal its true BFS distance (which also
 forces every graph edge to span at most one level).
+
+The reference BFS and the validator are vectorised: one CSR gather
+(:func:`neighbors`) expands a whole frontier at a time, edge membership is a
+binary search over sorted integer edge keys, and tree depths are resolved
+in sweeps over all still-pending vertices. Levels, return values, verdicts
+and messages are bit-identical to the scalar queue BFS and set-based
+validator kept as the reference in ``tests/g500_reference.py``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -88,18 +94,36 @@ def build_csr(edges: np.ndarray, nvertices: int) -> Tuple[np.ndarray, np.ndarray
     return row_starts, dst
 
 
+def neighbors(row_starts: np.ndarray, cols: np.ndarray,
+              vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every vertex's adjacency, vertex after vertex, each in CSR order.
+
+    Returns ``(u, v)``: ``u[k]`` is a neighbour of ``v[k]``, and the pairs
+    come out in the order a loop over ``vertices`` and then over each one's
+    CSR row would visit them.
+    """
+    vertices = np.asarray(vertices, dtype=np.int64)
+    starts = row_starts[vertices]
+    counts = row_starts[vertices + 1] - starts
+    # output slot k of vertex i's run reads cols[starts[i] + k - first[i]],
+    # first[i] being where that run begins in the output
+    first = np.cumsum(counts) - counts
+    idx = np.repeat(starts - first, counts) + np.arange(int(counts.sum()))
+    return cols[idx], np.repeat(vertices, counts)
+
+
 def serial_bfs(row_starts: np.ndarray, cols: np.ndarray, root: int) -> np.ndarray:
     """Reference BFS levels; -1 for unreached vertices."""
     n = row_starts.size - 1
     level = np.full(n, -1, dtype=np.int64)
     level[root] = 0
-    q = deque([root])
-    while q:
-        u = q.popleft()
-        for v in cols[row_starts[u] : row_starts[u + 1]]:
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                q.append(int(v))
+    frontier = np.array([root], dtype=np.int64)
+    depth = 0
+    while frontier.size:
+        depth += 1
+        u, _ = neighbors(row_starts, cols, frontier)
+        frontier = np.unique(u[level[u] < 0])
+        level[frontier] = depth
     return level
 
 
@@ -136,35 +160,34 @@ def validate_bfs(cfg: Graph500Config, edges: np.ndarray, root: int,
             f"reached-set mismatch: {reached.size} visited vs "
             f"{want.size} in root's component"
         )
-    # edge-set membership of tree edges
-    edge_set = set()
-    for u, v in zip(edges[0].tolist(), edges[1].tolist()):
-        edge_set.add((u, v))
-        edge_set.add((v, u))
-    # tree depth must equal true BFS distance
+    # Tree edges must be edges of the raw list, in either direction (self
+    # loops and duplicates included), as keys u*n+v: exact in int64 for
+    # n <= 2^26, which Graph500Config enforces.
+    src, dst = np.asarray(edges, dtype=np.int64)
+    keys = np.sort(np.concatenate([src * n + dst, dst * n + src]))
+    pending = reached[reached != root]
+    par = parent[pending]
+    valid = par < n
+    want_keys = pending * n + np.where(valid, par, 0)
+    at = np.minimum(np.searchsorted(keys, want_keys), keys.size - 1)
+    bad = np.flatnonzero(~valid | (keys[at] != want_keys))
+    if bad.size:
+        v = int(pending[bad[0]])
+        raise AssertionError(
+            f"tree edge ({int(parent[v])} -> {v}) is not a graph edge"
+        )
+    # tree depth must equal true BFS distance; each sweep settles every
+    # pending vertex whose parent is settled, and one that settles none
+    # proves a parent chain that never reaches the root
     depth = np.full(n, -1, dtype=np.int64)
     depth[root] = 0
-    # compute depths by repeated sweeps (parent pointers form a DAG-free tree)
-    pending = [v for v in reached.tolist() if v != root]
-    guard = 0
-    while pending:
-        guard += 1
-        if guard > n + 2:
+    while pending.size:
+        above = depth[par]
+        done = above >= 0
+        if not done.any():
             raise AssertionError("parent array contains a cycle")
-        nxt = []
-        for v in pending:
-            p = int(parent[v])
-            if (v, p) not in edge_set:
-                raise AssertionError(
-                    f"tree edge ({p} -> {v}) is not a graph edge"
-                )
-            if depth[p] >= 0:
-                depth[v] = depth[p] + 1
-            else:
-                nxt.append(v)
-        if len(nxt) == len(pending):
-            raise AssertionError("parent array contains a cycle")
-        pending = nxt
+        depth[pending[done]] = above[done] + 1
+        pending, par = pending[~done], par[~done]
     mism = np.flatnonzero((truth >= 0) & (depth != truth))
     if mism.size:
         v = int(mism[0])

@@ -29,6 +29,7 @@ from repro.apps.graph500.common import (
     block_bounds,
     build_csr,
     kronecker_edges,
+    neighbors,
     owner_of,
     pick_root,
 )
@@ -64,19 +65,8 @@ class _BfsRank:
         arrays of the discovered candidate edges (unfiltered)."""
         if frontier.size == 0:
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        starts = self.row_starts[frontier]
-        ends = self.row_starts[frontier + 1]
-        counts = ends - starts
-        total = int(counts.sum())
-        charge(total * SECONDS_PER_EDGE_FACTOR / self.core_flops)
-        nbrs = np.empty(total, dtype=np.int64)
-        pars = np.empty(total, dtype=np.int64)
-        pos = 0
-        for v, s, e in zip(frontier, starts, ends):
-            k = int(e - s)
-            nbrs[pos : pos + k] = self.cols[s:e]
-            pars[pos : pos + k] = v
-            pos += k
+        nbrs, pars = neighbors(self.row_starts, self.cols, frontier)
+        charge(nbrs.size * SECONDS_PER_EDGE_FACTOR / self.core_flops)
         return nbrs, pars
 
     def absorb(self, verts: np.ndarray, pars: np.ndarray) -> np.ndarray:

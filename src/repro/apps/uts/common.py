@@ -15,6 +15,7 @@ the property the real benchmark relies on.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Iterable, List, Tuple
 
@@ -54,6 +55,12 @@ class UtsConfig:
         """Geometric parameter with mean ``mean_children`` on support {0,1,...}."""
         return 1.0 / (1.0 + self.mean_children)
 
+    @functools.cached_property
+    def log_q(self) -> float:
+        """``log(1 - geom_p)``, the divisor of every child count; computed
+        once per config (the config is frozen, so it cannot go stale)."""
+        return math.log(1.0 - self.geom_p)
+
 
 def root_node(cfg: UtsConfig) -> Node:
     return (splitmix64(cfg.seed), 0)
@@ -68,7 +75,7 @@ def child_count(cfg: UtsConfig, node: Node) -> int:
         return cfg.root_children
     u = ((state >> 11) & ((1 << 53) - 1)) / float(1 << 53)
     u = min(max(u, 1e-16), 1.0 - 1e-16)
-    m = int(math.log(1.0 - u) / math.log(1.0 - cfg.geom_p))
+    m = int(math.log(1.0 - u) / cfg.log_q)
     return min(m, MAX_KIDS)
 
 

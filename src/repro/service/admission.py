@@ -137,16 +137,6 @@ class FairShareAdmission:
             except ValueError:
                 return False
 
-    def set_weight(self, tenant: str, weight: float) -> None:
-        if weight <= 0:
-            raise ConfigError(
-                f"tenant weight must be positive, got {weight}")
-        with self._lock:
-            self._weights[tenant] = float(weight)
-            tq = self._tenants.get(tenant)
-            if tq is not None:
-                tq.weight = float(weight)
-
     def depth(self, tenant: str) -> int:
         with self._lock:
             tq = self._tenants.get(tenant)

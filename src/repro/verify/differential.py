@@ -20,7 +20,10 @@ that every engine can run:
 - **Graph500** — level-synchronous BFS: frontier chunks expand in parallel
   tasks, candidate edges merge *sequentially between levels* in chunk order,
   making the parent array schedule-independent; validated with
-  :func:`validate_bfs` and digested.
+  :func:`validate_bfs` and digested. Expansion is one vectorised CSR gather
+  per chunk and the merge one first-occurrence pass per level; the parent
+  array is bit-identical to the scalar per-edge loop, which is a queue BFS
+  (the reference in ``tests/g500_reference.py``).
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from repro.apps.graph500.common import (
     Graph500Config,
     build_csr,
     kronecker_edges,
+    neighbors,
     pick_root,
     validate_bfs,
 )
@@ -104,22 +108,37 @@ def uts_workload(cfg: Optional[UtsConfig] = None) -> Callable[[], Tuple]:
     return root
 
 
+def bfs_expand(row_starts: np.ndarray, cols: np.ndarray, parent: np.ndarray,
+               part: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """One frontier chunk's claims ``(u, v)``: each neighbour ``u`` of a
+    chunk vertex ``v`` that has no parent yet, in CSR order.
+
+    ``parent`` is only *read* during a level (writes happen in the
+    sequential merge), so this is schedule-independent.
+    """
+    u, v = neighbors(row_starts, cols, part)
+    fresh = parent[u] < 0
+    return u[fresh], v[fresh]
+
+
+def bfs_merge(parent: np.ndarray,
+              claims: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Apply the chunks' claims in chunk order, the first claim of a vertex
+    winning, so the parent array is engine-independent; returns the next
+    frontier in claim order."""
+    u = np.concatenate([c[0] for c in claims])
+    v = np.concatenate([c[1] for c in claims])
+    _, first = np.unique(u, return_index=True)
+    first.sort()
+    nxt = u[first]
+    parent[nxt] = v[first]
+    return nxt
+
+
 def graph500_workload(cfg: Optional[Graph500Config] = None,
                       chunk: int = 128) -> Callable[[], Tuple]:
     """Level-synchronous parallel BFS with deterministic inter-level merge."""
     cfg = cfg or Graph500Config(scale=8)
-
-    def expand(row_starts, cols, parent, part) -> List[Tuple[int, int]]:
-        # parent is only *read* during a level (writes happen in the
-        # sequential merge), so this is schedule-independent.
-        out: List[Tuple[int, int]] = []
-        for v in part:
-            v = int(v)
-            for u in cols[row_starts[v]:row_starts[v + 1]]:
-                u = int(u)
-                if parent[u] < 0:
-                    out.append((u, v))
-        return out
 
     def root() -> Tuple:
         edges = kronecker_edges(cfg)
@@ -136,19 +155,11 @@ def graph500_workload(cfg: Optional[Graph500Config] = None,
                 for i in range(0, frontier.size, chunk):
                     part = frontier[i:i + chunk]
                     futs.append(async_future(
-                        lambda p=part: expand(row_starts, cols, parent, p),
+                        lambda p=part: bfs_expand(row_starts, cols, parent, p),
                         name=f"bfs-chunk-{i // chunk}"))
 
             finish(body, name="bfs-level")
-            # Sequential merge in chunk order: first claim of a vertex wins
-            # deterministically, so the parent array is engine-independent.
-            nxt: List[int] = []
-            for f in futs:
-                for u, v in f.value():
-                    if parent[u] < 0:
-                        parent[u] = v
-                        nxt.append(u)
-            frontier = np.array(nxt, dtype=np.int64)
+            frontier = bfs_merge(parent, [f.value() for f in futs])
         reached = validate_bfs(cfg, edges, src, parent)
         return ("graph500", int(reached),
                 hashlib.sha256(parent.tobytes()).hexdigest())

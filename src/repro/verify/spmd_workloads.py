@@ -46,6 +46,7 @@ from repro.apps.graph500.common import (
 )
 from repro.apps.isx.common import IsxConfig, generate_keys, local_sort
 from repro.apps.uts.common import UtsConfig, children, root_node
+from repro.verify.differential import bfs_expand, bfs_merge
 
 __all__ = [
     "SPMD_WORKLOADS",
@@ -215,30 +216,20 @@ def graph500_spmd_factory(chunk: int = 128, **cfg_kwargs) -> Callable:
         parent[src] = src
         frontier = np.array([src], dtype=np.int64)
         while frontier.size:
-            chunks: List[Tuple[int, List[Tuple[int, int]]]] = []
-            for ci, i in enumerate(range(0, frontier.size, chunk)):
-                if ci % n != me:
-                    continue
-                pairs: List[Tuple[int, int]] = []
-                for v in frontier[i:i + chunk]:
-                    v = int(v)
-                    for u in cols[row_starts[v]:row_starts[v + 1]]:
-                        u = int(u)
-                        if parent[u] < 0:
-                            pairs.append((u, v))
-                chunks.append((ci, pairs))
+            chunks = [
+                (ci, bfs_expand(row_starts, cols, parent,
+                                frontier[i:i + chunk]))
+                for ci, i in enumerate(range(0, frontier.size, chunk))
+                if ci % n == me
+            ]
             gathered = yield sh.fcollect_async(chunks)
             # Same merge the single-runtime workload does: chunk order,
             # first claim wins — every rank applies the identical sequence,
             # so the replicated parent arrays never diverge.
-            nxt: List[int] = []
-            for ci, pairs in sorted(
-                    (c for per_rank in gathered for c in per_rank)):
-                for u, v in pairs:
-                    if parent[u] < 0:
-                        parent[u] = v
-                        nxt.append(u)
-            frontier = np.array(nxt, dtype=np.int64)
+            frontier = bfs_merge(parent, [
+                claims for _, claims in sorted(
+                    (c for per_rank in gathered for c in per_rank),
+                    key=lambda c: c[0])])
         reached = validate_bfs(cfg, edges, src, parent)
         yield sh.barrier_all_async()
         return ("graph500", int(reached),

@@ -1,5 +1,7 @@
 """Graph500: generator statistics, CSR, validator, and both BFS variants."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,32 @@ class TestValidator:
         parent[v] = -1
         with pytest.raises(AssertionError, match="reached-set"):
             validate_bfs(cfg, edges, root, parent)
+
+    def test_rejects_a_cycle_of_graph_edges(self):
+        cfg, edges, root, parent = self._setup()
+        # two adjacent non-root vertices pointing at each other: both tree
+        # edges are graph edges, but neither chain reaches the root
+        a, b = next((int(a), int(b)) for a, b in edges.T
+                    if a != b and root not in (a, b) and parent[a] >= 0)
+        parent[a], parent[b] = b, a
+        with pytest.raises(AssertionError,
+                           match="^parent array contains a cycle$"):
+            validate_bfs(cfg, edges, root, parent)
+
+    def test_rejects_a_tree_one_level_too_deep(self):
+        cfg, edges, root, parent = self._setup()
+        level = serial_bfs(*build_csr(edges, cfg.nvertices), root)
+        # re-parent a vertex onto a neighbour of its own level: still a
+        # tree of graph edges rooted at the root, but one level too deep
+        a, b = next((int(a), int(b)) for a, b in edges.T
+                    if a != b and level[a] >= 1 and level[a] == level[b])
+        parent[a] = b
+        with pytest.raises(AssertionError) as err:
+            validate_bfs(cfg, edges, root, parent)
+        v, depth, dist = map(int, re.fullmatch(
+            r"vertex (\d+): tree depth (\d+) != BFS distance (\d+) "
+            r"\(not a minimal BFS tree\)", str(err.value)).groups())
+        assert depth == dist + 1 and dist >= level[a]
 
 
 class TestVariants:
