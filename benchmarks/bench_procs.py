@@ -25,29 +25,30 @@ job. Recorded to ``BENCH_procs.json`` via ``python -m repro bench-record
 
 import os
 
-from repro.exec.procs import procs_run
+from repro.distrib.spmd import ClusterConfig, spmd_run
+from repro.exec.procs import ProcessExecutor
+from repro.shmem import shmem_factory
 from repro.verify.spmd_workloads import isx_exchange_factory
-
-ISX_FACTORY = "repro.verify.spmd_workloads:isx_exchange_factory"
 
 #: Keys per PE (weak scaling: total = nranks * KEYS_PER_PE). Sized so sort
 #: dominates the ~0.2s launch floor while a 3-round pair stays CI-friendly.
 KEYS_PER_PE = 1 << 20
 
 
-def noop_factory():
-    def main(ctx):
-        yield ctx.shmem.barrier_all_async()
-        return ctx.rank
+def noop_main(ctx):
+    yield ctx.shmem.barrier_all_async()
+    return ctx.rank
 
-    return main
+
+def _procs(main, nranks: int, **executor_kw):
+    return spmd_run(main, ClusterConfig(nodes=nranks),
+                    module_factories=[shmem_factory()],
+                    executor=ProcessExecutor(**executor_kw))
 
 
 def _run_isx(nranks: int):
-    res = procs_run(
-        ISX_FACTORY, kwargs={"keys_per_pe": KEYS_PER_PE}, nranks=nranks,
-        heap_bytes=1 << 27, timeout=300.0,
-    )
+    res = _procs(isx_exchange_factory(keys_per_pe=KEYS_PER_PE), nranks,
+                 heap_bytes=1 << 27, timeout=300.0)
     total = sum(count for count, _sha in res.results)
     assert total == nranks * KEYS_PER_PE
     return res, total
@@ -86,7 +87,7 @@ def test_procs_launch_roundtrip(benchmark):
     """Fixed cost floor: launch, rendezvous, one barrier, teardown."""
 
     def run():
-        res = procs_run(noop_factory, nranks=2, timeout=60.0)
+        res = _procs(noop_main, 2, timeout=60.0)
         assert sorted(res.results) == [0, 1]
 
     benchmark.pedantic(run, rounds=3, iterations=1)

@@ -499,11 +499,11 @@ def cmd_run(args) -> int:
     and collectives over a Unix-socket fabric. The three backends' digests
     agree by construction, so this doubles as a cross-backend spot check.
     """
+    from repro.exec.procs import ProcessExecutor
+    from repro.exec.sim import SimExecutor
     from repro.util.errors import ConfigError
     from repro.verify import WORKLOADS, run_on_engine
-    from repro.verify.spmd_workloads import (SPMD_WORKLOADS,
-                                             run_procs_workload,
-                                             run_sharded_workload)
+    from repro.verify.spmd_workloads import SPMD_WORKLOADS, run_spmd_workload
 
     if args.shards < 1:
         raise ConfigError(f"--shards must be >= 1, got {args.shards}")
@@ -512,29 +512,28 @@ def cmd_run(args) -> int:
             f"--shards applies to the sim backend only, not "
             f"--backend {args.backend} (the procs backend is already one "
             "process per rank)")
+    # The executor picks where an SPMD twin's ranks run. A typo'd launcher
+    # fails here, before anything runs, not once per app.
+    executor, where = None, ""
     if args.backend == "procs":
-        # Fail before running anything so a typo'd launcher exits cleanly
-        # instead of FAILing every app with the same traceback text.
-        from repro.launch import start_method
-        start_method(args.launcher)
-
-    spmd = args.backend == "procs" or args.shards > 1
+        executor = ProcessExecutor(launcher=args.launcher,
+                                   timeout=args.timeout)
+        where = f"via {args.launcher}"
+    elif args.shards > 1:
+        executor = SimExecutor(shards=args.shards)
+        where = f"across {args.shards} shards"
+    spmd = executor is not None
     names = SPMD_WORKLOADS if spmd else WORKLOADS  # isx-dag has no SPMD twin
     apps = sorted(names) if args.app == "all" else [args.app]
     failures = 0
     for app in apps:
         t0 = time.perf_counter()
         try:
-            if args.backend == "procs":
-                digest, res = run_procs_workload(
-                    app, nranks=args.ranks, launcher=args.launcher,
-                    workers_per_rank=args.workers, timeout=args.timeout)
-                extra = f"{res.nranks} ranks via {args.launcher}"
-            elif args.shards > 1:
-                digest, res = run_sharded_workload(
-                    app, nranks=args.ranks, shards=args.shards)
-                extra = (f"{res.nranks} ranks across {args.shards} shards, "
-                         f"{res.windows} windows")
+            if spmd:
+                digest, res = run_spmd_workload(
+                    app, executor, nranks=args.ranks,
+                    workers_per_rank=args.workers)
+                extra = f"{res.nranks} ranks {where}"
             else:
                 run = run_on_engine(WORKLOADS[app](), args.backend,
                                     workers=args.workers)

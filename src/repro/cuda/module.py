@@ -14,6 +14,7 @@ properties; in SPMD runs use :func:`cuda_factory`.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -278,5 +279,6 @@ def _forward(src: Future, dst: Promise) -> None:
 
 
 def cuda_factory(**kwargs) -> Callable[[Any], CudaModule]:
-    """Module factory for :func:`repro.distrib.spmd_run`."""
-    return lambda ctx: CudaModule(ctx, **kwargs)
+    """Module factory for :func:`repro.distrib.spmd_run` (a partial,
+    so it pickles for the ``subprocess`` launcher)."""
+    return functools.partial(CudaModule, **kwargs)

@@ -3,13 +3,7 @@
 from repro.exec.base import Executor
 from repro.exec.sim import SimExecutor
 from repro.exec.threaded import ThreadedExecutor
-from repro.exec.procs import (
-    ProcessExecutor,
-    ProcsJob,
-    ProcsResult,
-    procs_child_main,
-    procs_run,
-)
+from repro.exec.procs import ProcessExecutor, ProcsJob, procs_child_main
 
 __all__ = [
     "Executor",
@@ -17,7 +11,5 @@ __all__ = [
     "ThreadedExecutor",
     "ProcessExecutor",
     "ProcsJob",
-    "ProcsResult",
     "procs_child_main",
-    "procs_run",
 ]

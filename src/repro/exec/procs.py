@@ -9,8 +9,8 @@ and the single-process thread pool (``repro.exec.threaded``):
   sharing between ranks — wall-clock speedup is real);
 - ranks talk over a :class:`~repro.net.procfabric.ProcFabric` socket mesh
   that implements the SimFabric surface, so the whole protocol stack
-  (FabricMux channels, SHMEM, MPI collectives, coalescing, buffer pools)
-  carries over unchanged;
+  (FabricMux channels, SHMEM, MPI collectives, coalescing) carries over
+  unchanged;
 - each rank's symmetric heap lives in a ``multiprocessing.shared_memory``
   segment (:class:`~repro.shmem.shared.SharedArena`);
 - each rank process is a :class:`repro.launch.Child` — started (``local`` =
@@ -23,49 +23,29 @@ sweeps the run's shared-memory segments and rendezvous directory after
 every run; a rank never outlives its parent, because a rank that finished
 tears down on EOF of its link — whether the parent hung up or was killed.
 
-Jobs are described by a :class:`ProcsJob`. Because rank mains must exist in
-other processes, apps are named by *factory*: either a dotted path
-``"pkg.mod:factory"`` (required for the ``subprocess`` launcher, whose job
-is pickled) or a direct callable (``local`` launcher only). The factory is
-called with the job's args in the child and must return the ``main(ctx)``
-to run.
+A run is :func:`repro.distrib.spmd.spmd_run` with a ``ProcessExecutor``:
+rank count, workers per rank, machine and seed come from the caller's
+``ClusterConfig``; the executor adds only how ranks start and how long they
+may take. ``main``, the config and the module factories travel to every
+rank in a :class:`ProcsJob`; the ``subprocess`` launcher pickles it, so
+pass module-level functions or ``functools.partial`` objects of them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import importlib
 import shutil
 import tempfile
 import time
-import traceback
 import uuid
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from repro.launch import (Child, ChildError, ChildTimeout, close_all,
                           start_method)
 from repro.util.errors import ConfigError, RuntimeStateError
 
-#: Name -> dotted path of the standard module factories (child-resolvable).
-_MODULE_FACTORIES: Dict[str, str] = {
-    "shmem": "repro.shmem:shmem_factory",
-    "mpi": "repro.mpi:mpi_factory",
-    "cuda": "repro.cuda:cuda_factory",
-    "upcxx": "repro.upcxx:upcxx_factory",
-}
-
-
-def resolve_dotted(path: str) -> Any:
-    """``"pkg.mod:attr"`` -> the attribute."""
-    mod_name, sep, attr = path.partition(":")
-    if not sep:
-        raise ConfigError(
-            f"dotted factory path must look like 'pkg.mod:attr', got {path!r}")
-    mod = importlib.import_module(mod_name)
-    try:
-        return getattr(mod, attr)
-    except AttributeError:
-        raise ConfigError(f"{mod_name!r} has no attribute {attr!r}") from None
+if TYPE_CHECKING:
+    from repro.distrib.spmd import ClusterConfig, SpmdResult
 
 
 @dataclasses.dataclass
@@ -74,50 +54,12 @@ class ProcsJob:
 
     run_id: str
     rundir: str                      # the fabric's rendezvous: fab-<rank>.sock
-    nranks: int
-    factory: Union[str, Callable]    # dotted path, or callable (fork only)
-    args: Tuple = ()
-    kwargs: Optional[Dict[str, Any]] = None
-    #: (module name or dotted factory-factory path, kwargs) per module.
-    modules: Sequence = (("shmem", {}),)
-    machine: str = "workstation"
-    workers_per_rank: int = 1
-    heap_bytes: int = 1 << 26
-    seed: int = 0
-    block_timeout: float = 60.0
+    main: Callable
+    config: ClusterConfig
+    module_factories: Sequence[Callable]
+    heap_bytes: int
+    block_timeout: float
     connect_timeout: float = 30.0
-
-    def resolve_factory(self) -> Callable:
-        if callable(self.factory):
-            return self.factory
-        return resolve_dotted(self.factory)
-
-    def resolve_modules(self) -> List[Callable]:
-        out = []
-        for spec in self.modules:
-            if callable(spec):
-                out.append(spec)
-                continue
-            name, kwargs = spec
-            path = _MODULE_FACTORIES.get(name, name)
-            out.append(resolve_dotted(path)(**(kwargs or {})))
-        return out
-
-
-@dataclasses.dataclass
-class ProcsResult:
-    """Outcome of one multiprocess SPMD run."""
-
-    results: List[Any]
-    wall_time: float
-    run_id: str
-    launcher: str
-    #: Merged per-rank stats counters: "module.op" -> count.
-    counters: Dict[str, int]
-
-    @property
-    def nranks(self) -> int:
-        return len(self.results)
 
 
 # ----------------------------------------------------------------------
@@ -127,48 +69,36 @@ class ProcsResult:
 # Wire (frames over the rank's control link, see :mod:`repro.launch`):
 #   rank -> ("ready",)           module init done, channels registered
 #   parent -> ("go",)            every rank is ready: enter main
-#   rank -> ("result", status)   ("ok", value, counters), or
-#                                ("error", rank, type, message, traceback);
-#                                sent in place of "ready" when setup failed
+#   rank -> ("result", status, counters)
+#                                the rank's status (repro.distrib.spmd) and
+#                                "module.op" counters; sent in place of
+#                                "ready" when setup failed
 #   parent -> EOF                every rank has reported, or the run is being
 #                                torn down, or the parent is gone: tear down
 
 def procs_child_main(link, job: ProcsJob, rank: int) -> None:
     """Body of one rank process (a :class:`repro.launch.Child` runs it).
 
-    Builds the rank's runtime + fabric + shared heap, runs the main, sends
+    Builds the rank's executor + fabric + shared heap and a one-rank
+    :class:`~repro.distrib.spmd.RankGroup` on them, runs the main, sends
     the result, holds the fabric open until the parent hangs up (peers may
     still target this PE's symmetric heap), then tears down.
     """
-    from repro.distrib.spmd import ClusterConfig, RankContext, _bind_main
+    from repro.distrib.spmd import RankGroup, failure, merged_counters
     from repro.exec.threaded import ThreadedExecutor
     from repro.net.procfabric import ProcFabric
-    from repro.platform.hwloc import discover, machine
-    from repro.runtime.runtime import HiperRuntime
     from repro.shmem.shared import SharedArena, segment_name
 
-    ex = fabric = arena = rt = ctx = None
-    status: Optional[Tuple] = None
+    ex = fabric = arena = group = None
+    frame: Optional[Tuple] = None
     try:
-        main_fn = job.resolve_factory()(*job.args, **(job.kwargs or {}))
         ex = ThreadedExecutor(block_timeout=job.block_timeout)
-        fabric = ProcFabric(ex, job.nranks, rank, job.rundir,
+        fabric = ProcFabric(ex, job.config.nranks, rank, job.rundir,
                             connect_timeout=job.connect_timeout)
         fabric.start()
         arena = SharedArena(segment_name(job.run_id, rank), job.heap_bytes)
-        spec = machine(job.machine)
-        model = discover(spec, num_workers=job.workers_per_rank,
-                         detail="flat")
-        model.name = f"{model.name}-r{rank}"
-        rt = HiperRuntime(model, ex, rank=rank, nranks=job.nranks,
-                          seed=job.seed)
-        config = ClusterConfig(nodes=job.nranks, ranks_per_node=1,
-                               workers_per_rank=job.workers_per_rank,
-                               machine=spec)
-        ctx = RankContext(rank, job.nranks, rt, fabric, config,
-                          shared={"shmem-arena": arena})
-        mods = [factory(ctx) for factory in job.resolve_modules()]
-        rt.start(mods)
+        group = RankGroup(job.config, job.module_factories, ex, fabric,
+                          rank, rank + 1, shared={"shmem-arena": arena})
         # Startup rendezvous: no rank may enter its main (and start sending)
         # until every rank has finished module init — a message landing on a
         # peer whose channels aren't registered yet would kill its reader
@@ -176,18 +106,15 @@ def procs_child_main(link, job: ProcsJob, rank: int) -> None:
         # usable yet, which is exactly what this barrier establishes.
         link.send(("ready",))
         if link.recv() is not None:  # None: the run is already being torn down
-            result = ex.run_root(rt, _bind_main(main_fn, ctx),
-                                 name=f"rank{rank}-main")
-            counters = {f"{m}.{op}": int(v)
-                        for (m, op), v in rt.stats.counters.items()}
-            status = ("ok", result, counters)
+            group.run(job.main)
+            frame = ("result", group.statuses(remote=True)[0],
+                     merged_counters(group.contexts))
     except BaseException as exc:  # noqa: BLE001 - serialized to the parent
-        status = ("error", rank, type(exc).__name__, str(exc),
-                  traceback.format_exc())
+        frame = ("result", failure(rank, exc, remote=True), {})
     failed: Optional[BaseException] = None
     try:
-        if status is not None:
-            link.send(("result", status))
+        if frame is not None:
+            link.send(frame)
             # Serve peers until the whole job is done: another rank's main
             # may still put/get against this PE. The parent hangs up once
             # every rank's result landed.
@@ -196,8 +123,10 @@ def procs_child_main(link, job: ProcsJob, rank: int) -> None:
         pass  # the parent is gone: nobody to report to or to serve
     except BaseException as exc:  # noqa: BLE001 - e.g. an unpicklable result
         failed = exc
+    ctx = group.contexts[0] if group is not None else None
     for step in (
-        (lambda: rt.shutdown()) if rt is not None else None,
+        (lambda: group.shutdown([frame[1]] if frame else []))
+        if group is not None else None,
         (lambda: ctx._mux.close()) if ctx is not None and ctx._mux else None,
         (lambda: fabric.close()) if fabric is not None else None,
         (lambda: ex.shutdown()) if ex is not None else None,
@@ -217,7 +146,8 @@ def procs_child_main(link, job: ProcsJob, rank: int) -> None:
 # parent side
 # ----------------------------------------------------------------------
 class ProcessExecutor:
-    """Parent-side orchestrator of a multiprocess SPMD run.
+    """The procs back end of :func:`repro.distrib.spmd.spmd_run`: one OS
+    process per rank.
 
     Not a task engine (the engine inside each rank is a
     :class:`ThreadedExecutor`); this owns the run: rendezvous directory,
@@ -228,69 +158,49 @@ class ProcessExecutor:
 
     mode = "procs"
 
-    def __init__(
-        self,
-        nranks: int,
-        *,
-        launcher: str = "local",
-        workers_per_rank: int = 1,
-        machine: str = "workstation",
-        heap_bytes: int = 1 << 26,
-        timeout: float = 300.0,
-        block_timeout: float = 60.0,
-        seed: int = 0,
-    ):
-        if nranks < 1:
-            raise ConfigError(f"nranks must be >= 1, got {nranks}")
+    def __init__(self, *, launcher: str = "local", heap_bytes: int = 1 << 26,
+                 timeout: float = 300.0, block_timeout: float = 60.0):
         if timeout <= 0 or block_timeout <= 0:
             raise ConfigError("timeouts must be positive")
-        self.nranks = nranks
+        self._method = start_method(launcher)
         self.launcher_name = launcher
-        self.workers_per_rank = workers_per_rank
-        self.machine = machine
         self.heap_bytes = heap_bytes
         self.timeout = timeout
         self.block_timeout = block_timeout
-        self.seed = seed
+        #: The latest run's id; it names the run's shared-memory segments.
+        self.run_id: Optional[str] = None
         self._children: List[Child] = []
         self._rundir: Optional[str] = None
-        self._run_id: Optional[str] = None
+        self._nranks = 0
         self._shutdown = False
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        factory: Union[str, Callable],
-        args: Tuple = (),
-        kwargs: Optional[Dict[str, Any]] = None,
-        *,
-        modules: Sequence = (("shmem", {}),),
-    ) -> ProcsResult:
-        """Start ``nranks`` rank processes and collect their results."""
+    def run(self, main: Callable, config: ClusterConfig,
+            module_factories: Sequence[Callable]) -> SpmdResult:
+        """Start one process per rank and settle their statuses; this is
+        what ``spmd_run`` calls on this back end."""
+        from repro.distrib.spmd import SpmdResult, settle
+
         if self._shutdown:
             raise RuntimeStateError(
                 "ProcessExecutor used after shutdown(); create a fresh one")
         if self._children:
             raise RuntimeStateError("a run is already in flight")
-        method = start_method(self.launcher_name)
-        run_id = uuid.uuid4().hex[:12]
-        rundir = tempfile.mkdtemp(prefix=f"repro-procs-{run_id}-")
+        self.run_id = uuid.uuid4().hex[:12]
+        self._rundir = tempfile.mkdtemp(prefix=f"repro-procs-{self.run_id}-")
+        self._nranks = config.nranks
         job = ProcsJob(
-            run_id=run_id, rundir=rundir, nranks=self.nranks,
-            factory=factory, args=tuple(args), kwargs=dict(kwargs or {}),
-            modules=tuple(modules), machine=self.machine,
-            workers_per_rank=self.workers_per_rank,
-            heap_bytes=self.heap_bytes, seed=self.seed,
-            block_timeout=self.block_timeout,
+            run_id=self.run_id, rundir=self._rundir, main=main, config=config,
+            module_factories=tuple(module_factories),
+            heap_bytes=self.heap_bytes, block_timeout=self.block_timeout,
         )
-        self._rundir, self._run_id = rundir, run_id
         t0 = time.perf_counter()
         try:
-            for rank in range(self.nranks):
+            for rank in range(config.nranks):
                 self._children.append(Child.start(
-                    method, procs_child_main, (job, rank),
+                    self._method, procs_child_main, (job, rank),
                     name=f"rank {rank}"))
-            statuses = self._collect(time.monotonic() + self.timeout)
+            frames = self._collect(time.monotonic() + self.timeout)
         except BaseException:
             # A failed start, a timeout, an interrupt: nothing to wait for.
             close_all(self._children, grace=0.0)
@@ -299,51 +209,33 @@ class ProcessExecutor:
             self._sweep()
         wall = time.perf_counter() - t0
 
-        results: List[Any] = []
-        counters: Dict[str, int] = {}
-        errors: List[Tuple[int, str, str, str]] = []
-        for status in statuses:
-            if status is not None and status[0] == "ok":
-                results.append(status[1])
-                for key, v in status[2].items():
-                    counters[key] = counters.get(key, 0) + v
-                continue
-            results.append(None)
-            if status is not None:  # None: never started, a peer's setup failed
-                errors.append(status[1:])
-        if errors:
-            # Surface the root cause: a lost rank before the broken pipes it
-            # left its peers, and anything before a stranded peer's watchdog
-            # stall.
-            order = {"ChildDied": 0, "ChildCrashed": 0, "DeadlockError": 2}
-            errors.sort(key=lambda e: order.get(e[1], 1))
-            rank, ename, emsg, etb = errors[0]
-            detail = f"\n--- rank {rank} traceback ---\n{etb}" if etb else ""
-            raise ConfigError(
-                f"{len(errors)} rank(s) failed; first failure on rank "
-                f"{rank}: {ename}: {emsg}{detail}"
-            )
-        return ProcsResult(results=results, wall_time=wall, run_id=run_id,
-                           launcher=self.launcher_name, counters=counters)
+        counters: dict = {}
+        for frame in frames:
+            for key, n in (frame[2] if frame else {}).items():
+                counters[key] = counters.get(key, 0) + n
+        results = settle([frame and frame[1] for frame in frames],
+                         config.nranks)
+        return SpmdResult(results, None, wall, self, counters=counters)
 
     # ------------------------------------------------------------------
     def _collect(self, deadline: float) -> List[Optional[Tuple]]:
         """ready -> go -> result with every rank, inside the wall deadline.
-        A rank that died or crashed becomes an error status; running out of
-        time raises."""
-        statuses: List[Optional[Tuple]] = [None] * self.nranks
+        A rank that died or crashed gets an error status; running out of
+        time raises. None: a rank that never started (a peer's setup
+        failed)."""
+        nranks = len(self._children)
+        frames: List[Optional[Tuple]] = [None] * nranks
 
         def report(rank: int) -> str:
             """The tag of ``rank``'s next frame; a result (or the diagnosis
-            of a lost rank, which stands in for one) lands in ``statuses``."""
+            of a lost rank, which stands in for one) lands in ``frames``."""
             try:
                 frame = self._children[rank].recv(deadline - time.monotonic())
             except ChildError as exc:
                 frame = ("result", ("error", rank, type(exc).__name__,
-                                    str(exc), ""))
+                                    str(exc), ""), {})
             except ChildTimeout:
-                stragglers = [r for r in range(self.nranks)
-                              if statuses[r] is None]
+                stragglers = [r for r in range(nranks) if frames[r] is None]
                 raise RuntimeStateError(
                     f"multiprocess run timed out after {self.timeout}s; "
                     f"terminated straggler rank(s) {stragglers} "
@@ -351,18 +243,18 @@ class ProcessExecutor:
                     "failure, or the workload outgrew the timeout)"
                 ) from None
             if frame[0] == "result":
-                statuses[rank] = frame[1]
+                frames[rank] = frame
             return frame[0]
 
-        if all(report(rank) == "ready" for rank in range(self.nranks)):
+        if all(report(rank) == "ready" for rank in range(nranks)):
             for child in self._children:
                 try:
                     child.send(("go",))
                 except ChildError:
                     pass  # report() below says how it went
-            for rank in range(self.nranks):
+            for rank in range(nranks):
                 report(rank)
-        return statuses
+        return frames
 
     def _sweep(self) -> None:
         """Hang up on every rank (a finished one tears down on EOF), reap,
@@ -372,11 +264,10 @@ class ProcessExecutor:
 
         close_all(self._children)
         self._children = []
-        if self._run_id:
-            cleanup_segments(self._run_id, self.nranks)
         if self._rundir:
+            cleanup_segments(self.run_id, self._nranks)
             shutil.rmtree(self._rundir, ignore_errors=True)
-        self._rundir = self._run_id = None
+        self._rundir = None
 
     def shutdown(self) -> None:
         """Idempotent; kills any in-flight ranks and sweeps leaks."""
@@ -387,22 +278,4 @@ class ProcessExecutor:
         self._sweep()
 
     def __repr__(self) -> str:
-        return (f"ProcessExecutor(nranks={self.nranks}, "
-                f"launcher={self.launcher_name!r})")
-
-
-def procs_run(
-    factory: Union[str, Callable],
-    args: Tuple = (),
-    kwargs: Optional[Dict[str, Any]] = None,
-    *,
-    nranks: int = 4,
-    modules: Sequence = (("shmem", {}),),
-    **executor_kwargs,
-) -> ProcsResult:
-    """One-shot multiprocess SPMD run (the ``spmd_run`` of this backend)."""
-    ex = ProcessExecutor(nranks, **executor_kwargs)
-    try:
-        return ex.run(factory, args, kwargs, modules=modules)
-    finally:
-        ex.shutdown()
+        return f"ProcessExecutor(launcher={self.launcher_name!r})"

@@ -50,8 +50,8 @@ import dataclasses
 import heapq
 import math
 import time
-import traceback
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 from repro.exec.sim import SimExecutor
 from repro.launch import (Child, ChildCrashed, ChildDied, ChildTimeout,
@@ -64,7 +64,12 @@ from repro.util.errors import (
     PlaceFailure,
     RuntimeStateError,
 )
-from repro.util.stats import RuntimeStats
+
+if TYPE_CHECKING:
+    from repro.distrib.spmd import SpmdResult
+
+#: Wall seconds a sharded run may take before its shards are torn down.
+_TIMEOUT = 300.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,36 +192,6 @@ class _ShardSimExecutor(SimExecutor):
                 return False
 
 
-@dataclasses.dataclass
-class ShardedSpmdResult:
-    """Outcome of a sharded SPMD run (the cross-process analogue of
-    :class:`repro.distrib.spmd.SpmdResult`)."""
-
-    results: List[Any]
-    makespan: float
-    nshards: int
-    plan: ShardPlan
-    #: Merged ``"module.op"`` counters from every rank, plus the sharding
-    #: layer's own: ``shards.windows``, ``shards.cross_shard_msgs``,
-    #: ``shards.cross_shard_bytes``.
-    counters: Dict[str, int]
-    #: Per-shard telemetry: windows, cross_shard_msgs, cross_shard_bytes,
-    #: idle_wall_s (wall time blocked at window barriers), events_processed.
-    shard_counters: List[Dict[str, Any]]
-    windows: int
-
-    @property
-    def nranks(self) -> int:
-        return len(self.results)
-
-    def merged_stats(self) -> RuntimeStats:
-        out = RuntimeStats()
-        for key, n in self.counters.items():
-            module, _, op = key.partition(".")
-            out.count(module, op, n)
-        return out
-
-
 # ----------------------------------------------------------------------
 # shard worker (child process)
 # ----------------------------------------------------------------------
@@ -229,9 +204,7 @@ class ShardedSpmdResult:
 
 def _run_shard(link, main, config, module_factories, plan, shard_id) -> None:
     """Body of one shard worker (a :class:`repro.launch.Child` runs it)."""
-    from repro.distrib.spmd import RankContext, _bind_main
-    from repro.platform.hwloc import discover
-    from repro.runtime.runtime import HiperRuntime
+    from repro.distrib.spmd import RankGroup, merged_counters
 
     ex = _ShardSimExecutor(trace=config.trace,
                            task_overhead=config.task_overhead)
@@ -239,25 +212,8 @@ def _run_shard(link, main, config, module_factories, plan, shard_id) -> None:
                        ranks_per_node=config.ranks_per_node,
                        topology=config.topology, plan=plan, shard_id=shard_id)
     lo, hi = plan.bounds[shard_id]
-    shared: dict = {}
-    contexts = []
-    for rank in range(lo, hi):
-        model = discover(config.machine, num_workers=config.workers_per_rank,
-                         detail=config.detail)
-        model.name = f"{model.name}-r{rank}"
-        rt = HiperRuntime(model, ex, paths=config.path_policy, rank=rank,
-                          nranks=config.nranks, seed=config.seed)
-        contexts.append(RankContext(rank, config.nranks, rt, fabric, config,
-                                    shared=shared))
-    for ctx in contexts:
-        mods = [factory(ctx) for factory in module_factories]
-        ctx.runtime.start(mods)
-
-    futures = [
-        ex.submit_root(ctx.runtime, _bind_main(main, ctx),
-                       name=f"rank{ctx.rank}-main")
-        for ctx in contexts
-    ]
+    group = RankGroup(config, module_factories, ex, fabric, lo, hi)
+    group.submit(main)
 
     state = {"finished": False}
     windows = 0
@@ -269,7 +225,7 @@ def _run_shard(link, main, config, module_factories, plan, shard_id) -> None:
             return False
         outboxes = fabric.take_outboxes()
         t_next = ex.next_activation()
-        done = all(f.satisfied for f in futures)
+        done = all(f.satisfied for f in group.futures)
         t0 = time.perf_counter()
         link.send(("win", t_next, done, outboxes))
         reply = link.recv()
@@ -297,30 +253,9 @@ def _run_shard(link, main, config, module_factories, plan, shard_id) -> None:
     finally:
         ex._stepping = False
 
-    statuses: List[tuple] = []
-    errored = False
-    for ctx, fut in zip(contexts, futures):
-        if not fut.satisfied:
-            statuses.append(("error", ctx.rank, "DeadlockError",
-                             f"rank {ctx.rank} stalled after a peer failure",
-                             None))
-            errored = True
-            continue
-        try:
-            statuses.append(("ok", ctx.rank, fut.value()))
-        except BaseException as exc:  # noqa: BLE001 - surface after loop
-            statuses.append(("error", ctx.rank, type(exc).__name__, str(exc),
-                             traceback.format_exc()))
-            errored = True
+    statuses = group.statuses(remote=True)
     makespan = ex.makespan()
-    merged = RuntimeStats()
-    for ctx in contexts:
-        try:
-            ctx.runtime.shutdown()
-        except Exception:  # noqa: BLE001 - see spmd_run: don't mask root cause
-            if not errored:
-                raise
-        merged.merge(ctx.runtime.stats)
+    group.shutdown(statuses)
     shard_counters = {
         "shard": shard_id,
         "windows": windows,
@@ -330,7 +265,7 @@ def _run_shard(link, main, config, module_factories, plan, shard_id) -> None:
         "events_processed": ex.events_processed,
     }
     link.send(("result", statuses, makespan,
-               merged.to_dict()["counters"], shard_counters))
+               merged_counters(group.contexts), shard_counters))
     ex.shutdown()
 
 
@@ -360,26 +295,14 @@ def _send(child: Child, frame: tuple) -> None:
         pass  # the _recv that follows every send says how it went
 
 
-def sharded_spmd_run(
-    main,
-    config=None,
-    *,
-    module_factories: Sequence[Callable] = (),
-    executor: SimExecutor,
-    fault_injector=None,
-    timeout: float = 300.0,
-) -> ShardedSpmdResult:
-    """Run ``main(ctx)`` on every rank across ``executor.shards`` OS-process
-    shards; the conservative-window counterpart of
-    :func:`repro.distrib.spmd.spmd_run` (which dispatches here when its
-    executor was built with ``shards > 1``)."""
-    from repro.distrib.spmd import ClusterConfig
+def run_shards(main, config, module_factories: Sequence[Callable],
+               executor: SimExecutor) -> SpmdResult:
+    """:func:`repro.distrib.spmd.spmd_run` on ``executor.shards``
+    OS-process shards: start one worker per shard, coordinate the windows,
+    then settle the ranks' statuses into one :class:`SpmdResult`."""
+    from repro.distrib.spmd import SpmdResult, settle
 
-    config = config or ClusterConfig()
-    if fault_injector is not None:
-        raise ConfigError(
-            "fault injection requires shards=1: fault verdicts are "
-            "per-message sender state the window protocol does not carry")
+    t0 = time.perf_counter()
     nshards = executor.shards
     plan = ShardPlan.build(config.nranks, nshards, config.ranks_per_node)
     lookahead = config.network.lookahead(config.topology)
@@ -392,7 +315,7 @@ def sharded_spmd_run(
                 (main, config, tuple(module_factories), plan, k),
                 name=f"shard {k}"))
 
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + _TIMEOUT
         horizon = 0.0
         windows = 0
         stalled = False
@@ -429,25 +352,19 @@ def sharded_spmd_run(
             for k, child in enumerate(children):
                 _send(child, ("adv", horizon, route[k]))
 
-        results: List[Any] = [None] * config.nranks
-        errors: List[Tuple[int, str, str]] = []
+        statuses: List[tuple] = []
         counters: Dict[str, int] = {}
         shard_counters: List[Dict[str, Any]] = []
         makespan = 0.0
         for k in range(nshards):
             frame = _recv(children[k], deadline, k)
-            _, statuses, shard_makespan, shard_stats, telemetry = frame
+            _, shard_statuses, shard_makespan, shard_stats, telemetry = frame
             makespan = max(makespan, shard_makespan)
             for key, n in shard_stats.items():
                 counters[key] = counters.get(key, 0) + n
             telemetry["horizon_final"] = horizon
             shard_counters.append(telemetry)
-            for status in statuses:
-                if status[0] == "ok":
-                    results[status[1]] = status[2]
-                else:
-                    _, rank, ename, emsg, _tb = status
-                    errors.append((rank, ename, emsg))
+            statuses.extend(shard_statuses)
     except BaseException:
         close_all(children, grace=0.0)
         raise
@@ -457,24 +374,16 @@ def sharded_spmd_run(
             f"shard process(es) did not exit cleanly after their results: "
             f"exit codes {codes}")
 
-    cross_msgs = sum(t["cross_shard_msgs"] for t in shard_counters)
-    cross_bytes = sum(t["cross_shard_bytes"] for t in shard_counters)
     counters["shards.windows"] = windows
-    counters["shards.cross_shard_msgs"] = cross_msgs
-    counters["shards.cross_shard_bytes"] = cross_bytes
-    if errors:
-        errors.sort(key=lambda e: e[1] == "DeadlockError")
-        rank, ename, emsg = errors[0]
-        first: Exception = (
-            DeadlockError(emsg) if ename == "DeadlockError"
-            else RuntimeStateError(f"{ename}: {emsg}"))
-        raise ConfigError(
-            f"{len(errors)} rank(s) failed; first failure on rank {rank}: "
-            f"{ename}: {emsg}"
-        ) from first
+    counters["shards.cross_shard_msgs"] = sum(
+        t["cross_shard_msgs"] for t in shard_counters)
+    counters["shards.cross_shard_bytes"] = sum(
+        t["cross_shard_bytes"] for t in shard_counters)
+    results = settle(statuses, config.nranks)
     if stalled:
         raise DeadlockError(
             "sharded engine quiesced before completion: every shard ran out "
             "of work with no messages in flight")
-    return ShardedSpmdResult(results, makespan, nshards, plan, counters,
-                             shard_counters, windows)
+    return SpmdResult(results, makespan, time.perf_counter() - t0, executor,
+                      windows=windows, shard_counters=shard_counters,
+                      counters=counters)

@@ -47,6 +47,8 @@ class ThreadedExecutor(Executor):
         self._runtime: Optional[HiperRuntime] = None
         self._threads: List[threading.Thread] = []
         self._cond = threading.Condition()
+        #: Notified as each root task finishes; what drive() waits on.
+        self._root_done = threading.Condition()
         self._stop = False
         self._started = False
         self._shutdown = False
@@ -273,31 +275,37 @@ class ThreadedExecutor(Executor):
                 out.put(inner.value())
             except BaseException as exc:  # noqa: BLE001
                 out.put_exception(exc)
+            with self._root_done:
+                self._root_done.notify_all()
 
         scope.all_done_future().on_ready(_joined)
         return out.get_future()
+
+    def drive(self, until: Callable[[], bool]) -> None:
+        """Wait until ``until()`` is true, re-checking it as each root task
+        finishes. Progress-extending watchdog: wait in slices and restart
+        the stall deadline whenever workers ran tasks since the last check."""
+        mark = self._progress
+        deadline = time.monotonic() + self.block_timeout
+        with self._root_done:
+            while not until():
+                self._root_done.wait(timeout=0.05)
+                now_m = time.monotonic()
+                seen = self._progress
+                if seen != mark:
+                    mark = seen
+                    deadline = now_m + self.block_timeout
+                elif now_m > deadline:
+                    raise DeadlockError(
+                        f"root tasks made no progress for "
+                        f"{self.block_timeout}s (threaded watchdog)"
+                    )
 
     def run_root(
         self, runtime: HiperRuntime, fn: Callable[[], Any], *, name: str = "root"
     ) -> Any:
         fut = self.submit_root(runtime, fn, name=name)
-        done = threading.Event()
-        fut.on_ready(lambda _f: done.set())
-        # Progress-extending watchdog: wait in slices and restart the stall
-        # deadline whenever workers completed tasks since the last check.
-        mark = self._progress
-        deadline = time.monotonic() + self.block_timeout
-        while not done.wait(timeout=0.05):
-            now_m = time.monotonic()
-            seen = self._progress
-            if seen != mark:
-                mark = seen
-                deadline = now_m + self.block_timeout
-            elif now_m > deadline:
-                raise DeadlockError(
-                    f"root task {name!r} made no progress for "
-                    f"{self.block_timeout}s (threaded watchdog)"
-                )
+        self.drive(lambda: fut.satisfied)
         return fut.value()
 
     def makespan(self) -> float:

@@ -16,6 +16,7 @@ can target storage places, and user-facing APIs:
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -209,5 +210,6 @@ def _forward(src: Future, dst: Promise, value: Any = None) -> None:
 
 
 def checkpoint_factory(**kwargs) -> Callable[[Any], CheckpointModule]:
-    """Module factory for :func:`repro.distrib.spmd_run`."""
-    return lambda ctx: CheckpointModule(ctx, **kwargs)
+    """Module factory for :func:`repro.distrib.spmd_run` (a partial,
+    so it pickles for the ``subprocess`` launcher)."""
+    return functools.partial(CheckpointModule, **kwargs)

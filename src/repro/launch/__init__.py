@@ -240,9 +240,9 @@ class Child:
                 child.close(grace=0.0)
                 raise ConfigError(
                     f"cannot start {name}: the exec start method (the "
-                    "subprocess launcher) pickles the child's work — name "
-                    "the app by dotted factory path instead of passing a "
-                    f"callable ({exc})") from exc
+                    "subprocess launcher) pickles the child's work — pass a "
+                    "module-level function or a functools.partial of one, "
+                    f"not a lambda or closure ({exc})") from exc
         return child
 
     # ------------------------------------------------------------------

@@ -32,6 +32,7 @@ benchmark variants and by the funneling ablation.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
@@ -329,5 +330,6 @@ def _chain(src: Future, dst: Promise) -> None:
 
 
 def mpi_factory(**kwargs) -> Callable[[Any], MpiModule]:
-    """Module factory for :func:`repro.distrib.spmd_run`."""
-    return lambda ctx: MpiModule(ctx, **kwargs)
+    """Module factory for :func:`repro.distrib.spmd_run` (a partial,
+    so it pickles for the ``subprocess`` launcher)."""
+    return functools.partial(MpiModule, **kwargs)

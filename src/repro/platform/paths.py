@@ -39,14 +39,6 @@ class WorkerPaths:
     def num_workers(self) -> int:
         return len(self.pop)
 
-    def places_on_any_path(self) -> List[Place]:
-        seen: Dict[int, Place] = {}
-        for paths in (self.pop, self.steal):
-            for wp in paths:
-                for p in wp:
-                    seen.setdefault(p.place_id, p)
-        return [seen[k] for k in sorted(seen)]
-
     def workers_covering(self, place: Place) -> List[int]:
         """Workers that would ever visit ``place`` (on either path)."""
         out = []

@@ -16,7 +16,7 @@ context to know where to spawn, charge, and block.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.util.errors import RuntimeStateError
 
@@ -103,6 +103,3 @@ class scoped_context:
     def __exit__(self, *exc) -> None:
         _tls.stack.pop()
 
-
-def iter_contexts() -> Iterator[ExecContext]:  # pragma: no cover - debug aid
-    return iter(reversed(_tls.stack))

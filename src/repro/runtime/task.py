@@ -294,10 +294,5 @@ class TaskSlab:
             return None
         return t
 
-    @staticmethod
-    def handle_of(task: Task) -> int:
-        """The generation-tagged handle for a slab-managed record."""
-        return (task.slab_gen << 32) | task.slab_slot
-
     def __len__(self) -> int:
         return len(self._records)

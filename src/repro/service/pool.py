@@ -101,11 +101,12 @@ def run_job_cold(spec: JobSpec) -> Any:
     pair. Runs in the slot's worker process like every other job.
     """
     if spec.backend == "procs":
-        from repro.verify.spmd_workloads import run_procs_workload
+        from repro.exec.procs import ProcessExecutor
+        from repro.verify.spmd_workloads import run_spmd_workload
 
-        digest, _res = run_procs_workload(
-            spec.app, nranks=spec.ranks, workers_per_rank=1,
-            seed=spec.seed, cfg_kwargs=dict(spec.params))
+        digest, _res = run_spmd_workload(
+            spec.app, ProcessExecutor(), nranks=spec.ranks, seed=spec.seed,
+            cfg_kwargs=dict(spec.params))
         return digest
     entry = WarmRuntime(spec.backend)
     try:

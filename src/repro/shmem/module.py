@@ -17,6 +17,7 @@ where direct library calls are safe.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -416,5 +417,6 @@ class ShmemModule(HiperModule):
 
 
 def shmem_factory(**kwargs) -> Callable[[Any], ShmemModule]:
-    """Module factory for :func:`repro.distrib.spmd_run`."""
-    return lambda ctx: ShmemModule(ctx, **kwargs)
+    """Module factory for :func:`repro.distrib.spmd_run` (a partial,
+    so it pickles for the ``subprocess`` launcher)."""
+    return functools.partial(ShmemModule, **kwargs)

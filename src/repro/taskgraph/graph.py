@@ -133,10 +133,6 @@ class TaskNode(Releasable):
     def data_touched(self) -> Tuple[DataHandle, ...]:
         return self.reads + self.writes + self.commutes + self.maybe_writes
 
-    @property
-    def is_uncertain(self) -> bool:
-        return bool(self.maybe_writes)
-
     def __repr__(self) -> str:
         return f"TaskNode({self.name!r}, seq={self.seq})"
 

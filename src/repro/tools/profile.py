@@ -24,6 +24,7 @@ Exposed on the command line as ``python -m repro profile <figure>``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
 import json
 import os
@@ -68,8 +69,9 @@ class TelemetryModule(HiperModule):
 
 
 def telemetry_factory(**kwargs) -> Callable[[Any], TelemetryModule]:
-    """Module factory for :func:`repro.distrib.spmd_run`."""
-    return lambda ctx: TelemetryModule(ctx, **kwargs)
+    """Module factory for :func:`repro.distrib.spmd_run` (a partial,
+    so it pickles for the ``subprocess`` launcher)."""
+    return functools.partial(TelemetryModule, **kwargs)
 
 
 @dataclasses.dataclass
@@ -145,12 +147,11 @@ def profile_spmd(
         )
     gc_cost = _GcCost()
     gc.callbacks.append(gc_cost)
-    t0 = time.perf_counter()
     try:
         result = spmd_run(main, cfg, module_factories=factories, executor=ex)
     finally:
         gc.callbacks.remove(gc_cost)
-    wall = time.perf_counter() - t0
+    wall = result.wall_s
 
     merged = result.merged_stats()
     if sharded:
@@ -182,7 +183,7 @@ def profile_spmd(
     }
     if sharded:
         metrics["shards"] = {
-            "nshards": result.nshards,
+            "nshards": shards,
             "windows": result.windows,
             "cross_shard_msgs": result.counters["shards.cross_shard_msgs"],
             "cross_shard_bytes": result.counters["shards.cross_shard_bytes"],

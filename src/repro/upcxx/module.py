@@ -8,6 +8,7 @@ scheduler for local tasks, remote RPCs, and everything else.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, List, Optional
 
 import numpy as np
@@ -166,5 +167,6 @@ class SharedArray:
 
 
 def upcxx_factory(**kwargs) -> Callable[[Any], UpcxxModule]:
-    """Module factory for :func:`repro.distrib.spmd_run`."""
-    return lambda ctx: UpcxxModule(ctx, **kwargs)
+    """Module factory for :func:`repro.distrib.spmd_run` (a partial,
+    so it pickles for the ``subprocess`` launcher)."""
+    return functools.partial(UpcxxModule, **kwargs)

@@ -28,11 +28,7 @@ from repro.verify.differential import (
     run_on_engine,
     taskgraph_differential,
 )
-from repro.verify.spmd_workloads import (
-    SPMD_WORKLOADS,
-    run_procs_workload,
-    run_sharded_workload,
-)
+from repro.verify.spmd_workloads import SPMD_WORKLOADS, run_spmd_workload
 from repro.verify.harness import (
     HuntOutcome,
     HuntResult,
@@ -66,8 +62,7 @@ __all__ = [
     "run_on_engine",
     "taskgraph_differential",
     "SPMD_WORKLOADS",
-    "run_procs_workload",
-    "run_sharded_workload",
+    "run_spmd_workload",
     "HuntOutcome",
     "HuntResult",
     "hunt",

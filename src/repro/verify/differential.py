@@ -429,16 +429,13 @@ def _run_spmd_twin(workload_name: str, engine: str, *, workers: int,
     shmem backend — into the same comparison as every other engine. Quiesce
     invariants are checked per rank in each child, so the set here is empty.
     """
-    from repro.verify.spmd_workloads import (run_procs_workload,
-                                             run_sharded_workload)
+    from repro.exec.procs import ProcessExecutor
+    from repro.verify.spmd_workloads import run_spmd_workload
 
-    if engine == "procs":
-        digest, _res = run_procs_workload(
-            workload_name, nranks=nranks, seed=seed,
-            workers_per_rank=max(1, workers // 2))
-    else:
-        digest, _res = run_sharded_workload(
-            workload_name, nranks=nranks, shards=2, seed=seed)
+    executor = ProcessExecutor() if engine == "procs" else SimExecutor(shards=2)
+    digest, _res = run_spmd_workload(
+        workload_name, executor, nranks=nranks, seed=seed,
+        workers_per_rank=max(1, workers // 2))
     return EngineRun(engine=engine, result=digest,
                      invariants=InvariantReport())
 

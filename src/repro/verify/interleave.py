@@ -115,25 +115,9 @@ class InterleaveExecutor(SimExecutor):
             h.update(f"{rank}:{wid}:{name}:{seq}\n".encode())
         return h.hexdigest()
 
-    def schedule_summary(self, limit: int = 12) -> str:
-        head = [
-            f"  step {seq:>4d}: r{rank}w{wid} ran {name!r}"
-            for rank, wid, name, seq in self.schedule[:limit]
-        ]
-        more = len(self.schedule) - limit
-        if more > 0:
-            head.append(f"  ... {more} more steps")
-        return "\n".join(head)
-
     def __repr__(self) -> str:
         return (
             f"InterleaveExecutor({self.strategy.describe()}, "
             f"steps={len(self.schedule)})"
         )
 
-
-def replay_executor(schedule: List[ScheduleEntry], **kwargs) -> InterleaveExecutor:
-    """An executor that replays ``schedule`` exactly (for failure triage)."""
-    from repro.verify.strategies import ReplayStrategy
-
-    return InterleaveExecutor(ReplayStrategy(schedule), **kwargs)

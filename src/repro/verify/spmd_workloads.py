@@ -25,13 +25,15 @@ simulator's and the thread pool's, a divergence isolates a bug in the procs
 mechanism (fabric framing, shared-memory heap, completion acks) — the
 workload math is pinned by the other two engines.
 
-Factories are module-level and addressable by dotted path
-(``repro.verify.spmd_workloads:isx_spmd_factory``) so every launcher —
-including pickling ones — can reach them.
+Each factory returns a ``functools.partial`` of a module-level main, so
+every launcher — the pickling ``subprocess`` one included — can ship it.
+:func:`run_spmd_workload` runs one on whichever back end its executor
+selects.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -57,8 +59,7 @@ __all__ = [
     "isx_combine",
     "uts_combine",
     "graph500_combine",
-    "run_procs_workload",
-    "run_sharded_workload",
+    "run_spmd_workload",
 ]
 
 
@@ -68,34 +69,32 @@ __all__ = [
 def isx_spmd_factory(**cfg_kwargs) -> Callable:
     """SPMD bucket sort; combine with :func:`isx_combine`."""
     cfg_kwargs.setdefault("keys_per_pe", 1 << 11)
-    cfg = IsxConfig(**cfg_kwargs)
+    return functools.partial(isx_spmd_main, IsxConfig(**cfg_kwargs))
 
-    def main(ctx):
-        sh = ctx.shmem
-        me, n = ctx.rank, ctx.nranks
-        keys = generate_keys(cfg, 0, 1)   # the single-runtime global array
-        mine = keys[me::n]                # this rank's stride of it
-        width = (cfg.max_key + n - 1) // n
-        recv = sh.malloc((int(keys.size),), dtype=np.int64, fill=0)
-        cursor = sh.malloc((1,), dtype=np.int64, fill=0)
-        yield sh.barrier_all_async()
-        for dest in range(n):
-            lo, hi = dest * width, (dest + 1) * width
-            sel = mine[(mine >= lo) & (mine < hi)]
-            if sel.size == 0:
-                continue
-            idx = yield sh.atomic_fetch_add_async(cursor, int(sel.size), dest)
-            yield sh.put_async(recv, np.ascontiguousarray(sel), dest, int(idx))
-        yield sh.quiet_async()
-        yield sh.barrier_all_async()
-        cnt = int((yield sh.get_async(cursor, me))[0])
-        bucket = np.asarray((yield sh.get_async(recv, me, 0, cnt)))
-        out = local_sort(bucket)
-        yield sh.barrier_all_async()
-        return np.asarray(out)
 
-    main.__name__ = "isx_spmd_main"
-    return main
+def isx_spmd_main(cfg: IsxConfig, ctx):
+    sh = ctx.shmem
+    me, n = ctx.rank, ctx.nranks
+    keys = generate_keys(cfg, 0, 1)   # the single-runtime global array
+    mine = keys[me::n]                # this rank's stride of it
+    width = (cfg.max_key + n - 1) // n
+    recv = sh.malloc((int(keys.size),), dtype=np.int64, fill=0)
+    cursor = sh.malloc((1,), dtype=np.int64, fill=0)
+    yield sh.barrier_all_async()
+    for dest in range(n):
+        lo, hi = dest * width, (dest + 1) * width
+        sel = mine[(mine >= lo) & (mine < hi)]
+        if sel.size == 0:
+            continue
+        idx = yield sh.atomic_fetch_add_async(cursor, int(sel.size), dest)
+        yield sh.put_async(recv, np.ascontiguousarray(sel), dest, int(idx))
+    yield sh.quiet_async()
+    yield sh.barrier_all_async()
+    cnt = int((yield sh.get_async(cursor, me))[0])
+    bucket = np.asarray((yield sh.get_async(recv, me, 0, cnt)))
+    out = local_sort(bucket)
+    yield sh.barrier_all_async()
+    return np.asarray(out)
 
 
 def isx_combine(results: List[Any]) -> Tuple:
@@ -166,20 +165,18 @@ def uts_spmd_factory(**cfg_kwargs) -> Callable:
     cfg_kwargs.setdefault("root_children", 40)
     cfg_kwargs.setdefault("mean_children", 0.8)
     cfg_kwargs.setdefault("node_cost", 0.0)
-    cfg = UtsConfig(**cfg_kwargs)
+    return functools.partial(uts_spmd_main, UtsConfig(**cfg_kwargs))
 
-    def main(ctx):
-        sh = ctx.shmem
-        me, n = ctx.rank, ctx.nranks
-        local = 1 if me == 0 else 0       # rank 0 accounts for the root
-        for kid in children(cfg, root_node(cfg))[me::n]:
-            local += _subtree_count(cfg, kid)
-        total = yield sh.reduce_async(local, lambda a, b: a + b)
-        yield sh.barrier_all_async()
-        return (int(local), int(total))
 
-    main.__name__ = "uts_spmd_main"
-    return main
+def uts_spmd_main(cfg: UtsConfig, ctx):
+    sh = ctx.shmem
+    me, n = ctx.rank, ctx.nranks
+    local = 1 if me == 0 else 0       # rank 0 accounts for the root
+    for kid in children(cfg, root_node(cfg))[me::n]:
+        local += _subtree_count(cfg, kid)
+    total = yield sh.reduce_async(local, lambda a, b: a + b)
+    yield sh.barrier_all_async()
+    return (int(local), int(total))
 
 
 def uts_combine(results: List[Any]) -> Tuple:
@@ -203,40 +200,39 @@ def graph500_spmd_factory(chunk: int = 128, **cfg_kwargs) -> Callable:
     boundaries define the deterministic merge order both versions share.
     """
     cfg_kwargs.setdefault("scale", 8)
-    cfg = Graph500Config(**cfg_kwargs)
+    return functools.partial(graph500_spmd_main, Graph500Config(**cfg_kwargs),
+                             chunk)
 
-    def main(ctx):
-        sh = ctx.shmem
-        me, n = ctx.rank, ctx.nranks
-        edges = kronecker_edges(cfg)
-        nv = cfg.nvertices
-        row_starts, cols = build_csr(edges, nv)
-        src = pick_root(cfg, row_starts)
-        parent = np.full(nv, -1, dtype=np.int64)
-        parent[src] = src
-        frontier = np.array([src], dtype=np.int64)
-        while frontier.size:
-            chunks = [
-                (ci, bfs_expand(row_starts, cols, parent,
-                                frontier[i:i + chunk]))
-                for ci, i in enumerate(range(0, frontier.size, chunk))
-                if ci % n == me
-            ]
-            gathered = yield sh.fcollect_async(chunks)
-            # Same merge the single-runtime workload does: chunk order,
-            # first claim wins — every rank applies the identical sequence,
-            # so the replicated parent arrays never diverge.
-            frontier = bfs_merge(parent, [
-                claims for _, claims in sorted(
-                    (c for per_rank in gathered for c in per_rank),
-                    key=lambda c: c[0])])
-        reached = validate_bfs(cfg, edges, src, parent)
-        yield sh.barrier_all_async()
-        return ("graph500", int(reached),
-                hashlib.sha256(parent.tobytes()).hexdigest())
 
-    main.__name__ = "graph500_spmd_main"
-    return main
+def graph500_spmd_main(cfg: Graph500Config, chunk: int, ctx):
+    sh = ctx.shmem
+    me, n = ctx.rank, ctx.nranks
+    edges = kronecker_edges(cfg)
+    nv = cfg.nvertices
+    row_starts, cols = build_csr(edges, nv)
+    src = pick_root(cfg, row_starts)
+    parent = np.full(nv, -1, dtype=np.int64)
+    parent[src] = src
+    frontier = np.array([src], dtype=np.int64)
+    while frontier.size:
+        chunks = [
+            (ci, bfs_expand(row_starts, cols, parent,
+                            frontier[i:i + chunk]))
+            for ci, i in enumerate(range(0, frontier.size, chunk))
+            if ci % n == me
+        ]
+        gathered = yield sh.fcollect_async(chunks)
+        # Same merge the single-runtime workload does: chunk order, first
+        # claim wins — every rank applies the identical sequence, so the
+        # replicated parent arrays never diverge.
+        frontier = bfs_merge(parent, [
+            claims for _, claims in sorted(
+                (c for per_rank in gathered for c in per_rank),
+                key=lambda c: c[0])])
+    reached = validate_bfs(cfg, edges, src, parent)
+    yield sh.barrier_all_async()
+    return ("graph500", int(reached),
+            hashlib.sha256(parent.tobytes()).hexdigest())
 
 
 def graph500_combine(results: List[Any]) -> Tuple:
@@ -249,84 +245,43 @@ def graph500_combine(results: List[Any]) -> Tuple:
     return first
 
 
-#: name -> (dotted factory path, combiner). The dotted path — not the
-#: callable — is what goes into the job so pickling launchers work.
-SPMD_WORKLOADS: Dict[str, Tuple[str, Callable[[List[Any]], Tuple]]] = {
-    "isx": ("repro.verify.spmd_workloads:isx_spmd_factory", isx_combine),
-    "uts": ("repro.verify.spmd_workloads:uts_spmd_factory", uts_combine),
-    "graph500": ("repro.verify.spmd_workloads:graph500_spmd_factory",
-                 graph500_combine),
+#: name -> (factory, combiner).
+SPMD_WORKLOADS: Dict[str, Tuple[Callable[..., Callable],
+                                Callable[[List[Any]], Tuple]]] = {
+    "isx": (isx_spmd_factory, isx_combine),
+    "uts": (uts_spmd_factory, uts_combine),
+    "graph500": (graph500_spmd_factory, graph500_combine),
 }
 
 
-def run_procs_workload(
+def run_spmd_workload(
     name: str,
+    executor,
     *,
     nranks: int = 4,
-    launcher: str = "local",
     workers_per_rank: int = 1,
-    timeout: float = 300.0,
-    block_timeout: float = 60.0,
     seed: int = 0,
     cfg_kwargs: Optional[Dict[str, Any]] = None,
 ):
-    """Run one named workload on the multiprocess backend.
+    """Run one named workload's SPMD twin with ``executor``, whichever back
+    end it selects (``SimExecutor(shards=N)``, ``ProcessExecutor(...)``).
 
-    Returns ``(digest, ProcsResult)`` where ``digest`` is comparable with
-    the single-runtime differential workloads' return values.
+    Returns ``(digest, SpmdResult)``; the digest is comparable with the
+    single-runtime differential workloads'. Ranks map one per node, so any
+    shard count up to ``nranks`` is valid.
     """
-    from repro.exec.procs import procs_run
-    from repro.verify.strategies import VerificationError
-
-    try:
-        factory_path, combine = SPMD_WORKLOADS[name]
-    except KeyError:
-        raise VerificationError(
-            f"unknown SPMD workload {name!r}; "
-            f"choose from {sorted(SPMD_WORKLOADS)}") from None
-    res = procs_run(
-        factory_path, kwargs=dict(cfg_kwargs or {}), nranks=nranks,
-        launcher=launcher, workers_per_rank=workers_per_rank,
-        timeout=timeout, block_timeout=block_timeout, seed=seed,
-    )
-    return combine(res.results), res
-
-
-def run_sharded_workload(
-    name: str,
-    *,
-    nranks: int = 4,
-    shards: int = 2,
-    seed: int = 0,
-    cfg_kwargs: Optional[Dict[str, Any]] = None,
-):
-    """Run one named workload on the sharded DES engine
-    (``SimExecutor(shards=N)``).
-
-    Returns ``(digest, ShardedSpmdResult)``; the digest is comparable with
-    the single-runtime differential workloads' and the single-process engine's.
-    Ranks map one per node — shard partitions are node-aligned, so this
-    keeps any shard count up to ``nranks`` valid.
-    """
-    import importlib
-
     from repro.distrib.spmd import ClusterConfig, spmd_run
-    from repro.exec.sim import SimExecutor
     from repro.shmem import shmem_factory
     from repro.verify.strategies import VerificationError
 
     try:
-        factory_path, combine = SPMD_WORKLOADS[name]
+        factory, combine = SPMD_WORKLOADS[name]
     except KeyError:
         raise VerificationError(
             f"unknown SPMD workload {name!r}; "
             f"choose from {sorted(SPMD_WORKLOADS)}") from None
-    mod_name, _, fn_name = factory_path.partition(":")
-    factory = getattr(importlib.import_module(mod_name), fn_name)
-    cfg = ClusterConfig(nodes=nranks, ranks_per_node=1, seed=seed)
-    res = spmd_run(
-        factory(**dict(cfg_kwargs or {})), cfg,
-        module_factories=[shmem_factory(direct=True)],
-        executor=SimExecutor(shards=shards),
-    )
+    cfg = ClusterConfig(nodes=nranks, ranks_per_node=1,
+                        workers_per_rank=workers_per_rank, seed=seed)
+    res = spmd_run(factory(**dict(cfg_kwargs or {})), cfg,
+                   module_factories=[shmem_factory()], executor=executor)
     return combine(res.results), res

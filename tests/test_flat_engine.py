@@ -452,7 +452,22 @@ class TestOptionCensus:
         from repro.exec.procs import ProcessExecutor
 
         params = inspect.signature(ProcessExecutor).parameters
-        assert "join_timeout" not in params and len(params) == 8
+        assert "join_timeout" not in params
+        assert sorted(params) == ["block_timeout", "heap_bytes", "launcher",
+                                  "timeout"]
+        import repro.exec
+        import repro.exec.procs
+        import repro.exec.shards
+        import repro.verify
+        for module, gone in ((repro.exec.procs, "procs_run"),
+                             (repro.exec.procs, "ProcsResult"),
+                             (repro.exec.procs, "resolve_dotted"),
+                             (repro.exec.shards, "ShardedSpmdResult"),
+                             (repro.exec.shards, "sharded_spmd_run"),
+                             (repro.verify, "run_procs_workload"),
+                             (repro.verify, "run_sharded_workload")):
+            assert not hasattr(module, gone), gone
+            assert gone not in repro.exec.__all__
         for gone in ("Launcher", "ProcHandle", "FluxLauncher", "PbsLauncher",
                      "LocalLauncher", "SubprocessLauncher", "get_launcher",
                      "register_launcher", "all_launchers"):

@@ -22,7 +22,7 @@ import pytest
 from repro.distrib.spmd import ClusterConfig, spmd_run
 from repro.exec import procs as procs_mod
 from repro.exec import shards as shards_mod
-from repro.exec.procs import procs_run
+from repro.exec.procs import ProcessExecutor
 from repro.exec.sim import SimExecutor
 from repro.launch import (Child, ChildCrashed, ChildDied, ChildTimeout,
                           close_all)
@@ -210,7 +210,8 @@ class TestSeam:
 class TestStart:
     def test_exec_needs_an_importable_body(self):
         before = child_pids()
-        with pytest.raises(ConfigError, match="dotted factory path"):
+        with pytest.raises(ConfigError, match="module-level function or a "
+                                              "functools.partial of one"):
             Child.start("exec", lambda link: None, name="nameless")
         assert child_pids() == before
 
@@ -222,7 +223,7 @@ class TestStart:
         with pytest.raises(ConfigError, match=hint):
             PoolWorker("sim", 0, None)
         with pytest.raises(ConfigError, match=hint):
-            procs_run(dying_rank_factory, nranks=2)
+            _procs(dying_rank_factory)
         with pytest.raises(ConfigError, match=hint):
             _sharded(dying_rank_factory)
         assert leaked_segments() == []
@@ -242,6 +243,12 @@ def dying_rank_factory():
         return ctx.rank
 
     return main
+
+
+def _procs(main_factory, **executor_kw):
+    return spmd_run(main_factory(), ClusterConfig(nodes=2),
+                    module_factories=[shmem_factory()],
+                    executor=ProcessExecutor(timeout=60.0, **executor_kw))
 
 
 def _sharded(main_factory):
@@ -273,8 +280,7 @@ def _crash_pool_worker():
 
 class TestThreeProtocols:
     @pytest.mark.parametrize("run, public, who", [
-        (lambda: procs_run(dying_rank_factory, nranks=2, timeout=60.0,
-                           block_timeout=2.0),
+        (lambda: _procs(dying_rank_factory, block_timeout=2.0),
          ConfigError, r"first failure on rank 1: ChildDied: rank 1 died"),
         (lambda: _sharded(dying_rank_factory),
          PlaceFailure, r"shard 1 died mid-window"),
@@ -288,7 +294,7 @@ class TestThreeProtocols:
 
     @pytest.mark.parametrize("patch, run, public, who", [
         ((procs_mod, "procs_child_main"),
-         lambda: procs_run(dying_rank_factory, nranks=2, timeout=60.0),
+         lambda: _procs(dying_rank_factory),
          ConfigError, "rank 0"),
         ((shards_mod, "SimFabric"), lambda: _sharded(dying_rank_factory),
          RuntimeStateError, "shard 0"),

@@ -3,12 +3,15 @@
 Covers the parent-side lifecycle discipline (no orphaned children, no
 leaked ``/dev/shm`` segments, stragglers terminated on timeout), the
 put/get/quiet round-trip over the real socket fabric + shared-memory heap,
-the two launchers, a parent killed mid-run, and the sim ↔ procs digest
+the two launchers, a parent killed mid-run, the pickle round trip of
+everything a ``subprocess`` rank receives, and the sim ↔ procs digest
 differential on CI-sized workloads.
 """
 
+import functools
 import glob
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -19,13 +22,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.exec.procs import (
-    ProcessExecutor,
-    ProcsJob,
-    procs_run,
-    resolve_dotted,
-)
+from repro.distrib.spmd import ClusterConfig, SpmdResult, spmd_run
+from repro.exec.procs import ProcessExecutor, ProcsJob
 from repro.launch import LAUNCHERS, start_method
+from repro.shmem import shmem_factory
 from repro.shmem.shared import leaked_segments
 from repro.util.errors import ConfigError, RuntimeStateError
 from tests.procutil import alive, child_pids, until
@@ -81,30 +81,39 @@ def _new_children(before):
     return [p for p in child_pids() if p not in before]
 
 
+def _procs(main_factory, nranks=2, **executor_kw):
+    return spmd_run(main_factory(), ClusterConfig(nodes=nranks),
+                    module_factories=[shmem_factory()],
+                    executor=ProcessExecutor(**executor_kw))
+
+
 # ----------------------------------------------------------------------
 # round-trip + lifecycle
 # ----------------------------------------------------------------------
 class TestRoundTrip:
     def test_put_get_quiet_two_ranks(self):
-        res = procs_run(roundtrip_factory, nranks=2, timeout=60.0)
-        assert sorted(res.results) == [(0, 101, [101] * 4),
-                                       (1, 100, [100] * 4)]
+        res = _procs(roundtrip_factory, timeout=60.0)
+        assert type(res) is SpmdResult
+        assert res.results == [(0, 101, [101] * 4), (1, 100, [100] * 4)]
         assert res.nranks == 2
-        assert res.launcher == "local"
-        assert res.wall_time > 0
+        assert res.executor.launcher_name == "local"
+        assert res.wall_s > 0 and res.makespan is None
 
     def test_counters_merged_across_ranks(self):
-        res = procs_run(roundtrip_factory, nranks=2, timeout=60.0)
+        res = _procs(roundtrip_factory, timeout=60.0)
         assert any(key.startswith("shmem.") for key in res.counters), \
             res.counters
+        assert res.merged_stats().counter("shmem", "puts") == \
+            res.counters["shmem.puts"]
 
     def test_no_orphans_no_leaked_segments_no_rundir(self):
         before = child_pids()
-        res = procs_run(roundtrip_factory, nranks=2, timeout=60.0)
+        res = _procs(roundtrip_factory, timeout=60.0)
+        run_id = res.executor.run_id
         assert _new_children(before) == []
-        assert leaked_segments(res.run_id) == []
+        assert leaked_segments(run_id) == []
         assert glob.glob(os.path.join(
-            tempfile.gettempdir(), f"repro-procs-{res.run_id}-*")) == []
+            tempfile.gettempdir(), f"repro-procs-{run_id}-*")) == []
 
 
 class TestFailurePaths:
@@ -112,14 +121,12 @@ class TestFailurePaths:
         # Rank 0 stalls at the barrier rank 1 never reaches; the report must
         # lead with the injected error, not the stranded peer's DeadlockError.
         with pytest.raises(ConfigError, match="injected rank failure"):
-            procs_run(failing_factory, nranks=2, timeout=60.0,
-                      block_timeout=2.0)
+            _procs(failing_factory, timeout=60.0, block_timeout=2.0)
 
     def test_hang_hits_parent_timeout_and_terminates_stragglers(self):
         before = child_pids()
         with pytest.raises(RuntimeStateError, match="timed out"):
-            procs_run(hanging_factory, nranks=2, timeout=2.0,
-                      block_timeout=60.0)
+            _procs(hanging_factory, timeout=2.0, block_timeout=60.0)
         deadline = time.monotonic() + 10.0
         while _new_children(before) and time.monotonic() < deadline:
             time.sleep(0.05)
@@ -127,17 +134,20 @@ class TestFailurePaths:
         assert leaked_segments() == []
 
     def test_executor_refuses_reuse_after_shutdown(self):
-        ex = ProcessExecutor(2)
+        ex = ProcessExecutor()
         ex.shutdown()
         ex.shutdown()  # idempotent
         with pytest.raises(RuntimeStateError, match="after shutdown"):
-            ex.run(roundtrip_factory)
+            spmd_run(roundtrip_factory(), ClusterConfig(nodes=2),
+                     module_factories=[shmem_factory()], executor=ex)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
-            ProcessExecutor(0)
+            ProcessExecutor(block_timeout=0.0)
         with pytest.raises(ConfigError):
-            ProcessExecutor(2, timeout=-1.0)
+            ProcessExecutor(timeout=-1.0)
+        with pytest.raises(TypeError):   # the rank count is the config's
+            ProcessExecutor(2)
 
 
 #: Rank 0 returns at once, rank 1 works on for 3 s; both announce themselves,
@@ -145,19 +155,20 @@ class TestFailurePaths:
 #: so the two ranks' lines cannot interleave as print's pieces did).
 _PARENT_SCRIPT = """
 import os, time
-from repro.exec.procs import procs_run
+from repro.distrib import ClusterConfig, spmd_run
+from repro.exec.procs import ProcessExecutor
+from repro.shmem import shmem_factory
 
-def factory():
-    def main(ctx):
-        yield ctx.shmem.barrier_all_async()
-        line = f"rank {os.getpid()} {ctx.shared['shmem-arena'].name}\\n"
-        os.write(1, line.encode())
-        if ctx.rank == 1:
-            time.sleep(3.0)
-        return ctx.rank
-    return main
+def main(ctx):
+    yield ctx.shmem.barrier_all_async()
+    line = f"rank {os.getpid()} {ctx.shared['shmem-arena'].name}\\n"
+    os.write(1, line.encode())
+    if ctx.rank == 1:
+        time.sleep(3.0)
+    return ctx.rank
 
-procs_run(factory, nranks=2, timeout=60.0)
+spmd_run(main, ClusterConfig(nodes=2), module_factories=[shmem_factory()],
+         executor=ProcessExecutor(timeout=60.0))
 """
 
 
@@ -193,26 +204,69 @@ class TestParentKilled:
 # ----------------------------------------------------------------------
 # factories + launchers
 # ----------------------------------------------------------------------
+def _module_factories():
+    from repro.cuda import cuda_factory
+    from repro.io.module import checkpoint_factory
+    from repro.mpi import mpi_factory
+    from repro.tools.profile import telemetry_factory
+    from repro.upcxx import upcxx_factory
+
+    return [shmem_factory(direct=True), mpi_factory(), upcxx_factory(),
+            cuda_factory(), checkpoint_factory(), telemetry_factory(period=1e-3)]
+
+
+def _twins():
+    from repro.verify.spmd_workloads import SPMD_WORKLOADS
+
+    return [factory() for factory, _combine in SPMD_WORKLOADS.values()]
+
+
 class TestFactoryResolution:
+    """What a ``subprocess`` rank runs reaches it by pickle, which names a
+    module-level callable by its dotted path (``functools.partial`` keeps
+    the arguments): no resolver of our own."""
+
+    @pytest.mark.parametrize("factory", _module_factories() + _twins(),
+                             ids=["shmem", "mpi", "upcxx", "cuda",
+                                  "checkpoint", "telemetry", "isx-twin",
+                                  "uts-twin", "graph500-twin"])
+    def test_pickle_round_trip(self, factory):
+        back = pickle.loads(pickle.dumps(factory))
+        assert isinstance(back, functools.partial)
+        assert back.func is factory.func
+        assert back.args == factory.args
+        assert back.keywords == factory.keywords
+
     def test_resolve_dotted(self):
-        from repro.shmem import shmem_factory
-        assert resolve_dotted("repro.shmem:shmem_factory") is shmem_factory
+        # A module-level function is pickled by reference to its dotted path.
+        from repro.verify.spmd_workloads import uts_spmd_main
+        assert pickle.loads(pickle.dumps(uts_spmd_main)) is uts_spmd_main
 
     def test_resolve_dotted_rejects_malformed(self):
-        with pytest.raises(ConfigError, match="pkg.mod:attr"):
-            resolve_dotted("repro.shmem.shmem_factory")
+        # A lambda has no dotted path; the job cannot be shipped.
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(lambda ctx: None)
 
     def test_resolve_dotted_rejects_missing_attr(self):
-        with pytest.raises(ConfigError, match="no attribute"):
-            resolve_dotted("repro.shmem:nope")
+        def main(ctx):
+            return ctx.rank
+
+        main.__qualname__ = "nope"   # not reachable from its module
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(main)
 
     def test_resolve_modules_by_name_and_path(self):
-        job = ProcsJob(run_id="x", rundir="/tmp", nranks=1,
-                       factory=roundtrip_factory,
-                       modules=(("shmem", {}),
-                                ("repro.mpi:mpi_factory", {})))
-        mods = job.resolve_modules()
-        assert len(mods) == 2 and all(callable(m) for m in mods)
+        from repro.verify.spmd_workloads import uts_spmd_factory
+
+        job = ProcsJob(run_id="x", rundir="/tmp", main=uts_spmd_factory(),
+                       config=ClusterConfig(nodes=2),
+                       module_factories=tuple(_module_factories()),
+                       heap_bytes=1 << 20, block_timeout=1.0)
+        back = pickle.loads(pickle.dumps(job))
+        assert back.config == job.config
+        assert [f.func for f in back.module_factories] == \
+            [f.func for f in job.module_factories]
+        assert back.main.args == job.main.args
 
 
 class TestLauncherRegistry:
@@ -225,24 +279,26 @@ class TestLauncherRegistry:
                            match="known launchers: local, subprocess"):
             start_method("slurm-step")
         with pytest.raises(ConfigError, match="unknown launcher 'flux'"):
-            procs_run(roundtrip_factory, nranks=2, launcher="flux")
+            ProcessExecutor(launcher="flux")
 
     def test_subprocess_launcher_needs_a_picklable_job(self):
         before = child_pids()
-        with pytest.raises(ConfigError, match="dotted factory path"):
-            procs_run(lambda: None, nranks=2, launcher="subprocess")
+        with pytest.raises(ConfigError, match="module-level function or a "
+                                              "functools.partial"):
+            _procs(roundtrip_factory, launcher="subprocess")
         assert _new_children(before) == []
 
 
 class TestSubprocessLauncher:
     def test_roundtrip_over_command_line_children(self):
         # Exercises job pickling + the `python -m repro procs-worker` entry.
-        from repro.verify.spmd_workloads import run_procs_workload
-        digest, res = run_procs_workload("uts", nranks=2,
-                                         launcher="subprocess", timeout=90.0)
+        from repro.verify.spmd_workloads import run_spmd_workload
+        digest, res = run_spmd_workload(
+            "uts", ProcessExecutor(launcher="subprocess", timeout=90.0),
+            nranks=2)
         assert digest == ("uts", 355)
-        assert res.launcher == "subprocess"
-        assert leaked_segments(res.run_id) == []
+        assert res.executor.launcher_name == "subprocess"
+        assert leaked_segments(res.executor.run_id) == []
 
 
 # ----------------------------------------------------------------------

@@ -20,14 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distrib.spmd import ClusterConfig, SpmdResult, spmd_run
-from repro.exec.shards import ShardedSpmdResult, ShardPlan, sharded_spmd_run
+from repro.exec.shards import ShardPlan
 from repro.exec.sim import SimExecutor
 from repro.net.costmodel import NETWORKS, NetworkModel
 from repro.net.topology import FlatTopology
 from repro.shmem import shmem_factory
 from repro.shmem.shared import leaked_segments
 from repro.util.errors import ConfigError, PlaceFailure
-from repro.verify.spmd_workloads import run_sharded_workload
+from repro.verify.spmd_workloads import run_spmd_workload
 from tests.procutil import child_pids
 
 NR = 4
@@ -205,9 +205,9 @@ class TestExecutorPlumbing:
 
     def test_fault_injection_rejected(self):
         with pytest.raises(ConfigError, match="fault injection"):
-            sharded_spmd_run(lambda ctx: None, ClusterConfig(**CFG),
-                             executor=_flat_executor(shards=2),
-                             fault_injector=object())
+            spmd_run(lambda ctx: None, ClusterConfig(**CFG),
+                     executor=_flat_executor(shards=2),
+                     fault_injector=object())
 
     def test_too_many_shards_for_cluster_rejected(self):
         with pytest.raises(ConfigError, match="cannot split"):
@@ -263,9 +263,10 @@ class TestShardedDifferential:
     @pytest.mark.parametrize("workload", ["uts", "graph500"])
     @pytest.mark.parametrize("shards", [2, 4])
     def test_digest_matches_flat_spmd_twin(self, workload, shards):
-        flat_digest, _ = run_sharded_workload(workload, nranks=NR, shards=1)
-        sharded_digest, _ = run_sharded_workload(
-            workload, nranks=NR, shards=shards)
+        flat_digest, _ = run_spmd_workload(
+            workload, SimExecutor(shards=1), nranks=NR)
+        sharded_digest, _ = run_spmd_workload(
+            workload, SimExecutor(shards=shards), nranks=NR)
         assert sharded_digest == flat_digest
 
 
@@ -395,7 +396,8 @@ class TestFailurePaths:
 class TestTelemetry:
     def test_window_counters(self):
         res = _run(ring_factory, shards=2)
-        assert type(res) is ShardedSpmdResult
+        assert type(res) is SpmdResult
+        assert res.wall_s > 0 and res.makespan > 0
         assert res.windows > 0
         assert res.counters["shards.windows"] == res.windows
         assert res.counters["shards.cross_shard_msgs"] > 0
