@@ -171,7 +171,6 @@ class ProcessExecutor:
         self.run_id: Optional[str] = None
         self._children: List[Child] = []
         self._rundir: Optional[str] = None
-        self._nranks = 0
         self._shutdown = False
 
     # ------------------------------------------------------------------
@@ -188,7 +187,6 @@ class ProcessExecutor:
             raise RuntimeStateError("a run is already in flight")
         self.run_id = uuid.uuid4().hex[:12]
         self._rundir = tempfile.mkdtemp(prefix=f"repro-procs-{self.run_id}-")
-        self._nranks = config.nranks
         job = ProcsJob(
             run_id=self.run_id, rundir=self._rundir, main=main, config=config,
             module_factories=tuple(module_factories),
@@ -262,10 +260,11 @@ class ProcessExecutor:
         clean exit; the sweep catches killed and crashed ones."""
         from repro.shmem.shared import cleanup_segments
 
+        started = len(self._children)
         close_all(self._children)
         self._children = []
         if self._rundir:
-            cleanup_segments(self.run_id, self._nranks)
+            cleanup_segments(self.run_id, started)
             shutil.rmtree(self._rundir, ignore_errors=True)
         self._rundir = None
 
