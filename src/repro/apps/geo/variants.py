@@ -24,6 +24,7 @@ from typing import Callable, List
 
 import numpy as np
 
+from repro.apps import variant_main
 from repro.apps.geo.common import (
     GeoConfig,
     gpu_kernel_costs,
@@ -283,15 +284,4 @@ VARIANTS = {
 
 def geo_main(variant: str, cfg: GeoConfig) -> Callable:
     """Build a rank-main for :func:`repro.distrib.spmd_run`."""
-    try:
-        fn = VARIANTS[variant]
-    except KeyError:
-        raise ConfigError(
-            f"unknown GEO variant {variant!r}; known: {sorted(VARIANTS)}"
-        ) from None
-
-    def main(ctx):
-        return fn(ctx, cfg)
-
-    main.__name__ = f"geo_{variant}"
-    return main
+    return variant_main("GEO", VARIANTS, variant, cfg)

@@ -24,6 +24,7 @@ from typing import Callable, List
 
 import numpy as np
 
+from repro.apps import variant_main
 from repro.apps.graph500.common import (
     Graph500Config,
     block_bounds,
@@ -158,18 +159,26 @@ def run_hiper(ctx, cfg: Graph500Config, queue_slack: int = 6):
     drained = [0] * n        # rows consumed per sender region
     sent = [0] * n           # rows written per target (sender side)
     new_frontier: List[np.ndarray] = []
+    # Drains run as tasks beside this one; on the threaded and procs back
+    # ends, in parallel (a no-op lock on the simulator).
+    mutex = ctx.runtime.executor.lock_class()
+
+    def absorb_new(s: int) -> None:
+        """Absorb the rows region ``s`` received since its last drain."""
+        t = int(tails.arr[s])
+        if t > drained[s]:
+            rows = queue.arr[s, drained[s] : t]
+            drained[s] = t
+            new_frontier.append(
+                st.absorb(rows[:, 0].copy(), rows[:, 1].copy()))
 
     def arm_drain(s: int):
         """Drain region ``s`` when its tail advances (shmem_async_when)."""
         target = drained[s] + 1
 
         def drain():
-            t = int(tails.arr[s])
-            if t > drained[s]:
-                rows = queue.arr[s, drained[s] : t]
-                drained[s] = t
-                new_frontier.append(
-                    st.absorb(rows[:, 0].copy(), rows[:, 1].copy()))
+            with mutex:
+                absorb_new(s)
             arm_drain(s)
 
         sh.async_when(tails, "ge", target, drain, index=s, daemon=True)
@@ -193,7 +202,8 @@ def run_hiper(ctx, cfg: Graph500Config, queue_slack: int = 6):
                 continue
             rows = block.T.copy()  # (k, 2)
             if r == me:
-                new_frontier.append(st.absorb(rows[:, 0], rows[:, 1]))
+                with mutex:
+                    new_frontier.append(st.absorb(rows[:, 0], rows[:, 1]))
                 continue
             k = rows.shape[0]
             if sent[r] + k > percap:
@@ -211,20 +221,15 @@ def run_hiper(ctx, cfg: Graph500Config, queue_slack: int = 6):
         # continuation. Sweep stragglers synchronously; the drains then see
         # ``drained`` already advanced and no-op (absorb is first-wins).
         yield sh.barrier_all_async()
-        for s in range(n):
-            if s == me:
-                continue
-            t = int(tails.arr[s])
-            if t > drained[s]:
-                rows = queue.arr[s, drained[s] : t]
-                drained[s] = t
-                new_frontier.append(
-                    st.absorb(rows[:, 0].copy(), rows[:, 1].copy()))
-        frontier = (
-            np.concatenate(new_frontier) if new_frontier
-            else np.empty(0, dtype=np.int64)
-        )
-        new_frontier.clear()
+        with mutex:
+            for s in range(n):
+                if s != me:
+                    absorb_new(s)
+            frontier = (
+                np.concatenate(new_frontier) if new_frontier
+                else np.empty(0, dtype=np.int64)
+            )
+            new_frontier.clear()
         total = yield sh.reduce_async(int(frontier.size), lambda a, b: a + b)
         if total == 0:
             break
@@ -235,15 +240,4 @@ VARIANTS = {"mpi": run_mpi, "hiper": run_hiper}
 
 
 def graph500_main(variant: str, cfg: Graph500Config) -> Callable:
-    try:
-        fn = VARIANTS[variant]
-    except KeyError:
-        raise ConfigError(
-            f"unknown Graph500 variant {variant!r}; known: {sorted(VARIANTS)}"
-        ) from None
-
-    def main(ctx):
-        return fn(ctx, cfg)
-
-    main.__name__ = f"graph500_{variant}"
-    return main
+    return variant_main("Graph500", VARIANTS, variant, cfg)

@@ -21,10 +21,12 @@ produce identical iterates, checked against :class:`SerialMg` in tests.
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.apps import variant_main
 from repro.apps.hpgmg.ops import (
     SMOOTH_FLOPS_PER_CELL,
     alloc_field,
@@ -36,7 +38,7 @@ from repro.apps.hpgmg.ops import (
     restrict_fv,
 )
 from repro.apps.hpgmg.serial import SerialMg
-from repro.runtime.api import charge, forasync_future
+from repro.runtime.api import charge, current_runtime, forasync_future
 from repro.runtime.future import Future, Promise
 from repro.util.errors import ConfigError
 
@@ -72,12 +74,6 @@ class HpgmgConfig:
     @property
     def nz_local(self) -> int:
         return self.box_dim * self.boxes_z_per_rank
-
-    def global_shape(self, nranks: int) -> Tuple[int, int, int]:
-        return (self.nz_local * nranks, self.nx, self.ny)
-
-    def boxes_per_rank(self) -> int:
-        return self.boxes_xy * self.boxes_xy * self.boxes_z_per_rank
 
 
 class _Level:
@@ -146,15 +142,8 @@ class UpcxxHalo(_HaloExchanger):
         # rank -> matching obj ids).
         for lv in levels:
             self.u_handles.append(ctx.upcxx.backend.register_shared(lv.u))
-        self._arrivals: Dict[Tuple[int, int, int], Promise] = {}
-        registry = ctx.shared.setdefault("hpgmg-halo-arrivals", {})
-        registry[ctx.rank] = self._arrivals
-
-    def _arrival(self, key) -> Promise:
-        p = self._arrivals.get(key)
-        if p is None:
-            p = self._arrivals[key] = Promise(name=f"halo-{key}")
-        return p
+        self._arrivals: Dict[Tuple[int, int, int], Promise] = \
+            _ARRIVALS.setdefault(ctx.runtime, {})
 
     def exchange(self, level: _Level, lidx: int):
         from repro.upcxx import GlobalPtr
@@ -163,7 +152,6 @@ class UpcxxHalo(_HaloExchanger):
         seq = level.seq
         level.seq += 1
         upcxx = self.ctx.upcxx
-        registry = self.ctx.shared["hpgmg-halo-arrivals"]
         ghost_cells = (level.nx + 2) * (level.ny + 2)
         obj_id = self.u_handles[lidx].obj_id
 
@@ -177,36 +165,41 @@ class UpcxxHalo(_HaloExchanger):
             # my plane 1 -> down-neighbor's TOP ghost (their plane nz+1)
             gptr = GlobalPtr(self.down, obj_id, (level.nz + 1) * ghost_cells)
             upcxx.rput(u[1].reshape(-1), gptr)
-            upcxx.rpc(self.down,
-                      _make_notifier(registry, self.down, (lidx, seq, -1)))
+            upcxx.rpc(self.down, _halo_arrived, (lidx, seq, -1))
         if self.up is not None:
             # my plane nz -> up-neighbor's BOTTOM ghost (their plane 0)
             gptr = GlobalPtr(self.up, obj_id, 0)
             upcxx.rput(u[level.nz].reshape(-1), gptr)
-            upcxx.rpc(self.up,
-                      _make_notifier(registry, self.up, (lidx, seq, +1)))
+            upcxx.rpc(self.up, _halo_arrived, (lidx, seq, +1))
 
         # Await arrivals addressed to me (futures; overlap is free).
         if self.down is not None:
-            yield self._arrival((lidx, seq, +1)).get_future()
+            yield _arrival(self._arrivals, (lidx, seq, +1)).get_future()
         else:
             u[0] = 0.0
         if self.up is not None:
-            yield self._arrival((lidx, seq, -1)).get_future()
+            yield _arrival(self._arrivals, (lidx, seq, -1)).get_future()
         else:
             u[level.nz + 1] = 0.0
 
 
-def _make_notifier(registry, target: int, key):
-    """Build the rpc body executed on ``target``: satisfy its arrival promise
-    (pure-data closure; safe to ship in-process)."""
-    def _notify():
-        arr = registry[target]
-        p = arr.get(key)
-        if p is None:
-            p = arr[key] = Promise(name=f"halo-{key}")
-        p.put(None)
-    return _notify
+#: Each rank's halo arrival promises, found by the rank's runtime: the
+#: notification rpc runs as a task on the receiving rank, so only its key
+#: crosses the wire (and pickles, on the procs back end).
+_ARRIVALS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _arrival(arrivals: Dict[Tuple[int, int, int], Promise], key) -> Promise:
+    p = arrivals.get(key)
+    if p is None:   # the rpc and the awaiting rank may race here on procs
+        p = arrivals.setdefault(key, Promise(name=f"halo-{key}"))
+    return p
+
+
+def _halo_arrived(key) -> None:
+    """The rpc body: satisfy the arrival promise ``key`` of the rank it runs
+    on (which, in another process, may not have built its halo yet)."""
+    _arrival(_ARRIVALS.setdefault(current_runtime(), {}), key).put(None)
 
 
 class DistributedMg:
@@ -368,15 +361,4 @@ VARIANTS = {"reference": run_reference, "hiper": run_hiper}
 
 
 def hpgmg_main(variant: str, cfg: HpgmgConfig) -> Callable:
-    try:
-        fn = VARIANTS[variant]
-    except KeyError:
-        raise ConfigError(
-            f"unknown HPGMG variant {variant!r}; known: {sorted(VARIANTS)}"
-        ) from None
-
-    def main(ctx):
-        return fn(ctx, cfg)
-
-    main.__name__ = f"hpgmg_{variant}"
-    return main
+    return variant_main("HPGMG", VARIANTS, variant, cfg)

@@ -21,6 +21,7 @@ from typing import Callable, List
 
 import numpy as np
 
+from repro.apps import variant_main
 from repro.apps.isx.common import (
     BUCKETIZE_OPS_PER_KEY,
     SORT_OPS_PER_KEY,
@@ -246,15 +247,4 @@ VARIANTS = {
 
 
 def isx_main(variant: str, cfg: IsxConfig) -> Callable:
-    try:
-        fn = VARIANTS[variant]
-    except KeyError:
-        raise ConfigError(
-            f"unknown ISx variant {variant!r}; known: {sorted(VARIANTS)}"
-        ) from None
-
-    def main(ctx):
-        return fn(ctx, cfg)
-
-    main.__name__ = f"isx_{variant}"
-    return main
+    return variant_main("ISx", VARIANTS, variant, cfg)

@@ -28,6 +28,7 @@ from typing import Callable, List
 
 import numpy as np
 
+from repro.apps import variant_main
 from repro.apps.uts.common import (
     Node,
     UtsConfig,
@@ -38,7 +39,6 @@ from repro.apps.uts.common import (
 )
 from repro.runtime.api import async_future, timer_future
 from repro.runtime.future import Future, Promise, when_all, when_any
-from repro.util.errors import ConfigError
 
 #: Rows of the per-PE steal stack (cumulative exports; generous bound).
 STACK_ROWS = 1 << 14
@@ -74,6 +74,10 @@ class _UtsRank:
         self.flush_threshold = cfg.chunk * 4
         self._export_chain = None  # serializes publish_export calls
         self._idle_promise = None
+        #: Guards the rank's bookkeeping above against its own workers,
+        #: which run chunk tasks in parallel on the threaded and procs
+        #: back ends (a no-op lock on the simulator).
+        self.mutex = ctx.runtime.executor.lock_class()
         self._steal_rng = ctx.runtime.rng_factory.stream("uts-steal")
         # Symmetric state (identical allocation order on every PE).
         self.stack = self.sh.malloc((STACK_ROWS, 2), dtype=np.int64)
@@ -124,26 +128,32 @@ class _UtsRank:
         :meth:`publish_export` for stolen ones), so the counter never
         transiently touches zero.
         """
-        self.pending_delta += created - expanded
-        if abs(self.pending_delta) >= self.flush_threshold:
+        with self.mutex:
+            self.pending_delta += created - expanded
+            flush = abs(self.pending_delta) >= self.flush_threshold
+        if flush:
             yield from self.flush_account()
 
     def flush_account(self):
         """Push any pending delta to the global counter (also called before
         idling/stealing/exporting so termination cannot stall on a hoarded
         delta)."""
-        delta, self.pending_delta = self.pending_delta, 0
-        if delta == 0:
-            return
-        yield self.sh.atomic_add_async(self.outstanding, delta, 0)
+        with self.mutex:   # issue in the order the deltas were taken
+            delta, self.pending_delta = self.pending_delta, 0
+            if delta == 0:
+                return
+            added = self.sh.atomic_add_async(self.outstanding, delta, 0)
+        yield added
 
     # -- idle signalling -------------------------------------------------
     def idle_future(self) -> Future:
-        self._idle_promise = Promise(name=f"uts-idle-pe{self.me}")
-        return self._idle_promise.get_future()
+        with self.mutex:
+            self._idle_promise = Promise(name=f"uts-idle-pe{self.me}")
+            return self._idle_promise.get_future()
 
     def wake_idle(self) -> None:
-        p, self._idle_promise = self._idle_promise, None
+        with self.mutex:
+            p, self._idle_promise = self._idle_promise, None
         if p is not None and not p.satisfied:
             p.put(None)
 
@@ -151,7 +161,8 @@ class _UtsRank:
     def take_export_rows(self):
         """Synchronously decide and remove surplus work for export; returns
         ``(rows, base)`` or ``None``. Kept separate from the (asynchronous)
-        publish so callers can keep spawning compute before the puts fly."""
+        publish so callers can keep spawning compute before the puts fly.
+        The caller holds :attr:`mutex`."""
         cfg = self.cfg
         threshold = cfg.chunk * EXPORT_THRESHOLD_CHUNKS
         surplus = len(self.local) - threshold
@@ -178,8 +189,10 @@ class _UtsRank:
         rows, base = export
         # Serialize publications: ``top`` certifies a fully-written prefix,
         # so export i+1 must not raise it before export i's rows landed.
-        prev, gate = self._export_chain, Promise(name=f"uts-export-pe{self.me}")
-        self._export_chain = gate.get_future()
+        with self.mutex:
+            prev, gate = self._export_chain, \
+                Promise(name=f"uts-export-pe{self.me}")
+            self._export_chain = gate.get_future()
         if prev is not None:
             yield prev
         try:
@@ -191,7 +204,8 @@ class _UtsRank:
             gate.put(None)
 
     def maybe_export(self):
-        export = self.take_export_rows()
+        with self.mutex:
+            export = self.take_export_rows()
         if export is not None:
             yield from self.publish_export(export)
 
@@ -254,7 +268,7 @@ def _continuous_engine(st: _UtsRank, steal_gen: Callable, lock_exports: bool):
     cfg = st.cfg
     rt = st.ctx.runtime
 
-    def spawn_chunks():
+    def spawn_chunks():   # the caller holds st.mutex
         while st.local and st.active < st.max_active:
             take = min(cfg.chunk, len(st.local))
             chunk = [st.local.pop() for _ in range(take)]
@@ -266,7 +280,8 @@ def _continuous_engine(st: _UtsRank, steal_gen: Callable, lock_exports: bool):
             )
 
     yield from st.setup()
-    spawn_chunks()
+    with st.mutex:
+        spawn_chunks()
     done_fut = st.done_future()
     backoff = BACKOFF_MIN
     while not st.done:
@@ -274,8 +289,9 @@ def _continuous_engine(st: _UtsRank, steal_gen: Callable, lock_exports: bool):
             yield from st.flush_account()
             got = yield from steal_gen()
             if got:
-                st.local.extend(got)
-                spawn_chunks()
+                with st.mutex:
+                    st.local.extend(got)
+                    spawn_chunks()
                 backoff = BACKOFF_MIN
                 continue
             if st.done:
@@ -291,11 +307,12 @@ def _continuous_engine(st: _UtsRank, steal_gen: Callable, lock_exports: bool):
 def _make_chunk_task(st: _UtsRank, chunk: List[Node], spawn_chunks):
     def chunk_task():  # coroutine task
         kids = expand_chunk(st.cfg, chunk)
-        st.processed += len(chunk)
-        st.local.extend(kids)
-        export = st.take_export_rows()  # decide before re-spawning compute
-        st.active -= 1
-        spawn_chunks()
+        with st.mutex:
+            st.processed += len(chunk)
+            st.local.extend(kids)
+            export = st.take_export_rows()  # decide before re-spawning
+            st.active -= 1
+            spawn_chunks()
         if export is not None:
             yield from st.publish_export(export)
         yield from st.account(len(chunk), len(kids))
@@ -376,15 +393,4 @@ VARIANTS = {
 
 
 def uts_main(variant: str, cfg: UtsConfig) -> Callable:
-    try:
-        fn = VARIANTS[variant]
-    except KeyError:
-        raise ConfigError(
-            f"unknown UTS variant {variant!r}; known: {sorted(VARIANTS)}"
-        ) from None
-
-    def main(ctx):
-        return fn(ctx, cfg)
-
-    main.__name__ = f"uts_{variant}"
-    return main
+    return variant_main("UTS", VARIANTS, variant, cfg)

@@ -5,24 +5,26 @@ Usage (after ``pip install -e .``)::
     python -m repro list                  # what can be reproduced
     python -m repro fig5                  # regenerate Fig. 5's table
     python -m repro fig7 --nodes 1 2 4    # custom sweep points
-    python -m repro validate              # run every app's correctness check
-    python -m repro run --backend procs   # digest workloads on real processes
+    python -m repro validate              # every app's variants on sim
+    python -m repro run --backend procs   # ... on one OS process per rank
     python -m repro platform titan        # print a machine's platform JSON
 
-Each figure command builds the same sweep as its ``benchmarks/bench_*.py``
-counterpart and prints the virtual-time table; ``validate`` runs the
-small-scale correctness harness for all five applications (serial-oracle
-comparisons, Graph500 validator, UTS exact counts).
+Every command that runs an app takes it from ``repro.apps.registry``. Each
+figure command builds the same sweep as its ``benchmarks/bench_*.py``
+counterpart and prints the virtual-time table; ``validate`` runs every
+variant of all five applications at a small size and checks each against
+its app's oracle (serial references, the Graph500 validator, UTS's exact
+count) and the variants against each other.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import sys
 import time
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 
 def cmd_list(_args) -> int:
@@ -32,126 +34,82 @@ def cmd_list(_args) -> int:
     return 0
 
 
+@dataclasses.dataclass(frozen=True)
+class Figure:
+    """One paper figure: the app it plots, its series — (variant, layout,
+    config) each, named after the variant — and what it plots of a run."""
+
+    app: str
+    #: formatted with the first series' ``cfg`` and a run's ``answer``
+    title: str
+    series: Tuple[Tuple[str, str, Any], ...]
+    #: scale -> the config of the HiPER run ``profile`` and ``chaos`` take
+    profile: Callable[[float], Any]
+    metric: Callable[[Any], float] = lambda r: r.makespan * 1e3
+    unit: str = "ms"
+    workers_cap: Optional[int] = None
+
+
+def _figures() -> Dict[str, Figure]:
+    from repro.apps import geo, graph500, hpgmg, isx, presets
+
+    keys, bs, cores = 1 << 11, 1 << 7, 16
+    mg = hpgmg.HpgmgConfig(box_dim=8, boxes_xy=2, boxes_z_per_rank=2, cycles=4)
+    hybrid = isx.IsxConfig(keys_per_pe=keys * cores, byte_scale=bs)
+    grid = geo.GeoConfig(nx=48, ny=48, nz=48, timesteps=4)
+    bfs = graph500.Graph500Config(scale=12)
+
+    def hybrids(cfg, *variants):
+        return tuple((v, "hybrid", cfg) for v in variants)
+
+    return {
+        "fig4": Figure(
+            "hpgmg", "Fig 4 — HPGMG-FV weak scaling (MDOF/s, higher is better)",
+            hybrids(mg, "reference", "hiper"),
+            lambda s: dataclasses.replace(presets.hpgmg_paper(s), cycles=4),
+            metric=lambda r: (mg.nz_local * mg.nx * mg.ny * r.nranks
+                              * mg.cycles / r.makespan / 1e6),
+            unit="MDOF/s"),
+        "fig5": Figure(
+            "isx", "Fig 5 — ISx weak scaling (ms)",
+            (("flat", "flat", isx.IsxConfig(keys_per_pe=keys, byte_scale=bs)),)
+            + hybrids(hybrid, "hybrid", "hiper"),
+            presets.isx_weak_scaling),
+        "fig6": Figure(
+            "geo", "Fig 6 — GEO weak scaling (ms)",
+            hybrids(grid, "mpi_omp", "mpi_cuda", "hiper"),
+            presets.geo_weak_scaling),
+        "fig7": Figure(
+            "uts", "Fig 7 — UTS strong scaling (ms, tree={answer[1]} nodes)",
+            hybrids(presets.uts_t1xxl(), "shmem_omp", "omp_tasks", "hiper"),
+            presets.uts_t1xxl),
+        "g500": Figure(
+            "graph500", "Graph500 strong scaling (ms, scale={cfg.scale})",
+            hybrids(bfs, "mpi", "hiper"),
+            lambda s: presets.graph500_reference(10), workers_cap=8),
+    }
+
+
 def _sweep_fig(fig: str, nodes: List[int]) -> None:
+    from repro.apps.registry import APPS
     from repro.bench import Series, cluster_for, sweep
-    from repro.distrib import spmd_run
 
-    if fig == "fig4":
-        from repro.apps.hpgmg import HpgmgConfig, hpgmg_main
-        from repro.mpi import mpi_factory
-        from repro.upcxx import upcxx_factory
+    f = _figures()[fig]
+    app = APPS[f.app]
+    answers: List[Any] = []
 
-        cfg = HpgmgConfig(box_dim=8, boxes_xy=2, boxes_z_per_rank=2, cycles=4)
+    def series(variant, layout, cfg):
+        def run(n):
+            answer, res = app.run(
+                variant, cluster_for(app.platform, n, layout=layout,
+                                     workers_cap=f.workers_cap), cfg=cfg)
+            answers.append(answer)
+            return res
+        return Series(variant, run)
 
-        def make(variant):
-            def run(n):
-                return spmd_run(
-                    hpgmg_main(variant, cfg),
-                    cluster_for("titan", n, layout="hybrid"),
-                    module_factories=[mpi_factory(), upcxx_factory()])
-            return run
-
-        cells = cfg.nz_local * cfg.nx * cfg.ny
-        sw = sweep(
-            "Fig 4 — HPGMG-FV weak scaling (MDOF/s, higher is better)",
-            [Series("reference", make("reference")),
-             Series("hiper", make("hiper"))],
-            nodes,
-            metric=lambda r: cells * r.nranks * cfg.cycles / r.makespan / 1e6,
-            unit="MDOF/s",
-        )
-    elif fig == "fig5":
-        from repro.apps.isx import IsxConfig, isx_main
-        from repro.shmem import shmem_factory
-
-        keys, bs, cores = 1 << 11, 1 << 7, 16
-
-        def flat(n):
-            return spmd_run(
-                isx_main("flat", IsxConfig(keys_per_pe=keys, byte_scale=bs)),
-                cluster_for("titan", n, layout="flat"),
-                module_factories=[shmem_factory(direct=True)])
-
-        def hybrid(variant):
-            def run(n):
-                return spmd_run(
-                    isx_main(variant, IsxConfig(keys_per_pe=keys * cores,
-                                                byte_scale=bs)),
-                    cluster_for("titan", n, layout="hybrid"),
-                    module_factories=[shmem_factory()])
-            return run
-
-        sw = sweep(
-            "Fig 5 — ISx weak scaling (ms)",
-            [Series("flat", flat), Series("hybrid", hybrid("hybrid")),
-             Series("hiper", hybrid("hiper"))],
-            nodes,
-        )
-    elif fig == "fig6":
-        from repro.apps.geo import GeoConfig, geo_main
-        from repro.cuda import cuda_factory
-        from repro.mpi import mpi_factory
-
-        cfg = GeoConfig(nx=48, ny=48, nz=48, timesteps=4)
-
-        def make(variant):
-            def run(n):
-                return spmd_run(
-                    geo_main(variant, cfg),
-                    cluster_for("titan", n, layout="hybrid"),
-                    module_factories=[mpi_factory(), cuda_factory()])
-            return run
-
-        sw = sweep(
-            "Fig 6 — GEO weak scaling (ms)",
-            [Series(v, make(v)) for v in ("mpi_omp", "mpi_cuda", "hiper")],
-            nodes,
-        )
-    elif fig == "fig7":
-        from repro.apps.uts import UtsConfig, sequential_count, uts_main
-        from repro.shmem import shmem_factory
-
-        cfg = UtsConfig(root_children=3000, mean_children=0.97, seed=1,
-                        node_cost=2e-6)
-        oracle = sequential_count(cfg)
-
-        def make(variant):
-            def run(n):
-                res = spmd_run(
-                    uts_main(variant, cfg),
-                    cluster_for("titan", n, layout="hybrid"),
-                    module_factories=[shmem_factory()])
-                assert sum(res.results) == oracle
-                return res
-            return run
-
-        sw = sweep(
-            f"Fig 7 — UTS strong scaling (ms, tree={oracle} nodes)",
-            [Series(v, make(v)) for v in ("shmem_omp", "omp_tasks", "hiper")],
-            nodes,
-        )
-    elif fig == "g500":
-        from repro.apps.graph500 import Graph500Config, graph500_main
-        from repro.mpi import mpi_factory
-        from repro.shmem import shmem_factory
-
-        cfg = Graph500Config(scale=12)
-
-        def make(variant):
-            def run(n):
-                return spmd_run(
-                    graph500_main(variant, cfg),
-                    cluster_for("edison", n, layout="hybrid", workers_cap=8),
-                    module_factories=[mpi_factory(), shmem_factory()])
-            return run
-
-        sw = sweep(
-            f"Graph500 strong scaling (ms, scale={cfg.scale})",
-            [Series("mpi", make("mpi")), Series("hiper", make("hiper"))],
-            nodes,
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(fig)
+    sw = sweep(f.title, [series(*s) for s in f.series], nodes,
+               metric=f.metric, unit=f.unit)
+    sw.title = f.title.format(cfg=f.series[0][2], answer=answers[-1])
     print(sw.table())
 
 
@@ -162,136 +120,18 @@ def cmd_figure(args) -> int:
     return 0
 
 
-def cmd_validate(_args) -> int:
-    """Small-scale correctness pass over all five applications."""
-    from repro.bench import cluster_for
-    from repro.cuda import cuda_factory
-    from repro.distrib import ClusterConfig, spmd_run
-    from repro.mpi import mpi_factory
-    from repro.platform import machine
-    from repro.shmem import shmem_factory
-    from repro.upcxx import upcxx_factory
-
-    failures = 0
-
-    def check(name, fn):
-        nonlocal failures
-        t0 = time.perf_counter()
-        try:
-            fn()
-            print(f"  {name:<12s} OK   ({time.perf_counter() - t0:.1f}s)")
-        except Exception as exc:  # noqa: BLE001 - report and continue
-            failures += 1
-            print(f"  {name:<12s} FAIL {type(exc).__name__}: {exc}")
-
-    cluster = ClusterConfig(nodes=4, ranks_per_node=1, workers_per_rank=4,
-                            machine=machine("titan"))
-
-    def geo():
-        from repro.apps.geo import GeoConfig, check_result, geo_main
-        cfg = GeoConfig(nx=10, ny=10, nz=8, timesteps=4)
-        for v in ("mpi_omp", "mpi_cuda", "hiper"):
-            res = spmd_run(geo_main(v, cfg), cluster,
-                           module_factories=[mpi_factory(), cuda_factory()])
-            check_result(cfg, res.results)
-
-    def isx():
-        from repro.apps.isx import IsxConfig, isx_main, validate_isx
-        cfg = IsxConfig(keys_per_pe=1500)
-        res = spmd_run(isx_main("hiper", cfg), cluster,
-                       module_factories=[shmem_factory()])
-        validate_isx(cfg, res.nranks, res.results)
-
-    def uts():
-        from repro.apps.uts import UtsConfig, sequential_count, uts_main
-        cfg = UtsConfig(root_children=200, mean_children=0.9)
-        oracle = sequential_count(cfg)
-        for v in ("hiper", "shmem_omp", "omp_tasks"):
-            res = spmd_run(uts_main(v, cfg), cluster,
-                           module_factories=[shmem_factory()])
-            assert sum(res.results) == oracle, v
-
-    def g500():
-        from repro.apps.graph500 import (Graph500Config, block_bounds,
-                                         build_csr, graph500_main,
-                                         kronecker_edges, pick_root,
-                                         validate_bfs)
-        cfg = Graph500Config(scale=8)
-        edges = kronecker_edges(cfg)
-        for v in ("mpi", "hiper"):
-            res = spmd_run(graph500_main(v, cfg), cluster,
-                           module_factories=[mpi_factory(), shmem_factory()])
-            parent = np.full(cfg.nvertices, -1, dtype=np.int64)
-            for r, blk in enumerate(res.results):
-                lo, hi = block_bounds(cfg.nvertices, res.nranks, r)
-                parent[lo:hi] = blk
-            rows, _ = build_csr(edges, cfg.nvertices)
-            assert validate_bfs(cfg, edges, pick_root(cfg, rows), parent) > 0
-
-    def hpgmg():
-        from repro.apps.hpgmg import HpgmgConfig, hpgmg_main
-        cfg = HpgmgConfig(box_dim=8, boxes_xy=1, boxes_z_per_rank=1, cycles=6)
-        for v in ("reference", "hiper"):
-            res = spmd_run(hpgmg_main(v, cfg), cluster,
-                           module_factories=[mpi_factory(), upcxx_factory()])
-            hist = res.results[0][0]
-            assert hist[-1] < hist[0] * 1e-3, v
-
-    print("validating all applications against their oracles:")
-    check("GEO", geo)
-    check("ISx", isx)
-    check("UTS", uts)
-    check("Graph500", g500)
-    check("HPGMG-FV", hpgmg)
-    return 1 if failures else 0
-
-
 def _profile_target(fig: str, scale: float):
-    """One representative (HiPER-variant) run per figure for profiling."""
-    from repro.apps import presets
+    """The HiPER run of one figure that ``profile`` and ``chaos`` take:
+    ``(main, cluster, module factories)``."""
+    from repro.apps.registry import APPS
     from repro.bench import cluster_for
 
-    if fig == "fig4":
-        from repro.apps.hpgmg import hpgmg_main
-        from repro.mpi import mpi_factory
-        from repro.upcxx import upcxx_factory
-
-        cfg = presets.hpgmg_paper(scale)
-        cfg.cycles = 4
-        return (hpgmg_main("hiper", cfg),
-                cluster_for("titan", 2, layout="hybrid"),
-                [mpi_factory(), upcxx_factory()])
-    if fig == "fig5":
-        from repro.apps.isx import isx_main
-        from repro.shmem import shmem_factory
-
-        return (isx_main("hiper", presets.isx_weak_scaling(scale)),
-                cluster_for("titan", 2, layout="hybrid"),
-                [shmem_factory()])
-    if fig == "fig6":
-        from repro.apps.geo import geo_main
-        from repro.cuda import cuda_factory
-        from repro.mpi import mpi_factory
-
-        return (geo_main("hiper", presets.geo_weak_scaling(scale)),
-                cluster_for("titan", 2, layout="hybrid"),
-                [mpi_factory(), cuda_factory()])
-    if fig == "fig7":
-        from repro.apps.uts import uts_main
-        from repro.shmem import shmem_factory
-
-        return (uts_main("hiper", presets.uts_t1xxl(scale)),
-                cluster_for("titan", 2, layout="hybrid"),
-                [shmem_factory()])
-    if fig == "g500":
-        from repro.apps.graph500 import graph500_main
-        from repro.mpi import mpi_factory
-        from repro.shmem import shmem_factory
-
-        return (graph500_main("hiper", presets.graph500_reference(10)),
-                cluster_for("edison", 2, layout="hybrid", workers_cap=8),
-                [mpi_factory(), shmem_factory()])
-    raise ValueError(fig)  # pragma: no cover - argparse restricts choices
+    f = _figures()[fig]
+    app = APPS[f.app]
+    return (app.main("hiper", f.profile(scale)),
+            cluster_for(app.platform, 2, layout="hybrid",
+                        workers_cap=f.workers_cap),
+            app.modules("hiper"))
 
 
 def cmd_profile(args) -> int:
@@ -383,18 +223,21 @@ def cmd_chaos(args) -> int:
 def cmd_verify(args) -> int:
     """Concurrency correctness harness (``repro.verify``): seeded schedule
     exploration with race detection, a planted-race self-check, and the
-    sim↔threaded differential. Exit code is nonzero iff anything failed.
+    cross-engine differentials. Exit code is nonzero iff anything failed.
     Failing interleavings are written as replayable JSON artifacts when
     ``--out`` is given; any reported seed reproduces bit-for-bit via
     ``repro verify --strategy <s> --seeds 1 --first-seed <seed>``."""
     import os
 
+    from repro.apps.registry import APPS
+    from repro.exec.procs import ProcessExecutor
+    from repro.exec.sim import SimExecutor
     from repro.tools.schedule import artifact_from_outcome, save_schedule
     from repro.verify import (WORKLOADS, differential,
                               isx_coalescing_differential,
                               isx_engine_differential,
                               isx_sharded_differential, replay_schedule,
-                              run_once)
+                              run_once, spmd_differential)
     from repro.verify.strategies import STRATEGIES
 
     failures = 0
@@ -465,22 +308,33 @@ def cmd_verify(args) -> int:
             print("    " + bad.describe().replace("\n", "\n    "))
             dump(bad, strat)
 
-    # 3. differential: same workload, different engines, same answer; then
-    #    the same SPMD ISx exchange two ways with equal per-rank digests —
-    #    message coalescing off vs. on, the reference engine vs. production
-    #    (makespans bit-identical too: the event queue's correctness gate),
-    #    single-shard vs. conservative-window OS-process shards.
+    # 3. differential: same workload, different one-runtime engines, same
+    #    answer; then SPMD ISx two ways with one answer — message coalescing
+    #    off vs. on, the reference engine vs. production (makespans
+    #    bit-identical too: the event queue's correctness gate), one shard
+    #    vs. conservative-window OS-process shards; then, with procs or
+    #    sharded among the engines, every variant of every paper app on sim
+    #    and on those.
     if not args.skip_differential:
+        spmd = [e for e in args.engines if e in ("procs", "sharded")]
+        single = tuple(e for e in args.engines if e not in spmd)
         checks = [(wl, lambda wl=wl: differential(
-            wl, engines=tuple(args.engines), workers=args.workers))
-            for wl in sorted(WORKLOADS)]
+            wl, engines=single, workers=args.workers))
+            for wl in sorted(WORKLOADS)] if single else []
         checks += [("isx-coal", isx_coalescing_differential),
                    ("isx-eng", isx_engine_differential),
                    ("isx-shard", isx_sharded_differential)]
+        if spmd:
+            arms = [("sim", None, None)] + [
+                (e, None, ProcessExecutor if e == "procs"
+                 else functools.partial(SimExecutor, shards=2)) for e in spmd]
+            checks += [(f"spmd-{app}",
+                        lambda app=app: spmd_differential(app, arms))
+                       for app in sorted(APPS)]
         for tag, check in checks:
             rep = check()
             mark = "OK  " if rep.ok else "FAIL"
-            print(f"  diff:{tag:<9s}{mark} "
+            print(f"  diff:{tag:<13s} {mark} "
                   f"{'/'.join(r.engine for r in rep.runs)}")
             if not rep.ok:
                 failures += 1
@@ -491,19 +345,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_run(args) -> int:
-    """Run the digest workloads on one execution backend.
+    """Run every variant of the paper's apps on one back end.
 
-    ``--backend sim|threads`` runs the single-runtime task-parallel form
-    inside this process; ``--backend procs`` runs the SPMD twin across real
-    OS processes — one per rank, SHMEM heap on POSIX shared memory, puts
-    and collectives over a Unix-socket fabric. The three backends' digests
-    agree by construction, so this doubles as a cross-backend spot check.
+    Each run is checked by its app's oracle and prints the app's answer —
+    one value for every variant and every back end — with its wall time,
+    and its virtual makespan on sim. ``--backend procs`` runs each rank as
+    an OS process (SHMEM heap on POSIX shared memory, messages over a
+    Unix-socket fabric); ``--shards N`` splits the sim across N processes.
+    ``validate`` is ``run --backend sim --app all``.
     """
+    from repro.apps.registry import APPS
     from repro.exec.procs import ProcessExecutor
     from repro.exec.sim import SimExecutor
     from repro.util.errors import ConfigError
-    from repro.verify import WORKLOADS, run_on_engine
-    from repro.verify.spmd_workloads import SPMD_WORKLOADS, run_spmd_workload
 
     if args.shards < 1:
         raise ConfigError(f"--shards must be >= 1, got {args.shards}")
@@ -512,9 +366,9 @@ def cmd_run(args) -> int:
             f"--shards applies to the sim backend only, not "
             f"--backend {args.backend} (the procs backend is already one "
             "process per rank)")
-    # The executor picks where an SPMD twin's ranks run. A typo'd launcher
-    # fails here, before anything runs, not once per app.
-    executor, where = None, ""
+    # The executor picks where the ranks run. A typo'd launcher fails here,
+    # before anything runs, not once per app.
+    executor, where = None, "in-process"
     if args.backend == "procs":
         executor = ProcessExecutor(launcher=args.launcher,
                                    timeout=args.timeout)
@@ -522,29 +376,33 @@ def cmd_run(args) -> int:
     elif args.shards > 1:
         executor = SimExecutor(shards=args.shards)
         where = f"across {args.shards} shards"
-    spmd = executor is not None
-    names = SPMD_WORKLOADS if spmd else WORKLOADS  # isx-dag has no SPMD twin
-    apps = sorted(names) if args.app == "all" else [args.app]
     failures = 0
-    for app in apps:
-        t0 = time.perf_counter()
-        try:
-            if spmd:
-                digest, res = run_spmd_workload(
-                    app, executor, nranks=args.ranks,
-                    workers_per_rank=args.workers)
-                extra = f"{res.nranks} ranks {where}"
-            else:
-                run = run_on_engine(WORKLOADS[app](), args.backend,
-                                    workers=args.workers)
-                digest = run.result
-                extra = f"{args.workers} workers in-process"
-            print(f"  {app:<9s} OK   {digest}  "
-                  f"[{args.backend}: {extra}, "
-                  f"{time.perf_counter() - t0:.2f}s wall]")
-        except Exception as exc:  # noqa: BLE001 - report and continue
+    for name in sorted(APPS) if args.app == "all" else [args.app]:
+        app = APPS[name]
+        cluster = app.cluster(args.ranks, args.workers)
+        answers, failed = set(), 0
+        for variant in app.variants:
+            t0 = time.perf_counter()
+            tag = f"{name}:{variant}"
+            try:
+                answer, res = app.run(variant, cluster, executor=executor)
+            except Exception as exc:  # noqa: BLE001 - report and continue
+                failed += 1
+                print(f"  {tag:<18s} FAIL {type(exc).__name__}: {exc}")
+                continue
+            answers.add(answer)
+            virtual = "" if res.makespan is None else \
+                f"{res.makespan * 1e3:.4f} ms virtual, "
+            print(f"  {tag:<18s} {answer}  "
+                  f"({virtual}{time.perf_counter() - t0:.2f}s wall)")
+        if failed or len(answers) != 1:
             failures += 1
-            print(f"  {app:<9s} FAIL {type(exc).__name__}: {exc}")
+            verdict = (f"FAIL {failed} variant(s) failed" if failed else
+                       f"FAIL {len(answers)} different answers")
+        else:
+            verdict = f"OK   {len(app.variants)} variants, one answer"
+        print(f"  {name:<18s} {verdict} [{args.backend}: {cluster.nranks} "
+              f"ranks x {args.workers} workers, {where}]")
     return 1 if failures else 0
 
 
@@ -652,19 +510,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="show what can be reproduced"
                    ).set_defaults(fn=cmd_list)
 
-    for fig in ("fig4", "fig5", "fig6", "fig7", "g500"):
+    figures = ["fig4", "fig5", "fig6", "fig7", "g500"]
+    for fig in figures:
         fp = sub.add_parser(fig, help=f"regenerate {fig}")
         fp.add_argument("--nodes", type=int, nargs="+",
                         default=[1, 2, 4, 8])
         fp.set_defaults(fn=cmd_figure, figure=fig)
 
-    sub.add_parser("validate", help="run every app's correctness check"
-                   ).set_defaults(fn=cmd_validate)
-
     prof = sub.add_parser(
         "profile", help="run one figure instrumented; emit metrics + trace")
-    prof.add_argument("figure",
-                      choices=["fig4", "fig5", "fig6", "fig7", "g500"])
+    prof.add_argument("figure", choices=figures)
     prof.add_argument("--out", default="profile-out",
                       help="output directory for metrics.json / trace.json")
     prof.add_argument("--scale", type=float, default=1.0,
@@ -695,8 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ch = sub.add_parser(
         "chaos", help="run one figure under a seeded fault plan")
-    ch.add_argument("figure",
-                    choices=["fig4", "fig5", "fig6", "fig7", "g500"])
+    ch.add_argument("figure", choices=figures)
     ch.add_argument("--plan", default="mixed",
                     help="preset (drop/delay/corrupt/mixed) or JSON spec file")
     ch.add_argument("--seed", type=int, default=0,
@@ -711,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser(
         "verify",
         help="concurrency harness: schedule exploration + race detection + "
-             "sim/threaded differential")
+             "cross-engine differentials")
     vf.add_argument("--strategy", default="all",
                     choices=["random", "pct", "pbound", "all"],
                     help="exploration strategy (default: all three)")
@@ -741,29 +595,31 @@ def build_parser() -> argparse.ArgumentParser:
     vf.set_defaults(fn=cmd_verify)
 
     rn = sub.add_parser(
-        "run",
-        help="run the digest workloads on one backend (sim/threads/procs)")
-    rn.add_argument("--backend", default="procs",
-                    choices=["sim", "threads", "procs"],
+        "run", help="run every variant of the paper's apps on one back end "
+                    "(sim/procs) against the apps' oracles")
+    rn.add_argument("--backend", default="procs", choices=["sim", "procs"],
                     help="execution backend (default: procs — one OS "
                          "process per rank)")
     rn.add_argument("--app", default="all",
-                    choices=["isx", "uts", "graph500", "all"])
+                    choices=["isx", "uts", "graph500", "geo", "hpgmg", "all"])
     rn.add_argument("--ranks", type=int, default=4,
-                    help="SPMD ranks (procs backend and sharded sim)")
+                    help="SPMD ranks, one per node of the app's platform")
     rn.add_argument("--workers", type=int, default=2,
-                    help="workers per rank (procs) / pool size (sim, "
-                         "threads)")
+                    help="workers per rank")
     rn.add_argument("--launcher", default="local",
                     help="how the procs backend starts its rank processes: "
                          "local (fork) or subprocess (exec)")
     rn.add_argument("--shards", type=int, default=1,
                     help="OS-process shards for the sim backend (>1 runs "
-                         "the SPMD twin on the conservative-window sharded "
-                         "engine)")
+                         "the conservative-window sharded engine)")
     rn.add_argument("--timeout", type=float, default=300.0,
-                    help="end-to-end timeout per workload (procs), seconds")
+                    help="end-to-end timeout per run (procs), seconds")
     rn.set_defaults(fn=cmd_run)
+
+    # validate is `run --backend sim --app all`, with run's defaults.
+    sub.add_parser("validate", help="run every app's variants on sim against "
+                                    "its oracle").set_defaults(
+        **vars(rn.parse_args(["--backend", "sim", "--app", "all"])))
 
     sv = sub.add_parser(
         "serve",

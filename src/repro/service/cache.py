@@ -1,7 +1,7 @@
 """Deterministic result cache: spec cache-key → workload result.
 
-The digest workloads are pure functions of their spec (app, params, seed,
-backend) — that is exactly what the verify differentials gate — so the
+A job's result is a pure function of its spec (app, params, seed, backend,
+ranks) — that is exactly what the verify differentials gate — so the
 gateway may answer a resubmission from cache bit-identically without
 re-execution. The cache is a bounded LRU: ``capacity`` entries, recency
 updated on hit, oldest evicted on overflow. Values are stored in their

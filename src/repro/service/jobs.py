@@ -4,11 +4,11 @@ A :class:`JobSpec` is the immutable unit of submission — *which* workload
 (``app``), *how configured* (``params`` + ``seed``), and *where to run it*
 (``backend``). Specs are canonicalized to a deterministic JSON document
 whose SHA-256 is the result cache key: every field that can influence the
-produced value is in the key,
-and nothing else is (worker counts and pool sizing are service-side capacity
-knobs — the digest workloads are schedule-independent by construction, so
-capacity never changes results; see ``docs/service.md`` for the cache-key
-discipline).
+produced value is in the key, backend and (for ``procs``) rank count
+included, and nothing else is (worker counts and pool sizing are
+service-side capacity knobs — the workloads are schedule-independent by
+construction, so capacity never changes results; see ``docs/service.md``
+for the cache-key discipline).
 
 A :class:`Job` is one accepted submission's mutable lifecycle record:
 ``queued → running → done|failed|cancelled`` with wall-clock timestamps for
@@ -112,10 +112,10 @@ class JobSpec:
     def cache_key(self) -> str:
         """Deterministic key: SHA-256 of the canonical spec document.
 
-        ``backend`` and ``ranks`` are included even though results are
-        constructed to be backend/rank-count independent — the cache must
-        never be in the position of *asserting* that equivalence; the verify
-        differentials do. ``canonical()`` is the audited key material.
+        ``backend`` and ``ranks`` are in it because they change results: a
+        ``procs`` job returns the app's registry answer for its HiPER
+        variant, the others the one-runtime workload's digest.
+        ``canonical()`` is the audited key material.
         """
         return hashlib.sha256(
             json.dumps(self.canonical(), sort_keys=True).encode()).hexdigest()
@@ -137,8 +137,8 @@ def build_workload(spec: JobSpec) -> Callable[[], Tuple]:
     """The single-runtime root body for a spec (sim/threads backends).
 
     Reuses the verify differential's workload factories — the same bodies
-    the cross-engine digest checks pin down — so a service job's result is
-    comparable against every other backend's by construction.
+    the cross-engine digest checks pin down — so a ``sim`` job's result is
+    comparable with a ``threads`` job's by construction.
     """
     from repro.verify.differential import (graph500_workload, isx_workload,
                                            uts_workload)

@@ -101,13 +101,16 @@ def run_job_cold(spec: JobSpec) -> Any:
     pair. Runs in the slot's worker process like every other job.
     """
     if spec.backend == "procs":
+        # The app's HiPER variant, one rank process per spec.ranks; the
+        # result is the app's registry answer.
+        from repro.apps.registry import APPS
         from repro.exec.procs import ProcessExecutor
-        from repro.verify.spmd_workloads import run_spmd_workload
 
-        digest, _res = run_spmd_workload(
-            spec.app, ProcessExecutor(), nranks=spec.ranks, seed=spec.seed,
-            cfg_kwargs=dict(spec.params))
-        return digest
+        app = APPS[spec.app]
+        answer, _res = app.run("hiper", app.cluster(spec.ranks, 1),
+                               cfg=spec.build_config(),
+                               executor=ProcessExecutor())
+        return answer
     entry = WarmRuntime(spec.backend)
     try:
         return entry.run(build_workload(spec))

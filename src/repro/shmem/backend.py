@@ -3,8 +3,9 @@ OpenSHMEM module taskifies.
 
 Remote puts, gets, and atomics are applied *in the delivery event* at the
 target — no target-side task is scheduled, mirroring NIC-executed RDMA.
-Atomicity of AMOs holds because the simulated executor runs events one at a
-time.
+AMOs are atomic because the read-modify-write holds the backend lock, which
+matters where deliveries run on several threads (procs); the simulated
+executor runs events one at a time and its lock is a no-op.
 
 Completion semantics follow the spec:
 
@@ -307,23 +308,30 @@ class ShmemBackend:
         self._check_watchers(sym.sym_id)
 
     def _check_watchers(self, sym_id: int) -> None:
-        fire = []
         with self._lock:
-            watchers = self._watchers.get(sym_id)
-            if not watchers:
-                return
-            still = []
-            for probe, promise in watchers:
-                if probe():
-                    fire.append(promise)
-                else:
-                    still.append((probe, promise))
-            if still:
-                self._watchers[sym_id] = still
-            else:
-                self._watchers.pop(sym_id, None)
+            fire = self._due_watchers(sym_id)
         for promise in fire:
             promise.put(None)
+
+    def _due_watchers(self, sym_id: int) -> List[Promise]:
+        """Unregister and return the watchers of ``sym_id`` whose condition
+        holds now. The caller holds ``_lock`` and fires them after
+        releasing it."""
+        watchers = self._watchers.get(sym_id)
+        if not watchers:
+            return []
+        fire = []
+        still = []
+        for probe, promise in watchers:
+            if probe():
+                fire.append(promise)
+            else:
+                still.append((probe, promise))
+        if still:
+            self._watchers[sym_id] = still
+        else:
+            self._watchers.pop(sym_id, None)
+        return fire
 
     # ------------------------------------------------------------------
     # delivery
@@ -346,21 +354,27 @@ class ShmemBackend:
         elif kind == "amo":
             _, op, sym_id, index, operand, cond, origin, req_id = payload
             arr = self.heap.flat(sym_id)
-            old = arr[index].item()
-            if op == "add":
-                arr[index] = old + operand
-            elif op == "inc":
-                arr[index] = old + 1
-            elif op == "swap" or op == "set":
-                arr[index] = operand
-            elif op == "cswap":
-                if old == cond:
+            # One acquisition for the read-modify-write and the watchers it
+            # satisfies: on procs, deliveries to a PE run on one reader
+            # thread per peer and on the PE's own workers at once.
+            with self._lock:
+                old = arr[index].item()
+                if op == "add":
+                    arr[index] = old + operand
+                elif op == "inc":
+                    arr[index] = old + 1
+                elif op == "swap" or op == "set":
                     arr[index] = operand
+                elif op == "cswap":
+                    if old == cond:
+                        arr[index] = operand
+                fire = self._due_watchers(sym_id)
             if req_id is not None:
                 self.mux.reply(origin, _CHANNEL, req_id, old, _AMO_SIZE)
             else:
                 self._ack_completion(origin)
-            self._check_watchers(sym_id)
+            for promise in fire:
+                promise.put(None)
         elif kind == "comp":
             # Remote-completion acknowledgement from a target PE outside
             # this process (see _ack_completion).

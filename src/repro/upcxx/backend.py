@@ -14,7 +14,7 @@ Differences from the SHMEM backend that justify a separate engine:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -65,6 +65,10 @@ class UpcxxBackend:
         self._spawn_rpc = spawn_rpc
         self._objects: Dict[int, np.ndarray] = {}
         self._next_obj = 0
+        #: obj_id -> rputs/rgets that arrived before this rank registered
+        #: the object; possible only when ranks run in separate processes.
+        self._early: Dict[int, List[Tuple[int, Tuple, float]]] = {}
+        self._lock = mux.fabric.executor.lock_class()
         self.rputs = 0
         self.rgets = 0
         self.rpcs = 0
@@ -91,7 +95,11 @@ class UpcxxBackend:
         construction)."""
         obj_id = self._next_obj
         self._next_obj += 1
-        self._objects[obj_id] = arr
+        with self._lock:
+            self._objects[obj_id] = arr
+            early = self._early.pop(obj_id, ())
+        for src, payload, time in early:
+            self._on_delivery(src, payload, time)
         return GlobalPtr(self.rank, obj_id, 0)
 
     def local(self, gptr: GlobalPtr) -> np.ndarray:
@@ -150,8 +158,21 @@ class UpcxxBackend:
         return fut
 
     # ------------------------------------------------------------------
+    def _arrived_early(self, src: int, payload: Tuple, time: float) -> bool:
+        """Hold a one-sided op on an object this rank has not registered
+        yet; :meth:`register_shared` applies it."""
+        if payload[1] in self._objects:
+            return False
+        with self._lock:
+            if payload[1] in self._objects:
+                return False
+            self._early.setdefault(payload[1], []).append((src, payload, time))
+        return True
+
     def _on_delivery(self, src: int, payload: Tuple, time: float) -> None:
         kind = payload[0]
+        if kind in ("rput", "rget") and self._arrived_early(src, payload, time):
+            return
         if kind == "rput":
             _, obj_id, offset, data, origin, req_id = payload
             arr = self._resolve(obj_id).reshape(-1)

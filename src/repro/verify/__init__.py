@@ -11,11 +11,9 @@ Three instruments over the shared scheduling policy core:
   harness must always rediscover).
 - :mod:`repro.verify.differential` — sim ↔ threaded ↔ interleave runs of
   ISx/UTS/Graph500 workloads asserting result equality plus the quiesce
-  conservation invariants (:mod:`repro.verify.invariants`).
-- :mod:`repro.verify.spmd_workloads` — the same workloads as SPMD programs
-  over the SHMEM module, digest-compatible with the single-runtime
-  versions, so the multiprocess backend (``--engines ... procs``) joins the
-  differential.
+  conservation invariants (:mod:`repro.verify.invariants`), and the SPMD
+  differential: every variant of a paper app on sim, procs and sharded sim
+  (``--engines ... procs sharded``) must give the app's one answer.
 """
 
 from repro.verify.differential import (
@@ -26,9 +24,9 @@ from repro.verify.differential import (
     isx_engine_differential,
     isx_sharded_differential,
     run_on_engine,
+    spmd_differential,
     taskgraph_differential,
 )
-from repro.verify.spmd_workloads import SPMD_WORKLOADS, run_spmd_workload
 from repro.verify.harness import (
     HuntOutcome,
     HuntResult,
@@ -60,9 +58,8 @@ __all__ = [
     "isx_engine_differential",
     "isx_sharded_differential",
     "run_on_engine",
+    "spmd_differential",
     "taskgraph_differential",
-    "SPMD_WORKLOADS",
-    "run_spmd_workload",
     "HuntOutcome",
     "HuntResult",
     "hunt",

@@ -8,9 +8,9 @@ divergence means an engine bug: the policy core is shared, so only the
 mechanism (threading, time, wakeups) can differ.
 
 The workloads reuse the benchmark apps' kernels (``repro.apps``) in
-single-runtime task-parallel form — SPMD drivers are simulator-only, so the
-differential versions express the same computations as finish/async fan-outs
-that every engine can run:
+single-runtime task-parallel form — the threaded and interleaving engines
+host one runtime, not an SPMD run — as finish/async fan-outs that every
+engine can run:
 
 - **ISx** — bucket sort: partition keys by range, sort buckets in parallel
   tasks, concatenate; digest must equal the digest of ``np.sort`` on the
@@ -24,10 +24,16 @@ that every engine can run:
   per chunk and the merge one first-occurrence pass per level; the parent
   array is bit-identical to the scalar per-edge loop, which is a queue BFS
   (the reference in ``tests/g500_reference.py``).
+
+:func:`spmd_differential` is the same check for the paper's apps
+themselves (:mod:`repro.apps.registry`) across SPMD back ends — sim,
+procs, sharded sim, the reference engine, coalescing on or off — and
+across their variants, comparing each app's oracle-checked ``answer``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -275,35 +281,31 @@ def _compare(rep: DifferentialReport) -> DifferentialReport:
     return rep
 
 
-def _isx_spmd_differential(workload: str, arms, *, variant: str,
-                           platform: str, nodes: int, makespan: bool = False,
-                           **cluster_kw) -> DifferentialReport:
-    """The same SPMD ISx exchange once per arm — ``(label, module factory,
-    executor)`` — on a fresh ``cluster_for(platform, nodes, **cluster_kw)``:
-    every run must pass the ISx oracle and produce the first arm's per-rank
-    output digests (and, with ``makespan``, its exact virtual makespan).
-    Quiesce invariants are checked per rank inside ``spmd_run``, so the runs
-    carry an empty invariant set."""
-    from repro.apps.isx import IsxConfig, isx_main, validate_isx
-    from repro.bench.harness import cluster_for
-    from repro.distrib import spmd_run
+def spmd_differential(app: str, arms, *, variant: Optional[str] = None,
+                      cluster=None, makespan: bool = False
+                      ) -> DifferentialReport:
+    """One paper app (:data:`repro.apps.registry.APPS`) once per arm —
+    ``(label, module factories or None for the app's own, executor maker
+    or None for the in-process sim)`` — and, with no ``variant``, once per
+    variant on each: every run must pass the app's oracle and give the
+    first run's ``answer`` (and, with ``makespan``, its exact virtual
+    makespan). ``cluster`` defaults to the app's own small one. Quiesce
+    invariants are checked per rank inside ``spmd_run``, so the runs carry
+    an empty invariant set."""
+    from repro.apps.registry import app as lookup
 
-    cfg = IsxConfig(keys_per_pe=1 << 10, byte_scale=1 << 7)
-    rep = DifferentialReport(workload=workload)
-    for label, factory, executor in arms:
-        res = spmd_run(isx_main(variant, cfg),
-                       cluster_for(platform, nodes, **cluster_kw),
-                       module_factories=[factory], executor=executor)
-        validate_isx(cfg, res.nranks, res.results)
-        digest = tuple(
-            hashlib.sha256(np.asarray(r).tobytes()).hexdigest()
-            for r in res.results
-        )
-        timing = (repr(res.makespan),) if makespan else ()
-        rep.runs.append(EngineRun(
-            engine=label, result=(workload, res.nranks) + timing + (digest,),
-            invariants=InvariantReport(),
-        ))
+    entry = lookup(app)
+    variants = entry.variants if variant is None else (variant,)
+    rep = DifferentialReport(workload=app)
+    for v in variants:
+        for label, modules, make_executor in arms:
+            answer, res = entry.run(
+                v, cluster, modules=modules,
+                executor=make_executor() if make_executor else None)
+            timing = (repr(res.makespan),) if makespan else ()
+            rep.runs.append(EngineRun(
+                engine=label if variant else f"{label}:{v}",
+                result=(answer,) + timing, invariants=InvariantReport()))
     return _compare(rep)
 
 
@@ -324,14 +326,15 @@ def isx_coalescing_differential(
     exchange path (fadds + puts + barriers over the fabric).
     """
     from repro.apps.presets import comm_coalesce
+    from repro.bench.harness import cluster_for
     from repro.shmem import shmem_factory
 
-    return _isx_spmd_differential(
-        "isx-coalescing",
-        [("coalesce-off", shmem_factory(), None),
-         ("coalesce-on", shmem_factory(coalesce=comm_coalesce()), None)],
-        variant="hiper", platform=platform, nodes=nodes, layout="hybrid",
-        workers_cap=workers_cap)
+    return spmd_differential(
+        "isx",
+        [("coalesce-off", [shmem_factory()], None),
+         ("coalesce-on", [shmem_factory(coalesce=comm_coalesce())], None)],
+        variant="hiper", cluster=cluster_for(platform, nodes, layout="hybrid",
+                                             workers_cap=workers_cap))
 
 
 def isx_engine_differential(
@@ -352,14 +355,13 @@ def isx_engine_differential(
     64 PEs, big enough for multi-thousand-event cohorts while staying
     CI-sized.
     """
-    from repro.shmem import shmem_factory
+    from repro.bench.harness import cluster_for
     from repro.verify.reference import ReferenceSimExecutor
 
-    return _isx_spmd_differential(
-        "isx-engine",
-        [("ref-sim", shmem_factory(direct=True), ReferenceSimExecutor()),
-         ("sim", shmem_factory(direct=True), SimExecutor())],
-        variant=variant, platform=platform, nodes=nodes, layout="flat",
+    return spmd_differential(
+        "isx", [("ref-sim", None, ReferenceSimExecutor),
+                ("sim", None, SimExecutor)],
+        variant=variant, cluster=cluster_for(platform, nodes, layout="flat"),
         makespan=True)
 
 
@@ -380,14 +382,13 @@ def isx_sharded_differential(
     global single-engine schedule (the same caveat the procs backend
     documents). Results — the data every rank computes — must not.
     """
-    from repro.shmem import shmem_factory
+    from repro.bench.harness import cluster_for
 
-    return _isx_spmd_differential(
-        "isx-sharded",
-        [("flat", shmem_factory(direct=True), SimExecutor()),
-         (f"sharded-{shards}", shmem_factory(direct=True),
-          SimExecutor(shards=shards))],
-        variant=variant, platform=platform, nodes=nodes, layout="flat")
+    return spmd_differential(
+        "isx", [("flat", None, SimExecutor),
+                (f"sharded-{shards}", None,
+                 functools.partial(SimExecutor, shards=shards))],
+        variant=variant, cluster=cluster_for(platform, nodes, layout="flat"))
 
 
 def taskgraph_differential(
@@ -418,28 +419,6 @@ def taskgraph_differential(
     return _compare(rep)
 
 
-def _run_spmd_twin(workload_name: str, engine: str, *, workers: int,
-                   seed: int, nranks: int = 4) -> EngineRun:
-    """Run the SPMD twin of a workload on the multiprocess backend
-    (``procs``) or across 2 shards of the sharded DES engine (``sharded``).
-
-    The twins (:mod:`repro.verify.spmd_workloads`) are constructed so their
-    combined digest equals the single-runtime digest, which puts real OS
-    processes — or the window protocol, the cross-shard fabric and the shard
-    shmem backend — into the same comparison as every other engine. Quiesce
-    invariants are checked per rank in each child, so the set here is empty.
-    """
-    from repro.exec.procs import ProcessExecutor
-    from repro.verify.spmd_workloads import run_spmd_workload
-
-    executor = ProcessExecutor() if engine == "procs" else SimExecutor(shards=2)
-    digest, _res = run_spmd_workload(
-        workload_name, executor, nranks=nranks, seed=seed,
-        workers_per_rank=max(1, workers // 2))
-    return EngineRun(engine=engine, result=digest,
-                     invariants=InvariantReport())
-
-
 def differential(
     workload_name: str,
     engines: Sequence[str] = ("sim", "threads"),
@@ -451,9 +430,9 @@ def differential(
     """Run one named workload on each engine; compare results + invariants.
 
     A *fresh* root body is built per engine (factories close over config
-    only, never over run state). The ``procs`` engine runs the workload's
-    SPMD twin across real OS processes; its digest is constructed to match
-    the single-runtime engines' digest bit-for-bit."""
+    only, never over run state). The engines host one runtime each;
+    :func:`spmd_differential` compares the paper's apps across SPMD back
+    ends."""
     try:
         factory = WORKLOADS[workload_name]
     except KeyError:
@@ -462,21 +441,6 @@ def differential(
             f"choose from {sorted(WORKLOADS)}") from None
     rep = DifferentialReport(workload=workload_name)
     for engine in engines:
-        if engine in ("procs", "sharded"):
-            # These engines run the workload's SPMD twin; workloads without
-            # one (isx-dag, which has its own taskgraph_differential gate)
-            # are compared across the single-runtime engines only.
-            from repro.verify.spmd_workloads import SPMD_WORKLOADS
-            if workload_name not in SPMD_WORKLOADS:
-                continue
-            rep.runs.append(_run_spmd_twin(
-                workload_name, engine, workers=workers, seed=seed))
-            continue
         rep.runs.append(run_on_engine(
             factory(), engine, workers=workers, seed=seed, strategy=strategy))
-    if not rep.runs:
-        rep.mismatches.append(
-            f"no engine in {tuple(engines)!r} can run workload "
-            f"{workload_name!r} (no SPMD twin)")
-        return rep
     return _compare(rep)

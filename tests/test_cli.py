@@ -178,15 +178,22 @@ class TestRunCommand:
             assert exc.value.code == 2
 
     def test_sim_engines_agree(self, capsys):
-        # The in-process backends, via the CLI, print the digest the
-        # reference engine computes for the same workload.
-        from repro.verify import WORKLOADS, run_on_engine
+        # Every variant on the CLI's sim back end prints the answer the
+        # reference engine computes for the same app.
+        from repro.apps.registry import APPS
+        from repro.verify.reference import ReferenceSimExecutor
 
-        digest = str(run_on_engine(WORKLOADS["isx"](), "ref-sim",
-                                   workers=2).result)
-        for backend in ("sim", "threads"):
-            assert main(["run", "--backend", backend, "--app", "isx"]) == 0
-            assert digest in capsys.readouterr().out
+        app = APPS["isx"]
+        want = str(app.run("hiper", app.cluster(4, 2),
+                           executor=ReferenceSimExecutor())[0])
+        assert main(["run", "--backend", "sim", "--app", "isx"]) == 0
+        assert capsys.readouterr().out.count(want) == len(app.variants)
+
+    def test_threads_backend_left_run(self):
+        # The one-runtime engines are verify's (`verify --engines threads`).
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", "--backend", "threads"])
+        assert exc.value.code == 2
 
     def test_unknown_launcher_exits_2(self, capsys):
         rc = main(["run", "--backend", "procs", "--launcher", "bogus"])

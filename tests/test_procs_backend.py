@@ -4,8 +4,8 @@ Covers the parent-side lifecycle discipline (no orphaned children, no
 leaked ``/dev/shm`` segments, stragglers terminated on timeout), the
 put/get/quiet round-trip over the real socket fabric + shared-memory heap,
 the two launchers, a parent killed mid-run, the pickle round trip of
-everything a ``subprocess`` rank receives, and the sim ↔ procs digest
-differential on CI-sized workloads.
+everything a ``subprocess`` rank receives, and the sim ↔ procs answers of
+the paper's apps on CI-sized configs.
 """
 
 import functools
@@ -215,10 +215,10 @@ def _module_factories():
             cuda_factory(), checkpoint_factory(), telemetry_factory(period=1e-3)]
 
 
-def _twins():
-    from repro.verify.spmd_workloads import SPMD_WORKLOADS
+def _mains():
+    from repro.apps.registry import APPS
 
-    return [factory() for factory, _combine in SPMD_WORKLOADS.values()]
+    return [app.main("hiper", app.config) for app in APPS.values()]
 
 
 class TestFactoryResolution:
@@ -226,10 +226,11 @@ class TestFactoryResolution:
     module-level callable by its dotted path (``functools.partial`` keeps
     the arguments): no resolver of our own."""
 
-    @pytest.mark.parametrize("factory", _module_factories() + _twins(),
+    @pytest.mark.parametrize("factory", _module_factories() + _mains(),
                              ids=["shmem", "mpi", "upcxx", "cuda",
-                                  "checkpoint", "telemetry", "isx-twin",
-                                  "uts-twin", "graph500-twin"])
+                                  "checkpoint", "telemetry", "isx-main",
+                                  "uts-main", "graph500-main", "geo-main",
+                                  "hpgmg-main"])
     def test_pickle_round_trip(self, factory):
         back = pickle.loads(pickle.dumps(factory))
         assert isinstance(back, functools.partial)
@@ -239,8 +240,8 @@ class TestFactoryResolution:
 
     def test_resolve_dotted(self):
         # A module-level function is pickled by reference to its dotted path.
-        from repro.verify.spmd_workloads import uts_spmd_main
-        assert pickle.loads(pickle.dumps(uts_spmd_main)) is uts_spmd_main
+        from repro.apps.uts.variants import run_hiper
+        assert pickle.loads(pickle.dumps(run_hiper)) is run_hiper
 
     def test_resolve_dotted_rejects_malformed(self):
         # A lambda has no dotted path; the job cannot be shipped.
@@ -256,9 +257,10 @@ class TestFactoryResolution:
             pickle.dumps(main)
 
     def test_resolve_modules_by_name_and_path(self):
-        from repro.verify.spmd_workloads import uts_spmd_factory
+        from repro.apps.uts import UtsConfig, uts_main
 
-        job = ProcsJob(run_id="x", rundir="/tmp", main=uts_spmd_factory(),
+        job = ProcsJob(run_id="x", rundir="/tmp",
+                       main=uts_main("hiper", UtsConfig()),
                        config=ClusterConfig(nodes=2),
                        module_factories=tuple(_module_factories()),
                        heap_bytes=1 << 20, block_timeout=1.0)
@@ -266,7 +268,7 @@ class TestFactoryResolution:
         assert back.config == job.config
         assert [f.func for f in back.module_factories] == \
             [f.func for f in job.module_factories]
-        assert back.main.args == job.main.args
+        assert back.main.keywords == job.main.keywords
 
 
 class TestLauncherRegistry:
@@ -291,28 +293,37 @@ class TestLauncherRegistry:
 
 class TestSubprocessLauncher:
     def test_roundtrip_over_command_line_children(self):
-        # Exercises job pickling + the `python -m repro procs-worker` entry.
-        from repro.verify.spmd_workloads import run_spmd_workload
-        digest, res = run_spmd_workload(
-            "uts", ProcessExecutor(launcher="subprocess", timeout=90.0),
-            nranks=2)
-        assert digest == ("uts", 355)
+        # Exercises job pickling + the `python -m repro procs-worker` entry;
+        # HiPER HPGMG's halo rpc body crosses the wire as a pickle too.
+        from repro.apps.registry import APPS
+
+        app = APPS["hpgmg"]
+        answer, res = app.run(
+            "hiper", app.cluster(2, 1),
+            executor=ProcessExecutor(launcher="subprocess", timeout=90.0))
+        assert answer == app.run("hiper", app.cluster(2, 1))[0]
         assert res.executor.launcher_name == "subprocess"
         assert leaked_segments(res.executor.run_id) == []
 
 
 # ----------------------------------------------------------------------
-# the differential: procs must match the single-runtime engines
+# the differential: every variant on procs must give the sim's answer
 # ----------------------------------------------------------------------
+def _sim_vs_procs(app):
+    from repro.verify import spmd_differential
+
+    return spmd_differential(app, [("sim", None, None),
+                                   ("procs", None, ProcessExecutor)])
+
+
 class TestProcsDifferential:
     @pytest.mark.parametrize("workload", ["isx", "uts"])
     def test_digest_matches_sim(self, workload):
-        from repro.verify import differential
-        rep = differential(workload, engines=("sim", "procs"))
+        rep = _sim_vs_procs(workload)
         assert rep.ok, rep.describe()
-        assert [r.engine for r in rep.runs] == ["sim", "procs"]
+        assert [r.engine.split(":")[0] for r in rep.runs][:2] == \
+            ["sim", "procs"]
 
     def test_graph500_digest_matches_sim(self):
-        from repro.verify import differential
-        rep = differential("graph500", engines=("sim", "procs"))
+        rep = _sim_vs_procs("graph500")
         assert rep.ok, rep.describe()

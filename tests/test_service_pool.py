@@ -34,8 +34,8 @@ from tests.procutil import alive, child_pids, socket_fds, until
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: ~0.5 s of simulated UTS: long enough to act on a job while it runs.
 SLOW = {"root_children": 5000}
-#: ~1 s across two real rank processes.
-SLOW_PROCS = {"root_children": 60000}
+#: ~1 s of HiPER UTS across two real rank processes.
+SLOW_PROCS = {"root_children": 6000}
 ISX = {"keys_per_pe": 64}
 real_run_job_on = pool_mod.run_job_on
 
@@ -278,6 +278,21 @@ class TestPoolStats:
         finally:
             gw.close()
         assert child_pids() == [] and leaked_segments() == []
+
+    def test_procs_jobs_run_the_spec_config_and_seed(self):
+        # A procs job used to run a stand-in with configs and a seed of its
+        # own: ("uts", 355) for both seeds, where sim says 720 and 667.
+        def answer(app, params, seed, backend):
+            return normalize_result(run_job_cold(JobSpec.create(
+                app, params, seed=seed, backend=backend, ranks=2)))
+
+        for app, params in (("uts", {"root_children": 40}),
+                            ("isx", ISX), ("graph500", {})):
+            assert answer(app, params, 0, "procs") != \
+                answer(app, params, 12, "procs"), app
+        for seed in (0, 12):
+            assert answer("uts", {"root_children": 40}, seed, "procs") == \
+                answer("uts", {"root_children": 40}, seed, "sim")
 
 
 # ---------------------------------------------------------------------------

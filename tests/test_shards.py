@@ -27,7 +27,6 @@ from repro.net.topology import FlatTopology
 from repro.shmem import shmem_factory
 from repro.shmem.shared import leaked_segments
 from repro.util.errors import ConfigError, PlaceFailure
-from repro.verify.spmd_workloads import run_spmd_workload
 from tests.procutil import child_pids
 
 NR = 4
@@ -241,33 +240,27 @@ class TestSingleShardPassthrough:
 class TestShardedDifferential:
     @pytest.mark.parametrize("workload", ["isx", "uts"])
     def test_digest_matches_single_runtime_flat(self, workload):
-        from repro.verify import differential
-        rep = differential(workload, engines=("sim", "sharded"))
+        from repro.verify import spmd_differential
+        rep = spmd_differential(
+            workload, [("sim", None, None),
+                       ("sharded", None, lambda: SimExecutor(shards=2))])
         assert rep.ok, rep.describe()
-        assert [r.engine for r in rep.runs] == ["sim", "sharded"]
-
-    def test_workloads_without_spmd_twin_compare_on_other_engines(self):
-        # isx-dag has no SPMD twin; the SPMD-twin engines (sharded, procs)
-        # must be skipped for it instead of crashing the whole sweep.
-        from repro.verify import differential
-        rep = differential("isx-dag", engines=("sim", "sharded"))
-        assert rep.ok, rep.describe()
-        assert [r.engine for r in rep.runs] == ["sim"]
-
-    def test_no_runnable_engine_is_a_reported_mismatch(self):
-        from repro.verify import differential
-        rep = differential("isx-dag", engines=("sharded",))
-        assert not rep.ok
-        assert "no SPMD twin" in rep.describe()
+        assert [r.engine.split(":")[0] for r in rep.runs][:2] == \
+            ["sim", "sharded"]
 
     @pytest.mark.parametrize("workload", ["uts", "graph500"])
     @pytest.mark.parametrize("shards", [2, 4])
     def test_digest_matches_flat_spmd_twin(self, workload, shards):
-        flat_digest, _ = run_spmd_workload(
-            workload, SimExecutor(shards=1), nranks=NR)
-        sharded_digest, _ = run_spmd_workload(
-            workload, SimExecutor(shards=shards), nranks=NR)
-        assert sharded_digest == flat_digest
+        # One shard and N shards give the app's one registry answer.
+        from repro.apps.registry import APPS
+
+        app = APPS[workload]
+        cluster = app.cluster(NR, 1)
+        flat, _ = app.run("hiper", cluster, executor=SimExecutor(shards=1))
+        sharded, res = app.run("hiper", cluster,
+                               executor=SimExecutor(shards=shards))
+        assert sharded == flat
+        assert len(res.shard_counters) == shards
 
 
 class TestCrossShardWave:

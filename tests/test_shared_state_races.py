@@ -8,6 +8,10 @@ check-then-act:
   the same ``sym_id`` concurrently could both observe "no signature yet" and
   skip the cross-PE shape check, letting an asymmetric allocation through
   silently; stale signatures also outlived ``free``, poisoning id reuse.
+- ``ShmemBackend`` atomics: an AMO delivery read the old value and wrote the
+  new one outside the backend lock, so two delivery threads (a procs rank
+  has one reader thread per peer) could both read the same old value and
+  one update was lost — stalling UTS's lock steal and termination counter.
 
 Each test here drives the racy interleaving directly with barrier-
 synchronized threads and fails on the pre-fix code with high probability
@@ -15,10 +19,13 @@ per iteration (and the loops run enough iterations to make a miss
 vanishingly unlikely).
 """
 
+import sys
 import threading
+import types
 
 import numpy as np
 
+from repro.shmem.backend import ShmemBackend
 from repro.shmem.heap import SignatureTable, SymmetricHeap
 from repro.util.errors import ShmemError
 
@@ -115,3 +122,57 @@ class TestSignatureRace:
             for t in threads:
                 t.join()
             assert len(errors) == 1
+
+
+# ----------------------------------------------------------------------
+# ShmemBackend atomics
+# ----------------------------------------------------------------------
+class _Mux:
+    """The part of a FabricMux a backend touches to apply deliveries, with
+    the real lock a threaded or procs executor hands out."""
+
+    nranks = 2
+    stats = None
+    fabric = types.SimpleNamespace(
+        executor=types.SimpleNamespace(lock_class=threading.Lock))
+
+    def register_channel(self, name, handler):
+        pass
+
+
+class TestAtomicDelivery:
+    THREADS = 4
+    ADDS = 5000
+
+    def _concurrent_adds(self):
+        table, peers = SignatureTable(), {}
+        heaps = [SymmetricHeap(rank, table) for rank in range(2)]
+        words = [h.allocate((1,), dtype=np.int64) for h in heaps]
+        target = ShmemBackend(_Mux(), 0, heaps[0], peers)
+        ShmemBackend(_Mux(), 1, heaps[1], peers)   # the origin, acked directly
+        add = ("amo", "add", words[0].sym_id, 0, 1, None, 1, None)
+        barrier = threading.Barrier(self.THREADS)
+
+        def deliver():
+            barrier.wait()
+            for _ in range(self.ADDS):
+                target._on_delivery(1, add, 0.0)
+
+        threads = [threading.Thread(target=deliver)
+                   for _ in range(self.THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        return int(heaps[0].flat(words[0].sym_id)[0])
+
+    def test_concurrent_adds_to_one_word_lose_no_update(self):
+        """Pre-fix: 10 of 20 single runs at 2000 adds a thread lost an
+        add, and this test failed 6 times in 6."""
+        for _ in range(5):
+            assert self._concurrent_adds() == self.THREADS * self.ADDS

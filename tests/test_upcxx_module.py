@@ -1,5 +1,8 @@
 """UPC++ module: global pointers, rput/rget, RPCs, collectives."""
 
+import threading
+import types
+
 import numpy as np
 import pytest
 
@@ -84,6 +87,33 @@ class TestRputRget:
 
         res = run(main, nranks=2)
         assert all(r == "bounds" for r in res.results)
+
+
+class TestEarlyArrival:
+    def test_rput_before_registration_lands_at_registration(self):
+        # Ranks in separate processes start unsynchronised: a peer's rput
+        # can reach this rank before it registered the target object.
+        replies = []
+
+        class Mux:
+            nranks = 2
+            fabric = types.SimpleNamespace(executor=types.SimpleNamespace(
+                lock_class=threading.Lock))
+
+            def register_channel(self, name, handler):
+                pass
+
+            def reply(self, origin, channel, req_id, value, nbytes,
+                      exc=False):
+                replies.append((origin, req_id, value))
+
+        backend = UpcxxBackend(Mux(), 1, {}, spawn_rpc=None)
+        backend._on_delivery(0, ("rput", 0, 1, np.array([7, 8]), 0, 42), 0.0)
+        assert replies == []
+        arr = np.zeros(4, dtype=np.int64)
+        backend.register_shared(arr)
+        assert arr.tolist() == [0, 7, 8, 0]
+        assert replies == [(0, 42, None)]
 
 
 class TestRpc:
