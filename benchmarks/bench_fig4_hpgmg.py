@@ -3,54 +3,22 @@
 Series: the reference MPI+OpenMP hybrid and the HiPER (UPC++ + MPI)
 composition, weak-scaled with fixed boxes per rank (the paper's
 ``8 boxes per rank`` advice, geometrically scaled down — DESIGN.md §2).
+Every point must converge (the app's oracle in ``repro.apps.registry``).
 
 Expected shape (paper): the two are comparable in performance across the
 sweep; metric is DOF/s (higher is better), as HPGMG reports.
 """
 
-from repro.apps.hpgmg import HpgmgConfig, hpgmg_main
-from repro.bench import Series, cluster_for, sweep
-from repro.distrib import spmd_run
-from repro.mpi import mpi_factory
-from repro.upcxx import upcxx_factory
+from repro.apps.figures import FIGURES
 
+FIG = FIGURES["fig4"]
 NODES = [1, 2, 4, 8, 16]
-CFG = HpgmgConfig(box_dim=8, boxes_xy=2, boxes_z_per_rank=2, cycles=4)
-
-
-def _variant(name):
-    def run(nodes):
-        res = spmd_run(
-            hpgmg_main(name, CFG),
-            cluster_for("titan", nodes, layout="hybrid"),
-            module_factories=[mpi_factory(), upcxx_factory()],
-        )
-        hist = res.results[0][0]
-        assert hist[-1] < hist[0] * 1e-2, "multigrid failed to converge"
-        return res
-
-    return run
-
-
-def _dof_per_s(res):
-    cfg = CFG
-    cells = cfg.nz_local * cfg.nx * cfg.ny * res.nranks
-    return cells * cfg.cycles / res.makespan / 1e6  # MDOF/s
 
 
 def test_fig4_hpgmg_weak_scaling(sweep_runner):
-    sw = sweep_runner(lambda: sweep(
-        "Fig 4 — HPGMG-FV weak scaling (Titan), MDOF/s (higher is better)",
-        [
-            Series("reference_hybrid", _variant("reference")),
-            Series("hiper_upcxx", _variant("hiper")),
-        ],
-        NODES,
-        metric=_dof_per_s,
-        unit="MDOF/s",
-    ))
-    ref = sw.values["reference_hybrid"]
-    hip = sw.values["hiper_upcxx"]
+    sw = sweep_runner(lambda: FIG.sweep(NODES))
+    ref = sw.values["reference"]
+    hip = sw.values["hiper"]
     # paper shape: comparable performance across the sweep
     for n in NODES:
         assert 0.5 < hip[n] / ref[n] < 2.0, (n, hip[n], ref[n])

@@ -13,55 +13,17 @@ and wire costs are charged at ``byte_scale`` times the carried size, mapping
 to the paper's 2^29-keys/PE configuration.
 """
 
-from repro.apps.isx import IsxConfig, isx_main, validate_isx
-from repro.bench import Series, cluster_for, sweep
-from repro.distrib import spmd_run
-from repro.platform import machine
-from repro.shmem import shmem_factory
+from repro.apps.figures import FIGURES
 
+FIG = FIGURES["fig5"]
 NODES = [1, 2, 4, 8, 16, 32]
-KEYS_FLAT = 1 << 11
-BYTE_SCALE = 1 << 7
-CORES = machine("titan").cores  # 16
-
-
-def _flat(nodes):
-    cfg = IsxConfig(keys_per_pe=KEYS_FLAT, byte_scale=BYTE_SCALE)
-    res = spmd_run(
-        isx_main("flat", cfg), cluster_for("titan", nodes, layout="flat"),
-        module_factories=[shmem_factory(direct=True)],
-    )
-    validate_isx(cfg, res.nranks, res.results)
-    return res
-
-
-def _hybrid(variant):
-    def run(nodes):
-        cfg = IsxConfig(keys_per_pe=KEYS_FLAT * CORES, byte_scale=BYTE_SCALE)
-        res = spmd_run(
-            isx_main(variant, cfg),
-            cluster_for("titan", nodes, layout="hybrid"),
-            module_factories=[shmem_factory()],
-        )
-        validate_isx(cfg, res.nranks, res.results)
-        return res
-
-    return run
 
 
 def test_fig5_isx_weak_scaling(sweep_runner):
-    sw = sweep_runner(lambda: sweep(
-        "Fig 5 — ISx weak scaling (Titan), time per sort",
-        [
-            Series("flat_openshmem", _flat),
-            Series("shmem_omp_hybrid", _hybrid("hybrid")),
-            Series("hiper_asyncshmem", _hybrid("hiper")),
-        ],
-        NODES,
-    ))
-    flat = sw.values["flat_openshmem"]
-    hybrid = sw.values["shmem_omp_hybrid"]
-    hiper = sw.values["hiper_asyncshmem"]
+    sw = sweep_runner(lambda: FIG.sweep(NODES))
+    flat = sw.values["flat"]
+    hybrid = sw.values["hybrid"]
+    hiper = sw.values["hiper"]
     # paper shape: flat competitive at small node counts...
     assert flat[1] < hybrid[1] * 1.6
     assert flat[2] < hybrid[2] * 1.6

@@ -9,40 +9,14 @@ margin ("~2% on average") by removing blocking CUDA operations; both weak-
 scale flat.
 """
 
-from repro.apps.geo import GeoConfig, check_result, geo_main
-from repro.bench import Series, cluster_for, sweep
-from repro.cuda import cuda_factory
-from repro.distrib import spmd_run
-from repro.mpi import mpi_factory
-from repro.shmem import shmem_factory
+from repro.apps.figures import FIGURES
 
+FIG = FIGURES["fig6"]
 NODES = [1, 2, 4, 8, 16]
-CFG = GeoConfig(nx=48, ny=48, nz=48, timesteps=4)
-
-
-def _variant(name):
-    def run(nodes):
-        res = spmd_run(
-            geo_main(name, CFG), cluster_for("titan", nodes, layout="hybrid"),
-            module_factories=[mpi_factory(), cuda_factory()],
-        )
-        if nodes <= 4:  # keep validation cost bounded
-            check_result(CFG, res.results)
-        return res
-
-    return run
 
 
 def test_fig6_geo_weak_scaling(sweep_runner):
-    sw = sweep_runner(lambda: sweep(
-        "Fig 6 — GEO 3-D stencil weak scaling (Titan), time per run",
-        [
-            Series("mpi_omp", _variant("mpi_omp")),
-            Series("mpi_cuda", _variant("mpi_cuda")),
-            Series("hiper", _variant("hiper")),
-        ],
-        NODES,
-    ))
+    sw = sweep_runner(lambda: FIG.sweep(NODES))
     cuda = sw.values["mpi_cuda"]
     hiper = sw.values["hiper"]
     # paper shape: HiPER consistently faster than the blocking MPI+CUDA

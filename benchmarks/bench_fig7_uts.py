@@ -3,7 +3,8 @@
 Series: OpenSHMEM+OpenMP (lock-based distributed balancing),
 OpenSHMEM+OpenMP Tasks (coarse-grain taskwait rounds), and HiPER/AsyncSHMEM.
 Strong scaling: one T1XXL-shaped geometric tree (scaled, DESIGN.md §2)
-searched by growing node counts.
+searched by growing node counts; every run must count the sequential walk's
+nodes exactly.
 
 Expected shape (paper): all three comparable at small scale;
 OpenSHMEM+OpenMP degrades as lock contention from distributed balancing
@@ -11,43 +12,17 @@ grows; the Tasks variant trails HiPER due to its coarse synchronization;
 HiPER scales best.
 """
 
-from repro.apps.uts import UtsConfig, sequential_count, uts_main
-from repro.bench import Series, cluster_for, sweep
-from repro.distrib import spmd_run
-from repro.shmem import shmem_factory
+from repro.apps.figures import FIGURES
 
+FIG = FIGURES["fig7"]
 NODES = [1, 2, 4, 8, 16, 32]
-CFG = UtsConfig(root_children=3000, mean_children=0.97, seed=1,
-                node_cost=2e-6)
-_ORACLE = sequential_count(CFG)
-
-
-def _variant(name):
-    def run(nodes):
-        res = spmd_run(
-            uts_main(name, CFG), cluster_for("titan", nodes, layout="hybrid"),
-            module_factories=[shmem_factory()],
-        )
-        total = sum(res.results)
-        assert total == _ORACLE, f"{name}@{nodes}: {total} != {_ORACLE}"
-        return res
-
-    return run
 
 
 def test_fig7_uts_strong_scaling(sweep_runner):
-    sw = sweep_runner(lambda: sweep(
-        f"Fig 7 — UTS strong scaling (tree={_ORACLE} nodes), execution time",
-        [
-            Series("shmem_omp", _variant("shmem_omp")),
-            Series("omp_tasks", _variant("omp_tasks")),
-            Series("hiper_asyncshmem", _variant("hiper")),
-        ],
-        NODES,
-    ))
+    sw = sweep_runner(lambda: FIG.sweep(NODES))
     omp = sw.values["shmem_omp"]
     tasks = sw.values["omp_tasks"]
-    hiper = sw.values["hiper_asyncshmem"]
+    hiper = sw.values["hiper"]
     last = NODES[-1]
     # paper shape: comparable at small scale...
     assert 0.5 < omp[1] / hiper[1] < 2.0

@@ -3,67 +3,31 @@
 The paper reports "little performance improvement to-date" for the HiPER
 Graph500 but large programmability benefits from replacing the reference
 code's constant receive polling with ``shmem_async_when``. This bench
-reproduces both: a strong-scaling timing table (parity expected) and a
-programmability table (receive-side operations per implementation).
+reproduces both: a strong-scaling timing table (parity expected; every BFS
+tree passes the Graph500 validator) and a programmability table
+(receive-side operations per implementation).
 """
 
-import numpy as np
+from repro.apps.figures import FIGURES
+from repro.apps.registry import APPS
+from repro.bench import source_loc
 
-from repro.apps.graph500 import (
-    Graph500Config,
-    block_bounds,
-    build_csr,
-    graph500_main,
-    kronecker_edges,
-    pick_root,
-    validate_bfs,
-)
-from repro.bench import Series, cluster_for, source_loc, sweep
-from repro.distrib import spmd_run
-from repro.mpi import mpi_factory
-from repro.shmem import shmem_factory
-
+FIG = FIGURES["g500"]
 NODES = [1, 2, 4, 8]
-CFG = Graph500Config(scale=12, edgefactor=16)
-
-
-def _run(variant, nodes, validate=False):
-    res = spmd_run(
-        graph500_main(variant, CFG),
-        cluster_for("edison", nodes, layout="hybrid", workers_cap=8),
-        module_factories=[mpi_factory(), shmem_factory()],
-    )
-    if validate:
-        edges = kronecker_edges(CFG)
-        parent = np.full(CFG.nvertices, -1, dtype=np.int64)
-        for r, blk in enumerate(res.results):
-            lo, hi = block_bounds(CFG.nvertices, res.nranks, r)
-            parent[lo:hi] = blk
-        rows, _ = build_csr(edges, CFG.nvertices)
-        assert validate_bfs(CFG, edges, pick_root(CFG, rows), parent) > 0
-    return res
 
 
 def test_graph500_parity_and_programmability(sweep_runner):
-    sw = sweep_runner(lambda: sweep(
-        f"Graph500 BFS strong scaling (scale={CFG.scale}, ef={CFG.edgefactor})",
-        [
-            Series("mpi_reference", lambda n: _run("mpi", n, validate=(n == 2))),
-            Series("hiper_async_when", lambda n: _run("hiper", n, validate=(n == 2))),
-        ],
-        NODES,
-    ))
-    ref = sw.values["mpi_reference"]
-    hip = sw.values["hiper_async_when"]
+    sw = sweep_runner(lambda: FIG.sweep(NODES))
+    ref = sw.values["mpi"]
+    hip = sw.values["hiper"]
     # paper: little performance difference either way
     for n in NODES[1:]:
         assert 0.4 < hip[n] / ref[n] < 2.5, (n, hip[n], ref[n])
 
     # programmability: the hiper variant has NO receive-side calls at all —
     # arrival handling is delegated to the runtime via shmem_async_when.
-    r = _run("mpi", 4)
-    h = _run("hiper", 4)
-    rs, hs = r.merged_stats(), h.merged_stats()
+    stats = {v: FIG.run(v, 4)[1].merged_stats() for v, _, _ in FIG.series}
+    rs, hs = stats["mpi"], stats["hiper"]
     rows = [
         ("alltoall calls", rs.counter("mpi", "alltoall"),
          hs.counter("mpi", "alltoall")),
@@ -72,12 +36,12 @@ def test_graph500_parity_and_programmability(sweep_runner):
          hs.counter("shmem", "async_when")),
     ]
     print("\nGraph500 programmability (4 nodes):")
-    print(f"{'metric':>22s} | {'mpi_reference':>14s} | {'hiper':>10s}")
+    print(f"{'metric':>22s} | {'mpi':>14s} | {'hiper':>10s}")
     for name, a, b in rows:
         print(f"{name:>22s} | {a:14d} | {b:10d}")
-    from repro.apps.graph500.variants import run_hiper, run_mpi
-    print(f"{'variant source LoC':>22s} | {source_loc(run_mpi):14d} | "
-          f"{source_loc(run_hiper):10d}")
+    variants = APPS[FIG.app].variants
+    print(f"{'variant source LoC':>22s} | {source_loc(variants['mpi']):14d} | "
+          f"{source_loc(variants['hiper']):10d}")
     assert rs.counter("mpi", "alltoall") > 0
     assert hs.counter("mpi", "alltoall") == 0
     assert hs.counter("mpi", "irecv") == 0

@@ -1,46 +1,22 @@
 """Programmability table (paper §III, qualitative claims quantified).
 
-For every benchmark, count per-variant: source LoC, blocking call sites that
-hold a worker (finish-style joins), and the receive/polling operations each
-variant performs at runtime. The paper argues HiPER's future-based APIs
-"reduce programmer burden"; these are the measurable proxies.
+For every app of ``repro.apps.registry``, count each variant's source LoC.
+The paper argues HiPER's future-based APIs "reduce programmer burden"; LoC
+is one measurable proxy (bench_graph500.py counts the receive/polling
+operations each Graph500 variant performs at runtime).
 """
 
-from repro.apps.geo.variants import run_hiper as geo_hiper
-from repro.apps.geo.variants import run_mpi_cuda as geo_cuda
-from repro.apps.geo.variants import run_mpi_omp as geo_omp
-from repro.apps.graph500.variants import run_hiper as g500_hiper
-from repro.apps.graph500.variants import run_mpi as g500_mpi
-from repro.apps.hpgmg.solver import run_hiper as mg_hiper
-from repro.apps.hpgmg.solver import run_reference as mg_ref
-from repro.apps.isx.variants import run_flat as isx_flat
-from repro.apps.isx.variants import run_hiper as isx_hiper
-from repro.apps.isx.variants import run_hybrid as isx_hybrid
-from repro.apps.uts.variants import run_hiper as uts_hiper
-from repro.apps.uts.variants import run_omp_tasks as uts_tasks
-from repro.apps.uts.variants import run_shmem_omp as uts_omp
+from repro.apps.registry import APPS
 from repro.bench import source_loc
-
-
-ROWS = [
-    ("GEO", [("mpi_omp", geo_omp), ("mpi_cuda", geo_cuda),
-             ("hiper", geo_hiper)]),
-    ("ISx", [("flat", isx_flat), ("hybrid", isx_hybrid),
-             ("hiper", isx_hiper)]),
-    ("UTS", [("shmem_omp", uts_omp), ("omp_tasks", uts_tasks),
-             ("hiper", uts_hiper)]),
-    ("Graph500", [("mpi", g500_mpi), ("hiper", g500_hiper)]),
-    ("HPGMG", [("reference", mg_ref), ("hiper", mg_hiper)]),
-]
 
 
 def test_programmability_loc_table(benchmark):
     table = {}
 
     def _collect():
-        for app, variants in ROWS:
-            for name, fn in variants:
-                table[(app, name)] = source_loc(fn)
+        for app in APPS.values():
+            for name, fn in app.variants.items():
+                table[(app.name, name)] = source_loc(fn)
 
     benchmark.pedantic(_collect, rounds=1, iterations=1)
     print("\nProgrammability: variant implementation size (non-blank LoC)")
@@ -54,7 +30,7 @@ def test_programmability_loc_table(benchmark):
     # similar to their standard variants" claim. (The deeper programmability
     # win — zero receive/polling call sites — is asserted quantitatively in
     # bench_graph500.py.)
-    for app, variants in ROWS:
-        locs = dict((n, source_loc(f)) for n, f in variants)
+    for app in APPS.values():
+        locs = {n: table[(app.name, n)] for n in app.variants}
         ref = min(v for k, v in locs.items() if k != "hiper")
-        assert locs["hiper"] < 4 * ref, (app, locs)
+        assert locs["hiper"] < 4 * ref, (app.name, locs)

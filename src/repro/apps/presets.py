@@ -82,12 +82,3 @@ def comm_coalesce() -> CoalescePolicy:
     per destination, flushing lone stragglers after 5 us of virtual time.
     Pass as ``coalesce=`` to a comm module factory."""
     return CoalescePolicy(max_msgs=32, max_bytes=1 << 15, flush_interval=5e-6)
-
-
-PRESETS = {
-    "isx": isx_weak_scaling,
-    "uts": uts_t1xxl,
-    "graph500": graph500_reference,
-    "hpgmg": hpgmg_paper,
-    "geo": geo_weak_scaling,
-}

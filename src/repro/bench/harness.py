@@ -61,16 +61,6 @@ class Series:
     name: str
     #: point -> SpmdResult; ``run`` receives the node count.
     run: Callable[[int], SpmdResult]
-    #: node counts where this series is skipped (e.g. flat at huge scale).
-    skip_above: Optional[int] = None
-
-    def measure(self, nodes_list: Sequence[int]) -> Dict[int, SpmdResult]:
-        out: Dict[int, SpmdResult] = {}
-        for nodes in nodes_list:
-            if self.skip_above is not None and nodes > self.skip_above:
-                continue
-            out[nodes] = self.run(nodes)
-        return out
 
 
 def run_telemetry(res: SpmdResult) -> Dict[str, float]:
@@ -113,11 +103,8 @@ class SweepResult:
         )
         lines = [self.title, header, "-" * len(header)]
         for nodes in self.nodes_list:
-            cells = []
-            for name in self.values:
-                v = self.values[name].get(nodes)
-                cells.append(f"{v:18.4f}" if v is not None else " " * 17 + "-")
-            lines.append(f"{nodes:7d} | " + " | ".join(cells))
+            lines.append(f"{nodes:7d} | " + " | ".join(
+                f"{pts[nodes]:18.4f}" for pts in self.values.values()))
         lines.append(f"(values in {self.unit}, virtual time)")
         if any(self.telemetry.values()):
             lines.append("telemetry (util% / steals / MB moved):")
@@ -164,7 +151,7 @@ def sweep(
     values: Dict[str, Dict[int, float]] = {}
     telemetry: Dict[str, Dict[int, Dict[str, float]]] = {}
     for s in series:
-        results = s.measure(nodes_list)
+        results = {nodes: s.run(nodes) for nodes in nodes_list}
         values[s.name] = {nodes: metric(res) for nodes, res in results.items()}
         telemetry[s.name] = {
             nodes: run_telemetry(res) for nodes, res in results.items()

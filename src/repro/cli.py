@@ -9,129 +9,37 @@ Usage (after ``pip install -e .``)::
     python -m repro run --backend procs   # ... on one OS process per rank
     python -m repro platform titan        # print a machine's platform JSON
 
-Every command that runs an app takes it from ``repro.apps.registry``. Each
-figure command builds the same sweep as its ``benchmarks/bench_*.py``
-counterpart and prints the virtual-time table; ``validate`` runs every
-variant of all five applications at a small size and checks each against
-its app's oracle (serial references, the Graph500 validator, UTS's exact
-count) and the variants against each other.
+Every command that runs an app takes it from ``repro.apps.registry``, and
+every figure from ``repro.apps.figures`` (the table the figure benches in
+``benchmarks/`` read too): a figure command prints that figure's
+virtual-time table. ``validate`` runs every variant of all five apps at a
+small size and checks each against its app's oracle (serial references, the
+Graph500 validator, UTS's exact count) and the variants against each other.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
+
+from repro.apps.figures import FIGURES
 
 
 def cmd_list(_args) -> int:
     print(__doc__)
-    print("figures: fig4 (HPGMG-FV), fig5 (ISx), fig6 (GEO), fig7 (UTS), "
-          "g500 (Graph500)")
+    print("figures: " + ", ".join(f"{name} ({f.app})"
+                                  for name, f in FIGURES.items()))
     return 0
-
-
-@dataclasses.dataclass(frozen=True)
-class Figure:
-    """One paper figure: the app it plots, its series — (variant, layout,
-    config) each, named after the variant — and what it plots of a run."""
-
-    app: str
-    #: formatted with the first series' ``cfg`` and a run's ``answer``
-    title: str
-    series: Tuple[Tuple[str, str, Any], ...]
-    #: scale -> the config of the HiPER run ``profile`` and ``chaos`` take
-    profile: Callable[[float], Any]
-    metric: Callable[[Any], float] = lambda r: r.makespan * 1e3
-    unit: str = "ms"
-    workers_cap: Optional[int] = None
-
-
-def _figures() -> Dict[str, Figure]:
-    from repro.apps import geo, graph500, hpgmg, isx, presets
-
-    keys, bs, cores = 1 << 11, 1 << 7, 16
-    mg = hpgmg.HpgmgConfig(box_dim=8, boxes_xy=2, boxes_z_per_rank=2, cycles=4)
-    hybrid = isx.IsxConfig(keys_per_pe=keys * cores, byte_scale=bs)
-    grid = geo.GeoConfig(nx=48, ny=48, nz=48, timesteps=4)
-    bfs = graph500.Graph500Config(scale=12)
-
-    def hybrids(cfg, *variants):
-        return tuple((v, "hybrid", cfg) for v in variants)
-
-    return {
-        "fig4": Figure(
-            "hpgmg", "Fig 4 — HPGMG-FV weak scaling (MDOF/s, higher is better)",
-            hybrids(mg, "reference", "hiper"),
-            lambda s: dataclasses.replace(presets.hpgmg_paper(s), cycles=4),
-            metric=lambda r: (mg.nz_local * mg.nx * mg.ny * r.nranks
-                              * mg.cycles / r.makespan / 1e6),
-            unit="MDOF/s"),
-        "fig5": Figure(
-            "isx", "Fig 5 — ISx weak scaling (ms)",
-            (("flat", "flat", isx.IsxConfig(keys_per_pe=keys, byte_scale=bs)),)
-            + hybrids(hybrid, "hybrid", "hiper"),
-            presets.isx_weak_scaling),
-        "fig6": Figure(
-            "geo", "Fig 6 — GEO weak scaling (ms)",
-            hybrids(grid, "mpi_omp", "mpi_cuda", "hiper"),
-            presets.geo_weak_scaling),
-        "fig7": Figure(
-            "uts", "Fig 7 — UTS strong scaling (ms, tree={answer[1]} nodes)",
-            hybrids(presets.uts_t1xxl(), "shmem_omp", "omp_tasks", "hiper"),
-            presets.uts_t1xxl),
-        "g500": Figure(
-            "graph500", "Graph500 strong scaling (ms, scale={cfg.scale})",
-            hybrids(bfs, "mpi", "hiper"),
-            lambda s: presets.graph500_reference(10), workers_cap=8),
-    }
-
-
-def _sweep_fig(fig: str, nodes: List[int]) -> None:
-    from repro.apps.registry import APPS
-    from repro.bench import Series, cluster_for, sweep
-
-    f = _figures()[fig]
-    app = APPS[f.app]
-    answers: List[Any] = []
-
-    def series(variant, layout, cfg):
-        def run(n):
-            answer, res = app.run(
-                variant, cluster_for(app.platform, n, layout=layout,
-                                     workers_cap=f.workers_cap), cfg=cfg)
-            answers.append(answer)
-            return res
-        return Series(variant, run)
-
-    sw = sweep(f.title, [series(*s) for s in f.series], nodes,
-               metric=f.metric, unit=f.unit)
-    sw.title = f.title.format(cfg=f.series[0][2], answer=answers[-1])
-    print(sw.table())
 
 
 def cmd_figure(args) -> int:
     t0 = time.perf_counter()
-    _sweep_fig(args.figure, list(args.nodes))
+    print(FIGURES[args.figure].sweep(args.nodes).table())
     print(f"(simulated in {time.perf_counter() - t0:.1f}s wall)")
     return 0
-
-
-def _profile_target(fig: str, scale: float):
-    """The HiPER run of one figure that ``profile`` and ``chaos`` take:
-    ``(main, cluster, module factories)``."""
-    from repro.apps.registry import APPS
-    from repro.bench import cluster_for
-
-    f = _figures()[fig]
-    app = APPS[f.app]
-    return (app.main("hiper", f.profile(scale)),
-            cluster_for(app.platform, 2, layout="hybrid",
-                        workers_cap=f.workers_cap),
-            app.modules("hiper"))
 
 
 def cmd_profile(args) -> int:
@@ -139,7 +47,7 @@ def cmd_profile(args) -> int:
     ``metrics.json`` + ``trace.json`` (Perfetto-loadable) to ``--out``."""
     from repro.tools import profile_spmd
 
-    main_fn, cluster, factories = _profile_target(args.figure, args.scale)
+    main_fn, cluster, factories, _ = FIGURES[args.figure].target(args.scale)
     t0 = time.perf_counter()
     report = profile_spmd(main_fn, cluster, module_factories=factories,
                           out_dir=args.out, shards=args.shards)
@@ -171,13 +79,15 @@ def cmd_profile(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    """Run one figure's HiPER variant under a seeded fault plan and report
-    the fault/retry/recovery telemetry; optionally write the fault log,
-    metrics, and Chrome trace to ``--out``. Same seed + same plan => the
-    identical fault sequence, so chaos runs are replayable."""
+    """Run one figure's HiPER variant under a seeded fault plan, check it
+    with the app's oracle, and report the fault/retry/recovery telemetry;
+    optionally write the fault log, metrics, and Chrome trace to ``--out``.
+    Same seed + same plan => the identical fault sequence, so chaos runs
+    are replayable. Exit code 1 iff the oracle rejects the run."""
     import json
     import os
 
+    from repro.apps.registry import APPS
     from repro.distrib import spmd_run
     from repro.exec.sim import SimExecutor
     from repro.resilience import FaultInjector, FaultPlan
@@ -185,7 +95,8 @@ def cmd_chaos(args) -> int:
 
     plan = FaultPlan.load(args.plan, seed=args.seed)
     injector = FaultInjector(plan)
-    main_fn, cluster, factories = _profile_target(args.figure, args.scale)
+    fig = FIGURES[args.figure]
+    main_fn, cluster, factories, cfg = fig.target(args.scale)
     ex = SimExecutor()
     tracer = TraceRecorder()
     ex.attach_tracer(tracer)
@@ -203,6 +114,12 @@ def cmd_chaos(args) -> int:
           f"{retries} retries ({time.perf_counter() - t0:.1f}s wall)")
     for kind in sorted(counts):
         print(f"  {kind:>18s}: {counts[kind]}")
+    try:
+        APPS[fig.app].answer(cfg, res.results)
+        ok = True
+    except Exception as exc:  # noqa: BLE001 - report any oracle failure
+        ok = False
+        print(f"  wrong answer: {type(exc).__name__}: {exc}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         injector.save_log(os.path.join(args.out, "fault_log.json"))
@@ -210,14 +127,13 @@ def cmd_chaos(args) -> int:
         metrics = {
             "figure": args.figure, "plan": args.plan, "seed": plan.seed,
             "nranks": res.nranks, "makespan": res.makespan,
-            "faults": counts, "retries": retries,
-            "results_ok": all(r is not None for r in res.results),
+            "faults": counts, "retries": retries, "results_ok": ok,
         }
         mpath = os.path.join(args.out, "metrics.json")
         with open(mpath, "w", encoding="utf-8") as fh:
             json.dump(metrics, fh, indent=1)
         print(f"wrote {args.out}/fault_log.json, metrics.json, trace.json")
-    return 0
+    return 0 if ok else 1
 
 
 def cmd_verify(args) -> int:
@@ -354,11 +270,13 @@ def cmd_run(args) -> int:
     Unix-socket fabric); ``--shards N`` splits the sim across N processes.
     ``validate`` is ``run --backend sim --app all``.
     """
-    from repro.apps.registry import APPS
+    from repro.apps import registry
     from repro.exec.procs import ProcessExecutor
     from repro.exec.sim import SimExecutor
     from repro.util.errors import ConfigError
 
+    apps = [registry.app(name) for name in (
+        sorted(registry.APPS) if args.app == "all" else [args.app])]
     if args.shards < 1:
         raise ConfigError(f"--shards must be >= 1, got {args.shards}")
     if args.shards != 1 and args.backend != "sim":
@@ -377,13 +295,12 @@ def cmd_run(args) -> int:
         executor = SimExecutor(shards=args.shards)
         where = f"across {args.shards} shards"
     failures = 0
-    for name in sorted(APPS) if args.app == "all" else [args.app]:
-        app = APPS[name]
+    for app in apps:
         cluster = app.cluster(args.ranks, args.workers)
         answers, failed = set(), 0
         for variant in app.variants:
             t0 = time.perf_counter()
-            tag = f"{name}:{variant}"
+            tag = f"{app.name}:{variant}"
             try:
                 answer, res = app.run(variant, cluster, executor=executor)
             except Exception as exc:  # noqa: BLE001 - report and continue
@@ -401,8 +318,8 @@ def cmd_run(args) -> int:
                        f"FAIL {len(answers)} different answers")
         else:
             verdict = f"OK   {len(app.variants)} variants, one answer"
-        print(f"  {name:<18s} {verdict} [{args.backend}: {cluster.nranks} "
-              f"ranks x {args.workers} workers, {where}]")
+        print(f"  {app.name:<18s} {verdict} [{args.backend}: "
+              f"{cluster.nranks} ranks x {args.workers} workers, {where}]")
     return 1 if failures else 0
 
 
@@ -510,16 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="show what can be reproduced"
                    ).set_defaults(fn=cmd_list)
 
-    figures = ["fig4", "fig5", "fig6", "fig7", "g500"]
-    for fig in figures:
+    for fig in FIGURES:
         fp = sub.add_parser(fig, help=f"regenerate {fig}")
-        fp.add_argument("--nodes", type=int, nargs="+",
-                        default=[1, 2, 4, 8])
+        fp.add_argument("--nodes", type=int, nargs="+", default=[1, 2, 4, 8])
         fp.set_defaults(fn=cmd_figure, figure=fig)
 
     prof = sub.add_parser(
         "profile", help="run one figure instrumented; emit metrics + trace")
-    prof.add_argument("figure", choices=figures)
+    prof.add_argument("figure", choices=list(FIGURES))
     prof.add_argument("--out", default="profile-out",
                       help="output directory for metrics.json / trace.json")
     prof.add_argument("--scale", type=float, default=1.0,
@@ -550,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ch = sub.add_parser(
         "chaos", help="run one figure under a seeded fault plan")
-    ch.add_argument("figure", choices=figures)
+    ch.add_argument("figure", choices=list(FIGURES))
     ch.add_argument("--plan", default="mixed",
                     help="preset (drop/delay/corrupt/mixed) or JSON spec file")
     ch.add_argument("--seed", type=int, default=0,
@@ -601,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="execution backend (default: procs — one OS "
                          "process per rank)")
     rn.add_argument("--app", default="all",
-                    choices=["isx", "uts", "graph500", "geo", "hpgmg", "all"])
+                    help="an app of repro.apps.registry, or all (default)")
     rn.add_argument("--ranks", type=int, default=4,
                     help="SPMD ranks, one per node of the app's platform")
     rn.add_argument("--workers", type=int, default=2,

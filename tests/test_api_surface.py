@@ -169,7 +169,3 @@ class TestPresets:
             presets.uts_t1xxl(scale=1000)
         with pytest.raises(ConfigError):
             presets.graph500_reference(scale_exponent=40)
-
-    def test_preset_registry(self):
-        assert set(presets.PRESETS) == {"isx", "uts", "graph500", "hpgmg",
-                                        "geo"}

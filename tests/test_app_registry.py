@@ -43,6 +43,20 @@ def test_the_oracles_reject_a_wrong_run():
         uts.answer(uts.config, [1, 2, 3, 4])
 
 
+def test_the_hpgmg_oracle_wants_10x_every_two_cycles():
+    # Fig. 4's bar: 100x in 4 V-cycles. Measured factors are 0.07-0.35 per
+    # cycle; a residual that only about halves per cycle is not converging.
+    hpgmg = APPS["hpgmg"]
+    cfg = hpgmg.config
+
+    def run(factor):
+        return [([factor ** k for k in range(cfg.cycles + 1)], None)]
+
+    with pytest.raises(AssertionError, match="10x every two"):
+        hpgmg.answer(cfg, run(0.45))
+    assert hpgmg.answer(cfg, run(0.2))[1] == cfg.cycles
+
+
 def _small_config(name, size, seed):
     if name == "isx":
         return IsxConfig(keys_per_pe=64 * size, seed=seed)

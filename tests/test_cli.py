@@ -1,5 +1,7 @@
 """The ``python -m repro`` reproduction driver."""
 
+import argparse
+import dataclasses
 import json
 
 import pytest
@@ -33,6 +35,19 @@ class TestCli:
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
         assert out.count("OK") == 5 and "FAIL" not in out
+
+    def test_figure_names_come_from_the_table(self):
+        from repro.apps.figures import FIGURES
+        from repro.cli import cmd_figure
+
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert [name for name, p in sub.choices.items()
+                if p.get_default("fn") is cmd_figure] == list(FIGURES)
+        for command in ("profile", "chaos"):
+            arg = next(a for a in sub.choices[command]._actions
+                       if a.dest == "figure")
+            assert list(arg.choices) == list(FIGURES)
 
     def test_parser_rejects_unknown(self):
         with pytest.raises(SystemExit):
@@ -134,22 +149,17 @@ class TestChaosCommand:
             main(["chaos", "fig99"])
         assert exc.value.code == 2
 
+    @staticmethod
+    def _tiny_fig5(monkeypatch):
+        # A tiny profile config, so the smoke run stays fast.
+        from repro.apps.figures import FIGURES
+        from repro.apps.isx import IsxConfig
+
+        monkeypatch.setitem(FIGURES, "fig5", dataclasses.replace(
+            FIGURES["fig5"], profile=lambda s: IsxConfig(keys_per_pe=400)))
+
     def test_chaos_smoke_writes_artifacts(self, tmp_path, capsys, monkeypatch):
-        # Substitute a tiny target so the smoke run stays fast.
-        from repro import cli as cli_mod
-        from repro.apps.isx import IsxConfig, isx_main
-        from repro.distrib import ClusterConfig
-        from repro.platform import machine
-        from repro.shmem import shmem_factory
-
-        def tiny_target(fig, scale):
-            cfg = IsxConfig(keys_per_pe=400)
-            cluster = ClusterConfig(nodes=2, ranks_per_node=1,
-                                    workers_per_rank=2,
-                                    machine=machine("workstation"))
-            return isx_main("hiper", cfg), cluster, [shmem_factory()]
-
-        monkeypatch.setattr(cli_mod, "_profile_target", tiny_target)
+        self._tiny_fig5(monkeypatch)
         out = tmp_path / "chaos"
         rc = main(["chaos", "fig5", "--plan", "drop", "--seed", "7",
                    "--out", str(out)])
@@ -162,6 +172,25 @@ class TestChaosCommand:
         assert metrics["plan"] == "drop" and metrics["seed"] == 7
         assert metrics["results_ok"] is True
         assert (out / "trace.json").exists()
+
+    def test_a_wrong_answer_fails_the_run(self, tmp_path, capsys,
+                                          monkeypatch):
+        # The verdict is the app's oracle, not "every rank returned".
+        from repro.apps.registry import APPS
+
+        def wrong(cfg, results):
+            raise AssertionError("bucket 0 out of order")
+
+        self._tiny_fig5(monkeypatch)
+        monkeypatch.setitem(APPS, "isx",
+                            dataclasses.replace(APPS["isx"], answer=wrong))
+        out = tmp_path / "chaos"
+        assert main(["chaos", "fig5", "--plan", "drop", "--seed", "7",
+                     "--out", str(out)]) == 1
+        assert "wrong answer: AssertionError: bucket 0 out of order" in \
+            capsys.readouterr().out
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["results_ok"] is False
 
 
 class TestRunCommand:
@@ -194,6 +223,12 @@ class TestRunCommand:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["run", "--backend", "threads"])
         assert exc.value.code == 2
+
+    def test_unknown_app_exits_2(self, capsys):
+        assert main(["run", "--backend", "sim", "--app", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert "unknown app 'bogus'" in captured.err and "isx" in captured.err
+        assert captured.out == ""  # refused before anything ran
 
     def test_unknown_launcher_exits_2(self, capsys):
         rc = main(["run", "--backend", "procs", "--launcher", "bogus"])

@@ -240,7 +240,7 @@ class TestBenchHarness:
         with pytest.raises(ValueError):
             cluster_for("titan", 1, layout="diagonal")
 
-    def test_sweep_table_and_skip(self):
+    def test_sweep_table(self):
         calls = []
 
         class FakeResult:
@@ -251,13 +251,10 @@ class TestBenchHarness:
             calls.append(nodes)
             return FakeResult(nodes * 1e-3)
 
-        sw = sweep(
-            "t", [Series("a", runner), Series("b", runner, skip_above=2)],
-            [1, 2, 4],
-        )
-        assert calls == [1, 2, 4, 1, 2]
+        sw = sweep("t", [Series("a", runner), Series("b", runner)], [1, 2, 4])
+        assert calls == [1, 2, 4, 1, 2, 4]
         assert sw.values["a"][4] == pytest.approx(4.0)
-        assert 4 not in sw.values["b"]
+        assert sw.values["b"] == sw.values["a"]
         table = sw.table()
         assert "a" in table and "nodes" in table and "-" in table
         flat = sw.flat()
