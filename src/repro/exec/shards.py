@@ -1,12 +1,10 @@
 """Sharded parallel DES: one sub-simulator per shard, synchronized by
-conservative time windows (ROADMAP item 4's "one sub-simulator per rank with
-conservative time windows", generalized to N shards).
+conservative time windows.
 
 ``SimExecutor(shards=N)`` partitions an SPMD run's ranks
-across N OS processes. Each shard runs its own :class:`FlatEventQueue` +
-``TaskSlab`` over its slice of the cluster (a contiguous, *node-aligned*
-rank range — see :class:`ShardPlan`), and the shards advance in lockstep
-windows:
+across N OS processes. Each shard runs a plain ``SimExecutor`` over its
+slice of the cluster (a contiguous, *node-aligned* rank range — see
+:class:`ShardPlan`), and the shards advance in lockstep windows:
 
 1. each shard drains every task and event with virtual time strictly below
    the current horizon ``H``, parking cross-shard sends (priced on the send
@@ -30,9 +28,13 @@ earlier exists anywhere), so any message it sends arrives no earlier than
 ``N_min + lookahead = H'``. Deferring cross-shard injection to the barrier
 therefore never delivers a message into its own past; and because every
 enqueue happens from an action below ``H``, every queued task's release
-time is below ``H`` too — the bounded step loop needs no release guard.
+time is below ``H`` too — the bounded step needs no release guard.
 
-**Determinism.** Within a shard the engine is the unmodified ``SimExecutor``.
+**Determinism.** Within a shard the engine is the unmodified ``SimExecutor``:
+the shard sets its step bound (``_horizon``, 0.0 until the first window) and
+its window hook (the barrier exchange below) and calls ``drain()``. The
+exchange runs *inside* ``SimExecutor._step`` when nothing is left below the
+horizon, so help-until-ready blocking crosses window boundaries unchanged.
 Across shards, inboxes are injected in ``(arrival, src, seq)`` order —
 identical on every replay — and the receiver-side cost recurrences (NIC
 availability, pairwise FIFO) run in that order. Per-rank *results* are
@@ -47,17 +49,15 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import heapq
 import math
 import time
-from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Sequence,
+                    Tuple)
 
 from repro.exec.sim import SimExecutor
 from repro.launch import (Child, ChildCrashed, ChildDied, ChildTimeout,
                           close_all)
 from repro.net.fabric import SimFabric
-from repro.runtime.worker import find_task
 from repro.util.errors import (
     ConfigError,
     DeadlockError,
@@ -117,81 +117,6 @@ class ShardPlan:
         return bisect.bisect_right(starts, rank) - 1
 
 
-class _ShardSimExecutor(SimExecutor):
-    """The engine bounded by a horizon, with a window hook at quiescence.
-
-    ``_step`` first drains work strictly below ``_horizon``; when the slice
-    is dry it invokes ``_window_hook`` (the barrier exchange). The hook
-    returns True after advancing the horizon (keep stepping) or False when
-    the run is finished or globally stalled. Because the exchange happens
-    *inside* ``_step``, help-until-ready blocking (``block_until``) crosses
-    window boundaries without any change."""
-
-    def __init__(self, *, trace: bool = False, task_overhead: float = 0.0):
-        super().__init__(trace=trace, task_overhead=task_overhead)
-        self._horizon = 0.0
-        self._window_hook: Optional[Callable[[], bool]] = None
-
-    def _ready_head(self):
-        """The lowest-clock maybe-ready worker, or None: the ready heap's
-        top after dropping lazily-deleted entries and re-keying stale
-        clocks, exactly as ``SimExecutor._step`` does."""
-        ready, heap = self._maybe_ready, self._ready_heap
-        while heap:
-            clock, _rank, _wid, _seq, worker = heap[0]
-            if worker not in ready:
-                heapq.heappop(heap)
-            elif clock != worker.clock:
-                heapq.heapreplace(
-                    heap, (worker.clock, worker.rank, worker.wid,
-                           next(self._wake_seq), worker))
-            else:
-                return worker
-        return None
-
-    def next_activation(self) -> float:
-        """Earliest virtual time this shard could act at, or +inf.
-
-        May be conservatively low — a maybe-ready worker can turn out to
-        have no task — which costs at most an extra window, never
-        correctness."""
-        worker = self._ready_head()
-        t = math.inf if worker is None else worker.clock
-        when = self._events.peek_when()
-        if when is not None and when < t:
-            t = when
-        return t
-
-    def _step_bounded(self) -> bool:
-        """One task or event batch strictly below the horizon; False when
-        the sub-horizon slice is drained."""
-        horizon = self._horizon
-        while True:
-            worker = self._ready_head()
-            if worker is None or worker.clock >= horizon:
-                break
-            task = find_task(worker)
-            if task is None:
-                self._maybe_ready.discard(worker)
-                heapq.heappop(self._ready_heap)
-                continue
-            self._run_task(worker, task)
-            return True
-        when = self._events.peek_when()
-        if when is not None and when < horizon:
-            self._advance_events()
-            return True
-        return False
-
-    def _step(self) -> bool:
-        while True:
-            if self._step_bounded():
-                return True
-            hook = self._window_hook
-            if hook is None or not hook():
-                return False
-
-
 # ----------------------------------------------------------------------
 # shard worker (child process)
 # ----------------------------------------------------------------------
@@ -206,8 +131,8 @@ def _run_shard(link, main, config, module_factories, plan, shard_id) -> None:
     """Body of one shard worker (a :class:`repro.launch.Child` runs it)."""
     from repro.distrib.spmd import RankGroup, merged_counters
 
-    ex = _ShardSimExecutor(trace=config.trace,
-                           task_overhead=config.task_overhead)
+    ex = SimExecutor(trace=config.trace, task_overhead=config.task_overhead)
+    ex._horizon = 0.0
     fabric = SimFabric(ex, config.nranks, config.network,
                        ranks_per_node=config.ranks_per_node,
                        topology=config.topology, plan=plan, shard_id=shard_id)
@@ -215,16 +140,23 @@ def _run_shard(link, main, config, module_factories, plan, shard_id) -> None:
     group = RankGroup(config, module_factories, ex, fabric, lo, hi)
     group.submit(main)
 
-    state = {"finished": False}
+    finished = False
     windows = 0
     idle_wall = 0.0
 
     def _exchange() -> bool:
-        nonlocal windows, idle_wall
-        if state["finished"]:
+        nonlocal finished, windows, idle_wall
+        if finished:
             return False
         outboxes = fabric.take_outboxes()
-        t_next = ex.next_activation()
+        # The earliest virtual time this shard could act at: the maybe-ready
+        # set's lowest clock (conservatively low — a maybe-ready worker can
+        # turn out to have no task, which costs at most an extra window) or
+        # the next event, whichever is earlier.
+        t_next = min((w.clock for w in ex._maybe_ready), default=math.inf)
+        when = ex._events.peek_when()
+        if when is not None and when < t_next:
+            t_next = when
         done = all(f.satisfied for f in group.futures)
         t0 = time.perf_counter()
         link.send(("win", t_next, done, outboxes))
@@ -240,18 +172,11 @@ def _run_shard(link, main, config, module_factories, plan, shard_id) -> None:
             if inbox:
                 fabric.inject_remote(inbox)
             return True
-        state["finished"] = True  # ("fin",) or ("dead",)
+        finished = True  # ("fin",) or ("dead",)
         return False
 
     ex._window_hook = _exchange
-    ex._ensure_recursion_headroom()
-    ex._stepping = True
-    try:
-        while not state["finished"]:
-            if not ex._step():
-                break
-    finally:
-        ex._stepping = False
+    ex.drain()
 
     statuses = group.statuses(remote=True)
     makespan = ex.makespan()

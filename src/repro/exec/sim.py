@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import sys
 from typing import Any, Callable, List, Optional, Set
 
@@ -405,8 +406,40 @@ class SimExecutor(Executor):
     # ------------------------------------------------------------------
     # the engine loop
     # ------------------------------------------------------------------
+    #: The step bound: only workers whose clock is below it run, and only
+    #: event batches stamped below it advance. A sharded run sets it per
+    #: window (``repro.exec.shards``); everywhere else it is +inf, and the
+    #: event queue is then never peeked.
+    _horizon = math.inf
+    #: Called when nothing is left below the bound; True means it moved the
+    #: bound (keep stepping). None (the default) ends the loop there.
+    _window_hook: Optional[Callable[[], bool]] = None
+
     def _step(self) -> bool:
-        """Run one task or one event batch. False iff nothing can happen."""
+        """Run one task or one event batch below the bound. False iff
+        nothing can happen and the window hook (if any) declined.
+
+        The only stepping loop: a subclass changes only *which* ready worker
+        runs next, by overriding :meth:`_select`."""
+        while True:
+            bound = self._horizon
+            picked = self._select(bound)
+            if picked is not None:
+                worker, task = picked
+                self._run_task(worker, task)
+                return True
+            events = self._events
+            if events and (bound == math.inf or events.peek_when() < bound):
+                self._advance_events()
+                return True
+            hook = self._window_hook
+            if hook is None or not hook():
+                return False
+
+    def _select(self, bound: float):
+        """The next ``(worker, task)`` whose worker clock is below ``bound``,
+        or None: the lowest-``(clock, rank, wid)`` maybe-ready worker that
+        finds a task, walked off the lazy-deletion heap."""
         ready, heap = self._maybe_ready, self._ready_heap
         while ready:
             clock, _rank, _wid, _seq, worker = heap[0]
@@ -420,17 +453,15 @@ class SimExecutor(Executor):
                     heap, (worker.clock, worker.rank, worker.wid,
                            next(self._wake_seq), worker))
                 continue
+            if clock >= bound:
+                return None
             task = find_task(worker)
             if task is None:
                 ready.discard(worker)
                 heapq.heappop(heap)
                 continue
-            self._run_task(worker, task)
-            return True
-        if self._events:
-            self._advance_events()
-            return True
-        return False
+            return worker, task
+        return None
 
     def _run_task(self, worker: WorkerState, task: Task) -> None:
         release = task.release_time

@@ -1,8 +1,9 @@
 """Schedule-exploring cooperative executor (the verification engine).
 
 :class:`InterleaveExecutor` drives the *same* policy core the production
-engines share — deques, pop/steal search, finish scopes, futures — but hands
-every scheduling decision to a pluggable seeded
+engines share — deques, pop/steal search, finish scopes, futures — through
+the production stepping loop (``SimExecutor._step``), but its ``_select`` hook
+hands every scheduling decision to a pluggable seeded
 :class:`~repro.verify.strategies.Strategy` instead of the simulator's
 lowest-clock rule. One OS thread multiplexes the logical workers, so a run is
 a deterministic function of ``(strategy, seed, workload)`` and any failing
@@ -71,10 +72,13 @@ class InterleaveExecutor(SimExecutor):
     def _wake(self, worker: WorkerState) -> None:
         self._maybe_ready.add(worker)
 
-    def _step(self) -> bool:
+    def _select(self, bound: float):
         ready = self._maybe_ready
-        while ready:
-            candidates = sorted(ready, key=lambda w: (w.rank, w.wid))
+        while True:
+            candidates = sorted((w for w in ready if w.clock < bound),
+                                key=lambda w: (w.rank, w.wid))
+            if not candidates:
+                return None
             worker = (candidates[0] if len(candidates) == 1
                       else self.strategy.choose(candidates))
             p = instrument.PROBE
@@ -98,12 +102,7 @@ class InterleaveExecutor(SimExecutor):
                 (worker.rank, worker.wid, task.name or "task",
                  self._dispatch_seq))
             self._dispatch_seq += 1
-            self._run_task(worker, task)
-            return True
-        if self._events:
-            self._advance_events()
-            return True
-        return False
+            return worker, task
 
     # ------------------------------------------------------------------
     def schedule_digest(self) -> str:

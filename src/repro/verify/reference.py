@@ -4,9 +4,10 @@
 its data structures swapped for the obvious ones: an O(W) ``min()`` scan of
 the maybe-ready set instead of the lazy-deletion heap, a ``heapq`` of
 ``[time, seq, fn]`` records instead of the slab/calendar
-:class:`~repro.exec.eventq.FlatEventQueue`, and no task recycling. Task
-dispatch, blocking, fault injection, roots and driving are inherited, so a
-schedule or digest that differs between the two classes is a bug in one of
+:class:`~repro.exec.eventq.FlatEventQueue`, and no task recycling. The
+stepping loop (``SimExecutor._step``; the scan-min is its ``_select`` hook),
+task dispatch, blocking, fault injection, roots and driving are inherited, so
+a schedule or digest that differs between the two classes is a bug in one of
 the production data structures.
 
 Test-only, and not an option of ``SimExecutor``: under ``repro`` only the
@@ -87,20 +88,18 @@ class ReferenceSimExecutor(SimExecutor):
                 return True
         return False
 
-    def _step(self) -> bool:
-        while self._maybe_ready:
-            worker = min(self._maybe_ready,
-                         key=lambda w: (w.clock, w.rank, w.wid))
+    def _select(self, bound: float):
+        ready = self._maybe_ready
+        while ready:
+            worker = min(ready, key=lambda w: (w.clock, w.rank, w.wid))
+            if worker.clock >= bound:
+                return None
             task = find_task(worker)
             if task is None:
-                self._maybe_ready.discard(worker)
+                ready.discard(worker)
                 continue
-            self._run_task(worker, task)
-            return True
-        if self._events:
-            self._advance_events()
-            return True
-        return False
+            return worker, task
+        return None
 
     def _advance_events(self) -> None:
         t0, _, fn = heapq.heappop(self._events)

@@ -437,6 +437,18 @@ class TestOptionCensus:
         assert exc.value.code == 2
         assert "--engine" in capsys.readouterr().err
 
+    def test_one_stepping_loop(self):
+        """Shards, schedule exploration and the reference all step through
+        ``SimExecutor._step``: a subclass supplies only ``_select``."""
+        import repro.exec.shards
+        from repro.verify.interleave import InterleaveExecutor
+        from repro.verify.reference import ReferenceSimExecutor
+
+        assert not hasattr(repro.exec.shards, "_ShardSimExecutor")
+        for cls in (InterleaveExecutor, ReferenceSimExecutor):
+            assert "_step" not in cls.__dict__, cls.__name__
+            assert "_select" in cls.__dict__, cls.__name__
+
     @pytest.mark.parametrize("name", ["flux", "fork", "mp", "shell", "popen",
                                       "pbs", "qsub"])
     def test_removed_launcher_names_stay_removed(self, name, capsys):

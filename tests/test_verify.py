@@ -5,6 +5,8 @@ the planted-race fixture, and schedule artifacts."""
 import numpy as np
 import pytest
 
+from repro.apps.registry import APPS
+from repro.exec.sim import SimExecutor
 from repro.runtime import instrument
 from repro.runtime.instrument import Probe, TrackedLock, probed, set_probe
 from repro.util.errors import ConfigError
@@ -26,6 +28,7 @@ from repro.verify.strategies import (
     PreemptionBoundedStrategy,
     RandomWalkStrategy,
     ReplayStrategy,
+    Strategy,
 )
 
 
@@ -363,6 +366,64 @@ class TestInterleaveHarness:
 
     def test_interleave_uses_tracked_locks(self):
         assert InterleaveExecutor.lock_class is TrackedLock
+
+
+# ----------------------------------------------------------------------
+# the paper apps under schedule exploration
+# ----------------------------------------------------------------------
+class _LowestClock(Strategy):
+    """Always picks the lowest ``(clock, rank, wid)`` candidate: the
+    production engine's selection rule, as a strategy."""
+
+    name = "lowest-clock"
+
+    def choose(self, candidates):
+        return min(candidates, key=lambda w: (w.clock, w.rank, w.wid))
+
+
+APP_NAMES = sorted(APPS)
+
+
+@pytest.fixture(scope="module")
+def sim_runs():
+    """``app -> (answer, makespan)`` of each app's ``hiper`` variant on the
+    production engine, 2 ranks x 2 workers."""
+    out = {}
+    for name in APP_NAMES:
+        answer, res = APPS[name].run("hiper", APPS[name].cluster(2, 2),
+                                     executor=SimExecutor())
+        out[name] = (answer, res.makespan)
+    return out
+
+
+def _explore(name, strategy):
+    ex = InterleaveExecutor(strategy)
+    answer, res = APPS[name].run("hiper", APPS[name].cluster(2, 2),
+                                 executor=ex)
+    return answer, res.makespan, ex.schedule_digest()
+
+
+class TestPaperAppsUnderExploration:
+    @pytest.mark.parametrize("name", APP_NAMES)
+    def test_lowest_clock_strategy_is_the_production_engine(self, name,
+                                                            sim_runs):
+        """The selection rule is the only difference between the loops: the
+        production rule as a strategy reproduces the production run bit for
+        bit."""
+        answer, makespan, _ = _explore(name, _LowestClock())
+        want_answer, want_makespan = sim_runs[name]
+        assert answer == want_answer
+        assert repr(makespan) == repr(want_makespan)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("strategy", ["random", "pct", "pbound"])
+    @pytest.mark.parametrize("name", APP_NAMES)
+    def test_explored_runs_give_the_sim_answer_and_replay(
+            self, name, strategy, seed, sim_runs):
+        answer, _, digest = _explore(name, make_strategy(strategy, seed=seed))
+        assert answer == sim_runs[name][0]
+        _, _, again = _explore(name, make_strategy(strategy, seed=seed))
+        assert again == digest
 
 
 # ----------------------------------------------------------------------
