@@ -15,17 +15,16 @@ properties; in SPMD runs use :func:`cuda_factory`.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.cuda.device import DeviceArray, GpuOp, SimGpu
-from repro.modules.base import HiperModule
+from repro.modules.base import HiperModule, NotInitialized
 from repro.platform.place import Place, PlaceType
-from repro.runtime.future import Future, Promise, when_all
-from repro.runtime.polling import PollingService
+from repro.runtime.future import Future, after, when_all
 from repro.runtime.runtime import HiperRuntime
-from repro.util.errors import GpuError, ModuleError
+from repro.util.errors import GpuError
 
 
 class CudaModule(HiperModule):
@@ -33,35 +32,31 @@ class CudaModule(HiperModule):
 
     name = "cuda"
     capabilities = frozenset({"accelerator", "device-memory"})
+    error = GpuError
 
     def __init__(self, ctx=None, *, poll_interval: float = 2e-6,
                  eager_kick: bool = True):
         super().__init__()
         self.ctx = ctx  # optional RankContext; unused single-rank
-        self._poll_interval = poll_interval
-        self._eager_kick = eager_kick
-        self.devices: List[SimGpu] = []
-        self._gpu_places: List[Place] = []
-        self.polling: Optional[PollingService] = None
-        self.runtime: Optional[HiperRuntime] = None
+        self._polling_options = dict(interval=poll_interval,
+                                     eager_kick=eager_kick)
+        self.devices: List[SimGpu] = NotInitialized(self.name)
+        self._gpu_places: List[Place] = NotInitialized(self.name)
 
     # ------------------------------------------------------------------
     def initialize(self, runtime: HiperRuntime) -> None:
         self.require_place_type(runtime, PlaceType.GPU_MEM)
         self.runtime = runtime
         self._gpu_places = runtime.model.places_of_type(PlaceType.GPU_MEM)
-        for place in self._gpu_places:
-            self.devices.append(
-                SimGpu.from_place(runtime.executor, place,
-                                  on_complete=self._on_progress)
-            )
         # Poll at the first GPU place: its tasks are reachable by all workers
         # whose paths include GPU places (the shipped default policy).
-        self.polling = PollingService(
-            runtime, self._gpu_places[0], module=self.name,
-            interval=self._poll_interval, eager_kick=self._eager_kick,
-            name="cuda-poll",
-        )
+        self.start_polling(runtime, self._gpu_places[0],
+                           **self._polling_options)
+        self.devices = [
+            SimGpu.from_place(runtime.executor, place,
+                              on_complete=self.polling.kick)
+            for place in self._gpu_places
+        ]
         # Special-purpose registration (paper §II-C item 3): GPU copies.
         runtime.register_copy_handler(
             PlaceType.SYSTEM_MEM, PlaceType.GPU_MEM, self._handle_copy_h2d
@@ -79,18 +74,6 @@ class CudaModule(HiperModule):
             ("forasync_cuda", self.forasync_cuda),
         ]:
             self.export(runtime, api_name, fn)
-        self._initialized = True
-
-    def finalize(self, runtime: HiperRuntime) -> None:
-        if self.polling is not None and self.polling.outstanding:
-            raise GpuError(
-                f"CUDA module finalized with {self.polling.outstanding} "
-                "outstanding asynchronous operations"
-            )
-
-    def _on_progress(self) -> None:
-        if self.polling is not None:
-            self.polling.kick()
 
     # ------------------------------------------------------------------
     def device(self, index: int = 0) -> SimGpu:
@@ -116,28 +99,22 @@ class CudaModule(HiperModule):
     # ------------------------------------------------------------------
     # transfers
     # ------------------------------------------------------------------
-    def _op_future(self, op: GpuOp, what: str, nbytes: int = 0) -> Future:
-        rt = self.runtime
-        assert rt is not None and self.polling is not None
-        promise = Promise(name=f"cuda-{what}")
-        self.polling.watch(
-            lambda: (True, op.value) if op.test() else (False, None), promise
-        )
-        rt.stats.count(self.name, what)
-        if nbytes:
-            # Per-direction byte volume: what ends in h2d/d2h/d2d.
-            rt.stats.count(self.name, f"bytes_{what.rsplit('_', 1)[-1]}", nbytes)
-            rt.stats.observe(self.name, "xfer_size", nbytes)
-        return promise.get_future()
-
-    @staticmethod
-    def _xfer_nbytes(dst, src, nbytes: Optional[int]) -> int:
-        if nbytes is not None:
-            return int(nbytes)
-        for buf in (src, dst):
-            if isinstance(buf, (DeviceArray, np.ndarray)):
-                return int(buf.nbytes)
-        return 0
+    def _transfer(self, what: str, copy: Callable[..., GpuOp], dst, src,
+                  nbytes: Optional[int], **kw: Any) -> Future:
+        """Start ``copy(dst, src, ...)`` and return its future (the polling
+        flow), counting its per-direction byte volume: ``what`` ends in
+        h2d/d2h/d2d. Without ``nbytes`` the source array sizes it, else the
+        destination (one side is always a DeviceArray)."""
+        fut = self.poll(copy(dst, src, nbytes=nbytes, **kw), what)
+        if nbytes is None:
+            nbytes = (src if isinstance(src, (DeviceArray, np.ndarray))
+                      else dst).nbytes
+        n = int(nbytes)
+        if n:
+            stats = self.runtime.stats
+            stats.count(self.name, f"bytes_{what.rsplit('_', 1)[-1]}", n)
+            stats.observe(self.name, "xfer_size", n)
+        return fut
 
     def memcpy_async(self, dst, src, *, stream: int = 0,
                      nbytes: Optional[int] = None, index=None) -> Future:
@@ -147,19 +124,15 @@ class CudaModule(HiperModule):
         plane): for H2D it is the destination index, for D2H the source index.
         """
         d_dev = isinstance(dst, DeviceArray)
-        s_dev = isinstance(src, DeviceArray)
-        n = self._xfer_nbytes(dst, src, nbytes)
-        if d_dev and s_dev:
-            op = dst.device.copy_d2d(dst, src, stream=stream, nbytes=nbytes)
-            return self._op_future(op, "memcpy_d2d", n)
+        if d_dev and isinstance(src, DeviceArray):
+            return self._transfer("memcpy_d2d", dst.device.copy_d2d, dst, src,
+                                  nbytes, stream=stream)
         if d_dev:
-            op = dst.device.copy_h2d(dst, src, stream=stream, nbytes=nbytes,
-                                     dst_index=index)
-            return self._op_future(op, "memcpy_h2d", n)
-        if s_dev:
-            op = src.device.copy_d2h(dst, src, stream=stream, nbytes=nbytes,
-                                     src_index=index)
-            return self._op_future(op, "memcpy_d2h", n)
+            return self._transfer("memcpy_h2d", dst.device.copy_h2d, dst, src,
+                                  nbytes, stream=stream, dst_index=index)
+        if isinstance(src, DeviceArray):
+            return self._transfer("memcpy_d2h", src.device.copy_d2h, dst, src,
+                                  nbytes, stream=stream, src_index=index)
         raise GpuError("memcpy_async needs at least one DeviceArray argument")
 
     def memcpy(self, dst, src, *, stream: int = 0,
@@ -186,31 +159,18 @@ class CudaModule(HiperModule):
         future (value = body's return). With ``await_futures``, the launch
         itself is deferred until they are satisfied (composability: a kernel
         can depend on MPI receives, paper §II-D)."""
-        rt = self.runtime
-        assert rt is not None
         dev = self.device(device)
         if not await_futures:
-            op = dev.launch(body, flops=flops, bytes_moved=bytes_moved,
-                            stream=stream)
-            return self._op_future(op, "kernel")
-        out = Promise(name="cuda-kernel-await")
-        dep = when_all(list(await_futures))
-
-        def _launch(_f: Future) -> None:
-            try:
-                _f.value()
-            except BaseException as exc:  # noqa: BLE001
-                out.put_exception(exc)
-                return
-            op = dev.launch(body, flops=flops, bytes_moved=bytes_moved,
-                            stream=stream)
-            self._op_future(op, "kernel").on_ready(
-                lambda f: _forward(f, out)
-            )
-
-        dep.on_ready(_launch)
-        rt.stats.count(self.name, "kernel_await")
-        return out.get_future()
+            return self.poll(dev.launch(body, flops=flops,
+                                        bytes_moved=bytes_moved,
+                                        stream=stream), "kernel")
+        fut = after(when_all(list(await_futures)),
+                    lambda: self.poll(dev.launch(body, flops=flops,
+                                                 bytes_moved=bytes_moved,
+                                                 stream=stream), "kernel"),
+                    "cuda-kernel-await")
+        self.runtime.stats.count(self.name, "kernel_await")
+        return fut
 
     def forasync_cuda(
         self,
@@ -253,29 +213,22 @@ class CudaModule(HiperModule):
         if not isinstance(dst_buf, DeviceArray):
             raise GpuError("async_copy to a GPU place needs a DeviceArray destination")
         dev = self._device_for_place(dst_place)
-        return self._op_future(dev.copy_h2d(dst_buf, src_buf, nbytes=nbytes),
-                               "async_copy_h2d", nbytes)
+        return self._transfer("async_copy_h2d", dev.copy_h2d, dst_buf, src_buf,
+                              nbytes)
 
     def _handle_copy_d2h(self, rt, dst_buf, dst_place, src_buf, src_place,
                          nbytes: int) -> Future:
         if not isinstance(src_buf, DeviceArray):
             raise GpuError("async_copy from a GPU place needs a DeviceArray source")
         dev = self._device_for_place(src_place)
-        return self._op_future(dev.copy_d2h(dst_buf, src_buf, nbytes=nbytes),
-                               "async_copy_d2h", nbytes)
+        return self._transfer("async_copy_d2h", dev.copy_d2h, dst_buf, src_buf,
+                              nbytes)
 
     def _handle_copy_d2d(self, rt, dst_buf, dst_place, src_buf, src_place,
                          nbytes: int) -> Future:
         dev = self._device_for_place(dst_place)
-        return self._op_future(dev.copy_d2d(dst_buf, src_buf, nbytes=nbytes),
-                               "async_copy_d2d", nbytes)
-
-
-def _forward(src: Future, dst: Promise) -> None:
-    try:
-        dst.put(src.value())
-    except BaseException as exc:  # noqa: BLE001
-        dst.put_exception(exc)
+        return self._transfer("async_copy_d2d", dev.copy_d2d, dst_buf, src_buf,
+                              nbytes)
 
 
 def cuda_factory(**kwargs) -> Callable[[Any], CudaModule]:

@@ -17,15 +17,14 @@ can target storage places, and user-facing APIs:
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.io.storage import SimStore, StorageOp
-from repro.modules.base import HiperModule
-from repro.platform.place import Place, PlaceType
-from repro.runtime.future import Future, Promise, when_all
-from repro.runtime.polling import PollingService
+from repro.io.storage import SimStore
+from repro.modules.base import HiperModule, NotInitialized
+from repro.platform.place import PlaceType
+from repro.runtime.future import Future, when_all
 from repro.runtime.runtime import HiperRuntime
 from repro.util.errors import ModuleError
 
@@ -42,10 +41,7 @@ class CheckpointModule(HiperModule):
         self.ctx = ctx
         self.prefer = prefer
         self._poll_interval = poll_interval
-        self.store: Optional[SimStore] = None
-        self.place: Optional[Place] = None
-        self.polling: Optional[PollingService] = None
-        self.runtime: Optional[HiperRuntime] = None
+        self.store: SimStore = NotInitialized(self.name)
         self._manifest: Dict[str, List[Tuple[str, str, tuple]]] = {}
         self._periodic_stop: List[bool] = []
 
@@ -63,12 +59,10 @@ class CheckpointModule(HiperModule):
                 f"platform model {runtime.model.name!r}"
             )
         self.runtime = runtime
+        self.start_polling(runtime, self.place, prefix="ckpt",
+                           interval=self._poll_interval)
         self.store = SimStore.from_place(runtime.executor, self.place,
-                                         on_complete=self._on_progress)
-        self.polling = PollingService(
-            runtime, self.place, module=self.name,
-            interval=self._poll_interval, name="ckpt-poll",
-        )
+                                         on_complete=self.polling.kick)
         # async_copy to/from the storage place goes through this module
         # (same special-purpose registration the CUDA module uses).
         runtime.register_copy_handler(
@@ -76,30 +70,10 @@ class CheckpointModule(HiperModule):
         )
         self.export(runtime, "checkpoint_async", self.checkpoint_async)
         self.export(runtime, "restore_async", self.restore_async)
-        self._initialized = True
 
     def finalize(self, runtime: HiperRuntime) -> None:
         self._periodic_stop[:] = [True] * len(self._periodic_stop)
-        if self.polling is not None and self.polling.outstanding:
-            raise ModuleError(
-                f"checkpoint module finalized with {self.polling.outstanding} "
-                "incomplete I/O operations"
-            )
-
-    def _on_progress(self) -> None:
-        if self.polling is not None:
-            self.polling.kick()
-
-    # ------------------------------------------------------------------
-    def _op_future(self, op: StorageOp, what: str) -> Future:
-        rt = self.runtime
-        assert rt is not None and self.polling is not None
-        promise = Promise(name=f"ckpt-{what}")
-        self.polling.watch(
-            lambda: (True, op.value) if op.test() else (False, None), promise
-        )
-        rt.stats.count(self.name, what)
-        return promise.get_future()
+        super().finalize(runtime)
 
     # ------------------------------------------------------------------
     def checkpoint_async(self, key: str,
@@ -107,7 +81,7 @@ class CheckpointModule(HiperModule):
         """Write a named set of arrays; future satisfied when all are
         durable. Arrays are snapshotted at call time, so the application may
         keep mutating them — the paper's overlap-with-useful-work property."""
-        store = self._store()
+        store = self.store
         if not arrays:
             raise ModuleError("checkpoint_async needs at least one array")
         futs = []
@@ -115,15 +89,13 @@ class CheckpointModule(HiperModule):
         for name, arr in arrays.items():
             okey = f"{key}/{name}"
             manifest.append((name, str(arr.dtype), arr.shape))
-            futs.append(self._op_future(store.write(okey, arr), "write"))
+            futs.append(self.poll(store.write(okey, arr), "write"))
         self._manifest[key] = manifest
-        out = Promise(name=f"ckpt-{key}")
-        when_all(futs).on_ready(lambda f: _forward(f, out, value=key))
-        return out.get_future()
+        return when_all(futs).then(lambda _: key, name=f"ckpt-{key}")
 
     def restore_async(self, key: str) -> Future:
         """Future of ``{name: array}`` for a previously written checkpoint."""
-        store = self._store()
+        store = self.store
         manifest = self._manifest.get(key)
         if manifest is None:
             raise ModuleError(f"no checkpoint {key!r} on this rank")
@@ -131,20 +103,10 @@ class CheckpointModule(HiperModule):
         names = []
         for name, dtype, shape in manifest:
             names.append(name)
-            futs.append(self._op_future(
+            futs.append(self.poll(
                 store.read(f"{key}/{name}", dtype, shape), "read"))
-        out = Promise(name=f"restore-{key}")
-
-        def _collect(f: Future) -> None:
-            try:
-                values = f.value()
-            except BaseException as exc:  # noqa: BLE001
-                out.put_exception(exc)
-                return
-            out.put(dict(zip(names, values)))
-
-        when_all(futs).on_ready(_collect)
-        return out.get_future()
+        return when_all(futs).then(lambda values: dict(zip(names, values)),
+                                   name=f"restore-{key}")
 
     def checkpoints(self) -> List[str]:
         return sorted(self._manifest)
@@ -161,7 +123,6 @@ class CheckpointModule(HiperModule):
         ``{key_prefix}-{epoch}``, ``None`` skips the epoch. Returns a stop
         callable. I/O overlaps application work throughout."""
         rt = self.runtime
-        assert rt is not None
         slot = len(self._periodic_stop)
         self._periodic_stop.append(False)
 
@@ -190,23 +151,9 @@ class CheckpointModule(HiperModule):
                 "async_copy to a storage place takes the object key string "
                 "as the destination buffer"
             )
-        store = self._store()
         flat = np.ascontiguousarray(src_buf).reshape(-1)
         view = flat.view(np.uint8)[:nbytes]
-        return self._op_future(store.write(dst_buf, view), "copy_in")
-
-    def _store(self) -> SimStore:
-        if self.store is None:
-            raise ModuleError("checkpoint module used before initialization")
-        return self.store
-
-
-def _forward(src: Future, dst: Promise, value: Any = None) -> None:
-    try:
-        src.value()
-        dst.put(value)
-    except BaseException as exc:  # noqa: BLE001
-        dst.put_exception(exc)
+        return self.poll(self.store.write(dst_buf, view), "copy_in")
 
 
 def checkpoint_factory(**kwargs) -> Callable[[Any], CheckpointModule]:

@@ -16,7 +16,7 @@ algorithms) may wait on a request's internal future directly.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -149,7 +149,8 @@ class MpiBackend:
         ``docs/resilience.md``."""
         self.mux.set_retry_policy(self.channel, policy)
 
-    def enable_coalescing(self, policy: Optional[CoalescePolicy] = None) -> None:
+    def enable_coalescing(
+            self, policy: Union[CoalescePolicy, bool, None] = None) -> None:
         """Batch small sends per destination into coalesced envelopes (see
         :mod:`repro.net.coalesce`). Opt-in: virtual-time schedules change."""
         self.mux.enable_coalescing(self.channel, policy)

@@ -1,6 +1,7 @@
 """The HiPER MPI module (paper §II-C1).
 
-Implements the paper's two flows over :class:`MpiBackend`:
+Implements the paper's two flows over :class:`MpiBackend`, with the
+:class:`HiperModule` helpers that write them once for every module:
 
 - **taskify** (synchronous-looking APIs): wrap the underlying call in a task
   targeted at the Interconnect place and deschedule the caller until it
@@ -33,19 +34,17 @@ benchmark variants and by the funneling ablation.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.modules.base import HiperModule
+from repro.modules.base import HiperModule, NotInitialized
 from repro.mpi import collectives as coll
-from repro.mpi.backend import ANY_SOURCE, ANY_TAG, COMM_WORLD, MpiBackend, MpiRequest
+from repro.mpi.backend import ANY_SOURCE, ANY_TAG, COMM_WORLD, MpiBackend
 from repro.net.coalesce import CoalescePolicy
-from repro.platform.place import PlaceType
-from repro.runtime.future import Future, Promise, when_all
-from repro.runtime.polling import PollingService
+from repro.runtime.future import Future, after, when_all
 from repro.runtime.runtime import HiperRuntime
-from repro.util.errors import ModuleError, MpiError
+from repro.util.errors import MpiError
 
 
 class MpiModule(HiperModule):
@@ -53,6 +52,7 @@ class MpiModule(HiperModule):
 
     name = "mpi"
     capabilities = frozenset({"communication", "p2p", "collectives"})
+    error = MpiError
 
     def __init__(
         self,
@@ -63,7 +63,7 @@ class MpiModule(HiperModule):
         eager_kick: bool = True,
         adaptive_polling: bool = False,
         max_poll_interval: Optional[float] = None,
-        coalesce: Optional[CoalescePolicy] = None,
+        coalesce: Union[CoalescePolicy, bool, None] = None,
     ):
         """``ctx`` is the :class:`repro.distrib.RankContext` (the module uses
         its rank id and fabric mux). ``adaptive_polling`` enables exponential
@@ -77,39 +77,24 @@ class MpiModule(HiperModule):
         self.rank = ctx.rank
         self.nranks = ctx.nranks
         self.direct = direct
-        self._poll_interval = poll_interval
-        self._eager_kick = eager_kick
-        self._adaptive_polling = adaptive_polling
-        self._max_poll_interval = max_poll_interval
-        self.coalesce = CoalescePolicy() if coalesce is True else coalesce
-        self.backend: Optional[MpiBackend] = None
-        self.polling: Optional[PollingService] = None
-        self.runtime: Optional[HiperRuntime] = None
+        self._polling_options = dict(
+            interval=poll_interval, eager_kick=eager_kick,
+            adaptive=adaptive_polling, max_interval=max_poll_interval)
+        self.coalesce = coalesce
+        self.backend: MpiBackend = NotInitialized(self.name)
 
     # ------------------------------------------------------------------
     # lifecycle (paper §II-C items 1-2)
     # ------------------------------------------------------------------
     def initialize(self, runtime: HiperRuntime) -> None:
-        self.require_place_type(runtime, PlaceType.INTERCONNECT)
-        inter = runtime.interconnect
-        owners = runtime.paths.workers_covering(inter)
-        if not self.direct and len(owners) != 1:
-            raise ModuleError(
-                "MPI module requires the Interconnect place on exactly one "
-                f"worker's pop and steal paths (THREAD_FUNNELED); found "
-                f"{len(owners)} covering workers — choose a path policy "
-                "accordingly"
-            )
+        self.funnel(runtime)
         self.runtime = runtime
+        self.start_polling(runtime, runtime.interconnect,
+                           **self._polling_options)
         self.backend = MpiBackend(self.ctx.mux, self.rank,
-                                  on_progress=self._on_progress)
-        if self.coalesce is not None:
+                                  on_progress=self.polling.kick)
+        if self.coalesce:
             self.backend.enable_coalescing(self.coalesce)
-        self.polling = PollingService(
-            runtime, inter, module=self.name, interval=self._poll_interval,
-            eager_kick=self._eager_kick, adaptive=self._adaptive_polling,
-            max_interval=self._max_poll_interval, name="mpi-poll",
-        )
         # Paper §II-C item 4: user-facing functions in the HiPER namespace.
         for api_name, fn in [
             ("MPI_Send", self.send), ("MPI_Recv", self.recv),
@@ -122,47 +107,6 @@ class MpiModule(HiperModule):
             ("MPI_Waitall", self.waitall),
         ]:
             self.export(runtime, api_name, fn)
-        self._initialized = True
-
-    def finalize(self, runtime: HiperRuntime) -> None:
-        if self.polling is not None and self.polling.outstanding:
-            raise MpiError(
-                f"MPI finalized with {self.polling.outstanding} outstanding "
-                f"asynchronous operations on rank {self.rank}"
-            )
-
-    def _on_progress(self) -> None:
-        if self.polling is not None:
-            self.polling.kick()
-
-    # ------------------------------------------------------------------
-    # the paper's two flows
-    # ------------------------------------------------------------------
-    def _comm_task(self, gen_factory: Callable[[], Any], what: str) -> Future:
-        """Taskify flow: spawn the communication coroutine at the
-        Interconnect place (or the caller's place in ``direct`` mode);
-        return its completion future."""
-        rt = self.runtime
-        assert rt is not None
-        place = rt.default_place() if self.direct else rt.interconnect
-        fut = rt.spawn(
-            gen_factory, place=place, module=self.name,
-            name=f"mpi-{what}", return_future=True,
-        )
-        rt.stats.count(self.name, what)
-        assert fut is not None
-        return fut
-
-    def _request_to_future(self, req: MpiRequest, what: str) -> Future:
-        """Polling flow: request + promise + polling task (paper §II-C1)."""
-        rt = self.runtime
-        assert rt is not None and self.polling is not None
-        promise = Promise(name=f"mpi-{what}")
-        self.polling.watch(
-            lambda: (True, req.value) if req.test() else (False, None), promise
-        )
-        rt.stats.count(self.name, what)
-        return promise.get_future()
 
     # ------------------------------------------------------------------
     # point-to-point
@@ -171,15 +115,9 @@ class MpiModule(HiperModule):
                    comm: int = COMM_WORLD) -> Future:
         """Taskified send. The buffer is snapshotted at call time, so the
         returned future's satisfaction means "fully handed to the library"."""
-        b = self._backend()
         if isinstance(data, np.ndarray):
             data = data.copy()
-
-        def _gen():
-            req = b.isend(data, dst, tag, comm)
-            yield req.internal_future()
-
-        return self._comm_task(_gen, "send")
+        return self.taskify("send", _send, self.backend, data, dst, tag, comm)
 
     def send(self, data: Any, dst: int, tag: int = 0, comm: int = COMM_WORLD) -> None:
         """Blocking send (plain-callable callers only)."""
@@ -190,14 +128,7 @@ class MpiModule(HiperModule):
         *, buffer: Optional[np.ndarray] = None,
     ) -> Future:
         """Taskified receive; future carries the payload."""
-        b = self._backend()
-
-        def _gen():
-            req = b.irecv(src, tag, comm, buffer=buffer)
-            data, _, _ = yield req.internal_future()
-            return data
-
-        return self._comm_task(_gen, "recv")
+        return self.taskify("recv", _recv, self.backend, src, tag, comm, buffer)
 
     def recv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG,
              comm: int = COMM_WORLD, *, buffer: Optional[np.ndarray] = None) -> Any:
@@ -206,103 +137,72 @@ class MpiModule(HiperModule):
 
     def isend(self, data: Any, dst: int, tag: int = 0, comm: int = COMM_WORLD) -> Future:
         """Nonblocking send returning a ``future_t`` (paper's API change)."""
-        return self._request_to_future(
-            self._backend().isend(data, dst, tag, comm), "isend"
-        )
+        return self.poll(self.backend.isend(data, dst, tag, comm), "isend")
 
     def irecv(
         self, src: int = ANY_SOURCE, tag: int = ANY_TAG, comm: int = COMM_WORLD,
         *, buffer: Optional[np.ndarray] = None,
     ) -> Future:
         """Nonblocking receive returning a future of ``(data, src, tag)``."""
-        return self._request_to_future(
-            self._backend().irecv(src, tag, comm, buffer=buffer), "irecv"
-        )
+        return self.poll(self.backend.irecv(src, tag, comm, buffer=buffer),
+                         "irecv")
 
     def isend_await(self, data_fn: Callable[[], Any], dst: int, dep: Future,
                     tag: int = 0, comm: int = COMM_WORLD) -> Future:
         """``MPI_Isend_await`` from the paper's §II-D listing: issue the send
         once ``dep`` is satisfied. ``data_fn`` materializes the payload at
         issue time (typically reading the buffer the dependency filled)."""
-        out = Promise(name="mpi-isend_await")
-
-        def _issue(_f: Future) -> None:
-            try:
-                _f.value()
-            except BaseException as exc:  # noqa: BLE001
-                out.put_exception(exc)
-                return
-            self.isend(data_fn(), dst, tag, comm).on_ready(
-                lambda f: _chain(f, out)
-            )
-
-        dep.on_ready(_issue)
-        return out.get_future()
+        return after(dep, lambda: self.isend(data_fn(), dst, tag, comm),
+                     "mpi-isend_await")
 
     # ------------------------------------------------------------------
     # collectives (one participating task per rank, paper §II-C1)
     # ------------------------------------------------------------------
     def barrier_async(self) -> Future:
-        b = self._backend()
-        tag = b.next_collective_tag()
-        return self._comm_task(lambda: coll.barrier(b, tag), "barrier")
+        return self.collective("barrier", coll.barrier, self.backend)
 
     def barrier(self) -> None:
         self.barrier_async().wait()
 
     def bcast_async(self, data: Any, root: int = 0) -> Future:
-        b = self._backend()
-        tag = b.next_collective_tag()
-        return self._comm_task(lambda: coll.bcast(b, data, root, tag), "bcast")
+        return self.collective("bcast", coll.bcast, self.backend, data, root)
 
     def bcast(self, data: Any, root: int = 0) -> Any:
         return self.bcast_async(data, root).wait()
 
     def reduce_async(self, value: Any, op: Callable[[Any, Any], Any],
                      root: int = 0) -> Future:
-        b = self._backend()
-        tag = b.next_collective_tag()
-        return self._comm_task(lambda: coll.reduce(b, value, op, root, tag), "reduce")
+        return self.collective("reduce", coll.reduce, self.backend, value, op, root)
 
     def reduce(self, value: Any, op: Callable[[Any, Any], Any], root: int = 0) -> Any:
         return self.reduce_async(value, op, root).wait()
 
     def allreduce_async(self, value: Any, op: Callable[[Any, Any], Any]) -> Future:
-        b = self._backend()
-        tag = b.next_collective_tag()
-        return self._comm_task(lambda: coll.allreduce(b, value, op, tag), "allreduce")
+        return self.collective("allreduce", coll.allreduce, self.backend, value, op)
 
     def allreduce(self, value: Any, op: Callable[[Any, Any], Any]) -> Any:
         return self.allreduce_async(value, op).wait()
 
     def gather_async(self, value: Any, root: int = 0) -> Future:
-        b = self._backend()
-        tag = b.next_collective_tag()
-        return self._comm_task(lambda: coll.gather(b, value, root, tag), "gather")
+        return self.collective("gather", coll.gather, self.backend, value, root)
 
     def gather(self, value: Any, root: int = 0) -> Optional[List[Any]]:
         return self.gather_async(value, root).wait()
 
     def allgather_async(self, value: Any) -> Future:
-        b = self._backend()
-        tag = b.next_collective_tag()
-        return self._comm_task(lambda: coll.allgather(b, value, tag), "allgather")
+        return self.collective("allgather", coll.allgather, self.backend, value)
 
     def allgather(self, value: Any) -> List[Any]:
         return self.allgather_async(value).wait()
 
     def scatter_async(self, values: Optional[Sequence[Any]], root: int = 0) -> Future:
-        b = self._backend()
-        tag = b.next_collective_tag()
-        return self._comm_task(lambda: coll.scatter(b, values, root, tag), "scatter")
+        return self.collective("scatter", coll.scatter, self.backend, values, root)
 
     def scatter(self, values: Optional[Sequence[Any]], root: int = 0) -> Any:
         return self.scatter_async(values, root).wait()
 
     def alltoall_async(self, values: Sequence[Any]) -> Future:
-        b = self._backend()
-        tag = b.next_collective_tag()
-        return self._comm_task(lambda: coll.alltoall(b, values, tag), "alltoall")
+        return self.collective("alltoall", coll.alltoall, self.backend, values)
 
     def alltoall(self, values: Sequence[Any]) -> List[Any]:
         return self.alltoall_async(values).wait()
@@ -315,18 +215,15 @@ class MpiModule(HiperModule):
         """Future spelling of Waitall, for coroutine callers."""
         return when_all(list(futures))
 
-    # ------------------------------------------------------------------
-    def _backend(self) -> MpiBackend:
-        if self.backend is None:
-            raise ModuleError("MPI module used before initialization")
-        return self.backend
+
+def _send(b: MpiBackend, data: Any, dst: int, tag: int, comm: int):
+    yield b.isend(data, dst, tag, comm).internal_future()
 
 
-def _chain(src: Future, dst: Promise) -> None:
-    try:
-        dst.put(src.value())
-    except BaseException as exc:  # noqa: BLE001
-        dst.put_exception(exc)
+def _recv(b: MpiBackend, src: int, tag: int, comm: int,
+          buffer: Optional[np.ndarray]):
+    data, _, _ = yield b.irecv(src, tag, comm, buffer=buffer).internal_future()
+    return data
 
 
 def mpi_factory(**kwargs) -> Callable[[Any], MpiModule]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from typing import (Any, Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Tuple)
+                    Tuple, Union)
 
 from repro.net.coalesce import ChannelCoalescer, CoalescedBatch, CoalescePolicy
 from repro.net.fabric import CorruptedPayload, SimFabric
@@ -92,12 +92,13 @@ class FabricMux:
 
     # ------------------------------------------------------------------
     def enable_coalescing(
-        self, channel: str, policy: Optional[CoalescePolicy] = None,
+        self, channel: str, policy: Union[CoalescePolicy, bool, None] = None,
     ) -> ChannelCoalescer:
         """Buffer sends on ``channel`` per destination and transmit packed
-        :class:`CoalescedBatch` envelopes per ``policy`` (default
-        :class:`CoalescePolicy`). Opt-in: virtual-time schedules change (for
-        the better, usually) when enabled. Returns the coalescer."""
+        :class:`CoalescedBatch` envelopes per ``policy`` (None or True: the
+        default :class:`CoalescePolicy`). Opt-in: virtual-time schedules
+        change (for the better, usually) when enabled. Returns the
+        coalescer."""
         if channel not in self._handlers:
             raise CommError(
                 f"cannot coalesce unregistered channel {channel!r} "
@@ -108,8 +109,9 @@ class FabricMux:
                 f"coalescing already enabled on channel {channel!r} "
                 f"(rank {self.rank})"
             )
-        co = ChannelCoalescer(self, channel,
-                              policy if policy is not None else CoalescePolicy())
+        co = ChannelCoalescer(
+            self, channel,
+            policy if isinstance(policy, CoalescePolicy) else CoalescePolicy())
         self._coalescers[channel] = co
         return co
 

@@ -218,6 +218,31 @@ def satisfied_future(value: Any = None, name: str = "") -> Future:
     return f
 
 
+def after(dep: Future, issue: Callable[[], Future],
+          name: str = "after") -> Future:
+    """A future of what ``issue()``'s future carries, ``issue`` being
+    called once ``dep`` is satisfied: an operation issued on a dependency
+    (the paper's ``MPI_Isend_await``). If ``dep`` fails, ``issue`` is never
+    called and the failure propagates; so does an exception from ``issue``.
+    """
+    out = Future(name)
+
+    def _forward(f: Future) -> None:
+        out._resolve(f._value, f._exception)
+
+    def _issue(f: Future) -> None:
+        if f._exception is None:
+            try:
+                f = issue()
+            except BaseException as exc:  # noqa: BLE001
+                out._resolve(_UNSET, exc)
+                return
+        f.on_ready(_forward)
+
+    dep.on_ready(_issue)
+    return out
+
+
 def when_all(futures: Sequence[Future], name: str = "when_all") -> Future:
     """A future satisfied when *all* inputs are, with the list of values.
 

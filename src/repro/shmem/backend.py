@@ -31,7 +31,7 @@ runtime collapses to event-driven checks in virtual time.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -100,7 +100,8 @@ class ShmemBackend:
         if self.stats is not None:
             self.stats.count(_CHANNEL, op, n)
 
-    def enable_coalescing(self, policy: Optional[CoalescePolicy] = None) -> None:
+    def enable_coalescing(
+            self, policy: Union[CoalescePolicy, bool, None] = None) -> None:
         """Batch small puts/AMOs per destination PE into coalesced envelopes
         (see :mod:`repro.net.coalesce`). Opt-in: virtual-time schedules
         change. :meth:`quiet` flushes pending buffers, so ordering points

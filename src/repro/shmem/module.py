@@ -18,20 +18,19 @@ where direct library calls are safe.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.modules.base import HiperModule
+from repro.modules.base import HiperModule, NotInitialized
 from repro.mpi import collectives as coll
 from repro.mpi.backend import MpiBackend
 from repro.net.coalesce import CoalescePolicy
-from repro.platform.place import PlaceType
-from repro.runtime.future import Future, Promise, when_all
+from repro.runtime.future import Future
 from repro.runtime.runtime import HiperRuntime
-from repro.shmem.backend import CMP_OPS, ShmemBackend
+from repro.shmem.backend import ShmemBackend
 from repro.shmem.heap import SignatureTable, SymArray, SymmetricHeap
-from repro.util.errors import ModuleError, ShmemError
+from repro.util.errors import ShmemError
 
 
 class ShmemModule(HiperModule):
@@ -42,7 +41,7 @@ class ShmemModule(HiperModule):
                               "collectives"})
 
     def __init__(self, ctx, *, direct: bool = False,
-                 coalesce: Optional[CoalescePolicy] = None):
+                 coalesce: Union[CoalescePolicy, bool, None] = None):
         super().__init__()
         self.ctx = ctx
         self.rank = ctx.rank
@@ -51,21 +50,14 @@ class ShmemModule(HiperModule):
         #: Coalesce small puts/AMOs per destination PE (opt-in; pass a
         #: CoalescePolicy, or True for the defaults). Control-channel
         #: collectives stay per-message so barriers remain prompt.
-        self.coalesce = CoalescePolicy() if coalesce is True else coalesce
-        self.heap: Optional[SymmetricHeap] = None
-        self.backend: Optional[ShmemBackend] = None
-        self._ctl: Optional[MpiBackend] = None
-        self.runtime: Optional[HiperRuntime] = None
+        self.coalesce = coalesce
+        self.heap: SymmetricHeap = NotInitialized(self.name)
+        self.backend: ShmemBackend = NotInitialized(self.name)
+        self._ctl: MpiBackend = NotInitialized(self.name)
 
     # ------------------------------------------------------------------
     def initialize(self, runtime: HiperRuntime) -> None:
-        self.require_place_type(runtime, PlaceType.INTERCONNECT)
-        owners = runtime.paths.workers_covering(runtime.interconnect)
-        if not self.direct and len(owners) != 1:
-            raise ModuleError(
-                "OpenSHMEM module requires the Interconnect place on exactly "
-                f"one worker's paths for funneled safety; found {len(owners)}"
-            )
+        self.funnel(runtime)
         self.runtime = runtime
         # One table per run: ranks in one process share the instance via the
         # run's shared dict; multiprocess ranks each get their own (symmetry
@@ -78,7 +70,7 @@ class ShmemModule(HiperModule):
         self.heap = SymmetricHeap(self.rank, shared_signatures=sigs,
                                   arena=self.ctx.shared.get("shmem-arena"))
         self.backend = ShmemBackend(self.ctx.mux, self.rank, self.heap, peers)
-        if self.coalesce is not None:
+        if self.coalesce:
             self.backend.enable_coalescing(self.coalesce)
         # Control channel for collectives (barrier/bcast/reduce algorithms).
         self._ctl = MpiBackend(self.ctx.mux, self.rank, channel="shmem-ctl")
@@ -94,10 +86,9 @@ class ShmemModule(HiperModule):
             ("shmem_int_cswap", self.atomic_compare_swap),
         ]:
             self.export(runtime, api_name, fn)
-        self._initialized = True
 
     def finalize(self, runtime: HiperRuntime) -> None:
-        if self.backend is not None and self.backend.outstanding_remote:
+        if self.backend.outstanding_remote:
             raise ShmemError(
                 f"PE {self.rank} finalized with "
                 f"{self.backend.outstanding_remote} un-quieted remote operations"
@@ -107,10 +98,10 @@ class ShmemModule(HiperModule):
     # symmetric heap
     # ------------------------------------------------------------------
     def malloc(self, shape, dtype=np.int64, fill: Any = 0) -> SymArray:
-        return self._heap().allocate(shape, dtype=dtype, fill=fill)
+        return self.heap.allocate(shape, dtype=dtype, fill=fill)
 
     def free(self, sym: SymArray) -> None:
-        self._heap().free(sym)
+        self.heap.free(sym)
 
     @property
     def my_pe(self) -> int:
@@ -121,27 +112,15 @@ class ShmemModule(HiperModule):
         return self.nranks
 
     # ------------------------------------------------------------------
-    # taskify plumbing (shared with the MPI module's pattern)
+    # one-sided issue: inline under ``direct``, else the taskify flow
     # ------------------------------------------------------------------
     def _comm_task(self, op_factory: Callable[[], Future], what: str) -> Future:
-        """Run ``op_factory`` at the Interconnect place; the returned future
-        tracks the operation's completion. ``direct`` mode issues inline."""
-        rt = self.runtime
-        assert rt is not None
-        rt.stats.count(self.name, what)
+        """Issue ``op_factory``'s operation; the returned future tracks its
+        completion. ``direct`` mode issues inline, with no task at all."""
         if self.direct:
+            self.runtime.stats.count(self.name, what)
             return op_factory()
-
-        def _gen():
-            result = yield op_factory()
-            return result
-
-        fut = rt.spawn(
-            _gen, place=rt.interconnect, module=self.name,
-            name=f"shmem-{what}", return_future=True,
-        )
-        assert fut is not None
-        return fut
+        return self.taskify(what, _issue, op_factory)
 
     # ------------------------------------------------------------------
     # puts / gets
@@ -157,7 +136,7 @@ class ShmemModule(HiperModule):
         The snapshot doubles as the wire payload (``copy=False``), so the
         module+backend path performs exactly one copy, not two.
         """
-        b = self._backend()
+        b = self.backend
         data = np.array(data)
         return self._comm_task(
             lambda: b.put(target, data, pe, offset, nbytes=nbytes, copy=False),
@@ -170,7 +149,7 @@ class ShmemModule(HiperModule):
 
     def get_async(self, source: SymArray, pe: int, offset: int = 0,
                   count: Optional[int] = None) -> Future:
-        b = self._backend()
+        b = self.backend
         return self._comm_task(lambda: b.get(source, pe, offset, count), "get")
 
     def get(self, source: SymArray, pe: int, offset: int = 0,
@@ -186,7 +165,7 @@ class ShmemModule(HiperModule):
 
     def atomic_fetch_add_async(self, target: SymArray, value: Any, pe: int,
                                index: int = 0) -> Future:
-        b = self._backend()
+        b = self.backend
         return self._comm_task(
             lambda: b.amo("add", target, index, pe, operand=value), "fadd"
         )
@@ -199,11 +178,9 @@ class ShmemModule(HiperModule):
         injection). Otherwise falls back to a loop of
         :meth:`atomic_fetch_add_async`; schedules are bit-identical either
         way, the wave only amortizes per-message Python overhead."""
-        b = self._backend()
+        b = self.backend
         if self.direct and b.wave_capable():
-            rt = self.runtime
-            assert rt is not None
-            rt.stats.count(self.name, "fadd", len(pes))
+            self.runtime.stats.count(self.name, "fadd", len(pes))
             return b.amo_fetch_wave("add", target, index, list(pes),
                                     list(values))
         return [self.atomic_fetch_add_async(target, v, pe, index)
@@ -214,13 +191,13 @@ class ShmemModule(HiperModule):
 
     def atomic_fetch_inc_async(self, target: SymArray, pe: int,
                                index: int = 0) -> Future:
-        b = self._backend()
+        b = self.backend
         return self._comm_task(lambda: b.amo("inc", target, index, pe), "finc")
 
     def atomic_add_async(self, target: SymArray, value: Any, pe: int,
                          index: int = 0) -> Future:
         """Non-fetching add: local completion only, remote visible by quiet."""
-        b = self._backend()
+        b = self.backend
         return self._comm_task(
             lambda: b.amo("add", target, index, pe, operand=value, fetch=False),
             "add",
@@ -232,7 +209,7 @@ class ShmemModule(HiperModule):
 
     def atomic_compare_swap_async(self, target: SymArray, cond: Any, value: Any,
                                   pe: int, index: int = 0) -> Future:
-        b = self._backend()
+        b = self.backend
         return self._comm_task(
             lambda: b.amo("cswap", target, index, pe, operand=value, cond=cond),
             "cswap",
@@ -240,7 +217,7 @@ class ShmemModule(HiperModule):
 
     def atomic_swap_async(self, target: SymArray, value: Any, pe: int,
                           index: int = 0) -> Future:
-        b = self._backend()
+        b = self.backend
         return self._comm_task(
             lambda: b.amo("swap", target, index, pe, operand=value), "swap"
         )
@@ -249,8 +226,7 @@ class ShmemModule(HiperModule):
     # ordering & synchronization
     # ------------------------------------------------------------------
     def quiet_async(self) -> Future:
-        b = self._backend()
-        return self._comm_task(lambda: b.quiet(), "quiet")
+        return self._comm_task(self.backend.quiet, "quiet")
 
     def quiet(self) -> None:
         self.quiet_async().wait()
@@ -258,7 +234,7 @@ class ShmemModule(HiperModule):
     def wait_until_async(self, sym: SymArray, cmp: str, value: Any,
                          index: int = 0) -> Future:
         """Future form of ``shmem_wait_until`` — no thread burned."""
-        b = self._backend()
+        b = self.backend
         self.runtime.stats.count(self.name, "wait_until")
         return b.watch(sym, index, cmp, value)
 
@@ -280,75 +256,49 @@ class ShmemModule(HiperModule):
         condition may never fire again — otherwise the enclosing scope would
         wait on them forever.
         """
-        rt = self.runtime
-        assert rt is not None
         cond = self.wait_until_async(sym, cmp, value, index)
+        rt = self.runtime
         fut = rt.spawn(
             body, await_future=cond, module=self.name, name="shmem-async_when",
             cost=cost, return_future=True,
             scope=rt._poll_scope() if daemon else None,
         )
         rt.stats.count(self.name, "async_when")
-        assert fut is not None
         return fut
 
     def local_store(self, sym: SymArray, index, value) -> None:
         """Store into local symmetric memory, waking watchers (the local-PE
         analogue of a remote put for wait_until/async_when purposes)."""
-        self._backend().local_update(sym, index, value)
+        self.backend.local_update(sym, index, value)
 
     # ------------------------------------------------------------------
     # collectives
     # ------------------------------------------------------------------
-    def _coll_task(self, gen_factory: Callable[[], Any], what: str) -> Future:
-        rt = self.runtime
-        assert rt is not None
-        place = rt.default_place() if self.direct else rt.interconnect
-        fut = rt.spawn(
-            gen_factory, place=place, module=self.name,
-            name=f"shmem-{what}", return_future=True,
-        )
-        rt.stats.count(self.name, what)
-        assert fut is not None
-        return fut
-
     def barrier_all_async(self) -> Future:
         """Quiet, then dissemination barrier (spec: barrier implies quiet)."""
-        c = self._ctl_backend()
-        b = self._backend()
-        tag = c.next_collective_tag()
-
-        def _gen():
-            yield b.quiet()
-            yield from coll.barrier(c, tag)
-
-        return self._coll_task(_gen, "barrier_all")
+        c = self._ctl
+        return self.taskify("barrier_all", _quiet_barrier, self.backend, c,
+                            c.next_collective_tag())
 
     def barrier_all(self) -> None:
         self.barrier_all_async().wait()
 
     def broadcast_async(self, value: Any, root: int = 0) -> Future:
-        c = self._ctl_backend()
-        tag = c.next_collective_tag()
-        return self._coll_task(lambda: coll.bcast(c, value, root, tag), "broadcast")
+        return self.collective("broadcast", coll.bcast, self._ctl, value, root)
 
     def broadcast(self, value: Any, root: int = 0) -> Any:
         return self.broadcast_async(value, root).wait()
 
     def fcollect_async(self, value: Any) -> Future:
         """Allgather (rank-indexed list of every PE's value)."""
-        c = self._ctl_backend()
-        tag = c.next_collective_tag()
-        return self._coll_task(lambda: coll.allgather(c, value, tag), "fcollect")
+        return self.collective("fcollect", coll.allgather, self._ctl, value)
 
     def fcollect(self, value: Any) -> List[Any]:
         return self.fcollect_async(value).wait()
 
     def reduce_async(self, value: Any, op: Callable[[Any, Any], Any]) -> Future:
         """to-all reduction (every PE gets the result)."""
-        c = self._ctl_backend()
-        tag = c.next_collective_tag()
-        return self._coll_task(lambda: coll.allreduce(c, value, op, tag), "reduce")
+        return self.collective("reduce", coll.allreduce, self._ctl, value, op)
 
     def sum_to_all(self, value: Any) -> Any:
         return self.reduce_async(value, lambda a, b: a + b).wait()
@@ -357,9 +307,7 @@ class ShmemModule(HiperModule):
         return self.reduce_async(value, lambda a, b: max(a, b)).wait()
 
     def alltoall_async(self, values: Sequence[Any]) -> Future:
-        c = self._ctl_backend()
-        tag = c.next_collective_tag()
-        return self._coll_task(lambda: coll.alltoall(c, values, tag), "alltoall")
+        return self.collective("alltoall", coll.alltoall, self._ctl, values)
 
     def alltoall(self, values: Sequence[Any]) -> List[Any]:
         return self.alltoall_async(values).wait()
@@ -373,47 +321,42 @@ class ShmemModule(HiperModule):
         PE. Each probe is a round trip, so contention costs real virtual
         time — the mechanism behind the paper's UTS contention degradation
         (§III-C1)."""
-        b = self._backend()
-
-        def _gen():
-            while True:
-                old = yield b.amo("cswap", lock, index, home, operand=1, cond=0)
-                if old == 0:
-                    return None
-
-        return self._coll_task(_gen, "set_lock")
+        return self.taskify("set_lock", _set_lock, self.backend, lock, index,
+                            home)
 
     def set_lock(self, lock: SymArray, index: int = 0, home: int = 0) -> None:
         self.set_lock_async(lock, index, home).wait()
 
     def clear_lock_async(self, lock: SymArray, index: int = 0,
                          home: int = 0) -> Future:
-        b = self._backend()
-
-        def _gen():
-            yield b.amo("swap", lock, index, home, operand=0)
-            return None
-
-        return self._coll_task(_gen, "clear_lock")
+        return self.taskify("clear_lock", _clear_lock, self.backend, lock,
+                            index, home)
 
     def clear_lock(self, lock: SymArray, index: int = 0, home: int = 0) -> None:
         self.clear_lock_async(lock, index, home).wait()
 
-    # ------------------------------------------------------------------
-    def _heap(self) -> SymmetricHeap:
-        if self.heap is None:
-            raise ModuleError("SHMEM module used before initialization")
-        return self.heap
 
-    def _backend(self) -> ShmemBackend:
-        if self.backend is None:
-            raise ModuleError("SHMEM module used before initialization")
-        return self.backend
+def _issue(op_factory: Callable[[], Future]):
+    """A funneled one-sided operation's task: issue it, await completion."""
+    result = yield op_factory()
+    return result
 
-    def _ctl_backend(self) -> MpiBackend:
-        if self._ctl is None:
-            raise ModuleError("SHMEM module used before initialization")
-        return self._ctl
+
+def _quiet_barrier(b: ShmemBackend, c: MpiBackend, tag: int):
+    yield b.quiet()
+    yield from coll.barrier(c, tag)
+
+
+def _set_lock(b: ShmemBackend, lock: SymArray, index: int, home: int):
+    while True:
+        old = yield b.amo("cswap", lock, index, home, operand=1, cond=0)
+        if old == 0:
+            return None
+
+
+def _clear_lock(b: ShmemBackend, lock: SymArray, index: int, home: int):
+    yield b.amo("swap", lock, index, home, operand=0)
+    return None
 
 
 def shmem_factory(**kwargs) -> Callable[[Any], ShmemModule]:

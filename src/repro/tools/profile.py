@@ -61,7 +61,6 @@ class TelemetryModule(HiperModule):
             tracer=runtime.executor.tracer,
         )
         self.sampler.start()
-        self._initialized = True
 
     def finalize(self, runtime) -> None:
         if self.sampler is not None:

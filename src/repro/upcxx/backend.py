@@ -14,7 +14,7 @@ Differences from the SHMEM backend that justify a separate engine:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -80,7 +80,8 @@ class UpcxxBackend:
         complete on the retried delivery instead of hanging."""
         self.mux.set_retry_policy(_CHANNEL, policy)
 
-    def enable_coalescing(self, policy: Optional[CoalescePolicy] = None) -> None:
+    def enable_coalescing(
+            self, policy: Union[CoalescePolicy, bool, None] = None) -> None:
         """Batch small rputs/rgets/RPCs per destination into coalesced
         envelopes (see :mod:`repro.net.coalesce`). Opt-in: virtual-time
         schedules change."""

@@ -9,11 +9,11 @@ scheduler for local tasks, remote RPCs, and everything else.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Union
 
 import numpy as np
 
-from repro.modules.base import HiperModule
+from repro.modules.base import HiperModule, NotInitialized
 from repro.mpi import collectives as coll
 from repro.mpi.backend import MpiBackend
 from repro.net.coalesce import CoalescePolicy
@@ -21,7 +21,6 @@ from repro.platform.place import PlaceType
 from repro.runtime.future import Future
 from repro.runtime.runtime import HiperRuntime
 from repro.upcxx.backend import GlobalPtr, UpcxxBackend
-from repro.util.errors import ModuleError
 
 
 class UpcxxModule(HiperModule):
@@ -30,27 +29,27 @@ class UpcxxModule(HiperModule):
     name = "upcxx"
     capabilities = frozenset({"communication", "one-sided", "rpc"})
 
-    def __init__(self, ctx, *, coalesce: Optional[CoalescePolicy] = None):
+    def __init__(self, ctx, *, coalesce: Union[CoalescePolicy, bool, None] = None):
         super().__init__()
         self.ctx = ctx
         self.rank = ctx.rank
         self.nranks = ctx.nranks
         #: Coalesce small rputs/rgets/RPCs per destination (opt-in; a
         #: CoalescePolicy, or True for the defaults).
-        self.coalesce = CoalescePolicy() if coalesce is True else coalesce
-        self.backend: Optional[UpcxxBackend] = None
-        self._ctl: Optional[MpiBackend] = None
-        self.runtime: Optional[HiperRuntime] = None
+        self.coalesce = coalesce
+        self.backend: UpcxxBackend = NotInitialized(self.name)
+        self._ctl: MpiBackend = NotInitialized(self.name)
 
     # ------------------------------------------------------------------
     def initialize(self, runtime: HiperRuntime) -> None:
         self.require_place_type(runtime, PlaceType.INTERCONNECT)
         self.runtime = runtime
+        self.place = runtime.interconnect
         peers = self.ctx.shared.setdefault("upcxx-backends", {})
         self.backend = UpcxxBackend(
             self.ctx.mux, self.rank, peers, spawn_rpc=self._spawn_rpc
         )
-        if self.coalesce is not None:
+        if self.coalesce:
             self.backend.enable_coalescing(self.coalesce)
         self._ctl = MpiBackend(self.ctx.mux, self.rank, channel="upcxx-ctl")
         for api_name, fn in [
@@ -59,19 +58,16 @@ class UpcxxModule(HiperModule):
             ("upcxx_rpc", self.rpc), ("upcxx_barrier", self.barrier),
         ]:
             self.export(runtime, api_name, fn)
-        self._initialized = True
 
     def _spawn_rpc(self, body: Callable[[], Any]) -> Future:
         """Incoming RPC bodies become tasks on this rank's runtime, competing
         in the same deques as local work (unified scheduling)."""
         rt = self.runtime
-        assert rt is not None
         fut = rt.spawn(
             body, module=self.name, name="upcxx-rpc",
             scope=rt._poll_scope(), return_future=True,
         )
         rt.stats.count(self.name, "rpc_in")
-        assert fut is not None
         return fut
 
     # ------------------------------------------------------------------
@@ -80,72 +76,43 @@ class UpcxxModule(HiperModule):
     def shared_array(self, shape, dtype=np.float64) -> "SharedArray":
         """Collective: every rank contributes one local block of a globally
         addressable array; returns this rank's handle."""
-        b = self._backend()
         local = np.zeros(shape, dtype=dtype)
-        gptr = b.register_shared(local)
+        gptr = self.backend.register_shared(local)
         self.runtime.stats.count(self.name, "shared_array")
         return SharedArray(self, gptr.obj_id, local)
 
     def rput(self, data: Any, gptr: GlobalPtr) -> Future:
         self.runtime.stats.count(self.name, "rput")
-        return self._backend().rput(data, gptr)
+        return self.backend.rput(data, gptr)
 
     def rget(self, gptr: GlobalPtr, count: int) -> Future:
         self.runtime.stats.count(self.name, "rget")
-        return self._backend().rget(gptr, count)
+        return self.backend.rget(gptr, count)
 
     def rpc(self, target: int, fn: Callable[..., Any], *args) -> Future:
         self.runtime.stats.count(self.name, "rpc")
-        return self._backend().rpc(target, fn, *args)
+        return self.backend.rpc(target, fn, *args)
 
     # ------------------------------------------------------------------
     # collectives
     # ------------------------------------------------------------------
-    def _coll_task(self, gen_factory: Callable[[], Any], what: str) -> Future:
-        rt = self.runtime
-        assert rt is not None
-        fut = rt.spawn(
-            gen_factory, place=rt.interconnect, module=self.name,
-            name=f"upcxx-{what}", return_future=True,
-        )
-        rt.stats.count(self.name, what)
-        assert fut is not None
-        return fut
-
     def barrier_async(self) -> Future:
-        c = self._ctl_backend()
-        tag = c.next_collective_tag()
-        return self._coll_task(lambda: coll.barrier(c, tag), "barrier")
+        return self.collective("barrier", coll.barrier, self._ctl)
 
     def barrier(self) -> None:
         self.barrier_async().wait()
 
     def allreduce_async(self, value: Any, op: Callable[[Any, Any], Any]) -> Future:
-        c = self._ctl_backend()
-        tag = c.next_collective_tag()
-        return self._coll_task(lambda: coll.allreduce(c, value, op, tag), "allreduce")
+        return self.collective("allreduce", coll.allreduce, self._ctl, value, op)
 
     def allreduce(self, value: Any, op: Callable[[Any, Any], Any]) -> Any:
         return self.allreduce_async(value, op).wait()
 
     def broadcast_async(self, value: Any, root: int = 0) -> Future:
-        c = self._ctl_backend()
-        tag = c.next_collective_tag()
-        return self._coll_task(lambda: coll.bcast(c, value, root, tag), "broadcast")
+        return self.collective("broadcast", coll.bcast, self._ctl, value, root)
 
     def broadcast(self, value: Any, root: int = 0) -> Any:
         return self.broadcast_async(value, root).wait()
-
-    # ------------------------------------------------------------------
-    def _backend(self) -> UpcxxBackend:
-        if self.backend is None:
-            raise ModuleError("UPC++ module used before initialization")
-        return self.backend
-
-    def _ctl_backend(self) -> MpiBackend:
-        if self._ctl is None:
-            raise ModuleError("UPC++ module used before initialization")
-        return self._ctl
 
 
 class SharedArray:

@@ -13,7 +13,10 @@ Fails at 958b3d5: a put in flight held 22 tracked objects, a fetching AMO 13
 closures, and every future ever made waited for the collector. Fails at
 1dee314, whose send snapshots came from a buffer pool: a put in flight held
 9.05 tracked objects (bound 8), an ``rput`` 8.00 (bound 7) and an ``isend``
-11.02 (bound 7).
+11.02 (bound 7). The module-level rows held, at a80e79e, 12 tracked objects
+per ``MpiModule.isend``, 14 per funneled ``ShmemModule.put_async`` (now 12:
+its task body is a module-level generator instead of a closure) and 20 per
+``CudaModule.memcpy_async``.
 """
 
 import collections
@@ -23,11 +26,14 @@ import numpy as np
 import pytest
 
 from repro.apps.isx import IsxConfig, isx_main, validate_isx
+from repro.cuda import cuda_factory
 from repro.distrib.spmd import ClusterConfig, spmd_run
 from repro.exec.sim import SimExecutor
+from repro.mpi import mpi_factory
 from repro.mpi.backend import MpiBackend, MpiRequest
 from repro.net import FabricMux, NetworkModel, SimFabric
-from repro.runtime.future import satisfied_future
+from repro.platform import machine
+from repro.runtime.future import satisfied_future, when_all
 from repro.shmem import ShmemBackend, shmem_factory
 from repro.shmem.heap import SignatureTable, SymmetricHeap
 from repro.upcxx import GlobalPtr, UpcxxBackend
@@ -139,6 +145,63 @@ def test_tracked_objects_per_operation(op, in_flight, collector_off):
     held = _census() - before
     # The application still holds every future or request: one object each.
     assert sum(held.values()) <= 2 * N + 50, held
+
+
+def _mpi_isend(ctx):
+    """Rank 0's polling-flow isends; rank 1 receives them all."""
+    if ctx.rank == 1:
+        for _ in range(N + 10):
+            yield ctx.mpi.irecv(src=0)
+    return lambda: ctx.mpi.isend(BLOCK, 1), None
+
+
+def _shmem_put(ctx):
+    """Funneled puts: each is a task at the Interconnect place."""
+    sym = ctx.shmem.malloc(8)
+    yield ctx.shmem.barrier_all_async()
+    return (lambda: ctx.shmem.put_async(sym, BLOCK, 1)), ctx.shmem.quiet_async
+
+
+def _cuda_memcpy(ctx):
+    cuda = ctx.runtime.module("cuda")
+    dev = cuda.malloc(8, dtype=np.int64)
+    return lambda: cuda.memcpy_async(dev, BLOCK), None
+    yield
+
+
+MODULE_FLOWS = {
+    "mpi-isend": (mpi_factory(), 2, "workstation", _mpi_isend),
+    "shmem-put": (shmem_factory(), 2, "workstation", _shmem_put),
+    "cuda-memcpy": (cuda_factory(), 1, "titan", _cuda_memcpy),
+}
+
+
+@pytest.mark.parametrize("flow, in_flight", [("mpi-isend", 13),
+                                             ("shmem-put", 13),
+                                             ("cuda-memcpy", 21)])
+def test_tracked_objects_per_module_operation(flow, in_flight, collector_off):
+    """The same count one layer up, through the module's completion flow
+    (polling, taskify, device copy), issued by rank 0's main in a run."""
+    factory, nodes, machine_name, setup = MODULE_FLOWS[flow]
+    flying = {}
+
+    def main(ctx):
+        issue, settle = yield from setup(ctx)
+        if ctx.rank != 0:
+            return None
+        yield when_all([issue() for _ in range(10)])  # slab growth
+        before = _census()
+        handles = [issue() for _ in range(N)]
+        flying.update(_census() - before)
+        yield when_all(handles)
+        if settle is not None:
+            yield settle()
+        return None
+
+    spmd_run(main, ClusterConfig(nodes=nodes, workers_per_rank=2,
+                                 machine=machine(machine_name)),
+             module_factories=[factory])
+    assert 0 < sum(flying.values()) <= in_flight * N + 50, flying
 
 
 def test_scalar_transmit_makes_no_closure(collector_off):

@@ -449,6 +449,32 @@ class TestOptionCensus:
             assert "_step" not in cls.__dict__, cls.__name__
             assert "_select" in cls.__dict__, cls.__name__
 
+    def test_one_module_base_owns_the_completion_flows(self):
+        """Taskify, polling and finalize are written once, in
+        ``HiperModule``: no shipped module package builds its own
+        ``PollingService`` or defines a private copy of the flows. SHMEM
+        keeps ``_comm_task`` only to issue one-sided operations inline under
+        ``direct``."""
+        import ast
+        import pkgutil
+
+        gone = {"_coll_task", "_request_to_future", "_op_future",
+                "_on_progress", "_chain", "_forward", "_comm_task"}
+        found = []
+        for pkg in ("mpi", "shmem", "upcxx", "cuda", "io"):
+            package = importlib.import_module(f"repro.{pkg}")
+            for info in pkgutil.iter_modules(package.__path__):
+                module = importlib.import_module(f"repro.{pkg}.{info.name}")
+                tree = ast.parse(inspect.getsource(module))
+                for node in ast.walk(tree):
+                    if (isinstance(node, ast.Call)
+                            and "PollingService" in ast.unparse(node.func)):
+                        found.append((module.__name__, "PollingService("))
+                    if (isinstance(node, ast.FunctionDef)
+                            and node.name in gone):
+                        found.append((module.__name__, node.name))
+        assert found == [("repro.shmem.module", "_comm_task")]
+
     @pytest.mark.parametrize("name", ["flux", "fork", "mp", "shell", "popen",
                                       "pbs", "qsub"])
     def test_removed_launcher_names_stay_removed(self, name, capsys):

@@ -13,6 +13,7 @@ from repro.runtime.api import async_, async_future, finish
 from repro.runtime.future import (
     Future,
     Promise,
+    after,
     satisfied_future,
     when_all,
     when_any,
@@ -223,6 +224,42 @@ class TestCombinatorExceptionPropagation:
         assert len(fires) == 1
         with pytest.raises(OSError, match="winner failed"):
             combined.value()
+
+
+class TestAfter:
+    """``after(dep, issue)``: the one chaining helper behind
+    ``MPI_Isend_await`` and a CUDA kernel's ``await_futures``."""
+
+    def test_issues_once_dep_is_satisfied_and_forwards_the_issued_value(self):
+        dep, issued = Promise(), Promise()
+        calls = []
+        out = after(dep.get_future(),
+                    lambda: calls.append(1) or issued.get_future(), "chained")
+        assert not calls and out.name == "chained"
+        dep.put("ignored")
+        assert calls == [1] and not out.satisfied
+        issued.put(42)
+        assert out.value() == 42
+
+    def test_failed_dep_propagates_and_never_issues(self):
+        dep, calls = Promise(), []
+        out = after(dep.get_future(), lambda: calls.append(1))
+        dep.put_exception(KeyError("dep"))
+        assert not calls
+        with pytest.raises(KeyError, match="dep"):
+            out.value()
+
+    def test_failures_of_issue_and_of_the_issued_op_propagate(self):
+        def boom():
+            raise ValueError("issue")
+
+        with pytest.raises(ValueError, match="issue"):
+            after(satisfied_future(), boom).value()
+        failed = Promise()
+        out = after(satisfied_future(), failed.get_future)
+        failed.put_exception(OSError("op"))
+        with pytest.raises(OSError, match="op"):
+            out.value()
 
 
 class TestCombinatorCallbackRetention:

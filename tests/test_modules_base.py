@@ -1,17 +1,27 @@
-"""Module framework: lifecycle, namespace exports, registry, copy handlers."""
+"""Module framework: lifecycle, namespace exports, registry, copy handlers,
+and the checks every module inherits from the base."""
 
+import types
+
+import numpy as np
 import pytest
 
+from repro.cuda import CudaModule, cuda_factory
+from repro.distrib import ClusterConfig, spmd_run
 from repro.exec.sim import SimExecutor
+from repro.io import checkpoint_factory
 from repro.modules.base import (
     HiperModule,
     create_module,
     known_module_classes,
     register_module_class,
 )
-from repro.platform import PlaceType, discover, machine
+from repro.mpi import mpi_factory
+from repro.platform import MachineSpec, PlaceType, discover, machine
 from repro.runtime.runtime import HiperRuntime
-from repro.util.errors import ModuleError
+from repro.shmem import ShmemModule
+from repro.upcxx import GlobalPtr, UpcxxModule
+from repro.util.errors import GpuError, ModuleError, MpiError
 
 
 def make_rt(workers=2):
@@ -186,3 +196,63 @@ class TestCopyHandlers:
     def test_lookup_returns_none_when_absent(self):
         rt = make_rt()
         assert rt.copy_handler(PlaceType.NVM, PlaceType.DISK) is None
+
+
+def _rank_ctx():
+    """The RankContext fields a module's constructor reads."""
+    return types.SimpleNamespace(rank=0, nranks=1, shared={}, mux=None)
+
+
+BEFORE_INITIALIZE = {
+    "upcxx.rput": lambda: UpcxxModule(_rank_ctx()).rput(1, GlobalPtr(0, 0)),
+    "upcxx.rget": lambda: UpcxxModule(_rank_ctx()).rget(GlobalPtr(0, 0), 1),
+    "upcxx.rpc": lambda: UpcxxModule(_rank_ctx()).rpc(0, abs, -1),
+    "shmem.async_when": lambda: ShmemModule(_rank_ctx()).async_when(
+        None, "==", 1, lambda: None),
+    "cuda.kernel_async": lambda: CudaModule().kernel_async(lambda: None),
+}
+
+
+class TestBaseGuards:
+    @pytest.mark.parametrize("call", sorted(BEFORE_INITIALIZE))
+    def test_use_before_initialize_names_the_module(self, call):
+        module = call.split(".")[0]
+        with pytest.raises(ModuleError,
+                           match=f"^{module} module used before initialization$"):
+            BEFORE_INITIALIZE[call]()
+
+    def test_finalize_with_an_unmatched_irecv_raises_mpi_error(self):
+        def main(ctx):
+            if ctx.rank == 0:
+                ctx.mpi.irecv(src=1, tag=77)
+            return None
+
+        with pytest.raises(MpiError, match="mpi module finalized with 1 "
+                                           "outstanding"):
+            spmd_run(main, ClusterConfig(nodes=2, workers_per_rank=2),
+                     module_factories=[mpi_factory()])
+
+    def test_finalize_with_a_running_kernel_raises_gpu_error(self):
+        def main(ctx):
+            cu = ctx.runtime.module("cuda")
+            cu.kernel_async(lambda: None, flops=1e15)
+            cu.kernel_async(lambda: None, flops=1e15)
+            return None
+
+        with pytest.raises(GpuError, match="cuda module finalized with 2 "
+                                           "outstanding"):
+            spmd_run(main, ClusterConfig(machine=machine("titan")),
+                     module_factories=[cuda_factory()])
+
+    def test_finalize_with_an_unfinished_write_raises_module_error(self):
+        def main(ctx):
+            ctx.runtime.module("checkpoint").checkpoint_async(
+                "k", {"a": np.zeros(1 << 16)})
+            return None
+
+        nvm = MachineSpec(name="nvm-box", sockets=1, cores_per_socket=4,
+                          nvm_bytes=1 << 30)
+        with pytest.raises(ModuleError, match="checkpoint module finalized "
+                                              "with 1 outstanding"):
+            spmd_run(main, ClusterConfig(machine=nvm),
+                     module_factories=[checkpoint_factory()])

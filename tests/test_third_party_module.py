@@ -14,25 +14,22 @@ from repro.exec.sim import SimExecutor
 from repro.modules import HiperModule
 from repro.platform import MachineSpec, PlaceType, discover
 from repro.runtime.api import charge, now, timer_future
-from repro.runtime.future import Future, Promise
-from repro.runtime.polling import PollingService
+from repro.runtime.future import Future
 from repro.runtime.runtime import HiperRuntime
-from repro.util.errors import ModuleError
 
 
 class _FakeBackendOp:
     """Stand-in for third-party hardware: completes after a virtual delay."""
 
-    def __init__(self, executor, delay: float, value):
+    def __init__(self, executor, delay: float, value, on_complete):
         self.done = False
         self.value = value
+        self._on_complete = on_complete
         executor.call_later(delay, self._finish)
-        self._on_complete = None
 
     def _finish(self):
         self.done = True
-        if self._on_complete:
-            self._on_complete()
+        self._on_complete()
 
     def test(self):
         return self.done
@@ -48,10 +45,10 @@ class KvCacheModule(HiperModule):
 
     def initialize(self, runtime):
         self.require_place_type(runtime, PlaceType.NVM)
-        self.place = runtime.model.first_of_type(PlaceType.NVM)
+        self.place = runtime.model.first_of_type(PlaceType.NVM)  # taskify here
         self.runtime = runtime
         self.store = {}
-        self.polling = PollingService(runtime, self.place, module=self.name)
+        self.start_polling(runtime, self.place)
         runtime.register_copy_handler(
             PlaceType.NVM, PlaceType.SYSTEM_MEM, self._copy_out)
         self.export(runtime, "kv_put_async", self.put_async)
@@ -59,19 +56,15 @@ class KvCacheModule(HiperModule):
         self.finalized = False
 
     def finalize(self, runtime):
+        super().finalize(runtime)  # refuses puts still in flight
         self.finalized = True
 
     # polling flow (asynchronous puts)
     def put_async(self, key, value) -> Future:
         op = _FakeBackendOp(self.runtime.executor, self.LATENCY,
-                            ("stored", key))
-        op._on_complete = self.polling.kick
+                            ("stored", key), self.polling.kick)
         self.store[key] = np.asarray(value).copy()
-        promise = Promise(name=f"kv-put-{key}")
-        self.polling.watch(
-            lambda: (True, op.value) if op.test() else (False, None), promise)
-        self.runtime.stats.count(self.name, "put")
-        return promise.get_future()
+        return self.poll(op, "put")
 
     # taskify flow (synchronous-looking gets)
     def get(self, key):
@@ -81,10 +74,7 @@ class KvCacheModule(HiperModule):
                 raise KeyError(key)
             return self.store[key].copy()
 
-        fut = self.runtime.spawn(_comm, place=self.place, module=self.name,
-                                 return_future=True)
-        self.runtime.stats.count(self.name, "get")
-        return fut.wait()
+        return self.taskify("get", _comm).wait()
 
     # special-purpose copy handler: async_copy(NVM -> sysmem)
     def _copy_out(self, rt, dst_buf, dst_place, src_buf, src_place, nbytes):
@@ -95,9 +85,7 @@ class KvCacheModule(HiperModule):
             flat = dst_buf.reshape(-1).view(np.uint8)
             flat[:nbytes] = data.reshape(-1).view(np.uint8)[:nbytes]
 
-        fut = self.runtime.spawn(_comm, place=self.place, module=self.name,
-                                 return_future=True)
-        return fut
+        return self.taskify("copy_out", _comm)
 
 
 @pytest.fixture
