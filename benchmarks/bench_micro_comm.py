@@ -1,5 +1,5 @@
 """Communication-path micro-benchmarks (the overheads behind the comm-stack
-overhaul: message coalescing, adaptive polling).
+overhaul: message coalescing, polling sweeps).
 
 These measure REAL wall time of the framework machinery — ops/second of the
 Python implementation — not virtual time. The headline pair is
@@ -88,8 +88,8 @@ def test_small_put_coalesced(benchmark):
 
 
 def test_polling_sweep_cost(benchmark):
-    """Cost of one polling sweep over a pending list that completes nothing
-    (the quiet-stretch case adaptive backoff exists to amortize)."""
+    """Cost of one polling sweep over a pending list that completes
+    nothing."""
     ex = SimExecutor()
     model = discover(machine("workstation"), num_workers=2)
     rt = HiperRuntime(model, ex).start()

@@ -20,7 +20,6 @@ Graph500 validator, UTS's exact count) and the variants against each other.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 import time
 from typing import Optional, Sequence
@@ -83,7 +82,8 @@ def cmd_chaos(args) -> int:
     with the app's oracle, and report the fault/retry/recovery telemetry;
     optionally write the fault log, metrics, and Chrome trace to ``--out``.
     Same seed + same plan => the identical fault sequence, so chaos runs
-    are replayable. Exit code 1 iff the oracle rejects the run."""
+    are replayable. Exit code 1 iff the run fails or the oracle rejects
+    it."""
     import json
     import os
 
@@ -101,72 +101,54 @@ def cmd_chaos(args) -> int:
     tracer = TraceRecorder()
     ex.attach_tracer(tracer)
     t0 = time.perf_counter()
-    res = spmd_run(main_fn, cluster, module_factories=factories,
-                   executor=ex, fault_injector=injector)
-
-    merged = res.merged_stats()
-    retries = sum(v for (_m, op), v in merged.counters.items()
-                  if op == "retries")
+    res = makespan = retries = failure = None
+    try:
+        res = spmd_run(main_fn, cluster, module_factories=factories,
+                       executor=ex, fault_injector=injector)
+        APPS[fig.app].answer(cfg, res.results)
+    except Exception as exc:  # noqa: BLE001 - report a failed or wrong run
+        failure = (f"{'run failed' if res is None else 'wrong answer'}: "
+                   f"{type(exc).__name__}: {exc}")
     counts = injector.counts()
+    summary = f"{len(injector.events)} faults injected"
+    if res is not None:
+        makespan = res.makespan
+        retries = sum(v for (_m, op), v in res.merged_stats().counters.items()
+                      if op == "retries")
+        summary = (f"makespan {makespan * 1e3:.3f} ms (virtual), {summary}, "
+                   f"{retries} retries")
     print(f"chaos {args.figure} [{args.plan}, seed={plan.seed}] on "
-          f"{res.nranks} ranks: makespan {res.makespan * 1e3:.3f} ms "
-          f"(virtual), {len(injector.events)} faults injected, "
-          f"{retries} retries ({time.perf_counter() - t0:.1f}s wall)")
+          f"{cluster.nranks} ranks: {summary} "
+          f"({time.perf_counter() - t0:.1f}s wall)")
     for kind in sorted(counts):
         print(f"  {kind:>18s}: {counts[kind]}")
-    try:
-        APPS[fig.app].answer(cfg, res.results)
-        ok = True
-    except Exception as exc:  # noqa: BLE001 - report any oracle failure
-        ok = False
-        print(f"  wrong answer: {type(exc).__name__}: {exc}")
+    if failure:
+        print(f"  {failure}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         injector.save_log(os.path.join(args.out, "fault_log.json"))
         tracer.save_chrome_trace(os.path.join(args.out, "trace.json"))
         metrics = {
             "figure": args.figure, "plan": args.plan, "seed": plan.seed,
-            "nranks": res.nranks, "makespan": res.makespan,
-            "faults": counts, "retries": retries, "results_ok": ok,
+            "nranks": cluster.nranks, "makespan": makespan,
+            "faults": counts, "retries": retries,
+            "results_ok": failure is None,
         }
         mpath = os.path.join(args.out, "metrics.json")
         with open(mpath, "w", encoding="utf-8") as fh:
             json.dump(metrics, fh, indent=1)
         print(f"wrote {args.out}/fault_log.json, metrics.json, trace.json")
-    return 0 if ok else 1
+    return 1 if failure else 0
 
 
 def cmd_verify(args) -> int:
-    """Concurrency correctness harness (``repro.verify``): seeded schedule
-    exploration with race detection, a planted-race self-check, and the
-    cross-engine differentials. Exit code is nonzero iff anything failed.
-    Failing interleavings are written as replayable JSON artifacts when
-    ``--out`` is given; any reported seed reproduces bit-for-bit via
+    """Concurrency correctness harness (``repro.verify.run_suite``): seeded
+    schedule exploration with race detection, a planted-race self-check,
+    and the cross-engine differentials. Exit code is nonzero iff anything
+    failed. Failing interleavings are written as replayable JSON artifacts
+    when ``--out`` is given; any reported seed reproduces bit-for-bit via
     ``repro verify --strategy <s> --seeds 1 --first-seed <seed>``."""
-    import os
-
-    from repro.apps.registry import APPS
-    from repro.exec.procs import ProcessExecutor
-    from repro.exec.sim import SimExecutor
-    from repro.tools.schedule import artifact_from_outcome, save_schedule
-    from repro.verify import (WORKLOADS, differential,
-                              isx_coalescing_differential,
-                              isx_engine_differential,
-                              isx_sharded_differential, replay_schedule,
-                              run_once, spmd_differential)
-    from repro.verify.strategies import STRATEGIES
-
-    failures = 0
-    strategies = sorted(STRATEGIES) if args.strategy == "all" else [args.strategy]
-
-    def dump(outcome, tag):
-        if not args.out:
-            return
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"failing-schedule-{tag}.json")
-        save_schedule(artifact_from_outcome(
-            outcome, workers=args.workers, planted=args.planted), path)
-        print(f"    wrote {path}")
+    from repro.verify import STRATEGIES, replay_schedule, run_suite
 
     if args.replay:
         from repro.tools.schedule import load_schedule
@@ -183,79 +165,16 @@ def cmd_verify(args) -> int:
         return 0 if out.ok == (not art.races and not art.violations) else 1
 
     t0 = time.perf_counter()
-    # 1. self-check: the planted race in the known-buggy fixture MUST be
-    #    rediscovered (detector ground truth).
-    if not args.skip_selfcheck:
-        found = None
-        for seed in range(args.selfcheck_seeds):
-            out = run_once("random", seed, workers=args.workers, planted=True)
-            if out.races:
-                found = out
-                break
-        if found is None:
-            failures += 1
-            print(f"  self-check   FAIL planted race not found in "
-                  f"{args.selfcheck_seeds} seeds")
-        else:
-            again = run_once("random", found.seed, workers=args.workers,
-                             planted=True)
-            bit = "bit-for-bit" if again.digest == found.digest else \
-                "DIGEST MISMATCH"
-            print(f"  self-check   OK   planted race found at seed "
-                  f"{found.seed}, replay {bit}")
-            if again.digest != found.digest:
-                failures += 1
-
-    # 2. schedule exploration on the production core.
-    for strat in strategies:
-        bad = None
-        for seed in range(args.first_seed, args.first_seed + args.seeds):
-            out = run_once(strat, seed, workers=args.workers,
-                           planted=args.planted)
-            if not out.ok:
-                bad = out
-                break
-        if bad is None:
-            print(f"  hunt:{strat:<7s} OK   {args.seeds} seeds clean")
-        else:
-            failures += 1
-            print(f"  hunt:{strat:<7s} FAIL seed {bad.seed} "
-                  f"(digest {bad.digest[:16]}):")
-            print("    " + bad.describe().replace("\n", "\n    "))
-            dump(bad, strat)
-
-    # 3. differential: same workload, different one-runtime engines, same
-    #    answer; then SPMD ISx two ways with one answer — message coalescing
-    #    off vs. on, the reference engine vs. production (makespans
-    #    bit-identical too: the event queue's correctness gate), one shard
-    #    vs. conservative-window OS-process shards; then, with procs or
-    #    sharded among the engines, every variant of every paper app on sim
-    #    and on those.
-    if not args.skip_differential:
-        spmd = [e for e in args.engines if e in ("procs", "sharded")]
-        single = tuple(e for e in args.engines if e not in spmd)
-        checks = [(wl, lambda wl=wl: differential(
-            wl, engines=single, workers=args.workers))
-            for wl in sorted(WORKLOADS)] if single else []
-        checks += [("isx-coal", isx_coalescing_differential),
-                   ("isx-eng", isx_engine_differential),
-                   ("isx-shard", isx_sharded_differential)]
-        if spmd:
-            arms = [("sim", None, None)] + [
-                (e, None, ProcessExecutor if e == "procs"
-                 else functools.partial(SimExecutor, shards=2)) for e in spmd]
-            checks += [(f"spmd-{app}",
-                        lambda app=app: spmd_differential(app, arms))
-                       for app in sorted(APPS)]
-        for tag, check in checks:
-            rep = check()
-            mark = "OK  " if rep.ok else "FAIL"
-            print(f"  diff:{tag:<13s} {mark} "
-                  f"{'/'.join(r.engine for r in rep.runs)}")
-            if not rep.ok:
-                failures += 1
-                print("    " + rep.describe().replace("\n", "\n    "))
-
+    failures = 0
+    for row in run_suite(
+            args.engines,
+            sorted(STRATEGIES) if args.strategy == "all" else [args.strategy],
+            args.seeds, first_seed=args.first_seed, workers=args.workers,
+            planted=args.planted, selfcheck=not args.skip_selfcheck,
+            selfcheck_seeds=args.selfcheck_seeds,
+            differentials=not args.skip_differential, out=args.out):
+        failures += not row.ok
+        print(row.describe())
     print(f"({failures} failure(s), {time.perf_counter() - t0:.1f}s wall)")
     return 1 if failures else 0
 
@@ -274,50 +193,42 @@ def cmd_run(args) -> int:
     from repro.exec.procs import ProcessExecutor
     from repro.exec.sim import SimExecutor
     from repro.util.errors import ConfigError
+    from repro.verify import spmd_differential
 
     apps = [registry.app(name) for name in (
         sorted(registry.APPS) if args.app == "all" else [args.app])]
-    if args.shards < 1:
-        raise ConfigError(f"--shards must be >= 1, got {args.shards}")
     if args.shards != 1 and args.backend != "sim":
         raise ConfigError(
             f"--shards applies to the sim backend only, not "
             f"--backend {args.backend} (the procs backend is already one "
             "process per rank)")
-    # The executor picks where the ranks run. A typo'd launcher fails here,
-    # before anything runs, not once per app.
+    # The executor picks where the ranks run. A typo'd launcher or a bad
+    # shard count fails here, before anything runs, not once per app.
     executor, where = None, "in-process"
     if args.backend == "procs":
         executor = ProcessExecutor(launcher=args.launcher,
                                    timeout=args.timeout)
         where = f"via {args.launcher}"
-    elif args.shards > 1:
+    elif args.shards != 1:
         executor = SimExecutor(shards=args.shards)
         where = f"across {args.shards} shards"
     failures = 0
     for app in apps:
         cluster = app.cluster(args.ranks, args.workers)
-        answers, failed = set(), 0
-        for variant in app.variants:
-            t0 = time.perf_counter()
-            tag = f"{app.name}:{variant}"
-            try:
-                answer, res = app.run(variant, cluster, executor=executor)
-            except Exception as exc:  # noqa: BLE001 - report and continue
-                failed += 1
-                print(f"  {tag:<18s} FAIL {type(exc).__name__}: {exc}")
+        rep = spmd_differential(app.name, [(args.backend, None,
+                                            lambda: executor)],
+                                cluster=cluster)
+        for run in rep.runs:
+            tag = f"{app.name}:{run.engine.partition(':')[2]}"
+            if run.error:
+                print(f"  {tag:<18s} FAIL {run.error}")
                 continue
-            answers.add(answer)
-            virtual = "" if res.makespan is None else \
-                f"{res.makespan * 1e3:.4f} ms virtual, "
-            print(f"  {tag:<18s} {answer}  "
-                  f"({virtual}{time.perf_counter() - t0:.2f}s wall)")
-        if failed or len(answers) != 1:
-            failures += 1
-            verdict = (f"FAIL {failed} variant(s) failed" if failed else
-                       f"FAIL {len(answers)} different answers")
-        else:
-            verdict = f"OK   {len(app.variants)} variants, one answer"
+            virtual = "" if run.makespan is None else \
+                f"{run.makespan * 1e3:.4f} ms virtual, "
+            print(f"  {tag:<18s} {run.result}  ({virtual}{run.wall:.2f}s wall)")
+        verdict = (f"OK   {len(rep.runs)} variants, one answer" if rep.ok
+                   else f"FAIL {len(rep.mismatches)} mismatch(es)")
+        failures += not rep.ok
         print(f"  {app.name:<18s} {verdict} [{args.backend}: "
               f"{cluster.nranks} ranks x {args.workers} workers, {where}]")
     return 1 if failures else 0

@@ -34,12 +34,9 @@ class CudaModule(HiperModule):
     capabilities = frozenset({"accelerator", "device-memory"})
     error = GpuError
 
-    def __init__(self, ctx=None, *, poll_interval: float = 2e-6,
-                 eager_kick: bool = True):
+    def __init__(self, ctx=None):
         super().__init__()
         self.ctx = ctx  # optional RankContext; unused single-rank
-        self._polling_options = dict(interval=poll_interval,
-                                     eager_kick=eager_kick)
         self.devices: List[SimGpu] = NotInitialized(self.name)
         self._gpu_places: List[Place] = NotInitialized(self.name)
 
@@ -50,8 +47,7 @@ class CudaModule(HiperModule):
         self._gpu_places = runtime.model.places_of_type(PlaceType.GPU_MEM)
         # Poll at the first GPU place: its tasks are reachable by all workers
         # whose paths include GPU places (the shipped default policy).
-        self.start_polling(runtime, self._gpu_places[0],
-                           **self._polling_options)
+        self.start_polling(runtime, self._gpu_places[0])
         self.devices = [
             SimGpu.from_place(runtime.executor, place,
                               on_complete=self.polling.kick)
@@ -231,7 +227,7 @@ class CudaModule(HiperModule):
                               nbytes)
 
 
-def cuda_factory(**kwargs) -> Callable[[Any], CudaModule]:
+def cuda_factory() -> Callable[[Any], CudaModule]:
     """Module factory for :func:`repro.distrib.spmd_run` (a partial,
     so it pickles for the ``subprocess`` launcher)."""
-    return functools.partial(CudaModule, **kwargs)
+    return functools.partial(CudaModule)

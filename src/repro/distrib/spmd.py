@@ -45,7 +45,6 @@ class ClusterConfig:
     #: Platform-graph granularity per rank; "flat" keeps simulations fast.
     detail: str = "flat"
     seed: int = 0
-    trace: bool = False
     #: Virtual seconds charged per task dispatch (runtime-overhead ablation).
     task_overhead: float = 0.0
     #: Hop-distance topology refining the wire latency (None = uniform).
@@ -343,8 +342,7 @@ def spmd_run(
     from repro.exec.procs import ProcessExecutor
 
     config = config or ClusterConfig()
-    ex = executor or SimExecutor(trace=config.trace,
-                                 task_overhead=config.task_overhead)
+    ex = executor or SimExecutor(task_overhead=config.task_overhead)
     procs = isinstance(ex, ProcessExecutor)
     shards = getattr(ex, "shards", 1)
     if procs or shards > 1:

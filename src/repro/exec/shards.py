@@ -131,7 +131,7 @@ def _run_shard(link, main, config, module_factories, plan, shard_id) -> None:
     """Body of one shard worker (a :class:`repro.launch.Child` runs it)."""
     from repro.distrib.spmd import RankGroup, merged_counters
 
-    ex = SimExecutor(trace=config.trace, task_overhead=config.task_overhead)
+    ex = SimExecutor(task_overhead=config.task_overhead)
     ex._horizon = 0.0
     fabric = SimFabric(ex, config.nranks, config.network,
                        ranks_per_node=config.ranks_per_node,

@@ -95,8 +95,8 @@ class SimExecutor(Executor):
     #: instead of hitting Python's recursion limit somewhere unhelpful.
     MAX_HELP_DEPTH = 4000
 
-    def __init__(self, *, trace: bool = False, task_overhead: float = 0.0,
-                 engine: str = "flat", shards: int = 1):
+    def __init__(self, *, task_overhead: float = 0.0, engine: str = "flat",
+                 shards: int = 1):
         """``task_overhead``: virtual seconds charged per task dispatch
         (models scheduler/dispatch cost; 0 by default, exercised by the
         runtime-overhead ablation bench). ``engine``: accepted for callers
@@ -136,7 +136,6 @@ class SimExecutor(Executor):
         self._blocked: List[str] = []
         self._shutdown = False
         self._stepping = False
-        self.trace = trace
         self.task_overhead = float(task_overhead)
         self.events_processed = 0
         # Help-until-ready nests on the Python call stack, so engine driving
@@ -468,8 +467,6 @@ class SimExecutor(Executor):
         if release > worker.clock:  # advance_clock_to, inlined (hot path)
             worker.idle_time += release - worker.clock
             worker.clock = release
-        if self.trace:  # pragma: no cover - debugging aid
-            print(f"[sim t={worker.clock:.9f}] r{worker.rank}w{worker.wid} run {task.describe()}")
         self.execute_task(worker.runtime, worker, task)
         slab = self.task_slab
         if slab is not None and (task.state is TaskState.DONE

@@ -35,21 +35,16 @@ class CheckpointModule(HiperModule):
     name = "checkpoint"
     capabilities = frozenset({"storage", "resilience"})
 
-    def __init__(self, ctx=None, *, prefer: str = "nvm",
-                 poll_interval: float = 1e-5):
+    def __init__(self, ctx=None):
         super().__init__()
         self.ctx = ctx
-        self.prefer = prefer
-        self._poll_interval = poll_interval
         self.store: SimStore = NotInitialized(self.name)
         self._manifest: Dict[str, List[Tuple[str, str, tuple]]] = {}
         self._periodic_stop: List[bool] = []
 
     # ------------------------------------------------------------------
     def initialize(self, runtime: HiperRuntime) -> None:
-        order = ([PlaceType.NVM, PlaceType.DISK] if self.prefer == "nvm"
-                 else [PlaceType.DISK, PlaceType.NVM])
-        for kind in order:
+        for kind in (PlaceType.NVM, PlaceType.DISK):
             if runtime.model.has_type(kind):
                 self.place = runtime.model.first_of_type(kind)
                 break
@@ -59,8 +54,7 @@ class CheckpointModule(HiperModule):
                 f"platform model {runtime.model.name!r}"
             )
         self.runtime = runtime
-        self.start_polling(runtime, self.place, prefix="ckpt",
-                           interval=self._poll_interval)
+        self.start_polling(runtime, self.place, prefix="ckpt", interval=1e-5)
         self.store = SimStore.from_place(runtime.executor, self.place,
                                          on_complete=self.polling.kick)
         # async_copy to/from the storage place goes through this module
@@ -156,7 +150,7 @@ class CheckpointModule(HiperModule):
         return self.poll(self.store.write(dst_buf, view), "copy_in")
 
 
-def checkpoint_factory(**kwargs) -> Callable[[Any], CheckpointModule]:
+def checkpoint_factory() -> Callable[[Any], CheckpointModule]:
     """Module factory for :func:`repro.distrib.spmd_run` (a partial,
     so it pickles for the ``subprocess`` launcher)."""
-    return functools.partial(CheckpointModule, **kwargs)
+    return functools.partial(CheckpointModule)

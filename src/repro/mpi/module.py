@@ -24,11 +24,6 @@ Implements the paper's two flows over :class:`MpiBackend`, with the
 The module asserts at initialization that the Interconnect place exists and
 is covered by exactly one worker's paths, the analogue of configuring the
 underlying library in ``MPI_THREAD_FUNNELED`` mode.
-
-``direct=True`` builds the module in *flat* mode: communication runs at the
-caller's place with no interconnect funneling — the behaviour of a plain MPI
-library in a process-per-core program, used by reference (non-HiPER)
-benchmark variants and by the funneling ablation.
 """
 
 from __future__ import annotations
@@ -58,28 +53,22 @@ class MpiModule(HiperModule):
         self,
         ctx,
         *,
-        direct: bool = False,
         poll_interval: float = 2e-6,
         eager_kick: bool = True,
-        adaptive_polling: bool = False,
-        max_poll_interval: Optional[float] = None,
         coalesce: Union[CoalescePolicy, bool, None] = None,
     ):
         """``ctx`` is the :class:`repro.distrib.RankContext` (the module uses
-        its rank id and fabric mux). ``adaptive_polling`` enables exponential
-        poll-interval backoff (bounded by ``max_poll_interval``; see
-        :class:`PollingService`); ``coalesce`` batches small sends per
-        destination (a :class:`CoalescePolicy`, or True for the defaults).
-        Both default off to preserve the paper's fixed-interval, per-message
-        behavior bit-for-bit."""
+        its rank id and fabric mux). ``poll_interval`` and ``eager_kick`` are
+        :class:`PollingService`'s ``interval`` and ``eager_kick``;
+        ``coalesce`` batches small sends per destination (a
+        :class:`CoalescePolicy`, or True for the defaults). It defaults off
+        to preserve the paper's per-message behavior bit-for-bit."""
         super().__init__()
         self.ctx = ctx
         self.rank = ctx.rank
         self.nranks = ctx.nranks
-        self.direct = direct
-        self._polling_options = dict(
-            interval=poll_interval, eager_kick=eager_kick,
-            adaptive=adaptive_polling, max_interval=max_poll_interval)
+        self._polling_options = dict(interval=poll_interval,
+                                     eager_kick=eager_kick)
         self.coalesce = coalesce
         self.backend: MpiBackend = NotInitialized(self.name)
 

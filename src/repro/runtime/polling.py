@@ -15,20 +15,11 @@ call :meth:`kick` when an operation completes so the sweep happens
 immediately instead of waiting out the interval; the paper's real MPI had no
 such signal, hence the interval. The ``eager_kick=False`` ablation reproduces
 pure interval polling.
-
-``adaptive=True`` (opt-in) adds exponential interval backoff: every sweep
-that completes nothing doubles the re-arm interval up to ``max_interval``;
-any sign of life — a kick, a new watcher, a sweep that completed something —
-snaps it back to the base ``interval``. This trades polling-task overhead
-against completion latency during quiet stretches. The default
-(``adaptive=False``) is the paper's fixed-interval behavior and keeps sim
-schedules bit-for-bit identical to earlier builds; flip the flag for the
-ablation.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Tuple
 
 from repro.platform.place import Place
 from repro.runtime.future import Promise
@@ -49,8 +40,6 @@ class PollingService:
         interval: float = 2e-6,
         sweep_cost: float = 1e-7,
         eager_kick: bool = True,
-        adaptive: bool = False,
-        max_interval: Optional[float] = None,
         name: str = "poll",
     ):
         self.runtime = runtime
@@ -59,15 +48,6 @@ class PollingService:
         self.interval = float(interval)
         self.sweep_cost = float(sweep_cost)
         self.eager_kick = eager_kick
-        self.adaptive = adaptive
-        #: Backoff ceiling for adaptive mode (default 64x the base interval).
-        self.max_interval = (
-            float(max_interval) if max_interval is not None
-            else self.interval * 64.0
-        )
-        if self.max_interval < self.interval:
-            raise ValueError(
-                f"max_interval {self.max_interval} < interval {self.interval}")
         self.name = name
         # Pluggable lock discipline: a no-op lock under the single-threaded
         # simulated executor, a real threading.Lock under the threaded one.
@@ -81,17 +61,12 @@ class PollingService:
         #: twice.
         self._epoch = 0
         self.sweeps = 0
-        #: Current re-arm interval; equals ``interval`` unless adaptive
-        #: backoff has widened it.
-        self._cur_interval = self.interval
-        self.backoffs = 0
 
     # -- public -----------------------------------------------------------
     def watch(self, poll_fn: PollFn, promise: Promise) -> None:
         """Register a pending operation; ensures a polling task exists."""
         with self._lock:
             self._pending.append((poll_fn, promise))
-            self._cur_interval = self.interval  # new op: poll promptly again
             need_spawn = self._arm_locked()
         if need_spawn:
             self._spawn_sweep()
@@ -101,7 +76,6 @@ class PollingService:
         if not self.eager_kick:
             return
         with self._lock:
-            self._cur_interval = self.interval  # something happened: reset
             if not self._pending:
                 return
             need_spawn = self._arm_locked()
@@ -154,27 +128,17 @@ class PollingService:
             # eager kick (event-driven completion) can schedule one early.
             self._task_live = False
             epoch = self._epoch
-            if self.adaptive:
-                if completed:
-                    self._cur_interval = self.interval
-                elif remain:
-                    widened = min(self._cur_interval * 2.0, self.max_interval)
-                    if widened > self._cur_interval:
-                        self._cur_interval = widened
-                        self.backoffs += 1
-                        stats.count(self.module, "poll_backoffs")
-            rearm_after = self._cur_interval
         # Satisfy outside the lock: callbacks may spawn or re-watch.
         for promise, value in completed:
             promise.put(value)
         if remain:
-            # Re-arm after the (possibly backed-off) poll interval, yielding
-            # the worker meanwhile. The timer carries the current epoch: if a
-            # kick (or a re-watch from a completion callback) spawns a sweep
-            # first, the epoch moves on and this timer becomes a no-op
-            # instead of running a duplicate sweep.
+            # Re-arm after the poll interval, yielding the worker meanwhile.
+            # The timer carries the current epoch: if a kick (or a re-watch
+            # from a completion callback) spawns a sweep first, the epoch
+            # moves on and this timer becomes a no-op instead of running a
+            # duplicate sweep.
             self.runtime.executor.call_later(
-                rearm_after, lambda: self._rearm(epoch)
+                self.interval, lambda: self._rearm(epoch)
             )
 
     def _rearm(self, epoch: int) -> None:

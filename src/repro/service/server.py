@@ -249,11 +249,3 @@ class ServiceServer:
         if self.uds is not None and os.path.exists(self.uds):
             os.unlink(self.uds)
         self.gateway.close()
-
-    def serve_until_drained(self, poll: float = 0.2) -> None:
-        """Block until the gateway has drained (used by the CLI daemon)."""
-        import time as _time
-
-        while not (self.gateway.draining and
-                   self.gateway._unfinished == 0):
-            _time.sleep(poll)

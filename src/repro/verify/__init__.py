@@ -14,6 +14,9 @@ Three instruments over the shared scheduling policy core:
   conservation invariants (:mod:`repro.verify.invariants`), and the SPMD
   differential: every variant of a paper app on sim, procs and sharded sim
   (``--engines ... procs sharded``) must give the app's one answer.
+
+:func:`run_suite` runs all three as ``repro verify`` does and yields its
+report rows.
 """
 
 from repro.verify.differential import (
@@ -30,10 +33,12 @@ from repro.verify.differential import (
 from repro.verify.harness import (
     HuntOutcome,
     HuntResult,
+    SuiteRow,
     hunt,
     replay,
     replay_schedule,
     run_once,
+    run_suite,
     spawn_storm,
 )
 from repro.verify.interleave import InterleaveExecutor
@@ -62,10 +67,12 @@ __all__ = [
     "taskgraph_differential",
     "HuntOutcome",
     "HuntResult",
+    "SuiteRow",
     "hunt",
     "replay",
     "replay_schedule",
     "run_once",
+    "run_suite",
     "spawn_storm",
     "InterleaveExecutor",
     "InvariantReport",

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -221,6 +222,11 @@ class EngineRun:
     engine: str
     result: Any
     invariants: InvariantReport
+    #: SPMD runs: virtual makespan (None off sim), wall seconds, and the
+    #: ``"<Type>: <message>"`` of a run that raised (then ``result`` is None)
+    makespan: Optional[float] = None
+    wall: Optional[float] = None
+    error: Optional[str] = None
 
 
 def run_on_engine(workload: Callable[[], Any], engine: str, *,
@@ -259,21 +265,24 @@ class DifferentialReport:
         lines = [f"[{status}] differential {self.workload}: "
                  f"{', '.join(r.engine for r in self.runs)}"]
         for r in self.runs:
-            lines.append(f"  {r.engine}: result={r.result!r} "
+            lines.append(f"  {r.engine}: error: {r.error}" if r.error else
+                         f"  {r.engine}: result={r.result!r} "
                          f"{r.invariants.describe()}")
         lines.extend(f"  MISMATCH: {m}" for m in self.mismatches)
         return "\n".join(lines)
 
 
 def _compare(rep: DifferentialReport) -> DifferentialReport:
-    """Every run's result must equal the first run's, and every run's
-    quiesce invariants must hold; anything else is recorded as a mismatch
+    """Every run must finish with the first finished run's result and with
+    its quiesce invariants holding; anything else is recorded as a mismatch
     (``describe()`` prints the results themselves)."""
-    baseline = rep.runs[0]
-    for run in rep.runs[1:]:
-        if run.result != baseline.result:
+    ran = [run for run in rep.runs if run.error is None]
+    for run in rep.runs:
+        if run.error is not None:
+            rep.mismatches.append(f"{run.engine} failed: {run.error}")
+        elif run.result != ran[0].result:
             rep.mismatches.append(
-                f"{run.engine} result != {baseline.engine} result")
+                f"{run.engine} result != {ran[0].engine} result")
     for run in rep.runs:
         if not run.invariants.ok:
             rep.mismatches.append(
@@ -289,9 +298,11 @@ def spmd_differential(app: str, arms, *, variant: Optional[str] = None,
     or None for the in-process sim)`` — and, with no ``variant``, once per
     variant on each: every run must pass the app's oracle and give the
     first run's ``answer`` (and, with ``makespan``, its exact virtual
-    makespan). ``cluster`` defaults to the app's own small one. Quiesce
-    invariants are checked per rank inside ``spmd_run``, so the runs carry
-    an empty invariant set."""
+    makespan). A run that raises — a failed rank, a rejected answer — is
+    recorded as failed, and the remaining runs still go. ``cluster``
+    defaults to the app's own small one. Quiesce invariants are checked
+    per rank inside ``spmd_run``, so the runs carry an empty invariant
+    set."""
     from repro.apps.registry import app as lookup
 
     entry = lookup(app)
@@ -299,13 +310,21 @@ def spmd_differential(app: str, arms, *, variant: Optional[str] = None,
     rep = DifferentialReport(workload=app)
     for v in variants:
         for label, modules, make_executor in arms:
-            answer, res = entry.run(
-                v, cluster, modules=modules,
-                executor=make_executor() if make_executor else None)
-            timing = (repr(res.makespan),) if makespan else ()
-            rep.runs.append(EngineRun(
-                engine=label if variant else f"{label}:{v}",
-                result=(answer,) + timing, invariants=InvariantReport()))
+            run = EngineRun(engine=label if variant else f"{label}:{v}",
+                            result=None, invariants=InvariantReport())
+            t0 = time.perf_counter()
+            try:
+                answer, res = entry.run(
+                    v, cluster, modules=modules,
+                    executor=make_executor() if make_executor else None)
+            except Exception as exc:  # noqa: BLE001 - a failed run is a verdict
+                run.error = f"{type(exc).__name__}: {exc}"
+            else:
+                run.makespan = res.makespan
+                run.result = (answer, repr(res.makespan)) if makespan \
+                    else answer
+            run.wall = time.perf_counter() - t0
+            rep.runs.append(run)
     return _compare(rep)
 
 

@@ -5,7 +5,9 @@
 and a :class:`~repro.verify.racedetect.RaceDetector` installed, then checks
 the quiesce invariants. :func:`hunt` sweeps seeds and stops at the first
 failing one; :func:`replay` re-runs a seed and proves the interleaving is
-reproduced bit-for-bit (schedule digests must match).
+reproduced bit-for-bit (schedule digests must match). :func:`run_suite` is
+``repro verify``: the planted-race self-check, one hunt per strategy and the
+cross-engine differentials, as report rows.
 
 The default workload is a *spawn storm*: nested finish scopes fanning tasks
 out across workers, with futures carrying values back — enough cross-worker
@@ -15,17 +17,25 @@ enough that a several-hundred-seed sweep finishes in seconds.
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import (Any, Callable, Iterator, List, NamedTuple, Optional,
+                    Sequence)
 
 from repro.platform.hwloc import discover, machine
 from repro.runtime.api import async_, async_future, finish
 from repro.runtime.instrument import probed
+from repro.exec.sim import SimExecutor
 from repro.runtime.runtime import HiperRuntime
+from repro.verify.differential import (
+    WORKLOADS, differential, isx_coalescing_differential,
+    isx_engine_differential, isx_sharded_differential, spmd_differential)
 from repro.verify.interleave import InterleaveExecutor
 from repro.verify.invariants import InvariantReport, check_quiesce
 from repro.verify.racedetect import RaceDetector, RaceReport
 from repro.verify.strategies import (
+    STRATEGIES,
     ReplayStrategy,
     ScheduleEntry,
     VerificationError,
@@ -205,12 +215,13 @@ def hunt(
     planted: bool = False,
     workload_factory: Optional[Callable[[], Callable[[], Any]]] = None,
     stop_on_failure: bool = True,
+    first_seed: int = 0,
     **strategy_kwargs: Any,
 ) -> HuntResult:
-    """Sweep seeds ``0..seeds-1``; by default stop at the first failure
-    (its seed is the bit-for-bit repro handle)."""
+    """Sweep ``seeds`` seeds from ``first_seed`` on; by default stop at the
+    first failure (its seed is the bit-for-bit repro handle)."""
     res = HuntResult()
-    for seed in range(seeds):
+    for seed in range(first_seed, first_seed + seeds):
         wl = workload_factory() if workload_factory else spawn_storm()
         out = run_once(strategy, seed, workers=workers, planted=planted,
                        workload=wl, **strategy_kwargs)
@@ -261,3 +272,108 @@ def replay_schedule(
         ex, workload or spawn_storm(), workers=workers, planted=planted,
         strategy_name="replay", seed=-1,
     )
+
+
+# ----------------------------------------------------------------------
+# the suite behind ``repro verify``
+# ----------------------------------------------------------------------
+class SuiteRow(NamedTuple):
+    """One verdict of :func:`run_suite`: ``tag`` is ``self-check``,
+    ``hunt:<strategy>`` or ``diff:<check>``; ``detail`` is a failing
+    check's report, ``artifact`` a failing hunt's saved schedule."""
+
+    tag: str
+    ok: bool
+    summary: str
+    detail: str = ""
+    artifact: Optional[str] = None
+
+    def describe(self) -> str:
+        """The row as ``repro verify`` prints it."""
+        width = 18 if self.tag.startswith("diff:") else 12
+        lines = [f"  {self.tag:<{width}s} {'OK  ' if self.ok else 'FAIL'} "
+                 f"{self.summary}"]
+        if self.detail:
+            lines.append("    " + self.detail.replace("\n", "\n    "))
+        if self.artifact:
+            lines.append(f"    wrote {self.artifact}")
+        return "\n".join(lines)
+
+
+def run_suite(
+    engines: Sequence[str] = ("sim", "threads"),
+    strategies: Sequence[str] = tuple(sorted(STRATEGIES)),
+    seeds: int = 25,
+    *,
+    first_seed: int = 0,
+    workers: int = 4,
+    planted: bool = False,
+    selfcheck: bool = True,
+    selfcheck_seeds: int = 10,
+    differentials: bool = True,
+    out: Optional[str] = None,
+) -> Iterator[SuiteRow]:
+    """Yield ``repro verify``'s rows as each check finishes: the planted
+    race must be found within ``selfcheck_seeds`` seeds and replay bit for
+    bit; each strategy hunts ``seeds`` seeds (a failing schedule is saved
+    to ``<out>/failing-schedule-<strategy>.json``); then the differentials:
+    each :data:`WORKLOADS` entry on the one-runtime ``engines``, SPMD ISx
+    with coalescing off/on, on the reference engine/production and on
+    one/two shards, and — with ``procs`` or ``sharded`` among ``engines`` —
+    every variant of every paper app on sim and on those."""
+    from repro.apps.registry import APPS
+    from repro.exec.procs import ProcessExecutor
+    from repro.tools.schedule import artifact_from_outcome, save_schedule
+
+    if selfcheck:
+        found = hunt("random", selfcheck_seeds, workers=workers,
+                     planted=True).first_failure
+        if found is None or not found.races:
+            yield SuiteRow("self-check", False, "planted race not found in "
+                           f"{selfcheck_seeds} seeds")
+        else:
+            try:
+                replay(found, workers=workers, planted=True)
+                bit = "bit-for-bit"
+            except VerificationError:
+                bit = "DIGEST MISMATCH"
+            yield SuiteRow("self-check", bit == "bit-for-bit",
+                           f"planted race found at seed {found.seed}, "
+                           f"replay {bit}")
+    for strat in strategies:
+        bad = hunt(strat, seeds, first_seed=first_seed, workers=workers,
+                   planted=planted).first_failure
+        if bad is None:
+            yield SuiteRow(f"hunt:{strat}", True, f"{seeds} seeds clean")
+            continue
+        path = None
+        if out:
+            os.makedirs(out, exist_ok=True)
+            path = save_schedule(
+                artifact_from_outcome(bad, workers=workers, planted=planted),
+                os.path.join(out, f"failing-schedule-{strat}.json"))
+        yield SuiteRow(f"hunt:{strat}", False,
+                       f"seed {bad.seed} (digest {bad.digest[:16]}):",
+                       bad.describe(), path)
+    if not differentials:
+        return
+    spmd = [e for e in engines if e in ("procs", "sharded")]
+    single = tuple(e for e in engines if e not in spmd)
+    checks = [(wl, functools.partial(differential, wl, engines=single,
+                                     workers=workers))
+              for wl in sorted(WORKLOADS)] if single else []
+    checks += [("isx-coal", isx_coalescing_differential),
+               ("isx-eng", isx_engine_differential),
+               ("isx-shard", isx_sharded_differential)]
+    if spmd:
+        arms = [("sim", None, None)] + [
+            (e, None, ProcessExecutor if e == "procs"
+             else functools.partial(SimExecutor, shards=2)) for e in spmd]
+        checks += [(f"spmd-{app}",
+                    functools.partial(spmd_differential, app, arms))
+                   for app in sorted(APPS)]
+    for tag, check in checks:
+        rep = check()
+        yield SuiteRow(f"diff:{tag}", rep.ok,
+                       "/".join(r.engine for r in rep.runs),
+                       "" if rep.ok else rep.describe())

@@ -52,9 +52,8 @@ class InterleaveExecutor(SimExecutor):
     #: installed probe.
     lock_class = TrackedLock
 
-    def __init__(self, strategy: Strategy, *, task_overhead: float = 0.0,
-                 trace: bool = False):
-        super().__init__(trace=trace, task_overhead=task_overhead)
+    def __init__(self, strategy: Strategy, *, task_overhead: float = 0.0):
+        super().__init__(task_overhead=task_overhead)
         self.strategy = strategy
         #: The recorded interleaving, one entry per task segment dispatched.
         self.schedule: List[ScheduleEntry] = []

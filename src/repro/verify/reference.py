@@ -33,8 +33,8 @@ from repro.util.errors import ConfigError, RuntimeStateError
 class ReferenceSimExecutor(SimExecutor):
     """Scan-min worker selection over a ``heapq`` event list."""
 
-    def __init__(self, *, trace: bool = False, task_overhead: float = 0.0):
-        super().__init__(trace=trace, task_overhead=task_overhead)
+    def __init__(self, *, task_overhead: float = 0.0):
+        super().__init__(task_overhead=task_overhead)
         self._events = []  # heap of [time, seq, fn]; fn None == cancelled
         self._event_seq = itertools.count()
         self.task_slab = None

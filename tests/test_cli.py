@@ -193,6 +193,45 @@ class TestChaosCommand:
         assert metrics["results_ok"] is False
 
 
+class TestFailedSpmdRuns:
+    """A run whose ranks fail is a failed check (exit 1), not a usage
+    error (exit 2)."""
+
+    def test_verify_reports_a_failing_spmd_row_and_goes_on(
+            self, monkeypatch, capsys):
+        from repro.apps import registry
+
+        broken = dataclasses.replace(registry.APPS["isx"],
+                                     modules=lambda v: [])
+        monkeypatch.setattr(registry, "APPS",
+                            {"isx": broken, "uts": registry.APPS["uts"]})
+        rc = main(["verify", "--skip-selfcheck", "--strategy", "random",
+                   "--seeds", "1", "--engines", "sim", "sharded"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "diff:spmd-isx      FAIL sim:flat/sharded:flat/" in out
+        assert "sim:flat failed: ConfigError: 4 rank(s) failed" in out
+        assert "diff:spmd-uts      OK" in out
+        assert "diff:isx-eng       FAIL ref-sim/sim" in out
+        assert "(3 failure(s), " in out
+
+    def test_chaos_reports_a_run_that_fails(self, tmp_path, capsys,
+                                            monkeypatch):
+        TestChaosCommand._tiny_fig5(monkeypatch)
+        plan = tmp_path / "kill.json"
+        plan.write_text(json.dumps({"seed": 0, "faults": [
+            {"kind": "task_fail", "name": "isx-chunk0"}]}))
+        out = tmp_path / "chaos"
+        assert main(["chaos", "fig5", "--plan", str(plan),
+                     "--out", str(out)]) == 1
+        assert ("run failed: ConfigError: 2 rank(s) failed; first failure "
+                "on rank 0: FaultError: injected failure in task "
+                "'isx-chunk0'") in capsys.readouterr().out
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["results_ok"] is False
+        assert metrics["makespan"] is None
+
+
 class TestRunCommand:
     """``repro run``: one DES engine and clean exit-2 on bad names."""
 

@@ -1,5 +1,5 @@
-"""Communication-path overhaul: message coalescing, adaptive polling, and
-their interactions with resilience and determinism.
+"""Communication-path overhaul: message coalescing and its interactions
+with resilience and determinism.
 
 Covers (ISSUE: comm tentpole):
 
@@ -10,9 +10,6 @@ Covers (ISSUE: comm tentpole):
   and seeded fault plans stay deterministic with coalescing on;
 - :class:`FabricMux` teardown — ``unregister_channel``/``close`` flush
   pending buffers, ``register_sink(replace=True)`` swaps a rank's sink;
-- adaptive polling — exponential backoff on empty sweeps, reset on any sign
-  of life, ``max_interval`` cap, and exact equivalence of the default
-  fixed-interval mode;
 - end-to-end — SHMEM ``quiet``/barrier as flush points, and ISx results
   bit-identical with coalescing on vs. off
   (:func:`repro.verify.isx_coalescing_differential`).
@@ -30,8 +27,6 @@ from repro.net.fabric import SimFabric
 from repro.net.mux import FabricMux
 from repro.platform import machine
 from repro.resilience import Backoff, FaultInjector, FaultPlan, RetryPolicy
-from repro.runtime.future import Promise
-from repro.runtime.polling import PollingService
 from repro.shmem import shmem_factory
 from repro.util.errors import CommError, ConfigError
 from repro.util.stats import RuntimeStats
@@ -380,82 +375,6 @@ class TestMuxTeardown:
         ex, fab, muxes, got = make_world()
         with pytest.raises(CommError, match="unregistered"):
             muxes[0].enable_coalescing("ghost")
-
-
-# ---------------------------------------------------------------------------
-# adaptive polling
-# ---------------------------------------------------------------------------
-class TestAdaptivePolling:
-    def _service(self, sim_rt, **kw):
-        return PollingService(sim_rt, sim_rt.interconnect, module="mpi", **kw)
-
-    def test_fixed_mode_never_backs_off(self, sim_rt):
-        svc = self._service(sim_rt, interval=1e-6)
-        for _ in range(8):
-            svc._pending.append((lambda: (False, None), Promise()))
-            svc._sweep()
-        assert svc.backoffs == 0
-        assert svc._cur_interval == svc.interval
-        assert sim_rt.stats.counter("mpi", "poll_backoffs") == 0
-
-    def test_empty_sweeps_double_interval_up_to_cap(self, sim_rt):
-        svc = self._service(sim_rt, interval=1e-6, adaptive=True,
-                            max_interval=8e-6)
-        svc._pending.append((lambda: (False, None), Promise()))
-        widths = []
-        for _ in range(6):
-            svc._sweep()
-            widths.append(svc._cur_interval)
-        assert widths == pytest.approx([2e-6, 4e-6, 8e-6, 8e-6, 8e-6, 8e-6])
-        assert svc.backoffs == 3  # capped: no further counting at the ceiling
-        assert sim_rt.stats.counter("mpi", "poll_backoffs") == 3
-
-    def test_completion_resets_interval(self, sim_rt):
-        svc = self._service(sim_rt, interval=1e-6, adaptive=True)
-        svc._pending.append((lambda: (False, None), Promise()))
-        svc._sweep()
-        svc._sweep()
-        assert svc._cur_interval > svc.interval
-        done = [False]
-        svc._pending.append((lambda: (done[0], None), Promise()))
-        done[0] = True
-        svc._sweep()  # completes one op: snap back
-        assert svc._cur_interval == svc.interval
-
-    def test_kick_and_watch_reset_interval(self, sim_rt):
-        svc = self._service(sim_rt, interval=1e-6, adaptive=True)
-        svc._pending.append((lambda: (False, None), Promise()))
-        svc._sweep()
-        assert svc._cur_interval > svc.interval
-        svc.kick()
-        assert svc._cur_interval == svc.interval
-        svc._sweep()
-        svc.watch(lambda: (False, None), Promise())
-        assert svc._cur_interval == svc.interval
-
-    def test_default_cap_is_64x(self, sim_rt):
-        svc = self._service(sim_rt, interval=2e-6, adaptive=True)
-        assert svc.max_interval == pytest.approx(128e-6)
-
-    def test_bad_cap_rejected(self, sim_rt):
-        with pytest.raises(ValueError, match="max_interval"):
-            self._service(sim_rt, interval=1e-5, adaptive=True,
-                          max_interval=1e-6)
-
-    def test_mpi_module_kwargs_accepted(self):
-        """The flags thread through the MPI module factory."""
-        from repro.mpi import mpi_factory
-
-        def main(ctx):
-            mod = ctx.runtime.module("mpi")
-            assert mod.polling.adaptive
-            assert mod.polling.max_interval == pytest.approx(1e-4)
-            return True
-
-        cluster = ClusterConfig(nodes=2, ranks_per_node=1, workers_per_rank=2)
-        res = spmd_run(main, cluster, module_factories=[
-            mpi_factory(adaptive_polling=True, max_poll_interval=1e-4)])
-        assert all(res.results)
 
 
 # ---------------------------------------------------------------------------

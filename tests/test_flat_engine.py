@@ -425,8 +425,7 @@ class TestOptionCensus:
 
         params = inspect.signature(SimExecutor).parameters
         assert "selection" not in params
-        assert sorted(params) == ["engine", "shards", "task_overhead",
-                                  "trace"]
+        assert sorted(params) == ["engine", "shards", "task_overhead"]
         assert SimExecutor(engine="flat", shards=2).shards == 2
         with pytest.raises(ConfigError, match="ReferenceSimExecutor"):
             SimExecutor(engine="objects")
@@ -436,6 +435,40 @@ class TestOptionCensus:
             main(["run", "--engine", "flat"])
         assert exc.value.code == 2
         assert "--engine" in capsys.readouterr().err
+
+    def test_options_with_one_value_in_use_are_constants(self):
+        """Thirteen settable values that no caller set are constants: MPI is
+        never flat, polling never backs off, CUDA polls every 2 us, the
+        checkpoint module polls every 10 us and prefers NVM, and no engine
+        prints a per-task trace."""
+        import dataclasses
+
+        from repro.cuda import CudaModule
+        from repro.distrib import ClusterConfig
+        from repro.io import CheckpointModule
+        from repro.mpi import MpiModule
+        from repro.runtime.polling import PollingService
+        from repro.verify.interleave import InterleaveExecutor
+        from repro.verify.reference import ReferenceSimExecutor
+
+        gone = {
+            MpiModule: ("direct", "adaptive_polling", "max_poll_interval"),
+            PollingService: ("adaptive", "max_interval"),
+            CudaModule: ("poll_interval", "eager_kick"),
+            CheckpointModule: ("prefer", "poll_interval"),
+            SimExecutor: ("trace",),
+            ReferenceSimExecutor: ("trace",),
+            InterleaveExecutor: ("trace",),
+        }
+        found = [(cls.__name__, name) for cls, names in gone.items()
+                 for name in names
+                 if name in inspect.signature(cls).parameters]
+        found += [("ClusterConfig", f.name)
+                  for f in dataclasses.fields(ClusterConfig)
+                  if f.name == "trace"]
+        assert found == []
+        assert {"poll_interval", "eager_kick"} <= set(
+            inspect.signature(MpiModule).parameters)
 
     def test_one_stepping_loop(self):
         """Shards, schedule exploration and the reference all step through

@@ -35,6 +35,18 @@ class TestPollingService:
         assert svc.sweeps >= 2
         assert svc.outstanding == 0
 
+    def test_empty_sweeps_rearm_at_the_fixed_interval(self, sim_rt,
+                                                      monkeypatch):
+        svc = PollingService(sim_rt, sim_rt.sysmem, module="test",
+                             interval=1e-6)
+        delays = []
+        monkeypatch.setattr(sim_rt.executor, "call_later",
+                            lambda delay, fn: delays.append(delay))
+        svc._pending.append((lambda: (False, None), Promise()))
+        for _ in range(8):
+            svc._sweep()
+        assert delays == [1e-6] * 8
+
     def test_interval_bounds_latency_without_kick(self, sim_rt):
         svc = PollingService(sim_rt, sim_rt.sysmem, module="test",
                              interval=5e-4, eager_kick=False)

@@ -8,7 +8,6 @@ and asserting sim (with speculation on) and threads (speculation
 auto-disabled) agree bit-for-bit.
 """
 
-import gc
 import hashlib
 import json
 import pickle
@@ -28,6 +27,7 @@ from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.runtime.runtime import HiperRuntime
 from repro.apps.isx.common import IsxConfig
 from repro.taskgraph import (
+    CommuteRun,
     CostModel,
     TaskGraph,
     TaskImpl,
@@ -364,27 +364,34 @@ class TestCommute:
         assert threaded_rt.run(root, name="serial-root") == sum(range(8))
         assert overlaps[0] == 0
 
-    def test_commute_fold_cost_scales_linearly(self):
-        # Guard against a per-grant rescan of the run (was quadratic: 9-10x
-        # the wall for 4x the folds; linear bookkeeping measures ~4x).
-        # Each run is timed with the cyclic collector off, after a full
-        # collection: its pauses grow with the live heap, so the 8000-fold
-        # runs contained 2-3 full passes and the best 2000-fold run none
-        # (raw ratio 4.4-6.1, collector time subtracted 3.7-4.1).
-        def best_wall(n):
-            walls = []
-            for _ in range(3):
-                gc.collect()
-                gc.disable()
-                try:
-                    t0 = time.perf_counter()
-                    _run_fresh(reduction_workload(n, commute=True))
-                    walls.append(time.perf_counter() - t0)
-                finally:
-                    gc.enable()
-            return min(walls)
+    def test_commute_fold_cost_scales_linearly(self, monkeypatch):
+        # Guard against a per-grant rescan of the run (quadratic): count the
+        # ``granted`` membership checks ``CommuteRun.grant`` makes. Each
+        # member passes the cursor once, so a run of n folds makes fewer
+        # than 2n checks.
+        checks = [0]
 
-        assert best_wall(8000) / best_wall(2000) < 5
+        class CountingSet(set):
+            def __contains__(self, item):
+                checks[0] += 1
+                return super().__contains__(item)
+
+        init = CommuteRun.__init__
+
+        def counting_init(run, base_deps):
+            init(run, base_deps)
+            run.granted = CountingSet()
+
+        monkeypatch.setattr(CommuteRun, "__init__", counting_init)
+
+        def count(n):
+            checks[0] = 0
+            _run_fresh(reduction_workload(n, commute=True))
+            return checks[0]
+
+        small, large = count(2000), count(8000)
+        assert 2000 <= small < 2 * 2000
+        assert 8000 <= large < 2 * 8000
 
     def _faulted_reduction(self, seed):
         plan = FaultPlan.from_spec(

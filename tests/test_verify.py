@@ -20,7 +20,9 @@ from repro.verify import (
     replay,
     replay_schedule,
     run_once,
+    run_suite,
     spawn_storm,
+    spmd_differential,
 )
 from repro.verify.harness import expected_storm_total
 from repro.verify.strategies import (
@@ -506,3 +508,54 @@ class TestScheduleArtifacts:
         p.write_text(json.dumps({"format": 99}))
         with pytest.raises(ValueError, match="format"):
             load_schedule(str(p))
+
+
+class TestRunSuite:
+    """``repro verify`` is ``run_suite``; the CLI only prints its rows."""
+
+    def test_rows_match_the_cli_report(self):
+        rows = list(run_suite(("sim",), seeds=2, selfcheck_seeds=10))
+        assert [(r.tag, r.ok, r.summary) for r in rows] == [
+            ("self-check", True,
+             "planted race found at seed 0, replay bit-for-bit"),
+            ("hunt:pbound", True, "2 seeds clean"),
+            ("hunt:pct", True, "2 seeds clean"),
+            ("hunt:random", True, "2 seeds clean"),
+            ("diff:graph500", True, "sim"),
+            ("diff:isx", True, "sim"),
+            ("diff:isx-dag", True, "sim"),
+            ("diff:uts", True, "sim"),
+            ("diff:isx-coal", True, "coalesce-off/coalesce-on"),
+            ("diff:isx-eng", True, "ref-sim/sim"),
+            ("diff:isx-shard", True, "flat/sharded-2"),
+        ]
+        assert all(r.detail == "" and r.artifact is None for r in rows)
+
+    def test_planted_sweep_fails_with_a_replayable_artifact(self, tmp_path):
+        from repro.tools.schedule import load_schedule
+
+        rows = list(run_suite(strategies=["random", "pct"], seeds=2,
+                              first_seed=1, planted=True, selfcheck=False,
+                              differentials=False, out=str(tmp_path)))
+        assert [(r.tag, r.ok) for r in rows] == [("hunt:random", False),
+                                                  ("hunt:pct", False)]
+        for row in rows:
+            assert row.summary.startswith("seed 1 (digest ")
+            assert "race on place" in row.detail
+            art = load_schedule(row.artifact)
+            assert (art.seed, art.planted) == (1, True) and art.races
+            again = replay_schedule(art.schedule, workers=art.workers,
+                                    planted=True)
+            assert again.digest == art.digest and again.races
+
+    def test_a_variant_that_raises_is_a_failed_run(self):
+        rep = spmd_differential("isx", [("sim", None, None),
+                                        ("nomods", [], None)],
+                                variant="hiper")
+        assert not rep.ok
+        sim, nomods = rep.runs
+        assert sim.error is None and sim.wall > 0
+        assert nomods.result is None
+        assert nomods.error.startswith("ConfigError: ")
+        assert rep.mismatches == [f"nomods failed: {nomods.error}"]
+        assert f"nomods: error: {nomods.error}" in rep.describe()
