@@ -86,8 +86,9 @@ class Releasable:
     def __init__(self) -> None:
         #: predecessors that have not finished yet
         self.npending = 0
-        #: dependents in registration order; None once they are released
-        self.succs: Optional[List["Releasable"]] = []
+        #: dependents in registration order: ``()`` until the first one
+        #: registers, None once they are released
+        self.succs: Any = ()
         #: the failure it finished with (before: an already-failed pred's)
         self.exc: Optional[BaseException] = None
         self.completed = False
@@ -97,8 +98,12 @@ class Releasable:
     def after(self, pred: "Releasable") -> None:
         """Make ``pred`` a predecessor. One that already failed fails this
         fast (its creator sees ``exc``), pinned against being released."""
-        if pred.succs is not None:
-            pred.succs.append(self)
+        succs = pred.succs
+        if succs is not None:
+            if succs:
+                succs.append(self)
+            else:
+                pred.succs = [self]
             self.npending += 1
         elif self.exc is None and pred.exc is not None:
             self.exc = pred.exc

@@ -49,10 +49,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.resilience.snapshot import (payload_digest, restore_payload,
                                        snapshot_payload)
-from repro.runtime.context import require_context
-from repro.runtime.deques import NullLock
+from repro.runtime.context import current_context, require_context
 from repro.runtime.finish import FinishScope, TaskGroupError
-from repro.runtime.future import Future, Promise
+from repro.runtime.future import Future
 from repro.taskgraph.cost import CostModel, TaskImpl, make_policy
 from repro.taskgraph.data import CommuteRun, DataHandle, Releasable, RunJoin
 from repro.util.errors import ConfigError, RuntimeStateError
@@ -88,11 +87,18 @@ class WritePredictor:
 
 
 class TaskNode(Releasable):
-    """One submitted task: accesses, dependency state, speculation state."""
+    """One submitted task: accesses, dependency state, speculation state.
+
+    Lists are made by their first append. Once completed, a node keeps only
+    what the access rules still read (``completed``, ``exc``, ``succs``,
+    ``stamp``) and drops its references to handles, runs, bodies and its
+    future, so a finished graph holds no cycle and is freed by reference
+    count.
+    """
 
     __slots__ = (
         "fn", "name", "kind", "cost", "reads", "writes", "commutes",
-        "maybe_writes", "impls", "likely_writes", "done_promise", "seq",
+        "maybe_writes", "impls", "likely_writes", "done", "seq",
         "commute_runs", "spec_pending", "spec_rollback", "ran", "spec_value",
         "spec_exc", "snapshots", "pre_digests", "validation_waiters", "where",
     )
@@ -100,7 +106,7 @@ class TaskNode(Releasable):
     def __init__(self, fn: Callable[[], Any], name: str, kind: str,
                  cost: float, reads, writes, commutes, maybe_writes,
                  impls: Tuple[TaskImpl, ...], likely_writes: Optional[bool],
-                 done_promise, seq: int):
+                 seq: int):
         super().__init__()
         self.fn = fn
         self.name = name
@@ -110,12 +116,14 @@ class TaskNode(Releasable):
         self.writes: Tuple[DataHandle, ...] = writes
         self.commutes: Tuple[DataHandle, ...] = commutes
         self.maybe_writes: Tuple[DataHandle, ...] = maybe_writes
+        #: ``()`` for the default single-CPU implementation, built at dispatch
         self.impls = impls
         self.likely_writes = likely_writes
-        self.done_promise = done_promise
+        #: the node's completion, resolved by the graph (no promise)
+        self.done: Optional[Future] = Future(f"{kind}#{seq}-done")
         self.seq = seq
         #: commute runs this node belongs to, in slot-acquisition order
-        self.commute_runs: List[CommuteRun] = []
+        self.commute_runs: Optional[List[CommuteRun]] = None
         #: unvalidated uncertain predecessors this node speculated past
         self.spec_pending = 0
         self.spec_rollback = False
@@ -127,7 +135,7 @@ class TaskNode(Releasable):
         #: pre-run content digests of maybe_write data (uncertain runs only)
         self.pre_digests: Optional[Dict[DataHandle, str]] = None
         #: speculative successors to validate when this node completes
-        self.validation_waiters: List["TaskNode"] = []
+        self.validation_waiters: Optional[List["TaskNode"]] = None
         self.where = "cpu"
 
     def data_touched(self) -> Tuple[DataHandle, ...]:
@@ -172,10 +180,9 @@ class TaskGraph:
         self.predictor = predictor if predictor is not None else WritePredictor()
         # Speculation needs atomic task bodies; only the DES engine has them.
         self.speculation = bool(speculation) and self._rt.executor.mode == "sim"
-        # The executor's discipline: no-op under the single-threaded sim;
-        # else real, and re-entrant (predictor and policy run under it).
-        self._lock = (NullLock() if self._rt.executor.lock_class is NullLock
-                      else threading.RLock())
+        # Re-entrant (predictor and policy run under it). Under the
+        # single-threaded simulator it is never contended.
+        self._lock = threading.RLock()
         self._seq = 0
         self._handle_ids = itertools.count()
         self._outstanding = 0
@@ -228,14 +235,14 @@ class TaskGraph:
                     "access on the same task")
             seen.add(id(d))
         kind = kind or getattr(fn, "__name__", "task")
-        impl_tuple = tuple(impls) if impls else (TaskImpl(fn, "cpu", cost),)
+        if not impls and cost < 0:  # what the default TaskImpl would refuse
+            raise ConfigError(f"TaskImpl cost must be >= 0, got {cost}")
 
         with self._lock:
             node = TaskNode(fn, name or f"{kind}#{self._seq}", kind, cost,
-                            reads, writes, commutes, maybes, impl_tuple,
-                            likely_writes,
-                            Promise(name=f"{kind}#{self._seq}-done"),
-                            self._seq)
+                            reads, writes, commutes, maybes, tuple(impls),
+                            likely_writes, self._seq)
+            done = node.done
             self._seq += 1
             spec_on: Optional[List[TaskNode]] = [] if (
                 self.speculation and not commutes and not maybes) else None
@@ -250,7 +257,10 @@ class TaskGraph:
                 self.spec_attempts += 1
                 self.edges += len(spec_on)  # waived, but edges all the same
                 for wn in spec_on:
-                    wn.validation_waiters.append(node)
+                    if wn.validation_waiters is None:
+                        wn.validation_waiters = [node]
+                    else:
+                        wn.validation_waiters.append(node)
             self.nodes += 1
             self._outstanding += 1
             # Hold the enclosing scope open across the dependency gap (the
@@ -261,17 +271,23 @@ class TaskGraph:
             self._finish_node(node, None, failed, cascade=True)
         elif ready:
             self._acquire_commute(node, 0)
-        return node.done_promise.get_future()
+        return done
 
     def __enter__(self) -> "TaskGraph":
         stack = getattr(TaskGraph._ambient, "stack", None)
         if stack is None:
             stack = TaskGraph._ambient.stack = []
-        stack.append(self)
+        # Tagged with its task: the engines run other tasks on this thread
+        # while this one is blocked or suspended inside the block.
+        stack.append((_current_task(), self))
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        TaskGraph._ambient.stack.pop()
+        stack, task = TaskGraph._ambient.stack, _current_task()
+        for i in range(len(stack) - 1, -1, -1):
+            if stack[i][1] is self and stack[i][0] is task:
+                del stack[i]
+                break
         if exc_type is None:
             self.wait()
 
@@ -336,26 +352,33 @@ class TaskGraph:
         run.members.append(node)
         for p in run.base_deps:
             self._depend(node, p)
-        node.commute_runs.append(run)
+        if node.commute_runs is None:
+            node.commute_runs = [run]
+        else:
+            node.commute_runs.append(run)
 
     # ------------------------------------------------------------------
     # commute slots -> dispatch
     # ------------------------------------------------------------------
     def _acquire_commute(self, node: TaskNode, idx: int) -> None:
-        with self._lock:
-            while idx < len(node.commute_runs):
-                run = node.commute_runs[idx]
-                if run.busy is not None:
-                    run.pending.append((node, idx))
-                    return
-                if run.grant(node):  # the observable reordering
-                    self.commute_reorders += 1
-                idx += 1
+        runs = node.commute_runs
+        if runs is not None:
+            with self._lock:
+                while idx < len(runs):
+                    run = runs[idx]
+                    if run.busy is not None:
+                        run.pending.append((node, idx))
+                        return
+                    if run.grant(node):  # the observable reordering
+                        self.commute_reorders += 1
+                    idx += 1
         self._dispatch(node)
 
     def _dispatch(self, node: TaskNode) -> None:
         ex = self._rt.executor
         with self._lock:
+            if not node.impls:
+                node.impls = (TaskImpl(node.fn, "cpu", node.cost),)
             place, impl, transfer = self._policy.choose(node, ex.now())
         if impl is None:
             impl = node.impls[0]
@@ -399,14 +422,21 @@ class TaskGraph:
         elapsed = ex.now() - t0
         self.cost_model.observe(node.kind, node.where, elapsed)
         self._rt.stats.time("taskgraph", f"{node.kind}@{node.where}", elapsed)
+        held = False
         if speculation:
             with self._lock:
                 node.ran = True
-                if node.spec_pending > 0:
+                held = node.spec_pending > 0
+                if held:
                     # Still speculative: hold the result until validation.
                     node.spec_value, node.spec_exc = value, exc
-                    return
-        self._finish_node(node, value, exc)
+        if not held:
+            self._finish_node(node, value, exc)
+        # A failed body's traceback holds this frame and the frames above
+        # it: drop the exception and the graph's objects from it, or they
+        # would wait in a cycle for the collector (concurrent.futures'
+        # idiom).
+        self = node = impl = value = exc = None
 
     # ------------------------------------------------------------------
     # completion, validation, rollback
@@ -431,12 +461,12 @@ class TaskGraph:
                 if not cascade:
                     for d in node.writes + node.maybe_writes + node.commutes:
                         d.version += 1
-                for run in node.commute_runs:
+                for run in node.commute_runs or ():
                     if run.busy is node:
                         run.busy = None
                         if run.pending:
                             resumptions.append(run.pending.popleft())
-                waiters, node.validation_waiters = node.validation_waiters, []
+                waiters, node.validation_waiters = node.validation_waiters, None
                 node.completed = True
                 self._last_done = max(self._last_done, self._rt.executor.now())
                 if exc is not None and not cascade:
@@ -446,17 +476,20 @@ class TaskGraph:
                 self._outstanding -= 1
             for waiter, idx in resumptions:
                 self._acquire_commute(waiter, idx)
-            for s in waiters:
+            for s in waiters or ():
                 self._validate_waiter(s, wrote)
             # Satisfied before any dependent starts, and before a later
             # submit finds ``succs`` gone: bodies may read the future.
-            if exc is not None:
-                node.done_promise.put_exception(exc)
-            else:
-                node.done_promise.put(value)
+            node.done._resolve(value, exc)
             released: List[TaskNode] = []
             with self._lock:
                 node.release(exc, released)
+                # Nothing reads the rest of a completed node: let go of it.
+                node.reads = node.writes = node.commutes = ()
+                node.maybe_writes = ()
+                node.commute_runs = node.impls = node.fn = node.done = None
+                node.snapshots = node.pre_digests = None
+                node.spec_value = node.spec_exc = None
             if exc is None:
                 for s in released:
                     self._acquire_commute(s, 0)
@@ -530,9 +563,15 @@ def async_task(fn: Callable[[], Any], **accesses: Any) -> Future:
     The paper-style spelling: ``async_task(f, read=[a], write=[b])``.
     Accepts every :meth:`TaskGraph.submit` keyword.
     """
-    stack = getattr(TaskGraph._ambient, "stack", None)
-    if not stack:
-        raise RuntimeStateError(
-            "async_task requires an enclosing `with TaskGraph(...)` block "
-            "(or call graph.submit directly)")
-    return stack[-1].submit(fn, **accesses)
+    task = _current_task()
+    for owner, graph in reversed(getattr(TaskGraph._ambient, "stack", ())):
+        if owner is task:
+            return graph.submit(fn, **accesses)
+    raise RuntimeStateError(
+        "async_task requires an enclosing `with TaskGraph(...)` block "
+        "(or call graph.submit directly)")
+
+
+def _current_task() -> Any:
+    ctx = current_context()
+    return ctx.task if ctx is not None else None

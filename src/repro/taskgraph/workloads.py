@@ -32,7 +32,8 @@ from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.apps.isx.common import IsxConfig, generate_keys, local_sort
+from repro.apps.isx.common import (IsxConfig, generate_keys, local_sort,
+                                   route_keys)
 from repro.taskgraph.cost import TaskImpl
 from repro.taskgraph.graph import TaskGraph
 
@@ -43,7 +44,9 @@ def isx_dag_workload(cfg: Optional[IsxConfig] = None, nbuckets: int = 8,
                      *, policy: Any = "help-first") -> Callable[[], Tuple]:
     """ISx bucket sort with graph-inferred dependencies.
 
-    Partition tasks read the key array and write one bucket each; sort
+    Partition tasks read the key array (grouped by bucket once, up front,
+    by the ISx apps' stable ``route_keys``) and write one bucket slice
+    each; sort
     tasks read a bucket and write its sorted image; the concatenation
     reads every sorted bucket. No future is wired by hand — every edge is
     inferred from the declared accesses. Digest-tuple-compatible with
@@ -53,18 +56,17 @@ def isx_dag_workload(cfg: Optional[IsxConfig] = None, nbuckets: int = 8,
 
     def root() -> Tuple:
         keys = generate_keys(cfg, 0, 1)
-        width = (cfg.max_key + nbuckets - 1) // nbuckets
+        grouped, counts = route_keys(cfg, nbuckets, keys)
+        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
         g = TaskGraph(name="isx-dag", policy=policy)
-        keys_h = g.handle(keys, name="keys")
+        keys_h = g.handle(grouped, name="keys")
         buckets = [g.handle(None, name=f"bucket{b}") for b in range(nbuckets)]
         sorted_h = [g.handle(None, name=f"sorted{b}") for b in range(nbuckets)]
         out_h = g.handle(None, name="out")
 
         def partition(b: int) -> Callable[[], None]:
             def body() -> None:
-                lo, hi = b * width, (b + 1) * width
-                k = keys_h.data
-                buckets[b].data = k[(k >= lo) & (k < hi)]
+                buckets[b].data = keys_h.data[bounds[b]:bounds[b + 1]]
             return body
 
         def sort(b: int) -> Callable[[], None]:

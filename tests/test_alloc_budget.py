@@ -16,7 +16,9 @@ closures, and every future ever made waited for the collector. Fails at
 11.02 (bound 7). The module-level rows held, at a80e79e, 12 tracked objects
 per ``MpiModule.isend``, 14 per funneled ``ShmemModule.put_async`` (now 12:
 its task body is a module-level generator instead of a closure) and 20 per
-``CudaModule.memcpy_async``.
+``CudaModule.memcpy_async``. At 83d6929 a pending task-graph node held 10
+tracked objects (bound 6), and every graph was a node <-> handle cycle that
+waited for a full pass.
 """
 
 import collections
@@ -32,11 +34,15 @@ from repro.exec.sim import SimExecutor
 from repro.mpi import mpi_factory
 from repro.mpi.backend import MpiBackend, MpiRequest
 from repro.net import FabricMux, NetworkModel, SimFabric
-from repro.platform import machine
+from repro.platform import discover, machine
+from repro.runtime.runtime import HiperRuntime
 from repro.runtime.future import satisfied_future, when_all
 from repro.shmem import ShmemBackend, shmem_factory
 from repro.shmem.heap import SignatureTable, SymmetricHeap
+from repro.taskgraph import (TaskGraph, hetero_workload, isx_dag_workload,
+                             reduction_workload)
 from repro.upcxx import GlobalPtr, UpcxxBackend
+from tests.test_taskgraph import _spec_triples
 
 N = 1000
 BLOCK = np.arange(8, dtype=np.int64)
@@ -242,3 +248,88 @@ def test_flat_isx_run_leaves_no_future_for_the_collector(saved_garbage):
     # of the run must not be among what it finds.
     assert found["Promise"] == 0 and found["Future"] == 0, found
     assert found  # the probe works: the dropped world was seen
+
+
+# ----------------------------------------------------------------------
+# the task graph (docs/taskgraph.md, "Node lifetime")
+# ----------------------------------------------------------------------
+def _run_graph(root):
+    """``root`` as the root task of a fresh 4-worker simulated runtime."""
+    ex = SimExecutor()
+    rt = HiperRuntime(discover(machine("workstation"), num_workers=4,
+                               with_interconnect=False), ex).start()
+    try:
+        return rt.run(root, name="budget-root")
+    finally:
+        rt.shutdown()
+        ex.shutdown()
+
+
+def _graph_body():
+    """No closure: only what the graph itself allocates is counted."""
+
+
+def _raise_in_body():
+    raise ValueError("head exploded")
+
+
+def test_tracked_objects_per_pending_graph_node(collector_off):
+    pending = {}
+
+    def root():
+        g = TaskGraph(name="budget")
+        e, d = g.handle(name="e"), g.handle(name="d")
+        g.submit(_graph_body, read=[e], write=[d])  # the one dispatched now
+        before = _census()
+        futures = [g.submit(_graph_body, read=[e], write=[d])
+                   for _ in range(N)]
+        pending.update(_census() - before)
+        g.wait()
+        return all(f.satisfied for f in futures)
+
+    assert _run_graph(root)
+    # TaskNode, its Future, the reads and writes tuples, and the successor
+    # list its predecessor holds it in.
+    assert sum(pending.values()) <= 6 * N + 50, pending
+
+
+def _failing_head(n=64):
+    """A head that raises, and ``n`` writers of its datum with a reader each
+    cascading behind it. The root does not wait (its task's scope joins the
+    graph), so none of its frames is in the traceback."""
+
+    def root():
+        failed = []
+        g = TaskGraph(name="cascade")
+        d = g.handle(np.zeros(1))
+        g.submit(_raise_in_body, write=[d], cost=1e-3)
+        for _ in range(n):
+            g.submit(_graph_body, write=[d])
+            last = g.submit(_graph_body, read=[d])
+        last.on_ready(lambda f: failed.extend([f._exception.args]))
+        return failed  # filled when the cascade fails the last reader
+
+    return root
+
+
+GRAPH_SHAPES = {
+    "hetero.dmda": hetero_workload(2, 3, policy="dmda"),
+    "hetero.help_first": hetero_workload(2, 3, policy="help-first"),
+    "reduce.commute": reduction_workload(16, commute=True),
+    "reduce.ordered": reduction_workload(16, commute=False),
+    "isx_dag": isx_dag_workload(IsxConfig(keys_per_pe=1 << 8), 4),
+    "spec.rollback": _spec_triples(16, speculation=True),
+    "failing_head": _failing_head(),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GRAPH_SHAPES))
+def test_dropped_graph_leaves_nothing_for_the_collector(shape, saved_garbage):
+    assert _run_graph(GRAPH_SHAPES[shape])
+    gc.collect()
+    found = collections.Counter(type(o).__name__ for o in saved_garbage)
+    # The runtime is cyclic and does wait for the collector; no graph
+    # object may be among what it finds.
+    graph = {"TaskNode", "DataHandle", "CommuteRun", "RunJoin", "Future"}
+    assert not graph & set(found), found
+    assert found  # the probe works: the dropped runtime was seen

@@ -17,15 +17,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.exec.sim import SimExecutor
 from repro.exec.threaded import ThreadedExecutor
 from repro.platform.hwloc import discover, machine
 from repro.resilience.faults import FaultInjector, FaultPlan
+from repro.runtime.api import async_future, timer_future
 from repro.runtime.runtime import HiperRuntime
-from repro.apps.isx.common import IsxConfig
+from repro.apps.isx.common import IsxConfig, route_keys
 from repro.taskgraph import (
     CommuteRun,
     CostModel,
@@ -145,6 +146,46 @@ class TestAccessModes:
                 async_task(lambda: None)
 
         sim_rt.run(root, name="ambient-root")
+
+    def test_async_task_of_a_task_nested_in_another_tasks_block(self, sim_rt1):
+        # One worker: the child runs on the root's stack while the root
+        # waits inside its `with` block. The block is not the child's.
+        def child():
+            try:
+                async_task(lambda: None)
+            except RuntimeStateError:
+                return "refused"
+            return "accepted"
+
+        def root():
+            with TaskGraph(name="outer") as g:
+                got = async_future(child).wait()
+            return got, g.nodes
+
+        assert sim_rt1.run(root, name="nested-root") == ("refused", 0)
+
+    def test_interleaved_coroutine_blocks_keep_their_own_graphs(self, sim_rt):
+        # Both enter their blocks and yield; the one that entered first
+        # resumes first, submits and leaves, then the other. Each submit
+        # goes to its own graph.
+        nodes = {}
+
+        def coroutine(label, delay):
+            def body():
+                with TaskGraph(name=label) as g:
+                    yield timer_future(delay)
+                    async_task(lambda: None)
+                nodes[label] = g.nodes
+            return body
+
+        def root():
+            a = async_future(coroutine("A", 2e-3))
+            b = async_future(coroutine("B", 1e-3))
+            a.wait()
+            b.wait()
+
+        sim_rt.run(root, name="coroutines-root")
+        assert nodes == {"A": 1, "B": 1}
 
     def test_context_manager_waits_and_ambient_submit(self, sim_rt):
         def root():
@@ -290,6 +331,36 @@ class TestAccessModes:
         futures_run = run_on_engine(isx_workload(), "sim")
         dag = threaded_rt.run(isx_dag_workload(), name="isx-dag")
         assert dag == futures_run.result
+
+
+class TestBucketPartition:
+    """The DAG ISx groups its keys with the ISx apps' one-pass
+    ``route_keys``; bucket for bucket that must be the masked selection
+    each partition body used to make."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(max_key=st.integers(2, 5000), nbuckets=st.integers(1, 64),
+           data=st.data())
+    @example(max_key=10, nbuckets=3, data=None)   # 3 does not divide 10
+    @example(max_key=7, nbuckets=40, data=None)   # more buckets than keys
+    def test_one_pass_equals_masked(self, max_key, nbuckets, data):
+        if data is None:
+            keys = [0, 9, 9, 1, 6] if max_key == 10 else [6, 0, 6]
+        else:
+            keys = data.draw(st.lists(st.integers(0, max_key - 1),
+                                      max_size=300))
+        keys = np.array(keys, dtype=np.int64)
+        cfg = IsxConfig(keys_per_pe=max(1, keys.size), max_key=max_key)
+        grouped, counts = route_keys(cfg, nbuckets, keys)
+        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+        assert len(bounds) == nbuckets + 1 and bounds[-1] == keys.size
+        width = (max_key + nbuckets - 1) // nbuckets
+        for b in range(nbuckets):
+            lo, hi = b * width, (b + 1) * width
+            want = keys[(keys >= lo) & (keys < hi)]
+            got = grouped[bounds[b]:bounds[b + 1]]
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 class TestThreadedRelease:
