@@ -6,11 +6,21 @@ cells plus a one-cell ghost shell on all six faces. x/y ghosts are always
 zero (homogeneous Dirichlet); z ghosts hold either neighbor-rank planes or
 zero at the global boundary. All kernels are fully vectorized (guide:
 broadcasting over Python loops) and operate in place where possible.
+
+Kernel contract for :func:`neighbor_sum`, :func:`apply_op`,
+:func:`residual` and :func:`gsrb`: each cell is computed in one fixed
+floating-point order — the six neighbors summed z-, z+, x-, x+, y-, y+ from
+the left, then ``(6u - sum) / h^2`` or ``(h*h*f + sum) / 6`` — so a result
+does not depend on how the planes are split across boxes or ranks, and is
+bit-identical to the plain expression written out. Each call allocates at
+most two block-sized temporaries: the neighbor sum accumulates in one buffer,
+and the other operand and the scaling are applied in place.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import functools
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -30,23 +40,40 @@ def alloc_field(shape_interior: Tuple[int, int, int]) -> np.ndarray:
     return np.zeros((nz + 2, nx + 2, ny + 2), dtype=np.float64)
 
 
-def neighbor_sum(u: np.ndarray) -> np.ndarray:
-    """Sum of the six face neighbors for every interior cell."""
-    return (
-        u[:-2, 1:-1, 1:-1] + u[2:, 1:-1, 1:-1]
-        + u[1:-1, :-2, 1:-1] + u[1:-1, 2:, 1:-1]
-        + u[1:-1, 1:-1, :-2] + u[1:-1, 1:-1, 2:]
-    )
+def _planes(u: np.ndarray, zs: slice) -> Tuple[int, int]:
+    """``(lo, hi)`` of an interior z slice; its stop may count from the end."""
+    return zs.start, zs.stop if zs.stop >= 0 else u.shape[0] + zs.stop
 
 
-def apply_op(u: np.ndarray, h: float) -> np.ndarray:
-    """A u for the 7-point Laplacian: (6u - sum(neighbors)) / h^2."""
-    return (6.0 * interior(u) - neighbor_sum(u)) / (h * h)
+def neighbor_sum(u: np.ndarray, lo: int = 1,
+                 hi: Optional[int] = None) -> np.ndarray:
+    """Sum of the six face neighbors for every interior cell of planes
+    ``lo..hi-1`` (default: all), in one newly allocated buffer."""
+    if hi is None:
+        hi = u.shape[0] - 1
+    acc = np.add(u[lo - 1 : hi - 1, 1:-1, 1:-1],
+                 u[lo + 1 : hi + 1, 1:-1, 1:-1])
+    acc += u[lo:hi, :-2, 1:-1]
+    acc += u[lo:hi, 2:, 1:-1]
+    acc += u[lo:hi, 1:-1, :-2]
+    acc += u[lo:hi, 1:-1, 2:]
+    return acc
+
+
+def apply_op(u: np.ndarray, h: float,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+    """A u for the 7-point Laplacian: (6u - sum(neighbors)) / h^2, written to
+    ``out`` (an interior-shaped array) when given."""
+    out = np.multiply(interior(u), 6.0, out=out)
+    out -= neighbor_sum(u)
+    out /= h * h
+    return out
 
 
 def residual(u: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
     """r = f - A u on the interior."""
-    return interior(f) - apply_op(u, h)
+    r = apply_op(u, h)
+    return np.subtract(interior(f), r, out=r)
 
 
 def jacobi(u: np.ndarray, f: np.ndarray, h: float,
@@ -54,18 +81,24 @@ def jacobi(u: np.ndarray, f: np.ndarray, h: float,
     """One damped-Jacobi sweep over the given interior z range; returns the
     updated planes (callers assign them back — out-of-place keeps same-level
     box tasks independent)."""
-    zs = z_slice
-    lo = zs.start
-    hi = zs.stop if zs.stop >= 0 else u.shape[0] + zs.stop
-    nbr = (
-        u[lo - 1 : hi - 1, 1:-1, 1:-1] + u[lo + 1 : hi + 1, 1:-1, 1:-1]
-        + u[lo:hi, :-2, 1:-1] + u[lo:hi, 2:, 1:-1]
-        + u[lo:hi, 1:-1, :-2] + u[lo:hi, 1:-1, 2:]
-    )
+    lo, hi = _planes(u, z_slice)
+    nbr = neighbor_sum(u, lo, hi)
     au = (6.0 * u[lo:hi, 1:-1, 1:-1] - nbr) / (h * h)
     return u[lo:hi, 1:-1, 1:-1] + JACOBI_OMEGA * (h * h / 6.0) * (
         f[lo:hi, 1:-1, 1:-1] - au
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _parity_mask(nz: int, nx: int, ny: int, parity: int) -> np.ndarray:
+    """Read-only mask of the cells whose ``(k + i + j) & 1 == parity``; the
+    red/black pattern of one box, shared by every call with its shape."""
+    k = np.arange(nz)[:, None, None]
+    i = np.arange(nx)[None, :, None]
+    j = np.arange(ny)[None, None, :]
+    mask = ((k + i + j) & 1) == parity
+    mask.flags.writeable = False
+    return mask
 
 
 def gsrb(u: np.ndarray, f: np.ndarray, h: float, color: int,
@@ -75,24 +108,14 @@ def gsrb(u: np.ndarray, f: np.ndarray, h: float, color: int,
     slabs pass their global z offset so colors line up across ranks. HPGMG's
     smoother of choice; each full smooth is two half-sweeps with a ghost
     exchange between them."""
-    zs = z_slice
-    lo = zs.start
-    hi = zs.stop if zs.stop >= 0 else u.shape[0] + zs.stop
-    nz = hi - lo
+    lo, hi = _planes(u, z_slice)
     _, nxg, nyg = u.shape
-    nx, ny = nxg - 2, nyg - 2
-    k = (np.arange(nz) + global_z0 + lo - 1)[:, None, None]
-    i = np.arange(nx)[None, :, None]
-    j = np.arange(ny)[None, None, :]
-    mask = ((k + i + j) & 1) == color
-    nbr = (
-        u[lo - 1 : hi - 1, 1:-1, 1:-1] + u[lo + 1 : hi + 1, 1:-1, 1:-1]
-        + u[lo:hi, :-2, 1:-1] + u[lo:hi, 2:, 1:-1]
-        + u[lo:hi, 1:-1, :-2] + u[lo:hi, 1:-1, 2:]
-    )
-    gs = (h * h * f[lo:hi, 1:-1, 1:-1] + nbr) / 6.0
-    tgt = u[lo:hi, 1:-1, 1:-1]
-    tgt[mask] = gs[mask]
+    mask = _parity_mask(hi - lo, nxg - 2, nyg - 2,
+                        (global_z0 + lo - 1 + color) & 1)
+    gs = neighbor_sum(u, lo, hi)
+    gs += np.multiply(f[lo:hi, 1:-1, 1:-1], h * h)
+    gs /= 6.0
+    np.copyto(u[lo:hi, 1:-1, 1:-1], gs, where=mask)
 
 
 def _restrict_axis(f: np.ndarray, axis: int) -> np.ndarray:
@@ -158,18 +181,27 @@ def norm2(r: np.ndarray) -> float:
     return float(np.sum(r * r))
 
 
-def manufactured_problem(nz: int, nx: int, ny: int, h: float,
-                         seed: int = 99) -> Tuple[np.ndarray, np.ndarray]:
+def manufactured_slab(nz: int, nx: int, ny: int, h: float,
+                      z0: int, z1: int) -> np.ndarray:
+    """Planes ``[z0, z1)`` of the global manufactured solution u_exact on an
+    (nz, nx, ny) grid, as a ghosted field: its z ghosts hold u_exact's planes
+    ``z0 - 1`` and ``z1`` where those lie inside the grid and zero outside, so
+    ``apply_op`` of it is the manufactured f on exactly those planes."""
+    u = alloc_field((z1 - z0, nx, ny))
+    lo, hi = max(z0 - 1, 0), min(z1 + 1, nz)
+    sz = np.sin(np.pi * ((np.arange(lo, hi) + 0.5) * h))
+    sx = np.sin(np.pi * ((np.arange(nx) + 0.5) * h))
+    sy = np.sin(np.pi * ((np.arange(ny) + 0.5) * h))
+    np.multiply(sz[:, None, None] * sx[None, :, None], sy[None, None, :],
+                out=u[lo - z0 + 1 : hi - z0 + 1, 1:-1, 1:-1])
+    return u
+
+
+def manufactured_problem(nz: int, nx: int, ny: int,
+                         h: float) -> Tuple[np.ndarray, np.ndarray]:
     """A discrete manufactured problem on the *global* grid: pick a smooth
     u_exact, compute f = A u_exact exactly in the discrete operator, so the
     discrete solution is u_exact to machine precision. Returns interior-only
     (u_exact, f)."""
-    z = (np.arange(nz) + 0.5) * h
-    x = (np.arange(nx) + 0.5) * h
-    y = (np.arange(ny) + 0.5) * h
-    zz, xx, yy = np.meshgrid(z, x, y, indexing="ij")
-    u_exact = np.sin(np.pi * zz) * np.sin(np.pi * xx) * np.sin(np.pi * yy)
-    u_g = alloc_field((nz, nx, ny))
-    interior(u_g)[...] = u_exact
-    f = apply_op(u_g, h)
-    return u_exact, f
+    u = manufactured_slab(nz, nx, ny, h, 0, nz)
+    return interior(u), apply_op(u, h)

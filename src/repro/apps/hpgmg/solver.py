@@ -30,8 +30,10 @@ from repro.apps import variant_main
 from repro.apps.hpgmg.ops import (
     SMOOTH_FLOPS_PER_CELL,
     alloc_field,
+    apply_op,
     gsrb,
     interior,
+    manufactured_slab,
     norm2,
     prolong_fv,
     residual,
@@ -330,15 +332,14 @@ class DistributedMg:
 
 
 def setup_problem(mg: DistributedMg) -> None:
-    """Install the manufactured RHS on the fine level (per-rank slab)."""
-    from repro.apps.hpgmg.ops import manufactured_problem
-
+    """Install the manufactured RHS on the fine level: this rank's planes
+    only, from its slab of u_exact plus one neighbor plane on each side."""
     cfg = mg.cfg
     level = mg.levels[0]
-    nz_g = cfg.nz_local * mg.n
-    _, f_global = manufactured_problem(nz_g, cfg.nx, cfg.ny, level.h)
-    interior(level.f)[...] = f_global[mg.me * cfg.nz_local :
-                                      (mg.me + 1) * cfg.nz_local]
+    z0 = mg.me * cfg.nz_local
+    u = manufactured_slab(cfg.nz_local * mg.n, cfg.nx, cfg.ny, level.h,
+                          z0, z0 + cfg.nz_local)
+    apply_op(u, level.h, out=interior(level.f))
 
 
 def run_reference(ctx, cfg: HpgmgConfig):

@@ -19,14 +19,30 @@ its task body is a module-level generator instead of a closure) and 20 per
 ``CudaModule.memcpy_async``. At 83d6929 a pending task-graph node held 10
 tracked objects (bound 6), and every graph was a node <-> handle cycle that
 waited for a full pass.
+
+The numpy kernel rows measure bytes, not objects: an array buffer is not a
+tracked object, but ``tracemalloc`` sees it, and each block-sized temporary
+costs an allocation and its page faults. At 9bb5379, on a 46-plane 96x96
+block, ``stencil_planes`` peaked at 3.00 blocks (bound 1.1) and a warm-mask
+``gsrb`` at 2.63 (bound 2.1; 3.14 on a 16-plane 32x32 box), and
+``setup_problem`` on rank 15 of 16 at 114.7x the rank's right-hand side,
+because every rank built the global problem (bound 3). NumPy adds one
+64 KiB iterator buffer per strided operand on top of the temporaries, which
+is why the rows use blocks of megabytes.
 """
 
 import collections
 import gc
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
+from repro.apps.geo import stencil_planes
+from repro.apps.hpgmg import DistributedMg, HpgmgConfig
+from repro.apps.hpgmg.ops import alloc_field, gsrb
+from repro.apps.hpgmg.solver import setup_problem
 from repro.apps.isx import IsxConfig, isx_main, validate_isx
 from repro.cuda import cuda_factory
 from repro.distrib.spmd import ClusterConfig, spmd_run
@@ -333,3 +349,61 @@ def test_dropped_graph_leaves_nothing_for_the_collector(shape, saved_garbage):
     graph = {"TaskNode", "DataHandle", "CommuteRun", "RunJoin", "Future"}
     assert not graph & set(found), found
     assert found  # the probe works: the dropped runtime was seen
+
+
+# ----------------------------------------------------------------------
+# the app kernels' numpy temporaries (docs/sim-internals.md)
+# ----------------------------------------------------------------------
+KERNEL_BLOCK = (46, 96, 96)  # a GEO hiper rank's interior update
+
+
+def _peak_bytes(fn) -> int:
+    """Peak bytes ``fn()`` holds at once, numpy buffers included; what
+    existed before the call is not counted."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _stencil_call():
+    nz, nx, ny = KERNEL_BLOCK
+    src = np.random.default_rng(0).random((nz + 4, nx, ny))
+    dst = np.zeros_like(src)
+    return lambda: stencil_planes(src, dst, 2, nz + 2), KERNEL_BLOCK
+
+
+def _gsrb_call():
+    u, f = alloc_field(KERNEL_BLOCK), alloc_field(KERNEL_BLOCK)
+    f[...] = 1.0
+    gsrb(u, f, 0.1, 0)  # the red/black mask is built once, then cached
+    return lambda: gsrb(u, f, 0.1, 0), KERNEL_BLOCK
+
+
+def _setup_problem_call():
+    """Rank 15 of 16 of the stencil_modules HPGMG leg; its RHS block is the
+    rank's interior."""
+    cfg = HpgmgConfig(box_dim=16, boxes_xy=2, boxes_z_per_rank=2)
+    ctx = types.SimpleNamespace(
+        rank=15, nranks=16,
+        config=types.SimpleNamespace(machine=machine("titan")))
+    mg = DistributedMg(ctx, cfg, halo="mpi")
+    return lambda: setup_problem(mg), (cfg.nz_local, cfg.nx, cfg.ny)
+
+
+KERNEL_CALLS = {
+    "stencil_planes": _stencil_call,
+    "gsrb": _gsrb_call,
+    "setup_problem": _setup_problem_call,
+}
+
+
+@pytest.mark.parametrize("kernel, blocks", [("stencil_planes", 1.1),
+                                            ("gsrb", 2.1),
+                                            ("setup_problem", 3.0)])
+def test_kernel_peak_numpy_bytes(kernel, blocks):
+    call, block = KERNEL_CALLS[kernel]()
+    block_bytes = 8 * int(np.prod(block))
+    assert _peak_bytes(call) <= blocks * block_bytes

@@ -3,6 +3,8 @@ variants validated against the serial reference."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.geo import (
     GeoConfig,
@@ -13,6 +15,7 @@ from repro.apps.geo import (
     stencil_planes,
 )
 from repro.apps.geo.common import C0, C1, plane_compute_seconds
+from repro.apps.registry import APPS
 from repro.distrib import ClusterConfig, spmd_run
 from repro.cuda import cuda_factory
 from repro.mpi import mpi_factory
@@ -62,6 +65,49 @@ class TestKernel:
         dst = np.zeros_like(src)
         stencil_planes(src, dst, 2, 3)
         assert dst[2, 2, 2] == pytest.approx(1.0)
+
+
+def _stencil_oracle(src, dst, z_lo, z_hi):
+    """The stencil written as plain expressions, one temporary per step: the
+    in-place kernel must reproduce it bit for bit."""
+    zs = slice(z_lo, z_hi)
+    up = src[z_lo + 1 : z_hi + 1]
+    down = src[z_lo - 1 : z_hi - 1]
+    center = src[zs]
+    acc = up + down
+    acc[:, 1:, :] += center[:, :-1, :]
+    acc[:, :-1, :] += center[:, 1:, :]
+    acc[:, :, 1:] += center[:, :, :-1]
+    acc[:, :, :-1] += center[:, :, 1:]
+    dst[zs] = C0 * center + C1 * acc
+
+
+@settings(max_examples=80, deadline=None)
+@given(nz=st.integers(1, 10), nx=st.integers(1, 9), ny=st.integers(1, 9),
+       scale=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_kernel_bit_identical_to_oracle(nz, nx, ny, scale, seed, data):
+    z_lo = data.draw(st.integers(1, nz))
+    z_hi = data.draw(st.integers(z_lo + 1, nz + 1))
+    rng = np.random.default_rng(seed)
+    # Mixed magnitudes, so a reassociated sum would round differently.
+    src = rng.standard_normal((nz + 2, nx, ny)) * 10.0 ** rng.integers(
+        -scale, scale + 1, size=(nz + 2, nx, ny))
+    want = rng.standard_normal(src.shape)
+    got = want.copy()
+    _stencil_oracle(src, want, z_lo, z_hi)
+    stencil_planes(src, got, z_lo, z_hi)
+    assert np.array_equal(got, want)
+
+
+def test_registry_answer_digest_pinned():
+    """``repro run --backend sim --app geo``: every variant's answer, pinned
+    at the commit before the in-place kernel."""
+    pinned = ("geo",
+              "a2f445a25c1ca2167a04e0306c3dde7b0468bdf45d4b9c89b3cc58dd3e40bb81")
+    geo = APPS["geo"]
+    assert {v: geo.run(v)[0] for v in geo.variants} == {
+        v: pinned for v in geo.variants}
 
 
 class TestWorkload:

@@ -3,6 +3,8 @@ equivalence across both halo strategies."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.hpgmg import (
     DistributedMg,
@@ -15,7 +17,10 @@ from repro.apps.hpgmg import (
     prolong_fv,
     restrict_fv,
 )
-from repro.apps.hpgmg.ops import alloc_field, gsrb, jacobi, norm2, residual
+from repro.apps.hpgmg.ops import (alloc_field, gsrb, jacobi, neighbor_sum,
+                                  norm2, residual)
+from repro.apps.hpgmg.solver import setup_problem
+from repro.apps.registry import APPS
 from repro.distrib import ClusterConfig, spmd_run
 from repro.mpi import mpi_factory
 from repro.platform import machine
@@ -98,6 +103,135 @@ class TestOperators:
         # interior coarse cell of a constant field restricts to < 1 only at
         # boundaries (zero ghosts); all values bounded by 1
         assert rc.max() <= 1.0 + 1e-12
+
+
+# ----------------------------------------------------------------------
+# The kernels as plain expressions, one temporary per operator: the
+# in-place kernels must reproduce them bit for bit.
+# ----------------------------------------------------------------------
+def _neighbor_sum_oracle(u):
+    return (
+        u[:-2, 1:-1, 1:-1] + u[2:, 1:-1, 1:-1]
+        + u[1:-1, :-2, 1:-1] + u[1:-1, 2:, 1:-1]
+        + u[1:-1, 1:-1, :-2] + u[1:-1, 1:-1, 2:]
+    )
+
+
+def _gsrb_oracle(u, f, h, color, z_slice, global_z0):
+    zs = z_slice
+    lo = zs.start
+    hi = zs.stop if zs.stop >= 0 else u.shape[0] + zs.stop
+    nz = hi - lo
+    _, nxg, nyg = u.shape
+    nx, ny = nxg - 2, nyg - 2
+    k = (np.arange(nz) + global_z0 + lo - 1)[:, None, None]
+    i = np.arange(nx)[None, :, None]
+    j = np.arange(ny)[None, None, :]
+    mask = ((k + i + j) & 1) == color
+    nbr = (
+        u[lo - 1 : hi - 1, 1:-1, 1:-1] + u[lo + 1 : hi + 1, 1:-1, 1:-1]
+        + u[lo:hi, :-2, 1:-1] + u[lo:hi, 2:, 1:-1]
+        + u[lo:hi, 1:-1, :-2] + u[lo:hi, 1:-1, 2:]
+    )
+    gs = (h * h * f[lo:hi, 1:-1, 1:-1] + nbr) / 6.0
+    tgt = u[lo:hi, 1:-1, 1:-1]
+    tgt[mask] = gs[mask]
+
+
+def _manufactured_oracle(nz, nx, ny, h):
+    z = (np.arange(nz) + 0.5) * h
+    x = (np.arange(nx) + 0.5) * h
+    y = (np.arange(ny) + 0.5) * h
+    zz, xx, yy = np.meshgrid(z, x, y, indexing="ij")
+    u_exact = np.sin(np.pi * zz) * np.sin(np.pi * xx) * np.sin(np.pi * yy)
+    u_g = alloc_field((nz, nx, ny))
+    interior(u_g)[...] = u_exact
+    return u_exact, (6.0 * interior(u_g) - _neighbor_sum_oracle(u_g)) / (h * h)
+
+
+def _field(rng, shape, scale):
+    """A ghosted field of mixed magnitudes, so that a reassociated sum would
+    round differently."""
+    full = tuple(d + 2 for d in shape)
+    return rng.standard_normal(full) * 10.0 ** rng.integers(
+        -scale, scale + 1, size=full)
+
+
+_SHAPES = st.tuples(st.integers(1, 9), st.integers(1, 7), st.integers(1, 7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=_SHAPES, scale=st.integers(0, 6), h=st.floats(1e-3, 4.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernel_operator_bit_identical_to_oracle(shape, scale, h, seed):
+    rng = np.random.default_rng(seed)
+    u, f = _field(rng, shape, scale), _field(rng, shape, scale)
+    nbr = _neighbor_sum_oracle(u)
+    au = (6.0 * interior(u) - nbr) / (h * h)
+    assert np.array_equal(neighbor_sum(u), nbr)
+    assert np.array_equal(apply_op(u, h), au)
+    assert np.array_equal(residual(u, f, h), interior(f) - au)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=_SHAPES, scale=st.integers(0, 6), h=st.floats(1e-3, 4.0),
+       color=st.integers(0, 1), global_z0=st.integers(0, 40),
+       from_end=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_kernel_gsrb_bit_identical_to_oracle(shape, scale, h, color,
+                                             global_z0, from_end, seed, data):
+    nz = shape[0]
+    lo = data.draw(st.integers(1, nz))
+    hi = data.draw(st.integers(lo + 1, nz + 1))
+    z_slice = slice(lo, hi - (nz + 2) if from_end else hi)
+    rng = np.random.default_rng(seed)
+    want, f = _field(rng, shape, scale), _field(rng, shape, scale)
+    got = want.copy()
+    _gsrb_oracle(want, f, h, color, z_slice, global_z0)
+    gsrb(got, f, h, color, z_slice=z_slice, global_z0=global_z0)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 4), (16, 16, 16), (7, 5, 9),
+                                   (64, 32, 32)])
+def test_kernel_manufactured_problem_bit_identical_to_oracle(shape):
+    h = 1.0 / shape[0]
+    u_exact, f = manufactured_problem(*shape, h)
+    want_u, want_f = _manufactured_oracle(*shape, h)
+    assert np.array_equal(u_exact, want_u) and np.array_equal(f, want_f)
+
+
+def _local_rhs(cfg):
+    def main(ctx):
+        mg = DistributedMg(ctx, cfg, halo="mpi")
+        setup_problem(mg)
+        return interior(mg.levels[0].f).copy()
+        yield
+
+    return main
+
+
+@pytest.mark.parametrize("nranks", [1, 2, 4, 16])
+def test_kernel_rank_local_rhs_is_the_global_slice(nranks):
+    cfg = HpgmgConfig(box_dim=4, boxes_xy=1, boxes_z_per_rank=2)
+    cluster = ClusterConfig(nodes=nranks, ranks_per_node=1,
+                            workers_per_rank=1, machine=machine("edison"))
+    res = spmd_run(_local_rhs(cfg), cluster, module_factories=[mpi_factory()])
+    nz = cfg.nz_local
+    _, f_global = _manufactured_oracle(nz * nranks, cfg.nx, cfg.ny,
+                                       1.0 / (nz * nranks))
+    for rank, f in enumerate(res.results):
+        assert np.array_equal(f, f_global[rank * nz : (rank + 1) * nz]), rank
+
+
+def test_registry_answer_digest_pinned():
+    """``repro run --backend sim --app hpgmg``: every variant's answer,
+    pinned at the commit before the in-place kernels."""
+    pinned = ("hpgmg", 6,
+              "16a416c1a2f016ec42a4667e1c549e030ee3618146fc922331af06bfb1432e6f")
+    hpgmg = APPS["hpgmg"]
+    assert {v: hpgmg.run(v)[0] for v in hpgmg.variants} == {
+        v: pinned for v in hpgmg.variants}
 
 
 class TestSerialMg:
