@@ -1,9 +1,11 @@
 """DES engine micro-benchmarks: raw event throughput of ``SimExecutor``
-(slab + calendar queue) against the reference it replaced
-(``repro.verify.reference.ReferenceSimExecutor``, a heapq of records — see
-``docs/sim-internals.md``). The ``*_objects`` cases run the reference and
-the ``*_flat`` cases production; the names predate the single engine and
-stay so ``BENCH_sim.json`` history lines up.
+(slab + calendar queue) against the test-only reference,
+``repro.verify.differential.make_engine("ref-sim")`` (``InterleaveExecutor``
+under the lowest-clock strategy, whose events are the seed heapq of records
+— see ``docs/sim-internals.md``). The ``*_objects`` cases run the reference
+and the ``*_flat`` cases production; the names predate the single engine and
+stay so ``BENCH_sim.json`` history lines up. Both storms are event-only (no
+runtime, no tasks), so the reference side times the heapq list alone.
 
 Two workload shapes bracket what the fabric actually generates:
 
@@ -29,7 +31,7 @@ import random
 import time
 
 from repro.exec.sim import SimExecutor
-from repro.verify.reference import ReferenceSimExecutor
+from repro.verify.differential import make_engine
 
 WAVES = 32
 PER_WAVE = 16384
@@ -72,6 +74,10 @@ def _isx_wave(shards):
 def _drain(ex):
     while ex.pending_events():
         ex._advance_events()
+
+
+def _reference():
+    return make_engine("ref-sim")
 
 
 def _wave_storm(cls):
@@ -126,7 +132,7 @@ def _random_storm(cls):
 
 
 def test_wave_storm_objects(benchmark):
-    run, n = _wave_storm(ReferenceSimExecutor)
+    run, n = _wave_storm(_reference)
     benchmark(run)
     benchmark.extra_info["events_per_call"] = n
     benchmark.extra_info["engine"] = "reference"
@@ -140,7 +146,7 @@ def test_wave_storm_flat(benchmark):
 
 
 def test_random_storm_objects(benchmark):
-    benchmark(_random_storm(ReferenceSimExecutor))
+    benchmark(_random_storm(_reference))
     benchmark.extra_info["events_per_call"] = RANDOM_EVENTS
     benchmark.extra_info["engine"] = "reference"
 

@@ -407,9 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["sim", "ref-sim", "threads", "interleave",
                              "procs", "sharded"],
                     help="engines for the differential check (ref-sim = "
-                         "the test-only seed engine, procs = multiprocess "
-                         "SPMD backend, sharded = conservative-window "
-                         "multi-process DES)")
+                         "the test-only reference: lowest-clock interleave, "
+                         "procs = multiprocess SPMD backend, sharded = "
+                         "conservative-window multi-process DES)")
     vf.add_argument("--skip-differential", action="store_true")
     vf.add_argument("--skip-selfcheck", action="store_true",
                     help="skip the planted-race detector self-check")

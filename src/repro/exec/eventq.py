@@ -1,10 +1,10 @@
 """Flat-record event storage for the simulated engine.
 
-The reference engine (:mod:`repro.verify.reference`, the seed implementation
-kept for tests) keeps pending events in a ``heapq`` of
-``[time, seq, fn]`` entries: every scheduled event allocates a list and a
-closure, and every push/pop pays an O(log n) sift whose comparisons are
-Python-level compares.  At paper-scale rank counts (512-1024 PEs, an
+The test-only reference engine (the verifier's ``ref-sim`` engine, whose
+:class:`~repro.verify.interleave.HeapEventList` is the seed implementation)
+keeps pending events in a ``heapq`` of ``[time, seq, fn, arg]`` entries:
+every scheduled event allocates a list, and every push/pop pays an
+O(log n) sift whose comparisons are Python-level compares.  At paper-scale rank counts (512-1024 PEs, an
 all-to-all wave keeps 10^5..10^6 fabric deliveries outstanding) that
 per-event overhead dominates the simulation.
 

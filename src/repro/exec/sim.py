@@ -21,9 +21,9 @@ is a strict total order per worker).
 
 Events live in a :class:`~repro.exec.eventq.FlatEventQueue` and task records
 are recycled through a :class:`~repro.runtime.task.TaskSlab` (see
-``docs/sim-internals.md``). This is the only engine; the seed one (scan-min
-selection, ``heapq`` events) is the test-only reference it is compared with
-bit for bit, :class:`repro.verify.reference.ReferenceSimExecutor`.
+``docs/sim-internals.md``). This is the only engine; the test-only reference
+it is compared with bit for bit (scan-min selection, ``heapq`` events) is
+the verifier's ``ref-sim`` engine, ``make_engine("ref-sim")``.
 
 Blocking (``future.wait``, ``finish``) uses *help-until-ready*: the blocked
 frame re-enters the engine loop, so any worker — including the blocked one —
@@ -110,8 +110,8 @@ class SimExecutor(Executor):
         if engine != "flat":
             raise ConfigError(
                 f"SimExecutor has one engine, 'flat'; got engine={engine!r} "
-                "(the seed engine is the test-only reference "
-                "repro.verify.reference.ReferenceSimExecutor)")
+                "(the test-only reference is the verifier's 'ref-sim' "
+                "engine: repro verify --engines sim ref-sim)")
         if not isinstance(shards, int) or isinstance(shards, bool):
             raise ConfigError(f"shards must be an int, got {shards!r}")
         if shards < 1:

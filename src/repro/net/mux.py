@@ -115,13 +115,6 @@ class FabricMux:
         self._coalescers[channel] = co
         return co
 
-    def disable_coalescing(self, channel: str) -> None:
-        """Flush any pending buffers and route ``channel`` sends per-message
-        again."""
-        co = self._coalescers.pop(channel, None)
-        if co is not None:
-            co.flush(reason="teardown")
-
     def coalescer(self, channel: str) -> Optional[ChannelCoalescer]:
         return self._coalescers.get(channel)
 

@@ -47,12 +47,6 @@ class Topology:
         """
         return 0.0
 
-    def diameter(self, nnodes: int) -> int:
-        """Max hop count over all pairs in a machine of ``nnodes``."""
-        return max(
-            self.hops(a, b) for a in range(nnodes) for b in range(nnodes)
-        ) if nnodes > 1 else 0
-
 
 class FlatTopology(Topology):
     """Uniform network: one hop between any two distinct nodes."""

@@ -94,12 +94,6 @@ class PlatformModel:
         except KeyError:
             raise PlatformError(f"no place named {name!r} in model {self.name!r}") from None
 
-    def place_by_id(self, place_id: int) -> Place:
-        try:
-            return self._places[place_id]
-        except IndexError:
-            raise PlatformError(f"no place with id {place_id}") from None
-
     def places_of_type(self, kind: PlaceType) -> List[Place]:
         return [p for p in self._places if p.kind is kind]
 
@@ -244,19 +238,6 @@ class PlatformModel:
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json())
-
-    def to_networkx(self):
-        """Export to a :mod:`networkx` graph (for analysis/visualization)."""
-        import networkx as nx
-
-        g = nx.Graph(name=self.name)
-        for p in self._places:
-            g.add_node(p.name, kind=p.kind.value, **p.properties)
-        for u, nbrs in self._adj.items():
-            for v in nbrs:
-                if u < v:
-                    g.add_edge(self._places[u].name, self._places[v].name)
-        return g
 
     def __repr__(self) -> str:
         return (

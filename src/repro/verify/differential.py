@@ -56,8 +56,10 @@ from repro.exec.threaded import ThreadedExecutor
 from repro.platform.hwloc import discover, machine
 from repro.runtime.api import async_, async_future, finish
 from repro.runtime.runtime import HiperRuntime
+from repro.verify.interleave import InterleaveExecutor
 from repro.verify.invariants import InvariantReport, check_quiesce
-from repro.verify.strategies import VerificationError, make_strategy
+from repro.verify.strategies import (LowestClockStrategy, VerificationError,
+                                     make_strategy)
 
 
 # ----------------------------------------------------------------------
@@ -199,17 +201,13 @@ def make_engine(name: str, *, seed: int = 0, strategy: str = "random",
                 block_timeout: float = 60.0):
     if name == "sim":
         return SimExecutor()
-    if name == "ref-sim":
-        # The seed engine (scan-min selection, heapq events): production
-        # must reproduce its schedules bit for bit.
-        from repro.verify.reference import ReferenceSimExecutor
-
-        return ReferenceSimExecutor()
     if name == "threads":
         return ThreadedExecutor(block_timeout=block_timeout)
+    if name == "ref-sim":
+        # Lowest-clock selection on heapq events and locked deques:
+        # production must reproduce its schedules bit for bit.
+        return InterleaveExecutor(LowestClockStrategy())
     if name == "interleave":
-        from repro.verify.interleave import InterleaveExecutor
-
         return InterleaveExecutor(make_strategy(strategy, seed))
     raise VerificationError(
         f"unknown engine {name!r}; choose from sim/ref-sim/threads/interleave")
@@ -363,9 +361,8 @@ def isx_engine_differential(
     variant: str = "flat",
 ) -> DifferentialReport:
     """The DES engine's gate: the same SPMD ISx run under the reference
-    (:class:`~repro.verify.reference.ReferenceSimExecutor`) and under
-    :class:`SimExecutor` must produce bit-identical makespans and per-rank
-    output digests.
+    (``make_engine("ref-sim")``) and under :class:`SimExecutor` must produce
+    bit-identical makespans and per-rank output digests.
 
     This exercises the full production event path — fetch-add reservation
     waves, puts, barriers, coalesced deliveries, help-until-ready nesting —
@@ -375,10 +372,9 @@ def isx_engine_differential(
     CI-sized.
     """
     from repro.bench.harness import cluster_for
-    from repro.verify.reference import ReferenceSimExecutor
 
     return spmd_differential(
-        "isx", [("ref-sim", None, ReferenceSimExecutor),
+        "isx", [("ref-sim", None, functools.partial(make_engine, "ref-sim")),
                 ("sim", None, SimExecutor)],
         variant=variant, cluster=cluster_for(platform, nodes, layout="flat"),
         makespan=True)

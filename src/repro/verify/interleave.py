@@ -27,19 +27,68 @@ The engine also reports the policy core's *documented* lock-free occupancy
 reads (``PlaceDeques.mask`` tested by ``find_task``/``has_visible_work``
 without a lock) to the probe as *benign* accesses, so the race detector's
 whitelist is exercised rather than silently bypassed.
+
+Its events sit in the seed ``heapq`` list and tasks are not recycled, so
+under :class:`~repro.verify.strategies.LowestClockStrategy` it is the
+reference production must match bit for bit (``make_engine("ref-sim")``).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional
+import heapq
+import itertools
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.exec.sim import SimExecutor
 from repro.runtime import instrument
+from repro.runtime.context import ExecContext, scoped_context
 from repro.runtime.instrument import TrackedLock
 from repro.runtime.runtime import HiperRuntime
 from repro.runtime.worker import WorkerState, find_task
 from repro.verify.strategies import ScheduleEntry, Strategy
+
+
+class HeapEventList:
+    """The seed event list: a ``heapq`` of ``[when, seq, fn, arg]`` records
+    behind :class:`~repro.exec.eventq.FlatEventQueue`'s push/cancel surface.
+    A handle is the record's ``seq``; cancelling blanks ``fn`` in place."""
+
+    def __init__(self) -> None:
+        self._heap: List[list] = []
+        self._seq = itertools.count()
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def push(self, when: float, fn: Callable, arg: Any = None) -> int:
+        seq = next(self._seq)
+        heapq.heappush(self._heap, [when, seq, fn, arg])
+        return seq
+
+    def push_batch(self, whens, fn: Callable, args) -> None:
+        for when, arg in zip(whens, args):
+            self.push(float(when), fn, arg)  # numpy scalar -> float
+
+    def cancel(self, handle: int) -> bool:
+        for entry in self._heap:
+            if entry[1] == handle and entry[2] is not None:
+                entry[2] = None
+                return True
+        return False
+
+    def peek_when(self) -> Optional[float]:
+        return self._heap[0][0] if self._heap else None
+
+    def pop_batch(self) -> Tuple[float, List[list]]:
+        """Pop every record sharing the minimum timestamp, in seq order
+        (out of cancellation's reach before any of them runs)."""
+        heap = self._heap
+        batch = [heapq.heappop(heap)]
+        t0 = batch[0][0]
+        while heap and heap[0][0] == t0:
+            batch.append(heapq.heappop(heap))
+        return t0, batch
 
 
 class InterleaveExecutor(SimExecutor):
@@ -54,6 +103,8 @@ class InterleaveExecutor(SimExecutor):
 
     def __init__(self, strategy: Strategy, *, task_overhead: float = 0.0):
         super().__init__(task_overhead=task_overhead)
+        self._events = HeapEventList()
+        self.task_slab = None
         self.strategy = strategy
         #: The recorded interleaving, one entry per task segment dispatched.
         self.schedule: List[ScheduleEntry] = []
@@ -102,6 +153,20 @@ class InterleaveExecutor(SimExecutor):
                  self._dispatch_seq))
             self._dispatch_seq += 1
             return worker, task
+
+    def _advance_events(self) -> None:
+        t0, batch = self._events.pop_batch()
+        if t0 > self._event_floor:
+            self._event_floor = t0
+        with scoped_context(ExecContext(self)):  # now() == event floor
+            for _when, _seq, fn, arg in batch:
+                if fn is None:  # cancelled
+                    continue
+                if arg is None:
+                    fn()
+                else:
+                    fn(arg)
+                self.events_processed += 1
 
     # ------------------------------------------------------------------
     def schedule_digest(self) -> str:

@@ -18,7 +18,9 @@ Three families ship, mirroring the systematic-concurrency-testing literature:
   preemptions injected; models the "few context switches" heuristic.
 
 ``replay`` is the fourth, internal strategy: it follows a recorded schedule
-exactly and fails loudly on divergence.
+exactly and fails loudly on divergence. ``LowestClockStrategy`` explores
+nothing: it is production's rule, which makes the executor the ``ref-sim``
+reference.
 """
 
 from __future__ import annotations
@@ -179,6 +181,15 @@ class ReplayStrategy(Strategy):
             f"r{rank}w{wid} is not enabled "
             f"(enabled: {[(c.rank, c.wid) for c in candidates]})"
         )
+
+
+class LowestClockStrategy(Strategy):
+    """The production engine's rule: the lowest ``(clock, rank, wid)``."""
+
+    name = "lowest-clock"
+
+    def choose(self, candidates: Sequence) -> object:
+        return min(candidates, key=lambda w: (w.clock, w.rank, w.wid))
 
 
 STRATEGIES = {

@@ -249,11 +249,11 @@ class TestRunCommand:
         # Every variant on the CLI's sim back end prints the answer the
         # reference engine computes for the same app.
         from repro.apps.registry import APPS
-        from repro.verify.reference import ReferenceSimExecutor
+        from repro.verify.differential import make_engine
 
         app = APPS["isx"]
         want = str(app.run("hiper", app.cluster(4, 2),
-                           executor=ReferenceSimExecutor())[0])
+                           executor=make_engine("ref-sim"))[0])
         assert main(["run", "--backend", "sim", "--app", "isx"]) == 0
         assert capsys.readouterr().out.count(want) == len(app.variants)
 

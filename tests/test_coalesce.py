@@ -354,17 +354,6 @@ class TestMuxTeardown:
         with pytest.raises(CommError, match="already has a registered sink"):
             fab.register_sink(1, lambda s, p, t: None)
 
-    def test_disable_coalescing_flushes_then_goes_per_message(self):
-        ex, fab, muxes, got = make_world()
-        muxes[0].enable_coalescing("app", CoalescePolicy(max_msgs=1000))
-        muxes[0].transmit(1, "app", "buffered", 8)
-        muxes[0].disable_coalescing("app")
-        muxes[0].transmit(1, "app", "direct", 8)
-        ex.drain()
-        assert [p for _, p in got[1]] == ["buffered", "direct"]
-        assert fab.messages_sent == 2
-        assert muxes[0].coalescer("app") is None
-
     def test_enable_twice_rejected(self):
         ex, fab, muxes, got = make_world()
         muxes[0].enable_coalescing("app")

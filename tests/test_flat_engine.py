@@ -3,9 +3,10 @@
 ``SimExecutor``'s slab/calendar event queue and the vectorized fabric wave
 path exist purely for throughput — neither is allowed to change a single
 scheduling decision. Every check here compares production (``SimExecutor``,
-parametrize id ``flat``) with the seed engine kept as the test-only
-reference (``repro.verify.reference.ReferenceSimExecutor``, id ``objects`` —
-the ids predate the single engine and stay so test history lines up):
+parametrize id ``flat``) with the test-only reference
+(``make_engine("ref-sim")``: ``InterleaveExecutor`` under the lowest-clock
+strategy, with the seed ``heapq`` event list; id ``objects`` — the ids
+predate the single engine and stay so test history lines up):
 
 1. **Input validation** — negative delays and NaN timestamps raise
    ``ConfigError`` (a ``ValueError``) on both classes instead of silently
@@ -44,9 +45,15 @@ from repro.exec.sim import SimExecutor
 from repro.net.costmodel import NetworkModel
 from repro.net.fabric import SimFabric
 from repro.util.errors import ConfigError, RuntimeStateError
-from repro.verify.reference import ReferenceSimExecutor
+from repro.verify.differential import make_engine
 
-ENGINES = (ReferenceSimExecutor, SimExecutor)
+
+def reference_engine():
+    """The test-only reference the production engine must match."""
+    return make_engine("ref-sim")
+
+
+ENGINES = (reference_engine, SimExecutor)
 _engine_params = pytest.mark.parametrize("engine", ENGINES,
                                          ids=("objects", "flat"))
 
@@ -162,7 +169,7 @@ class TestEngineEquivalence:
     @_settings
     @given(ops=_ops_strategy)
     def test_random_interleavings_pop_identically(self, ops):
-        assert _drive(SimExecutor, ops) == _drive(ReferenceSimExecutor, ops)
+        assert _drive(SimExecutor, ops) == _drive(reference_engine, ops)
 
     @_settings
     @given(ops=_ops_strategy)
@@ -172,7 +179,7 @@ class TestEngineEquivalence:
         on both engines: order, timestamps, cancel reach, event count."""
         closures = _drive(SimExecutor, ops)
         assert _drive(SimExecutor, ops, at_with_arg=True) == closures
-        assert _drive(ReferenceSimExecutor, ops, at_with_arg=True) == closures
+        assert _drive(reference_engine, ops, at_with_arg=True) == closures
 
     def test_batch_matches_per_event_calls(self):
         """``call_at_batch`` (the wave entry point) must dispatch in the
@@ -225,7 +232,7 @@ _DSTS = [0, 3, 9, 17, 18, 25, 8, 31, 1]  # self-send, intra-node, shared NICs
 _SRC = 1
 
 
-def _run_fabric(use_wave, nbytes, engine=ReferenceSimExecutor):
+def _run_fabric(use_wave, nbytes, engine=reference_engine):
     ex = engine()
     fab = SimFabric(ex, 32, NetworkModel(), ranks_per_node=8)
     seen = {r: [] for r in range(32)}
@@ -271,7 +278,7 @@ class TestWaveBitIdentity:
 # ----------------------------------------------------------------------
 # 4. end-to-end: ISx exchange, wave vs. fallback, production vs. reference
 # ----------------------------------------------------------------------
-def _run_isx(engine=ReferenceSimExecutor, nodes=2, keys_per_pe=1 << 9):
+def _run_isx(engine=reference_engine, nodes=2, keys_per_pe=1 << 9):
     from repro.apps.isx import IsxConfig, isx_main, validate_isx
     from repro.bench.harness import cluster_for
     from repro.distrib import spmd_run
@@ -313,7 +320,7 @@ class TestIsxWavePath:
         assert with_wave == fallback
 
     def test_flat_engine_matches_objects(self):
-        assert _run_isx(SimExecutor) == _run_isx(ReferenceSimExecutor)
+        assert _run_isx(SimExecutor) == _run_isx(reference_engine)
 
     def test_engine_differential_report_ok(self):
         """The CI gate's own checker at a reduced size (32 PEs here; CI runs
@@ -427,7 +434,7 @@ class TestOptionCensus:
         assert "selection" not in params
         assert sorted(params) == ["engine", "shards", "task_overhead"]
         assert SimExecutor(engine="flat", shards=2).shards == 2
-        with pytest.raises(ConfigError, match="ReferenceSimExecutor"):
+        with pytest.raises(ConfigError, match="'ref-sim' engine"):
             SimExecutor(engine="objects")
         with pytest.raises(TypeError):
             SimExecutor(selection="scan")
@@ -449,7 +456,6 @@ class TestOptionCensus:
         from repro.mpi import MpiModule
         from repro.runtime.polling import PollingService
         from repro.verify.interleave import InterleaveExecutor
-        from repro.verify.reference import ReferenceSimExecutor
 
         gone = {
             MpiModule: ("direct", "adaptive_polling", "max_poll_interval"),
@@ -457,7 +463,6 @@ class TestOptionCensus:
             CudaModule: ("poll_interval", "eager_kick"),
             CheckpointModule: ("prefer", "poll_interval"),
             SimExecutor: ("trace",),
-            ReferenceSimExecutor: ("trace",),
             InterleaveExecutor: ("trace",),
         }
         found = [(cls.__name__, name) for cls, names in gone.items()
@@ -472,15 +477,19 @@ class TestOptionCensus:
 
     def test_one_stepping_loop(self):
         """Shards, schedule exploration and the reference all step through
-        ``SimExecutor._step``: a subclass supplies only ``_select``."""
+        ``SimExecutor._step``, and exploration and the reference are one
+        class: ``InterleaveExecutor`` supplies ``_select`` (and the heapq
+        event list's ``_advance_events``), nothing else of the loop."""
+        import importlib.util
+
         import repro.exec.shards
         from repro.verify.interleave import InterleaveExecutor
-        from repro.verify.reference import ReferenceSimExecutor
 
         assert not hasattr(repro.exec.shards, "_ShardSimExecutor")
-        for cls in (InterleaveExecutor, ReferenceSimExecutor):
-            assert "_step" not in cls.__dict__, cls.__name__
-            assert "_select" in cls.__dict__, cls.__name__
+        assert importlib.util.find_spec("repro.verify.reference") is None
+        assert "_step" not in InterleaveExecutor.__dict__
+        assert "_select" in InterleaveExecutor.__dict__
+        assert type(reference_engine()) is InterleaveExecutor
 
     def test_one_module_base_owns_the_completion_flows(self):
         """Taskify, polling and finalize are written once, in

@@ -33,10 +33,6 @@ class TestPlaces:
         with pytest.raises(PlatformError, match="no place named"):
             build_small().place("nope")
 
-    def test_place_by_id_bad(self):
-        with pytest.raises(PlatformError):
-            build_small().place_by_id(99)
-
     def test_duplicate_name_rejected(self):
         m = build_small()
         with pytest.raises(PlatformError, match="duplicate"):
@@ -191,11 +187,3 @@ class TestJson:
             PlatformModel.from_json_dict(
                 {"places": [{"name": "a", "type": "warp_core"}]}
             )
-
-
-class TestNetworkxExport:
-    def test_export_matches_graph(self):
-        g = build_small().to_networkx()
-        assert set(g.nodes) == {"mem", "gpu0", "nic"}
-        assert g.number_of_edges() == 2
-        assert g.nodes["gpu0"]["kind"] == "gpu_mem"

@@ -6,8 +6,8 @@ work discovery + O(log W) heap worker selection):
 1. **Determinism.** The simulated executor's schedule is a pure function of
    the seed: repeat runs are bit-for-bit identical, the lazy-deletion heap
    reproduces the O(W) min-scan's selection order exactly (``SimExecutor``
-   vs the test-only ``ReferenceSimExecutor``), and a golden workload
-   pins makespan / per-worker clocks / steal counts so any accidental
+   vs the test-only reference, ``make_engine("ref-sim")``), and a golden
+   workload pins makespan / per-worker clocks / steal counts so any accidental
    schedule change fails loudly.
 
 2. **Occupancy consistency.** After any interleaving of push/pop/steal, each
@@ -17,6 +17,7 @@ work discovery + O(log W) heap worker selection):
    multi-thread hammer).
 """
 
+import functools
 import threading
 
 import pytest
@@ -29,7 +30,9 @@ from repro.runtime.api import async_, charge, finish
 from repro.runtime.deques import DequeTable, NullLock
 from repro.runtime.runtime import HiperRuntime
 from repro.runtime.task import Task
-from repro.verify.reference import ReferenceSimExecutor
+from repro.verify.differential import make_engine
+
+_reference = functools.partial(make_engine, "ref-sim")
 
 _settings = settings(max_examples=50, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -92,10 +95,10 @@ class TestDeterministicSchedule:
         steal counts) — the selection key is identical, only the lookup
         structure changed."""
         assert (_run_reference_workload()
-                == _run_reference_workload(ReferenceSimExecutor))
+                == _run_reference_workload(_reference))
 
     def test_golden_schedule(self):
-        assert _run_reference_workload(ReferenceSimExecutor) == GOLDEN
+        assert _run_reference_workload(_reference) == GOLDEN
 
     def test_flat_engine_matches_golden(self):
         """The slab/calendar event queue must reproduce the reference's

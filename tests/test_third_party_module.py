@@ -209,7 +209,7 @@ class TestTopology:
         a = 0          # (0,0,0)
         b = 3          # (0,0,3)
         assert t.hops(a, b) == 1
-        assert t.diameter(16) <= 6
+        assert max(t.hops(a, b) for a in range(16) for b in range(16)) <= 6
 
     def test_dragonfly_three_hop_max(self):
         from repro.net import DragonflyTopology

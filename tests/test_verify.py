@@ -26,11 +26,11 @@ from repro.verify import (
 )
 from repro.verify.harness import expected_storm_total
 from repro.verify.strategies import (
+    LowestClockStrategy,
     PCTStrategy,
     PreemptionBoundedStrategy,
     RandomWalkStrategy,
     ReplayStrategy,
-    Strategy,
 )
 
 
@@ -373,16 +373,6 @@ class TestInterleaveHarness:
 # ----------------------------------------------------------------------
 # the paper apps under schedule exploration
 # ----------------------------------------------------------------------
-class _LowestClock(Strategy):
-    """Always picks the lowest ``(clock, rank, wid)`` candidate: the
-    production engine's selection rule, as a strategy."""
-
-    name = "lowest-clock"
-
-    def choose(self, candidates):
-        return min(candidates, key=lambda w: (w.clock, w.rank, w.wid))
-
-
 APP_NAMES = sorted(APPS)
 
 
@@ -412,7 +402,7 @@ class TestPaperAppsUnderExploration:
         """The selection rule is the only difference between the loops: the
         production rule as a strategy reproduces the production run bit for
         bit."""
-        answer, makespan, _ = _explore(name, _LowestClock())
+        answer, makespan, _ = _explore(name, LowestClockStrategy())
         want_answer, want_makespan = sim_runs[name]
         assert answer == want_answer
         assert repr(makespan) == repr(want_makespan)
@@ -426,6 +416,74 @@ class TestPaperAppsUnderExploration:
         assert answer == sim_runs[name][0]
         _, _, again = _explore(name, make_strategy(strategy, seed=seed))
         assert again == digest
+
+
+#: ``(steps, schedule_digest)`` of explored runs, captured before the
+#: interleaving executor took over the reference's ``heapq`` event list: the
+#: event list decides when blocked work becomes visible, so a pop-order
+#: change would move these interleavings.
+PINNED_RUN_ONCE = {
+    ("random", 0): (85, "e764f3d3dc4494f1ede8deef75242d57"
+                        "807c8bffe4870edef3c16b5bfbe762d0"),
+    ("random", 1): (85, "38aa7f4c8e42040bf2d21c5b0ead0933"
+                        "144c89411707cbee693aec288a8bf3d0"),
+    ("random", 2): (85, "08f1046b778c5fa6a09dd4aa412a202a"
+                        "24da706569431725b6605a8dccefb258"),
+    ("pct", 0): (85, "0e6ac55178d465f40e35804a83ca0720"
+                     "4ece1f21c830301998f0ce34a8d03fe2"),
+    ("pct", 1): (85, "1656a034b111b29ffbd860020c75893d"
+                     "890cba0825fc4070217e785febfac87f"),
+    ("pct", 2): (85, "ce0f63bda80314361fa3625f7a54cc8d"
+                     "cdd7dd0bae927380d891feace0f68b9f"),
+    ("pbound", 0): (85, "24902e1964d9017459c6196cb5e90b66"
+                        "d3fa6a15e90446df1c82655a7720a669"),
+    ("pbound", 1): (85, "1633af469f672925cb3d132c5fc330b6"
+                        "610c7aea27cf150cf558d0f77693323e"),
+    ("pbound", 2): (85, "4721cc67282c7179dfe3100d94e42ac1"
+                        "da1ed048d46529c8f9b4554fdc0b2ec4"),
+}
+#: The same for each registry app's ``hiper`` variant at 2 ranks x 2
+#: workers, strategy seed 0.
+PINNED_APPS = {
+    ("geo", "random"): (233, "ffe44cbd43ba0f64c30d4c51637889ef"
+                             "441755dad10eb11835b2fa021343a05e"),
+    ("geo", "pct"): (228, "c126db3b3f69424ab2d41d99c2c16059"
+                          "6f144ff8fa09662fd47a1e4e187e8ad6"),
+    ("graph500", "random"): (124, "663269adcbb48388a344490e02c6fa0e"
+                                  "62d6294b3f97a31f1a7aa65567221628"),
+    ("graph500", "pct"): (124, "a6208f0e6495ed788d4d3dcaa90047d7"
+                               "e74844309ddf2edd7ea702884d3fa61f"),
+    ("hpgmg", "random"): (540, "53e3d476a196f82ca2d3135b3ea2c728"
+                               "5ae9ba1c5d088121683b02a9ec4b446f"),
+    ("hpgmg", "pct"): (540, "33e5ac091eb8939ed510c7ec80487f21"
+                            "d54efc491de35afb1e3203d7317a80e6"),
+    ("isx", "random"): (82, "95f27fda811d697f0276ea96b4248936"
+                            "efb5b8e08520ee9e159b7da69f83d131"),
+    ("isx", "pct"): (82, "d113d50137a5d735f4dbfe93c66d8a5d"
+                         "dad996b70c549c8d53276dd16f5a4f75"),
+    ("uts", "random"): (600, "1e579518f557f099201c10d5701740393"
+                             "c4ae2d4ac964edc466188de557c6cf6"),
+    ("uts", "pct"): (572, "57ce3015166e2a70656455bae4b838dc"
+                          "fa7bccb73ae9015eae1e0124ec2eaadc"),
+}
+
+
+class TestScheduleDigestPins:
+    @pytest.mark.parametrize("strategy,seed", sorted(PINNED_RUN_ONCE))
+    def test_run_once_digest_is_pinned(self, strategy, seed):
+        out = run_once(strategy, seed=seed)
+        assert out.ok, out.describe()
+        assert (len(out.schedule), out.digest) == \
+            PINNED_RUN_ONCE[(strategy, seed)]
+
+    @pytest.mark.parametrize("name,strategy", sorted(PINNED_APPS))
+    def test_app_digest_is_pinned(self, name, strategy, sim_runs):
+        ex = InterleaveExecutor(make_strategy(strategy, seed=0))
+        answer, _ = APPS[name].run("hiper", APPS[name].cluster(2, 2),
+                                   executor=ex)
+        assert answer == sim_runs[name][0]
+        assert (len(ex.schedule), ex.schedule_digest()) == \
+            PINNED_APPS[(name, strategy)]
 
 
 # ----------------------------------------------------------------------
