@@ -19,7 +19,6 @@ value that every variant and every back end must agree on:
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -48,13 +47,8 @@ def _isx_answer(cfg: isx.IsxConfig, results: List[Any]) -> Tuple:
     return ("isx", sum(int(r.size) for r in results), _digest(results))
 
 
-#: The serial walk is the slow part of UTS's oracle, and figure sweeps ask
-#: it about one tree once per point.
-_uts_count = functools.lru_cache(maxsize=16)(uts.sequential_count)
-
-
 def _uts_answer(cfg: uts.UtsConfig, results: List[Any]) -> Tuple:
-    total, want = sum(results), _uts_count(cfg)
+    total, want = sum(results), uts.sequential_count(cfg)
     if total != want:
         raise AssertionError(
             f"UTS counted {total} nodes, the sequential walk {want}")

@@ -10,6 +10,20 @@ distributed child counts with mean < 1 so subtrees terminate).
 Node identity is a 64-bit splitmix64 hash chain (the stand-in for UTS's SHA-1
 descriptors), so any rank can expand any node with no communication — exactly
 the property the real benchmark relies on.
+
+**The kernel contract.** A non-root node's child count is *defined* by a
+float formula of the top 53 bits ``x`` of its hash:
+``min(int(log(1 - u) / log(1 - geom_p)), MAX_KIDS)`` with ``u = x / 2**53``
+(:func:`_float_child_count`). That is a monotone step function of ``x``, so
+it equals ``bisect_right(cfg.thresholds, x)``: :attr:`UtsConfig.thresholds`
+holds, for each k in 1..MAX_KIDS, the least ``x`` that has at least k
+children, found once per config by bisecting the formula itself. The float
+formula is evaluated nowhere else; tests pin the thresholds to it on random
+states and around every step. Child ``i`` of a node hashes
+``splitmix64(state ^ _SALT * (i + 1))``; :func:`expand_chunk` walks that in
+exact integer Python (splitmix64 inlined), and :func:`sequential_count`, the
+oracle every variant and back end is checked against, walks the same tree
+level by level as numpy ``uint64`` arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +31,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from bisect import bisect_right
 from typing import Iterable, List, Tuple
+
+import numpy as np
 
 from repro.util.errors import ConfigError
 from repro.util.rng import splitmix64
@@ -26,6 +43,46 @@ from repro.util.rng import splitmix64
 MAX_KIDS = 8
 
 Node = Tuple[int, int]  # (state hash, depth)
+
+_M64 = (1 << 64) - 1
+#: Child ``i`` of a node is ``splitmix64(state ^ _SALT * (i + 1))``.
+_SALT = 0x9E3779B9
+_SALTS = tuple(_SALT * (i + 1) for i in range(MAX_KIDS))
+#: :func:`repro.util.rng.splitmix64`'s constants, inlined in the walks below.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
+def _float_child_count(log_q: float, x: int) -> int:
+    """The defining child count of a non-root node whose hash has top 53
+    bits ``x`` (``log_q = log(1 - geom_p)``); used only to derive
+    :attr:`UtsConfig.thresholds`."""
+    u = x / float(1 << 53)
+    u = min(max(u, 1e-16), 1.0 - 1e-16)
+    return min(int(math.log(1.0 - u) / log_q), MAX_KIDS)
+
+
+def _thresholds(geom_p: float) -> Tuple[int, ...]:
+    """``T[k-1]``: the least ``x`` whose float child count is ``>= k``, or
+    ``2**53`` (no 53-bit ``x``) if none is."""
+    q = 1.0 - geom_p
+    if q <= 0.0:
+        # Mean 0 (or below double resolution): a geometric count that is
+        # always 0. log(0) is never evaluated.
+        return (1 << 53,) * MAX_KIDS
+    log_q = math.log(q)
+    out = []
+    for k in range(1, MAX_KIDS + 1):
+        lo, hi = 0, 1 << 53
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _float_child_count(log_q, mid) >= k:
+                hi = mid
+            else:
+                lo = mid + 1
+        out.append(lo)
+    return tuple(out)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,10 +113,11 @@ class UtsConfig:
         return 1.0 / (1.0 + self.mean_children)
 
     @functools.cached_property
-    def log_q(self) -> float:
-        """``log(1 - geom_p)``, the divisor of every child count; computed
-        once per config (the config is frozen, so it cannot go stale)."""
-        return math.log(1.0 - self.geom_p)
+    def thresholds(self) -> Tuple[int, ...]:
+        """The ``MAX_KIDS`` ascending child-count steps: a non-root node
+        whose hash has top 53 bits ``x`` has ``bisect_right(thresholds, x)``
+        children. Derived once per config (frozen, so never stale)."""
+        return _thresholds(self.geom_p)
 
 
 def root_node(cfg: UtsConfig) -> Node:
@@ -73,36 +131,67 @@ def child_count(cfg: UtsConfig, node: Node) -> int:
         return 0
     if depth == 0:
         return cfg.root_children
-    u = ((state >> 11) & ((1 << 53) - 1)) / float(1 << 53)
-    u = min(max(u, 1e-16), 1.0 - 1e-16)
-    m = int(math.log(1.0 - u) / cfg.log_q)
-    return min(m, MAX_KIDS)
+    return bisect_right(cfg.thresholds, state >> 11)
 
 
 def children(cfg: UtsConfig, node: Node) -> List[Node]:
-    state, depth = node
-    return [
-        (splitmix64(state ^ (0x9E3779B9 * (i + 1))), depth + 1)
-        for i in range(child_count(cfg, node))
-    ]
+    return expand_chunk(cfg, (node,))
 
 
 def expand_chunk(cfg: UtsConfig, nodes: Iterable[Node]) -> List[Node]:
-    """Expand a batch of nodes; returns all their children."""
+    """Expand a batch of nodes; returns all their children, node by node
+    in input order and each node's in salt order."""
+    steps = cfg.thresholds
+    least = steps[0]
+    max_depth, root_children = cfg.max_depth, cfg.root_children
     out: List[Node] = []
-    for node in nodes:
-        out.extend(children(cfg, node))
+    append = out.append
+    for state, depth in nodes:
+        if depth >= max_depth:
+            continue
+        if depth:
+            x = state >> 11
+            if x < least:          # about half of all nodes are leaves
+                continue
+            salts = _SALTS[:bisect_right(steps, x)]
+        else:
+            salts = range(_SALT, _SALT * (root_children + 1), _SALT)
+        depth += 1
+        for salt in salts:
+            z = ((state ^ salt) + _GAMMA) & _M64
+            z = ((z ^ (z >> 30)) * _MIX1) & _M64
+            z = ((z ^ (z >> 27)) * _MIX2) & _M64
+            append((z ^ (z >> 31), depth))
     return out
 
 
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """:func:`repro.util.rng.splitmix64` on a ``uint64`` array (numpy's
+    ``uint64`` arithmetic wraps mod ``2**64``, which is the masking)."""
+    z = x + np.uint64(_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
 def sequential_count(cfg: UtsConfig) -> int:
-    """Serial tree size (the validation oracle). Iterative DFS."""
-    stack = [root_node(cfg)]
-    count = 0
-    while stack:
-        node = stack.pop()
-        count += 1
-        stack.extend(children(cfg, node))
+    """Serial tree size (the validation oracle): a level-synchronous walk,
+    each level one vectorised hash of every node in it."""
+    steps = np.asarray(cfg.thresholds, dtype=np.uint64)
+    states = np.array([root_node(cfg)[0]], dtype=np.uint64)
+    kids = np.array([cfg.root_children], dtype=np.int64)
+    count, depth = 1, 0
+    while depth < cfg.max_depth:
+        total = int(kids.sum())
+        if not total:
+            break
+        first = np.repeat(np.cumsum(kids) - kids, kids).astype(np.uint64)
+        salt = (np.arange(1, total + 1, dtype=np.uint64) - first) \
+            * np.uint64(_SALT)
+        states = _splitmix64_array(np.repeat(states, kids) ^ salt)
+        kids = np.searchsorted(steps, states >> np.uint64(11), side="right")
+        count += total
+        depth += 1
     return count
 
 
