@@ -1,24 +1,34 @@
 """DES engine micro-benchmarks: raw event throughput of ``SimExecutor``
-(slab + calendar queue) against the test-only reference,
+against the test-only reference,
 ``repro.verify.differential.make_engine("ref-sim")`` (``InterleaveExecutor``
-under the lowest-clock strategy, whose events are the seed heapq of records
-— see ``docs/sim-internals.md``). The ``*_objects`` cases run the reference
-and the ``*_flat`` cases production; the names predate the single engine and
-stay so ``BENCH_sim.json`` history lines up. Both storms are event-only (no
-runtime, no tasks), so the reference side times the heapq list alone.
+under the lowest-clock strategy — see ``docs/sim-internals.md``). The
+``*_objects`` cases run the reference and the ``*_flat`` cases production;
+the names predate the single engine and stay so ``BENCH_sim.json`` history
+lines up. Both storms are event-only (no runtime, no tasks), and both
+engines share one ``heapq`` event list, so a pair times how events are
+posted, not two queues:
 
-Two workload shapes bracket what the fabric actually generates:
+- **wave storm** — 32 waves of 16 384 same-timestamp events outstanding at
+  once. The reference posts each event with ``call_at`` and a
+  ``functools.partial``; production posts each wave with one
+  ``call_at_batch`` and a shared function.
+- **random storm** — self-rearming timer chains at scattered timestamps:
+  all-singleton cohorts, the same calls on both sides (parity expected).
 
-- **wave storm** — many delivery waves outstanding at once, each wave one
-  timestamp carrying thousands of events (the 512/1024-rank ISx all-to-all
-  collapse shape). Each side is fed the way it was in production: the
-  reference's ``call_at`` takes a thunk, so the fabric had to allocate one
-  closure per delivery; ``call_at_batch`` prices the wave with one shared
-  function. This pair is the ledger's headline comparison — the slab
-  engine's reason to exist.
-- **random storm** — self-rearming timer chains at scattered timestamps
-  (polling services, timeouts, retries): all-singleton cohorts, the
-  reference's best case. Production only has to hold parity here.
+Neither is the traffic the workloads post. Replaying each end-to-end
+workload's recorded push/pop sequence (``taskgraph_mix`` posts no events):
+
+    trace                          pops  singleton cohorts  max cohort
+    isx_flat_a2a                158 042               90 %         480
+    uts_lock_smallmsg           196 863             99.8 %          16
+    uts_hiper_steal              63 677               94 %          16
+    stencil_modules              43 659               75 %          26
+    Fig. 5 flat, 512 ranks      613 634               94 %         960
+    Fig. 5 flat, 1024 ranks   2 169 663               94 %       1 920
+
+The wave storm is the one shape where the calendar queue the event list
+replaced was faster (0.32 s against 1.31 s); on every trace above the heap
+was.
 
 Recorded to ``BENCH_sim.json`` via ``python -m repro bench-record --suite
 sim``. Real wall time (events/second of the Python implementation), not
@@ -97,7 +107,7 @@ def _wave_storm(cls):
                     ex.call_at(t, functools.partial(sink, i))
         _drain(ex)
         assert ex.events_processed == n_total
-        # Release the slab between rounds: pytest-benchmark disables GC, so
+        # Release the queue between rounds: pytest-benchmark disables GC, so
         # without the explicit shutdown each round's executor would pile up
         # and later rounds would measure memory pressure, not the engine.
         ex.shutdown()

@@ -64,13 +64,6 @@ class Executor(abc.ABC):
     #: test per fresh task is the entire no-fault cost.
     task_fault_hook = None
 
-    #: Optional :class:`repro.runtime.task.TaskSlab` recycling Task records.
-    #: Set (per instance) by the simulated executor; when
-    #: non-None, ``HiperRuntime.spawn`` acquires records from the slab and
-    #: the engine releases provably-finished ones back to it. One attribute
-    #: load + None test per spawn is the entire cost elsewhere.
-    task_slab = None
-
     def attach_tracer(self, tracer) -> None:
         """Record every executed task segment into ``tracer`` (paper §V
         tooling: the unified scheduler sees all work, so one hook covers

@@ -19,11 +19,11 @@ so a stale entry always surfaces no later than its fresh position. The
 selection order is bit-for-bit identical to an O(W) ``min()`` scan (the key
 is a strict total order per worker).
 
-Events live in a :class:`~repro.exec.eventq.FlatEventQueue` and task records
-are recycled through a :class:`~repro.runtime.task.TaskSlab` (see
+Events live in a :class:`~repro.exec.eventq.EventList`, a ``heapq`` of
+numeric keys popped one timestamp cohort at a time (see
 ``docs/sim-internals.md``). This is the only engine; the test-only reference
-it is compared with bit for bit (scan-min selection, ``heapq`` events) is
-the verifier's ``ref-sim`` engine, ``make_engine("ref-sim")``.
+it is compared with bit for bit (scan-min selection over the same event
+list) is the verifier's ``ref-sim`` engine, ``make_engine("ref-sim")``.
 
 Blocking (``future.wait``, ``finish``) uses *help-until-ready*: the blocked
 frame re-enters the engine loop, so any worker — including the blocked one —
@@ -40,16 +40,14 @@ import math
 import sys
 from typing import Any, Callable, List, Optional, Set
 
-import numpy as np
-
 from repro.exec.base import Executor
-from repro.exec.eventq import FlatEventQueue
+from repro.exec.eventq import EventList
 from repro.runtime.context import ExecContext, _tls, current_context
 from repro.runtime.finish import FinishScope
 from repro.runtime.deques import NullLock
 from repro.runtime.future import Future, Promise
 from repro.runtime.runtime import HiperRuntime
-from repro.runtime.task import Task, TaskSlab, TaskState
+from repro.runtime.task import Task, TaskState
 from repro.runtime.worker import WorkerState, find_task
 from repro.util.errors import (
     ConfigError,
@@ -61,7 +59,7 @@ from repro.util.errors import (
 
 
 class _ClosedEventQueue:
-    """What a shut-down executor holds in place of its event slab: always
+    """What a shut-down executor holds in place of its event list: always
     empty, every push raises — use-after-shutdown is a defined error with no
     per-event ``if self._shutdown`` on the ``call_at`` hot path."""
 
@@ -125,8 +123,7 @@ class SimExecutor(Executor):
         self._maybe_ready: Set[WorkerState] = set()
         self._ready_heap: List = []  # (clock, rank, wid, seq, worker)
         self._wake_seq = itertools.count()
-        self._events: Any = FlatEventQueue()
-        self.task_slab = TaskSlab()
+        self._events: Any = EventList()
         # Reusable bare dispatch context (now() == event floor):
         # _advance_events pushes/pops this one instance per batch.
         self._bare_ctx = ExecContext(self)
@@ -212,13 +209,12 @@ class SimExecutor(Executor):
         self._shutdown = True
         self._maybe_ready.clear()
         self._ready_heap.clear()
-        # Drop the slabs and break the one reference cycle through this
-        # object (the reusable dispatch context points back at it), so a
-        # finished executor is freed by refcounting alone: pytest-benchmark
+        # Drop the event list and break the one reference cycle through
+        # this object (the reusable dispatch context points back at it), so
+        # a finished executor is freed by refcounting alone: pytest-benchmark
         # runs with the cycle collector off, and a surviving cycle there
-        # pins an event slab and a task slab per round.
+        # pins an event list per round.
         self._events = _ClosedEventQueue()
-        self.task_slab = None
         self._bare_ctx = None
         self._restore_recursion_limit()
 
@@ -291,17 +287,14 @@ class SimExecutor(Executor):
 
     def call_at_batch(self, whens, fn: Callable[[Any], None], args) -> None:
         """Schedule ``fn(args[i])`` at each ``whens[i]`` (floor-clamped like
-        :meth:`call_at`). One call prices a whole fabric wave and inserts it
-        with a single vectorized slab append. Internal fast path: no NaN
-        validation, no cancellation handles."""
+        :meth:`call_at`). One call posts a whole fabric wave, ``whens`` and
+        ``args`` being lists. Internal fast path: no NaN validation, no
+        cancellation handles."""
         # Clamp to the event floor only when some timestamp is below it:
         # waves are stamped at-or-after "now", so the common case is one
         # min() instead of a per-event rewrite.
         floor = self._event_floor
-        if isinstance(whens, np.ndarray):
-            if whens.size and float(whens.min()) < floor:
-                whens = np.maximum(whens, floor)
-        elif whens and min(whens) < floor:
+        if whens and min(whens) < floor:
             whens = [w if w > floor else floor for w in whens]
         self._events.push_batch(whens, fn, args)
 
@@ -468,13 +461,18 @@ class SimExecutor(Executor):
             worker.idle_time += release - worker.clock
             worker.clock = release
         self.execute_task(worker.runtime, worker, task)
-        slab = self.task_slab
-        if slab is not None and (task.state is TaskState.DONE
-                                 or task.state is TaskState.FAILED):
-            # The record's lifetime provably ends here — suspended or
-            # re-enqueued tasks are still referenced by resumer closures or
-            # deques and stay out of the pool. (The reference has no slab.)
-            slab.release(task)
+        state = task.state
+        if state is TaskState.DONE or state is TaskState.FAILED:
+            # The record's lifetime ends here (suspended or re-enqueued tasks
+            # are still referenced by resumer closures or deques): drop what
+            # it holds. Otherwise a failed task stays in a reference cycle
+            # through its exception's traceback frames, left for the cycle
+            # collector.
+            task.fn = task.gen = task.kwargs = None
+            task.scope = task.active_scope = task.result_promise = None
+            task.epilogue = task.place = None
+            task._send_value = task._send_exc = None
+            task.args = ()
         # The task may have pushed follow-up work for this worker; notify()
         # covers cross-worker wakes but re-adding ourselves is cheap and keeps
         # the hot pop-path loop tight. (Usually still a member here — then
@@ -484,84 +482,31 @@ class SimExecutor(Executor):
             self._wake(worker)
 
     def _advance_events(self) -> None:
-        """Pop and run every event sharing the minimum timestamp: one
-        calendar pop surfaces the whole cohort as raw slab slots, and
-        dispatch runs straight off the slab columns — no per-event
-        materialization (blanked — cancelled — callbacks pop with their
-        batch but are skipped).  Singleton cohorts snapshot their one record
-        and release it up front; larger cohorts stay resident on the queue's
-        in-flight stack until done, so concurrent pushes cannot recycle
-        their slots and cancel_event treats them as already-run (the same
-        reach the reference gives its materialized batch).
+        """Pop the cohort of events at the minimum timestamp and run it in
+        seq order, skipping cancelled (blanked) records. The cohort is a
+        snapshot taken off the event list before the first callback runs:
+        pushes made meanwhile land in a later cohort, and cancels cannot
+        reach it.
 
         The bare dispatch context (now() == event floor) is one reusable
         instance, and the context-stack push/pop is inlined: this wraps
-        every virtual-time advance, and on singleton batches the CM overhead
-        was a measurable share of the engine loop."""
-        q = self._events
-        t0, slots = q.pop_batch()
+        every virtual-time advance, and most cohorts hold one event."""
+        t0, batch = self._events.pop_batch()
         if t0 > self._event_floor:
             self._event_floor = t0
-        fns_l, args_l = q.fns, q.args
-        if len(slots) == 1:
-            # Singleton cohort (timer chains): snapshot-and-release is
-            # cheaper than the in-flight protocol. The release is inlined
-            # (kind 0 == free, clear payload, pool the slot) — a method
-            # call per timer event is measurable at storm rates.
-            slot = slots[0]
-            fn = fns_l[slot]
-            arg = args_l[slot]
-            q._kind[slot] = 0
-            fns_l[slot] = None
-            args_l[slot] = None
-            q._free.append(slot)
-            if fn is None:
-                return
-            stack = _tls.stack
-            stack.append(self._bare_ctx)
-            try:
+        n = 0
+        stack = _tls.stack
+        stack.append(self._bare_ctx)
+        try:
+            for fn, arg in batch:
+                if fn is None:
+                    continue
                 if arg is None:
                     fn()
                 else:
                     fn(arg)
-                self.events_processed += 1
-            finally:
-                stack.pop()
-            return
-        n = 0
-        stack = _tls.stack
-        stack.append(self._bare_ctx)
-        q.inflight.append(slots)
-        try:
-            if type(slots) is range:
-                # Contiguous cohort: iterate the payload columns by slice —
-                # zip of two list slices beats per-slot indexed loads. The
-                # slices are snapshots, which is exactly the semantics the
-                # reference gives its materialized batch (a cancel
-                # landing mid-dispatch is too late either way).
-                for fn, arg in zip(fns_l[slots.start:slots.stop],
-                                   args_l[slots.start:slots.stop]):
-                    if fn is None:
-                        continue
-                    if arg is None:
-                        fn()
-                    else:
-                        fn(arg)
-                    n += 1
-            else:
-                for s in slots:
-                    fn = fns_l[s]
-                    if fn is None:
-                        continue
-                    arg = args_l[s]
-                    if arg is None:
-                        fn()
-                    else:
-                        fn(arg)
-                    n += 1
+                n += 1
         finally:
-            q.inflight.pop()
-            q.release_batch(slots)
             stack.pop()
             self.events_processed += n
 

@@ -46,8 +46,10 @@ class NetworkModel:
         for field in ("latency", "bandwidth", "inj_overhead", "intra_latency",
                       "intra_bandwidth", "cpu_overhead", "batch_header_bytes",
                       "msg_header_bytes"):
-            if getattr(self, field) < 0:
-                raise ConfigError(f"network parameter {field} must be non-negative")
+            value = getattr(self, field)
+            if not value >= 0:  # also rejects NaN, which compares False
+                raise ConfigError(f"network parameter {field} must be a "
+                                  f"non-negative number, got {value!r}")
         if self.bandwidth == 0 or self.intra_bandwidth == 0:
             raise ConfigError("bandwidths must be positive")
 

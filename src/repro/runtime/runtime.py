@@ -233,13 +233,8 @@ class HiperRuntime:
         )
         # Positional args (matching Task.__init__'s order): keyword passing
         # costs noticeably more per call, and this runs once per task.
-        slab = self.executor.task_slab
-        if slab is None:
-            task = Task(fn, args, kwargs, name, module, place,
-                        created_by, scope, cost, promise, self.rank)
-        else:  # flat sim engine: recycle a completed record
-            task = slab.acquire(fn, args, kwargs, name, module, place,
-                                created_by, scope, cost, promise, self.rank)
+        task = Task(fn, args, kwargs, name, module, place,
+                    created_by, scope, cost, promise, self.rank)
         scope.task_spawned()
         counters = self._counters
         if counters is not None:

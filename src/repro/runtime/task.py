@@ -66,7 +66,7 @@ class Task:
         "task_id", "fn", "args", "kwargs", "_name", "module", "place",
         "created_by", "scope", "cost", "result_promise", "state", "gen",
         "_send_value", "_send_exc", "release_time", "rank", "active_scope",
-        "attempts", "epilogue", "slab_slot", "slab_gen",
+        "attempts", "epilogue",
     )
 
     def __init__(
@@ -114,11 +114,6 @@ class Task:
         #: Optional ``(task, exc_or_None)`` callback invoked after the scope
         #: is discharged — resilience telemetry, never failure routing.
         self.epilogue = None
-        #: Slab bookkeeping (``TaskSlab``): -1 == not slab-managed. The
-        #: generation counts tenancies of the slot, so a handle captured for
-        #: one tenancy can never resolve to a recycled record.
-        self.slab_slot = -1
-        self.slab_gen = 0
 
     @property
     def name(self) -> str:
@@ -173,126 +168,3 @@ class Task:
 
     def __repr__(self) -> str:
         return f"<{self.describe()} {self.state.value}>"
-
-
-class TaskSlab:
-    """Recycling pool of :class:`Task` records (counterpart of the event
-    slab in ``repro.exec.eventq``).
-
-    The deterministic simulator churns through one short-lived ``Task``
-    object per spawn; at paper-scale rank counts the allocator traffic is a
-    measurable slice of the dispatch hot path. The slab keeps every record
-    it ever created in ``_records`` (indexed by the record's permanent
-    ``slab_slot``) and reuses completed ones: :meth:`acquire` re-initializes
-    a pooled record in place — with a *fresh* ``task_id``, so traces,
-    digests, and diagnostics are indistinguishable from freshly-constructed
-    tasks — and bumps its ``slab_gen`` tenancy counter.
-
-    Release discipline (enforced by the caller, ``SimExecutor._run_task``):
-    only DONE/FAILED tasks whose execution just returned may be released —
-    suspended coroutines, re-enqueued tasks, and tasks failed outside the
-    run path are still referenced elsewhere and simply fall out of the
-    slab's working set (their slots are never pooled).
-
-    :meth:`get` resolves a generation-tagged handle
-    (``(slab_gen << 32) | slab_slot``) to the record iff the tenancy that
-    produced the handle is still live — a recycled or stale handle returns
-    None instead of aliasing an unrelated task.
-    """
-
-    __slots__ = ("_records", "_free", "acquired", "recycled", "released")
-
-    def __init__(self) -> None:
-        self._records: list = []
-        self._free: list = []
-        self.acquired = 0
-        self.recycled = 0
-        self.released = 0
-
-    def acquire(
-        self,
-        fn: Callable[..., Any],
-        args: Tuple = (),
-        kwargs: Optional[dict] = None,
-        name: str = "",
-        module: str = "core",
-        place: Optional["Place"] = None,
-        created_by: int = 0,
-        scope: Optional["FinishScope"] = None,
-        cost: float = 0.0,
-        result_promise: Optional[Promise] = None,
-        rank: int = 0,
-    ) -> Task:
-        """A ready-to-enqueue Task record, pooled if one is free."""
-        self.acquired += 1
-        free = self._free
-        if not free:
-            t = Task(fn, args, kwargs, name, module, place, created_by,
-                     scope, cost, result_promise, rank)
-            t.slab_slot = len(self._records)
-            self._records.append(t)
-            return t
-        t = self._records[free.pop()]
-        self.recycled += 1
-        t.slab_gen += 1
-        # Field-for-field mirror of Task.__init__ (kept inline: a shared
-        # re-init helper would put an extra call on the spawn hot path).
-        if not callable(fn):
-            raise TypeError(f"task body must be callable, got {type(fn)!r}")
-        if cost < 0:
-            raise ValueError(f"task cost must be non-negative, got {cost}")
-        t.task_id = next(_task_ids)
-        t.fn = fn
-        t.args = args
-        t.kwargs = kwargs
-        t._name = name
-        t.module = module
-        t.place = place
-        t.created_by = created_by
-        t.scope = scope
-        t.cost = cost
-        t.result_promise = result_promise
-        t.state = TaskState.CREATED
-        t.gen = None
-        t._send_value = None
-        t._send_exc = None
-        t.release_time = 0.0
-        t.rank = rank
-        t.active_scope = scope
-        t.attempts = 0
-        t.epilogue = None
-        return t
-
-    def release(self, task: Task) -> None:
-        """Return a finished record to the pool and drop its references."""
-        if task.slab_slot < 0 or task.fn is None:
-            # Not slab-managed, or already released (fn is never None on a
-            # live record — Task.__init__/acquire validate it's callable).
-            return
-        self.released += 1
-        task.fn = None
-        task.args = ()
-        task.kwargs = None
-        task.gen = None
-        task.scope = None
-        task.active_scope = None
-        task.result_promise = None
-        task.epilogue = None
-        task.place = None
-        task._send_value = None
-        task._send_exc = None
-        self._free.append(task.slab_slot)
-
-    def get(self, handle: int) -> Optional[Task]:
-        """Resolve a generation-tagged handle; None if stale or released."""
-        slot = handle & 0xFFFFFFFF
-        records = self._records
-        if not 0 <= slot < len(records):
-            return None
-        t = records[slot]
-        if t.slab_gen != (handle >> 32) or t.fn is None:
-            return None
-        return t
-
-    def __len__(self) -> int:
-        return len(self._records)

@@ -253,9 +253,9 @@ class TelemetrySampler:
     - ``idle_fraction`` — mean per-worker idle fraction (virtual clocks under
       the simulated executor; charged busy/idle accounting otherwise),
     - ``events_per_sec`` — engine events dispatched per *wall-clock* second
-      since the previous tick (the DES engine's real throughput — the number
-      the slab/calendar event queue exists to raise; 0 on executors without an
-      ``events_processed`` counter and on the baseline first tick).
+      since the previous tick (the DES engine's real throughput; 0 on
+      executors without an ``events_processed`` counter and on the baseline
+      first tick).
 
     The two DES-engine observables are also published as gauges under the
     ``sim`` module — ``sim.events_per_sec`` (last tick's rate; cross-rank

@@ -204,8 +204,8 @@ def make_engine(name: str, *, seed: int = 0, strategy: str = "random",
     if name == "threads":
         return ThreadedExecutor(block_timeout=block_timeout)
     if name == "ref-sim":
-        # Lowest-clock selection on heapq events and locked deques:
-        # production must reproduce its schedules bit for bit.
+        # Lowest-clock selection by scan and locked deques: production
+        # must reproduce its schedules bit for bit.
         return InterleaveExecutor(LowestClockStrategy())
     if name == "interleave":
         return InterleaveExecutor(make_strategy(strategy, seed))
@@ -366,8 +366,8 @@ def isx_engine_differential(
 
     This exercises the full production event path — fetch-add reservation
     waves, puts, barriers, coalesced deliveries, help-until-ready nesting —
-    so an event ordered differently anywhere in the calendar queue shows up
-    as a digest or makespan mismatch. At 4 Titan nodes the flat layout is
+    so an event or worker ordered differently anywhere shows up as a digest
+    or makespan mismatch. At 4 Titan nodes the flat layout is
     64 PEs, big enough for multi-thousand-event cohorts while staying
     CI-sized.
     """

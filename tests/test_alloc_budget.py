@@ -155,7 +155,7 @@ def saved_garbage():
                                            ("isend", 7)])
 def test_tracked_objects_per_operation(op, in_flight, collector_off):
     ex, issue = OP_WORLDS[op]()
-    warm = [issue() for _ in range(10)]  # slab growth
+    warm = [issue() for _ in range(10)]  # warm-up
     ex.drain()
     del warm
     before = _census()
@@ -211,7 +211,7 @@ def test_tracked_objects_per_module_operation(flow, in_flight, collector_off):
         issue, settle = yield from setup(ctx)
         if ctx.rank != 0:
             return None
-        yield when_all([issue() for _ in range(10)])  # slab growth
+        yield when_all([issue() for _ in range(10)])  # warm-up
         before = _census()
         handles = [issue() for _ in range(N)]
         flying.update(_census() - before)

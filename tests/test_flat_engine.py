@@ -1,12 +1,14 @@
 """DES engine gates: validation, production-vs-reference equivalence, wave path.
 
-``SimExecutor``'s slab/calendar event queue and the vectorized fabric wave
+``SimExecutor``'s clock-heap worker selection and the vectorized fabric wave
 path exist purely for throughput — neither is allowed to change a single
-scheduling decision. Every check here compares production (``SimExecutor``,
+scheduling decision. The engine checks compare production (``SimExecutor``,
 parametrize id ``flat``) with the test-only reference
 (``make_engine("ref-sim")``: ``InterleaveExecutor`` under the lowest-clock
-strategy, with the seed ``heapq`` event list; id ``objects`` — the ids
-predate the single engine and stay so test history lines up):
+strategy, scanning for the worker; id ``objects`` — the ids predate the
+single engine and stay so test history lines up). Both engines share one
+event list (``repro.exec.eventq.EventList``), so that list is checked on
+its own against a sorted-list oracle:
 
 1. **Input validation** — negative delays and NaN timestamps raise
    ``ConfigError`` (a ``ValueError``) on both classes instead of silently
@@ -14,7 +16,9 @@ predate the single engine and stay so test history lines up):
 2. **Pop-order equivalence** — hypothesis drives random interleavings of
    ``call_later``/``call_at``/``cancel_event``/advance (including rearming
    callbacks that push mid-dispatch) against both classes and requires the
-   identical fire log, cancel verdicts, and final quiescence.
+   identical fire log, cancel verdicts, and final quiescence; and
+   hypothesis drives random ``push``/``push_batch``/``pop_batch``/``cancel``
+   sequences against the event list and a sorted-list oracle.
 3. **Wave bit-identity** — ``SimFabric.transmit_wave`` must leave the exact
    floats a loop of ``transmit`` leaves: delivery times, NIC availability,
    pairwise-FIFO clamps, byte counters, injection-complete returns.
@@ -122,9 +126,9 @@ def _drive(engine, ops, *, at_with_arg=False):
     def make_cb(label, k):
         def cb():
             log.append((label, ex.now()))
-            # Rearm every third event: pushes arriving *mid-dispatch* are
-            # the slab's trickiest case (in-flight cohort slots must
-            # not be recycled under the dispatcher).
+            # Rearm every third event: pushes arriving *mid-dispatch*
+            # recycle the slots of the cohort being dispatched, which must
+            # not change what that cohort runs.
             if label % 3 == 0 and label < 3_000:
                 handles.append(ex.call_later(k * 1e-6, make_cb(next(labels), k)))
         return cb
@@ -213,8 +217,8 @@ class TestEngineEquivalence:
             assert ex.cancel_event(h) is False
 
     def test_handle_not_resurrected_by_slot_reuse(self):
-        """A stale handle must stay dead even after its slab slot is
-        recycled by a new event (generation tag mismatch)."""
+        """A stale handle must stay dead even after its slot is recycled
+        by a new event (handles are sequence numbers, not slots)."""
         ex = SimExecutor()
         h = ex.call_later(1e-6, lambda: None)
         ex.drain()
@@ -223,6 +227,89 @@ class TestEngineEquivalence:
         assert ex.cancel_event(h) is False
         ex.drain()
         assert ran == [True]
+
+
+_list_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.integers(0, 6)),
+        st.tuples(st.just("batch"), st.lists(st.integers(0, 6), max_size=6)),
+        st.tuples(st.just("cancel"), st.integers(0, 255)),
+        # Pop one cohort, then push at these timestamps "during dispatch".
+        st.tuples(st.just("pop"), st.lists(st.integers(0, 6), max_size=3)),
+    ),
+    max_size=80,
+)
+
+
+class TestEventListOracle:
+    @_settings
+    @given(ops=_list_ops)
+    def test_matches_a_sorted_list(self, ops):
+        """``EventList`` against the obvious model: a list of ``[when,
+        label, cancelled]`` records whose minimum-``when`` records pop
+        together, sorted by label (labels count pushes, like ``seq``).
+        Checks the pop order and whole cohorts, that a push made while a
+        cohort is dispatched (at its own timestamp too) lands in a later
+        cohort without disturbing the one in hand, that ``cancel`` is True
+        exactly once per pending record and False once it popped, is in
+        flight or was cancelled, and that ``len()`` counts cancelled
+        records until they pop."""
+        from repro.exec.eventq import EventList
+
+        q = EventList()
+        pending = []
+        by_handle = {}
+        labels = iter(range(1 << 20))
+
+        def push(when):
+            rec = [when, next(labels), False]
+            by_handle[q.push(when, push, rec[1])] = rec
+            pending.append(rec)
+
+        def pop():
+            t0 = min(r[0] for r in pending)
+            cohort = [r for r in pending if r[0] == t0]
+            pending[:] = [r for r in pending if r[0] != t0]
+            return t0, [(None, None) if r[2] else (push, r[1])
+                        for r in sorted(cohort, key=lambda r: r[1])]
+
+        def check_pop(dispatch_pushes):
+            got_t0, batch = q.pop_batch()
+            want_t0, want = pop()
+            assert got_t0 == want_t0
+            in_flight = [h for h, r in by_handle.items() if r[0] == want_t0
+                         and r not in pending]
+            for when in [want_t0] + dispatch_pushes:
+                push(when)
+            assert q.peek_when() <= want_t0
+            assert not any(q.cancel(h) for h in in_flight)
+            assert [(fn, arg) if fn is not None else (None, None)
+                    for fn, arg in batch] == want
+
+        for kind, arg in ops:
+            if kind == "push":
+                push(arg)
+            elif kind == "batch":
+                recs = [[w, next(labels), False] for w in arg]
+                q.push_batch(arg, push, [r[1] for r in recs])
+                pending.extend(recs)
+            elif kind == "cancel" and by_handle:
+                handle = sorted(by_handle)[arg % len(by_handle)]
+                rec = by_handle[handle]
+                live = rec in pending and not rec[2]
+                assert q.cancel(handle) is live
+                rec[2] = True
+                assert q.cancel(handle) is False
+            elif kind == "pop" and pending:
+                check_pop(arg)
+            assert len(q) == len(pending)
+            assert q.peek_when() == min((r[0] for r in pending), default=None)
+        while pending:
+            got_t0, batch = q.pop_batch()
+            want_t0, want = pop()
+            assert (got_t0, [(fn, a) if fn is not None else (None, None)
+                             for fn, a in batch]) == (want_t0, want)
+        assert len(q) == 0 and q.peek_when() is None
 
 
 # ----------------------------------------------------------------------
@@ -398,8 +485,8 @@ class TestShutdown:
 
     def test_shutdown_frees_executor_without_gc(self, engine):
         """pytest-benchmark runs with the cycle collector off: a finished
-        executor (and the event and task slabs it owns) must die by
-        refcounting alone once shut down and dropped."""
+        executor (and the event list it owns) must die by refcounting
+        alone once shut down and dropped."""
         gc.collect()
         gc.disable()
         try:
@@ -417,7 +504,7 @@ class TestShutdown:
             del never_fires
             ref = weakref.ref(ex)
             ex.shutdown()
-            # The slab goes at shutdown, not when the executor does (a
+            # The list goes at shutdown, not when the executor does (a
             # registered runtime points back at its executor and keeps it).
             assert pending() is None
             del ex
@@ -478,18 +565,36 @@ class TestOptionCensus:
     def test_one_stepping_loop(self):
         """Shards, schedule exploration and the reference all step through
         ``SimExecutor._step``, and exploration and the reference are one
-        class: ``InterleaveExecutor`` supplies ``_select`` (and the heapq
-        event list's ``_advance_events``), nothing else of the loop."""
+        class: ``InterleaveExecutor`` supplies ``_select``, nothing else of
+        the loop — it dispatches events through ``SimExecutor``'s
+        ``_advance_events`` from the same event list. No record pool is
+        left: tasks are plain objects and the event list is a heapq."""
+        import ast
         import importlib.util
 
+        import repro.exec.base
+        import repro.exec.eventq
         import repro.exec.shards
+        import repro.runtime.task
         from repro.verify.interleave import InterleaveExecutor
 
         assert not hasattr(repro.exec.shards, "_ShardSimExecutor")
         assert importlib.util.find_spec("repro.verify.reference") is None
         assert "_step" not in InterleaveExecutor.__dict__
         assert "_select" in InterleaveExecutor.__dict__
+        assert "_advance_events" not in InterleaveExecutor.__dict__
         assert type(reference_engine()) is InterleaveExecutor
+        assert type(reference_engine()._events) is type(SimExecutor()._events)
+        assert not hasattr(repro.runtime.task, "TaskSlab")
+        assert not hasattr(repro.exec.base.Executor, "task_slab")
+        assert not hasattr(SimExecutor(), "task_slab")
+        imported = {alias.name.split(".")[0]
+                    for node in ast.walk(ast.parse(
+                        inspect.getsource(repro.exec.eventq)))
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in (node.names if isinstance(node, ast.Import)
+                                  else [ast.alias(node.module or "")])}
+        assert "heapq" in imported and "numpy" not in imported
 
     def test_one_module_base_owns_the_completion_flows(self):
         """Taskify, polling and finalize are written once, in

@@ -31,6 +31,17 @@ class TestNetworkModel:
         with pytest.raises(ConfigError):
             NetworkModel(latency=-1.0)
 
+    @pytest.mark.parametrize("field", [
+        "latency", "bandwidth", "inj_overhead", "intra_latency",
+        "intra_bandwidth", "cpu_overhead", "batch_header_bytes",
+        "msg_header_bytes"])
+    def test_nan_parameter_rejected_by_name(self, field):
+        """A NaN would price every message at NaN and scramble the event
+        list's order downstream (nothing between here and the queue checks
+        a wave's timestamps), so it is refused like a negative value."""
+        with pytest.raises(ConfigError, match=f"parameter {field} "):
+            NetworkModel(**{field: float("nan")})
+
     def test_zero_bandwidth_rejected(self):
         with pytest.raises(ConfigError):
             NetworkModel(bandwidth=0.0)

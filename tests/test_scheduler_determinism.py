@@ -101,10 +101,9 @@ class TestDeterministicSchedule:
         assert _run_reference_workload(_reference) == GOLDEN
 
     def test_flat_engine_matches_golden(self):
-        """The slab/calendar event queue must reproduce the reference's
-        golden schedule bit-for-bit — same makespan, clocks, steal and task
-        counts (it reorders nothing, it only changes how event records are
-        stored)."""
+        """Production (clock-heap worker selection, lock-free deques) must
+        reproduce the reference's golden schedule bit-for-bit — same
+        makespan, clocks, steal and task counts."""
         assert _run_reference_workload() == GOLDEN
 
     def test_invalid_selection_rejected(self):
