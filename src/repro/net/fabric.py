@@ -13,8 +13,8 @@ Guarantees:
   target under the default context).
 - **determinism**: identical call sequences produce identical timestamps.
 - **failure atomicity**: a send that raises has priced, counted, posted and
-  delivered nothing — every check runs before the first state change, and a
-  wave is refused as a unit.
+  delivered nothing — every check, and the fault hook, runs before the first
+  state change, and a wave is refused as a unit.
 
 **Ownership.** A fabric *owns* a contiguous, node-aligned rank range
 ``[lo, hi)``: the whole cluster, unless the sharded engine
@@ -29,16 +29,16 @@ the receiver's contributes depends only on receiver-side state, and the wire
 between is bounded below by :meth:`NetworkModel.lookahead`. Slices are
 node-aligned, so "not owned" is one branch inside the inter-node arm.
 
-**Two pricing sites.** The NIC → wire → NIC → FIFO recurrence is written
-twice: :meth:`SimFabric.transmit` prices one message and carries the fault
-verdicts; :meth:`SimFabric.transmit_wave` prices a same-size fan-out in one
-loop with hoisted costs and one batched event post. Both are hot — lock-based
-UTS sends ~200 k singletons, flat ISx fans out to every PE — and the caller's
-message count selects between them.
+**One pricing step.** :meth:`SimFabric._price` is the NIC → wire → NIC →
+FIFO recurrence, fault verdict included, for one checked message.
+``transmit`` runs it once; ``transmit_wave`` runs it per row and posts once,
+so a wave is a loop of transmits, faults and all. ``inject_remote`` keeps a
+receive-only loop: its rows have no send half, no verdicts, own sizes.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.sim import SimExecutor
@@ -48,9 +48,10 @@ from repro.util.errors import CommError, ConfigError
 
 Sink = Callable[[int, Any, float], None]  # (src_rank, payload, time) -> None
 
-#: Fault verdict for one transmit: ``None`` (healthy), ``("drop",)``,
-#: ``("corrupt",)``, or ``("delay", extra_seconds)``.
-FaultHook = Callable[[int, int, int, Any], Optional[tuple]]
+#: ``(src, dst, nbytes, payload, issue_time)`` -> the message's fault
+#: verdict: ``None`` (healthy), ``("drop",)``, ``("corrupt",)``, or
+#: ``("delay", extra_seconds)``.
+FaultHook = Callable[[int, int, int, Any, float], Optional[tuple]]
 
 #: A cross-shard message in flight: everything the owning shard needs to
 #: finish pricing and deliver it. ``seq`` is a per-sending-fabric monotone
@@ -143,12 +144,13 @@ class SimFabric:
         #: Optional MTU-style payload ceiling; oversized sends raise CommError.
         self.max_message_bytes = max_message_bytes
         #: Optional fault-injection hook (``repro.resilience``): called per
-        #: transmit, returns a verdict tuple or None. One attribute load +
-        #: None test per message is the entire no-fault cost.
+        #: message, returns a verdict tuple or None. One attribute load +
+        #: None test per call is the entire no-fault cost.
         self.fault_hook: Optional[FaultHook] = None
-        #: Verdict applied to the most recent transmit (None = delivered
-        #: clean). Senders with retry policies read this synchronously.
-        self.last_fault: Optional[tuple] = None
+        #: The verdicts of the latest transmit or wave, one per message
+        #: (None = delivered clean); None itself when no hook is installed.
+        #: Senders with retry policies read this synchronously.
+        self.last_faults: Optional[List[Optional[tuple]]] = None
         self.messages_dropped = 0
         self.messages_corrupted = 0
         self.messages_delayed = 0
@@ -171,8 +173,8 @@ class SimFabric:
     def _check_send(self, src: int, nbytes: int) -> None:
         if not (self.lo <= src < self.hi):
             self._refuse_unowned(src, "send on behalf of")
-        if nbytes < 0:
-            raise CommError(f"negative message size {nbytes}")
+        if not nbytes >= 0:  # NaN too: max(t, nan) would lose a NIC's state
+            raise CommError(f"negative message size {nbytes} (need a number >= 0)")
         if self.max_message_bytes is not None and nbytes > self.max_message_bytes:
             raise CommError(
                 f"message of {nbytes} bytes exceeds fabric limit of "
@@ -215,141 +217,49 @@ class SimFabric:
         del self._sinks[rank]
 
     # ------------------------------------------------------------------
-    def transmit(
-        self,
-        src: int,
-        dst: int,
-        nbytes: int,
-        payload: Any,
-        *,
-        on_injected: Optional[Callable[[float], None]] = None,
-    ) -> float:
-        """Send ``payload`` (conceptually ``nbytes`` long) from src to dst.
-
-        Returns the *injection-complete* time (source buffer reusable; the
-        completion point of buffered/eager sends). ``on_injected`` fires as an
-        event at that time. The destination sink fires at delivery time.
-
-        Must be called from a context where ``executor.now()`` is meaningful
-        (a task on the src rank, or an event callback). A refused send
-        (:class:`CommError`) has changed nothing.
-        """
+    def transmit(self, src: int, dst: int, nbytes: int, payload: Any, *,
+                 on_injected: Optional[Callable[[float], None]] = None,
+                 ) -> float:
+        """Send ``payload`` (conceptually ``nbytes`` long) from src to dst,
+        issued at ``executor.now()`` (a task on src, or an event callback).
+        Returns the *injection-complete* time (source buffer reusable), at
+        which ``on_injected`` fires; the destination sink fires at delivery
+        time. A refused send (:class:`CommError`) has changed nothing."""
         self._check_send(src, nbytes)
         sink = self._sink_for(dst)
-        hook = self.fault_hook
-        verdict = hook(src, dst, nbytes, payload) if hook is not None else None
-        # Every check has passed: from here on the message counts as sent.
-        self.last_fault = verdict
-        self.messages_sent += 1
-        self.bytes_sent += nbytes
-        net = self.network
         t = self.executor.now()
-        s_node, d_node = src // self.ranks_per_node, dst // self.ranks_per_node
-
-        if src == dst:
-            inject_done = t
-            delivery = t  # self-sends complete immediately (local copy)
-        elif s_node == d_node:
-            inject_done = t + net.intra_node_time(nbytes)
-            delivery = inject_done
-        else:
-            ser = net.serialization_time(nbytes)
-            tx_start = max(t, self._tx_avail[s_node])
-            self._tx_avail[s_node] = tx_start + ser
-            inject_done = tx_start + ser
-            arrival = (inject_done + net.latency
-                       + self.topology.extra_latency(s_node, d_node))
-            if sink is None:
-                # Owned elsewhere: that shard finishes the receive half
-                # (inject_remote); nothing is delivered or traced here.
-                self._park(arrival, src, dst, nbytes, payload)
-                if on_injected is not None:
-                    self.executor.call_at(inject_done, on_injected, inject_done)
-                return inject_done
-            rx_start = max(arrival, self._rx_avail[d_node])
-            self._rx_avail[d_node] = rx_start + ser
-            delivery = rx_start + ser
-
-        kind = verdict[0] if verdict is not None else None
-        if kind == "delay":
-            # Extra in-flight latency, applied before the FIFO clamp so later
-            # messages on the pair cannot overtake the delayed one.
-            delivery += verdict[1]
-            self.messages_delayed += 1
-
+        hook = self.fault_hook
+        verdict = None if hook is None else hook(src, dst, nbytes, payload, t)
+        self.last_faults = None if hook is None else [verdict]
+        inject_done, delivery, payload = self._price(
+            src, dst, nbytes, t, payload, sink, verdict)
+        # on_injected first: a self or intra-node send stamps both events
+        # with one time, and their post order is their dispatch order.
         if on_injected is not None:
             self.executor.call_at(inject_done, on_injected, inject_done)
-
-        if kind == "drop":
-            # Lost in flight: injection completed (the source buffer is
-            # reusable) but nothing arrives and the pairwise-FIFO clamp does
-            # not advance — later messages legitimately overtake a lost one.
-            self.messages_dropped += 1
-            return inject_done
-
-        # Pairwise FIFO: never deliver before an earlier message on the pair.
-        key = src * self.nranks + dst
-        prev = self._pair_last.get(key, 0.0)
-        delivery = max(delivery, prev)
-        self._pair_last[key] = delivery
-
-        tracer = self.executor.tracer
-        if tracer is not None:
-            tracer.record_message(src, dst, channel_of(payload) or "net",
-                                  nbytes, t, delivery)
-
-        if kind == "corrupt":
-            self.messages_corrupted += 1
-            payload = CorruptedPayload(payload)
-        self.executor.call_at(delivery, _deliver,
-                              (sink, src, payload, delivery))
+        if delivery is not None:
+            self.executor.call_at(delivery, _deliver,
+                                  (sink, src, payload, delivery))
         return inject_done
 
-    # ------------------------------------------------------------------
-    def transmit_wave(
-        self,
-        src: int,
-        dsts: Sequence[int],
-        nbytes: int,
-        payloads: Sequence[Any],
-        *,
-        ts: Optional[Sequence[float]] = None,
-    ) -> List[float]:
-        """Price and post a whole wave of ``nbytes``-sized messages from
-        ``src`` in one call.
-
-        Semantically a loop of :meth:`transmit` over ``(dsts[i],
-        payloads[i])`` issued at times ``ts[i]`` (default: ``executor.now()``
-        for every message) — and *bit-for-bit* so: the per-message costs come
-        from the same IEEE operations in the same order, the sequential NIC
-        availability and pairwise-FIFO recurrences run per message, and the
-        delivery events are posted in loop order so same-timestamp cohorts
-        dispatch identically. What the wave saves is the per-message call
-        chain: the costs are computed once and all deliveries are posted
-        with a single ``call_at_batch``.
-
-        The one difference is failure: a wave is validated whole before
-        anything is priced, so a bad message refuses the wave as a unit where
-        the scalar loop would already have sent the messages before it.
-
-        Fault injection is inherently per-message (verdicts feed retry
-        state), so waves refuse to run with a ``fault_hook`` installed —
-        callers check :meth:`FabricMux.wave_capable` and fall back to the
-        scalar loop. Returns the per-message injection-complete times.
+    def transmit_wave(self, src: int, dsts: Sequence[int], nbytes: int,
+                      payloads: Sequence[Any], *,
+                      ts: Optional[Sequence[float]] = None) -> List[float]:
+        """:meth:`transmit` ``(dsts[i], payloads[i])`` issued at ``ts[i]``
+        (default: ``executor.now()`` for all) for every row, bit for bit —
+        the same :meth:`_price` step per row, verdicts and
+        :attr:`last_faults` included — with the deliveries posted in row
+        order by one ``call_at_batch``. Returns the injection-complete
+        times. Every check, and the fault hook for every row, runs before
+        the first row is priced, so a bad row refuses the wave as a unit.
         """
-        if self.fault_hook is not None:
-            raise CommError(
-                "transmit_wave does not support fault injection; check "
-                "wave_capable() and fall back to per-message transmit")
         self._check_send(src, nbytes)
         n = len(dsts)
         if len(payloads) != n or (ts is not None and len(ts) != n):
             raise CommError(
                 f"wave length mismatch: {n} destinations, {len(payloads)} "
                 f"payloads, {n if ts is None else len(ts)} issue times")
-        # Only owned ranks register, so one dict lookup per destination finds
-        # every local sink; a None is unowned or unreachable, and _sink_for
-        # tells which.
+        # Only owned ranks register: a None is unowned or unreachable.
         sinks = list(map(self._sinks.get, dsts))
         if None in sinks:
             for dst, sink in zip(dsts, sinks):
@@ -357,64 +267,79 @@ class SimFabric:
                     self._sink_for(dst)
         if ts is None:
             ts = [self.executor.now()] * n
-        net = self.network
-        # Constant wire size: the costs are shared by every message (same
-        # inputs -> same floats as per-message calls).
-        ser = net.serialization_time(nbytes)
-        intra = net.intra_node_time(nbytes)
-        rpn = self.ranks_per_node
-        s_node = src // rpn
-        lat = net.latency
-        topo = self.topology
-        tx_avail = self._tx_avail
-        rx_avail = self._rx_avail
-        pair_last = self._pair_last
-        nranks = self.nranks
-        tracer = self.executor.tracer
-        self.last_fault = None
-
+        hook = self.fault_hook
+        self.last_faults = verdicts = None if hook is None else [
+            hook(src, dst, nbytes, p, t) for dst, p, t in zip(dsts, payloads, ts)]
+        price = self._price
         injects: List[float] = []
         deliveries: List[float] = []
         items: List[tuple] = []
-        for dst, t, payload, sink in zip(dsts, ts, payloads, sinks):
-            if src == dst:
-                inject_done = t
-                delivery = t
-            elif dst // rpn == s_node:
-                inject_done = t + intra
-                delivery = inject_done
-            else:
-                avail = tx_avail[s_node]
-                tx_start = avail if avail > t else t
-                tx_avail[s_node] = inject_done = tx_start + ser
-                d_node = dst // rpn
-                arrival = inject_done + lat + topo.extra_latency(s_node, d_node)
-                if sink is None:  # owned elsewhere, as in transmit
-                    self._park(arrival, src, dst, nbytes, payload)
-                    injects.append(inject_done)
-                    continue
-                avail = rx_avail[d_node]
-                rx_start = avail if avail > arrival else arrival
-                rx_avail[d_node] = delivery = rx_start + ser
-
-            key = src * nranks + dst
-            prev = pair_last.get(key, 0.0)
-            if prev > delivery:
-                delivery = prev
-            pair_last[key] = delivery
-            if tracer is not None:
-                tracer.record_message(src, dst, channel_of(payload) or "net",
-                                      nbytes, t, delivery)
+        for dst, t, payload, sink, verdict in zip(
+                dsts, ts, payloads, sinks, verdicts or repeat(None)):
+            inject_done, delivery, payload = price(
+                src, dst, nbytes, t, payload, sink, verdict)
             injects.append(inject_done)
-            deliveries.append(delivery)
-            items.append((sink, src, payload, delivery))
-
-        self.messages_sent += n
-        self.bytes_sent += nbytes * n
+            if delivery is not None:
+                deliveries.append(delivery)
+                items.append((sink, src, payload, delivery))
         self.executor.call_at_batch(deliveries, _deliver, items)
         return injects
 
-    # ------------------------------------------------------------------
+    def _price(self, src: int, dst: int, nbytes: int, t: float, payload: Any,
+               sink: Optional[Sink], verdict: Optional[tuple],
+               ) -> Tuple[float, Optional[float], Any]:
+        """Price one checked message issued at ``t`` under ``verdict``: count,
+        NICs, pairwise FIFO, trace. Returns ``(inject_done, delivery,
+        payload)``: ``delivery`` is None when nothing is to be posted here
+        (dropped, or parked), and a corrupted ``payload`` comes back wrapped."""
+        self.messages_sent += 1
+        self.bytes_sent += nbytes
+        net = self.network
+        rpn = self.ranks_per_node
+        s_node, d_node = src // rpn, dst // rpn
+        if src == dst:
+            inject_done = delivery = t  # self-sends complete immediately
+        elif s_node == d_node:
+            inject_done = delivery = t + net.intra_node_time(nbytes)
+        else:
+            ser = net.serialization_time(nbytes)
+            avail = self._tx_avail[s_node]
+            self._tx_avail[s_node] = inject_done = (
+                avail if avail > t else t) + ser
+            arrival = (inject_done + net.latency
+                       + self.topology.extra_latency(s_node, d_node))
+            if sink is None:
+                # Owned elsewhere: that shard's inject_remote finishes it.
+                self._park(arrival, src, dst, nbytes, payload)
+                return inject_done, None, payload
+            avail = self._rx_avail[d_node]
+            self._rx_avail[d_node] = delivery = (
+                avail if avail > arrival else arrival) + ser
+        kind = verdict[0] if verdict is not None else None
+        if kind == "drop":
+            # Lost in flight after injection: the FIFO clamp does not
+            # advance, so later messages legitimately overtake a lost one.
+            self.messages_dropped += 1
+            return inject_done, None, payload
+        if kind == "delay":
+            # Before the FIFO clamp: later messages cannot overtake it.
+            delivery += verdict[1]
+            self.messages_delayed += 1
+        # Pairwise FIFO: never deliver before an earlier message on the pair.
+        key = src * self.nranks + dst
+        prev = self._pair_last.get(key, 0.0)
+        if prev > delivery:
+            delivery = prev
+        self._pair_last[key] = delivery
+        tracer = self.executor.tracer
+        if tracer is not None:
+            tracer.record_message(src, dst, channel_of(payload) or "net",
+                                  nbytes, t, delivery)
+        if kind == "corrupt":
+            self.messages_corrupted += 1
+            payload = CorruptedPayload(payload)
+        return inject_done, delivery, payload
+
     def _park(self, arrival: float, src: int, dst: int, nbytes: int,
               payload: Any) -> None:
         """Queue a message priced up to its arrival at ``dst``'s node for the
@@ -433,7 +358,7 @@ class SimFabric:
 
     def inject_remote(self, msgs: Sequence[WireMsg]) -> None:
         """Finish pricing and post messages other shards parked for ranks
-        owned here.
+        owned here: the receive half of :meth:`_price`.
 
         Called at a window barrier with every message routed to this shard
         this round. Messages are applied in ``(arrival, src, seq)`` order —
@@ -469,8 +394,6 @@ class SimFabric:
         return self.network.cpu_overhead
 
     def __repr__(self) -> str:
-        return (
-            f"SimFabric(ranks=[{self.lo}, {self.hi}) of {self.nranks}, "
-            f"nodes={self.nnodes}, net={self.network.name!r}, "
-            f"msgs={self.messages_sent}, cross={self.cross_shard_msgs})"
-        )
+        return (f"SimFabric(ranks=[{self.lo}, {self.hi}) of {self.nranks}, "
+                f"nodes={self.nnodes}, net={self.network.name!r}, "
+                f"msgs={self.messages_sent}, cross={self.cross_shard_msgs})")

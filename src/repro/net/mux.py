@@ -131,8 +131,8 @@ class FabricMux:
     def set_retry_policy(self, channel: str, policy) -> None:
         """Retransmit dropped/corrupted messages on ``channel`` per
         ``policy`` (a :class:`repro.resilience.RetryPolicy`). The fabric
-        reports a fault verdict synchronously at send time
-        (:attr:`SimFabric.last_fault`), so retransmission is deterministic
+        reports fault verdicts synchronously at send time
+        (:attr:`SimFabric.last_faults`), so retransmission is deterministic
         and requires no acknowledgement protocol. Retransmits relax the
         pairwise-FIFO guarantee for the retried message (as on real
         networks); see ``docs/resilience.md`` for the ordering caveats."""
@@ -250,17 +250,13 @@ class FabricMux:
     def wave_capable(self, channel: str) -> bool:
         """True when sends on ``channel`` can use :meth:`transmit_wave`:
         the channel is registered without a coalescer (waves are already
-        batches; buffering them per-destination would double-batch), the
-        fabric prices waves, and no fault hook is installed (verdicts feed
-        per-message retry state). Callers that fall back to a per-message
-        loop get bit-identical schedules — the wave is an amortization of
+        batches; buffering them per-destination would double-batch) and the
+        fabric prices waves. Fault verdicts and retries ride the wave row
+        by row. Callers that fall back to a per-message loop get
+        bit-identical schedules — the wave is an amortization of
         Python-level call overhead, not a timing change."""
-        return (
-            channel in self._handlers
-            and channel not in self._coalescers
-            and self.fabric.fault_hook is None
-            and hasattr(self.fabric, "transmit_wave")
-        )
+        return (channel in self._handlers and channel not in self._coalescers
+                and hasattr(self.fabric, "transmit_wave"))
 
     def transmit_wave(
         self,
@@ -281,9 +277,15 @@ class FabricMux:
             raise CommError(
                 f"rank {self.rank} sending on unregistered channel {channel!r}"
             )
-        wrapped = [(channel, p) for p in payloads]
-        injects = self.fabric.transmit_wave(self.rank, dsts, nbytes, wrapped,
-                                            ts=ts)
+        fab = self.fabric
+        injects = fab.transmit_wave(self.rank, dsts, nbytes,
+                                    [(channel, p) for p in payloads], ts=ts)
+        faults = fab.last_faults
+        if faults is not None:
+            if ts is None:
+                ts = [fab.executor.now()] * len(dsts)
+            for dst, p, verdict, t in zip(dsts, payloads, faults, ts):
+                self._retry_lost(verdict, t, dst, channel, p, nbytes, 0)
         if self.stats is not None:
             n = len(dsts)
             self.stats.count(channel, "msgs_sent", n)
@@ -301,21 +303,31 @@ class FabricMux:
         # means "source buffer reusable", which stays true across retransmits.
         inject = fab.transmit(self.rank, dst, nbytes, (channel, payload),
                               on_injected=on_injected if attempt == 0 else None)
-        verdict = fab.last_fault
-        if verdict is not None and verdict[0] in ("drop", "corrupt"):
-            policy = self._retry.get(channel)
-            if policy is not None:
-                if attempt + 1 < policy.max_attempts:
-                    if self.stats is not None:
-                        self.stats.count(channel, "retries")
-                    fab.executor.call_later(
-                        policy.backoff.delay(attempt),
-                        lambda: self._transmit_attempt(
-                            dst, channel, payload, nbytes, None, attempt + 1),
-                    )
-                elif self.stats is not None:
-                    self.stats.count(channel, "retries_exhausted")
+        faults = fab.last_faults
+        if faults is not None:
+            self._retry_lost(faults[0], fab.executor.now(), dst, channel,
+                             payload, nbytes, attempt)
         return inject
+
+    def _retry_lost(self, verdict: Optional[tuple], t: float, dst: int,
+                    channel: str, payload: Any, nbytes: int,
+                    attempt: int) -> None:
+        """Schedule the retransmission of a message issued at ``t`` that
+        ``verdict`` dropped or corrupted, per ``channel``'s retry policy."""
+        if verdict is None or verdict[0] not in ("drop", "corrupt"):
+            return
+        policy = self._retry.get(channel)
+        if policy is None:
+            return
+        if attempt + 1 < policy.max_attempts:
+            if self.stats is not None:
+                self.stats.count(channel, "retries")
+            self.fabric.executor.call_at(
+                t + policy.backoff.delay(attempt),
+                lambda: self._transmit_attempt(
+                    dst, channel, payload, nbytes, None, attempt + 1))
+        elif self.stats is not None:
+            self.stats.count(channel, "retries_exhausted")
 
     def _dispatch(self, src: int, wrapped: Any, time: float) -> None:
         if type(wrapped) is CorruptedPayload:

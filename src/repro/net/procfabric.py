@@ -21,7 +21,7 @@ fires once the frame is serialized and handed to the kernel — the source
 buffer is reusable. Payload snapshots are plain arrays that the sender
 drops after that; the receiving process unpickles its own copy.
 
-Fault injection is not supported on this fabric (``last_fault`` is always
+Fault injection is not supported on this fabric (``last_faults`` is always
 ``None``); the simulator remains the chaos/verify engine of record.
 """
 
@@ -81,7 +81,7 @@ class ProcFabric:
     """One rank's endpoint of the socket mesh."""
 
     #: No fault injection on the real fabric: the mux reads both per send.
-    last_fault = None
+    last_faults = None
     fault_hook = None
 
     def __init__(

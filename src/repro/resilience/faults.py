@@ -277,7 +277,9 @@ class FaultInjector:
 
     # -- verdicts ------------------------------------------------------
     def _message_verdict(self, src: int, dst: int, nbytes: int,
-                         payload: Any) -> Optional[Tuple]:
+                         payload: Any, t: float) -> Optional[Tuple]:
+        """The fabric's fault hook: the verdict for one message issued at
+        virtual time ``t`` (a wave row's own issue time), logged at ``t``."""
         channel = channel_of(payload)
         for rule in self._msg_rules:
             if rule.exhausted():
@@ -287,7 +289,6 @@ class FaultInjector:
             if float(self._msg_rng.random()) >= rule.prob:
                 continue
             rule.fired += 1
-            t = self._executor.now() if self._executor is not None else 0.0
             detail = f"{src}->{dst} ch={channel or 'net'} nbytes={nbytes}"
             if rule.kind == "message_drop":
                 self._log(t, "message_drop", detail, rank=src)

@@ -207,8 +207,7 @@ class ShmemBackend:
 
     def wave_capable(self) -> bool:
         """True when this PE's AMO/put path can take the vectorized wave
-        route (no coalescer on the shmem channel, wave-pricing fabric, no
-        fault injection)."""
+        route (no coalescer on the shmem channel, wave-pricing fabric)."""
         return self.mux.wave_capable(_CHANNEL)
 
     def amo_fetch_wave(self, op: str, target: SymArray, index: int,

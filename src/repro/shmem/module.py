@@ -174,8 +174,8 @@ class ShmemModule(HiperModule):
                               pes: Sequence[int], index: int = 0) -> List[Future]:
         """Issue one fetch-add per ``(pes[i], values[i])`` pair — an
         all-to-all reservation wave — priced by the fabric in one vectorized
-        pass when the path supports it (direct mode, no coalescing, no fault
-        injection). Otherwise falls back to a loop of
+        pass when the path supports it (direct mode, no coalescing; fault
+        verdicts and retries ride the wave). Otherwise falls back to a loop of
         :meth:`atomic_fetch_add_async`; schedules are bit-identical either
         way, the wave only amortizes per-message Python overhead."""
         b = self.backend

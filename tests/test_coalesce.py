@@ -228,7 +228,7 @@ class TestCoalesceResilience:
 
     def test_dropped_envelope_loses_whole_batch(self):
         ex, fab, muxes, got = self._coalesced_pair()
-        fab.fault_hook = lambda src, dst, n, p: ("drop",)
+        fab.fault_hook = lambda src, dst, n, p, t: ("drop",)
         for i in range(3):
             muxes[0].transmit(1, "app", i, 8)
         ex.drain()
@@ -237,7 +237,7 @@ class TestCoalesceResilience:
 
     def test_corrupted_envelope_discarded_whole(self):
         ex, fab, muxes, got = self._coalesced_pair()
-        fab.fault_hook = lambda src, dst, n, p: ("corrupt",)
+        fab.fault_hook = lambda src, dst, n, p, t: ("corrupt",)
         for i in range(3):
             muxes[0].transmit(1, "app", i, 8)
         ex.drain()

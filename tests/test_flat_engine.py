@@ -346,14 +346,6 @@ class TestWaveBitIdentity:
         assert (_run_fabric(True, 48, engine=SimExecutor)
                 == _run_fabric(False, 48))
 
-    def test_wave_refuses_fault_hook(self):
-        from repro.util.errors import CommError
-        ex = SimExecutor()
-        fab = SimFabric(ex, 4, NetworkModel())
-        fab.fault_hook = lambda s, d, n, p: None
-        with pytest.raises(CommError, match="fault injection"):
-            fab.transmit_wave(0, [1], 8, ["x"])
-
     def test_wave_length_mismatch_rejected(self):
         from repro.util.errors import CommError
         ex = SimExecutor()

@@ -1,7 +1,11 @@
 """Network cost model, fabric timing/ordering/ownership/failure atomicity,
 the protocol mux, and the surface every fabric class must present."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exec.shards import ShardPlan
 from repro.exec.sim import SimExecutor
@@ -224,7 +228,7 @@ class TestFabricFaultErrorPaths:
         ex, fab = make_fabric(nranks=2)
         fab.register_sink(1, lambda s, p, t: None)
 
-        def broken_hook(src, dst, nbytes, payload):
+        def broken_hook(src, dst, nbytes, payload, t):
             raise RuntimeError("hook bug")
 
         fab.fault_hook = broken_hook
@@ -281,6 +285,9 @@ class TestFailureAtomicity:
          "no registered message sink"),
         (lambda f: f.transmit_wave(0, [1, 1], -1, ["a", "b"]),
          "negative message size"),
+        (lambda f: f.transmit(0, 1, float("nan"), "x"), "negative message size"),
+        (lambda f: f.transmit_wave(0, [1, 1], float("nan"), ["a", "b"]),
+         "negative message size"),
         (lambda f: f.transmit_wave(0, [1, 1], 4097, ["a", "b"]),
          "exceeds fabric limit"),
         (lambda f: f.transmit_wave(0, [1, 1], 1024, ["a"]),
@@ -296,15 +303,6 @@ class TestFailureAtomicity:
         assert _state(ex, fab) == before
         ex.drain()
         assert seen == ["warm"]  # "a" is not delivered: a wave fails whole
-
-    def test_wave_refused_under_a_fault_hook_changes_nothing(self):
-        ex, fab, _ = self._fabric()
-        calls = []
-        fab.fault_hook = lambda *a: calls.append(a)
-        before = _state(ex, fab)
-        with pytest.raises(CommError, match="does not support fault"):
-            fab.transmit_wave(0, [1, 1], 1024, ["a", "b"])
-        assert _state(ex, fab) == before and calls == []
 
     @pytest.mark.parametrize("hook, call, error", [
         (False, lambda f: f.transmit(2, 0, 8, "x"),
@@ -394,6 +392,156 @@ class TestOwnership:
 
 
 # ----------------------------------------------------------------------
+# the one pricing step: where the FIFO clamp binds, the remote tie order,
+# and a wave as a loop of transmits
+# ----------------------------------------------------------------------
+def _send(fab, form, src, dst, nbytes, payload):
+    if form == "wave":
+        fab.transmit_wave(src, [dst], nbytes, [payload])
+    else:
+        fab.transmit(src, dst, nbytes, payload)
+
+
+class TestPairwiseFifoClamp:
+    """The two cases where the clamp changes a delivery time. Without NICs
+    or delays, sender and receiver serialization already keep a pair in
+    order, so nothing else pins the clamp."""
+
+    @pytest.mark.parametrize("form", ["scalar", "wave"])
+    def test_small_intra_node_message_waits_for_the_big_one(self, form):
+        ex, fab = make_fabric(nranks=4, ranks_per_node=2)
+        seen = []
+        fab.register_sink(1, lambda s, p, t: seen.append((p, t)))
+        fab.transmit(0, 1, 1 << 20, "big")    # lands at 35.35 us
+        _send(fab, form, 0, 1, 8, "small")     # 0.40 us without the clamp
+        ex.drain()
+        big = 4e-7 + (1 << 20) / 3e10
+        assert big == pytest.approx(35.35e-6, abs=1e-8)
+        assert seen == [("big", big), ("small", big)]
+
+    @pytest.mark.parametrize("form", ["scalar", "wave"])
+    def test_clean_message_waits_for_a_delayed_one(self, form):
+        ex, fab = make_fabric(nranks=2)
+        seen = []
+        fab.register_sink(1, lambda s, p, t: seen.append((p, t)))
+        verdicts = [("delay", 50e-6), None]
+        fab.fault_hook = lambda *a: verdicts.pop(0)
+        fab.transmit(0, 1, 64, "delayed")     # rx done 3.516 us, +50 us
+        _send(fab, form, 0, 1, 64, "clean")    # 4.524 us without the clamp
+        ex.drain()
+        assert seen[0][1] == pytest.approx(53.516e-6, abs=1e-12)
+        assert seen == [("delayed", seen[0][1]), ("clean", seen[0][1])]
+        assert fab.messages_delayed == 1
+
+
+class TestInjectRemoteOrder:
+    def test_arrival_ties_break_by_source_rank_not_send_order(self):
+        ex0, fab0, _ = _sliced(0)
+        ex1, fab1, seen1 = _sliced(1)
+        fab0.transmit(1, 2, 64, "from 1")     # sent first ...
+        fab0.transmit(0, 2, 64, "from 0")     # ... both arrive at 2.508 us
+        outbox = fab0.take_outboxes()[1]
+        assert outbox[0][0] == outbox[1][0] == pytest.approx(2.508e-6,
+                                                             abs=1e-12)
+        fab1.inject_remote(outbox)
+        ex1.drain()
+        assert [(s, p) for _r, s, p, _t in seen1] == [(0, "from 0"),
+                                                      (1, "from 1")]
+        assert [t for *_x, t in seen1] == pytest.approx([3.516e-6, 4.524e-6],
+                                                        abs=1e-12)
+
+
+class _Recorder:
+    """An executor that only records: ``now()`` is whatever the test set,
+    and every post is kept as ``(when, arg)`` in post order."""
+
+    tracer = None
+
+    def __init__(self):
+        self.t = 0.0
+        self.posts = []
+
+    def now(self):
+        return self.t
+
+    def call_at(self, when, fn, arg=None):
+        self.posts.append((when, arg))
+
+    def call_at_batch(self, whens, fn, args):
+        self.posts.extend(zip(whens, args))
+
+
+_OWNED, _ALL = range(4), range(8)  # shard 0 of 4 nodes x 2 ranks, 2 shards
+_row = st.tuples(st.sampled_from(_ALL),
+                 st.floats(0.0, 2e-5, allow_nan=False))
+_wave = st.tuples(st.sampled_from(_OWNED), st.sampled_from([0, 8, 4096]),
+                  st.lists(_row, min_size=1, max_size=6))
+
+
+def _verdict_stream(seed):
+    """A seeded hook: each call draws clean, drop, corrupt or a delay."""
+    rng = random.Random(seed)
+    calls = []
+
+    def hook(*args):
+        calls.append(args)
+        return rng.choice([None, None, ("drop",), ("corrupt",),
+                           ("delay", rng.choice([1e-6, 3e-5]))])
+    return hook, calls
+
+
+def _priced(waves, as_wave, seed):
+    ex = _Recorder()
+    fab = SimFabric(ex, 8, NetworkModel(), ranks_per_node=2,
+                    plan=ShardPlan.build(8, 2, 2), shard_id=0)
+    rank_of = {}
+    for rank in _OWNED:
+        def sink(s, p, t):
+            pass
+        rank_of[sink] = rank
+        fab.register_sink(rank, sink)
+    calls = []
+    if seed is not None:
+        fab.fault_hook, calls = _verdict_stream(seed)
+    injects, faults = [], []
+    for src, nbytes, rows in waves:
+        dsts = [d for d, _ in rows]
+        ts = [t for _, t in rows]
+        payloads = [f"{src}>{d}#{i}" for i, d in enumerate(dsts)]
+        if as_wave:
+            injects += fab.transmit_wave(src, dsts, nbytes, payloads, ts=ts)
+            faults.append(fab.last_faults)
+        else:
+            got = []
+            for d, t, p in zip(dsts, ts, payloads):
+                ex.t = t
+                injects.append(fab.transmit(src, d, nbytes, p))
+                got += fab.last_faults or []
+            faults.append(got if seed is not None else None)
+    posts = [(w, (rank_of[a[0]], a[1], repr(a[2]), a[3])) for w, a in ex.posts]
+    return (injects, posts, faults, calls, list(fab._tx_avail),
+            list(fab._rx_avail), dict(fab._pair_last), fab.messages_sent,
+            fab.bytes_sent, fab.messages_dropped, fab.messages_corrupted,
+            fab.messages_delayed, fab.take_outboxes())
+
+
+class TestWaveIsATransmitLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(waves=st.lists(_wave, min_size=1, max_size=4),
+           seed=st.none() | st.integers(0, 2**16))
+    def test_wave_equals_transmit_loop_at_the_same_issue_times(self, waves,
+                                                               seed):
+        """Self, intra-node, inter-node, repeated and (without a hook)
+        unowned destinations, at ragged issue times, with and without a
+        seeded verdict stream: the same floats, posts in the same order,
+        the same hook calls (issue time included) and verdicts."""
+        if seed is not None:  # faults are refused across shards
+            waves = [(src, nb, [(d % 4, t) for d, t in rows])
+                     for src, nb, rows in waves]
+        assert _priced(waves, True, seed) == _priced(waves, False, seed)
+
+
+# ----------------------------------------------------------------------
 # the surface FabricMux and the backends use, on every fabric
 # ----------------------------------------------------------------------
 class _Clock:
@@ -424,11 +572,11 @@ class TestFabricConformance:
         fab, mine, foreign = any_fabric
         for name in ("register_sink", "unregister_sink", "transmit",
                      "nranks", "node_of", "cpu_send_overhead", "fault_hook",
-                     "last_fault", "executor"):
+                     "last_faults", "executor"):
             assert hasattr(fab, name), name
         assert fab.nranks == 4 and fab.node_of(mine) == 0
         assert fab.cpu_send_overhead() >= 0.0
-        assert fab.fault_hook is None and fab.last_fault is None
+        assert fab.fault_hook is None and fab.last_faults is None
 
         seen = []
         fab.register_sink(mine, lambda s, p, t: seen.append((s, p)))

@@ -317,7 +317,7 @@ class TestMessageFaults:
         ex, fab = make_fabric()
         seen, injected = [], []
         fab.register_sink(1, lambda s, p, t: seen.append(p))
-        fab.fault_hook = lambda src, dst, n, p: ("drop",)
+        fab.fault_hook = lambda src, dst, n, p, t: ("drop",)
         fab.transmit(0, 1, 100, "gone",
                      on_injected=lambda t: injected.append(t))
         ex.drain()
@@ -337,7 +337,7 @@ class TestMessageFaults:
             return fab, times[0]
 
         _, base = delivery_time(None)
-        fab, slow = delivery_time(lambda src, dst, n, p: ("delay", 7e-3))
+        fab, slow = delivery_time(lambda src, dst, n, p, t: ("delay", 7e-3))
         assert slow == pytest.approx(base + 7e-3, rel=1e-6)
         assert fab.messages_delayed == 1
 
@@ -345,7 +345,7 @@ class TestMessageFaults:
         ex, fab = make_fabric()
         seen = []
         fab.register_sink(1, lambda s, p, t: seen.append(p))
-        fab.fault_hook = lambda src, dst, n, p: ("corrupt",)
+        fab.fault_hook = lambda src, dst, n, p, t: ("corrupt",)
         fab.transmit(0, 1, 100, "garbled")
         ex.drain()
         assert len(seen) == 1
@@ -738,6 +738,72 @@ class TestGoldenDeterminism:
 #: hosting each rank's main task (worker 0's socket0.l3).
 NVM_DUO = MachineSpec(name="nvm-duo", sockets=2, cores_per_socket=2,
                       nvm_bytes=1 << 30)
+
+
+#: Seed -> the flat ISx fault-plan run below as the scalar loop gives it:
+#: makespan repr, fault events, sha256 of the event log's repr (prefix),
+#: shmem retries, shmem msgs_sent. Seed 1's row was measured on the last
+#: commit where a fault hook switched the wave off.
+_FAULT_WAVE_PINS = {
+    1: ("0.0021215474333392877", 338, "55c7068344f02554", 139, 3072),
+    2: ("0.002077479781818188", 324, "a626a31d8db84b7e", 135, 3072),
+    3: ("0.0021412621587507882", 334, "0e46545b39a9089a", 133, 3072),
+}
+
+
+def _isx_fault_wave(seed):
+    """Flat ISx under drop/corrupt/delay faults with retries; returns its
+    pinned tuple and how many fetch-add waves it sent."""
+    import hashlib
+
+    from repro.apps.isx import IsxConfig, isx_main, validate_isx
+    from repro.bench.harness import cluster_for
+    from repro.shmem.backend import ShmemBackend
+
+    waves = []
+    orig = ShmemBackend.amo_fetch_wave
+
+    def counting(self, *a, **kw):
+        waves.append(1)
+        return orig(self, *a, **kw)
+
+    cfg = IsxConfig(keys_per_pe=512, byte_scale=128)
+    inj = FaultInjector(FaultPlan.from_spec({
+        "retry": {"attempts": 6, "base": 1e-5, "factor": 2.0, "jitter": 0.25},
+        "faults": [{"kind": "message_drop", "prob": 0.02},
+                   {"kind": "message_corrupt", "prob": 0.02},
+                   {"kind": "message_delay", "prob": 0.05, "extra": 1e-5}],
+    }, seed=seed))
+    ShmemBackend.amo_fetch_wave = counting
+    try:
+        res = spmd_run(isx_main("flat", cfg),
+                       cluster_for("titan", 2, layout="flat"),
+                       module_factories=[shmem_factory(direct=True)],
+                       fault_injector=inj)
+    finally:
+        ShmemBackend.amo_fetch_wave = orig
+    validate_isx(cfg, res.nranks, res.results)
+    stats = res.merged_stats()
+    log = hashlib.sha256(repr(inj.event_log()).encode()).hexdigest()[:16]
+    return ((repr(res.makespan), len(inj.events), log,
+             stats.counter("shmem", "retries"),
+             stats.counter("shmem", "msgs_sent")), len(waves))
+
+
+class TestFaultWaveIdentity:
+    """Fault verdicts ride the fetch-add wave: the wave engages under a
+    fault plan and gives the scalar loop's schedule, fault log and
+    retries bit for bit."""
+
+    @pytest.mark.parametrize("seed", sorted(_FAULT_WAVE_PINS))
+    def test_wave_under_faults_equals_scalar_loop(self, seed, monkeypatch):
+        from repro.shmem.backend import ShmemBackend
+
+        with_wave, nwaves = _isx_fault_wave(seed)
+        assert nwaves == 32, "fetch-add wave did not engage under faults"
+        monkeypatch.setattr(ShmemBackend, "wave_capable", lambda self: False)
+        assert _isx_fault_wave(seed) == (with_wave, 0)
+        assert with_wave == _FAULT_WAVE_PINS[seed]
 
 
 class TestCheckpointRecovery:
