@@ -137,6 +137,7 @@ def run_mpi_cuda(ctx, cfg: GeoConfig):
     d_u = cu.malloc(host.shape)
     d_unew = cu.malloc(host.shape)
     yield cu.memcpy_async(d_u, host)
+    del host  # the device owns the field from here on
 
     ghost_lo = np.zeros((cfg.nx, cfg.ny))
     ghost_hi = np.zeros((cfg.nx, cfg.ny))
@@ -184,6 +185,8 @@ def run_mpi_cuda(ctx, cfg: GeoConfig):
 
     out = np.zeros((nz, cfg.nx, cfg.ny))
     yield cu.memcpy_async(out, d_u, index=slice(1, nz + 1))
+    cu.free(d_u)
+    cu.free(d_unew)
     return out
 
 
@@ -191,6 +194,10 @@ def run_mpi_cuda(ctx, cfg: GeoConfig):
 # Variant 3: HiPER — future-based composition of host, CUDA, and MPI
 # ----------------------------------------------------------------------
 def run_hiper(ctx, cfg: GeoConfig):
+    """The host owns slab planes {1, nz} (the "ghost region"), the device
+    the interior {2..nz-1}. After the upload the host keeps only the six
+    slab planes its stencil touches, ``[0, 1, 2, nz-1, nz, nz+1]``: ghosts at
+    host planes 1 and 4, halos 0 and 5, device overlaps 2 and 3."""
     if cfg.nz < 4:
         raise ConfigError("HiPER GEO partitioning needs nz >= 4")
     me, n = ctx.rank, ctx.nranks
@@ -200,23 +207,22 @@ def run_hiper(ctx, cfg: GeoConfig):
     down = me - 1 if me > 0 else None
     up = me + 1 if me < n - 1 else None
 
-    # Host owns planes {1, nz} (the "ghost region"); the device owns the
-    # interior {2..nz-1}. Each keeps the one-plane overlap it needs, moved
-    # asynchronously every step.
-    hu = initial_slab(cfg, me, n)
-    yield from _initial_halo_exchange(ctx, hu, nz)
+    slab = initial_slab(cfg, me, n)
+    yield from _initial_halo_exchange(ctx, slab, nz)
+    d_u = cu.malloc(slab.shape)
+    d_unew = cu.malloc(slab.shape)
+    yield cu.memcpy_async(d_u, slab)
+    hu = slab[[0, 1, 2, nz - 1, nz, nz + 1]]
     hunew = np.zeros_like(hu)
-    d_u = cu.malloc(hu.shape)
-    d_unew = cu.malloc(hu.shape)
-    yield cu.memcpy_async(d_u, hu)
+    del slab
 
     for t in range(cfg.timesteps):
         a, b, ha, hb = d_u, d_unew, hu, hunew
         # Asynchronous overlap copies (old values), all off the critical path:
         d2h_lo = cu.memcpy_async(ha[2], a, index=2, stream=1)
-        d2h_hi = cu.memcpy_async(ha[nz - 1], a, index=nz - 1, stream=1)
+        d2h_hi = cu.memcpy_async(ha[3], a, index=nz - 1, stream=1)
         h2d_lo = cu.memcpy_async(a, ha[1], index=1, stream=2)
-        h2d_hi = cu.memcpy_async(a, ha[nz], index=nz, stream=2)
+        h2d_hi = cu.memcpy_async(a, ha[4], index=nz, stream=2)
 
         # Asynchronously process ghost planes on the host once their device
         # overlap plane arrives (forasync_future in the paper's listing).
@@ -225,7 +231,7 @@ def run_hiper(ctx, cfg: GeoConfig):
             cost=plane_cost, name=f"geo-hghost-lo-t{t}",
         )
         f_hi = async_future_await(
-            lambda: stencil_planes(ha, hb, nz, nz + 1), d2h_hi,
+            lambda: stencil_planes(ha, hb, 4, 5), d2h_hi,
             cost=plane_cost, name=f"geo-hghost-hi-t{t}",
         )
 
@@ -243,15 +249,15 @@ def run_hiper(ctx, cfg: GeoConfig):
         else:
             hb[0] = 0.0
         if up is not None:
-            pending.append(mpi.isend_await(lambda: hb[nz].copy(), up, f_hi,
+            pending.append(mpi.isend_await(lambda: hb[4].copy(), up, f_hi,
                                            tag=t))
             r = mpi.irecv(src=up, tag=t)
             pending.append(async_future_await(
-                lambda fr=r: hb.__setitem__(nz + 1, fr.value()[0]), r,
+                lambda fr=r: hb.__setitem__(5, fr.value()[0]), r,
                 name=f"geo-halo-hi-t{t}",
             ))
         else:
-            hb[nz + 1] = 0.0
+            hb[5] = 0.0
 
         # Asynchronously process the interior on the device once its host
         # overlap planes arrive (forasync_cuda awaiting futures).
@@ -268,10 +274,10 @@ def run_hiper(ctx, cfg: GeoConfig):
 
     out = np.zeros((nz, cfg.nx, cfg.ny))
     out[0] = hu[1]
-    out[nz - 1] = hu[nz]
-    mid = np.zeros((nz - 2, cfg.nx, cfg.ny))
-    yield cu.memcpy_async(mid, d_u, index=slice(2, nz))
-    out[1 : nz - 1] = mid
+    out[nz - 1] = hu[4]
+    yield cu.memcpy_async(out[1 : nz - 1], d_u, index=slice(2, nz))
+    cu.free(d_u)
+    cu.free(d_unew)
     return out
 
 

@@ -232,7 +232,7 @@ class SimExecutor(Executor):
         return self._event_floor
 
     def charge(self, seconds: float) -> None:
-        if seconds < 0:
+        if not seconds >= 0:  # NaN too: it would poison the worker clock
             raise ConfigError(f"cannot charge negative time {seconds}")
         ctx = current_context()
         if ctx is None or ctx.worker is None:

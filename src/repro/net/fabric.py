@@ -38,6 +38,7 @@ receive-only loop: its rows have no send half, no verdicts, own sizes.
 
 from __future__ import annotations
 
+import math
 from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -259,6 +260,8 @@ class SimFabric:
             raise CommError(
                 f"wave length mismatch: {n} destinations, {len(payloads)} "
                 f"payloads, {n if ts is None else len(ts)} issue times")
+        if ts is not None and any(map(math.isnan, ts)):
+            raise CommError("wave issue time is NaN")
         # Only owned ranks register: a None is unowned or unreachable.
         sinks = list(map(self._sinks.get, dsts))
         if None in sinks:

@@ -29,6 +29,10 @@ block, ``stencil_planes`` peaked at 3.00 blocks (bound 1.1) and a warm-mask
 because every rank built the global problem (bound 3). NumPy adds one
 64 KiB iterator buffer per strided operand on top of the temporaries, which
 is why the rows use blocks of megabytes.
+
+The GEO rows fail at b39cff0: its oracle peaked at 4.13 global grids (bound
+1.5), a finished run still held 3.09 slabs per rank (bound 1.5), and both
+CUDA variants left their two device slabs allocated.
 """
 
 import collections
@@ -39,7 +43,8 @@ import types
 import numpy as np
 import pytest
 
-from repro.apps.geo import stencil_planes
+from repro.apps.geo import (GeoConfig, check_result, geo_main,
+                            reference_solution, stencil_planes)
 from repro.apps.hpgmg import DistributedMg, HpgmgConfig
 from repro.apps.hpgmg.ops import alloc_field, gsrb
 from repro.apps.hpgmg.solver import setup_problem
@@ -407,3 +412,52 @@ def test_kernel_peak_numpy_bytes(kernel, blocks):
     call, block = KERNEL_CALLS[kernel]()
     block_bytes = 8 * int(np.prod(block))
     assert _peak_bytes(call) <= blocks * block_bytes
+
+
+# ----------------------------------------------------------------------
+# the GEO stencil leg (docs/sim-internals.md, "Memory of the stencil leg")
+# ----------------------------------------------------------------------
+GEO_ORACLE = GeoConfig(nx=64, ny=64, nz=16, timesteps=4)
+GEO_RUN = GeoConfig(nx=32, ny=32, nz=16, timesteps=2)
+
+
+def test_stencil_leg_oracle_peak_bytes():
+    """``check_result`` on 8 correct rank slabs: the reference grid and
+    slab-sized scratch (4.13 global grids at b39cff0)."""
+    nranks = 8
+    slabs = np.split(reference_solution(GEO_ORACLE, nranks), nranks)
+    grid_bytes = 8 * nranks * GEO_ORACLE.cells_per_rank()
+    assert _peak_bytes(lambda: check_result(GEO_ORACLE, slabs)) <= (
+        1.5 * grid_bytes)
+
+
+def _geo_run(variant):
+    cluster = ClusterConfig(nodes=4, workers_per_rank=2,
+                            machine=machine("titan"))
+    return spmd_run(geo_main(variant, GEO_RUN), cluster,
+                    module_factories=[mpi_factory(), cuda_factory()])
+
+
+@pytest.mark.parametrize("variant", ["hiper", "mpi_cuda"])
+def test_stencil_leg_frees_device_buffers(variant):
+    res = _geo_run(variant)
+    check_result(GEO_RUN, res.results)
+    devices = [dev for ctx in res.contexts
+               for dev in ctx.runtime.module("cuda").devices]
+    assert len(devices) == res.nranks
+    assert all(not dev._live and dev.mem_used == 0 for dev in devices)
+
+
+def test_stencil_leg_hiper_run_keeps_only_results():
+    """What a finished ``hiper`` run still holds: each rank's result and
+    none of its host or device slabs (3.09 slabs per rank at b39cff0)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        res = _geo_run("hiper")
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    slab_bytes = 8 * (GEO_RUN.nz + 2) * GEO_RUN.plane_cells
+    assert held <= 1.5 * slab_bytes * res.nranks

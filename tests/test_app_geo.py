@@ -1,6 +1,8 @@
 """GEO stencil application: kernel math, workload determinism, and all three
 variants validated against the serial reference."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +100,72 @@ def test_kernel_bit_identical_to_oracle(nz, nx, ny, scale, seed, data):
     _stencil_oracle(src, want, z_lo, z_hi)
     stencil_planes(src, got, z_lo, z_hi)
     assert np.array_equal(got, want)
+
+
+def _one_block_reference(cfg, nranks):
+    """The serial evolution as one double-buffered stencil call per step
+    over the whole grid: the blocked, in-place reference must equal it."""
+    nz_g = cfg.nz * nranks
+    u = np.zeros((nz_g + 2, cfg.nx, cfg.ny))
+    for r in range(nranks):
+        u[1 + r * cfg.nz : 1 + (r + 1) * cfg.nz] = initial_slab(
+            cfg, r, nranks)[1 : cfg.nz + 1]
+    nxt = np.zeros_like(u)
+    for _ in range(cfg.timesteps):
+        stencil_planes(u, nxt, 1, nz_g + 1)
+        u, nxt = nxt, u
+    return u[1 : nz_g + 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(3, 6), ny=st.integers(3, 6), nz=st.integers(3, 6),
+       nranks=st.integers(1, 5), timesteps=st.integers(1, 4),
+       seed=st.integers(0, 2**16))
+def test_blocked_reference_bit_identical_to_one_block(nx, ny, nz, nranks,
+                                                      timesteps, seed):
+    cfg = GeoConfig(nx=nx, ny=ny, nz=nz, timesteps=timesteps, seed=seed)
+    assert np.array_equal(reference_solution(cfg, nranks),
+                          _one_block_reference(cfg, nranks))
+
+
+_NUDGES = st.tuples(
+    st.sampled_from([0.0, 1e-6, 9.99e-6, 1e-5, 1.001e-5, 1e-3]),  # relative
+    st.sampled_from([0.0, 5e-13, 1e-12, 2e-12]),  # absolute
+    st.sampled_from([1.0, -1.0]),
+    st.sampled_from([None, float("nan"), float("inf")]),  # replaces the cell
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nranks=st.integers(1, 3), seed=st.integers(0, 2**16), data=st.data())
+def test_streaming_check_agrees_with_allclose(nranks, seed, data):
+    """Slab-by-slab ``check_result`` gives ``np.allclose(atol=1e-12)``'s
+    verdict on the whole grid, and its max abs error on failure."""
+    cfg = GeoConfig(nx=4, ny=3, nz=3, timesteps=2, seed=seed)
+    want = reference_solution(cfg, nranks)
+    got = want.copy()
+    cells = st.integers(0, got.size - 1)
+    for cell, (rel, atol, sign, value) in data.draw(
+            st.lists(st.tuples(cells, _NUDGES), max_size=4)):
+        if value is None:
+            got.flat[cell] += sign * (atol + rel * abs(want.flat[cell]))
+        else:
+            got.flat[cell] = sign * value
+    slabs = np.split(got, nranks)
+    if np.allclose(got, want, atol=1e-12):
+        check_result(cfg, slabs)
+    else:
+        err = float(np.max(np.abs(got - want)))
+        with pytest.raises(AssertionError,
+                           match=re.escape(f"max abs error {err:.3e}")):
+            check_result(cfg, slabs)
+
+
+def test_check_result_refuses_a_misshapen_slab():
+    cfg = GeoConfig(nx=4, ny=3, nz=3, timesteps=1)
+    slabs = np.split(reference_solution(cfg, 2), 2)
+    with pytest.raises(AssertionError, match="rank 1 slab has shape"):
+        check_result(cfg, [slabs[0], slabs[1][:2]])
 
 
 def test_registry_answer_digest_pinned():

@@ -304,6 +304,19 @@ class TestFailureAtomicity:
         ex.drain()
         assert seen == ["warm"]  # "a" is not delivered: a wave fails whole
 
+    def test_nan_issue_time_refuses_the_wave(self):
+        """Fails at b39cff0, where a NaN ``ts`` row poisoned ``_rx_avail``
+        and posted a NaN-stamped delivery that ``drain()`` never got past.
+        Nothing is drained here, so that commit fails instead of hanging."""
+        ex, fab, _ = self._fabric()
+        calls = []
+        fab.fault_hook = lambda *a: calls.append(a)
+        before = _state(ex, fab)
+        with pytest.raises(CommError, match="NaN"):
+            fab.transmit_wave(0, [1, 1], 8, ["a", "b"],
+                              ts=[0.0, float("nan")])
+        assert _state(ex, fab) == before and calls == []
+
     @pytest.mark.parametrize("hook, call, error", [
         (False, lambda f: f.transmit(2, 0, 8, "x"),
          "cannot send on behalf of"),

@@ -409,6 +409,16 @@ class TestVirtualTime:
         with pytest.raises(ConfigError):
             sim_rt.run(main)
 
+    def test_nan_charge_rejected_before_the_clock(self, sim_rt):
+        """Fails at b39cff0, where ``charge`` tested only ``seconds < 0``
+        and a NaN reached the worker clock."""
+        def main():
+            with pytest.raises(ConfigError, match="nan"):
+                charge(float("nan"))
+            return now()
+
+        assert sim_rt.run(main) == 0.0
+
     def test_deterministic_makespan(self):
         def run_once():
             ex = SimExecutor()
