@@ -74,7 +74,7 @@ def run_telemetry(res: SpmdResult) -> Dict[str, float]:
     nworkers = 0
     for ctx in res.contexts:
         for w in getattr(ctx.runtime, "workers", []):
-            busy += max(0.0, w.clock - w.idle_time)
+            busy += max(0.0, w.busy_time)
             nworkers += 1
     if nworkers and res.makespan > 0:
         out["utilization"] = min(1.0, busy / (nworkers * res.makespan))

@@ -61,12 +61,14 @@ class DeviceArray:
 
 
 class GpuOp:
-    """Completion handle for one enqueued device operation."""
+    """Completion handle for one enqueued device operation. ``nbytes`` is
+    what a copy moves, the same count that priced it (0 for a kernel)."""
 
-    __slots__ = ("kind", "done", "completion_time", "value")
+    __slots__ = ("kind", "nbytes", "done", "completion_time", "value")
 
-    def __init__(self, kind: str):
+    def __init__(self, kind: str, nbytes: int = 0):
         self.kind = kind
+        self.nbytes = nbytes
         self.done = False
         self.completion_time = 0.0
         self.value: Any = None
@@ -187,7 +189,7 @@ class SimGpu:
                 flat[:n] = snapshot.reshape(-1).view(np.uint8)[:n]
 
         return self._schedule(
-            stream, "h2d", _PCIE_LATENCY + n / self.pcie_bw, GpuOp("h2d"), _apply
+            stream, "h2d", _PCIE_LATENCY + n / self.pcie_bw, GpuOp("h2d", n), _apply
         )
 
     def copy_d2h(self, dst: np.ndarray, src: DeviceArray, *, stream: int = 0,
@@ -215,7 +217,7 @@ class SimGpu:
                 flat[:n] = src.data.reshape(-1).view(np.uint8)[:n]
 
         return self._schedule(
-            stream, "d2h", _PCIE_LATENCY + n / self.pcie_bw, GpuOp("d2h"), _apply
+            stream, "d2h", _PCIE_LATENCY + n / self.pcie_bw, GpuOp("d2h", n), _apply
         )
 
     def copy_d2d(self, dst: DeviceArray, src: DeviceArray, *, stream: int = 0,
@@ -229,7 +231,7 @@ class SimGpu:
             flat[:n] = src.data.reshape(-1).view(np.uint8)[:n]
 
         return self._schedule(
-            stream, "d2d", n / self.mem_bw, GpuOp("d2d"), _apply
+            stream, "d2d", n / self.mem_bw, GpuOp("d2d", n), _apply
         )
 
     # ------------------------------------------------------------------
@@ -246,8 +248,9 @@ class SimGpu:
         """Enqueue a kernel. ``body`` runs (on the host, against device
         arrays) at the kernel's virtual completion; its return value appears
         as the op's value. Roofline duration from ``flops``/``bytes_moved``."""
-        if flops < 0 or bytes_moved < 0:
-            raise GpuError("kernel flops/bytes must be non-negative")
+        if not (flops >= 0 and bytes_moved >= 0):  # NaN too
+            raise GpuError("kernel flops/bytes must be non-negative, got "
+                           f"{flops}/{bytes_moved}")
         duration = self.launch_overhead + max(
             flops / self.flops, bytes_moved / self.mem_bw
         )

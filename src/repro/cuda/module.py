@@ -99,13 +99,11 @@ class CudaModule(HiperModule):
                   nbytes: Optional[int], **kw: Any) -> Future:
         """Start ``copy(dst, src, ...)`` and return its future (the polling
         flow), counting its per-direction byte volume: ``what`` ends in
-        h2d/d2h/d2d. Without ``nbytes`` the source array sizes it, else the
-        destination (one side is always a DeviceArray)."""
-        fut = self.poll(copy(dst, src, nbytes=nbytes, **kw), what)
-        if nbytes is None:
-            nbytes = (src if isinstance(src, (DeviceArray, np.ndarray))
-                      else dst).nbytes
-        n = int(nbytes)
+        h2d/d2h/d2d. The count is the op's own ``nbytes``, the size the
+        device priced the copy at (an indexed copy moves only its region)."""
+        op = copy(dst, src, nbytes=nbytes, **kw)
+        fut = self.poll(op, what)
+        n = op.nbytes
         if n:
             stats = self.runtime.stats
             stats.count(self.name, f"bytes_{what.rsplit('_', 1)[-1]}", n)

@@ -93,8 +93,9 @@ class Executor(abc.ABC):
     def charge(self, seconds: float) -> None:
         """Account ``seconds`` of simulated compute to the current worker.
 
-        No-op on the threaded executor (real work takes real time there).
-        Must be called from inside a task.
+        The threaded executor only adds it to the worker's clock as busy
+        time (real work takes real time there). Must be called from inside a
+        task.
         """
 
     # -- scheduling hooks -------------------------------------------------
@@ -120,8 +121,9 @@ class Executor(abc.ABC):
         MUST advance the blocked worker's clock to it on return
         (``worker.advance_clock_to(time_source())``), so blocked-time
         accounting stays comparable across engines. On the simulated engine
-        the timestamp is virtual; on the threaded engine both the worker
-        clock and the timestamp are wall-seconds since executor start.
+        the timestamp is virtual; on the threaded engine it is wall-seconds
+        since executor start. Either way the wait moves ``clock`` and
+        ``idle_time`` together, so the worker's ``busy_time`` is unchanged.
         """
 
     @abc.abstractmethod
@@ -209,9 +211,7 @@ class Executor(abc.ABC):
             task.result_promise.put(result)
         if task.scope is not None:
             task.scope.task_completed(None)
-        counters = runtime._counters
-        if counters is not None:
-            counters[_COMPLETED_KEY] += 1
+        runtime._counters[_COMPLETED_KEY] += 1
         ep = task.epilogue
         if ep is not None:
             ep(task, None)

@@ -238,8 +238,6 @@ class SimExecutor(Executor):
         if ctx is None or ctx.worker is None:
             raise RuntimeStateError("charge() must be called from a worker context")
         ctx.worker.clock += seconds
-        if ctx.runtime is not None:
-            ctx.runtime.stats.worker_activity(ctx.worker.wid, busy=seconds)
 
     def notify(self, runtime: HiperRuntime, place,
                created_by: Optional[int] = None) -> None:
@@ -515,9 +513,7 @@ class SimExecutor(Executor):
         # segment only (coroutine resumes are continuations of the same
         # body); the dispatch overhead applies to every segment.
         cost = self.task_overhead + (task.cost if task.gen is None else 0.0)
-        if cost:
-            worker.clock += cost
-            worker.runtime.stats.worker_activity(worker.wid, busy=cost)
+        worker.clock += cost
 
     # ------------------------------------------------------------------
     # blocking

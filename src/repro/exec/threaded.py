@@ -135,12 +135,13 @@ class ThreadedExecutor(Executor):
 
     def charge(self, seconds: float) -> None:
         # Real work takes real time on this engine; cost annotations are
-        # accounting-only.
-        if seconds < 0:
+        # accounting-only: they land on the worker's clock, whose
+        # ``clock - idle_time`` is its busy time (see WorkerState.clock).
+        if not seconds >= 0:  # NaN too: it would poison the worker clock
             raise ConfigError(f"cannot charge negative time {seconds}")
         ctx = current_context()
-        if ctx is not None and ctx.runtime is not None and ctx.worker is not None:
-            ctx.runtime.stats.worker_activity(ctx.worker.wid, busy=seconds)
+        if ctx is not None and ctx.worker is not None:
+            ctx.worker.clock += seconds
 
     def notify(self, runtime: HiperRuntime, place,
                created_by: Optional[int] = None) -> None:
@@ -151,7 +152,7 @@ class ThreadedExecutor(Executor):
             self._cond.notify_all()
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
-        if delay < 0:
+        if not delay >= 0:  # NaN too: it would never come due
             raise ConfigError(f"call_later delay must be non-negative, got {delay}")
         self._ensure_started()
         with self._cond:
@@ -252,7 +253,8 @@ class ThreadedExecutor(Executor):
             # Mirror the simulated engine (Executor.block_until contract):
             # the blocked worker's clock advances to the satisfaction
             # timestamp, so idle/busy accounting stays comparable across
-            # engines. On this engine both sides are wall-clock based.
+            # engines. The timestamp is wall time here; the wait moves clock
+            # and idle_time together, so charged busy time is unchanged.
             worker.advance_clock_to(time_source())
 
     # ------------------------------------------------------------------

@@ -158,16 +158,12 @@ class FabricMux:
             return [self.fabric.executor.now()] * n
         ov = self.fabric.cpu_send_overhead()
         worker = ctx.worker
-        runtime = ctx.runtime
-        stats = runtime.stats if runtime is not None else None
         clock = worker.clock
         ts: List[float] = []
         append = ts.append
         for _ in range(n):
             clock = clock + ov
             append(clock)
-            if stats is not None:
-                stats.worker_activity(worker.wid, busy=ov)
         worker.clock = clock
         return ts
 

@@ -471,10 +471,11 @@ def charge(seconds: float) -> None:
     """Account ``seconds`` of simulated compute to the current worker.
 
     The simulated executor advances the worker's virtual clock; the threaded
-    executor ignores it (real work takes real time there). Raises outside a
-    task context.
+    executor only records it as the worker's busy time (real work takes real
+    time there). Raises outside a task context, and on a negative or NaN
+    ``seconds``.
     """
-    if seconds < 0:
+    if not seconds >= 0:
         raise ConfigError(f"cannot charge negative time {seconds}")
     require_context().executor.charge(seconds)
 
@@ -486,7 +487,7 @@ def now() -> float:
 
 def timer_future(delay: float, *, name: str = "timer") -> Future:
     """A future satisfied ``delay`` seconds from now (virtual or wall)."""
-    if delay < 0:
+    if not delay >= 0:
         raise ConfigError(f"timer delay must be non-negative, got {delay}")
     ctx = require_context()
     p = Promise(name=name)

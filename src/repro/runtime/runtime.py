@@ -24,7 +24,7 @@ from repro.runtime.worker import WorkerState
 from repro.util.errors import (ConfigError, ModuleError, PlaceFailure,
                                RuntimeStateError)
 from repro.util.rng import RngFactory
-from repro.util.stats import RuntimeStats, StatsConfig
+from repro.util.stats import RuntimeStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.exec.base import Executor
@@ -44,7 +44,6 @@ class HiperRuntime:
         rank: int = 0,
         nranks: int = 1,
         seed: int = 0,
-        stats_config: Optional[StatsConfig] = None,
         path_kwargs: Optional[dict] = None,
     ):
         model.validate()
@@ -53,12 +52,9 @@ class HiperRuntime:
         self.rank = rank
         self.nranks = nranks
         self.rng_factory = RngFactory(seed).spawn("rank", rank)
-        self.stats = RuntimeStats(stats_config)
-        #: Pre-bound counter hook — spawn/dispatch call this per task.
-        self._count = self.stats.count
-        #: Direct counter dict for the per-spawn/per-completion tallies
-        #: (None when stats are disabled; the flag is fixed at construction).
-        self._counters = self.stats.counters if self.stats.config.enabled else None
+        self.stats = RuntimeStats()
+        #: Direct counter dict for the per-spawn/per-completion tallies.
+        self._counters = self.stats.counters
         self.num_workers = model.num_workers
 
         if isinstance(paths, str):
@@ -236,9 +232,7 @@ class HiperRuntime:
         task = Task(fn, args, kwargs, name, module, place,
                     created_by, scope, cost, promise, self.rank)
         scope.task_spawned()
-        counters = self._counters
-        if counters is not None:
-            counters[(module, "tasks_spawned")] += 1
+        self._counters[(module, "tasks_spawned")] += 1
         tracer = self.executor.tracer
         if tracer is not None:
             tracer.record_spawn(self.rank, created_by, task.task_id,

@@ -85,7 +85,7 @@ class Task:
     ):
         if not callable(fn):
             raise TypeError(f"task body must be callable, got {type(fn)!r}")
-        if cost < 0:
+        if not cost >= 0:  # NaN too: it would poison the worker clock
             raise ValueError(f"task cost must be non-negative, got {cost}")
         self.task_id = next(_task_ids)
         self.fn = fn

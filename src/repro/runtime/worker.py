@@ -53,7 +53,10 @@ class WorkerState:
         self.runtime = runtime
         self.pop_path: List["Place"] = list(pop_path)
         self.steal_path: List["Place"] = list(steal_path)
-        #: Virtual clock (simulated executor); unused by the threaded executor.
+        #: Virtual clock (simulated executor). Every engine adds charged
+        #: compute to it and blocked waits to both it and ``idle_time``, so
+        #: ``clock - idle_time`` is this worker's busy time on every engine
+        #: (on the threaded one, charged seconds: there is no other ledger).
         self.clock = 0.0
         self._rng = rng
         self._victims = np.arange(runtime.num_workers)
@@ -71,17 +74,20 @@ class WorkerState:
             (deques.at(p), deques.at(p).slots[wid]) for p in self.pop_path
         ]
         self._steal_deques = [deques.at(p) for p in self.steal_path]
-        # Direct counter dict (None when stats are disabled — the flag is
-        # fixed at RuntimeStats construction): a subscript increment beats a
-        # stats.count() call on the once-per-dispatch pop/steal tallies.
-        stats = runtime.stats
-        self._counters = stats.counters if stats.config.enabled else None
+        # Direct counter dict: a subscript increment beats a stats.count()
+        # call on the once-per-dispatch pop/steal tallies.
+        self._counters = runtime.stats.counters
 
     def victim_order(self) -> List[int]:
         """A fresh random permutation of worker ids, for steal fairness.
         Drawn at most once per search round (see :func:`find_task`)."""
         self._rng.shuffle(self._victims)
         return self._victims.tolist()
+
+    @property
+    def busy_time(self) -> float:
+        """Compute charged to this worker: ``clock - idle_time``."""
+        return self.clock - self.idle_time
 
     def advance_clock_to(self, t: float) -> None:
         if t > self.clock:
@@ -113,9 +119,7 @@ def find_task(worker: WorkerState) -> Optional["Task"]:
         if pd.mask & own_bit:
             task = slot.pop()
             if task is not None:
-                counters = worker._counters
-                if counters is not None:
-                    counters[_POP_KEY] += 1
+                worker._counters[_POP_KEY] += 1
                 return task
     steal_mask = worker.steal_mask
     if steal_mask:  # zero iff there is a single worker: nobody to steal from
@@ -126,9 +130,7 @@ def find_task(worker: WorkerState) -> Optional["Task"]:
                     order = worker.victim_order()
                 task = pd.steal_from_others(worker.wid, order)
                 if task is not None:
-                    counters = worker._counters
-                    if counters is not None:
-                        counters[_STEAL_KEY] += 1
+                    worker._counters[_STEAL_KEY] += 1
                     worker.steals += 1
                     return task
     return None

@@ -59,7 +59,7 @@ class TaskImpl:
                  cost: float = 0.0):
         if where not in ("cpu", "gpu"):
             raise ConfigError(f"TaskImpl where must be 'cpu' or 'gpu', got {where!r}")
-        if cost < 0:
+        if not cost >= 0:  # NaN too
             raise ConfigError(f"TaskImpl cost must be >= 0, got {cost}")
         self.fn = fn
         self.where = where

@@ -235,7 +235,7 @@ class TaskGraph:
                     "access on the same task")
             seen.add(id(d))
         kind = kind or getattr(fn, "__name__", "task")
-        if not impls and cost < 0:  # what the default TaskImpl would refuse
+        if not impls and not cost >= 0:  # what the default TaskImpl would refuse
             raise ConfigError(f"TaskImpl cost must be >= 0, got {cost}")
 
         with self._lock:

@@ -14,7 +14,8 @@ telemetry together):
   ticks — no core-runtime changes, which is itself the paper's plugin thesis.
 - :func:`profile_spmd` — run a main under a tracing executor plus samplers,
   then write ``metrics.json`` (makespan, utilization, module times, comm
-  volume, merged cross-rank stats, host wall time and collector cost) and
+  volume, merged cross-rank stats, per-worker busy time keyed
+  ``rank.wid``, host wall time and collector cost) and
   ``trace.json`` (Chrome-trace / Perfetto, with spawn→execution and
   send→delivery flow arrows and counter tracks).
 
@@ -176,6 +177,14 @@ def profile_spmd(
             "events_per_sec": events / wall if wall > 0 else 0.0,
         },
         "stats": merged.to_dict(),
+        # Per-worker busy time from the workers themselves, keyed
+        # "<rank>.<wid>" (worker ids repeat across ranks). Only in-process
+        # runs have workers to read; a sharded run carries none.
+        "worker_busy": {
+            f"{w.rank}.{w.wid}": w.busy_time
+            for ctx in result.contexts
+            for w in ctx.runtime.workers
+        },
         # This process only (not a sharded run's children). No per-layer
         # figure shows the collector: a pause is charged to whoever allocated.
         "host": {"wall_s": wall, "gc": gc_cost},

@@ -15,7 +15,7 @@ from repro.util.errors import (
     UpcxxError,
 )
 from repro.util.rng import RngFactory, splitmix64
-from repro.util.stats import RuntimeStats, StatsConfig, TimerRecord
+from repro.util.stats import RuntimeStats, TimerRecord
 
 __all__ = [
     "CommError",
@@ -33,6 +33,5 @@ __all__ = [
     "RngFactory",
     "splitmix64",
     "RuntimeStats",
-    "StatsConfig",
     "TimerRecord",
 ]

@@ -10,14 +10,14 @@ unified observability stack:
 - log2-bucketed histograms (message sizes, sweep batch sizes),
 - named time series filled by :class:`TelemetrySampler`, which ticks on
   virtual time under the simulated executor and on wall time under the
-  threaded one (both expose ``call_later``),
-- per-worker activity accounting.
+  threaded one (both expose ``call_later``).
 
-Stats are cheap enough to stay always-on in simulation; the threaded executor
-can disable them via :class:`StatsConfig`. Everything a rank records is
-exportable machine-readably via :meth:`RuntimeStats.to_dict` and mergeable
-across ranks via :meth:`RuntimeStats.merge` (cluster-wide reports,
-``metrics.json``).
+The registry has no options: it is always on. Per-worker time is not kept
+here; it lives on each :class:`~repro.runtime.worker.WorkerState`, whose
+``clock - idle_time`` is that worker's busy time on every engine. Everything
+a rank records is exportable machine-readably via :meth:`RuntimeStats.to_dict`
+and mergeable across ranks via :meth:`RuntimeStats.merge` (cluster-wide
+reports, ``metrics.json``).
 """
 
 from __future__ import annotations
@@ -26,12 +26,6 @@ import dataclasses
 import time
 from collections import defaultdict
 from typing import Any, Dict, Iterator, List, Optional, Tuple
-
-
-@dataclasses.dataclass
-class StatsConfig:
-    enabled: bool = True
-    track_per_worker: bool = True
 
 
 class Histogram:
@@ -105,46 +99,31 @@ class RuntimeStats:
     :meth:`count`/:meth:`time`, mirroring the hooks described in paper §V.
     """
 
-    def __init__(self, config: Optional[StatsConfig] = None):
-        self.config = config or StatsConfig()
+    def __init__(self):
         self.counters: Dict[Tuple[str, str], int] = defaultdict(int)
         self.timers: Dict[Tuple[str, str], TimerRecord] = defaultdict(TimerRecord)
         self.gauges: Dict[Tuple[str, str], float] = {}
         self.histograms: Dict[Tuple[str, str], Histogram] = defaultdict(Histogram)
         #: Named time series: name -> list of (timestamp, value) samples.
         self.series: Dict[str, List[Tuple[float, float]]] = defaultdict(list)
-        self.worker_busy: Dict[int, float] = defaultdict(float)
-        self.worker_idle: Dict[int, float] = defaultdict(float)
 
     # -- recording -----------------------------------------------------
     def count(self, module: str, op: str, n: int = 1) -> None:
-        if self.config.enabled:
-            self.counters[(module, op)] += n
+        self.counters[(module, op)] += n
 
     def time(self, module: str, op: str, elapsed: float) -> None:
-        if self.config.enabled:
-            self.timers[(module, op)].add(elapsed)
+        self.timers[(module, op)].add(elapsed)
 
     def gauge(self, module: str, name: str, value: float) -> None:
-        if self.config.enabled:
-            self.gauges[(module, name)] = value
+        self.gauges[(module, name)] = value
 
     def observe(self, module: str, name: str, value: float) -> None:
         """Add one observation to the ``(module, name)`` histogram."""
-        if self.config.enabled:
-            self.histograms[(module, name)].add(value)
+        self.histograms[(module, name)].add(value)
 
     def sample(self, name: str, t: float, value: float) -> None:
         """Append one time-series sample (used by :class:`TelemetrySampler`)."""
-        if self.config.enabled:
-            self.series[name].append((t, value))
-
-    def worker_activity(self, worker_id: int, busy: float = 0.0, idle: float = 0.0) -> None:
-        if self.config.enabled and self.config.track_per_worker:
-            if busy:
-                self.worker_busy[worker_id] += busy
-            if idle:
-                self.worker_idle[worker_id] += idle
+        self.series[name].append((t, value))
 
     # -- reading -------------------------------------------------------
     def counter(self, module: str, op: str) -> int:
@@ -153,10 +132,6 @@ class RuntimeStats:
     def timer(self, module: str, op: str) -> TimerRecord:
         return self.timers.get((module, op), TimerRecord())
 
-    def module_time(self, module: str) -> float:
-        """Total time attributed to one module across all its operations."""
-        return sum(rec.total for (mod, _), rec in self.timers.items() if mod == module)
-
     def modules(self) -> Iterator[str]:
         seen = set()
         for mod, _ in list(self.counters) + list(self.timers):
@@ -164,16 +139,13 @@ class RuntimeStats:
                 seen.add(mod)
                 yield mod
 
-    def gauge_value(self, module: str, name: str, default: float = 0.0) -> float:
-        return self.gauges.get((module, name), default)
-
     def histogram(self, module: str, name: str) -> Histogram:
         return self.histograms.get((module, name), Histogram())
 
     def merge(self, other: "RuntimeStats") -> None:
         """Fold another rank's stats into this one (for cluster-wide reports).
 
-        Counters, timers, histograms, and worker activity are additive;
+        Counters, timers and histograms are additive;
         gauges keep the maximum across ranks; time series are concatenated
         and kept time-sorted (samples from all ranks on one axis).
         """
@@ -192,10 +164,6 @@ class RuntimeStats:
             mine_pts = self.series[name]
             mine_pts.extend(points)
             mine_pts.sort(key=lambda p: p[0])
-        for k, v in other.worker_busy.items():
-            self.worker_busy[k] += v
-        for k, v in other.worker_idle.items():
-            self.worker_idle[k] += v
 
     def to_dict(self) -> Dict[str, Any]:
         """Machine-readable export (consumed by ``repro profile`` and the
@@ -222,8 +190,6 @@ class RuntimeStats:
                 name: [[t, v] for t, v in pts]
                 for name, pts in sorted(self.series.items())
             },
-            "worker_busy": {str(w): v for w, v in sorted(self.worker_busy.items())},
-            "worker_idle": {str(w): v for w, v in sorted(self.worker_idle.items())},
         }
 
     def report(self) -> str:
@@ -250,8 +216,11 @@ class TelemetrySampler:
     - ``event_queue``   — pending engine events/timers on the executor,
     - ``pop_rate`` / ``steal_rate`` — deque pops/steals per second since the
       previous tick,
-    - ``idle_fraction`` — mean per-worker idle fraction (virtual clocks under
-      the simulated executor; charged busy/idle accounting otherwise),
+    - ``idle_fraction`` — mean per-worker idle fraction, read from each
+      :class:`~repro.runtime.worker.WorkerState` (``idle_time / clock`` on
+      virtual time; one minus the worker's ``busy_time`` over wall time on
+      the threaded engine; this registry keeps no per-worker time of its
+      own),
     - ``events_per_sec`` — engine events dispatched per *wall-clock* second
       since the previous tick (the DES engine's real throughput; 0 on
       executors without an ``events_processed`` counter and on the baseline
@@ -347,12 +316,12 @@ class TelemetrySampler:
         ex.call_later(self.period, self._tick)
 
     def _idle_fraction(self, t: float) -> float:
-        workers = getattr(self.runtime, "workers", [])
+        wall = self.runtime.executor.mode == "threads"
         fractions = []
-        for w in workers:
-            if w.clock > 0:  # virtual-time engine: clocks advance
+        for w in self.runtime.workers:
+            if w.clock > 0 and not wall:  # virtual time: the worker's clock
                 fractions.append(min(1.0, w.idle_time / w.clock))
-            else:  # wall-clock engine: use charged busy accounting
-                busy = self.runtime.stats.worker_busy.get(w.wid, 0.0)
-                fractions.append(max(0.0, 1.0 - busy / t) if t > 0 else 0.0)
+            else:  # wall time, or a virtual worker that has not run yet
+                fractions.append(max(0.0, 1.0 - w.busy_time / t)
+                                 if t > 0 else 0.0)
         return sum(fractions) / len(fractions) if fractions else 0.0

@@ -246,6 +246,17 @@ class TestVariantsCorrectness:
         assert np.array_equal(outs["mpi_omp"], outs["hiper"])
 
 
+def test_cuda_byte_counts_are_what_moved():
+    """An indexed device-to-host copy counts its region, not the whole
+    source array: the op carries the size the device priced it at. Here
+    four halo planes and the interior come back (5 120 bytes, not five
+    whole 5 120-byte slabs), and the uploads move 7 168."""
+    res = run_geo("hiper", GeoConfig(nx=8, ny=8, nz=8, timesteps=2), nranks=1)
+    stats = res.merged_stats()
+    assert stats.counter("cuda", "bytes_d2h") == 5120
+    assert stats.counter("cuda", "bytes_h2d") == 7168
+
+
 class TestVariantsTiming:
     def test_hiper_not_slower_than_blocking_cuda_baseline(self):
         """Fig. 6 shape: the future-based composition beats the version with

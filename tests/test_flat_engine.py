@@ -523,17 +523,22 @@ class TestOptionCensus:
         assert "--engine" in capsys.readouterr().err
 
     def test_options_with_one_value_in_use_are_constants(self):
-        """Thirteen settable values that no caller set are constants: MPI is
+        """Sixteen settable values that no caller set are constants: MPI is
         never flat, polling never backs off, CUDA polls every 2 us, the
-        checkpoint module polls every 10 us and prefers NVM, and no engine
-        prints a per-task trace."""
+        checkpoint module polls every 10 us and prefers NVM, no engine
+        prints a per-task trace, and runtime stats are always on with no
+        per-worker switch (``StatsConfig`` and ``stats_config=`` are gone)."""
         import dataclasses
 
+        import repro.util
+        import repro.util.stats
         from repro.cuda import CudaModule
         from repro.distrib import ClusterConfig
         from repro.io import CheckpointModule
         from repro.mpi import MpiModule
         from repro.runtime.polling import PollingService
+        from repro.runtime.runtime import HiperRuntime
+        from repro.util.stats import RuntimeStats
         from repro.verify.interleave import InterleaveExecutor
 
         gone = {
@@ -543,6 +548,7 @@ class TestOptionCensus:
             CheckpointModule: ("prefer", "poll_interval"),
             SimExecutor: ("trace",),
             InterleaveExecutor: ("trace",),
+            HiperRuntime: ("stats_config",),
         }
         found = [(cls.__name__, name) for cls, names in gone.items()
                  for name in names
@@ -553,6 +559,9 @@ class TestOptionCensus:
         assert found == []
         assert {"poll_interval", "eager_kick"} <= set(
             inspect.signature(MpiModule).parameters)
+        assert not inspect.signature(RuntimeStats).parameters
+        assert not hasattr(repro.util.stats, "StatsConfig")
+        assert "StatsConfig" not in repro.util.__all__
 
     def test_one_stepping_loop(self):
         """Shards, schedule exploration and the reference all step through

@@ -6,7 +6,9 @@ import pytest
 
 from repro.platform.hwloc import discover, machine
 from repro.platform.place import PlaceType
+from repro.cuda.device import SimGpu
 from repro.exec.sim import SimExecutor
+from repro.exec.threaded import ThreadedExecutor
 from repro.runtime.api import (
     async_,
     async_at,
@@ -26,9 +28,11 @@ from repro.runtime.api import (
 from repro.runtime.finish import TaskGroupError
 from repro.runtime.future import Promise
 from repro.runtime.runtime import HiperRuntime
+from repro.taskgraph import TaskGraph, TaskImpl
 from repro.util.errors import (
     ConfigError,
     DeadlockError,
+    GpuError,
     HiperError,
     RuntimeStateError,
 )
@@ -374,6 +378,59 @@ class TestForasync:
         assert all(b > 0 for b in busy)
 
 
+NAN = float("nan")
+
+
+def _in_task(call):
+    """A NaN site that must be reached from inside a task: what ``call``
+    raises there is re-raised here."""
+    def site(rt):
+        def main():
+            try:
+                call()
+            except Exception as exc:  # noqa: BLE001 - handed to the test
+                return exc
+            return None
+
+        exc = rt.run(main)
+        if exc is not None:
+            raise exc
+    return site
+
+
+def _on_threads(call):
+    def site(rt):
+        ex = ThreadedExecutor()
+        try:
+            call(ex)
+        finally:
+            ex.shutdown()
+    return site
+
+
+def _on_gpu(**kw):
+    return lambda rt: SimGpu(rt.executor).launch(lambda: None, **kw)
+
+
+#: site -> (exception, call(sim_rt) that hands the site a NaN). The api
+#: sites are called outside a task: their guard runs before the context
+#: lookup, while inside a sim task the engine's own guard would answer.
+_NAN_SITES = {
+    "task.cost": (ValueError, _in_task(lambda: async_(lambda: None, cost=NAN))),
+    "api.charge": (ConfigError, lambda rt: charge(NAN)),
+    "api.timer_future": (ConfigError, lambda rt: timer_future(NAN)),
+    "threaded.charge": (ConfigError, _on_threads(lambda ex: ex.charge(NAN))),
+    "threaded.call_later": (
+        ConfigError, _on_threads(lambda ex: ex.call_later(NAN, lambda: None))),
+    "gpu.launch.flops": (GpuError, _on_gpu(flops=NAN)),
+    "gpu.launch.bytes": (GpuError, _on_gpu(bytes_moved=NAN)),
+    "taskgraph.impl_cost": (ConfigError,
+                            lambda rt: TaskImpl(lambda: None, cost=NAN)),
+    "taskgraph.submit_cost": (ConfigError, _in_task(
+        lambda: TaskGraph().submit(lambda: None, cost=NAN))),
+}
+
+
 class TestVirtualTime:
     def test_cost_advances_makespan(self, sim_rt):
         def main():
@@ -418,6 +475,15 @@ class TestVirtualTime:
             return now()
 
         assert sim_rt.run(main) == 0.0
+
+    @pytest.mark.parametrize("site", sorted(_NAN_SITES))
+    def test_nan_rejected_at_every_guard(self, sim_rt, site):
+        """Every cost, delay and charge guard refuses a NaN. Each one used
+        to test ``x < 0`` alone, which a NaN passes; from a spawn it made
+        ``now()`` and ``makespan()`` NaN and nothing raised."""
+        exc_type, call = _NAN_SITES[site]
+        with pytest.raises(exc_type, match="nan"):
+            call(sim_rt)
 
     def test_deterministic_makespan(self):
         def run_once():

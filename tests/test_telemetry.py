@@ -30,8 +30,8 @@ class TestMetricsRegistry:
         s = RuntimeStats()
         s.gauge("shmem", "heap_used", 100.0)
         s.gauge("shmem", "heap_used", 50.0)
-        assert s.gauge_value("shmem", "heap_used") == 50.0
-        assert s.gauge_value("shmem", "missing", -1.0) == -1.0
+        assert s.gauges[("shmem", "heap_used")] == 50.0
+        assert ("shmem", "missing") not in s.gauges
 
     def test_histogram_log2_buckets(self):
         h = Histogram()
@@ -72,7 +72,7 @@ class TestMetricsRegistry:
         b.sample("ready_tasks", 1.0, 4.0)
         a.merge(b)
         assert a.counter("mpi", "msgs_sent") == 5
-        assert a.gauge_value("shmem", "heap_used") == 30.0  # max across ranks
+        assert a.gauges[("shmem", "heap_used")] == 30.0  # max across ranks
         assert a.histogram("mpi", "msg_size").n == 2
         # series are concatenated and kept time-sorted
         assert a.series["ready_tasks"] == [(1.0, 4.0), (2.0, 1.0)]
@@ -84,23 +84,15 @@ class TestMetricsRegistry:
         s.gauge("cuda", "mem_used", 42.0)
         s.observe("mpi", "msg_size", 128)
         s.sample("ready_tasks", 0.1, 3.0)
-        s.worker_activity(0, busy=1.0, idle=0.25)
         d = json.loads(json.dumps(s.to_dict()))
         assert d["counters"]["core.pop"] == 7
         assert d["timers"]["mpi.send"]["total"] == 0.5
         assert d["gauges"]["cuda.mem_used"] == 42.0
         assert d["histograms"]["mpi.msg_size"]["n"] == 1
         assert d["series"]["ready_tasks"] == [[0.1, 3.0]]
-        assert d["worker_busy"]["0"] == 1.0
-
-    def test_disabled_stats_skip_new_kinds(self):
-        from repro.util.stats import StatsConfig
-
-        s = RuntimeStats(StatsConfig(enabled=False))
-        s.gauge("m", "g", 1.0)
-        s.observe("m", "h", 1.0)
-        s.sample("series", 0.0, 1.0)
-        assert not s.gauges and not s.histograms and not s.series
+        # Per-worker time lives on the workers, not in the registry.
+        assert set(d) == {"counters", "timers", "gauges", "histograms",
+                          "series"}
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +183,34 @@ class TestTelemetrySampler:
         assert {"ready_tasks", "utilization"} <= names
         assert all(0.0 <= c.value <= 1.0 for c in tracer.counters
                    if c.name == "utilization")
+
+    def test_idle_fraction_series_pinned(self, sim_rt):
+        """The series reads the workers' clocks; pinned bit for bit (the
+        0.5 ticks average two idle workers that have not run yet, at 1.0,
+        with two busy ones)."""
+        sampler = TelemetrySampler(sim_rt, period=1e-4, max_samples=10)
+
+        def main():
+            sampler.start()
+            for step in range(3):
+                finish(lambda: forasync(
+                    2 + step, lambda i: charge((i + 1) * 9e-5),
+                    chunks=2 + step))
+                timer_future(1.5e-4).wait()
+
+        sim_rt.run(main)
+        assert [repr(v) for _, v in sim_rt.stats.series["idle_fraction"]] == [
+            "0.0", "0.5", "0.5", "0.5", "0.6331932773109243",
+            "0.6331932773109243", "0.6331932773109243", "0.6331932773109243",
+            "0.5736209915526803", "0.5736209915526803"]
+
+    def test_idle_fraction_on_wall_time_reads_the_workers(self, threaded_rt):
+        """On the threaded engine a worker's idle fraction is one minus its
+        charged busy time over wall time."""
+        threaded_rt.run(lambda: charge(0.5))
+        sampler = TelemetrySampler(threaded_rt)
+        # One worker charged 0.5 s of the first second, three charged none.
+        assert sampler._idle_fraction(1.0) == (0.5 + 3 * 1.0) / 4
 
     def test_bad_period_rejected(self, sim_rt):
         with pytest.raises(ValueError):
@@ -462,6 +482,27 @@ class TestProfileHarness:
         trace = json.loads((tmp_path / "trace.json").read_text())
         phases = {e["ph"] for e in trace["traceEvents"]}
         assert {"X", "s", "f", "C"} <= phases
+
+    def test_worker_busy_keyed_by_rank_and_worker(self, tmp_path):
+        """``metrics.json`` reports each worker's busy time under
+        ``"<rank>.<wid>"``, read from the worker itself, so rank 0's worker 0
+        is never added to rank 1's worker 0."""
+        def main(ctx):
+            finish(lambda: forasync(
+                3, lambda i: charge((ctx.rank + 1) * (i + 1) * 1e-4),
+                chunks=3))
+
+        cfg = ClusterConfig(nodes=2, ranks_per_node=1, workers_per_rank=3)
+        report = profile_spmd(main, cfg, out_dir=str(tmp_path))
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        want = {f"{ctx.rank}.{w.wid}": w.clock - w.idle_time
+                for ctx in report.result.contexts
+                for w in ctx.runtime.workers}
+        assert sorted(want) == ["0.0", "0.1", "0.2", "1.0", "1.1", "1.2"]
+        assert metrics["worker_busy"] == want
+        assert want["1.0"] != want["0.0"]
+        assert "worker_busy" not in metrics["stats"]
+        assert "worker_idle" not in metrics["stats"]
 
     def test_profile_reports_what_the_collector_cost(self, tmp_path):
         def main(ctx):
