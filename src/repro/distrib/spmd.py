@@ -299,7 +299,7 @@ class SpmdResult:
         out = RuntimeStats()
         if self.contexts:
             for ctx in self.contexts:
-                out.merge(ctx.runtime.stats)
+                out.merge(ctx.runtime.stats, ctx.rank)
         else:
             for key, n in (self._counters or {}).items():
                 module, _, op = key.partition(".")

@@ -32,10 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.runtime import HiperRuntime
     from repro.runtime.worker import WorkerState
 
-#: Counter key for the per-completion tally (built once, not per task).
-_COMPLETED_KEY = ("core", "tasks_completed")
-
-
 class Executor(abc.ABC):
     """Engine contract shared by the simulated and threaded executors."""
 
@@ -197,7 +193,7 @@ class Executor(abc.ABC):
                     task.prepare_resume(payload)
                     continue
                 task.state = TaskState.SUSPENDED
-                runtime.stats.count("core", "suspend")
+                runtime.suspends += 1
                 payload.on_ready(_make_resumer(runtime, task))
                 return
             raise HiperError(
@@ -211,7 +207,7 @@ class Executor(abc.ABC):
             task.result_promise.put(result)
         if task.scope is not None:
             task.scope.task_completed(None)
-        runtime._counters[_COMPLETED_KEY] += 1
+        runtime.tasks_completed += 1
         ep = task.epilogue
         if ep is not None:
             ep(task, None)
@@ -242,7 +238,7 @@ def _make_resumer(runtime: "HiperRuntime", task: Task):
     def _resume(fut: Future) -> None:
         task.prepare_resume(fut)
         task.state = TaskState.READY
-        runtime.stats.count("core", "resume")
+        runtime.resumes += 1
         runtime.reenqueue(task)
 
     return _resume

@@ -37,6 +37,7 @@ Chaining one operation after a future is :func:`repro.runtime.future.after`.
 from __future__ import annotations
 
 import abc
+from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Type
 
 from repro.platform.place import Place, PlaceType
@@ -100,6 +101,9 @@ class HiperModule(abc.ABC):
                 f"{type(self).__name__} must define a non-empty class attribute 'name'"
             )
         self.runtime: "HiperRuntime" = NotInitialized(self.name)
+        #: Operations issued, by name: the ``<name>.<op>`` counters, which
+        #: the runtime's stats read through :meth:`collect_counts`.
+        self.op_counts: Dict[str, int] = defaultdict(int)
 
     @abc.abstractmethod
     def initialize(self, runtime: "HiperRuntime") -> None:
@@ -114,6 +118,11 @@ class HiperModule(abc.ABC):
                 f"{self.name} module finalized with {outstanding} outstanding "
                 "asynchronous operations"
             )
+
+    def collect_counts(self, counters: Dict, histograms: Dict) -> None:
+        """The stats collector :meth:`HiperRuntime.install` registers."""
+        for op, n in self.op_counts.items():
+            counters[(self.name, op)] += n
 
     # -- helpers for subclasses ----------------------------------------
     def export(self, runtime: "HiperRuntime", fn_name: str, fn: Callable) -> None:
@@ -158,7 +167,7 @@ class HiperModule(abc.ABC):
         rt = self.runtime
         fut = rt.spawn(fn, args, place=self.place, module=self.name,
                        name=f"{self.name}-{what}", return_future=True)
-        rt.stats.count(self.name, what)
+        self.op_counts[what] += 1
         return fut
 
     def collective(self, what: str, algo: Callable[..., Any], ctl,
@@ -186,7 +195,7 @@ class HiperModule(abc.ABC):
         self.polling.watch(
             lambda: (True, op.value) if op.test() else (False, None), promise
         )
-        self.runtime.stats.count(self.name, what)
+        self.op_counts[what] += 1
         return promise.get_future()
 
     def __repr__(self) -> str:

@@ -130,9 +130,12 @@ class MpiBackend:
         #: Hook invoked (from event context) whenever a request completes;
         #: the module points this at its polling service's ``kick``.
         self.on_progress = on_progress
-        #: Optional RuntimeStats: match/unexpected-queue accounting under the
-        #: backend's channel name.
+        #: Optional RuntimeStats that reads the match/unexpected-queue
+        #: tallies under the backend's channel name.
         self.stats = stats if stats is not None else mux.stats
+        self.msgs_matched = self.msgs_unexpected = 0
+        if self.stats is not None:
+            self.stats.register(self._collect)
         self._posted: List[Tuple[int, int, int, Optional[np.ndarray], MpiRequest]] = []
         self._unexpected: List[Tuple[int, _Envelope, float]] = []
         # Guards the matching queues: on real backends irecv (worker thread)
@@ -210,7 +213,7 @@ class MpiBackend:
                 self._posted.append((src, tag, comm, buffer, req))
         if matched is not None:
             msrc, env, t = matched
-            self._count("msgs_matched")
+            self.msgs_matched += 1
             self._deliver_to(req, buffer, msrc, env, t)
         return req
 
@@ -234,14 +237,16 @@ class MpiBackend:
                 self._unexpected.append((src, env, time))
         if matched is not None:
             buffer, req = matched
-            self._count("msgs_matched")
+            self.msgs_matched += 1
             self._deliver_to(req, buffer, src, env, time)
             return
-        self._count("msgs_unexpected")
+        self.msgs_unexpected += 1
 
-    def _count(self, op: str, n: int = 1) -> None:
-        if self.stats is not None:
-            self.stats.count(self.channel, op, n)
+    def _collect(self, counters: Dict, histograms: Dict) -> None:
+        for op, n in (("msgs_matched", self.msgs_matched),
+                      ("msgs_unexpected", self.msgs_unexpected)):
+            if n:
+                counters[(self.channel, op)] += n
 
     def _deliver_to(self, req: MpiRequest, buffer: Optional[np.ndarray],
                     src: int, env: _Envelope, time: float) -> None:

@@ -19,6 +19,7 @@ from repro.net.fabric import CorruptedPayload, SimFabric
 from repro.runtime.context import current_context
 from repro.runtime.future import Future, Promise
 from repro.util.errors import CommError
+from repro.util.stats import Histogram
 
 ChannelHandler = Callable[[int, Any, float], None]  # (src, payload, time)
 
@@ -31,6 +32,18 @@ class _Reply(NamedTuple):
     exc: bool
 
 
+class _ChannelTally(Histogram):
+    """One channel's traffic: the sent-size histogram (its ``n`` is the
+    channel's ``msgs_sent``) plus bytes sent and messages received."""
+
+    __slots__ = ("bytes_sent", "msgs_received")
+
+    def __init__(self):
+        super().__init__()
+        self.bytes_sent = 0
+        self.msgs_received = 0
+
+
 class FabricMux:
     """One per rank; shared by every communication module on that rank.
 
@@ -38,7 +51,8 @@ class FabricMux:
     per-module communication volume — every channel is a module name, so
     ``stats.counter("mpi", "bytes_sent")`` etc. come for free for all
     communication modules (paper §V: the unified runtime sees all work,
-    including every message each module moves).
+    including every message each module moves). The per-message tallies
+    are plain integers per channel, which the stats read when they are read.
     """
 
     def __init__(self, fabric: SimFabric, rank: int, *, stats=None):
@@ -55,6 +69,11 @@ class FabricMux:
         #: req_id -> promise of a request awaiting its reply (:meth:`track`).
         self._requests: Dict[int, Promise] = {}
         self._req_seq = itertools.count()
+        #: channel -> its tally; kept when the channel is torn down, so
+        #: its counts outlive it as pushed counters would.
+        self._tallies: Dict[str, _ChannelTally] = {}
+        if stats is not None:
+            stats.register(self._collect)
         fabric.register_sink(rank, self._dispatch)
 
     def register_channel(self, name: str, handler: ChannelHandler) -> None:
@@ -63,6 +82,16 @@ class FabricMux:
                 f"channel {name!r} already registered on rank {self.rank}"
             )
         self._handlers[name] = handler
+        self._tallies.setdefault(name, _ChannelTally())
+
+    def _collect(self, counters: Dict, histograms: Dict) -> None:
+        for channel, t in self._tallies.items():
+            if t.n:
+                counters[(channel, "msgs_sent")] += t.n
+                counters[(channel, "bytes_sent")] += t.bytes_sent
+                histograms[(channel, "msg_size")].merge(t)
+            if t.msgs_received:
+                counters[(channel, "msgs_received")] += t.msgs_received
 
     def unregister_channel(self, name: str) -> None:
         """Tear down ``name``: pending coalesced messages are flushed first,
@@ -236,11 +265,15 @@ class FabricMux:
         else:
             inject = self._transmit_attempt(dst, channel, payload, nbytes,
                                             on_injected, 0)
-        # Counted only now: a send the fabric refused (it raised) was not sent.
-        if self.stats is not None:
-            self.stats.count(channel, "msgs_sent")
-            self.stats.count(channel, "bytes_sent", nbytes)
-            self.stats.observe(channel, "msg_size", nbytes)
+        # Counted only now: a send the fabric refused (it raised) was not
+        # sent. Inline Histogram.add (the fabric refuses nbytes < 0).
+        t = self._tallies[channel]
+        t.bytes_sent += nbytes
+        t.counts[int(nbytes).bit_length()] += 1
+        t.total += nbytes
+        t.n += 1
+        if nbytes > t.max:
+            t.max = nbytes
         return inject
 
     def wave_capable(self, channel: str) -> bool:
@@ -282,12 +315,21 @@ class FabricMux:
                 ts = [fab.executor.now()] * len(dsts)
             for dst, p, verdict, t in zip(dsts, payloads, faults, ts):
                 self._retry_lost(verdict, t, dst, channel, p, nbytes, 0)
-        if self.stats is not None:
-            n = len(dsts)
-            self.stats.count(channel, "msgs_sent", n)
-            self.stats.count(channel, "bytes_sent", nbytes * n)
-            for _ in range(n):
-                self.stats.observe(channel, "msg_size", nbytes)
+        n = len(dsts)
+        if n:
+            t = self._tallies[channel]
+            t.bytes_sent += nbytes * n
+            t.counts[int(nbytes).bit_length()] += n
+            total = t.total
+            for _ in range(n):  # one add per message: the same float sum
+                total += nbytes
+            t.total = total
+            t.n += n
+            if nbytes > t.max:
+                t.max = nbytes
+        elif self.stats is not None:  # an empty wave still names its counters
+            self.stats.count(channel, "msgs_sent", 0)
+            self.stats.count(channel, "bytes_sent", 0)
         return injects
 
     def _transmit_attempt(
@@ -349,8 +391,7 @@ class FabricMux:
             for inner in payload.payloads:
                 self._deliver(handler, src, inner, time)
             return
-        if self.stats is not None:
-            self.stats.count(channel, "msgs_received")
+        self._tallies[channel].msgs_received += 1
         self._deliver(handler, src, payload, time)
 
     def _deliver(self, handler: ChannelHandler, src: int, payload: Any,

@@ -19,7 +19,7 @@ pure interval polling.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.platform.place import Place
 from repro.runtime.future import Promise
@@ -60,7 +60,10 @@ class PollingService:
         #: a second sweep for the same completion, charging ``sweep_cost``
         #: twice.
         self._epoch = 0
-        self.sweeps = 0
+        #: ``<module>.poll_sweeps``/``poll_kicks``/``futures_satisfied``,
+        #: read by the rank's stats only when they are read.
+        self.sweeps = self.kicks = self.satisfied = 0
+        runtime.stats.register(self._collect)
 
     # -- public -----------------------------------------------------------
     def watch(self, poll_fn: PollFn, promise: Promise) -> None:
@@ -80,7 +83,7 @@ class PollingService:
                 return
             need_spawn = self._arm_locked()
         if need_spawn:
-            self.runtime.stats.count(self.module, "poll_kicks")
+            self.kicks += 1
             self._spawn_sweep()
 
     def _arm_locked(self) -> bool:
@@ -97,6 +100,12 @@ class PollingService:
         with self._lock:
             return len(self._pending)
 
+    def _collect(self, counters: Dict, histograms: Dict) -> None:
+        for op, n in (("poll_sweeps", self.sweeps), ("poll_kicks", self.kicks),
+                      ("futures_satisfied", self.satisfied)):
+            if n:
+                counters[(self.module, op)] += n
+
     # -- internals --------------------------------------------------------
     def _spawn_sweep(self) -> None:
         self.runtime.spawn(
@@ -107,8 +116,6 @@ class PollingService:
 
     def _sweep(self) -> None:
         self.sweeps += 1
-        stats = self.runtime.stats
-        stats.count(self.module, "poll_sweeps")
         with self._lock:
             pending, self._pending = self._pending, []
         still = []
@@ -119,8 +126,7 @@ class PollingService:
                 completed.append((promise, value))
             else:
                 still.append((poll_fn, promise))
-        if completed:
-            stats.count(self.module, "futures_satisfied", len(completed))
+        self.satisfied += len(completed)
         with self._lock:
             self._pending = still + self._pending  # keep ops registered mid-sweep
             remain = bool(self._pending)

@@ -10,6 +10,7 @@ from the execution context and delegate to :meth:`HiperRuntime.spawn`.
 from __future__ import annotations
 
 import types
+from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.platform.model import PlatformModel
@@ -53,8 +54,11 @@ class HiperRuntime:
         self.nranks = nranks
         self.rng_factory = RngFactory(seed).spawn("rank", rank)
         self.stats = RuntimeStats()
-        #: Direct counter dict for the per-spawn/per-completion tallies.
-        self._counters = self.stats.counters
+        #: Per-task tallies, read by :meth:`_collect` only when the stats
+        #: are: tasks spawned per module, completed, suspended and resumed.
+        self.spawned: Dict[str, int] = defaultdict(int)
+        self.tasks_completed = self.suspends = self.resumes = 0
+        self.stats.register(self._collect)
         self.num_workers = model.num_workers
 
         if isinstance(paths, str):
@@ -118,6 +122,17 @@ class HiperRuntime:
         except Exception:
             del self.modules[module.name]
             raise
+        self.stats.register(module.collect_counts)
+
+    def _collect(self, counters: Dict, histograms: Dict) -> None:
+        for module, n in self.spawned.items():
+            counters[(module, "tasks_spawned")] += n
+        for op, n in (("tasks_completed", self.tasks_completed),
+                      ("suspend", self.suspends), ("resume", self.resumes),
+                      ("pop", sum(w.pops for w in self.workers)),
+                      ("steal", sum(w.steals for w in self.workers))):
+            if n:
+                counters[("core", op)] += n
 
     def module(self, name: str) -> "HiperModule":
         try:
@@ -232,7 +247,7 @@ class HiperRuntime:
         task = Task(fn, args, kwargs, name, module, place,
                     created_by, scope, cost, promise, self.rank)
         scope.task_spawned()
-        self._counters[(module, "tasks_spawned")] += 1
+        self.spawned[module] += 1
         tracer = self.executor.tracer
         if tracer is not None:
             tracer.record_spawn(self.rank, created_by, task.task_id,

@@ -35,9 +35,9 @@ class WorkerState:
     """Per-worker mutable state: identity, paths, virtual clock, RNG."""
 
     __slots__ = ("wid", "rank", "runtime", "pop_path", "steal_path", "clock",
-                 "_rng", "_victims", "idle_time", "tasks_run", "steals",
-                 "own_bit", "steal_mask", "_pop_pairs", "_steal_deques",
-                 "_counters")
+                 "_rng", "_victims", "idle_time", "tasks_run", "pops",
+                 "steals", "own_bit", "steal_mask", "_pop_pairs",
+                 "_steal_deques")
 
     def __init__(
         self,
@@ -62,6 +62,9 @@ class WorkerState:
         self._victims = np.arange(runtime.num_workers)
         self.idle_time = 0.0
         self.tasks_run = 0
+        #: Tasks this worker took from its pop path and stole: the runtime's
+        #: ``core.pop``/``core.steal`` counters, summed over workers on read.
+        self.pops = 0
         self.steals = 0
         #: Occupancy-mask bits: this worker's slot, and every other slot.
         self.own_bit = 1 << wid
@@ -74,9 +77,6 @@ class WorkerState:
             (deques.at(p), deques.at(p).slots[wid]) for p in self.pop_path
         ]
         self._steal_deques = [deques.at(p) for p in self.steal_path]
-        # Direct counter dict: a subscript increment beats a stats.count()
-        # call on the once-per-dispatch pop/steal tallies.
-        self._counters = runtime.stats.counters
 
     def victim_order(self) -> List[int]:
         """A fresh random permutation of worker ids, for steal fairness.
@@ -101,11 +101,6 @@ class WorkerState:
         return f"<WorkerState r{self.rank}w{self.wid} clock={self.clock:.6f}>"
 
 
-#: Counter keys for the per-dispatch tallies (built once, not per dispatch).
-_POP_KEY = ("core", "pop")
-_STEAL_KEY = ("core", "steal")
-
-
 def find_task(worker: WorkerState) -> Optional["Task"]:
     """One search round over the worker's pop path then steal path.
 
@@ -119,7 +114,7 @@ def find_task(worker: WorkerState) -> Optional["Task"]:
         if pd.mask & own_bit:
             task = slot.pop()
             if task is not None:
-                worker._counters[_POP_KEY] += 1
+                worker.pops += 1
                 return task
     steal_mask = worker.steal_mask
     if steal_mask:  # zero iff there is a single worker: nobody to steal from
@@ -130,7 +125,6 @@ def find_task(worker: WorkerState) -> Optional["Task"]:
                     order = worker.victim_order()
                 task = pd.steal_from_others(worker.wid, order)
                 if task is not None:
-                    worker._counters[_STEAL_KEY] += 1
                     worker.steals += 1
                     return task
     return None

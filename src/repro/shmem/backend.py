@@ -75,8 +75,8 @@ class ShmemBackend:
         self.rank = rank
         self.nranks = mux.nranks
         self.heap = heap
-        #: Optional RuntimeStats for op-level accounting (defaults to the
-        #: mux's attached stats, so SPMD runs get it automatically).
+        #: Optional RuntimeStats that reads :attr:`puts`/:attr:`gets`/
+        #: :attr:`amos` (defaults to the mux's, so SPMD runs get it).
         self.stats = stats if stats is not None else mux.stats
         self._peers = peers
         peers[rank] = self
@@ -94,11 +94,17 @@ class ShmemBackend:
         self.puts = 0
         self.gets = 0
         self.amos = 0
+        if self.stats is not None:
+            self.stats.register(self._collect)
         mux.register_channel(_CHANNEL, self._on_delivery)
 
-    def _count(self, op: str, n: int = 1) -> None:
-        if self.stats is not None:
-            self.stats.count(_CHANNEL, op, n)
+    def _collect(self, counters: Dict, histograms: Dict) -> None:
+        # Every put's snapshot is a fresh copy: a miss in the pool-hit share
+        # that benchmarks/e2e still reports (hits stay 0 with no pool).
+        for op, n in (("puts", self.puts), ("bufpool_misses", self.puts),
+                      ("gets", self.gets), ("amos", self.amos)):
+            if n:
+                counters[(_CHANNEL, op)] += n
 
     def enable_coalescing(
             self, policy: Union[CoalescePolicy, bool, None] = None) -> None:
@@ -137,10 +143,6 @@ class ShmemBackend:
             pe, ("put", target.sym_id, offset, data.copy() if copy else data,
                  self.rank), wire + _CTRL_SIZE, "shmem-put")
         self.puts += 1
-        self._count("puts")
-        # Every put's snapshot is a fresh copy: a miss in the pool-hit share
-        # that benchmarks/e2e still reports (hits stay 0 with no pool).
-        self._count("bufpool_misses")
         return fut
 
     def _post_for_quiet(self, pe: int, payload: Tuple, nbytes: int,
@@ -175,7 +177,6 @@ class ShmemBackend:
                       ("get", source.sym_id, offset, n, self.rank, req_id),
                       _CTRL_SIZE, req=req_id)
         self.gets += 1
-        self._count("gets")
         return fut
 
     # ------------------------------------------------------------------
@@ -202,7 +203,6 @@ class ShmemBackend:
         else:
             fut = self._post_for_quiet(pe, payload, _AMO_SIZE, name)
         self.amos += 1
-        self._count("amos")
         return fut
 
     def wave_capable(self) -> bool:
@@ -239,7 +239,8 @@ class ShmemBackend:
                              rank, req_id))
         self.mux.post_wave(pes, _CHANNEL, payloads, _AMO_SIZE, reqs=reqs)
         self.amos += n
-        self._count("amos", n)
+        if not n and self.stats is not None:  # an empty wave names "amos"
+            self.stats.count(_CHANNEL, "amos", 0)
         return futures
 
     # ------------------------------------------------------------------

@@ -118,7 +118,7 @@ class ShmemModule(HiperModule):
         """Issue ``op_factory``'s operation; the returned future tracks its
         completion. ``direct`` mode issues inline, with no task at all."""
         if self.direct:
-            self.runtime.stats.count(self.name, what)
+            self.op_counts[what] += 1
             return op_factory()
         return self.taskify(what, _issue, op_factory)
 
@@ -180,7 +180,7 @@ class ShmemModule(HiperModule):
         way, the wave only amortizes per-message Python overhead."""
         b = self.backend
         if self.direct and b.wave_capable():
-            self.runtime.stats.count(self.name, "fadd", len(pes))
+            self.op_counts["fadd"] += len(pes)
             return b.amo_fetch_wave("add", target, index, list(pes),
                                     list(values))
         return [self.atomic_fetch_add_async(target, v, pe, index)
@@ -235,7 +235,7 @@ class ShmemModule(HiperModule):
                          index: int = 0) -> Future:
         """Future form of ``shmem_wait_until`` — no thread burned."""
         b = self.backend
-        self.runtime.stats.count(self.name, "wait_until")
+        self.op_counts["wait_until"] += 1
         return b.watch(sym, index, cmp, value)
 
     def wait_until(self, sym: SymArray, cmp: str, value: Any, index: int = 0) -> None:
@@ -263,7 +263,7 @@ class ShmemModule(HiperModule):
             cost=cost, return_future=True,
             scope=rt._poll_scope() if daemon else None,
         )
-        rt.stats.count(self.name, "async_when")
+        self.op_counts["async_when"] += 1
         return fut
 
     def local_store(self, sym: SymArray, index, value) -> None:

@@ -67,7 +67,7 @@ class UpcxxModule(HiperModule):
             body, module=self.name, name="upcxx-rpc",
             scope=rt._poll_scope(), return_future=True,
         )
-        rt.stats.count(self.name, "rpc_in")
+        self.op_counts["rpc_in"] += 1
         return fut
 
     # ------------------------------------------------------------------
@@ -78,19 +78,19 @@ class UpcxxModule(HiperModule):
         addressable array; returns this rank's handle."""
         local = np.zeros(shape, dtype=dtype)
         gptr = self.backend.register_shared(local)
-        self.runtime.stats.count(self.name, "shared_array")
+        self.op_counts["shared_array"] += 1
         return SharedArray(self, gptr.obj_id, local)
 
     def rput(self, data: Any, gptr: GlobalPtr) -> Future:
-        self.runtime.stats.count(self.name, "rput")
+        self.op_counts["rput"] += 1
         return self.backend.rput(data, gptr)
 
     def rget(self, gptr: GlobalPtr, count: int) -> Future:
-        self.runtime.stats.count(self.name, "rget")
+        self.op_counts["rget"] += 1
         return self.backend.rget(gptr, count)
 
     def rpc(self, target: int, fn: Callable[..., Any], *args) -> Future:
-        self.runtime.stats.count(self.name, "rpc")
+        self.op_counts["rpc"] += 1
         return self.backend.rpc(target, fn, *args)
 
     # ------------------------------------------------------------------

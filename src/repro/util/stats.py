@@ -1,23 +1,23 @@
 """Runtime statistics hooks (paper §V "Discussion": unified-scheduler tooling).
 
-The HiPER paper notes that because the runtime schedules *all* work, it can
-attribute time to modules and expose semantic performance information. This
-module provides that instrumentation layer — the metrics registry of the
-unified observability stack:
+Because the runtime schedules *all* work, it can attribute time to modules
+and expose semantic performance information. This is that layer, the
+metrics registry of the unified observability stack:
 
 - counters and timers keyed by ``(module, operation)``,
 - gauges (last-written values, e.g. heap occupancy),
 - log2-bucketed histograms (message sizes, sweep batch sizes),
-- named time series filled by :class:`TelemetrySampler`, which ticks on
-  virtual time under the simulated executor and on wall time under the
-  threaded one (both expose ``call_later``).
+- named time series filled by :class:`TelemetrySampler` (virtual-time ticks
+  under the simulated executor, wall-time ticks under the threaded one).
 
-The registry has no options: it is always on. Per-worker time is not kept
-here; it lives on each :class:`~repro.runtime.worker.WorkerState`, whose
-``clock - idle_time`` is that worker's busy time on every engine. Everything
-a rank records is exportable machine-readably via :meth:`RuntimeStats.to_dict`
-and mergeable across ranks via :meth:`RuntimeStats.merge` (cluster-wide
-reports, ``metrics.json``).
+The registry has no options: it is always on. Hot owners (the fabric mux,
+the SHMEM and MPI backends, the runtime, its workers and polling services,
+the modules) keep plain integers and register a collector that the registry
+pulls only when read; :meth:`~RuntimeStats.count` and
+:meth:`~RuntimeStats.observe` push, for cold paths and third-party code.
+Per-worker time lives on each :class:`~repro.runtime.worker.WorkerState`.
+Everything a rank records is exportable via :meth:`RuntimeStats.to_dict` and
+mergeable across ranks via :meth:`RuntimeStats.merge` (``metrics.json``).
 """
 
 from __future__ import annotations
@@ -25,21 +25,24 @@ from __future__ import annotations
 import dataclasses
 import time
 from collections import defaultdict
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+
+_Key = Tuple[str, str]  # (module, operation)
 
 
 class Histogram:
     """Log2-bucketed histogram of non-negative values (cheap, fixed size).
 
-    Bucket ``i`` counts values in ``[2**(i-1), 2**i)`` (bucket 0 counts
-    zeros); good enough for message sizes and queue depths where order of
-    magnitude is what matters.
+    Bucket ``i`` counts values in ``[2**(i-1), 2**i)``, so a value's bucket
+    is ``int(value).bit_length()`` (bucket 0: below 1; the last bucket also
+    takes anything past ``2**64``); good enough for message sizes and queue
+    depths where order of magnitude is what matters.
     """
 
     __slots__ = ("counts", "total", "n", "max")
 
     def __init__(self):
-        self.counts: Dict[int, int] = defaultdict(int)
+        self.counts: List[int] = [0] * 65
         self.total = 0.0
         self.n = 0
         self.max = 0.0
@@ -47,8 +50,7 @@ class Histogram:
     def add(self, value: float) -> None:
         if value < 0:
             value = 0.0
-        bucket = 0 if value < 1 else int(value).bit_length()
-        self.counts[bucket] += 1
+        self.counts[min(int(value).bit_length(), 64)] += 1
         self.total += value
         self.n += 1
         if value > self.max:
@@ -59,8 +61,7 @@ class Histogram:
         return self.total / self.n if self.n else 0.0
 
     def merge(self, other: "Histogram") -> None:
-        for b, c in other.counts.items():
-            self.counts[b] += c
+        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
         self.total += other.total
         self.n += other.n
         self.max = max(self.max, other.max)
@@ -70,7 +71,7 @@ class Histogram:
             "n": self.n,
             "mean": self.mean,
             "max": self.max,
-            "buckets": {str(b): c for b, c in sorted(self.counts.items())},
+            "buckets": {str(b): c for b, c in enumerate(self.counts) if c},
         }
 
 
@@ -95,21 +96,29 @@ class RuntimeStats:
     """Aggregated counters/timers for one runtime instance (one rank).
 
     Keys are ``(module, operation)`` tuples; the core runtime uses module
-    ``"core"``. Module implementations report through
-    :meth:`count`/:meth:`time`, mirroring the hooks described in paper §V.
+    ``"core"``. :attr:`counters` and :attr:`histograms` are what
+    :meth:`count`/:meth:`observe` pushed plus what every registered
+    collector holds, read afresh on each access (paper §V hooks).
     """
 
     def __init__(self):
-        self.counters: Dict[Tuple[str, str], int] = defaultdict(int)
-        self.timers: Dict[Tuple[str, str], TimerRecord] = defaultdict(TimerRecord)
-        self.gauges: Dict[Tuple[str, str], float] = {}
-        self.histograms: Dict[Tuple[str, str], Histogram] = defaultdict(Histogram)
-        #: Named time series: name -> list of (timestamp, value) samples.
-        self.series: Dict[str, List[Tuple[float, float]]] = defaultdict(list)
+        self._counters: Dict[_Key, int] = defaultdict(int)
+        self.timers: Dict[_Key, TimerRecord] = defaultdict(TimerRecord)
+        self.gauges: Dict[_Key, float] = {}
+        self._histograms: Dict[_Key, Histogram] = defaultdict(Histogram)
+        #: Named time series: name -> list of (timestamp, value) samples; a
+        #: merged registry keeps one such list per rank: name -> rank -> list.
+        self.series: Dict[str, Any] = defaultdict(list)
+        self._collectors: List[Callable[[Dict, Dict], None]] = []
 
     # -- recording -----------------------------------------------------
+    def register(self, collect: Callable[[Dict, Dict], None]) -> None:
+        """Call ``collect(counters, histograms)`` on every read: an owner
+        keeps plain integers and adds them into those snapshot dicts."""
+        self._collectors.append(collect)
+
     def count(self, module: str, op: str, n: int = 1) -> None:
-        self.counters[(module, op)] += n
+        self._counters[(module, op)] += n
 
     def time(self, module: str, op: str, elapsed: float) -> None:
         self.timers[(module, op)].add(elapsed)
@@ -119,13 +128,25 @@ class RuntimeStats:
 
     def observe(self, module: str, name: str, value: float) -> None:
         """Add one observation to the ``(module, name)`` histogram."""
-        self.histograms[(module, name)].add(value)
+        self._histograms[(module, name)].add(value)
 
     def sample(self, name: str, t: float, value: float) -> None:
         """Append one time-series sample (used by :class:`TelemetrySampler`)."""
         self.series[name].append((t, value))
 
     # -- reading -------------------------------------------------------
+    def _snapshot(self) -> Tuple[Dict[_Key, int], Dict[_Key, Histogram]]:
+        counters = defaultdict(int, self._counters)
+        histograms: Dict[_Key, Histogram] = defaultdict(Histogram)
+        for k, h in self._histograms.items():
+            histograms[k].merge(h)
+        for collect in self._collectors:
+            collect(counters, histograms)
+        return counters, histograms
+
+    counters = property(lambda self: self._snapshot()[0])
+    histograms = property(lambda self: self._snapshot()[1])
+
     def counter(self, module: str, op: str) -> int:
         return self.counters.get((module, op), 0)
 
@@ -133,24 +154,21 @@ class RuntimeStats:
         return self.timers.get((module, op), TimerRecord())
 
     def modules(self) -> Iterator[str]:
-        seen = set()
-        for mod, _ in list(self.counters) + list(self.timers):
-            if mod not in seen:
-                seen.add(mod)
-                yield mod
+        return iter(dict.fromkeys(m for m, _ in [*self.counters, *self.timers]))
 
     def histogram(self, module: str, name: str) -> Histogram:
         return self.histograms.get((module, name), Histogram())
 
-    def merge(self, other: "RuntimeStats") -> None:
-        """Fold another rank's stats into this one (for cluster-wide reports).
+    def merge(self, other: "RuntimeStats", rank: int = 0) -> None:
+        """Fold rank ``rank``'s stats into this one (cluster-wide reports).
 
-        Counters, timers and histograms are additive;
-        gauges keep the maximum across ranks; time series are concatenated
-        and kept time-sorted (samples from all ranks on one axis).
+        Counters, timers and histograms are additive; gauges keep the
+        maximum across ranks; each time series keeps one time-sorted list
+        of samples per rank: ``series[name][rank]``.
         """
-        for k, v in other.counters.items():
-            self.counters[k] += v
+        counters, histograms = other._snapshot()
+        for k, v in counters.items():
+            self._counters[k] += v
         for k, rec in other.timers.items():
             mine = self.timers[k]
             mine.count += rec.count
@@ -158,36 +176,28 @@ class RuntimeStats:
             mine.max = max(mine.max, rec.max)
         for k, v in other.gauges.items():
             self.gauges[k] = max(self.gauges.get(k, v), v)
-        for k, h in other.histograms.items():
-            self.histograms[k].merge(h)
+        for k, h in histograms.items():
+            self._histograms[k].merge(h)
         for name, points in other.series.items():
-            mine_pts = self.series[name]
+            mine_pts = self.series.setdefault(name, {}).setdefault(rank, [])
             mine_pts.extend(points)
             mine_pts.sort(key=lambda p: p[0])
 
     def to_dict(self) -> Dict[str, Any]:
         """Machine-readable export (consumed by ``repro profile`` and the
         bench harness)."""
+        counters, histograms = self._snapshot()
         return {
-            "counters": {
-                f"{mod}.{op}": n for (mod, op), n in sorted(self.counters.items())
-            },
-            "timers": {
-                f"{mod}.{op}": {
-                    "count": rec.count, "total": rec.total,
-                    "mean": rec.mean, "max": rec.max,
-                }
-                for (mod, op), rec in sorted(self.timers.items())
-            },
-            "gauges": {
-                f"{mod}.{name}": v for (mod, name), v in sorted(self.gauges.items())
-            },
-            "histograms": {
-                f"{mod}.{name}": h.to_dict()
-                for (mod, name), h in sorted(self.histograms.items())
-            },
-            "series": {
-                name: [[t, v] for t, v in pts]
+            "counters": {f"{m}.{op}": n for (m, op), n in sorted(counters.items())},
+            "timers": {f"{m}.{op}": {"count": r.count, "total": r.total,
+                                     "mean": r.mean, "max": r.max}
+                       for (m, op), r in sorted(self.timers.items())},
+            "gauges": {f"{m}.{n}": v for (m, n), v in sorted(self.gauges.items())},
+            "histograms": {f"{m}.{n}": h.to_dict()
+                           for (m, n), h in sorted(histograms.items())},
+            "series": {  # per rank once merged
+                name: {str(r): [list(p) for p in rp] for r, rp in sorted(pts.items())}
+                if isinstance(pts, dict) else [list(p) for p in pts]
                 for name, pts in sorted(self.series.items())
             },
         }
@@ -215,22 +225,19 @@ class TelemetrySampler:
     - ``ready_tasks``   — total ready tasks across the rank's deques,
     - ``event_queue``   — pending engine events/timers on the executor,
     - ``pop_rate`` / ``steal_rate`` — deque pops/steals per second since the
-      previous tick,
-    - ``idle_fraction`` — mean per-worker idle fraction, read from each
-      :class:`~repro.runtime.worker.WorkerState` (``idle_time / clock`` on
-      virtual time; one minus the worker's ``busy_time`` over wall time on
-      the threaded engine; this registry keeps no per-worker time of its
-      own),
+      previous tick, and
+    - ``idle_fraction`` — mean per-worker idle fraction (``idle_time /
+      clock`` on virtual time, one minus ``busy_time`` over wall time on the
+      threaded engine), all three read from each
+      :class:`~repro.runtime.worker.WorkerState`, so a tick never snapshots
+      the registry,
     - ``events_per_sec`` — engine events dispatched per *wall-clock* second
-      since the previous tick (the DES engine's real throughput; 0 on
-      executors without an ``events_processed`` counter and on the baseline
+      since the previous tick (0 without ``events_processed`` and on the
       first tick).
 
-    The two DES-engine observables are also published as gauges under the
-    ``sim`` module — ``sim.events_per_sec`` (last tick's rate; cross-rank
-    merge keeps the max) and ``sim.event_queue_depth`` — so they show up in
-    ``RuntimeStats.report()`` / ``metrics.json`` gauge sections without
-    walking the series.
+    The two DES-engine observables are also gauges, ``sim.events_per_sec``
+    (last tick's rate; cross-rank merge keeps the max) and
+    ``sim.event_queue_depth``.
 
     Ticks ride the executor's ``call_later`` facility, so sampling is on
     virtual time under :class:`~repro.exec.sim.SimExecutor` and on wall time
@@ -249,18 +256,14 @@ class TelemetrySampler:
         self.tracer = tracer
         self.samples_taken = 0
         self._stopped = False
-        self._last_pops = 0
-        self._last_steals = 0
-        self._last_events = 0
+        self._last_pops = self._last_steals = self._last_events = 0
         self._last_wall: Optional[float] = None
 
     def start(self) -> None:
-        """Take one sample immediately, then tick every ``period``.
-
-        The immediate sample guarantees every series exists even for runs
-        shorter than one period (the simulated engine also prefers ready
-        tasks over timer events, so short pure-compute runs may complete
-        before the first deferred tick fires)."""
+        """Take one sample immediately, then tick every ``period``: every
+        series exists even for runs shorter than one period (the simulated
+        engine prefers ready tasks over timers, so short pure-compute runs
+        may complete before the first deferred tick fires)."""
         self._stopped = False
         self._tick()
 
@@ -278,15 +281,14 @@ class TelemetrySampler:
 
         ready = rt.deques.total_ready()
         pending = ex.pending_events()
-        pops = stats.counter("core", "pop")
-        steals = stats.counter("core", "steal")
+        pops = sum(w.pops for w in rt.workers)
+        steals = sum(w.steals for w in rt.workers)
         pop_rate = (pops - self._last_pops) / self.period
         steal_rate = (steals - self._last_steals) / self.period
         self._last_pops, self._last_steals = pops, steals
 
-        # Engine throughput is a wall-clock rate on purpose: virtual time is
-        # workload-defined, so events per *virtual* second says nothing about
-        # how fast the engine itself runs.
+        # A wall-clock rate on purpose: events per *virtual* second would say
+        # nothing about how fast the engine itself runs.
         events = getattr(ex, "events_processed", 0)
         wall = time.perf_counter()
         if self._last_wall is not None and wall > self._last_wall:
@@ -297,21 +299,19 @@ class TelemetrySampler:
 
         idle = self._idle_fraction(t)
 
-        stats.sample("ready_tasks", t, float(ready))
-        stats.sample("event_queue", t, float(pending))
-        stats.sample("pop_rate", t, pop_rate)
-        stats.sample("steal_rate", t, steal_rate)
-        stats.sample("idle_fraction", t, idle)
-        stats.sample("events_per_sec", t, events_per_sec)
+        for name, value in (
+                ("ready_tasks", float(ready)), ("event_queue", float(pending)),
+                ("pop_rate", pop_rate), ("steal_rate", steal_rate),
+                ("idle_fraction", idle), ("events_per_sec", events_per_sec)):
+            stats.sample(name, t, value)
         stats.gauge("sim", "events_per_sec", events_per_sec)
         stats.gauge("sim", "event_queue_depth", float(pending))
         if self.tracer is not None:
-            self.tracer.record_counter(rt.rank, "ready_tasks", t, float(ready))
-            self.tracer.record_counter(rt.rank, "event_queue", t, float(pending))
-            self.tracer.record_counter(rt.rank, "events_per_sec", t,
-                                       events_per_sec)
-            self.tracer.record_counter(rt.rank, "utilization", t,
-                                       max(0.0, 1.0 - idle))
+            for name, value in (("ready_tasks", float(ready)),
+                                ("event_queue", float(pending)),
+                                ("events_per_sec", events_per_sec),
+                                ("utilization", max(0.0, 1.0 - idle))):
+                self.tracer.record_counter(rt.rank, name, t, value)
         self.samples_taken += 1
         ex.call_later(self.period, self._tick)
 

@@ -563,6 +563,40 @@ class TestOptionCensus:
         assert not hasattr(repro.util.stats, "StatsConfig")
         assert "StatsConfig" not in repro.util.__all__
 
+    def test_counters_are_pulled_not_pushed(self):
+        """The hot owners keep plain integers that ``RuntimeStats`` reads
+        when read: no counter dict is held on the worker or the runtime,
+        and counting by pull takes no option: the owners' constructors
+        keep exactly these parameters."""
+        from repro.mpi.backend import MpiBackend
+        from repro.net.mux import FabricMux
+        from repro.platform import discover, machine
+        from repro.runtime.polling import PollingService
+        from repro.runtime.runtime import HiperRuntime
+        from repro.runtime.worker import WorkerState
+        from repro.shmem.backend import ShmemBackend
+        from repro.util.stats import RuntimeStats
+
+        rt = HiperRuntime(discover(machine("workstation"), num_workers=2),
+                          SimExecutor())
+        assert "_counters" not in WorkerState.__slots__
+        assert not hasattr(rt.workers[0], "_counters")
+        assert not hasattr(rt, "_counters")
+        want = {
+            FabricMux: ["fabric", "rank", "stats"],
+            ShmemBackend: ["mux", "rank", "heap", "peers", "stats"],
+            MpiBackend: ["mux", "rank", "on_progress", "channel", "stats"],
+            PollingService: ["runtime", "place", "module", "interval",
+                             "sweep_cost", "eager_kick", "name"],
+            HiperRuntime: ["model", "executor", "paths", "rank", "nranks",
+                           "seed", "path_kwargs"],
+            WorkerState: ["wid", "rank", "runtime", "pop_path",
+                          "steal_path", "rng"],
+            RuntimeStats: [],
+        }
+        assert {cls: list(inspect.signature(cls).parameters)
+                for cls in want} == want
+
     def test_one_stepping_loop(self):
         """Shards, schedule exploration and the reference all step through
         ``SimExecutor._step``, and exploration and the reference are one

@@ -70,12 +70,17 @@ class TestMetricsRegistry:
         b.observe("mpi", "msg_size", 8)
         a.sample("ready_tasks", 2.0, 1.0)
         b.sample("ready_tasks", 1.0, 4.0)
-        a.merge(b)
-        assert a.counter("mpi", "msgs_sent") == 5
-        assert a.gauges[("shmem", "heap_used")] == 30.0  # max across ranks
-        assert a.histogram("mpi", "msg_size").n == 2
-        # series are concatenated and kept time-sorted
-        assert a.series["ready_tasks"] == [(1.0, 4.0), (2.0, 1.0)]
+        merged = RuntimeStats()
+        merged.merge(a, 0)
+        merged.merge(b, 1)
+        assert merged.counter("mpi", "msgs_sent") == 5
+        assert merged.gauges[("shmem", "heap_used")] == 30.0  # max across ranks
+        assert merged.histogram("mpi", "msg_size").n == 2
+        # each rank keeps its own series; ticks are never interleaved
+        assert merged.series["ready_tasks"] == {0: [(2.0, 1.0)],
+                                                1: [(1.0, 4.0)]}
+        assert merged.to_dict()["series"]["ready_tasks"] == {
+            "0": [[2.0, 1.0]], "1": [[1.0, 4.0]]}
 
     def test_to_dict_round_trips_through_json(self):
         s = RuntimeStats()
@@ -184,11 +189,10 @@ class TestTelemetrySampler:
         assert all(0.0 <= c.value <= 1.0 for c in tracer.counters
                    if c.name == "utilization")
 
-    def test_idle_fraction_series_pinned(self, sim_rt):
-        """The series reads the workers' clocks; pinned bit for bit (the
-        0.5 ticks average two idle workers that have not run yet, at 1.0,
-        with two busy ones)."""
-        sampler = TelemetrySampler(sim_rt, period=1e-4, max_samples=10)
+    @staticmethod
+    def _three_steps(rt, name):
+        """Ten ticks over three uneven forasync steps; ``name``'s reprs."""
+        sampler = TelemetrySampler(rt, period=1e-4, max_samples=10)
 
         def main():
             sampler.start()
@@ -198,11 +202,28 @@ class TestTelemetrySampler:
                     chunks=2 + step))
                 timer_future(1.5e-4).wait()
 
-        sim_rt.run(main)
-        assert [repr(v) for _, v in sim_rt.stats.series["idle_fraction"]] == [
+        rt.run(main)
+        return [repr(v) for _, v in rt.stats.series[name]]
+
+    def test_idle_fraction_series_pinned(self, sim_rt):
+        """The series reads the workers' clocks; pinned bit for bit (the
+        0.5 ticks average two idle workers that have not run yet, at 1.0,
+        with two busy ones)."""
+        assert self._three_steps(sim_rt, "idle_fraction") == [
             "0.0", "0.5", "0.5", "0.5", "0.6331932773109243",
             "0.6331932773109243", "0.6331932773109243", "0.6331932773109243",
             "0.5736209915526803", "0.5736209915526803"]
+
+    @pytest.mark.parametrize("name,want", [
+        ("pop_rate", ["10000.0", "10000.0", "0.0", "0.0", "0.0", "0.0",
+                      "0.0", "0.0", "10000.0", "0.0"]),
+        ("steal_rate", ["0.0", "10000.0", "0.0", "0.0", "30000.0", "0.0",
+                        "0.0", "0.0", "30000.0", "0.0"]),
+    ])
+    def test_pop_and_steal_rate_series_pinned(self, sim_rt, name, want):
+        """The rates read each worker's pop and steal tallies, so a tick
+        never snapshots the registry; pinned bit for bit on the same run."""
+        assert self._three_steps(sim_rt, name) == want
 
     def test_idle_fraction_on_wall_time_reads_the_workers(self, threaded_rt):
         """On the threaded engine a worker's idle fraction is one minus its
@@ -503,6 +524,29 @@ class TestProfileHarness:
         assert want["1.0"] != want["0.0"]
         assert "worker_busy" not in metrics["stats"]
         assert "worker_idle" not in metrics["stats"]
+
+    def test_series_keyed_by_rank(self, tmp_path):
+        """``metrics.json``'s ``stats.series[name]`` maps each rank to that
+        rank's own samples; two ranks' ticks are never put on one axis."""
+        def main(ctx):
+            for step in range(3):
+                finish(lambda: forasync(
+                    2, lambda i: charge((ctx.rank + 1) * (i + 1) * 1e-4),
+                    chunks=2))
+                timer_future(1.5e-4).wait()
+
+        cfg = ClusterConfig(nodes=2, ranks_per_node=1, workers_per_rank=2)
+        report = profile_spmd(main, cfg, out_dir=str(tmp_path))
+        series = json.loads(
+            (tmp_path / "metrics.json").read_text())["stats"]["series"]
+        for name in ("idle_fraction", "ready_tasks", "pop_rate"):
+            assert series[name] == {
+                str(ctx.rank): [[t, v] for t, v in
+                                ctx.runtime.stats.series[name]]
+                for ctx in report.result.contexts}, name
+        idle = series["idle_fraction"]
+        assert sorted(idle) == ["0", "1"] and idle["0"] != idle["1"]
+        assert [t for t, _ in idle["0"]] == [t for t, _ in idle["1"]]
 
     def test_profile_reports_what_the_collector_cost(self, tmp_path):
         def main(ctx):
