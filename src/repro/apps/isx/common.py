@@ -107,8 +107,18 @@ def validate_isx(cfg: IsxConfig, npes: int,
             f"key count mismatch: {total} received vs "
             f"{npes * cfg.keys_per_pe} generated"
         )
-    got = np.sort(np.concatenate([a for a in final_keys if a.size]))
-    want = np.sort(np.concatenate(
-        [generate_keys(cfg, r, npes) for r in range(npes)]))
-    if not np.array_equal(got, want):
-        raise AssertionError("global key multiset does not match the input")
+    # Each PE's keys are sorted and inside its own range, and the ranges
+    # ascend with the PE, so the results in PE order are already the sorted
+    # received multiset: compare them slice by slice with the sorted input,
+    # generated rank by rank into one buffer.
+    kpp = cfg.keys_per_pe
+    want = np.empty(npes * kpp, dtype=np.int64)
+    for r in range(npes):
+        want[r * kpp : (r + 1) * kpp] = generate_keys(cfg, r, npes)
+    want.sort()
+    lo = 0
+    for arr in final_keys:
+        if not np.array_equal(arr, want[lo : lo + arr.size]):
+            raise AssertionError(
+                "global key multiset does not match the input")
+        lo += arr.size

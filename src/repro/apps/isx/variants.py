@@ -60,11 +60,13 @@ def _exchange(ctx, cfg: IsxConfig, grouped: np.ndarray, counts: np.ndarray,
         if cnt:
             res_pes.append(pe)
             res_cnts.append(cnt)
-    reservations = list(zip(
-        res_pes, res_cnts, sh.atomic_fetch_add_wave(tail, res_cnts, res_pes)))
+    # Reversed, so pop() hands the futures out in issue order and each one
+    # is dropped as soon as its reservation is consumed.
+    pending = sh.atomic_fetch_add_wave(tail, res_cnts, res_pes)
+    pending.reverse()
     puts: List[Future] = []
-    for pe, cnt, fut in reservations:
-        base = yield fut
+    for pe, cnt in zip(res_pes, res_cnts):
+        base = yield pending.pop()
         if base + cnt > window.size:
             raise ConfigError(
                 f"ISx receive window overflow on PE {pe}: "
@@ -182,12 +184,11 @@ def run_hiper(ctx, cfg: IsxConfig):
                 if cnt:
                     res_pes.append(pe)
                     res_cnts.append(cnt)
-            reservations = list(zip(
-                res_pes, res_cnts,
-                sh.atomic_fetch_add_wave(tail, res_cnts, res_pes)))
+            pending = sh.atomic_fetch_add_wave(tail, res_cnts, res_pes)
+            pending.reverse()  # as in _exchange: drop each once consumed
             puts = []
-            for pe, cnt, fut in reservations:
-                base = yield fut
+            for pe, cnt in zip(res_pes, res_cnts):
+                base = yield pending.pop()
                 if base + cnt > window.size:
                     raise ConfigError("ISx receive window overflow")
                 block = grouped[offs[pe] : offs[pe] + cnt]

@@ -25,6 +25,12 @@ from repro.platform.place import Place, PlaceType
 from repro.runtime.future import Future, after, when_all
 from repro.runtime.runtime import HiperRuntime
 from repro.util.errors import GpuError
+from repro.util.stats import Histogram
+
+#: Each transfer kind's byte counter, named by the direction ``what`` ends in.
+_BYTES_OF = {what: f"bytes_{what[-3:]}" for what in (
+    "memcpy_h2d", "memcpy_d2h", "memcpy_d2d",
+    "async_copy_h2d", "async_copy_d2h", "async_copy_d2d")}
 
 
 class CudaModule(HiperModule):
@@ -39,6 +45,9 @@ class CudaModule(HiperModule):
         self.ctx = ctx  # optional RankContext; unused single-rank
         self.devices: List[SimGpu] = NotInitialized(self.name)
         self._gpu_places: List[Place] = NotInitialized(self.name)
+        #: Sizes of the copies that moved bytes: the ``cuda.xfer_size``
+        #: histogram, read by :meth:`collect_counts`.
+        self._xfer_size = Histogram()
 
     # ------------------------------------------------------------------
     def initialize(self, runtime: HiperRuntime) -> None:
@@ -70,6 +79,11 @@ class CudaModule(HiperModule):
             ("forasync_cuda", self.forasync_cuda),
         ]:
             self.export(runtime, api_name, fn)
+
+    def collect_counts(self, counters, histograms) -> None:
+        super().collect_counts(counters, histograms)
+        if self._xfer_size.n:
+            histograms[(self.name, "xfer_size")].merge(self._xfer_size)
 
     # ------------------------------------------------------------------
     def device(self, index: int = 0) -> SimGpu:
@@ -105,9 +119,8 @@ class CudaModule(HiperModule):
         fut = self.poll(op, what)
         n = op.nbytes
         if n:
-            stats = self.runtime.stats
-            stats.count(self.name, f"bytes_{what.rsplit('_', 1)[-1]}", n)
-            stats.observe(self.name, "xfer_size", n)
+            self.op_counts[_BYTES_OF[what]] += n
+            self._xfer_size.add(n)
         return fut
 
     def memcpy_async(self, dst, src, *, stream: int = 0,
@@ -163,7 +176,7 @@ class CudaModule(HiperModule):
                                                  bytes_moved=bytes_moved,
                                                  stream=stream), "kernel"),
                     "cuda-kernel-await")
-        self.runtime.stats.count(self.name, "kernel_await")
+        self.op_counts["kernel_await"] += 1
         return fut
 
     def forasync_cuda(

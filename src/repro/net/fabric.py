@@ -39,6 +39,7 @@ receive-only loop: its rows have no send half, no verdicts, own sizes.
 from __future__ import annotations
 
 import math
+from array import array
 from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -129,8 +130,9 @@ class SimFabric:
         # Per-node NIC availability times (the congestion state).
         self._tx_avail: List[float] = [0.0] * self.nnodes
         self._rx_avail: List[float] = [0.0] * self.nnodes
-        # Pairwise FIFO: last delivery time per (src, dst).
-        self._pair_last: Dict[int, float] = {}
+        # Pairwise FIFO: last delivery time per (src, dst), flat at
+        # ``src * nranks + dst``; 0.0 until the pair's first delivery.
+        self._pair_last = array("d", [0.0]) * (nranks * nranks)
         #: Messages to ranks owned elsewhere, awaiting the next window
         #: barrier, keyed by destination shard.
         self._outboxes: Dict[int, List[WireMsg]] = {}
@@ -330,7 +332,7 @@ class SimFabric:
             self.messages_delayed += 1
         # Pairwise FIFO: never deliver before an earlier message on the pair.
         key = src * self.nranks + dst
-        prev = self._pair_last.get(key, 0.0)
+        prev = self._pair_last[key]
         if prev > delivery:
             delivery = prev
         self._pair_last[key] = delivery
@@ -384,8 +386,7 @@ class SimFabric:
             rx_start = max(arrival, self._rx_avail[d_node])
             self._rx_avail[d_node] = delivery = rx_start + ser
             key = src * self.nranks + dst
-            prev = self._pair_last.get(key, 0.0)
-            delivery = max(delivery, prev)
+            delivery = max(delivery, self._pair_last[key])
             self._pair_last[key] = delivery
             deliveries.append(delivery)
             items.append((sink, src, payload, delivery))

@@ -33,10 +33,17 @@ is why the rows use blocks of megabytes.
 The GEO rows fail at b39cff0: its oracle peaked at 4.13 global grids (bound
 1.5), a finished run still held 3.09 slabs per rank (bound 1.5), and both
 CUDA variants left their two device slabs allocated.
+
+The ISx all-to-all rows fail at dbc9a93: a 64-rank flat run peaked at 381
+traced bytes per message (bound 340), because it kept every consumed
+reservation future until its exchange ended; the pairwise-FIFO table was a
+dict of 147 544 bytes where 32 768 hold every pair; and ``validate_isx``
+peaked at 3.00 global key sets (bound 1.5).
 """
 
 import collections
 import gc
+import sys
 import tracemalloc
 import types
 
@@ -63,6 +70,7 @@ from repro.shmem.heap import SignatureTable, SymmetricHeap
 from repro.taskgraph import (TaskGraph, hetero_workload, isx_dag_workload,
                              reduction_workload)
 from repro.upcxx import GlobalPtr, UpcxxBackend
+from tests.test_app_isx import _sorted_buckets
 from tests.test_taskgraph import _spec_triples
 
 N = 1000
@@ -461,3 +469,66 @@ def test_stencil_leg_hiper_run_keeps_only_results():
         tracemalloc.stop()
     slab_bytes = 8 * (GEO_RUN.nz + 2) * GEO_RUN.plane_cells
     assert held <= 1.5 * slab_bytes * res.nranks
+
+
+# ----------------------------------------------------------------------
+# the ISx all-to-all (docs/comm-internals.md, "What a message in flight
+# holds")
+# ----------------------------------------------------------------------
+ISX_A2A = IsxConfig(keys_per_pe=1 << 8, byte_scale=1 << 7)
+ISX_ORACLE = IsxConfig(keys_per_pe=1 << 12)
+
+
+def _isx_a2a(main):
+    """A flat ISx all-to-all on 4 Titan nodes x 16 core-PEs."""
+    cluster = ClusterConfig(nodes=4, ranks_per_node=16, workers_per_rank=1,
+                            machine=machine("titan"))
+    return spmd_run(main, cluster,
+                    module_factories=[shmem_factory(direct=True)])
+
+
+def test_isx_a2a_peak_bytes_per_message():
+    """The most a flat run holds at once past its set-up (every rank is
+    built before the first main starts), per message the fabric priced:
+    381 B at dbc9a93, which kept every consumed reservation future and a
+    boxed pairwise-FIFO entry per pair."""
+    inner = isx_main("flat", ISX_A2A)
+    built = []
+
+    def main(ctx):
+        if not built:
+            built.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+        return (yield from inner(ctx))
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        res = _isx_a2a(main)
+        peak = tracemalloc.get_traced_memory()[1] - built[0]
+    finally:
+        tracemalloc.stop()
+    validate_isx(ISX_A2A, res.nranks, res.results)
+    assert peak <= 340 * res.fabric.messages_sent
+
+
+def test_isx_a2a_pair_table_is_one_flat_array():
+    """After the all-to-all the pairwise-FIFO table is one object of 8·n²
+    bytes that refers to no other object but its type (at dbc9a93 a dict
+    of 147 544 bytes, with a boxed key and a boxed float per pair used)."""
+    res = _isx_a2a(isx_main("flat", ISX_A2A))
+    n, table = res.nranks, res.fabric._pair_last
+    assert sys.getsizeof(table) <= 8 * n * n + 128
+    assert gc.get_referents(table) == [type(table)]
+    assert memoryview(table).nbytes == 8 * n * n
+
+
+def test_isx_oracle_peak_bytes():
+    """``validate_isx`` on 64 correct PE results: one sorted copy of the
+    input and one rank's generated keys (3.00 global key sets at dbc9a93,
+    which sorted a concatenation of the results and of the input)."""
+    npes = 64
+    results = _sorted_buckets(ISX_ORACLE, npes)
+    key_set_bytes = 8 * npes * ISX_ORACLE.keys_per_pe
+    assert _peak_bytes(lambda: validate_isx(ISX_ORACLE, npes, results)) <= (
+        1.5 * key_set_bytes)

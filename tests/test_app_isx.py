@@ -84,6 +84,53 @@ class TestRouting:
             validate_isx(cfg, 2, bad)
 
 
+def _sorted_buckets(cfg, npes):
+    """The correct result of an ISx run: every generated key, sorted and cut
+    at the bucket boundaries, one array per PE."""
+    keys = np.sort(np.concatenate(
+        [generate_keys(cfg, r, npes) for r in range(npes)]))
+    cuts = np.searchsorted(keys, bucket_width(cfg, npes) * np.arange(1, npes))
+    return [a.copy() for a in np.split(keys, cuts)]
+
+
+class TestOracle:
+    """Each tampered result below is sorted on every PE, inside every PE's
+    range and of the right total count: only the comparison with the
+    generated input can reject it."""
+
+    CFG = IsxConfig(keys_per_pe=64, max_key=1 << 12)
+    NPES = 4
+
+    def _check(self, results):
+        validate_isx(self.CFG, self.NPES, results)
+
+    def test_accepts_the_sorted_input(self):
+        self._check(_sorted_buckets(self.CFG, self.NPES))
+
+    def test_rejects_a_key_duplicated_over_another(self):
+        res = _sorted_buckets(self.CFG, self.NPES)
+        arr = res[1]
+        i = int(np.flatnonzero(np.diff(arr))[0])  # arr[i] < arr[i + 1]
+        arr[i + 1] = arr[i]
+        with pytest.raises(AssertionError, match="multiset"):
+            self._check(res)
+
+    def test_rejects_a_key_moved_to_the_next_range(self):
+        res = _sorted_buckets(self.CFG, self.NPES)
+        w = bucket_width(self.CFG, self.NPES)
+        res[0] = res[0][:-1]  # PE 0's largest key leaves ...
+        res[1] = np.concatenate([[w], res[1]])  # ... and PE 1 gains one
+        with pytest.raises(AssertionError, match="multiset"):
+            self._check(res)
+
+    def test_rejects_a_missing_key_offset_by_an_extra_one(self):
+        res = _sorted_buckets(self.CFG, self.NPES)
+        res[0] = res[0][1:]  # PE 0 loses its smallest key
+        res[3] = np.sort(np.concatenate([res[3], res[3][:1]]))
+        with pytest.raises(AssertionError, match="multiset"):
+            self._check(res)
+
+
 class TestVariants:
     @pytest.mark.parametrize("variant,direct,rpn,workers", [
         ("flat", True, 4, 1),

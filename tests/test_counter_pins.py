@@ -1,7 +1,7 @@
 """Counter pins: every counter and histogram a reader sees, as literal data.
 
 The hot owners (the fabric mux, the SHMEM backend, the runtime and its
-workers, the polling services, the MPI backend) keep plain integer tallies
+workers, the polling services, the MPI backend, the CUDA module) keep plain integer tallies
 that :class:`~repro.util.stats.RuntimeStats` reads only when asked. These
 tests hold what a reader sees — ``merged_stats().to_dict()``'s ``counters``
 and ``histograms`` of four smoke-size runs — bit for bit, JSON types
@@ -184,12 +184,14 @@ def test_merged_counters_and_histograms_pinned(app, variant):
 
 
 @pytest.mark.parametrize("app,variant", [("isx", "flat"),
-                                         ("uts", "shmem_omp")],
-                         ids=["isx-flat", "uts-shmem_omp"])
+                                         ("uts", "shmem_omp"),
+                                         ("geo", "hiper")],
+                         ids=["isx-flat", "uts-shmem_omp", "geo-hiper"])
 def test_hot_paths_push_nothing(app, variant, monkeypatch):
-    """Flat ISx and lock-based UTS count every message, put, get, atomic,
-    pop and steal, yet none of that goes through ``count`` or ``observe``:
-    the owners keep integers and the registry pulls them."""
+    """Flat ISx, lock-based UTS and the MPI+CUDA stencil count every
+    message, put, get, atomic, copy, kernel, pop and steal, yet none of that
+    goes through ``count`` or ``observe``: the owners keep integers (and
+    size histograms) and the registry pulls them."""
     calls = {"count": 0, "observe": 0}
 
     def wrap(name):
@@ -204,5 +206,6 @@ def test_hot_paths_push_nothing(app, variant, monkeypatch):
     wrap("observe")
     res = _run(app, variant)
     assert calls == {"count": 0, "observe": 0}
-    assert res.merged_stats().to_dict()["counters"] == \
-        PINS[(app, variant)]["counters"]
+    d = res.merged_stats().to_dict()
+    assert d["counters"] == PINS[(app, variant)]["counters"]
+    assert d["histograms"] == PINS[(app, variant)]["histograms"]

@@ -333,7 +333,7 @@ def _run_fabric(use_wave, nbytes, engine=reference_engine):
                    for d, p in zip(_DSTS, payloads)]
     ex.drain()
     state = (injects, seen, list(fab._tx_avail), list(fab._rx_avail),
-             dict(fab._pair_last), fab.messages_sent, fab.bytes_sent)
+             fab._pair_last.tolist(), fab.messages_sent, fab.bytes_sent)
     ex.shutdown()
     return state
 

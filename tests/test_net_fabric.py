@@ -240,7 +240,7 @@ class TestFabricFaultErrorPaths:
 # failure atomicity: a refused send leaves the fabric as it found it
 # ----------------------------------------------------------------------
 def _state(ex, fab):
-    return (list(fab._tx_avail), list(fab._rx_avail), dict(fab._pair_last),
+    return (list(fab._tx_avail), list(fab._rx_avail), fab._pair_last.tolist(),
             fab.messages_sent, fab.bytes_sent, ex.pending_events(),
             fab.cross_shard_msgs, fab._send_seq,
             {k: list(v) for k, v in fab._outboxes.items()})
@@ -533,7 +533,7 @@ def _priced(waves, as_wave, seed):
             faults.append(got if seed is not None else None)
     posts = [(w, (rank_of[a[0]], a[1], repr(a[2]), a[3])) for w, a in ex.posts]
     return (injects, posts, faults, calls, list(fab._tx_avail),
-            list(fab._rx_avail), dict(fab._pair_last), fab.messages_sent,
+            list(fab._rx_avail), fab._pair_last.tolist(), fab.messages_sent,
             fab.bytes_sent, fab.messages_dropped, fab.messages_corrupted,
             fab.messages_delayed, fab.take_outboxes())
 
