@@ -8,11 +8,14 @@ workloads (small SHMEM puts to remote PEs), one paying a fabric event + mux
 dispatch per message, the other per *batch*. The ISx pair repeats the
 comparison end-to-end on the Fig. 5 bucket-exchange benchmark at 8 ranks.
 
-Recorded to ``BENCH_comm.json`` via ``python -m repro bench-record --suite
-comm`` (append-only ledger, like the scheduler one).
+The pair carries the ``perf_smoke`` marker CI runs. Run under plain
+pytest-benchmark (``--benchmark-json=<file>``, or ``--benchmark-autosave``
+then ``--benchmark-compare`` for before/after); ``BENCH_comm.json`` is the
+frozen history of earlier runs.
 """
 
 import numpy as np
+import pytest
 
 from repro.apps.isx import IsxConfig, isx_main, validate_isx
 from repro.apps.presets import comm_coalesce
@@ -50,6 +53,7 @@ def _shmem_world(n=2):
     return ex, backends, windows
 
 
+@pytest.mark.perf_smoke
 def test_small_put_per_message(benchmark):
     """Baseline: every put is one fabric transmit + one mux dispatch."""
     ex, backends, windows = _shmem_world()
@@ -66,6 +70,7 @@ def test_small_put_per_message(benchmark):
     benchmark.extra_info["payload_bytes"] = int(data.nbytes)
 
 
+@pytest.mark.perf_smoke
 def test_small_put_coalesced(benchmark):
     """Same puts, coalesced: one transmit/dispatch per 32-message batch."""
     ex, backends, windows = _shmem_world()

@@ -4,10 +4,13 @@ steal throughput, and taskified-communication round trips.
 
 These measure REAL wall time of the framework machinery (ops/second of the
 Python implementation) — unlike the figure benches, where the science is in
-virtual time.
+virtual time. The spawn/join storm and the future chain carry the
+``perf_smoke`` marker CI runs; ``BENCH_scheduler.json`` is the frozen history
+of earlier runs.
 """
 
 import numpy as np
+import pytest
 
 from repro.exec.sim import SimExecutor
 from repro.exec.threaded import ThreadedExecutor
@@ -25,6 +28,7 @@ def _sim_rt(workers=4):
     return HiperRuntime(model, ex).start()
 
 
+@pytest.mark.perf_smoke
 def test_spawn_and_join_throughput_sim(benchmark):
     rt = _sim_rt()
 
@@ -50,6 +54,7 @@ def test_spawn_and_join_throughput_sim_w16(benchmark):
     benchmark.extra_info["workers"] = 16
 
 
+@pytest.mark.perf_smoke
 def test_future_chain_throughput_sim(benchmark):
     rt = _sim_rt(workers=1)
 

@@ -30,15 +30,21 @@ The wave storm is the one shape where the calendar queue the event list
 replaced was faster (0.32 s against 1.31 s); on every trace above the heap
 was.
 
-Recorded to ``BENCH_sim.json`` via ``python -m repro bench-record --suite
-sim``. Real wall time (events/second of the Python implementation), not
-virtual time.
+The wave-storm pair carries the ``perf_smoke`` marker CI runs, and nine
+rounds at least: its headline is a ratio of two runs taken seconds apart,
+and more rounds average out load spikes on one side. Run under plain
+pytest-benchmark (``--benchmark-json=<file>``, or ``--benchmark-autosave``
+then ``--benchmark-compare``); ``BENCH_sim.json`` is the frozen history.
+Real wall time (events/second of the Python implementation), not virtual
+time.
 """
 
 import functools
 import os
 import random
 import time
+
+import pytest
 
 from repro.exec.sim import SimExecutor
 from repro.verify.differential import make_engine
@@ -141,6 +147,8 @@ def _random_storm(cls):
     return run
 
 
+@pytest.mark.perf_smoke
+@pytest.mark.benchmark(min_rounds=9)
 def test_wave_storm_objects(benchmark):
     run, n = _wave_storm(_reference)
     benchmark(run)
@@ -148,6 +156,8 @@ def test_wave_storm_objects(benchmark):
     benchmark.extra_info["engine"] = "reference"
 
 
+@pytest.mark.perf_smoke
+@pytest.mark.benchmark(min_rounds=9)
 def test_wave_storm_flat(benchmark):
     run, n = _wave_storm(SimExecutor)
     benchmark(run)

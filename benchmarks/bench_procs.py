@@ -19,8 +19,8 @@ throughput, recorded as ``keys_per_sec`` in each entry's ``extra_info``:
 
 ``test_procs_launch_roundtrip`` isolates the fixed floor every procs run
 pays: launch + rendezvous + one barrier + teardown of a do-nothing 2-rank
-job. Recorded to ``BENCH_procs.json`` via ``python -m repro bench-record
---suite procs``.
+job. Run under plain pytest-benchmark (``--benchmark-json=<file>``);
+``BENCH_procs.json`` is the frozen history of earlier runs.
 """
 
 import os

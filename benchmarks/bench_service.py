@@ -21,9 +21,10 @@ Two questions, two shapes:
   results: 1000 distinct job ids, every one terminal-DONE, every digest
   equal to its spec's oracle.
 
-Recorded to ``BENCH_service.json`` via
-``python -m repro bench-record --suite service`` (``--fast`` runs just the
-warm/cold pair).
+The warm/cold pair carries the ``perf_smoke`` marker CI runs. Run under
+plain pytest-benchmark (``--benchmark-json=<file>``, or
+``--benchmark-autosave`` then ``--benchmark-compare``);
+``BENCH_service.json`` is the frozen history of earlier runs.
 """
 
 import itertools
@@ -31,6 +32,8 @@ import os
 import tempfile
 import threading
 import time
+
+import pytest
 
 from repro.service import JobGateway, ServiceClient, ServiceConfig, ServiceServer
 
@@ -70,11 +73,13 @@ def _bench_gateway_burst(benchmark, warm: bool):
         jobs_completed=gw.stats.counter("service", "jobs_completed"))
 
 
+@pytest.mark.perf_smoke
 def test_service_job_warm(benchmark):
     """A burst of jobs on a warm pool: construction paid once at startup."""
     _bench_gateway_burst(benchmark, warm=True)
 
 
+@pytest.mark.perf_smoke
 def test_service_job_cold(benchmark):
     """The same burst spawning/joining a threaded runtime per job (the
     pre-service baseline); the warm pool above must beat this by >= 2x."""

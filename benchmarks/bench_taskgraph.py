@@ -19,10 +19,13 @@ compete on; wall time just measures the graph machinery's overhead):
   the ordered one here, 2.6x at 6 000 folds — shows as a wall-time gap
   that 12 folds cannot reveal).
 
-Recorded to ``BENCH_taskgraph.json`` via
-``python -m repro bench-record --suite taskgraph`` (``--fast`` runs the
-hetero pair and the 2 000-fold pair).
+The hetero pair and the 2 000-fold pair carry the ``perf_smoke`` marker
+CI runs. Run under plain pytest-benchmark (``--benchmark-json=<file>``, or
+``--benchmark-autosave`` then ``--benchmark-compare``);
+``BENCH_taskgraph.json`` is the frozen history of earlier runs.
 """
+
+import pytest
 
 from repro.exec.sim import SimExecutor
 from repro.platform.hwloc import discover, machine
@@ -60,10 +63,12 @@ def _bench_hetero(benchmark, policy):
         virtual_makespan=last["makespan"])
 
 
+@pytest.mark.perf_smoke
 def test_taskgraph_hetero_help_first(benchmark):
     _bench_hetero(benchmark, "help-first")
 
 
+@pytest.mark.perf_smoke
 def test_taskgraph_hetero_dmda(benchmark):
     _bench_hetero(benchmark, "dmda")
 
@@ -94,9 +99,11 @@ def test_taskgraph_reduce_commute(benchmark):
     _bench_reduce(benchmark, commute=True)
 
 
+@pytest.mark.perf_smoke
 def test_taskgraph_reduce_ordered_2000(benchmark):
     _bench_reduce(benchmark, commute=False, nproducers=2000, rounds=5)
 
 
+@pytest.mark.perf_smoke
 def test_taskgraph_reduce_commute_2000(benchmark):
     _bench_reduce(benchmark, commute=True, nproducers=2000, rounds=5)

@@ -1,5 +1,4 @@
-"""Benchmark harness: sweeps, platforms, series tables (per paper figure),
-plus the scheduler perf-regression ledger (:mod:`repro.bench.record`)."""
+"""Benchmark harness: sweeps, platforms, series tables (per paper figure)."""
 
 from repro.bench.harness import (
     PLATFORMS,
@@ -10,14 +9,6 @@ from repro.bench.harness import (
     source_loc,
     sweep,
 )
-from repro.bench.record import (
-    FAST_BENCHES,
-    append_entry,
-    entry_from_pytest_json,
-    format_entry,
-    load_ledger,
-    record,
-)
 
 __all__ = [
     "PLATFORMS",
@@ -27,10 +18,4 @@ __all__ = [
     "run_telemetry",
     "source_loc",
     "sweep",
-    "FAST_BENCHES",
-    "append_entry",
-    "entry_from_pytest_json",
-    "format_entry",
-    "load_ledger",
-    "record",
 ]

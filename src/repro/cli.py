@@ -254,23 +254,6 @@ def cmd_platform(args) -> int:
     return 0
 
 
-def cmd_bench_record(args) -> int:
-    """Run one suite's micro-benchmarks and append the results (ops/sec per
-    bench, commit hash, date) to the suite's committed perf ledger."""
-    from repro.bench.record import SUITES, format_entry, load_ledger, record
-
-    t0 = time.perf_counter()
-    entry = record(out=args.out, label=args.label, fast=args.fast,
-                   keyword=args.keyword, suite=args.suite)
-    ledger = load_ledger(args.out) if args.out else None
-    baseline = ledger[0] if ledger and len(ledger) > 1 else None
-    print(format_entry(entry, baseline))
-    print(f"({len(entry['benchmarks'])} benchmarks in "
-          f"{time.perf_counter() - t0:.1f}s wall; appended to "
-          f"{args.out or SUITES[args.suite]['ledger']})")
-    return 0
-
-
 def cmd_serve(args) -> int:
     """Run the long-lived job gateway (``repro.service``) as a daemon.
 
@@ -355,24 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "single-process; >1 runs the conservative-window "
                            "sharded engine and reports window telemetry)")
     prof.set_defaults(fn=cmd_profile)
-
-    br = sub.add_parser(
-        "bench-record",
-        help="run runtime micro-benchmarks; append ops/sec to the perf ledger")
-    from repro.bench.record import SUITES as _suites
-    br.add_argument("--suite", default="scheduler",
-                    choices=sorted(_suites),
-                    help="benchmark suite / ledger to record")
-    br.add_argument("--out", default=None,
-                    help="ledger path (default: the suite's ledger at the "
-                         "repo root)")
-    br.add_argument("--label", default="",
-                    help="entry label (e.g. 'post-overhaul')")
-    br.add_argument("--fast", action="store_true",
-                    help="run only the CI perf-smoke subset")
-    br.add_argument("-k", dest="keyword", default=None,
-                    help="pytest -k expression selecting benchmarks")
-    br.set_defaults(fn=cmd_bench_record)
 
     ch = sub.add_parser(
         "chaos", help="run one figure under a seeded fault plan")

@@ -371,9 +371,12 @@ class SimFabric:
         per-pair send order because sender-NIC serialization makes arrivals
         monotone per source — then run through the receiver-side recurrences
         (NIC availability, pairwise FIFO) exactly as a local send would.
+        A delivery below the executor's event floor is refused: the window
+        protocol never produces one, and clamping it would hide the bug.
         """
         net = self.network
         rpn = self.ranks_per_node
+        floor = self.executor.now()  # no task runs at a barrier: the floor
         deliveries: List[float] = []
         items: List[tuple] = []
         for arrival, src, _seq, dst, nb, payload in sorted(
@@ -387,6 +390,10 @@ class SimFabric:
             self._rx_avail[d_node] = delivery = rx_start + ser
             key = src * self.nranks + dst
             delivery = max(delivery, self._pair_last[key])
+            if delivery < floor:
+                raise CommError(
+                    f"message {src} -> {dst} delivers at {delivery!r}, below "
+                    f"the event floor {floor!r}: a window let it arrive late")
             self._pair_last[key] = delivery
             deliveries.append(delivery)
             items.append((sink, src, payload, delivery))

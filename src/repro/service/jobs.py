@@ -87,7 +87,7 @@ class JobSpec:
                 f"unknown backend {backend!r}; choose from {list(BACKENDS)}")
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ConfigError(f"seed must be an integer, got {seed!r}")
-        if not isinstance(ranks, int) or ranks < 1:
+        if not isinstance(ranks, int) or isinstance(ranks, bool) or ranks < 1:
             raise ConfigError(f"ranks must be a positive integer, got {ranks!r}")
         params = dict(params or {})
         params.pop("seed", None)  # the spec's seed field is canonical

@@ -7,7 +7,9 @@ for the threaded backend — OS thread spawning; then tears it all down.
 A warm entry pays that once at pool construction and runs every subsequent
 job as just another root task on the same runtime (``HiperRuntime.run`` is
 re-entrant for sequential roots; the tier-1 suite exercises repeated runs
-on one runtime). ``BENCH_service.json`` records the resulting speedup.
+on one runtime). ``benchmarks/bench_service.py`` measures the resulting
+speedup under pytest-benchmark; ``BENCH_service.json`` is its frozen
+history.
 
 Hygiene rules that keep reuse safe:
 

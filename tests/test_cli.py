@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -57,61 +58,69 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_bench_record_parser(self):
-        args = build_parser().parse_args(
-            ["bench-record", "--fast", "--label", "x", "--out", "l.json"])
-        assert args.fast and args.label == "x" and args.out == "l.json"
-
 
 class TestBenchRecordLedger:
-    """Ledger mechanics of repro.bench.record (no benchmark run)."""
-
-    RAW = {
-        "datetime": "2026-08-06T00:00:00+00:00",
-        "commit_info": {"id": "abc123"},
-        "machine_info": {"node": "box", "python_version": "3.11.7"},
-        "benchmarks": [{
-            "name": "test_spawn_and_join_throughput_sim",
-            "extra_info": {"tasks_per_call": 2000},
-            "stats": {"ops": 100.0, "mean": 0.01, "median": 0.009,
-                      "stddev": 0.001, "rounds": 42},
-        }],
-    }
-
-    def test_entry_from_pytest_json_and_append(self, tmp_path):
-        from repro.bench.record import (append_entry, entry_from_pytest_json,
-                                        format_entry, load_ledger)
-
-        raw_path = tmp_path / "raw.json"
-        raw_path.write_text(json.dumps(self.RAW))
-        entry = entry_from_pytest_json(str(raw_path), label="baseline")
-        assert entry["commit"] == "abc123"
-        assert entry["date"] == "2026-08-06T00:00:00+00:00"
-        rec = entry["benchmarks"]["test_spawn_and_join_throughput_sim"]
-        assert rec["ops_per_sec"] == 100.0 and rec["rounds"] == 42
-
-        ledger = tmp_path / "ledger.json"
-        append_entry(str(ledger), entry)
-        append_entry(str(ledger), {**entry, "label": "after"})
-        entries = load_ledger(str(ledger))
-        assert [e["label"] for e in entries] == ["baseline", "after"]
-
-        table = format_entry(entries[1], entries[0])
-        assert "1.00x vs baseline" in table
+    """The frozen ``BENCH_*.json`` micro-bench history (no benchmark run)."""
 
     def test_committed_ledger_has_baseline_and_post_entries(self):
-        import os
-
-        from repro.bench.record import load_ledger, repo_root
-
-        entries = load_ledger(
-            os.path.join(repo_root(), "BENCH_scheduler.json"))
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "BENCH_scheduler.json")) as fh:
+            entries = json.load(fh)["entries"]
         assert len(entries) >= 2
         key = "test_spawn_and_join_throughput_sim"
         base, post = entries[0], entries[1]
         ratio = (post["benchmarks"][key]["ops_per_sec"]
                  / base["benchmarks"][key]["ops_per_sec"])
         assert ratio >= 1.5  # the overhaul's acceptance bar
+
+
+class TestPerfSmokeCensus:
+    """CI's perf-smoke job runs ``-m perf_smoke``: the marker, read from the
+    bench sources (no benchmark runs), names both sides of each pair and
+    nothing else. A ``-k`` substring once picked ``..._sim_w16`` too."""
+
+    PAIRS = {
+        "bench_micro_runtime": {"test_spawn_and_join_throughput_sim",
+                                "test_future_chain_throughput_sim"},
+        "bench_micro_comm": {"test_small_put_per_message",
+                             "test_small_put_coalesced"},
+        "bench_micro_sim": {"test_wave_storm_objects", "test_wave_storm_flat"},
+        "bench_service": {"test_service_job_warm", "test_service_job_cold"},
+        "bench_taskgraph": {"test_taskgraph_hetero_help_first",
+                            "test_taskgraph_hetero_dmda",
+                            "test_taskgraph_reduce_ordered_2000",
+                            "test_taskgraph_reduce_commute_2000"},
+    }
+
+    def _decorated(self):
+        import ast
+        import glob
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        found = {}
+        for path in sorted(glob.glob(
+                os.path.join(root, "benchmarks", "bench_*.py"))):
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            module = os.path.basename(path)[:-3]
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef):
+                    found[module, node.name] = {
+                        ast.unparse(d) for d in node.decorator_list}
+        return found
+
+    def test_marker_names_exactly_the_paired_benches(self):
+        marked = {}
+        for (module, name), decorators in self._decorated().items():
+            if "pytest.mark.perf_smoke" in decorators:
+                marked.setdefault(module, set()).add(name)
+        assert marked == self.PAIRS
+
+    def test_wave_storm_pair_takes_nine_rounds(self):
+        rounds = "pytest.mark.benchmark(min_rounds=9)"
+        decorated = self._decorated()
+        assert {name for (module, name), decs in decorated.items()
+                if rounds in decs} == self.PAIRS["bench_micro_sim"]
 
 
 class TestRunAllExitCode:

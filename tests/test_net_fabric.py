@@ -463,6 +463,20 @@ class TestInjectRemoteOrder:
         assert [t for *_x, t in seen1] == pytest.approx([3.516e-6, 4.524e-6],
                                                         abs=1e-12)
 
+    def test_delivery_below_the_event_floor_is_refused(self):
+        # call_at_batch would clamp it to the floor: a window-safety bug
+        # would then read as a different makespan instead of an error.
+        ex0, fab0, _ = _sliced(0)
+        ex1, fab1, seen1 = _sliced(1)
+        fab0.transmit(0, 2, 64, "late")       # delivers near 3.5 us
+        ex1.call_at(1e-3, lambda: None)
+        ex1.drain()                           # shard 1's floor is at 1 ms
+        with pytest.raises(CommError, match=r"0 -> 2 delivers at .* below "
+                                            r"the event floor 0\.001"):
+            fab1.inject_remote(fab0.take_outboxes()[1])
+        ex1.drain()
+        assert seen1 == []
+
 
 class _Recorder:
     """An executor that only records: ``now()`` is whatever the test set,

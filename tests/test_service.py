@@ -103,6 +103,12 @@ class TestJobSpec:
         c = JobSpec.create("uts", {"root_children": 10, "mean_children": 0.5})
         assert a.cache_key() == b.cache_key() != c.cache_key()
 
+    @pytest.mark.parametrize("field", ["seed", "ranks"])
+    def test_bool_is_not_an_integer_field(self, field):
+        # bool is an int: ranks=True once ran a job cached apart from ranks=1
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            JobSpec.create("isx", backend="procs", **{field: True})
+
     def test_ranks_in_key_only_for_procs(self):
         assert (JobSpec.create("isx", ranks=2).cache_key()
                 == JobSpec.create("isx", ranks=8).cache_key())
@@ -442,6 +448,14 @@ class TestWire:
         with pytest.raises(ServiceError) as exc:
             client.submit("nope")
         assert exc.value.status == 400 and "unknown app" in str(exc.value)
+
+    def test_bool_ranks_is_400(self, served):
+        client, gw, _uds = served
+        doc = client.request("POST", "/api/v1/jobs",
+                             {"app": "isx", "params": {"keys_per_pe": 64},
+                              "backend": "procs", "ranks": True})
+        assert doc["_status"] == 400 and "ranks" in doc["error"]
+        assert gw.stats_dict()["jobs"] == {}
 
     @pytest.mark.parametrize("key, value", [("sead", 3),
                                             ("engine", "objects")])
