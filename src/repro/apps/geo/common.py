@@ -54,10 +54,6 @@ class GeoConfig:
     def plane_cells(self) -> int:
         return self.nx * self.ny
 
-    @property
-    def plane_bytes(self) -> int:
-        return self.plane_cells * 8
-
     def cells_per_rank(self) -> int:
         return self.plane_cells * self.nz
 

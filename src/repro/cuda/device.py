@@ -19,7 +19,7 @@ CUDA modules share (§II-C3).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
@@ -40,14 +40,6 @@ class DeviceArray:
         self.handle = next(self._handles)
         self.data = data
         self.device = device
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.data.dtype
 
     @property
     def nbytes(self) -> int:

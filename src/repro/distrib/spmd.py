@@ -116,10 +116,6 @@ class RankContext:
     def upcxx(self):
         return self.runtime.module("upcxx")
 
-    @property
-    def node(self) -> int:
-        return self.fabric.node_of(self.rank)
-
     def __repr__(self) -> str:
         return f"RankContext(rank={self.rank}/{self.nranks})"
 

@@ -647,9 +647,6 @@ class SimExecutor(Executor):
         clocks = [w.clock for w in self._workers]
         return max(clocks + [self._event_floor]) if clocks else self._event_floor
 
-    def worker_clocks(self) -> List[float]:
-        return [w.clock for w in self._workers]
-
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(runtimes={len(self._runtimes)}, "

@@ -11,7 +11,7 @@ flow as the CUDA and MPI modules).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
@@ -145,9 +145,6 @@ class SimStore:
 
     def exists(self, key: str) -> bool:
         return key in self._objects
-
-    def keys(self):
-        return sorted(self._objects)
 
     @classmethod
     def from_place(cls, executor, place, on_complete=None) -> "SimStore":

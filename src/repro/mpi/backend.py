@@ -145,13 +145,6 @@ class MpiBackend:
         self._coll_seq = 0
         mux.register_channel(channel, self._on_delivery)
 
-    def enable_retries(self, policy) -> None:
-        """Retransmit dropped/corrupted messages on this backend's channel
-        per ``policy`` (a :class:`repro.resilience.RetryPolicy`). Note MPI's
-        non-overtaking guarantee is relaxed for the retried message — see
-        ``docs/resilience.md``."""
-        self.mux.set_retry_policy(self.channel, policy)
-
     def enable_coalescing(
             self, policy: Union[CoalescePolicy, bool, None] = None) -> None:
         """Batch small sends per destination into coalesced envelopes (see

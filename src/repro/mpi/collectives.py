@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Sequence
 
-import numpy as np
-
 from repro.mpi.backend import MpiBackend
 from repro.util.errors import MpiError
 
@@ -160,15 +158,3 @@ def alltoall(backend: MpiBackend, values: Sequence[Any], tag: int):
     for req in sends:
         yield req.internal_future()
     return out
-
-
-def alltoallv(
-    backend: MpiBackend, arrays: Sequence[Optional[np.ndarray]], tag: int
-):
-    """Variable-size numpy alltoall (``None`` entries mean "nothing for that
-    rank" and arrive as None)."""
-    n = backend.nranks
-    if len(arrays) != n:
-        raise MpiError(f"alltoallv needs exactly {n} send arrays")
-    result = yield from alltoall(backend, list(arrays), tag)
-    return result

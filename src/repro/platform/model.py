@@ -10,7 +10,7 @@ machine description, mirroring the paper's hwloc-based generator.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set
 
 from repro.platform.place import Place, PlaceType
 from repro.util.errors import PlatformError
@@ -83,10 +83,6 @@ class PlatformModel:
 
     def __contains__(self, place: Place) -> bool:
         return place._model is self
-
-    @property
-    def places(self) -> Tuple[Place, ...]:
-        return tuple(self._places)
 
     def place(self, name: str) -> Place:
         try:

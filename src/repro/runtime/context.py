@@ -78,10 +78,6 @@ def require_context() -> ExecContext:
     return ctx
 
 
-def context_depth() -> int:
-    return len(_tls.stack)
-
-
 class scoped_context:
     """``with scoped_context(ctx): ...`` — push/pop with exception safety.
 

@@ -235,9 +235,6 @@ class UnsyncWorkerDeque(WorkerDeque):
     def __len__(self) -> int:
         return len(self._items)
 
-    def peek_names(self) -> List[str]:
-        return [t.name for t in self._items]
-
 
 class PlaceDeques:
     """The N deques of one place, plus its occupancy index.
@@ -266,13 +263,6 @@ class PlaceDeques:
         self.slots: List[WorkerDeque] = [
             slot_cls(self, 1 << w, lock_cls) for w in range(num_workers)
         ]
-
-    def push(self, task: "Task") -> bool:
-        """Push to the creator's slot; True iff the slot flipped non-empty."""
-        return self.slots[task.created_by].push(task)
-
-    def pop_own(self, worker_id: int) -> Optional["Task"]:
-        return self.slots[worker_id].pop()
 
     def steal_from_others(
         self, worker_id: int, victim_order: Sequence[int]

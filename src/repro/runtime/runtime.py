@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence,
 from repro.platform.model import PlatformModel
 from repro.platform.paths import WorkerPaths, make_paths
 from repro.platform.place import Place, PlaceType
-from repro.runtime.context import _tls, current_context
+from repro.runtime.context import _tls
 from repro.runtime.deques import DequeTable
 from repro.runtime.finish import FinishScope
 from repro.runtime.future import Future, Promise
@@ -158,19 +158,12 @@ class HiperRuntime:
             self.modules[name].finalize(self)
 
     @property
-    def started(self) -> bool:
-        return self._started
-
-    @property
     def is_shutdown(self) -> bool:
         return self._shutdown
 
     # ------------------------------------------------------------------
     # places
     # ------------------------------------------------------------------
-    def place(self, name: str) -> Place:
-        return self.model.place(name)
-
     @property
     def interconnect(self) -> Place:
         return self.model.first_of_type(PlaceType.INTERCONNECT)
@@ -178,15 +171,6 @@ class HiperRuntime:
     @property
     def sysmem(self) -> Place:
         return self.model.first_of_type(PlaceType.SYSTEM_MEM)
-
-    def default_place(self) -> Place:
-        """The place "closest to the current runtime thread" (paper: the
-        target of plain ``async``): the first place on the current worker's
-        pop path, or system memory outside worker context."""
-        ctx = current_context()
-        if ctx is not None and ctx.worker is not None and ctx.runtime is self:
-            return ctx.worker.pop_path[0]
-        return self.sysmem
 
     # ------------------------------------------------------------------
     # task creation (the engine room behind repro.runtime.api)
@@ -232,8 +216,9 @@ class HiperRuntime:
                     "(use HiperRuntime.run for the root of a computation)"
                 )
         if place is None:
-            # Inline default_place(): we already resolved the context, and
-            # this runs on every plain async_ spawn.
+            # The place "closest to the current runtime thread" (paper: the
+            # target of plain ``async``): the first place on the worker's
+            # pop path, or system memory outside worker context.
             place = ctx.worker.pop_path[0] if in_ctx else self.sysmem
         elif place not in self.model:
             raise ConfigError(f"place {place.name!r} belongs to a different model")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Optional
 
 from repro.service.jobs import Job
 from repro.util.errors import ConfigError, HiperError
@@ -145,10 +145,6 @@ class FairShareAdmission:
     def pending(self) -> int:
         with self._lock:
             return sum(len(t.jobs) for t in self._tenants.values())
-
-    def tenants(self) -> List[str]:
-        with self._lock:
-            return sorted(self._tenants)
 
     def kick(self) -> None:
         """Wake all blocked workers (lifecycle transitions)."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.util.errors import ConfigError
 
@@ -66,14 +66,6 @@ class ResultCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
 
     def to_dict(self) -> Dict[str, Any]:
         with self._lock:

@@ -78,11 +78,6 @@ class _Handler(BaseHTTPRequestHandler):
     gateway: JobGateway = None  # type: ignore[assignment] - set by subclass
 
     # -- plumbing ------------------------------------------------------
-    def address_string(self) -> str:  # AF_UNIX peers have no address tuple
-        if isinstance(self.client_address, tuple) and self.client_address:
-            return str(self.client_address[0])
-        return "uds"
-
     def log_message(self, fmt: str, *args: Any) -> None:
         pass  # request logging is the embedder's business, not stderr's
 

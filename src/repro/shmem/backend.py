@@ -114,13 +114,6 @@ class ShmemBackend:
         behave exactly as without coalescing."""
         self.mux.enable_coalescing(_CHANNEL, policy)
 
-    def enable_retries(self, policy) -> None:
-        """Retransmit dropped/corrupted SHMEM messages per ``policy`` (a
-        :class:`repro.resilience.RetryPolicy`). Safe under quiet/fence
-        epochs: ``_outstanding`` only drains when a remote completion
-        arrives, so a retried put still completes before quiet returns."""
-        self.mux.set_retry_policy(_CHANNEL, policy)
-
     # ------------------------------------------------------------------
     # puts
     # ------------------------------------------------------------------

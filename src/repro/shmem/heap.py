@@ -86,10 +86,6 @@ class SymArray:
         return self.arr.shape
 
     @property
-    def dtype(self) -> np.dtype:
-        return self.arr.dtype
-
-    @property
     def size(self) -> int:
         return int(self.arr.size)
 

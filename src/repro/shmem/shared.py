@@ -69,10 +69,6 @@ class SharedArena:
         return np.frombuffer(self._shm.buf, dtype=dt, count=count,
                              offset=start)
 
-    @property
-    def used(self) -> int:
-        return self._offset
-
     def close(self) -> None:
         """Drop this process's mapping (views become invalid)."""
         if self._closed:

@@ -90,9 +90,6 @@ class CostModel:
             self.alpha * seconds + (1.0 - self.alpha) * prev)
         self._count[key] = self._count.get(key, 0) + 1
 
-    def observations(self, kind: str, where: str) -> int:
-        return self._count.get((kind, where), 0)
-
     def calibrate_from_stats(self, stats: Any, module: str = "taskgraph") -> int:
         """Seed estimates from a runtime's telemetry timers.
 

@@ -74,12 +74,6 @@ class UpcxxBackend:
         self.rpcs = 0
         mux.register_channel(_CHANNEL, self._on_delivery)
 
-    def enable_retries(self, policy) -> None:
-        """Retransmit dropped/corrupted UPC++ messages per ``policy`` (a
-        :class:`repro.resilience.RetryPolicy`); rput/rget/rpc futures then
-        complete on the retried delivery instead of hanging."""
-        self.mux.set_retry_policy(_CHANNEL, policy)
-
     def enable_coalescing(
             self, policy: Union[CoalescePolicy, bool, None] = None) -> None:
         """Batch small rputs/rgets/RPCs per destination into coalesced
@@ -102,13 +96,6 @@ class UpcxxBackend:
         for src, payload, time in early:
             self._on_delivery(src, payload, time)
         return GlobalPtr(self.rank, obj_id, 0)
-
-    def local(self, gptr: GlobalPtr) -> np.ndarray:
-        if gptr.rank != self.rank:
-            raise UpcxxError(
-                f"gptr targets rank {gptr.rank}; local() called on rank {self.rank}"
-            )
-        return self._resolve(gptr.obj_id)
 
     def _resolve(self, obj_id: int) -> np.ndarray:
         try:

@@ -28,7 +28,6 @@ from repro.verify.differential import (
     isx_sharded_differential,
     run_on_engine,
     spmd_differential,
-    taskgraph_differential,
 )
 from repro.verify.harness import (
     HuntOutcome,
@@ -64,7 +63,6 @@ __all__ = [
     "isx_sharded_differential",
     "run_on_engine",
     "spmd_differential",
-    "taskgraph_differential",
     "HuntOutcome",
     "HuntResult",
     "SuiteRow",

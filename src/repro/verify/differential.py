@@ -406,34 +406,6 @@ def isx_sharded_differential(
         variant=variant, cluster=cluster_for(platform, nodes, layout="flat"))
 
 
-def taskgraph_differential(
-    engines: Sequence[str] = ("sim", "threads"),
-    *,
-    workers: int = 4,
-) -> DifferentialReport:
-    """DAG-vs-futures gate: the ISx sort with graph-inferred dependencies
-    (:func:`repro.taskgraph.workloads.isx_dag_workload`) must produce the
-    digest tuple of the hand-wired-futures version (:func:`isx_workload`)
-    on every engine.
-
-    Same kernels, same data, only the dependency wiring differs — so any
-    divergence is a task-graph edge-inference bug (a missed WAR edge, a
-    version chain that let a reader see a half-written bucket), not a
-    kernel bug.
-    """
-    from repro.taskgraph.workloads import isx_dag_workload
-
-    rep = DifferentialReport(workload="isx-dag-vs-futures")
-    for engine in engines:
-        rep.runs.append(run_on_engine(isx_workload(), engine,
-                                      workers=workers))
-        rep.runs[-1].engine = f"futures@{engine}"
-        rep.runs.append(run_on_engine(isx_dag_workload(), engine,
-                                      workers=workers))
-        rep.runs[-1].engine = f"dag@{engine}"
-    return _compare(rep)
-
-
 def differential(
     workload_name: str,
     engines: Sequence[str] = ("sim", "threads"),

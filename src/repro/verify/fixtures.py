@@ -51,25 +51,6 @@ class RacyWorkerDeque(WorkerDeque):
                 pd.ready += 1
             return newly
 
-    def pop(self) -> Optional["Task"]:
-        with self._lock:
-            items = self._items
-            if not items:
-                return None
-            task = items.pop()
-            pd = self._place
-            p = instrument.PROBE
-            if p is not None:
-                p.on_access(self._loc("items"), True)
-            if pd is not None:
-                if p is not None:
-                    p.on_access(self._loc("mask"), True)
-                    p.on_access(self._loc("ready"), True)
-                pd.ready -= 1
-                if not items:
-                    pd.mask &= ~self._bit
-            return task
-
     def steal(self) -> Optional["Task"]:
         with self._lock:
             items = self._items
@@ -94,7 +75,10 @@ def install_racy_slots(runtime: "HiperRuntime") -> int:
     """Swap every deque slot of ``runtime`` for a :class:`RacyWorkerDeque`.
 
     Must run before any work is enqueued (slots are assumed empty). Returns
-    the number of slots replaced.
+    the number of slots replaced. Each worker resolved its own slot when the
+    runtime was built, so a worker's pops keep the production slot's locked
+    ``pop``; pushes and steals, which go through ``PlaceDeques.slots``, take
+    the racy ones — which is where the planted race lives.
     """
     replaced = 0
     for pd in runtime.deques._by_place_id.values():

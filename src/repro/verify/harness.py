@@ -81,13 +81,6 @@ def spawn_storm(fanout: int = 4, depth: int = 3) -> Callable[[], int]:
     return root
 
 
-def expected_storm_total(fanout: int = 4, depth: int = 3) -> int:
-    total = 1
-    for _ in range(depth):
-        total *= fanout
-    return total
-
-
 # ----------------------------------------------------------------------
 # outcomes
 # ----------------------------------------------------------------------
@@ -136,10 +129,6 @@ class HuntResult:
             if not o.ok:
                 return o
         return None
-
-    @property
-    def ok(self) -> bool:
-        return self.first_failure is None
 
 
 # ----------------------------------------------------------------------

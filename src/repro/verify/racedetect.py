@@ -224,17 +224,3 @@ class RaceDetector(Probe):
             s for s in self._open_scopes.values()
             if not (getattr(s, "name", "") or "").startswith("daemon-")
         ]
-
-    # -- reporting --------------------------------------------------------
-    def summary(self) -> str:
-        lines = [
-            f"accesses observed: {self.accesses_seen} "
-            f"(benign reads suppressed: {self.benign_suppressed})",
-            f"races detected: {len(self.races)}",
-        ]
-        lines.extend("  " + r.describe() for r in self.races)
-        leaks = self.leaked_scopes()
-        if leaks:
-            lines.append(f"leaked finish scopes: "
-                         f"{[getattr(s, 'name', '?') for s in leaks]}")
-        return "\n".join(lines)

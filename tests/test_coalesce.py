@@ -27,7 +27,9 @@ from repro.net.fabric import SimFabric
 from repro.net.mux import FabricMux
 from repro.platform import machine
 from repro.resilience import Backoff, FaultInjector, FaultPlan, RetryPolicy
+from repro.mpi import mpi_factory
 from repro.shmem import shmem_factory
+from repro.upcxx import upcxx_factory
 from repro.util.errors import CommError, ConfigError
 from repro.util.stats import RuntimeStats
 
@@ -433,6 +435,57 @@ class TestShmemCoalesced:
             return True
 
         assert all(run_shmem(main, nranks=2).results)
+
+
+class TestMpiUpcxxCoalesced:
+    """``coalesce=`` on the MPI and UPC++ modules batches their channel as
+    on SHMEM: the same answers as per-message sends, with batches on the
+    wire."""
+
+    @staticmethod
+    def _run(main, factory):
+        cluster = ClusterConfig(nodes=4, ranks_per_node=1, workers_per_rank=2)
+        return spmd_run(main, cluster, module_factories=[factory])
+
+    def test_mpi_ring_of_small_sends(self):
+        def main(ctx):
+            me, n = ctx.rank, ctx.nranks
+            sends = [ctx.mpi.isend(me * 100 + i, (me + 1) % n, tag=i)
+                     for i in range(8)]
+            got = []
+            for i in range(8):
+                data, _, _ = yield ctx.mpi.irecv(src=(me - 1) % n, tag=i)
+                got.append(data)
+            for f in sends:
+                yield f
+            return got
+
+        off = self._run(main, mpi_factory())
+        on = self._run(main, mpi_factory(coalesce=CoalescePolicy(max_msgs=4)))
+        want = [[(r - 1) % 4 * 100 + i for i in range(8)] for r in range(4)]
+        assert on.results == off.results == want
+        assert on.merged_stats().counter("mpi", "batches_sent") > 0
+        assert off.merged_stats().counter("mpi", "batches_sent") == 0
+
+    def test_upcxx_rputs_land_before_their_futures(self):
+        def main(ctx):
+            u, me, n = ctx.upcxx, ctx.rank, ctx.nranks
+            arr = u.shared_array(8, dtype=np.int64)
+            yield u.barrier_async()
+            futs = [u.rput(np.array([me * 10 + i]), arr.gptr((me + 1) % n, i))
+                    for i in range(8)]
+            for f in futs:
+                yield f
+            yield u.barrier_async()
+            return arr.local.tolist()
+
+        off = self._run(main, upcxx_factory())
+        on = self._run(main,
+                       upcxx_factory(coalesce=CoalescePolicy(max_msgs=4)))
+        want = [[(r - 1) % 4 * 10 + i for i in range(8)] for r in range(4)]
+        assert on.results == off.results == want
+        assert on.merged_stats().counter("upcxx", "batches_sent") > 0
+        assert off.merged_stats().counter("upcxx", "batches_sent") == 0
 
 
 class TestIsxCoalescingDifferential:

@@ -13,7 +13,7 @@ from repro.platform import discover, machine
 from repro.runtime.api import async_, async_future, charge, finish, now, timer_future
 from repro.runtime.context import (
     ExecContext,
-    context_depth,
+    _tls,
     current_context,
     pop_context,
     push_context,
@@ -151,28 +151,28 @@ class TestSimExecutorEvents:
 
 class TestContextStack:
     def test_push_pop_balance(self):
-        d0 = context_depth()
+        d0 = len(_tls.stack)
         ctx = ExecContext(SimExecutor())
         push_context(ctx)
         assert current_context() is ctx
         pop_context()
-        assert context_depth() == d0
+        assert len(_tls.stack) == d0
 
     def test_scoped_context_restores_on_exception(self):
-        d0 = context_depth()
+        d0 = len(_tls.stack)
         with pytest.raises(ValueError):
             with scoped_context(ExecContext(SimExecutor())):
                 raise ValueError("boom")
-        assert context_depth() == d0
+        assert len(_tls.stack) == d0
 
     def test_pop_empty_raises(self):
-        while context_depth():
+        while _tls.stack:
             pop_context()
         with pytest.raises(RuntimeStateError):
             pop_context()
 
     def test_require_context_outside_raises(self):
-        while context_depth():
+        while _tls.stack:
             pop_context()
         with pytest.raises(RuntimeStateError, match="no active runtime"):
             require_context()
@@ -186,6 +186,18 @@ class TestThreadedExecutorMechanics:
             return p.get_future().wait()
 
         assert threaded_rt.run(main) == "fired"
+
+    def test_pending_events_counts_timers_not_yet_due(self, threaded_rt):
+        # The telemetry sampler's event-queue depth on this engine.
+        ex = threaded_rt.executor
+
+        def main():
+            p = Promise("timer")
+            ex.call_later(60.0, lambda: None)
+            ex.call_later(0.01, lambda: p.put(ex.pending_events()))
+            return ex.pending_events(), p.get_future().wait()
+
+        assert threaded_rt.run(main) == (2, 1)
 
     def test_watchdog_converts_hang_to_deadlock_error(self):
         ex = ThreadedExecutor(block_timeout=0.3)

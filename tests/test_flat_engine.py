@@ -462,6 +462,16 @@ class TestShutdown:
                 call()
         assert ex.pending_events() == 0
 
+    def test_cancel_after_shutdown_finds_nothing_pending(self, engine):
+        """Shutdown drops pending events: cancelling one afterwards reports
+        it was no longer pending, and it never fires."""
+        ex = engine()
+        fired = []
+        handle = ex.call_later(1.0, lambda: fired.append(1))
+        ex.shutdown()
+        assert ex.cancel_event(handle) is False
+        assert fired == []
+
     def test_run_root_after_shutdown_raises(self, engine):
         from repro.platform.hwloc import discover, machine
         from repro.runtime.runtime import HiperRuntime

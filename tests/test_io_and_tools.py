@@ -11,7 +11,7 @@ from repro.exec.sim import SimExecutor
 from repro.io import CheckpointModule, SimStore, StorageError, checkpoint_factory
 from repro.mpi import mpi_factory
 from repro.platform import MachineSpec, discover
-from repro.runtime.api import charge, finish, forasync, now
+from repro.runtime.api import async_copy, charge, finish, forasync, now
 from repro.runtime.runtime import HiperRuntime
 from repro.shmem import shmem_factory
 from repro.tools import TraceRecorder
@@ -119,6 +119,26 @@ class TestCheckpointModule:
         # I/O overlapped with compute: total ≈ max(io, compute), not sum
         assert total < compute_done + 1.6e-3
         assert total < 2 * compute_done + 1e-3
+
+    def test_async_copy_to_the_storage_place_writes_the_object(self):
+        # The module claims host -> storage copies (docs/writing-a-module.md,
+        # "Special-purpose registrations"): the destination buffer is the
+        # object key, and nbytes bytes of the source land under it.
+        def main(ctx):
+            rt = ctx.runtime
+            ck = rt.module("checkpoint")
+            src = np.arange(16, dtype=np.float64)
+            yield async_copy("field", ck.place, src, rt.sysmem, 8 * 8,
+                             runtime=rt)
+            back = yield ck.poll(ck.store.read("field", np.float64, (8,)),
+                                 "read")
+            with pytest.raises(ModuleError, match="object key"):
+                async_copy(src, ck.place, src, rt.sysmem, 8, runtime=rt)
+            return back.tolist(), ck.op_counts["copy_in"]
+
+        res = spmd_run(main, nvm_cluster(),
+                       module_factories=[checkpoint_factory()])
+        assert res.results == [(list(range(8)), 1)]
 
     def test_restore_unknown_key(self):
         def main(ctx):

@@ -60,7 +60,7 @@ def _run_reference_workload(executor_class=SimExecutor):
         lambda: [async_(lambda i=i: mid(i)) for i in range(40)]))
     out = {
         "makespan": ex.makespan(),
-        "clocks": ex.worker_clocks(),
+        "clocks": [w.clock for w in rt.workers],
         "steals": [w.steals for w in rt.workers],
         "tasks": [w.tasks_run for w in rt.workers],
         "pop": rt.stats.counters[("core", "pop")],
@@ -174,7 +174,7 @@ class TestOccupancyInvariants:
             if op == "push":
                 table.push(_task_at(place, wid))
             elif op == "pop":
-                pd.pop_own(wid)
+                pd.slots[wid].pop()
             else:
                 pd.steal_from_others(wid, order)
             _assert_occupancy_consistent(table)
@@ -200,7 +200,7 @@ class TestOccupancyInvariants:
                     table.push(_task_at(place, wid))
                     pushed[wid] += 1
                 elif r == 1:
-                    if pd.pop_own(wid) is not None:
+                    if pd.slots[wid].pop() is not None:
                         taken[wid] += 1
                 else:
                     if pd.steal_from_others(wid, order) is not None:

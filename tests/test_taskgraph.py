@@ -38,6 +38,7 @@ from repro.taskgraph import (
     isx_dag_workload,
     reduction_workload,
 )
+from repro.taskgraph.data import RunJoin
 from repro.util.errors import ConfigError, FaultError, RuntimeStateError
 from repro.verify.differential import isx_workload, run_on_engine
 
@@ -510,6 +511,53 @@ class TestCommute:
         ex.shutdown()
         return out, events
 
+    @pytest.mark.parametrize("engine", ["sim", "threads"])
+    def test_closed_run_of_several_members_joins_reader_and_writer(
+            self, engine, monkeypatch):
+        # Three folds form one commute run; the read closes it, so the run
+        # stands as one RunJoin writer that the reader and the next writer
+        # wait for.
+        built = []
+        init = RunJoin.__init__
+
+        def spy(self, members):
+            built.append(len(members))
+            init(self, members)
+
+        monkeypatch.setattr(RunJoin, "__init__", spy)
+
+        def root():
+            g = TaskGraph(name="run-join")
+            d = g.handle(np.zeros(1, dtype=np.int64), name="d")
+            log = []
+
+            def fold(i):
+                def body():
+                    d.data += i
+                    log.append(f"fold{i}")
+                return body
+
+            def read():
+                log.append("read")
+                return int(d.data[0])
+
+            def scale():
+                d.data *= 10
+                log.append("write")
+
+            for i in (1, 2, 3):
+                g.submit(fold(i), commute=[d], cost=1e-4 * (4 - i))
+            seen = g.submit(read, read=[d])
+            g.submit(scale, write=[d])
+            g.wait()
+            return seen.value(), int(d.data[0]), log
+
+        seen, final, log = _run_fresh(root, engine=engine)[0]
+        assert built == [3]
+        assert (seen, final) == (6, 60)
+        assert sorted(log[:3]) == ["fold1", "fold2", "fold3"]
+        assert log[3:] == ["read", "write"]
+
     def test_commute_reordering_under_seeded_fault_injection(self):
         # One producer is killed by the injector: its fold cascades, the
         # commute run must still release its slot so every other fold runs,
@@ -580,6 +628,45 @@ class TestSpeculation:
         assert spec[:2] == base[:2]
         assert spec[2] == (1, 0, 1)   # one attempt, no hit, one rollback
 
+    def test_rollback_restores_the_readers_write_set(self):
+        # The speculative consume also writes its own handle ``e``; when the
+        # scrub really writes, the rollback must put ``e`` back to its
+        # pre-run bytes before the replay, or the replay adds twice.
+        def program(speculation):
+            def root():
+                g = TaskGraph(name="spec-rmw", speculation=speculation)
+                gate = g.handle(np.zeros(4, dtype=np.int64), name="gate")
+                d = g.handle(np.arange(8, dtype=np.int64), name="d")
+                e = g.handle(np.full(8, 5, dtype=np.int64), name="e")
+
+                def prep():
+                    gate.data += 1
+
+                def scrub():
+                    d.data[:] = d.data * 3 + 1
+
+                def consume():
+                    e.data += d.data
+                    return int(e.data.sum())
+
+                g.submit(prep, write=[gate], kind="spec-prep", cost=1e-3)
+                g.submit(scrub, read=[gate], maybe_write=[d],
+                         kind="spec-scrub", cost=1e-3, likely_writes=False)
+                fut = g.submit(consume, read=[d], write=[e],
+                               kind="spec-consume", cost=1e-4)
+                g.wait()
+                stats = (g.spec_attempts, g.spec_hits, g.spec_rollbacks)
+                return (fut.value(), d.data.tobytes() + e.data.tobytes(),
+                        stats)
+
+            return root
+
+        spec, _ = _run_fresh(program(True))
+        base, _ = _run_fresh(program(False))
+        assert spec[2] == (1, 0, 1)   # ran speculatively, rolled back once
+        assert spec[:2] == base[:2]
+        assert base[0] == 40 + 3 * 28 + 8
+
     def test_speculation_auto_disabled_off_sim(self, threaded_rt):
         def root():
             g = TaskGraph(name="nospec", speculation=True)
@@ -632,14 +719,16 @@ class TestPlacement:
                          impls=[TaskImpl(bump, "cpu", 1e-3),
                                 TaskImpl(bump, "gpu", 1e-4)])
             g.wait()
-            return (int(d.data[0]),
-                    g.cost_model.observations("bump", "cpu"),
-                    g.cost_model.observations("bump", "gpu"))
+            return int(d.data[0])
 
         rt, ex = _fresh_rt()
         try:
-            count, cpu_obs, gpu_obs = rt.run(root, name="impls-root")
+            count = rt.run(root, name="impls-root")
             assert count == 4
+            # The graph times each run once, where its cost model observes it.
+            cpu_obs = rt.stats.timer("taskgraph", "bump@cpu").count
+            gpu_obs = rt.stats.timer("taskgraph", "bump@gpu").count
+            assert cpu_obs + gpu_obs == 4
             # dmda calibrates every uncalibrated arm first, so both the
             # cpu and gpu variants were tried at least once.
             assert cpu_obs >= 1 and gpu_obs >= 1

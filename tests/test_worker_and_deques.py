@@ -1,11 +1,14 @@
 """Worker search policy and deque-table internals."""
 
+import threading
+
 import pytest
 
 from repro.exec.sim import SimExecutor
 from repro.platform import PlaceType, discover, machine
 from repro.runtime.api import async_, async_at, charge, finish
-from repro.runtime.deques import DequeTable, PlaceDeques, WorkerDeque
+from repro.runtime.deques import (
+    DequeTable, NullLock, PlaceDeques, UnsyncWorkerDeque, WorkerDeque)
 from repro.runtime.runtime import HiperRuntime
 from repro.runtime.task import Task, TaskState
 from repro.runtime.worker import find_task, has_visible_work
@@ -93,6 +96,25 @@ class TestDequeTable:
         for n in ("a", "b"):
             dq.push(mk_task(rt, 0, n))
         assert dq.peek_names() == ["a", "b"]
+
+    @pytest.mark.parametrize("lock_cls", [threading.Lock, NullLock])
+    def test_drain_evacuates_in_slot_order_and_clears_the_index(
+            self, lock_cls):
+        # Evacuating a failed place: locked slots (threads, the verifier's
+        # tracked locks) and lock-free ones (sim) give the same tasks in the
+        # same order and leave the occupancy index empty.
+        rt = make_rt()
+        pd = PlaceDeques(rt.sysmem, 4, lock_cls=lock_cls)
+        assert type(pd.slots[0]) is (
+            WorkerDeque if lock_cls is threading.Lock else UnsyncWorkerDeque)
+        for i, wid in enumerate([2, 0, 2, 0, 3]):
+            pd.slots[wid].push(mk_task(rt, wid, f"t{i}"))
+        assert (pd.ready, pd.mask) == (5, 0b1101)
+        out = pd.drain()
+        assert [t.name for t in out] == ["t1", "t3", "t0", "t2", "t4"]
+        assert (pd.ready, pd.mask) == (0, 0)
+        assert [len(slot) for slot in pd.slots] == [0, 0, 0, 0]
+        assert pd.drain() == []
 
     def test_place_deques_validation(self):
         rt = make_rt()
