@@ -32,8 +32,8 @@ from repro.apps.geo.common import (
     plane_cost_for,
     stencil_planes,
 )
-from repro.runtime.api import async_future_await, forasync_chunked, forasync_future
-from repro.runtime.future import Future, satisfied_future, when_all
+from repro.runtime.api import async_future_await, forasync_future
+from repro.runtime.future import Future, when_all
 from repro.util.errors import ConfigError
 
 

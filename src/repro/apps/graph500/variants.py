@@ -35,7 +35,6 @@ from repro.apps.graph500.common import (
     pick_root,
 )
 from repro.runtime.api import charge
-from repro.runtime.future import Future, when_all
 from repro.util.errors import ConfigError
 
 #: Host cost charged per traversed edge (memory-bound graph walk).

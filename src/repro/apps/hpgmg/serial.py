@@ -11,7 +11,6 @@ import numpy as np
 
 from repro.apps.hpgmg.ops import (
     alloc_field,
-    apply_op,
     interior,
     jacobi,
     norm2,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import weakref
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 

@@ -32,7 +32,7 @@ from repro.apps.isx.common import (
     route_keys,
 )
 from repro.runtime.api import async_future, charge, forasync_future
-from repro.runtime.future import Future, when_all
+from repro.runtime.future import when_all
 from repro.util.errors import ConfigError
 
 
@@ -43,7 +43,8 @@ def _flops(ctx) -> float:
 def _exchange(ctx, cfg: IsxConfig, grouped: np.ndarray, counts: np.ndarray,
               window, tail):
     """The put/fadd all-to-all: reserve space in each target's window with an
-    atomic fetch-add, then put the key block. Coroutine (yield from)."""
+    atomic fetch-add, then put the key block with ``put_nbi``; the closing
+    barrier's quiet is the puts' only completion. Coroutine (yield from)."""
     sh = ctx.shmem
     me, n = ctx.rank, ctx.nranks
     offsets = np.zeros(n + 1, dtype=np.int64)
@@ -64,7 +65,6 @@ def _exchange(ctx, cfg: IsxConfig, grouped: np.ndarray, counts: np.ndarray,
     # is dropped as soon as its reservation is consumed.
     pending = sh.atomic_fetch_add_wave(tail, res_cnts, res_pes)
     pending.reverse()
-    puts: List[Future] = []
     for pe, cnt in zip(res_pes, res_cnts):
         base = yield pending.pop()
         if base + cnt > window.size:
@@ -73,10 +73,8 @@ def _exchange(ctx, cfg: IsxConfig, grouped: np.ndarray, counts: np.ndarray,
                 f"{base + cnt} > {window.size}; raise IsxConfig.slack"
             )
         block = grouped[offsets[pe] : offsets[pe] + cnt]
-        puts.append(sh.put_async(window, block, pe, offset=int(base),
-                                 nbytes=block.nbytes * cfg.byte_scale))
-    for f in puts:
-        yield f
+        sh.put_nbi(window, block, pe, offset=int(base),
+                   nbytes=block.nbytes * cfg.byte_scale)
     yield sh.barrier_all_async()  # barrier implies quiet: all puts landed
 
 
@@ -151,8 +149,9 @@ def run_hybrid(ctx, cfg: IsxConfig):
 
 
 def run_hiper(ctx, cfg: IsxConfig):
-    """AsyncSHMEM: bucket blocks produced by tasks; puts chain on futures so
-    the exchange overlaps the remaining local work."""
+    """AsyncSHMEM: bucket blocks produced by tasks; each chunk's reservations
+    chain on futures and its puts are ``put_nbi``, completed by the closing
+    barrier's quiet, so the exchange overlaps the remaining local work."""
     sh = ctx.shmem
     me, n = ctx.rank, ctx.nranks
     flops = _flops(ctx)
@@ -186,16 +185,13 @@ def run_hiper(ctx, cfg: IsxConfig):
                     res_cnts.append(cnt)
             pending = sh.atomic_fetch_add_wave(tail, res_cnts, res_pes)
             pending.reverse()  # as in _exchange: drop each once consumed
-            puts = []
             for pe, cnt in zip(res_pes, res_cnts):
                 base = yield pending.pop()
                 if base + cnt > window.size:
                     raise ConfigError("ISx receive window overflow")
                 block = grouped[offs[pe] : offs[pe] + cnt]
-                puts.append(sh.put_async(window, block, pe, offset=int(base),
-                                         nbytes=block.nbytes * cfg.byte_scale))
-            for f in puts:
-                yield f
+                sh.put_nbi(window, block, pe, offset=int(base),
+                           nbytes=block.nbytes * cfg.byte_scale)
 
         return chunk
 

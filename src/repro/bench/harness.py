@@ -11,9 +11,9 @@ attached to the benchmark's ``extra_info``.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.distrib.spmd import ClusterConfig, SpmdResult, spmd_run
+from repro.distrib.spmd import ClusterConfig, SpmdResult
 from repro.net.costmodel import network
 from repro.platform.hwloc import machine
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 import threading
 from types import GeneratorType
-from typing import TYPE_CHECKING, Any, Callable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.runtime.context import ExecContext, _tls
 from repro.runtime.future import Future

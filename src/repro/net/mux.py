@@ -17,7 +17,7 @@ from typing import (Any, Callable, Dict, Iterable, List, NamedTuple, Optional,
 from repro.net.coalesce import ChannelCoalescer, CoalescedBatch, CoalescePolicy
 from repro.net.fabric import CorruptedPayload, SimFabric
 from repro.runtime.context import current_context
-from repro.runtime.future import Future, Promise
+from repro.runtime.future import Future
 from repro.util.errors import CommError
 from repro.util.stats import Histogram
 
@@ -66,8 +66,8 @@ class FabricMux:
         #: channel -> ChannelCoalescer; sends on these channels are buffered
         #: per destination and transmitted as CoalescedBatch envelopes.
         self._coalescers: Dict[str, ChannelCoalescer] = {}
-        #: req_id -> promise of a request awaiting its reply (:meth:`track`).
-        self._requests: Dict[int, Promise] = {}
+        #: req_id -> future of a request awaiting its reply (:meth:`track`).
+        self._requests: Dict[int, Future] = {}
         self._req_seq = itertools.count()
         #: channel -> its tally; kept when the channel is torn down, so
         #: its counts outlive it as pushed counters would.
@@ -203,9 +203,8 @@ class FabricMux:
         """Register a request; returns its id and the future its
         :meth:`reply` satisfies."""
         req_id = next(self._req_seq)
-        promise = Promise(name)
-        self._requests[req_id] = promise
-        return req_id, promise.get_future()
+        self._requests[req_id] = fut = Future(name)
+        return req_id, fut
 
     def post(self, dst: int, channel: str, payload: Any, nbytes: int, *,
              on_injected: Optional[Callable[[float], None]] = None,
@@ -399,9 +398,9 @@ class FabricMux:
         if type(payload) is not _Reply:
             handler(src, payload, time)
         elif payload.exc:
-            self._requests.pop(payload.req_id).put_exception(payload.value)
+            self._requests.pop(payload.req_id)._resolve(None, payload.value)
         else:
-            self._requests.pop(payload.req_id).put(payload.value)
+            self._requests.pop(payload.req_id)._resolve(payload.value, None)
 
     @property
     def nranks(self) -> int:

@@ -20,7 +20,7 @@ waits, and the split ``begin_finish()``/``end_finish()`` pair instead of
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, List, Optional, Sequence, Union
 
 import numpy as np
 

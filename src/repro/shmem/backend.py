@@ -11,6 +11,11 @@ Completion semantics follow the spec:
 
 - ``put`` completes locally at injection (source buffer reusable); its
   *remote* completion is tracked for ``quiet``/``fence``.
+- ``put_nbi`` (the spec's ``shmem_putmem_nbi``; ``ShmemModule.put_nbi``)
+  is the same send with no local-completion future — :meth:`count_put`
+  then :meth:`send_put` with no hook: nothing is made per op but the
+  message, and ``quiet`` is its only completion. The snapshot taken at
+  issue already makes the source buffer reusable.
 - ``get`` and fetching AMOs are round trips (request + response messages).
 - ``quiet`` completes when every previously-issued put/AMO from this PE has
   been applied at its target. The target acknowledges by one rule
@@ -128,32 +133,51 @@ class ShmemBackend:
         own an immutable copy, avoiding a double copy on the module's async
         path.
         """
+        done = Promise("shmem-put")
+        self.send_put(self.count_put(target, data, pe, offset, nbytes=nbytes,
+                                     copy=copy), done.put_none)
+        return done.get_future()
+
+    def count_put(self, target: SymArray, data: Any, pe: int, offset: int = 0,
+                  *, nbytes: Optional[int] = None,
+                  copy: bool = True) -> Tuple[int, Tuple, int]:
+        """Check a put and count it toward :meth:`quiet`; returns the
+        ``(pe, payload, wire bytes)`` that :meth:`send_put` sends. A funneled
+        ``put_nbi`` counts at its call and sends from its comm task, so a
+        ``quiet`` issued in between still waits for it."""
         self._check_pe(pe)
         data = np.asarray(data)
         self._check_bounds(target, offset, data.size, pe)
         wire = int(data.nbytes) if nbytes is None else int(nbytes)
-        fut = self._post_for_quiet(
-            pe, ("put", target.sym_id, offset, data.copy() if copy else data,
-                 self.rank), wire + _CTRL_SIZE, "shmem-put")
-        self.puts += 1
-        return fut
+        self._count_for_quiet()
+        return pe, ("put", target.sym_id, offset,
+                    data.copy() if copy else data, self.rank), wire + _CTRL_SIZE
 
-    def _post_for_quiet(self, pe: int, payload: Tuple, nbytes: int,
-                        name: str) -> Future:
-        """Send a put or non-fetching AMO: the future completes at injection,
-        and ``quiet`` waits for the target's acknowledgement. That is counted
-        before the send — across processes it can beat the send's return —
-        and taken back if the fabric refuses the send, or quiet() hangs."""
-        done = Promise(name)
+    def send_put(self, put: Tuple[int, Tuple, int],
+                 on_injected: Optional[Callable[[float], None]] = None) -> None:
+        """Send a put :meth:`count_put` counted; ``on_injected`` is the
+        local-completion hook, if the caller wants one."""
+        pe, payload, nbytes = put
+        self._post_counted(pe, payload, nbytes, on_injected)
+        self.puts += 1
+
+    def _count_for_quiet(self) -> None:
+        """Count one put or non-fetching AMO toward ``quiet``, before it is
+        sent: across processes its acknowledgement can beat the send's
+        return."""
         with self._lock:
             self._outstanding += 1
+
+    def _post_counted(self, pe: int, payload: Tuple, nbytes: int,
+                      on_injected: Optional[Callable[[float], None]]) -> None:
+        """Send an op already counted toward ``quiet``, taking the count
+        back if the fabric refuses the send, or quiet() hangs."""
         try:
             self.mux.post(pe, _CHANNEL, payload, nbytes,
-                          on_injected=done.put_none)
+                          on_injected=on_injected)
         except Exception:
             self._remote_completed()
             raise
-        return done.get_future()
 
     # ------------------------------------------------------------------
     # gets
@@ -194,7 +218,10 @@ class ShmemBackend:
         if fetch:
             self.mux.post(pe, _CHANNEL, payload, _AMO_SIZE, req=req_id)
         else:
-            fut = self._post_for_quiet(pe, payload, _AMO_SIZE, name)
+            done = Promise(name)
+            self._count_for_quiet()
+            self._post_counted(pe, payload, _AMO_SIZE, done.put_none)
+            fut = done.get_future()
         self.amos += 1
         return fut
 
@@ -221,11 +248,12 @@ class ShmemBackend:
         sym_id = target.sym_id
         rank = self.rank
         track = self.mux.track
+        name = f"amo-{op}-{sym_id}-wave"
         reqs: List[int] = []
         futures: List[Future] = []
         payloads: List[Tuple] = []
         for pe, operand in zip(pes, operands):
-            req_id, fut = track(f"amo-{op}-{sym_id}@{pe}")
+            req_id, fut = track(name)
             reqs.append(req_id)
             futures.append(fut)
             payloads.append(("amo", op, sym_id, index, operand, None,

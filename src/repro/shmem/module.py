@@ -3,10 +3,10 @@
 OpenSHMEM v1.3 makes no thread-safety guarantees; the paper's module funnels
 SHMEM calls through tasks at the Interconnect place so multi-threaded
 (multi-worker) ranks use the library safely. Supported API subset: symmetric
-allocation, put/get, atomics, quiet/fence, wait-until, collectives — plus
-the paper's novel ``shmem_async_when``, which predicates a task's execution
-on a remote put into local symmetric memory instead of burning a thread in
-``shmem_wait``.
+allocation, put/get (and ``put_nbi``), atomics, quiet/fence, wait-until,
+collectives — plus the paper's novel ``shmem_async_when``, which predicates
+a task's execution on a remote put into local symmetric memory instead of
+burning a thread in ``shmem_wait``.
 
 Like the MPI module, every operation has a blocking spelling (plain-callable
 tasks) and an ``_async``/future spelling (coroutine tasks, iterative SPMD
@@ -76,7 +76,8 @@ class ShmemModule(HiperModule):
         self._ctl = MpiBackend(self.ctx.mux, self.rank, channel="shmem-ctl")
         for api_name, fn in [
             ("shmem_malloc", self.malloc), ("shmem_free", self.free),
-            ("shmem_put", self.put), ("shmem_get", self.get),
+            ("shmem_put", self.put), ("shmem_put_nbi", self.put_nbi),
+            ("shmem_get", self.get),
             ("shmem_quiet", self.quiet), ("shmem_wait_until", self.wait_until),
             ("shmem_async_when", self.async_when),
             ("shmem_barrier_all", self.barrier_all),
@@ -146,6 +147,23 @@ class ShmemModule(HiperModule):
     def put(self, target: SymArray, data: Any, pe: int, offset: int = 0,
             *, nbytes: Optional[int] = None) -> None:
         self.put_async(target, data, pe, offset, nbytes=nbytes).wait()
+
+    def put_nbi(self, target: SymArray, data: Any, pe: int, offset: int = 0,
+                *, nbytes: Optional[int] = None) -> None:
+        """``shmem_putmem_nbi``: a put with no completion handle; the next
+        :meth:`quiet` or :meth:`barrier_all` is when it has landed.
+
+        ``data`` is snapshotted and the put counted toward ``quiet`` at call
+        time, under ``direct`` or funneled alike; funneled, a comm task
+        sends it later, and a ``quiet`` that runs first waits for it."""
+        b = self.backend
+        put = b.count_put(target, data, pe, offset, nbytes=nbytes)
+        if self.direct:
+            b.send_put(put)
+        else:
+            self.runtime.spawn(b.send_put, (put,), place=self.place,
+                               module=self.name, name="shmem-put_nbi")
+        self.op_counts["put"] += 1
 
     def get_async(self, source: SymArray, pe: int, offset: int = 0,
                   count: Optional[int] = None) -> Future:

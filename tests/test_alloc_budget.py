@@ -39,6 +39,12 @@ traced bytes per message (bound 340), because it kept every consumed
 reservation future until its exchange ended; the pairwise-FIFO table was a
 dict of 147 544 bytes where 32 768 hold every pair; and ``validate_isx``
 peaked at 3.00 global key sets (bound 1.5).
+
+The ``put_nbi`` rows fail at 88ad999, where a put could only be issued with
+its local-completion future: a ``put`` in flight held 8.05 tracked objects
+(``put_nbi`` bound 5, measured 4.00) and a funneled ``put_async`` 12.00
+(``put_nbi`` bound 6, measured 5.00), and flat ISx suspended on every
+put's future before its barrier.
 """
 
 import collections
@@ -182,6 +188,26 @@ def test_tracked_objects_per_operation(op, in_flight, collector_off):
     assert sum(held.values()) <= 2 * N + 50, held
 
 
+def test_tracked_objects_per_put_nbi(collector_off):
+    """A ``put_nbi`` in flight (the backend's ``count_put`` then
+    ``send_put`` with no hook) is its message alone: the payload, the
+    channel envelope, the delivery's arguments and its event-heap key. No
+    future, no injection event; once driven, nothing is left."""
+    ex, _, pe, sym = _world()
+    for _ in range(10):  # warm-up
+        pe.send_put(pe.count_put(sym, BLOCK, 1))
+    ex.drain()
+    before = _census()
+    for _ in range(N):
+        pe.send_put(pe.count_put(sym, BLOCK, 1))
+    flying = _census() - before
+    assert sum(flying.values()) <= 5 * N + 50, flying
+    ex.drain()
+    assert pe.outstanding_remote == 0
+    held = _census() - before
+    assert sum(held.values()) <= 50, held
+
+
 def _mpi_isend(ctx):
     """Rank 0's polling-flow isends; rank 1 receives them all."""
     if ctx.rank == 1:
@@ -197,6 +223,13 @@ def _shmem_put(ctx):
     return (lambda: ctx.shmem.put_async(sym, BLOCK, 1)), ctx.shmem.quiet_async
 
 
+def _shmem_put_nbi(ctx):
+    """Funneled ``put_nbi``: a comm task each, no future; quiet settles."""
+    sym = ctx.shmem.malloc(8)
+    yield ctx.shmem.barrier_all_async()
+    return (lambda: ctx.shmem.put_nbi(sym, BLOCK, 1)), ctx.shmem.quiet_async
+
+
 def _cuda_memcpy(ctx):
     cuda = ctx.runtime.module("cuda")
     dev = cuda.malloc(8, dtype=np.int64)
@@ -207,12 +240,19 @@ def _cuda_memcpy(ctx):
 MODULE_FLOWS = {
     "mpi-isend": (mpi_factory(), 2, "workstation", _mpi_isend),
     "shmem-put": (shmem_factory(), 2, "workstation", _shmem_put),
+    "shmem-put_nbi": (shmem_factory(), 2, "workstation", _shmem_put_nbi),
     "cuda-memcpy": (cuda_factory(), 1, "titan", _cuda_memcpy),
 }
 
 
+def _all_done(handles):
+    """The handles' joint future; a ``put_nbi`` returns no handle."""
+    return when_all([h for h in handles if h is not None])
+
+
 @pytest.mark.parametrize("flow, in_flight", [("mpi-isend", 13),
                                              ("shmem-put", 13),
+                                             ("shmem-put_nbi", 6),
                                              ("cuda-memcpy", 21)])
 def test_tracked_objects_per_module_operation(flow, in_flight, collector_off):
     """The same count one layer up, through the module's completion flow
@@ -224,11 +264,11 @@ def test_tracked_objects_per_module_operation(flow, in_flight, collector_off):
         issue, settle = yield from setup(ctx)
         if ctx.rank != 0:
             return None
-        yield when_all([issue() for _ in range(10)])  # warm-up
+        yield _all_done([issue() for _ in range(10)])  # warm-up
         before = _census()
         handles = [issue() for _ in range(N)]
         flying.update(_census() - before)
-        yield when_all(handles)
+        yield _all_done(handles)
         if settle is not None:
             yield settle()
         return None

@@ -19,10 +19,10 @@ from repro.verify.invariants import check_quiesce
 PINS = {
     ("isx", "flat"): {
         "counters": {
-            "core.pop": 46,
-            "core.resume": 85,
-            "core.steal": 55,
-            "core.suspend": 85,
+            "core.pop": 44,
+            "core.resume": 75,
+            "core.steal": 47,
+            "core.suspend": 75,
             "core.tasks_completed": 16,
             "core.tasks_spawned": 4,
             "shmem-ctl.bytes_sent": 0,

@@ -317,6 +317,23 @@ def _sim_vs_procs(app):
 
 
 class TestProcsDifferential:
+    def test_flat_isx_put_nbi_is_quieted_by_cross_process_acks(self):
+        """Flat ISx puts by ``put_nbi`` and waits only at the barrier's
+        quiet; here every remote put is acknowledged by a ``("comp",)``
+        message from the other process, and the answer still validates."""
+        from repro.apps.isx import IsxConfig, isx_main, validate_isx
+
+        cfg = IsxConfig(keys_per_pe=1 << 8)
+        res = spmd_run(isx_main("flat", cfg), ClusterConfig(nodes=2),
+                       module_factories=[shmem_factory(direct=True)],
+                       executor=ProcessExecutor(timeout=60.0))
+        validate_isx(cfg, res.nranks, res.results)
+        c = res.counters
+        # Per rank: 2 fetch-adds + their 2 replies + 2 puts, and one ack
+        # for the put that came from the other process.
+        assert c["shmem.puts"] == 4
+        assert c["shmem.msgs_sent"] == 2 * (6 + 1)
+
     @pytest.mark.parametrize("workload", ["isx", "uts"])
     def test_digest_matches_sim(self, workload):
         rep = _sim_vs_procs(workload)

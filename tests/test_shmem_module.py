@@ -7,6 +7,7 @@ import pytest
 from repro.distrib import ClusterConfig, spmd_run
 from repro.exec.sim import SimExecutor
 from repro.net import FabricMux, NetworkModel, SimFabric
+from repro.resilience import FaultInjector, FaultPlan
 from repro.shmem import ShmemBackend, shmem_factory
 from repro.shmem.heap import SignatureTable, SymmetricHeap
 from repro.util.errors import CommError, ConfigError, ShmemError
@@ -143,6 +144,142 @@ class TestPutGet:
 
         res = run(main2, nranks=2)
         assert res.results[1] == 2
+
+
+def _exchange_main(nbi):
+    """Every PE puts a block into every PE's window at its own offset, by
+    ``put_nbi`` (settled by the barrier) or by ``put_async`` (each future
+    yielded)."""
+
+    def main(ctx):
+        sh = ctx.shmem
+        me, n = ctx.rank, ctx.nranks
+        dest = sh.malloc(3 * n)
+        yield sh.barrier_all_async()
+        for k in range(n):
+            pe = (me + k) % n
+            block = np.array([me, pe, 10 * me + pe])
+            if nbi:
+                sh.put_nbi(dest, block, pe, offset=3 * me)
+            else:
+                yield sh.put_async(dest, block, pe, offset=3 * me)
+        yield sh.barrier_all_async()
+        return dest.arr.tolist()
+
+    return main
+
+
+class TestPutNbi:
+    """``put_nbi``: counted completion, no per-op future. Its only
+    completion is ``quiet`` (or a barrier, which implies it)."""
+
+    def test_funneled_put_nbi_then_quiet_sees_the_data(self):
+        """The put is counted at the call, not by its comm task. With one
+        worker per rank the main's own deque holds both comm tasks and pops
+        the quiet, spawned last, first (LIFO): a count taken inside the
+        put's task would let the quiet return before the put was sent."""
+        windows = {}
+
+        def main(ctx):
+            sh = ctx.shmem
+            windows[ctx.rank] = dest = sh.malloc(4)
+            yield sh.barrier_all_async()
+            seen = None
+            if ctx.rank == 0:
+                buf = np.arange(1, 5)
+                sh.put_nbi(dest, buf, 1)
+                buf[:] = 0  # the call snapshotted it
+                yield sh.quiet_async()
+                seen = windows[1].arr.tolist()
+            yield sh.barrier_all_async()
+            return seen
+
+        res = run(main, nranks=2, workers=1)
+        assert res.results[0] == [1, 2, 3, 4]
+
+    def test_finalize_refuses_an_unquieted_put_nbi(self):
+        """A put_nbi whose message is lost is never acknowledged; the rank
+        finishes without a quiet, and finalize says so."""
+        plan = FaultPlan.from_spec({"faults": [
+            {"kind": "message_drop", "prob": 1.0, "channel": "shmem"}]})
+
+        def main(ctx):
+            sh = ctx.shmem
+            dest = sh.malloc(1)
+            yield sh.barrier_all_async()
+            if ctx.rank == 0:
+                sh.put_nbi(dest, np.array([7]), 1)
+            return None
+
+        with pytest.raises(ShmemError, match="1 un-quieted remote"):
+            spmd_run(main, ClusterConfig(nodes=2, workers_per_rank=2),
+                     module_factories=[shmem_factory()],
+                     fault_injector=FaultInjector(plan))
+
+    @pytest.mark.parametrize("direct", [False, True],
+                             ids=["funneled", "direct"])
+    def test_put_nbi_is_refused_before_it_is_counted(self, direct):
+        def main(ctx):
+            sh = ctx.shmem
+            dest = sh.malloc(4)
+            try:
+                sh.put_nbi(dest, np.arange(10), 1)
+            except ShmemError:
+                return sh.backend.outstanding_remote
+            yield sh.barrier_all_async()
+
+        assert run(main, nranks=2, direct=direct).results == [0, 0]
+
+    def test_funneled_put_nbi_refused_by_the_fabric(self):
+        """Funneled, the bounds check passes at the call and the fabric
+        refuses the send later, in the comm task: the count is taken back,
+        so quiet() does not hang, and the run fails with the CommError at
+        its join rather than losing it with the task."""
+        seen = {}
+
+        def main(ctx):
+            sh = ctx.shmem
+            dest = sh.malloc(4)
+            yield sh.barrier_all_async()
+            if ctx.rank == 0:
+                sh.backend.mux.fabric.max_message_bytes = 1024
+                sh.put_nbi(dest, np.arange(4), 1, nbytes=4096)
+                seen["at_call"] = sh.backend.outstanding_remote
+                yield sh.quiet_async()
+                seen["after_quiet"] = sh.backend.outstanding_remote
+            return None
+
+        with pytest.raises(ConfigError, match="rank 0: CommError: .*"
+                           "exceeds fabric limit") as err:
+            run(main, nranks=2)
+        assert isinstance(err.value.__cause__, CommError)
+        assert seen == {"at_call": 1, "after_quiet": 0}
+
+    @pytest.mark.parametrize("setting", ["plain", "direct", "coalesce",
+                                         "faults"])
+    def test_put_nbi_gives_the_answer_of_put_async(self, setting):
+        kwargs = {"direct": {"direct": True},
+                  "coalesce": {"coalesce": True}}.get(setting, {})
+
+        def once(nbi):
+            inj = None
+            if setting == "faults":
+                inj = FaultInjector(FaultPlan.from_spec({
+                    "retry": {"attempts": 8, "base": 1e-5},
+                    "faults": [{"kind": "message_drop", "prob": 0.3}],
+                }, seed=5))
+            res = spmd_run(_exchange_main(nbi),
+                           ClusterConfig(nodes=4, workers_per_rank=2),
+                           module_factories=[shmem_factory(**kwargs)],
+                           fault_injector=inj)
+            if inj is not None:
+                assert inj.counts()["message_drop"] > 0
+            return res.results
+
+        want = [sum(([me, pe, 10 * me + pe] for me in range(4)), [])
+                for pe in range(4)]
+        assert once(nbi=False) == want
+        assert once(nbi=True) == want
 
 
 class TestAtomics:
@@ -423,6 +560,12 @@ class TestRefusedSend:
          "exceeds fabric limit"),
         (512, lambda pe, s: pe.put(s, TestRefusedSend.BLOCK, 2),
          "no registered message sink"),
+        (512, lambda pe, s: pe.send_put(pe.count_put(
+            s, TestRefusedSend.BLOCK, 1, nbytes=4096)),
+         "exceeds fabric limit"),
+        (512, lambda pe, s: pe.send_put(pe.count_put(
+            s, TestRefusedSend.BLOCK, 2)),
+         "no registered message sink"),
         (512, lambda pe, s: pe.get(s, 2), "no registered message sink"),
         (40, lambda pe, s: pe.amo("add", s, 0, 1, operand=1),
          "exceeds fabric limit"),
@@ -436,7 +579,8 @@ class TestRefusedSend:
          "exceeds fabric limit"),
         (512, lambda pe, s: pe.amo_fetch_wave("add", s, 0, [1, 2], [1, 1]),
          "no registered message sink"),
-    ], ids=["put-oversize", "put-no-sink", "get-no-sink",
+    ], ids=["put-oversize", "put-no-sink", "put_nbi-oversize",
+            "put_nbi-no-sink", "get-no-sink",
             "amo-fetch-oversize", "amo-fetch-no-sink", "amo-oversize",
             "amo-no-sink", "wave-oversize", "wave-no-sink"])
     def test_refused_op_changes_nothing_and_quiet_completes(

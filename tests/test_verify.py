@@ -482,10 +482,10 @@ PINNED_APPS = {
                                "5ae9ba1c5d088121683b02a9ec4b446f"),
     ("hpgmg", "pct"): (540, "33e5ac091eb8939ed510c7ec80487f21"
                             "d54efc491de35afb1e3203d7317a80e6"),
-    ("isx", "random"): (82, "95f27fda811d697f0276ea96b4248936"
-                            "efb5b8e08520ee9e159b7da69f83d131"),
-    ("isx", "pct"): (82, "d113d50137a5d735f4dbfe93c66d8a5d"
-                         "dad996b70c549c8d53276dd16f5a4f75"),
+    ("isx", "random"): (70, "73ddfa2c622430b6c0956f9e24814335"
+                            "33803cf9b79d77329cc34e56271b4680"),
+    ("isx", "pct"): (70, "dfd4c8f1dc840750f71316112028251d"
+                         "53de28eeb97f691d93cacb528c09db1b"),
     ("uts", "random"): (600, "1e579518f557f099201c10d5701740393"
                              "c4ae2d4ac964edc466188de557c6cf6"),
     ("uts", "pct"): (572, "57ce3015166e2a70656455bae4b838dc"
